@@ -15,7 +15,6 @@ import (
 	"vlt/internal/core"
 	"vlt/internal/lane"
 	"vlt/internal/mem"
-	"vlt/internal/runner"
 	"vlt/internal/workloads"
 )
 
@@ -51,7 +50,7 @@ func BenchmarkTable4(b *testing.B) {
 	var rows []Table4Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = Table4(1)
+		rows, err = testEngine.Table4(1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -70,7 +69,7 @@ func BenchmarkFigure1(b *testing.B) {
 	var data Figure1Data
 	for i := 0; i < b.N; i++ {
 		var err error
-		data, err = Figure1(1)
+		data, err = testEngine.Figure1(1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -85,7 +84,7 @@ func BenchmarkFigure3(b *testing.B) {
 	var data Figure3Data
 	for i := 0; i < b.N; i++ {
 		var err error
-		data, err = Figure3(1)
+		data, err = testEngine.Figure3(1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -102,7 +101,7 @@ func BenchmarkFigure4(b *testing.B) {
 	var data Figure4Data
 	for i := 0; i < b.N; i++ {
 		var err error
-		data, err = Figure4(1)
+		data, err = testEngine.Figure4(1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -117,7 +116,7 @@ func BenchmarkFigure5(b *testing.B) {
 	var data Figure5Data
 	for i := 0; i < b.N; i++ {
 		var err error
-		data, err = Figure5(1)
+		data, err = testEngine.Figure5(1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -133,7 +132,7 @@ func BenchmarkFigure6(b *testing.B) {
 	var data Figure6Data
 	for i := 0; i < b.N; i++ {
 		var err error
-		data, err = Figure6(1)
+		data, err = testEngine.Figure6(1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -147,10 +146,10 @@ func BenchmarkFigure6(b *testing.B) {
 
 // BenchmarkExpAll regenerates the entire evaluation (every table, figure
 // and extension study) at scale=1 through the experiment engine, once on
-// the legacy serial path and once on the parallel memoized engine. A
-// fresh engine per iteration keeps the memoization cache inside the
-// measured region, so the metric tracks the real `vltexp -all` cost and
-// the dedup factor (unique/submitted cells) stays honest.
+// one slot and once on GOMAXPROCS slots. A fresh engine per iteration
+// keeps the memoization cache inside the measured region, so the metric
+// tracks the real `vltexp -all` cost and the dedup factor
+// (unique/submitted cells) stays honest.
 func BenchmarkExpAll(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -161,7 +160,7 @@ func BenchmarkExpAll(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
-			var st runner.Stats
+			var st EngineStats
 			for i := 0; i < b.N; i++ {
 				eng := NewEngine(bc.jobs)
 				if _, err := eng.CollectAll(1); err != nil {
@@ -387,7 +386,7 @@ func BenchmarkExtension16Lanes(b *testing.B) {
 	var data Ext16Data
 	for i := 0; i < b.N; i++ {
 		var err error
-		data, err = Extension16Lanes(1)
+		data, err = testEngine.Extension16Lanes(1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -402,7 +401,7 @@ func BenchmarkExtensionPhaseSwitching(b *testing.B) {
 	var data ExtReclaimData
 	for i := 0; i < b.N; i++ {
 		var err error
-		data, err = ExtensionPhaseSwitching(1)
+		data, err = testEngine.ExtensionPhaseSwitching(1)
 		if err != nil {
 			b.Fatal(err)
 		}

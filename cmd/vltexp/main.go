@@ -42,7 +42,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	metricsFor := fs.String("metrics", "", "dump the named workload's full metric registry and exit")
 	machine := fs.String("machine", "base", "machine configuration for -metrics")
 	all := fs.Bool("all", false, "print every table and figure")
-	jobs := fs.Int("jobs", 0, "max concurrent simulations (0 = GOMAXPROCS, 1 = serial legacy path)")
+	jobs := fs.Int("jobs", 0, "max concurrent simulations (0 = GOMAXPROCS, 1 = one at a time)")
 	progress := fs.Bool("progress", false, "report completed/total simulation cells on stderr")
 	stallLimit := fs.Uint64("stall-limit", 0, "abort a cell when no instruction retires for N cycles (0 = default)")
 	auditFlag := fs.String("audit", "auto", "invariant auditor: auto, on, off")
@@ -201,13 +201,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	if *all {
-		// Warm the engine's cache with every driver running concurrently;
-		// the ordered printing below then reads memoized cells. The serial
-		// legacy path has no cache, so it simulates while printing.
-		if !eng.Serial() {
-			if _, err := eng.CollectAll(*scale); err != nil {
-				return fail(err)
-			}
+		// Warm the engine's memo with every driver running concurrently;
+		// the ordered printing below then reads memoized cells.
+		if _, err := eng.CollectAll(*scale); err != nil {
+			return fail(err)
 		}
 		for _, n := range []int{1, 2, 3, 4} {
 			if err := printTab(n); err != nil {

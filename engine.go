@@ -11,33 +11,33 @@ import (
 	"vlt/internal/workloads"
 )
 
-// This file implements the parallel experiment engine. Every experiment
-// driver (Figure1..6, Table4, the extension studies) decomposes into
+// This file implements the experiment engine. Every experiment driver
+// (Figure1..6, Table4, the extension studies) decomposes into
 // independent (workload, machine, options) simulation cells; the engine
-// fans those cells out over a bounded worker pool and memoizes them by a
-// content-addressed fingerprint, so a cell shared by several figures —
-// e.g. each workload's base-machine run, requested by Figures 1, 3, 4, 5
-// and Table 4 alike — is simulated exactly once per engine.
+// starts each cell on its Slots (runner.Slots, the repo's one execution
+// bound) and memoizes it by a content-addressed fingerprint, so a cell
+// shared by several figures — e.g. each workload's base-machine run,
+// requested by Figures 1, 3, 4, 5 and Table 4 alike — is simulated
+// exactly once per engine.
 //
 // Determinism: the simulator is execution-driven but fully deterministic
 // (no wall clock, no randomness, one private Machine per cell), so a
-// cell's result is a pure function of its fingerprint and the parallel
-// engine's output is byte-identical to the serial path's; the drivers
-// collect futures in the same order the legacy loops ran, and
-// TestParallelMatchesSerial enforces the equivalence for every figure.
+// cell's result is a pure function of its fingerprint and an engine's
+// output does not depend on its width; the drivers collect futures in a
+// fixed order, and TestParallelMatchesSerial enforces the equivalence of
+// a one-slot and a multi-slot engine for every figure.
 
-// Engine runs experiment cells on a bounded worker pool with a
-// memoization cache. NewEngine(1) is the legacy serial path: cells
-// execute inline, in collection order, with no cache — the control for
-// the differential test. The package-level Figure*/Table4/Extension*
-// functions share DefaultEngine, so duplicate cells are simulated once
-// per process.
+// Engine runs experiment cells on a Slots with a per-engine memo: each
+// unique cell is simulated once, and the memo lives exactly as long as
+// the engine. NewEngine(1) runs one cell at a time — the control for the
+// differential test.
 type Engine struct {
-	pool *runner.Pool[string, cell] // nil in serial mode
+	slots *runner.Slots
 
 	mu       sync.Mutex
-	done     int // serial-mode progress (pool == nil)
-	total    int
+	cells    map[string]*runner.Task[cell]
+	stats    EngineStats
+	done     int // cells finished simulating
 	progress func(done, total int)
 
 	// engine-wide guard defaults, applied to every submitted cell that
@@ -46,53 +46,52 @@ type Engine struct {
 	guardAudit AuditMode
 }
 
+// EngineStats counts an engine's cell submissions.
+type EngineStats struct {
+	// Submitted is the total number of cells the drivers requested.
+	Submitted int
+	// Unique is the number of distinct cells, i.e. cells simulated.
+	Unique int
+	// Hits is the number of requests served from the memo
+	// (Submitted - Unique).
+	Hits int
+}
+
 // cell is the memoized unit of work: one simulation's full result.
 type cell struct {
 	res Result
 	raw UtilizationCounts
 }
 
-// DefaultEngine backs the package-level experiment functions. It is
-// parallel (GOMAXPROCS workers) and caches for the process lifetime.
-var DefaultEngine = NewEngine(0)
+// NewEngine returns an experiment engine on its own jobs slots: at most
+// jobs simulations run at once (jobs <= 0 selects runtime.GOMAXPROCS(0)).
+func NewEngine(jobs int) *Engine { return NewEngineOn(runner.NewSlots(jobs)) }
 
-// NewEngine returns an experiment engine running at most jobs
-// simulations concurrently. jobs <= 0 selects runtime.GOMAXPROCS(0);
-// jobs == 1 selects the legacy serial path (inline execution, no
-// memoization).
-func NewEngine(jobs int) *Engine {
-	if jobs == 1 {
-		return &Engine{}
-	}
-	return &Engine{pool: runner.NewPool[string, cell](jobs)}
+// NewEngineOn returns an experiment engine whose cells run on slots, so
+// they share the bound with every other holder of slots (vltd runs each
+// /v1/experiment request's engine on the daemon's one Slots).
+func NewEngineOn(slots *runner.Slots) *Engine {
+	return &Engine{slots: slots, cells: make(map[string]*runner.Task[cell])}
 }
 
-// Serial reports whether the engine is the legacy serial path.
-func (e *Engine) Serial() bool { return e.pool == nil }
+// Serial reports whether the engine runs one simulation at a time.
+func (e *Engine) Serial() bool { return e.slots.Width() == 1 }
 
 // SetProgress installs a callback invoked after every simulated cell
-// with the number of completed and scheduled cells. In parallel mode the
-// callback runs on worker goroutines and must be safe for concurrent
-// use; cache hits do not re-invoke it.
+// with the number of completed and scheduled cells. The callback runs on
+// the cells' goroutines and must be safe for concurrent use; memo hits
+// do not re-invoke it.
 func (e *Engine) SetProgress(fn func(done, total int)) {
-	if e.pool != nil {
-		e.pool.SetProgress(fn)
-		return
-	}
 	e.mu.Lock()
 	e.progress = fn
 	e.mu.Unlock()
 }
 
-// Stats returns the engine's submission counters. In serial mode every
-// submission is unique (the legacy path has no cache).
-func (e *Engine) Stats() runner.Stats {
-	if e.pool != nil {
-		return e.pool.Stats()
-	}
+// Stats returns the engine's submission counters.
+func (e *Engine) Stats() EngineStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return runner.Stats{Submitted: e.total, Unique: e.total}
+	return e.stats
 }
 
 // SetGuard installs engine-wide robustness defaults: every subsequently
@@ -145,47 +144,49 @@ func fingerprint(workload string, m Machine, opt Options) (string, error) {
 
 // cellFuture is the engine-side future for one submitted cell.
 type cellFuture struct {
-	task *runner.Task[cell]   // parallel mode
-	run  func() (cell, error) // serial mode: executed lazily at wait
-	err  error                // submission-time error (bad machine/options)
+	task *runner.Task[cell]
+	err  error // submission-time error (bad machine/options)
 }
 
-// submit schedules one simulation cell. In parallel mode the cell starts
-// immediately (subject to the worker bound) and duplicates coalesce onto
-// the cached task; in serial mode execution is deferred to wait so cells
-// run inline in collection order, exactly like the legacy loops.
+// submit schedules one simulation cell: a new cell starts at once,
+// waiting only for a free slot, and a duplicate joins the memoized task.
 func (e *Engine) submit(workload string, m Machine, opt Options) *cellFuture {
 	opt = e.applyGuard(opt)
-	// A panic anywhere in a cell's simulation (machine model bug,
-	// workload Verify blowing up) fails only that cell, as a
-	// *runner.PanicError naming it; sibling cells and the pool survive.
-	simulate := func() (cell, error) {
-		return runner.Guard(workload+"/"+string(m), func() (cell, error) {
-			res, raw, err := simulateCell(workload, m, opt)
-			return cell{res: res, raw: raw}, err
-		})
-	}
-	if e.pool != nil {
-		key, err := fingerprint(workload, m, opt)
-		if err != nil {
-			return &cellFuture{err: err}
-		}
-		return &cellFuture{task: e.pool.Submit(key, simulate)}
+	key, err := fingerprint(workload, m, opt)
+	if err != nil {
+		return &cellFuture{err: err}
 	}
 	e.mu.Lock()
-	e.total++
+	defer e.mu.Unlock()
+	e.stats.Submitted++
+	if t, ok := e.cells[key]; ok {
+		e.stats.Hits++
+		return &cellFuture{task: t}
+	}
+	e.stats.Unique++
+	// A panic anywhere in a cell's simulation (machine model bug,
+	// workload Verify blowing up) fails only that cell, as a
+	// *runner.PanicError naming it; sibling cells and the engine survive.
+	t := runner.Start(e.slots, workload+"/"+string(m), func() (cell, error) {
+		defer e.cellDone()
+		res, raw, err := simulateCell(workload, m, opt)
+		return cell{res: res, raw: raw}, err
+	})
+	e.cells[key] = t
+	return &cellFuture{task: t}
+}
+
+// cellDone counts one finished simulation and reports progress. It runs
+// before the cell's task completes, so a cell's callback has returned
+// before any wait on the cell does.
+func (e *Engine) cellDone() {
+	e.mu.Lock()
+	e.done++
+	cb, done, total := e.progress, e.done, e.stats.Unique
 	e.mu.Unlock()
-	return &cellFuture{run: func() (cell, error) {
-		c, err := simulate()
-		e.mu.Lock()
-		e.done++
-		cb, done, total := e.progress, e.done, e.total
-		e.mu.Unlock()
-		if cb != nil {
-			cb(done, total)
-		}
-		return c, err
-	}}
+	if cb != nil {
+		cb(done, total)
+	}
 }
 
 // wait blocks until the cell has simulated and returns its result.
@@ -193,13 +194,7 @@ func (f *cellFuture) wait() (Result, UtilizationCounts, error) {
 	if f.err != nil {
 		return Result{}, UtilizationCounts{}, f.err
 	}
-	var c cell
-	var err error
-	if f.task != nil {
-		c, err = f.task.Wait()
-	} else {
-		c, err = f.run()
-	}
+	c, err := f.task.Wait()
 	return c.res, c.raw, err
 }
 

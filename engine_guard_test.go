@@ -21,7 +21,7 @@ func TestEngineIsolatesPanickingCell(t *testing.T) {
 		return orig(workload, m, opt)
 	}
 
-	for _, jobs := range []int{1, 2} { // serial and parallel paths
+	for _, jobs := range []int{1, 2} { // one slot and several
 		eng := NewEngine(jobs)
 		bad := eng.submit("poison", MachineBase, Options{})
 		good := eng.submit("mxm", MachineBase, Options{SkipVerify: true})

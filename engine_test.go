@@ -6,16 +6,16 @@ import (
 )
 
 // TestParallelMatchesSerial is the engine's differential regression: the
-// parallel memoized engine must produce results identical to the legacy
-// serial path for every figure, table and extension study. Any data race
-// or cross-run state leak in the simulator would show up here (and under
-// -race).
+// shared multi-slot test engine must produce results identical to a
+// one-slot engine, which simulates one cell at a time, for every figure,
+// table and extension study. Any data race or cross-run state leak in
+// the simulator would show up here (and under -race).
 func TestParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
 	serial := NewEngine(1)
-	parallel := NewEngine(4)
+	parallel := testEngine
 	if !serial.Serial() || parallel.Serial() {
 		t.Fatalf("NewEngine mode selection broken: serial=%v parallel=%v",
 			serial.Serial(), parallel.Serial())
@@ -23,6 +23,12 @@ func TestParallelMatchesSerial(t *testing.T) {
 	want, err := serial.CollectAll(1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The one-slot engine starts empty, so its sweep proves the figures
+	// share cells (each workload's base-machine run is requested by
+	// Figures 1, 3, 4, 5 and Table 4 alike): 127 requests, 78 simulated.
+	if st := serial.Stats(); st.Submitted != 127 || st.Unique != 78 || st.Hits != st.Submitted-st.Unique {
+		t.Errorf("one-slot sweep stats %+v, want 127 submitted, 78 unique, the rest hits", st)
 	}
 	got, err := parallel.CollectAll(1)
 	if err != nil {
@@ -42,38 +48,73 @@ func TestParallelMatchesSerial(t *testing.T) {
 		{"extensionPhaseSwitching", got.ExtensionPhaseSwtch, want.ExtensionPhaseSwtch},
 	} {
 		if !reflect.DeepEqual(cmp.got, cmp.want) {
-			t.Errorf("%s: parallel engine diverges from serial path\nparallel: %+v\nserial:   %+v",
+			t.Errorf("%s: parallel engine diverges from one-slot engine\nparallel: %+v\nserial:   %+v",
 				cmp.name, cmp.got, cmp.want)
 		}
 	}
 }
 
-// TestEngineDedup checks the memoization contract: duplicate (workload,
-// config, options) cells are simulated exactly once per engine, and the
-// full sweep genuinely shares cells across figures (e.g. each workload's
-// base-machine run is requested by Figures 1, 3, 4, 5 and Table 4).
+// TestEngineDedup checks the memoization contract on the shared test
+// engine: duplicate (workload, config, options) cells are simulated
+// exactly once per engine, so a repeated figure is all memo hits. That
+// the figures share cells with each other is asserted on a fresh engine
+// in TestParallelMatchesSerial.
 func TestEngineDedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	eng := NewEngine(2)
-	if _, err := eng.CollectAll(1); err != nil {
-		t.Fatal(err)
-	}
-	st := eng.Stats()
-	if st.Hits == 0 {
-		t.Errorf("full sweep produced no cache hits (%+v); figures share base runs", st)
-	}
-	if st.Unique+st.Hits != st.Submitted {
-		t.Errorf("stats inconsistent: %+v", st)
-	}
-	// A repeated figure re-submits only cached cells: no new simulations.
-	unique := st.Unique
+	eng := testEngine
 	if _, err := eng.Figure3(1); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.Stats().Unique; got != unique {
-		t.Errorf("repeating Figure3 simulated %d new cells, want 0", got-unique)
+	before := eng.Stats()
+	if _, err := eng.Figure3(1); err != nil {
+		t.Fatal(err)
+	}
+	st := eng.Stats()
+	if st.Unique+st.Hits != st.Submitted {
+		t.Errorf("stats inconsistent: %+v", st)
+	}
+	if n, hits := st.Submitted-before.Submitted, st.Hits-before.Hits; n == 0 || hits != n {
+		t.Errorf("repeating Figure3: %d of %d submissions were memo hits, want all", hits, n)
+	}
+}
+
+// TestFingerprintCoversOptions guards the memo key against an Options
+// field that changes a simulation but is left out of fingerprint. Both
+// sides of TestParallelMatchesSerial memoize by the same key, so such a
+// field would alias distinct cells on both and agree anyway. Every
+// field, set away from its default, must change the key on the base
+// machine and on a VLT machine.
+func TestFingerprintCoversOptions(t *testing.T) {
+	base := Options{Scale: 1}
+	for _, m := range []Machine{MachineBase, MachineV4CMT} {
+		want, err := fingerprint("mxm", m, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < reflect.TypeOf(base).NumField(); i++ {
+			opt := base
+			f := reflect.ValueOf(&opt).Elem().Field(i)
+			name := reflect.TypeOf(base).Field(i).Name
+			switch f.Kind() {
+			case reflect.Bool:
+				f.SetBool(!f.Bool())
+			case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+				f.SetInt(f.Int() + 2)
+			case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+				f.SetUint(f.Uint() + 2)
+			default:
+				t.Fatalf("Options.%s has kind %s; give this test a non-default value for it", name, f.Kind())
+			}
+			got, err := fingerprint("mxm", m, opt)
+			if err != nil {
+				t.Fatalf("%s: Options.%s=%v: %v", m, name, f.Interface(), err)
+			}
+			if got == want {
+				t.Errorf("%s: Options.%s=%v leaves the cell key unchanged", m, name, f.Interface())
+			}
+		}
 	}
 }
 
@@ -104,7 +145,7 @@ func TestEngineAliasedCells(t *testing.T) {
 }
 
 // TestEngineErrorPropagation: a bad cell surfaces its error through the
-// drivers with the legacy message shape, in both modes.
+// drivers, on one slot and on several.
 func TestEngineErrorPropagation(t *testing.T) {
 	for _, jobs := range []int{1, 4} {
 		eng := NewEngine(jobs)
@@ -120,7 +161,7 @@ func TestEngineErrorPropagation(t *testing.T) {
 }
 
 // TestEngineProgress: the progress callback sees every unique cell
-// complete, in both modes.
+// complete, on one slot and on several.
 func TestEngineProgress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")

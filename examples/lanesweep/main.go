@@ -14,7 +14,7 @@ import (
 )
 
 func main() {
-	data, err := vlt.Figure1(1)
+	data, err := vlt.NewEngine(0).Figure1(1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -31,10 +31,6 @@ type Figure1Data struct {
 }
 
 // Figure1 sweeps the base processor's lane count from 1 to 8 for all nine
-// applications (paper Figure 1) on the DefaultEngine.
-func Figure1(scale int) (Figure1Data, error) { return DefaultEngine.Figure1(scale) }
-
-// Figure1 sweeps the base processor's lane count from 1 to 8 for all nine
 // applications (paper Figure 1).
 func (e *Engine) Figure1(scale int) (Figure1Data, error) {
 	ws := workloads.All()
@@ -90,11 +86,6 @@ type Figure3Row struct {
 type Figure3Data struct {
 	Rows []Figure3Row
 }
-
-// Figure3 measures the VLT speedup of the short-vector workloads with 2
-// threads (V2-CMP) and 4 threads (V4-CMP) over the base processor (paper
-// Figure 3) on the DefaultEngine.
-func Figure3(scale int) (Figure3Data, error) { return DefaultEngine.Figure3(scale) }
 
 // Figure3 measures the VLT speedup of the short-vector workloads with 2
 // threads (V2-CMP) and 4 threads (V4-CMP) over the base processor (paper
@@ -166,11 +157,6 @@ type Figure4Row struct {
 type Figure4Data struct {
 	Rows []Figure4Row
 }
-
-// Figure4 measures the arithmetic-datapath utilization breakdown (busy /
-// partly idle / stalled / all idle) of the short-vector workloads on the
-// base and VLT configurations (paper Figure 4) on the DefaultEngine.
-func Figure4(scale int) (Figure4Data, error) { return DefaultEngine.Figure4(scale) }
 
 // Figure4 measures the arithmetic-datapath utilization breakdown (busy /
 // partly idle / stalled / all idle) of the short-vector workloads on the
@@ -248,10 +234,6 @@ type Figure5Data struct {
 }
 
 // Figure5 evaluates the scalar-unit design space for vector threads
-// (paper Figure 5) on the DefaultEngine.
-func Figure5(scale int) (Figure5Data, error) { return DefaultEngine.Figure5(scale) }
-
-// Figure5 evaluates the scalar-unit design space for vector threads
 // (paper Figure 5): multiplexed (SMT), replicated (CMP), hybrid (CMT) and
 // heterogeneous (CMP-h) scalar units.
 func (e *Engine) Figure5(scale int) (Figure5Data, error) {
@@ -315,11 +297,6 @@ type Figure6Row struct {
 type Figure6Data struct {
 	Rows []Figure6Row
 }
-
-// Figure6 compares 8 VLT scalar threads on the vector lanes against 4
-// threads on the CMT baseline for the non-vectorizable workloads (paper
-// Figure 6) on the DefaultEngine.
-func Figure6(scale int) (Figure6Data, error) { return DefaultEngine.Figure6(scale) }
 
 // Figure6 compares 8 VLT scalar threads on the vector lanes against 4
 // threads on the CMT baseline (two 4-way SMT-2 cores) for the
@@ -459,11 +436,6 @@ type Table4Row struct {
 }
 
 // Table4 measures each workload's operation census and VLT opportunity on
-// the base processor (via the DefaultEngine) and pairs it with the
-// paper's Table 4.
-func Table4(scale int) ([]Table4Row, error) { return DefaultEngine.Table4(scale) }
-
-// Table4 measures each workload's operation census and VLT opportunity on
 // the base processor and pairs it with the paper's Table 4.
 func (e *Engine) Table4(scale int) ([]Table4Row, error) {
 	ws := workloads.All()
@@ -492,9 +464,6 @@ func (e *Engine) Table4(scale int) ([]Table4Row, error) {
 	}
 	return out, nil
 }
-
-// Table4String renders Table 4 (measured vs paper) on the DefaultEngine.
-func Table4String(scale int) (string, error) { return DefaultEngine.Table4String(scale) }
 
 // Table4String renders Table 4 (measured vs paper).
 func (e *Engine) Table4String(scale int) (string, error) {

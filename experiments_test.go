@@ -8,11 +8,17 @@ import (
 // claims being reproduced are orderings and approximate factors, not
 // absolute cycle counts (see EXPERIMENTS.md).
 
+// testEngine is the multi-slot engine the package's tests and benchmarks
+// share, so each paper-grid cell is simulated once per `go test .`
+// however many tests read it. TestParallelMatchesSerial holds it against
+// a one-slot engine.
+var testEngine = NewEngine(4)
+
 func TestFigure1Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	data, err := Figure1(1)
+	data, err := testEngine.Figure1(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +62,7 @@ func TestFigure3Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	data, err := Figure3(1)
+	data, err := testEngine.Figure3(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +96,7 @@ func TestFigure4Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	data, err := Figure4(1)
+	data, err := testEngine.Figure4(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +127,7 @@ func TestFigure5Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	data, err := Figure5(1)
+	data, err := testEngine.Figure5(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +171,7 @@ func TestFigure6Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	data, err := Figure6(1)
+	data, err := testEngine.Figure6(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +201,7 @@ func TestTable4MatchesPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	rows, err := Table4(1)
+	rows, err := testEngine.Table4(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +242,7 @@ func TestExtension16LanesShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	data, err := Extension16Lanes(1)
+	data, err := testEngine.Extension16Lanes(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +260,7 @@ func TestExtensionPhaseSwitchingShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	data, err := ExtensionPhaseSwitching(1)
+	data, err := testEngine.ExtensionPhaseSwitching(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,11 +288,11 @@ func TestExperimentsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	a, err := Figure3(1)
+	a, err := testEngine.Figure3(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Figure3(1)
+	b, err := testEngine.Figure3(1)
 	if err != nil {
 		t.Fatal(err)
 	}

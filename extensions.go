@@ -28,10 +28,6 @@ type Ext16Data struct {
 	Rows []Ext16Row
 }
 
-// Extension16Lanes measures the paper's 16-lane conjecture on the
-// DefaultEngine.
-func Extension16Lanes(scale int) (Ext16Data, error) { return DefaultEngine.Extension16Lanes(scale) }
-
 // Extension16Lanes measures the paper's 16-lane conjecture: on a wider
 // machine a single short-vector thread leaves even more lanes idle, so
 // the speedup VLT recovers should grow.
@@ -94,12 +90,6 @@ type ExtReclaimRow struct {
 // ExtReclaimData is the phase-switching extension dataset.
 type ExtReclaimData struct {
 	Rows []ExtReclaimRow
-}
-
-// ExtensionPhaseSwitching measures the Section-3.3 phase-switching study
-// on the DefaultEngine.
-func ExtensionPhaseSwitching(scale int) (ExtReclaimData, error) {
-	return DefaultEngine.ExtensionPhaseSwitching(scale)
 }
 
 // ExtensionPhaseSwitching measures the paper's Section-3.3 software

@@ -254,7 +254,7 @@ func pathString(e ast.Expr) (string, bool) {
 // set of held locks through statements. Branches that terminate (end in
 // return/branch/panic) do not leak their lock state into the
 // fall-through — that is what makes the early-unlock-and-return idiom
-// in runner.Pool.Submit lint clean.
+// in runner.Flight's submit lint clean.
 type funcAnalyzer struct {
 	pass    *concPass
 	funcs   []*ast.BlockStmt // innermost enclosing function body last

@@ -85,7 +85,7 @@ func (b *box) Peek() int {
 }
 
 // TestLockGuardEarlyUnlockReturn: the unlock-and-return idiom from
-// runner.Pool.Submit must not leak lock state into the fall-through.
+// runner.Flight's submit must not leak lock state into the fall-through.
 func TestLockGuardEarlyUnlockReturn(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"internal/report/memo.go": `package report

@@ -1,15 +1,17 @@
-// Package runner provides a bounded worker pool with a content-addressed
-// memoization cache. It is the execution engine behind the experiment
-// drivers in the root vlt package: independent deterministic simulations
-// are submitted as keyed jobs, fan out across up to Workers goroutines,
-// and each unique key executes exactly once per pool — later submissions
-// of the same key share the first submission's result.
+// Package runner is the one place the repo runs work concurrently. Its
+// execution bound is Slots, a counting semaphore: every simulation holds
+// one slot while it runs, so a process that shares one Slots runs at most
+// Width simulations at once whoever submits them. Start runs one job on
+// its own goroutine under a Slots and returns its Task; the experiment
+// engine in the root vlt package keys those Tasks in a per-engine memo,
+// and the search driver (internal/search) runs its waves on them.
 //
-// Two front-ends share that machinery. Pool memoizes every key for the
-// life of the pool — right for experiment grids, where one cell's result
-// is reused across tables and figures. Flight is a single-flight variant
-// that coalesces concurrent submissions of the same key onto one
-// execution but forgets the key on completion — right for the serving
-// daemon (internal/serve), which layers its own bounded-byte LRU cache
-// on top and must not grow without bound.
+// Flight is the serving daemon's front-end (internal/serve): it
+// coalesces concurrent submissions of the same key onto one execution,
+// forgets the key on completion (the daemon layers its own bounded-byte
+// LRU cache on top), and bounds how many distinct keys are in flight —
+// TrySubmit sheds at that bound, Submit waits at it.
+//
+// Parallel and Group spawn the remaining goroutines (pipes, daemons);
+// Guard turns a job's panic into a *PanicError.
 package runner

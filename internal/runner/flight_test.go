@@ -11,7 +11,7 @@ import (
 // TestFlightCoalesce proves that concurrent submissions of one key
 // share a single execution and all observe its result.
 func TestFlightCoalesce(t *testing.T) {
-	f := NewFlight[string, int](2, 4)
+	f := NewFlight[string, int](4)
 	release := make(chan struct{})
 	var execs int
 	var mu sync.Mutex
@@ -70,9 +70,9 @@ func TestFlightCoalesce(t *testing.T) {
 }
 
 // TestFlightForgets proves a completed key re-executes on the next
-// submission (no permanent memoization, unlike Pool).
+// submission (no permanent memoization).
 func TestFlightForgets(t *testing.T) {
-	f := NewFlight[string, int](1, 1)
+	f := NewFlight[string, int](1)
 	for want := 1; want <= 3; want++ {
 		tk, leader, ok := f.TrySubmit("k", func() (int, error) { return want, nil })
 		if !ok || !leader {
@@ -92,7 +92,7 @@ func TestFlightForgets(t *testing.T) {
 // TestFlightRejectsAtBound proves admission control: a new key beyond
 // maxPending is refused while joining an in-flight key still succeeds.
 func TestFlightRejectsAtBound(t *testing.T) {
-	f := NewFlight[string, int](1, 1)
+	f := NewFlight[string, int](1)
 	release := make(chan struct{})
 	tk, _, ok := f.TrySubmit("busy", func() (int, error) {
 		<-release
@@ -129,10 +129,53 @@ func TestFlightRejectsAtBound(t *testing.T) {
 	}
 }
 
+// TestFlightSubmitWaitsAtBound proves the blocking admission path: at
+// the pending bound Submit joins an in-flight key at once, waits for room
+// for a new key, and gives up with ctx.Err() when cancelled first.
+func TestFlightSubmitWaitsAtBound(t *testing.T) {
+	f := NewFlight[string, int](1)
+	release := make(chan struct{})
+	busy, _, _ := f.TrySubmit("busy", func() (int, error) {
+		<-release
+		return 1, nil
+	})
+
+	if tk, leader, err := f.Submit(context.Background(), "busy", func() (int, error) { return 3, nil }); err != nil || leader || tk != busy {
+		t.Fatalf("join at the bound: leader=%v err=%v same-task=%v", leader, err, tk == busy)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	waiting := make(chan error)
+	go func() {
+		_, _, err := f.Submit(ctx, "other", func() (int, error) { return 2, nil })
+		waiting <- err
+	}()
+	cancel()
+	if err := <-waiting; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Submit err = %v, want context.Canceled", err)
+	}
+
+	admitted := make(chan *Task[int])
+	go func() {
+		tk, leader, err := f.Submit(context.Background(), "other", func() (int, error) { return 2, nil })
+		if err != nil || !leader {
+			t.Errorf("Submit after room freed: leader=%v err=%v", leader, err)
+		}
+		admitted <- tk
+	}()
+	close(release)
+	if v, err := (<-admitted).Wait(); v != 2 || err != nil {
+		t.Fatalf("admitted Wait = %d, %v; want 2, nil", v, err)
+	}
+	if st := f.Stats(); st.Submitted != 4 || st.Coalesced != 1 || st.Executed != 2 || st.Rejected != 0 {
+		t.Fatalf("stats = %+v, want 4 submitted, 1 coalesced, 2 executed, 0 rejected", st)
+	}
+}
+
 // TestFlightPanicIsolated proves a panicking job fails only its own
 // Task, as a *PanicError, and the group keeps serving.
 func TestFlightPanicIsolated(t *testing.T) {
-	f := NewFlight[string, int](2, 4)
+	f := NewFlight[string, int](4)
 	tk, _, _ := f.TrySubmit("boom", func() (int, error) { panic("kaboom") })
 	_, err := tk.Wait()
 	var pe *PanicError
@@ -148,7 +191,7 @@ func TestFlightPanicIsolated(t *testing.T) {
 // TestWaitContext proves a deadline abandons the wait, not the job: the
 // execution completes and a later waiter still sees its value.
 func TestWaitContext(t *testing.T) {
-	f := NewFlight[string, int](1, 2)
+	f := NewFlight[string, int](2)
 	release := make(chan struct{})
 	tk, _, _ := f.TrySubmit("slow", func() (int, error) {
 		<-release

@@ -8,7 +8,7 @@ import "sync"
 // same reason Parallel does — the determinism lint confines goroutine
 // creation to this one audited package — but serves long-lived daemons
 // whose concurrency degree is not known up front. Panics are isolated
-// per job exactly as in Pool and Parallel: a panicking job records a
+// per job exactly as in Start and Parallel: a panicking job records a
 // *PanicError and the group keeps running.
 //
 // The zero value is ready to use. Go after Wait is allowed (Wait joins

@@ -37,10 +37,10 @@ func TestGuardPassesThroughResults(t *testing.T) {
 	}
 }
 
-func TestPoolIsolatesPanickingJob(t *testing.T) {
-	p := NewPool[string, int](2)
-	bad := p.Submit("bad", func() (int, error) { panic("boom") })
-	good := p.Submit("good", func() (int, error) { return 1, nil })
+func TestStartIsolatesPanickingJob(t *testing.T) {
+	slots := NewSlots(1)
+	bad := Start(slots, "bad", func() (int, error) { panic("boom") })
+	good := Start(slots, "good", func() (int, error) { return 1, nil })
 
 	if v, err := good.Wait(); v != 1 || err != nil {
 		t.Errorf("sibling job affected by panic: %d, %v", v, err)
@@ -53,8 +53,8 @@ func TestPoolIsolatesPanickingJob(t *testing.T) {
 	if pe.Key != "bad" {
 		t.Errorf("panic key %q, want bad", pe.Key)
 	}
-	// The pool still accepts and runs work after a panic.
-	if v, err := p.Submit("after", func() (int, error) { return 2, nil }).Wait(); v != 2 || err != nil {
-		t.Errorf("pool broken after panic: %d, %v", v, err)
+	// The panicking job released its slot: the one slot still runs work.
+	if v, err := Start(slots, "after", func() (int, error) { return 2, nil }).Wait(); v != 2 || err != nil {
+		t.Errorf("slot lost to a panic: %d, %v", v, err)
 	}
 }

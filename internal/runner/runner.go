@@ -6,19 +6,7 @@ import (
 	"sync"
 )
 
-// Stats counts a pool's submission traffic.
-type Stats struct {
-	// Submitted is the total number of Submit calls.
-	Submitted int
-	// Unique is the number of distinct keys, i.e. jobs actually executed.
-	Unique int
-	// Hits is the number of Submit calls satisfied from the cache
-	// (Submitted - Unique).
-	Hits int
-}
-
-// Task is the future for one submitted job. A Task returned for a cached
-// key is the same Task the key's first submission returned.
+// Task is the future for one started job.
 type Task[V any] struct {
 	done chan struct{}
 	val  V
@@ -31,87 +19,43 @@ func (t *Task[V]) Wait() (V, error) {
 	return t.val, t.err
 }
 
-// Pool is a bounded worker pool with a per-key memoization cache. The
-// zero value is not usable; call NewPool.
-type Pool[K comparable, V any] struct {
-	workers int
-	sem     chan struct{}
-
-	mu       sync.Mutex
-	tasks    map[K]*Task[V]
-	stats    Stats
-	done     int
-	total    int
-	progress func(done, total int)
+// Slots is a counting semaphore: the execution bound every simulation in
+// the repo runs under. A process that shares one Slots across callers
+// (vltd shares one across all its endpoints) runs at most Width jobs at
+// once, however many callers submit. The zero value is not usable; call
+// NewSlots.
+type Slots struct {
+	sem chan struct{}
 }
 
-// NewPool returns a pool running at most workers jobs concurrently.
-// workers <= 0 selects runtime.GOMAXPROCS(0).
-func NewPool[K comparable, V any](workers int) *Pool[K, V] {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// NewSlots returns width slots; width <= 0 selects runtime.GOMAXPROCS(0).
+func NewSlots(width int) *Slots {
+	if width <= 0 {
+		width = runtime.GOMAXPROCS(0)
 	}
-	return &Pool[K, V]{
-		workers: workers,
-		sem:     make(chan struct{}, workers),
-		tasks:   make(map[K]*Task[V]),
-	}
+	return &Slots{sem: make(chan struct{}, width)}
 }
 
-// Workers returns the pool's concurrency bound.
-func (p *Pool[K, V]) Workers() int { return p.workers }
+// Width returns the number of slots.
+func (s *Slots) Width() int { return cap(s.sem) }
 
-// SetProgress installs a callback invoked after every job completion with
-// the number of completed and submitted unique jobs. The callback runs on
-// worker goroutines and must be safe for concurrent use; a job's callback
-// completes before any Wait on that job returns.
-func (p *Pool[K, V]) SetProgress(fn func(done, total int)) {
-	p.mu.Lock()
-	p.progress = fn
-	p.mu.Unlock()
+// Do waits for a free slot, runs fn holding it, and releases it, even
+// if fn panics.
+func (s *Slots) Do(fn func()) {
+	s.sem <- struct{}{}
+	defer func() { <-s.sem }()
+	fn()
 }
 
-// Stats returns a snapshot of the pool's submission counters.
-func (p *Pool[K, V]) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats
-}
-
-// Submit schedules fn under the given key and returns its Task. If the
-// key was submitted before, the earlier Task is returned and fn is not
-// executed: each unique key runs exactly once per pool. Jobs start
-// immediately (subject to the worker bound) whether or not anyone Waits.
-// A panicking fn fails only its own Task, with a *PanicError carrying
-// the key and stack; the pool and its other jobs keep running.
-func (p *Pool[K, V]) Submit(key K, fn func() (V, error)) *Task[V] {
-	p.mu.Lock()
-	p.stats.Submitted++
-	if t, ok := p.tasks[key]; ok {
-		p.stats.Hits++
-		p.mu.Unlock()
-		return t
-	}
+// Start runs fn on its own goroutine holding one of slots and returns its
+// Task at once. The job waits for a free slot whether or not anyone
+// Waits. A panicking fn fails only its own Task, with a *PanicError named
+// by key.
+func Start[V any](slots *Slots, key string, fn func() (V, error)) *Task[V] {
 	t := &Task[V]{done: make(chan struct{})}
-	p.tasks[key] = t
-	p.stats.Unique++
-	p.total++
-	p.mu.Unlock()
-
 	go func() {
-		p.sem <- struct{}{}
-		defer func() { <-p.sem }()
-		// The progress callback runs before the done channel closes, so a
-		// job's callback has completed before any Wait on it returns.
 		defer close(t.done)
-		t.val, t.err = Guard(fmt.Sprint(key), fn)
-		p.mu.Lock()
-		p.done++
-		cb, done, total := p.progress, p.done, p.total
-		p.mu.Unlock()
-		if cb != nil {
-			cb(done, total)
-		}
+		slots.Do(func() { t.val, t.err = Guard(key, fn) })
 	}()
 	return t
 }

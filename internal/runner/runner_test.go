@@ -3,42 +3,17 @@ package runner
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
-func TestMemoizationExecutesOncePerKey(t *testing.T) {
-	p := NewPool[string, int](4)
-	var calls atomic.Int32
-	var tasks []*Task[int]
-	for i := 0; i < 20; i++ {
-		tasks = append(tasks, p.Submit("k", func() (int, error) {
-			calls.Add(1)
-			return 42, nil
-		}))
-	}
-	for _, task := range tasks {
-		v, err := task.Wait()
-		if err != nil || v != 42 {
-			t.Fatalf("Wait = %d, %v; want 42, nil", v, err)
-		}
-	}
-	if n := calls.Load(); n != 1 {
-		t.Errorf("function executed %d times, want 1", n)
-	}
-	st := p.Stats()
-	if st.Submitted != 20 || st.Unique != 1 || st.Hits != 19 {
-		t.Errorf("stats = %+v, want {Submitted:20 Unique:1 Hits:19}", st)
-	}
-}
-
 func TestDistinctKeysAllExecute(t *testing.T) {
-	p := NewPool[int, int](3)
+	slots := NewSlots(3)
 	var tasks []*Task[int]
 	for i := 0; i < 50; i++ {
 		i := i
-		tasks = append(tasks, p.Submit(i, func() (int, error) { return i * i, nil }))
+		tasks = append(tasks, Start(slots, fmt.Sprint(i), func() (int, error) { return i * i, nil }))
 	}
 	for i, task := range tasks {
 		v, err := task.Wait()
@@ -46,18 +21,17 @@ func TestDistinctKeysAllExecute(t *testing.T) {
 			t.Fatalf("task %d: Wait = %d, %v; want %d, nil", i, v, err, i*i)
 		}
 	}
-	if st := p.Stats(); st.Unique != 50 || st.Hits != 0 {
-		t.Errorf("stats = %+v, want 50 unique, 0 hits", st)
-	}
 }
 
+// TestConcurrencyBound: however many jobs are started, Slots never runs
+// more of them at once than its width.
 func TestConcurrencyBound(t *testing.T) {
-	const workers = 3
-	p := NewPool[int, struct{}](workers)
+	const width = 3
+	slots := NewSlots(width)
 	var inFlight, maxSeen atomic.Int32
 	var tasks []*Task[struct{}]
 	for i := 0; i < 40; i++ {
-		tasks = append(tasks, p.Submit(i, func() (struct{}, error) {
+		tasks = append(tasks, Start(slots, fmt.Sprint(i), func() (struct{}, error) {
 			n := inFlight.Add(1)
 			for {
 				m := maxSeen.Load()
@@ -65,6 +39,7 @@ func TestConcurrencyBound(t *testing.T) {
 					break
 				}
 			}
+			time.Sleep(time.Millisecond) // let jobs overlap
 			inFlight.Add(-1)
 			return struct{}{}, nil
 		}))
@@ -72,16 +47,22 @@ func TestConcurrencyBound(t *testing.T) {
 	for _, task := range tasks {
 		task.Wait()
 	}
-	if m := maxSeen.Load(); m > workers {
-		t.Errorf("observed %d concurrent jobs, bound is %d", m, workers)
+	if m := maxSeen.Load(); m > width {
+		t.Errorf("observed %d concurrent jobs, bound is %d", m, width)
+	} else if m < 2 {
+		t.Errorf("observed at most %d concurrent job; the slots serialized", m)
 	}
 }
 
+// TestErrorPropagatesToAllWaiters: every caller coalesced onto a failing
+// execution sees its error, and the duplicate never runs.
 func TestErrorPropagatesToAllWaiters(t *testing.T) {
-	p := NewPool[string, int](2)
+	f := NewFlight[string, int](2)
 	boom := errors.New("boom")
-	a := p.Submit("bad", func() (int, error) { return 0, boom })
-	b := p.Submit("bad", func() (int, error) { t.Error("duplicate ran"); return 0, nil })
+	release := make(chan struct{})
+	a, _, _ := f.TrySubmit("bad", func() (int, error) { <-release; return 0, boom })
+	b, _, _ := f.TrySubmit("bad", func() (int, error) { t.Error("duplicate ran"); return 0, nil })
+	close(release)
 	for _, task := range []*Task[int]{a, b} {
 		if _, err := task.Wait(); !errors.Is(err, boom) {
 			t.Errorf("Wait error = %v, want boom", err)
@@ -89,58 +70,37 @@ func TestErrorPropagatesToAllWaiters(t *testing.T) {
 	}
 }
 
-func TestProgressCallback(t *testing.T) {
-	p := NewPool[int, int](2)
-	var mu sync.Mutex
-	var lastDone, lastTotal, calls int
-	p.SetProgress(func(done, total int) {
-		mu.Lock()
-		defer mu.Unlock()
-		calls++
-		if done > lastDone {
-			lastDone = done
-		}
-		lastTotal = total
-	})
-	var tasks []*Task[int]
-	for i := 0; i < 10; i++ {
-		tasks = append(tasks, p.Submit(i%5, func() (int, error) { return 0, nil }))
-	}
-	for _, task := range tasks {
-		task.Wait()
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if calls != 5 || lastDone != 5 || lastTotal != 5 {
-		t.Errorf("progress saw calls=%d done=%d total=%d, want 5/5/5", calls, lastDone, lastTotal)
-	}
-}
-
 func TestDefaultWorkers(t *testing.T) {
 	for _, n := range []int{0, -3} {
-		if w := NewPool[int, int](n).Workers(); w < 1 {
-			t.Errorf("NewPool(%d).Workers() = %d, want >= 1", n, w)
+		if w := NewSlots(n).Width(); w < 1 {
+			t.Errorf("NewSlots(%d).Width() = %d, want >= 1", n, w)
 		}
 	}
 }
 
+// TestStructKeys: a Flight keyed by a struct coalesces equal keys and
+// separates distinct ones.
 func TestStructKeys(t *testing.T) {
 	type key struct {
 		Workload string
 		Machine  string
 		Scale    int
 	}
-	p := NewPool[key, string](2)
+	f := NewFlight[key, string](4)
+	release := make(chan struct{})
 	var calls atomic.Int32
 	mk := func(k key) *Task[string] {
-		return p.Submit(k, func() (string, error) {
+		task, _, _ := f.TrySubmit(k, func() (string, error) {
 			calls.Add(1)
+			<-release
 			return fmt.Sprintf("%s/%s/%d", k.Workload, k.Machine, k.Scale), nil
 		})
+		return task
 	}
 	a := mk(key{"mxm", "base", 1})
 	b := mk(key{"mxm", "base", 1})
 	c := mk(key{"mxm", "base", 2})
+	close(release)
 	for _, task := range []*Task[string]{a, b, c} {
 		task.Wait()
 	}

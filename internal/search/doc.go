@@ -7,7 +7,7 @@
 // from that decision onward — never a replay of the prefix.
 //
 // The driver is wave-synchronized and deterministic: every job in a
-// wave runs to completion (on internal/runner's pool), its spawned
+// wave runs to completion (on an internal/runner Slots), its spawned
 // children are collected in plan order, a Policy selects which
 // children survive, and the next wave starts. A fixed machine builder,
 // policy and budget always produce the identical Outcome, regardless

@@ -64,14 +64,14 @@ func Optimize(build func() (*core.Machine, error), opts Options) (Outcome, error
 	}
 
 	d := driver{build: build, opts: opts}
-	pool := runner.NewPool[string, jobResult](opts.Workers)
+	slots := runner.NewSlots(opts.Workers)
 	out := Outcome{}
 	seen := map[string]bool{}
 	wave := []job{{}} // the all-defaults root
 
 	for len(wave) > 0 {
 		// Budget truncation happens before submission, in deterministic
-		// wave order, so a discarded fork never consumes a worker.
+		// wave order, so a discarded fork never consumes a slot.
 		if remaining := opts.Budget - out.Simulated; len(wave) > remaining {
 			out.Discarded += len(wave) - remaining
 			wave = wave[:remaining]
@@ -79,7 +79,7 @@ func Optimize(build func() (*core.Machine, error), opts Options) (Outcome, error
 		tasks := make([]*runner.Task[jobResult], len(wave))
 		for i, j := range wave {
 			j := j
-			tasks[i] = pool.Submit(planKey(j.plan), func() (jobResult, error) {
+			tasks[i] = runner.Start(slots, planKey(j.plan), func() (jobResult, error) {
 				return d.runJob(j)
 			})
 		}
@@ -139,7 +139,7 @@ type driver struct {
 }
 
 // runJob simulates one plan to completion, forking a child at every
-// undecided decision shallower than Depth. It runs on a pool worker;
+// undecided decision shallower than Depth. It runs holding one slot;
 // everything it touches — the machine, its forks, the accumulators —
 // is job-local, which is exactly the isolation Machine.Fork guarantees.
 func (d *driver) runJob(j job) (jobResult, error) {

@@ -49,12 +49,31 @@ func size(key string, body []byte) int64 {
 func (c *cache) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	body, ok := c.find(key)
+	if ok {
+		c.hits++
+	} else {
+		c.misses++
+	}
+	return body, ok
+}
+
+// Peek is Get without the traffic counters: a re-check of a key whose
+// lookup the caller has already counted.
+func (c *cache) Peek(key string) ([]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.find(key)
+}
+
+// find returns key's body and promotes it to most recently used.
+//
+//vltlint:heldby mu
+func (c *cache) find(key string) ([]byte, bool) {
 	el, ok := c.items[key]
 	if !ok {
-		c.misses++
 		return nil, false
 	}
-	c.hits++
 	c.ll.MoveToFront(el)
 	return el.Value.(*entry).body, true
 }

@@ -28,13 +28,16 @@ import (
 // has a production default applied by New.
 type Config struct {
 	// Jobs bounds the number of simulations executing concurrently
-	// (0 = GOMAXPROCS). An experiment request occupies one job slot but
-	// fans its cells out over its own engine at the same width.
+	// (0 = GOMAXPROCS), across every endpoint: /v1/run and /v1/sweep
+	// cells, the cells of /v1/experiment drivers, and local fleet
+	// fallbacks all draw from the same Jobs slots. Coordinating an
+	// experiment or waiting on a fleet peer holds no slot.
 	Jobs int
 	// MaxPending bounds the number of distinct requests admitted and
 	// not yet finished — executing or waiting for a job slot. Beyond
-	// it, new work is shed with 429 (0 = 4x Jobs). Coalescing onto an
-	// in-flight request always succeeds.
+	// it, new work is shed with 429 (0 = 4x Jobs; a bound below Jobs is
+	// raised to Jobs so admission never starves the slots). Coalescing
+	// onto an in-flight request always succeeds.
 	MaxPending int
 	// CacheBytes is the response cache's byte budget (0 = 64 MiB).
 	CacheBytes int64
@@ -53,13 +56,14 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
+	j := c.Jobs
+	if j <= 0 {
+		j = runtime.GOMAXPROCS(0)
+	}
 	if c.MaxPending <= 0 {
-		j := c.Jobs
-		if j <= 0 {
-			j = runtime.GOMAXPROCS(0)
-		}
 		c.MaxPending = 4 * j
 	}
+	c.MaxPending = max(c.MaxPending, j)
 	if c.CacheBytes <= 0 {
 		c.CacheBytes = 64 << 20
 	}
@@ -91,6 +95,7 @@ type Server struct {
 	cache  *cache
 	store  *store.Store // nil = no persistent tier
 	flight *runner.Flight[string, []byte]
+	slots  *runner.Slots // held by every simulation this server runs
 	reg    *stats.Registry
 	mux    *http.ServeMux
 	start  time.Time
@@ -124,7 +129,8 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		cache:   newCache(cfg.CacheBytes),
 		store:   cfg.Store,
-		flight:  runner.NewFlight[string, []byte](cfg.Jobs, cfg.MaxPending),
+		flight:  runner.NewFlight[string, []byte](cfg.MaxPending),
+		slots:   runner.NewSlots(cfg.Jobs),
 		reg:     stats.New(),
 		mux:     http.NewServeMux(),
 		start:   time.Now(),
@@ -443,13 +449,13 @@ func etagMatch(header, etag string) bool {
 }
 
 // timeout resolves a request's wait deadline: the server default,
-// lowered (never raised) by a timeout_ms query parameter.
+// lowered (never raised) by a timeout_ms query parameter. The comparison
+// is in milliseconds, so a huge timeout_ms cannot overflow the Duration.
 func (s *Server) timeout(r *http.Request) time.Duration {
 	d := s.cfg.Timeout
-	if ms, err := strconv.Atoi(r.URL.Query().Get("timeout_ms")); err == nil && ms > 0 {
-		if req := time.Duration(ms) * time.Millisecond; req < d {
-			d = req
-		}
+	ms, err := strconv.ParseInt(r.URL.Query().Get("timeout_ms"), 10, 64)
+	if err == nil && ms > 0 && ms < d.Milliseconds() {
+		d = time.Duration(ms) * time.Millisecond
 	}
 	return d
 }
@@ -505,12 +511,17 @@ func (s *Server) parseRunRequest(r *http.Request) (RunRequest, *apiError) {
 	return req, nil
 }
 
-// renderCell simulates one cell locally and renders its canonical body
-// through the shared api constructor — the single render path for
-// /v1/run, sweep cells, and the fleet coordinator's degraded-mode
-// fallback, which is what keeps bodies byte-identical across nodes.
+// renderCell simulates one cell locally, holding one of the server's
+// slots only while it simulates, and renders its canonical body through
+// the shared api constructor — the single render path for /v1/run, sweep
+// cells, and the fleet coordinator's degraded-mode fallback, which is
+// what keeps bodies byte-identical across nodes.
 func (s *Server) renderCell(req RunRequest) ([]byte, error) {
-	res, err := s.runCell(req.Workload, vlt.Machine(req.Machine), req.Options())
+	var res vlt.Result
+	var err error
+	s.slots.Do(func() {
+		res, err = s.runCell(req.Workload, vlt.Machine(req.Machine), req.Options())
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -580,9 +591,10 @@ func experimentNames() []string {
 	return names
 }
 
-// experiments maps names to drivers. Each driver runs on a fresh
-// bounded engine so its cells parallelize and its memo dies with the
-// request; the response cache provides cross-request reuse.
+// experiments maps names to drivers. Each driver runs on a fresh engine
+// over the server's slots, so its cells parallelize within the Jobs
+// bound and its memo dies with the request; the response cache provides
+// cross-request reuse.
 var experiments = map[string]func(eng *vlt.Engine, scale int) (any, string, error){
 	"table1": func(*vlt.Engine, int) (any, string, error) { return vlt.Table1(), vlt.Table1String(), nil },
 	"table2": func(*vlt.Engine, int) (any, string, error) { return vlt.Table2(), vlt.Table2String(), nil },
@@ -653,7 +665,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	}
 	key := experimentKey(name, scale)
 	s.serveKeyed(w, r, key, nil, func() ([]byte, error) {
-		data, text, err := driver(vlt.NewEngine(s.cfg.Jobs), scale)
+		data, text, err := driver(vlt.NewEngineOn(s.slots), scale)
 		if err != nil {
 			return nil, err
 		}

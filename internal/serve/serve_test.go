@@ -220,6 +220,24 @@ func TestOverload429(t *testing.T) {
 	}
 }
 
+// TestMaxPendingRaisedToJobs proves a pending bound below Jobs is raised
+// to Jobs: with Jobs 2 and MaxPending 1, two distinct cells are in
+// flight at once instead of the second being shed with 429.
+func TestMaxPendingRaisedToJobs(t *testing.T) {
+	s, release, _, _ := blockingServer(Config{Jobs: 2, MaxPending: 1})
+	done := make(chan *httptest.ResponseRecorder, 2)
+	for _, w := range []string{"mxm", "sage"} {
+		go func() { done <- get(t, s, "/v1/run?workload="+w+"&machine=base") }()
+	}
+	waitFor(t, "two cells in flight", func() bool { return s.flight.Inflight() == 2 })
+	close(release)
+	for range 2 {
+		if rec := <-done; rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+}
+
 // TestTimeout proves a request deadline abandons the wait with 504 and
 // that the abandoned simulation still completes into the cache.
 func TestTimeout(t *testing.T) {
@@ -241,6 +259,16 @@ func TestTimeout(t *testing.T) {
 	})
 	if rec := get(t, s, "/v1/run?workload=mxm&machine=base"); rec.Header().Get("X-VLT-Cache") != "hit" {
 		t.Fatal("abandoned simulation's result did not land in the cache")
+	}
+
+	// A timeout_ms too large for a Duration in nanoseconds keeps the
+	// default deadline; it must not overflow into an expired one.
+	const huge = "/v1/run?workload=sage&machine=base&timeout_ms=9300000000000"
+	if rec := get(t, s, huge); rec.Code != http.StatusOK {
+		t.Fatalf("huge timeout_ms: status %d, want 200: %s", rec.Code, rec.Body)
+	}
+	if d := s.timeout(httptest.NewRequest(http.MethodGet, huge, nil)); d != s.cfg.Timeout {
+		t.Fatalf("huge timeout_ms: deadline %v, want the default %v", d, s.cfg.Timeout)
 	}
 }
 

@@ -197,29 +197,23 @@ func (s *Server) submitCell(ctx context.Context, key string, c RunRequest, d tim
 		f.aerr = e
 		return f
 	}
-	job := func() ([]byte, error) {
+	task, _, err := s.flight.Submit(ctx, key, func() ([]byte, error) {
+		// A coalescing partner may have finished the cell while this
+		// sweep waited at the admission bound. The lookup above already
+		// counted this key's miss, so the re-check does not count.
+		if body, ok := s.cache.Peek(key); ok {
+			return body, nil
+		}
 		body, err := render()
 		if err != nil {
 			return nil, err
 		}
 		s.fill(key, body)
 		return body, nil
-	}
-	task, _, admitted := s.flight.TrySubmit(key, job)
-	for !admitted {
-		select {
-		case <-ctx.Done():
-			f.aerr = s.waitError(ctx.Err(), d)
-			return f
-		case <-time.After(2 * time.Millisecond):
-		}
-		// A coalescing partner may have finished the cell while this
-		// sweep was parked at the admission bound.
-		if body, ok := s.cache.Get(key); ok {
-			f.body = body
-			return f
-		}
-		task, _, admitted = s.flight.TrySubmit(key, job)
+	})
+	if err != nil {
+		f.aerr = s.waitError(err, d)
+		return f
 	}
 	f.task = task
 	return f

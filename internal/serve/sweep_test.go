@@ -102,6 +102,11 @@ func TestSweepStream(t *testing.T) {
 	if len(cells) != len(want) {
 		t.Fatalf("%d cell lines, want %d", len(cells), len(want))
 	}
+	// One counted miss per cold cell: the flight job's re-check of the
+	// cache before rendering does not count again.
+	if misses := s.Registry().Snapshot().Uint("serve.cache.misses"); misses != uint64(len(want)) {
+		t.Fatalf("serve.cache.misses = %d after a cold %d-cell sweep, want %d", misses, len(want), len(want))
+	}
 	for i, c := range cells {
 		if c.Index != i {
 			t.Fatalf("line %d carries index %d", i, c.Index)

@@ -24,14 +24,10 @@ type AllResults struct {
 	ExtensionPhaseSwtch ExtReclaimData `json:"extensionPhaseSwitching"`
 }
 
-// CollectAll runs every experiment at the given scale on the
-// DefaultEngine and bundles the results.
-func CollectAll(scale int) (AllResults, error) { return DefaultEngine.CollectAll(scale) }
-
 // CollectAll runs every experiment at the given scale and bundles the
-// results. On a parallel engine the drivers run concurrently: their
-// cells interleave on the worker pool and shared cells (e.g. every
-// workload's base run) are simulated once.
+// results. The drivers run concurrently: their cells interleave on the
+// engine's slots and shared cells (e.g. every workload's base run) are
+// simulated once.
 func (e *Engine) CollectAll(scale int) (AllResults, error) {
 	var out AllResults
 	out.Table1 = Table1()
@@ -50,14 +46,6 @@ func (e *Engine) CollectAll(scale int) (AllResults, error) {
 		{"extension 16 lanes", func() (err error) { out.Extension16Lanes, err = e.Extension16Lanes(scale); return }},
 		{"extension phase switching", func() (err error) { out.ExtensionPhaseSwtch, err = e.ExtensionPhaseSwitching(scale); return }},
 	}
-	if e.Serial() {
-		for _, s := range steps {
-			if err := s.run(); err != nil {
-				return out, fmt.Errorf("%s: %w", s.name, err)
-			}
-		}
-		return out, nil
-	}
 	fns := make([]func() error, len(steps))
 	for i, s := range steps {
 		fns[i] = s.run
@@ -70,10 +58,6 @@ func (e *Engine) CollectAll(scale int) (AllResults, error) {
 	}
 	return out, nil
 }
-
-// MarshalAll runs every experiment on the DefaultEngine and returns
-// indented JSON.
-func MarshalAll(scale int) ([]byte, error) { return DefaultEngine.MarshalAll(scale) }
 
 // MarshalAll runs every experiment and returns indented JSON.
 func (e *Engine) MarshalAll(scale int) ([]byte, error) {

@@ -97,7 +97,7 @@ func TestUtilizationCountsTotal(t *testing.T) {
 }
 
 func TestTable4StringRendering(t *testing.T) {
-	s, err := Table4String(1)
+	s, err := testEngine.Table4String(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestCollectAllAndJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	data, err := MarshalAll(1)
+	data, err := testEngine.MarshalAll(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,7 +146,7 @@ printf '%s\n' "$vs_out" | grep -q '"simulated": '
 printf '%s\n' "$vs_out" | grep -q '"verified": true'
 printf '%s\n' "$vs_out" | grep -q '"cycles"'
 
-echo "== vltd smoke (boot with a temp -store, restart serves from disk, ETag revalidates)"
+echo "== vltd smoke (boot with a temp -store, run and experiment, restart serves both from disk, ETag revalidates)"
 go build -o /tmp/vltd.check ./cmd/vltd
 vltd_store=$(mktemp -d /tmp/vltd.store.XXXXXX)
 vltd_pid=""
@@ -185,11 +185,14 @@ vltd_stop() {
     grep -q "shutdown complete" /tmp/vltd.check.out
 }
 
-# Boot 1: cold store, one simulated cell spills to disk.
+# Boot 1: cold store, one simulated cell and one experiment (its cells
+# drawn from the daemon's Jobs slots) spill to disk.
 vltd_boot
 curl -fsS "$vltd_url/healthz" | grep -q '"status":"ok"'
 curl -fsS "$vltd_url/healthz?ready=1" | grep -q '"status":"ready"'
 curl -fsS "$vltd_url/v1/run?workload=mxm&machine=base" | grep -q '"cycles"'
+exp_body=$(curl -fsS "$vltd_url/v1/experiment?name=table4")
+printf '%s\n' "$exp_body" | grep -q '"text"'
 vltd_stop
 
 # Boot 2: fresh process, empty memory cache — the store must answer
@@ -205,6 +208,8 @@ if [ -z "$etag" ]; then
 fi
 curl -fsSi -H "If-None-Match: $etag" "$vltd_url/v1/run?workload=mxm&machine=base" \
     | grep -q '304 Not Modified'
+exp_headers=$(curl -fsSi "$vltd_url/v1/experiment?name=table4")
+printf '%s\n' "$exp_headers" | grep -qi 'X-VLT-Cache: disk'
 vltd_stop
 
 # Boot 3: -warm promotes the stored cell before readiness; it then

@@ -9,8 +9,12 @@
 //   - Run: execute one of the paper's nine calibrated workloads on any of
 //     the paper's machine configurations and collect timing, utilization
 //     and verification results;
-//   - Figure1..Figure6, Table1..Table4: regenerate every table and figure
-//     of the paper's evaluation;
+//   - Engine: regenerate every table and figure of the paper's evaluation
+//     (Engine.Figure1..Figure6, Engine.Table4, the extension studies and
+//     Engine.CollectAll). NewEngine(jobs) runs at most jobs simulations at
+//     once and memoizes each unique cell for the engine's lifetime;
+//     NewEngineOn shares one runner.Slots bound between engines;
+//   - Table1..Table3: the paper's static tables;
 //   - Machines, Workloads: enumerate the available configurations.
 //
 // The heavy lifting lives in internal packages: internal/core (the VLT
