@@ -44,7 +44,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:8317", "listen address (host:port; port 0 picks a free port)")
 	jobs := fs.Int("jobs", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-	pending := fs.Int("pending", 0, "max distinct requests in flight before shedding 429s (0 = 4x jobs; never below jobs)")
+	pending := fs.Int("pending", 0, "max distinct cells in flight; beyond it /v1/run sheds 429s, sweep and experiment cells wait (0 = 4x jobs; never below jobs)")
 	cacheBytes := fs.Int64("cache-bytes", 64<<20, "response cache byte budget")
 	timeout := fs.Duration("timeout", 60*time.Second, "default per-request wait deadline")
 	drain := fs.Duration("drain", 30*time.Second, "shutdown grace period for in-flight simulations")

@@ -90,7 +90,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintf(stdout, "%s\n", line)
 			return nil
 		}
-		name := api.RunRequest{Workload: cell.Workload, Machine: cell.Machine, Scale: cell.Scale}.Cell()
+		name := api.RunRequest{Workload: cell.Workload, Machine: cell.Machine, Scale: cell.Scale,
+			Lanes: *lanes, Threads: *threads}.Cell()
 		if cell.Error != nil {
 			errCells++
 			fmt.Fprintf(stdout, "%-24s ERROR %s: %s\n", name, cell.Error.Code, cell.Error.Message)

@@ -4,35 +4,48 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 
 	"vlt/internal/core"
 	"vlt/internal/runner"
+	"vlt/internal/vm"
 	"vlt/internal/workloads"
 )
 
 // This file implements the experiment engine. Every experiment driver
 // (Figure1..6, Table4, the extension studies) decomposes into
 // independent (workload, machine, options) simulation cells; the engine
-// starts each cell on its Slots (runner.Slots, the repo's one execution
-// bound) and memoizes it by a content-addressed fingerprint, so a cell
-// shared by several figures — e.g. each workload's base-machine run,
-// requested by Figures 1, 3, 4, 5 and Table 4 alike — is simulated
-// exactly once per engine.
+// memoizes each cell by a content-addressed fingerprint and asks its
+// CellSource for each unique one, so a cell shared by several figures —
+// e.g. each workload's base-machine run, requested by Figures 1, 3, 4, 5
+// and Table 4 alike — is computed exactly once per engine. NewEngine's
+// source simulates in process on the engine's own runner.Slots (the
+// repo's one execution bound); vltd's source takes its cache tiers and
+// flight group, so a figure there is a fan-out over cached cells.
 //
 // Determinism: the simulator is execution-driven but fully deterministic
 // (no wall clock, no randomness, one private Machine per cell), so a
 // cell's result is a pure function of its fingerprint and an engine's
-// output does not depend on its width; the drivers collect futures in a
-// fixed order, and TestParallelMatchesSerial enforces the equivalence of
-// a one-slot and a multi-slot engine for every figure.
+// output does not depend on its width or its source; the drivers collect
+// futures in a fixed order, and TestParallelMatchesSerial enforces the
+// equivalence of a one-slot and a multi-slot engine for every figure.
 
-// Engine runs experiment cells on a Slots with a per-engine memo: each
-// unique cell is simulated once, and the memo lives exactly as long as
-// the engine. NewEngine(1) runs one cell at a time — the control for the
-// differential test.
+// CellSource produces the Result of one simulation cell for an Engine.
+// The engine calls it at most once per unique cell, concurrently across
+// cells, from goroutines that hold no execution slot: the source bounds
+// its own simulations. A source need fill only the fields a served run
+// body carries (identity, counts, Verified and Metrics); the engine
+// derives the rest from Metrics.
+type CellSource func(workload string, m Machine, opt Options) (Result, error)
+
+// Engine memoizes experiment cells over a CellSource: each unique cell
+// is requested from the source once, and the memo lives exactly as long
+// as the engine.
 type Engine struct {
-	slots *runner.Slots
+	source CellSource
+	serial bool // NewEngine(1): one simulation at a time
 
 	mu       sync.Mutex
 	cells    map[string]*runner.Task[cell]
@@ -50,7 +63,8 @@ type Engine struct {
 type EngineStats struct {
 	// Submitted is the total number of cells the drivers requested.
 	Submitted int
-	// Unique is the number of distinct cells, i.e. cells simulated.
+	// Unique is the number of distinct cells, i.e. cells requested from
+	// the source.
 	Unique int
 	// Hits is the number of requests served from the memo
 	// (Submitted - Unique).
@@ -63,19 +77,30 @@ type cell struct {
 	raw UtilizationCounts
 }
 
-// NewEngine returns an experiment engine on its own jobs slots: at most
-// jobs simulations run at once (jobs <= 0 selects runtime.GOMAXPROCS(0)).
-func NewEngine(jobs int) *Engine { return NewEngineOn(runner.NewSlots(jobs)) }
-
-// NewEngineOn returns an experiment engine whose cells run on slots, so
-// they share the bound with every other holder of slots (vltd runs each
-// /v1/experiment request's engine on the daemon's one Slots).
-func NewEngineOn(slots *runner.Slots) *Engine {
-	return &Engine{slots: slots, cells: make(map[string]*runner.Task[cell])}
+// NewEngine returns an engine that simulates its cells in process on
+// its own jobs slots: at most jobs simulations run at once (jobs <= 0
+// selects runtime.GOMAXPROCS(0)). NewEngine(1) runs one cell at a time —
+// the control for the differential test.
+func NewEngine(jobs int) *Engine {
+	slots := runner.NewSlots(jobs)
+	e := NewEngineFrom(func(workload string, m Machine, opt Options) (res Result, err error) {
+		slots.Do(func() { res, err = simulateCell(workload, m, opt) })
+		return res, err
+	})
+	e.serial = slots.Width() == 1
+	return e
 }
 
-// Serial reports whether the engine runs one simulation at a time.
-func (e *Engine) Serial() bool { return e.slots.Width() == 1 }
+// NewEngineFrom returns an engine whose unique cells come from src. vltd
+// runs each /v1/experiment on one, with a source that serves cells
+// through its cache tiers and flight group.
+func NewEngineFrom(src CellSource) *Engine {
+	return &Engine{source: src, cells: make(map[string]*runner.Task[cell])}
+}
+
+// Serial reports whether the engine simulates one cell at a time
+// (NewEngine(1)).
+func (e *Engine) Serial() bool { return e.serial }
 
 // SetProgress installs a callback invoked after every simulated cell
 // with the number of completed and scheduled cells. The callback runs on
@@ -148,8 +173,8 @@ type cellFuture struct {
 	err  error // submission-time error (bad machine/options)
 }
 
-// submit schedules one simulation cell: a new cell starts at once,
-// waiting only for a free slot, and a duplicate joins the memoized task.
+// submit schedules one simulation cell: a new cell is requested from the
+// source at once, and a duplicate joins the memoized task.
 func (e *Engine) submit(workload string, m Machine, opt Options) *cellFuture {
 	opt = e.applyGuard(opt)
 	key, err := fingerprint(workload, m, opt)
@@ -167,10 +192,10 @@ func (e *Engine) submit(workload string, m Machine, opt Options) *cellFuture {
 	// A panic anywhere in a cell's simulation (machine model bug,
 	// workload Verify blowing up) fails only that cell, as a
 	// *runner.PanicError naming it; sibling cells and the engine survive.
-	t := runner.Start(e.slots, workload+"/"+string(m), func() (cell, error) {
+	t := runner.Go(workload+"/"+string(m), func() (cell, error) {
 		defer e.cellDone()
-		res, raw, err := simulateCell(workload, m, opt)
-		return cell{res: res, raw: raw}, err
+		res, err := e.source(workload, m, opt)
+		return cell{res: res, raw: derive(&res)}, err
 	})
 	e.cells[key] = t
 	return &cellFuture{task: t}
@@ -198,8 +223,9 @@ func (f *cellFuture) wait() (Result, UtilizationCounts, error) {
 	return c.res, c.raw, err
 }
 
-// simulateCell is the engine's simulation entry point, indirect so the
-// cell-isolation test can substitute a panicking implementation.
+// simulateCell is every simulation's entry point (Run and NewEngine's
+// source), indirect so tests can substitute a panicking implementation
+// or observe every simulation the process runs, served ones included.
 var simulateCell = runCell
 
 // cellSpec is one fully resolved simulation cell: the workload, the
@@ -269,55 +295,87 @@ func VetCell(workload string, m Machine, opt Options) error {
 }
 
 // runCell simulates one cell on a private Machine and returns the public
-// result plus the raw Figure-4 utilization census. It is the single
-// simulation entry point under the engine (Run delegates here), and it
-// is goroutine-safe: all shared package state (workload registry, ISA
-// tables) is immutable after init.
-func runCell(workload string, m Machine, opt Options) (Result, UtilizationCounts, error) {
+// result. It is the single simulation entry point (Run and NewEngine's
+// source reach it through simulateCell), and it is goroutine-safe: all
+// shared package state (workload registry, ISA tables) is immutable
+// after init.
+func runCell(workload string, m Machine, opt Options) (Result, error) {
 	spec, err := resolveCell(workload, m, opt)
 	if err != nil {
-		return Result{}, UtilizationCounts{}, err
+		return Result{}, err
 	}
 	w, cfg, threads, p := spec.w, spec.cfg, spec.threads, spec.params
 	prog := w.Build(p)
 	machine, err := core.NewMachine(cfg, prog)
 	if err != nil {
-		return Result{}, UtilizationCounts{}, err
+		return Result{}, err
 	}
 	res, err := machine.Run()
 	if err != nil {
-		return Result{}, UtilizationCounts{}, err
-	}
-	raw := UtilizationCounts{
-		Busy: res.Util.Busy, PartIdle: res.Util.PartIdle,
-		Stalled: res.Util.Stalled, AllIdle: res.Util.AllIdle,
+		return Result{}, err
 	}
 	metrics := make(Metrics, 0, len(res.Metrics()))
 	for _, v := range res.Metrics() {
 		metrics = append(metrics, Metric{Name: v.Name, Value: v.AsFloat()})
 	}
 	out := Result{
-		Workload:       workload,
-		Machine:        m,
-		Threads:        threads,
-		Cycles:         res.Cycles,
-		Retired:        res.Retired,
-		VecIssued:      res.VecIssued,
-		VecElemOps:     res.VecElemOps,
-		Util:           utilizationPct(res.Util),
-		SUs:            res.SUs,
-		LaneCores:      res.LaneCore,
-		PercentVect:    res.Ops.PercentVect(),
-		AvgVL:          res.Ops.AvgVL(),
-		CommonVLs:      res.Ops.CommonVLs(4),
-		OpportunityPct: res.OpportunityPct,
-		Metrics:        metrics,
+		Workload:   workload,
+		Machine:    m,
+		Threads:    threads,
+		Cycles:     res.Cycles,
+		Retired:    res.Retired,
+		VecIssued:  res.VecIssued,
+		VecElemOps: res.VecElemOps,
+		SUs:        res.SUs,
+		LaneCores:  res.LaneCore,
+		Metrics:    metrics,
 	}
+	derive(&out)
 	if !opt.SkipVerify {
 		if err := w.Verify(machine.VM(), prog, p); err != nil {
-			return out, raw, fmt.Errorf("vlt: verification failed: %w", err)
+			return out, fmt.Errorf("vlt: verification failed: %w", err)
 		}
 		out.Verified = true
 	}
-	return out, raw, nil
+	return out, nil
+}
+
+// derive computes every field of r that is a function of its metric
+// snapshot from r.Metrics — Util and the Table-4 characterization
+// (PercentVect, AvgVL, CommonVLs, OpportunityPct) — and returns the raw
+// Figure-4 census. It is the only place these are computed: runCell
+// builds its Results through it and the Engine passes every cell
+// through it, so a Result decoded from a served run body (which carries
+// Metrics but not the characterization) and one fresh from the
+// simulator agree bit for bit.
+func derive(r *Result) UtilizationCounts {
+	var raw UtilizationCounts
+	var ops vm.OpStats
+	for _, m := range r.Metrics {
+		switch m.Name {
+		case "vm.ops.pct_vect":
+			r.PercentVect = m.Value
+		case "vm.ops.avg_vl":
+			r.AvgVL = m.Value
+		case "machine.opportunity_pct":
+			r.OpportunityPct = m.Value
+		case "vcl.util.busy":
+			raw.Busy = uint64(m.Value)
+		case "vcl.util.part_idle":
+			raw.PartIdle = uint64(m.Value)
+		case "vcl.util.stalled":
+			raw.Stalled = uint64(m.Value)
+		case "vcl.util.all_idle":
+			raw.AllIdle = uint64(m.Value)
+		default:
+			if b, ok := strings.CutPrefix(m.Name, "vm.ops.vl_hist["); ok {
+				if vl, err := strconv.Atoi(strings.TrimSuffix(b, "]")); err == nil && vl >= 0 && vl < len(ops.VLHist) {
+					ops.VLHist[vl] = int64(m.Value)
+				}
+			}
+		}
+	}
+	r.CommonVLs = ops.CommonVLs(4)
+	r.Util = utilizationPct(raw)
+	return raw
 }

@@ -14,7 +14,7 @@ import (
 func TestEngineIsolatesPanickingCell(t *testing.T) {
 	orig := simulateCell
 	defer func() { simulateCell = orig }()
-	simulateCell = func(workload string, m Machine, opt Options) (Result, UtilizationCounts, error) {
+	simulateCell = func(workload string, m Machine, opt Options) (Result, error) {
 		if workload == "poison" {
 			panic("injected cell panic")
 		}

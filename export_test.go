@@ -1,5 +1,5 @@
 package vlt
 
-// SimulateCell exposes the engine's simulation hook to the external test
-// package, so a test can observe every cell any engine simulates.
+// SimulateCell exposes the simulation hook to the external test package,
+// so a test can observe every simulation: engine cells and vlt.Run alike.
 var SimulateCell = &simulateCell

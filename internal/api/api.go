@@ -65,11 +65,22 @@ func (r RunRequest) Options() vlt.Options {
 }
 
 // Cell renders the request's human-readable cell name, the value carried
-// in Error.Cell ("workload/machine" plus any non-default options).
+// in Error.Cell: "workload/machine", then "@xN" for a scale above 1 and
+// ",lanes=N", ",threads=N", ",skip_verify" for each option that is set,
+// so two distinct cells of one sweep never share a name.
 func (r RunRequest) Cell() string {
 	s := r.Workload + "/" + r.Machine
 	if r.Scale > 1 {
 		s += fmt.Sprintf("@x%d", r.Scale)
+	}
+	if r.Lanes != 0 {
+		s += fmt.Sprintf(",lanes=%d", r.Lanes)
+	}
+	if r.Threads != 0 {
+		s += fmt.Sprintf(",threads=%d", r.Threads)
+	}
+	if r.SkipVerify {
+		s += ",skip_verify"
 	}
 	return s
 }
@@ -121,6 +132,24 @@ func RunResponseFrom(res vlt.Result) RunResponse {
 		},
 		Verified: res.Verified,
 		Metrics:  res.Metrics,
+	}
+}
+
+// Result inverts RunResponseFrom for the fields a run body carries: the
+// identity, the counts, Verified and Metrics. A vlt.Engine derives Util
+// and the Table-4 characterization from Metrics; the per-unit pipeline
+// tables (SUs, LaneCores) are not served.
+func (r RunResponse) Result() vlt.Result {
+	return vlt.Result{
+		Workload:   r.Workload,
+		Machine:    vlt.Machine(r.Machine),
+		Threads:    r.Threads,
+		Cycles:     r.Cycles,
+		Retired:    r.Retired,
+		VecIssued:  r.VecIssued,
+		VecElemOps: r.VecElemOps,
+		Verified:   r.Verified,
+		Metrics:    r.Metrics,
 	}
 }
 

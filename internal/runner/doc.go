@@ -2,9 +2,11 @@
 // execution bound is Slots, a counting semaphore: every simulation holds
 // one slot while it runs, so a process that shares one Slots runs at most
 // Width simulations at once whoever submits them. Start runs one job on
-// its own goroutine under a Slots and returns its Task; the experiment
-// engine in the root vlt package keys those Tasks in a per-engine memo,
-// and the search driver (internal/search) runs its waves on them.
+// its own goroutine under a Slots and returns its Task, and the search
+// driver (internal/search) runs its waves on them. Go is Start without
+// a slot: the experiment engine in the root vlt package keys its Tasks
+// in a per-engine memo, and its cell source takes a slot only around a
+// simulation.
 //
 // Flight is the serving daemon's front-end (internal/serve): it
 // coalesces concurrent submissions of the same key onto one execution,

@@ -52,10 +52,20 @@ func (s *Slots) Do(fn func()) {
 // Waits. A panicking fn fails only its own Task, with a *PanicError named
 // by key.
 func Start[V any](slots *Slots, key string, fn func() (V, error)) *Task[V] {
+	return Go(key, func() (v V, err error) {
+		slots.Do(func() { v, err = fn() })
+		return v, err
+	})
+}
+
+// Go is Start without a slot: for a job that only coordinates work
+// bounded elsewhere (an experiment engine's cell waiting on vltd's
+// admission path, whose simulation takes its own slot).
+func Go[V any](key string, fn func() (V, error)) *Task[V] {
 	t := &Task[V]{done: make(chan struct{})}
 	go func() {
 		defer close(t.done)
-		slots.Do(func() { t.val, t.err = Guard(key, fn) })
+		t.val, t.err = Guard(key, fn)
 	}()
 	return t
 }

@@ -54,6 +54,20 @@ func TestConcurrencyBound(t *testing.T) {
 	}
 }
 
+// TestGoHoldsNoSlot: a Go job runs while every slot is taken, so a
+// coordinator that waits on slot-holding work cannot deadlock it.
+func TestGoHoldsNoSlot(t *testing.T) {
+	slots := NewSlots(1)
+	started, release := make(chan struct{}), make(chan struct{})
+	held := Start(slots, "holder", func() (int, error) { close(started); <-release; return 1, nil })
+	<-started
+	if v, err := Go("free", func() (int, error) { return 2, nil }).Wait(); v != 2 || err != nil {
+		t.Fatalf("Go with every slot held: %d, %v; want 2, nil", v, err)
+	}
+	close(release)
+	held.Wait()
+}
+
 // TestErrorPropagatesToAllWaiters: every caller coalesced onto a failing
 // execution sees its error, and the duplicate never runs.
 func TestErrorPropagatesToAllWaiters(t *testing.T) {

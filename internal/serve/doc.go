@@ -10,10 +10,13 @@
 // the cold response it replays), single-flight coalescing with bounded
 // admission (runner.Flight; overload sheds with 429 + Retry-After),
 // and per-request wait deadlines that abandon the wait but never the
-// simulation. Requests are statically verified (vlt.VetCell, i.e.
-// asm.Program.Vet) before admission, failures surface as typed JSON
-// errors carrying report.Diagnose text, and all serving counters live
-// in an internal/stats registry snapshotted by /metricsz. This layer
+// simulation. An experiment's cells take the same path as /v1/run
+// cells (vlt.NewEngineFrom over the server's cell source), so a figure
+// is a fan-out over cached cells. Requests are statically verified
+// (vlt.VetCell, i.e. asm.Program.Vet) before admission, failures
+// surface as typed JSON errors carrying report.Diagnose text, and all
+// serving counters live in an internal/stats registry snapshotted by
+// /metricsz. This layer
 // serves the ROADMAP's production north star rather than a section of
 // the paper; DESIGN.md section 10 records the policies.
 package serve

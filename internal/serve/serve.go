@@ -33,11 +33,12 @@ type Config struct {
 	// fallbacks all draw from the same Jobs slots. Coordinating an
 	// experiment or waiting on a fleet peer holds no slot.
 	Jobs int
-	// MaxPending bounds the number of distinct requests admitted and
-	// not yet finished — executing or waiting for a job slot. Beyond
-	// it, new work is shed with 429 (0 = 4x Jobs; a bound below Jobs is
-	// raised to Jobs so admission never starves the slots). Coalescing
-	// onto an in-flight request always succeeds.
+	// MaxPending bounds the number of distinct cells admitted and not
+	// yet finished — executing or waiting for a job slot (0 = 4x Jobs; a
+	// bound below Jobs is raised to Jobs so admission never starves the
+	// slots). Beyond it a new /v1/run cell is shed with 429, while sweep
+	// and experiment cells wait at the bound. Coalescing onto an
+	// in-flight cell always succeeds.
 	MaxPending int
 	// CacheBytes is the response cache's byte budget (0 = 64 MiB).
 	CacheBytes int64
@@ -342,43 +343,46 @@ func (s *Server) fill(key string, body []byte) {
 	}
 }
 
-// computeKeyed is the admission path of the single-response endpoints:
-// tiered cache lookup (memory, then disk), an optional pre-admission
-// check on the miss path (the run path vets the program there),
-// single-flight coalescing, load shedding at the pending bound, and a
-// deadline on the wait (never on the execution — an abandoned job still
-// completes and populates the cache tiers). The sweep stream's per-cell
-// path (submitCell) shares the same tiers, flight group and error
-// mapping but blocks at the admission bound instead of shedding.
-func (s *Server) computeKeyed(ctx context.Context, key string, d time.Duration,
-	precheck func() *apiError, render func() ([]byte, error)) (body []byte, tier string, aerr *apiError) {
-	if body, tier, ok := s.lookup(key); ok {
-		return body, tier, nil
-	}
-	if precheck != nil {
-		if e := precheck(); e != nil {
-			return nil, "", e
+// job wraps render as the flight job of one cell key. It re-checks the
+// memory tier first, because a coalescing partner may have filled the key
+// since the caller's lookup (that lookup already counted the key's
+// traffic, so the re-check counts nothing), then renders and fills both
+// tiers. The job never sees a deadline: an abandoned cell still completes
+// and lands in the tiers.
+func (s *Server) job(key string, render func() ([]byte, error)) func() ([]byte, error) {
+	return func() ([]byte, error) {
+		if body, ok := s.cache.Peek(key); ok {
+			return body, nil
 		}
-	}
-	task, _, admitted := s.flight.TrySubmit(key, func() ([]byte, error) {
 		body, err := render()
 		if err != nil {
 			return nil, err
 		}
 		s.fill(key, body)
 		return body, nil
-	})
-	if !admitted {
-		return nil, "", &apiError{status: http.StatusTooManyRequests,
-			Error: api.Error{Code: api.CodeOverloaded,
-				Message: fmt.Sprintf("at capacity: %d requests in flight; retry after %ds",
-					s.flight.Inflight(), s.retryAfterSeconds())}}
 	}
-	body, err := task.WaitContext(ctx)
+}
+
+// admitCell is the admission path of every cell of a multi-cell request,
+// a sweep line or a cell of an experiment driver: the tier lookup (memory,
+// then disk with promotion), the static verifier on a miss, then the
+// flight group, where the cell waits at the pending bound instead of
+// being shed (a multi-cell request must not fail because of its own
+// width). A hit resolves to its body; otherwise the cell's flight task
+// comes back for the caller to await.
+func (s *Server) admitCell(ctx context.Context, key string, w string, m vlt.Machine, opt vlt.Options,
+	d time.Duration, render func() ([]byte, error)) (body []byte, task *runner.Task[[]byte], aerr *apiError) {
+	if body, _, ok := s.lookup(key); ok {
+		return body, nil, nil
+	}
+	if e := s.vetCheck(w, m, opt); e != nil {
+		return nil, nil, e
+	}
+	task, _, err := s.flight.Submit(ctx, key, s.job(key, render))
 	if err != nil {
-		return nil, "", s.waitError(err, d)
+		return nil, nil, s.waitError(err, d)
 	}
-	return body, tierMiss, nil
+	return nil, task, nil
 }
 
 // waitError maps a failed flight wait onto the typed envelope.
@@ -399,16 +403,18 @@ func (s *Server) waitError(err error, d time.Duration) *apiError {
 	}
 }
 
-// serveKeyed wraps computeKeyed with HTTP response writing for the
-// single-response endpoints (/v1/run, /v1/experiment), including the
-// conditional-request fast path: the key's strong ETag is its store
-// fingerprint (format version ⊕ key), so an If-None-Match match proves
-// the client already holds the exact bytes this content-addressed cell
-// can ever produce at this version — 304, no lookup, no simulation. A
-// format bump changes the fingerprint and the stale tag re-serves a
-// full 200.
+// serveKeyed answers one single-response request (/v1/run,
+// /v1/experiment) for key: the conditional-request fast path, the tier
+// lookup, and on a miss compute, which must produce the key's body and
+// fill the tiers with it. The key's strong ETag is its store fingerprint
+// (format version ⊕ key), so an If-None-Match match proves the client
+// already holds the exact bytes this content-addressed key can ever
+// produce at this version — 304, no lookup, no simulation. A format bump
+// changes the fingerprint and the stale tag re-serves a full 200. The
+// request's deadline (the server default, lowered by timeout_ms) bounds
+// compute's waits.
 func (s *Server) serveKeyed(w http.ResponseWriter, r *http.Request, key string,
-	precheck func() *apiError, render func() ([]byte, error)) {
+	compute func(ctx context.Context, d time.Duration) ([]byte, *apiError)) {
 	etag := store.ETag(key)
 	if match := r.Header.Get("If-None-Match"); match != "" && etagMatch(match, etag) {
 		w.Header().Set("ETag", etag)
@@ -419,10 +425,15 @@ func (s *Server) serveKeyed(w http.ResponseWriter, r *http.Request, key string,
 		s.mu.Unlock()
 		return
 	}
-	d := s.timeout(r)
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	defer cancel()
-	body, tier, aerr := s.computeKeyed(ctx, key, d, precheck, render)
+	body, tier, ok := s.lookup(key)
+	var aerr *apiError
+	if !ok {
+		d := s.timeout(r)
+		ctx, cancel := context.WithTimeout(r.Context(), d)
+		defer cancel()
+		body, aerr = compute(ctx, d)
+		tier = tierMiss
+	}
 	switch {
 	case aerr == nil:
 		w.Header().Set("ETag", etag)
@@ -514,54 +525,70 @@ func (s *Server) parseRunRequest(r *http.Request) (RunRequest, *apiError) {
 // renderCell simulates one cell locally, holding one of the server's
 // slots only while it simulates, and renders its canonical body through
 // the shared api constructor — the single render path for /v1/run, sweep
-// cells, and the fleet coordinator's degraded-mode fallback, which is
-// what keeps bodies byte-identical across nodes.
-func (s *Server) renderCell(req RunRequest) ([]byte, error) {
+// cells, experiment cells and the fleet coordinator's degraded-mode
+// fallback, which is what keeps bodies byte-identical across nodes.
+func (s *Server) renderCell(w string, m vlt.Machine, opt vlt.Options) ([]byte, error) {
 	var res vlt.Result
 	var err error
-	s.slots.Do(func() {
-		res, err = s.runCell(req.Workload, vlt.Machine(req.Machine), req.Options())
-	})
+	s.slots.Do(func() { res, err = s.runCell(w, m, opt) })
 	if err != nil {
 		return nil, err
 	}
 	return api.Marshal(api.RunResponseFrom(res))
 }
 
-// vetPrecheck builds the miss-path admission check for one cell: the
-// static verifier runs before the cell may occupy a flight slot. A
-// cache hit skips it — a cached response's cell already passed both the
-// verifier and (unless skipped) the functional check.
-func (s *Server) vetPrecheck(req RunRequest) func() *apiError {
-	return func() *apiError {
-		if err := s.vetCell(req.Workload, vlt.Machine(req.Machine), req.Options()); err != nil {
-			var ve *vet.Error
-			if errors.As(err, &ve) {
-				return &apiError{status: http.StatusUnprocessableEntity,
-					Error: api.Error{Code: api.CodeVetFailed,
-						Message: firstLine(err.Error()), Diagnostic: report.Diagnose("vltd", err)}}
-			}
-			return &apiError{status: http.StatusBadRequest,
-				Error: api.Error{Code: api.CodeBadRequest, Message: err.Error()}}
+// vetCheck is the miss-path admission check for one cell: the static
+// verifier runs before the cell may occupy a flight slot. A cache hit
+// skips it — a cached response's cell already passed both the verifier
+// and (unless skipped) the functional check.
+func (s *Server) vetCheck(w string, m vlt.Machine, opt vlt.Options) *apiError {
+	if err := s.vetCell(w, m, opt); err != nil {
+		var ve *vet.Error
+		if errors.As(err, &ve) {
+			return &apiError{status: http.StatusUnprocessableEntity,
+				Error: api.Error{Code: api.CodeVetFailed,
+					Message: firstLine(err.Error()), Diagnostic: report.Diagnose("vltd", err)}}
 		}
-		return nil
+		return &apiError{status: http.StatusBadRequest,
+			Error: api.Error{Code: api.CodeBadRequest, Message: err.Error()}}
 	}
+	return nil
 }
 
+// handleRun serves one cell. Unlike a sweep or experiment cell, a new
+// key beyond the pending bound is shed with 429 (Flight.TrySubmit): a
+// single-cell caller can retry, and shedding keeps the queue short.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	req, aerr := s.parseRunRequest(r)
 	if aerr != nil {
 		s.writeError(w, *aerr)
 		return
 	}
-	key, err := vlt.CellKey(req.Workload, vlt.Machine(req.Machine), req.Options())
+	m, opt := vlt.Machine(req.Machine), req.Options()
+	key, err := vlt.CellKey(req.Workload, m, opt)
 	if err != nil {
 		s.writeError(w, apiError{status: http.StatusBadRequest,
 			Error: api.Error{Code: api.CodeBadRequest, Message: err.Error()}})
 		return
 	}
-	s.serveKeyed(w, r, key, s.vetPrecheck(req), func() ([]byte, error) {
-		return s.renderCell(req)
+	s.serveKeyed(w, r, key, func(ctx context.Context, d time.Duration) ([]byte, *apiError) {
+		if e := s.vetCheck(req.Workload, m, opt); e != nil {
+			return nil, e
+		}
+		task, _, admitted := s.flight.TrySubmit(key, s.job(key, func() ([]byte, error) {
+			return s.renderCell(req.Workload, m, opt)
+		}))
+		if !admitted {
+			return nil, &apiError{status: http.StatusTooManyRequests,
+				Error: api.Error{Code: api.CodeOverloaded,
+					Message: fmt.Sprintf("at capacity: %d requests in flight; retry after %ds",
+						s.flight.Inflight(), s.retryAfterSeconds())}}
+		}
+		body, err := task.WaitContext(ctx)
+		if err != nil {
+			return nil, s.waitError(err, d)
+		}
+		return body, nil
 	})
 }
 
@@ -591,10 +618,9 @@ func experimentNames() []string {
 	return names
 }
 
-// experiments maps names to drivers. Each driver runs on a fresh engine
-// over the server's slots, so its cells parallelize within the Jobs
-// bound and its memo dies with the request; the response cache provides
-// cross-request reuse.
+// experiments maps names to drivers. Each driver runs in its request's
+// handler on a fresh engine over cellSource, so its cells are served by
+// the cache tiers and flight group and its memo dies with the request.
 var experiments = map[string]func(eng *vlt.Engine, scale int) (any, string, error){
 	"table1": func(*vlt.Engine, int) (any, string, error) { return vlt.Table1(), vlt.Table1String(), nil },
 	"table2": func(*vlt.Engine, int) (any, string, error) { return vlt.Table2(), vlt.Table2String(), nil },
@@ -664,13 +690,57 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		scale = n
 	}
 	key := experimentKey(name, scale)
-	s.serveKeyed(w, r, key, nil, func() ([]byte, error) {
-		data, text, err := driver(vlt.NewEngineOn(s.slots), scale)
+	s.serveKeyed(w, r, key, func(ctx context.Context, d time.Duration) ([]byte, *apiError) {
+		body, err := runner.Guard(key, func() ([]byte, error) {
+			data, text, err := driver(vlt.NewEngineFrom(s.cellSource(ctx, d)), scale)
+			if err != nil {
+				return nil, err
+			}
+			return api.Marshal(ExperimentResponse{Name: name, Scale: scale, Data: data, Text: text})
+		})
 		if err != nil {
-			return nil, err
+			return nil, s.waitError(err, d)
 		}
-		return api.Marshal(ExperimentResponse{Name: name, Scale: scale, Data: data, Text: text})
+		s.fill(key, body)
+		return body, nil
 	})
+}
+
+// cellSource is the CellSource of the engine behind one /v1/experiment
+// request. Every cell takes a sweep cell's admission path (admitCell), so
+// it is served from memory or disk when any earlier run, sweep or
+// experiment computed it, coalesces with the same cell in flight, and
+// fills both tiers when simulated; its Result is decoded from the cell's
+// canonical run body. The handler's goroutine coordinates the
+// driver, so it holds neither a slot nor a pending entry. Experiment
+// cells always compute locally: the fleet routes api.RunRequests, which
+// cannot express every Options field (NoLaneReclaim).
+func (s *Server) cellSource(ctx context.Context, d time.Duration) vlt.CellSource {
+	return func(w string, m vlt.Machine, opt vlt.Options) (vlt.Result, error) {
+		key, err := vlt.CellKey(w, m, opt)
+		if err != nil {
+			return vlt.Result{}, err
+		}
+		body, task, aerr := s.admitCell(ctx, key, w, m, opt, d, func() ([]byte, error) {
+			return s.renderCell(w, m, opt)
+		})
+		if aerr != nil {
+			if err := ctx.Err(); err != nil {
+				return vlt.Result{}, err // the deadline struck at the pending bound
+			}
+			return vlt.Result{}, errors.New(aerr.Message) // a paper cell the verifier rejects
+		}
+		if task != nil {
+			if body, err = task.WaitContext(ctx); err != nil {
+				return vlt.Result{}, err
+			}
+		}
+		var resp api.RunResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			return vlt.Result{}, err
+		}
+		return resp.Result(), nil
+	}
 }
 
 // WorkloadInfo describes one servable workload (/v1/workloads).

@@ -175,46 +175,21 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.count(http.StatusOK)
 }
 
-// submitCell starts one sweep cell through the shared admission path:
-// cache hits, vet rejections and admission timeouts resolve
+// submitCell starts one sweep cell through the shared admission path
+// (admitCell): cache hits, vet rejections and admission timeouts resolve
 // immediately; otherwise the cell's flight task rides back for the
 // writer to await. When a fleet coordinator is installed the cell's
 // renderer routes through it — still under this node's flight group and
 // response cache, so concurrent sweeps coalesce on remote cells exactly
 // as on local ones, and a remote body lands in the local cache.
 func (s *Server) submitCell(ctx context.Context, key string, c RunRequest, d time.Duration) sweepFuture {
-	f := sweepFuture{req: c, d: d}
-	render := func() ([]byte, error) { return s.renderCell(c) }
+	m, opt := vlt.Machine(c.Machine), c.Options()
+	render := func() ([]byte, error) { return s.renderCell(c.Workload, m, opt) }
 	if fl := s.fleet; fl != nil {
 		local := render
 		render = func() ([]byte, error) { return fl.Compute(ctx, key, c, local) }
 	}
-	if body, _, ok := s.lookup(key); ok {
-		f.body = body
-		return f
-	}
-	if e := s.vetPrecheck(c)(); e != nil {
-		f.aerr = e
-		return f
-	}
-	task, _, err := s.flight.Submit(ctx, key, func() ([]byte, error) {
-		// A coalescing partner may have finished the cell while this
-		// sweep waited at the admission bound. The lookup above already
-		// counted this key's miss, so the re-check does not count.
-		if body, ok := s.cache.Peek(key); ok {
-			return body, nil
-		}
-		body, err := render()
-		if err != nil {
-			return nil, err
-		}
-		s.fill(key, body)
-		return body, nil
-	})
-	if err != nil {
-		f.aerr = s.waitError(err, d)
-		return f
-	}
-	f.task = task
+	f := sweepFuture{req: c, d: d}
+	f.body, f.task, f.aerr = s.admitCell(ctx, key, c.Workload, m, opt, d, render)
 	return f
 }

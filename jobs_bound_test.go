@@ -24,7 +24,7 @@ func TestServeExperimentsHoldJobsBound(t *testing.T) {
 	var running, peak atomic.Int32
 	orig := *vlt.SimulateCell
 	t.Cleanup(func() { *vlt.SimulateCell = orig })
-	*vlt.SimulateCell = func(w string, m vlt.Machine, o vlt.Options) (vlt.Result, vlt.UtilizationCounts, error) {
+	*vlt.SimulateCell = func(w string, m vlt.Machine, o vlt.Options) (vlt.Result, error) {
 		n := running.Add(1)
 		defer running.Add(-1)
 		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {

@@ -21,6 +21,13 @@ go build ./...
 echo "== go test -race ./... (invariant auditor forced on)"
 VLT_AUDIT=on go test -race ./...
 
+echo "== benchmark module tests (expall.golden, run/experiment body digests, vltexp parity)"
+# bench/ is a module of its own, so ./... above does not reach it. Its
+# tests pin vltexp -all to bench/testdata/expall.golden and the bodies of
+# all 78 grid /v1/run cells and 11 /v1/experiment responses to their
+# digests, so byte-identity gates every change.
+(cd bench && go test ./...)
+
 echo "== golden metrics (testdata/metrics_base_mxm.golden)"
 go test -run TestGoldenMetrics .
 
@@ -186,7 +193,8 @@ vltd_stop() {
 }
 
 # Boot 1: cold store, one simulated cell and one experiment (its cells
-# drawn from the daemon's Jobs slots) spill to disk.
+# drawn from the daemon's Jobs slots) spill to disk, the experiment's
+# cells with it.
 vltd_boot
 curl -fsS "$vltd_url/healthz" | grep -q '"status":"ok"'
 curl -fsS "$vltd_url/healthz?ready=1" | grep -q '"status":"ready"'
@@ -196,8 +204,11 @@ printf '%s\n' "$exp_body" | grep -q '"text"'
 vltd_stop
 
 # Boot 2: fresh process, empty memory cache — the store must answer
-# without re-simulating, and its ETag must revalidate to a 304.
+# without re-simulating, and its ETag must revalidate to a 304. trfd/base
+# was never requested as a run: boot 1's table4 stored it as one of its
+# cells.
 vltd_boot
+curl -fsSi "$vltd_url/v1/run?workload=trfd&machine=base" | grep -qi 'X-VLT-Cache: disk'
 run_headers=$(curl -fsSi "$vltd_url/v1/run?workload=mxm&machine=base")
 printf '%s\n' "$run_headers" | grep -qi 'X-VLT-Cache: disk'
 printf '%s\n' "$run_headers" | grep -q '"cycles"'

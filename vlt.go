@@ -13,7 +13,7 @@
 //     (Engine.Figure1..Figure6, Engine.Table4, the extension studies and
 //     Engine.CollectAll). NewEngine(jobs) runs at most jobs simulations at
 //     once and memoizes each unique cell for the engine's lifetime;
-//     NewEngineOn shares one runner.Slots bound between engines;
+//     NewEngineFrom memoizes over another CellSource (vltd's cache tiers);
 //   - Table1..Table3: the paper's static tables;
 //   - Machines, Workloads: enumerate the available configurations.
 //
@@ -31,7 +31,6 @@ import (
 
 	"vlt/internal/core"
 	"vlt/internal/guard"
-	"vlt/internal/vcl"
 	"vlt/internal/workloads"
 )
 
@@ -302,11 +301,10 @@ func baseMachineConfig(m Machine, opt Options) (core.Config, int, error) {
 // Run always simulates (it does not consult any engine's cache); the
 // experiment drivers route the same cells through an Engine instead.
 func Run(workload string, m Machine, opt Options) (Result, error) {
-	res, _, err := runCell(workload, m, opt)
-	return res, err
+	return simulateCell(workload, m, opt)
 }
 
-func utilizationPct(u vcl.Utilization) Utilization {
+func utilizationPct(u UtilizationCounts) Utilization {
 	total := float64(u.Total())
 	if total == 0 {
 		return Utilization{}
