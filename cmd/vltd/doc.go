@@ -18,7 +18,7 @@
 //
 //	GET  /v1/run?workload=mxm&machine=base  one cell, full metric registry
 //	POST /v1/sweep                          a grid of cells, streamed as NDJSON
-//	GET  /v1/experiment?name=figure6        a paper figure/table by name
+//	GET  /v1/experiment?name=figure6        a vlt.Experiments entry by name
 //	GET  /v1/workloads                      workload discovery
 //	GET  /v1/machines                       machine discovery
 //	GET  /healthz                           liveness (?ready=1 for readiness)

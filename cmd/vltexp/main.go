@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
+	"strings"
 	"sync"
 
 	"vlt"
@@ -35,8 +36,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("vltexp", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	scale := fs.Int("scale", 1, "problem size multiplier")
-	fig := fs.Int("fig", 0, "print one figure (1, 3, 4, 5 or 6)")
-	tab := fs.Int("tab", 0, "print one table (1, 2, 3 or 4)")
+	fig := fs.Int("fig", 0, "print one figure ("+strings.Join(catalogued("figure"), ", ")+")")
+	tab := fs.Int("tab", 0, "print one table ("+strings.Join(catalogued("table"), ", ")+")")
 	ext := fs.Bool("ext", false, "print the extension studies (16 lanes, phase switching)")
 	jsonOut := fs.Bool("json", false, "emit every result as JSON (for plotting scripts)")
 	metricsFor := fs.String("metrics", "", "dump the named workload's full metric registry and exit")
@@ -64,18 +65,37 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if fs.NArg() > 0 {
 		return usageErr("unexpected argument %q", fs.Arg(0))
 	}
-	validFig := map[int]bool{1: true, 3: true, 4: true, 5: true, 6: true}
-	if *fig != 0 && !validFig[*fig] {
-		return usageErr("no figure %d (the paper's evaluation has figures 1, 3, 4, 5, 6)", *fig)
+	// -fig N and -tab N select the catalogue's figureN and tableN, -ext
+	// its extension studies.
+	var selected []vlt.Experiment
+	for _, sel := range []struct {
+		kind string
+		n    int
+	}{{"figure", *fig}, {"table", *tab}} {
+		if sel.n == 0 {
+			continue
+		}
+		e, ok := vlt.LookupExperiment(fmt.Sprintf("%s%d", sel.kind, sel.n))
+		if !ok {
+			return usageErr("no %s %d (have %ss %s)", sel.kind, sel.n, sel.kind, strings.Join(catalogued(sel.kind), ", "))
+		}
+		selected = append(selected, e)
 	}
-	if *tab != 0 && (*tab < 1 || *tab > 4) {
-		return usageErr("no table %d (tables 1-4)", *tab)
+	if *ext {
+		for _, e := range vlt.Experiments() {
+			if strings.HasPrefix(e.Name, "ext") {
+				selected = append(selected, e)
+			}
+		}
+	}
+	if *scale < 1 {
+		return usageErr("-scale %d: want a positive problem size multiplier", *scale)
 	}
 	if *jobs < 0 {
 		return usageErr("-jobs %d: want 0 (GOMAXPROCS) or a positive worker count", *jobs)
 	}
 
-	if *fig == 0 && *tab == 0 && !*ext && !*jsonOut && *metricsFor == "" {
+	if len(selected) == 0 && !*jsonOut && *metricsFor == "" {
 		*all = true
 	}
 
@@ -122,60 +142,19 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		})
 	}
 
-	printFig := func(n int) error {
-		var d fmt.Stringer
-		var err error
-		switch n {
-		case 1:
-			d, err = eng.Figure1(*scale)
-		case 3:
-			d, err = eng.Figure3(*scale)
-		case 4:
-			d, err = eng.Figure4(*scale)
-		case 5:
-			d, err = eng.Figure5(*scale)
-		case 6:
-			d, err = eng.Figure6(*scale)
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, d)
-		return nil
-	}
-	printTab := func(n int) error {
-		switch n {
-		case 1:
-			fmt.Fprintln(stdout, vlt.Table1String())
-		case 2:
-			fmt.Fprintln(stdout, vlt.Table2String())
-		case 3:
-			fmt.Fprintln(stdout, vlt.Table3String())
-		case 4:
-			s, err := eng.Table4String(*scale)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, s)
-		}
-		return nil
-	}
-	printExt := func() error {
-		d16, err := eng.Extension16Lanes(*scale)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, d16)
-		dps, err := eng.ExtensionPhaseSwitching(*scale)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, dps)
-		return nil
-	}
 	fail := func(err error) int {
 		fmt.Fprint(stderr, report.Diagnose("vltexp", err))
 		return 1
+	}
+	show := func(exps []vlt.Experiment) int {
+		for _, e := range exps {
+			_, text, err := e.Run(eng, *scale)
+			if err != nil {
+				return fail(err)
+			}
+			fmt.Fprintln(stdout, text)
+		}
+		return 0
 	}
 
 	if *metricsFor != "" {
@@ -202,39 +181,23 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 	if *all {
 		// Warm the engine's memo with every driver running concurrently;
-		// the ordered printing below then reads memoized cells.
+		// printing the catalogue in order then reads memoized cells.
 		if _, err := eng.CollectAll(*scale); err != nil {
 			return fail(err)
 		}
-		for _, n := range []int{1, 2, 3, 4} {
-			if err := printTab(n); err != nil {
-				return fail(err)
-			}
-		}
-		for _, n := range []int{1, 3, 4, 5, 6} {
-			if err := printFig(n); err != nil {
-				return fail(err)
-			}
-		}
-		if err := printExt(); err != nil {
-			return fail(err)
-		}
-		return 0
+		return show(vlt.Experiments())
 	}
-	if *fig != 0 {
-		if err := printFig(*fig); err != nil {
-			return fail(err)
+	return show(selected)
+}
+
+// catalogued lists the N of every catalogue experiment named kind+N, in
+// catalogue order.
+func catalogued(kind string) []string {
+	var ns []string
+	for _, e := range vlt.Experiments() {
+		if n, ok := strings.CutPrefix(e.Name, kind); ok {
+			ns = append(ns, n)
 		}
 	}
-	if *tab != 0 {
-		if err := printTab(*tab); err != nil {
-			return fail(err)
-		}
-	}
-	if *ext {
-		if err := printExt(); err != nil {
-			return fail(err)
-		}
-	}
-	return 0
+	return ns
 }

@@ -49,6 +49,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stderr, "vltsim:", err)
 		return 2
 	}
+	if *scale < 1 {
+		fmt.Fprintf(stderr, "vltsim: -scale %d: want a positive problem size multiplier\n", *scale)
+		return 2
+	}
 
 	if *list {
 		fmt.Fprintln(stdout, "workloads:", strings.Join(vlt.Workloads(), " "))

@@ -83,6 +83,20 @@ func TestRunGuardStallDiagnostic(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNonPositiveScale: a scale below 1 is a usage error, not a
+// silent scale-1 run labelled with the requested scale.
+func TestRunRejectsNonPositiveScale(t *testing.T) {
+	for _, scale := range []string{"0", "-4"} {
+		var out, errOut strings.Builder
+		if code := run([]string{"-workload", "mxm", "-scale", scale}, &out, &errOut); code != 2 {
+			t.Errorf("-scale %s: exit %d, want 2", scale, code)
+		}
+		if out.Len() != 0 || !strings.Contains(errOut.String(), "-scale") {
+			t.Errorf("-scale %s: stdout %q, stderr %q; want only a -scale diagnostic", scale, out.String(), errOut.String())
+		}
+	}
+}
+
 func TestRunBadAuditFlag(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run([]string{"-workload", "mxm", "-audit", "sometimes"}, &out, &errOut); code != 2 {

@@ -1,6 +1,6 @@
 // Package report renders fixed-width text tables for the experiment
-// harness (cmd/vltexp, cmd/vltarea) and the String methods of the public
-// experiment result types.
+// harness (cmd/vltexp) and the String methods of the public experiment
+// result types.
 //
 // Key entry points: Table (fixed-width table builder), Metrics and Bar
 // (aligned key/value and sparkline rendering), and Diagnose, the shared

@@ -86,9 +86,9 @@ func TestExperimentCellsShareTiers(t *testing.T) {
 
 	t.Run("swept node simulates only non-grid cells", func(t *testing.T) {
 		before := sims.Load()
-		for _, name := range experimentNames() {
-			if rec := get(t, a, "/v1/experiment?name="+name); rec.Code != http.StatusOK {
-				t.Fatalf("%s: status %d: %s", name, rec.Code, rec.Body)
+		for _, e := range vlt.Experiments() {
+			if rec := get(t, a, "/v1/experiment?name="+e.Name); rec.Code != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", e.Name, rec.Code, rec.Body)
 			}
 		}
 		if n := sims.Load() - before; n != 39 {
@@ -171,33 +171,35 @@ func TestExperimentTimeoutKeepsCells(t *testing.T) {
 	}
 }
 
-// TestServedExperimentMatchesInProcess: an experiment rendered from
-// cells decoded out of served run bodies is byte-identical to the same
-// driver on an in-process engine. Table 4 reads the characterization and
-// Figure 4 the raw utilization census, both derived from Metrics.
+// TestServedExperimentMatchesInProcess: every catalogue experiment
+// rendered from cells decoded out of served run bodies is byte-identical
+// to the same driver on an in-process engine. Table 4 reads the
+// characterization and Figure 4 the raw utilization census, both derived
+// from Metrics; the extension studies' cells carry Lanes and
+// NoLaneReclaim through the served path.
 func TestServedExperimentMatchesInProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-cell simulation")
 	}
 	s := New(Config{})
 	eng := vlt.NewEngine(0)
-	for _, name := range []string{"table4", "figure4"} {
-		rec := get(t, s, "/v1/experiment?name="+name)
+	for _, e := range vlt.Experiments() {
+		rec := get(t, s, "/v1/experiment?name="+e.Name)
 		if rec.Code != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", name, rec.Code, rec.Body)
+			t.Fatalf("%s: status %d: %s", e.Name, rec.Code, rec.Body)
 		}
-		data, text, err := experiments[name](eng, 1)
+		data, text, err := e.Run(eng, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := api.Marshal(ExperimentResponse{Name: name, Scale: 1, Data: data, Text: text})
+		want, err := api.Marshal(ExperimentResponse{Name: e.Name, Scale: 1, Data: data, Text: text})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(rec.Body.Bytes(), want) {
 			var got ExperimentResponse
 			json.Unmarshal(rec.Body.Bytes(), &got)
-			t.Errorf("%s: served body differs from the in-process engine's\nserved:\n%s\nin-process:\n%s", name, got.Text, text)
+			t.Errorf("%s: served body differs from the in-process engine's\nserved:\n%s\nin-process:\n%s", e.Name, got.Text, text)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -231,7 +230,7 @@ func (s *Server) Warm() int {
 }
 
 // warmKeys enumerates the paper grid's cache keys: every workload ×
-// machine cell at default options, plus every experiment driver at
+// machine cell at default options, plus every catalogue experiment at
 // scale 1. Invalid combinations (a vector workload on a scalar-only
 // machine) never produced a cacheable body, so their absence from disk
 // makes them free to include.
@@ -244,8 +243,8 @@ func warmKeys() []string {
 			}
 		}
 	}
-	for _, name := range experimentNames() {
-		keys = append(keys, experimentKey(name, 1))
+	for _, e := range vlt.Experiments() {
+		keys = append(keys, experimentKey(e.Name, 1))
 	}
 	return keys
 }
@@ -607,75 +606,26 @@ func experimentKey(name string, scale int) string {
 	return fmt.Sprintf("experiment|%s|scale=%d", name, scale)
 }
 
-// experimentNames lists the figure/table drivers servable by name,
-// sorted (also the order reported on a bad name).
-func experimentNames() []string {
-	names := make([]string, 0, len(experiments))
-	for n := range experiments {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// experiments maps names to drivers. Each driver runs in its request's
-// handler on a fresh engine over cellSource, so its cells are served by
-// the cache tiers and flight group and its memo dies with the request.
-var experiments = map[string]func(eng *vlt.Engine, scale int) (any, string, error){
-	"table1": func(*vlt.Engine, int) (any, string, error) { return vlt.Table1(), vlt.Table1String(), nil },
-	"table2": func(*vlt.Engine, int) (any, string, error) { return vlt.Table2(), vlt.Table2String(), nil },
-	"table3": func(*vlt.Engine, int) (any, string, error) { return nil, vlt.Table3String(), nil },
-	"table4": func(eng *vlt.Engine, scale int) (any, string, error) {
-		rows, err := eng.Table4(scale)
-		if err != nil {
-			return nil, "", err
-		}
-		text, err := eng.Table4String(scale)
-		return rows, text, err
-	},
-	"figure1": func(eng *vlt.Engine, scale int) (any, string, error) {
-		d, err := eng.Figure1(scale)
-		return d, d.String(), err
-	},
-	"figure3": func(eng *vlt.Engine, scale int) (any, string, error) {
-		d, err := eng.Figure3(scale)
-		return d, d.String(), err
-	},
-	"figure4": func(eng *vlt.Engine, scale int) (any, string, error) {
-		d, err := eng.Figure4(scale)
-		return d, d.String(), err
-	},
-	"figure5": func(eng *vlt.Engine, scale int) (any, string, error) {
-		d, err := eng.Figure5(scale)
-		return d, d.String(), err
-	},
-	"figure6": func(eng *vlt.Engine, scale int) (any, string, error) {
-		d, err := eng.Figure6(scale)
-		return d, d.String(), err
-	},
-	"ext16lanes": func(eng *vlt.Engine, scale int) (any, string, error) {
-		d, err := eng.Extension16Lanes(scale)
-		return d, d.String(), err
-	},
-	"extphase": func(eng *vlt.Engine, scale int) (any, string, error) {
-		d, err := eng.ExtensionPhaseSwitching(scale)
-		return d, d.String(), err
-	},
-}
-
+// handleExperiment serves one entry of the vlt.Experiments catalogue by
+// name. On a miss its driver runs in the handler on a fresh engine over
+// cellSource, so its cells are served by the cache tiers and flight group
+// and its memo dies with the request.
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	name := q.Get("name")
-	driver, ok := experiments[name]
+	exp, ok := vlt.LookupExperiment(name)
 	if !ok {
 		status, code := http.StatusNotFound, api.CodeNotFound
 		if name == "" {
 			status, code = http.StatusBadRequest, api.CodeBadRequest
 		}
+		var names []string
+		for _, e := range vlt.Experiments() {
+			names = append(names, e.Name)
+		}
 		s.writeError(w, apiError{status: status,
 			Error: api.Error{Code: code,
-				Message: fmt.Sprintf("unknown experiment %q; have %s",
-					name, strings.Join(experimentNames(), ", "))}})
+				Message: fmt.Sprintf("unknown experiment %q; have %s", name, strings.Join(names, ", "))}})
 		return
 	}
 	scale := 1
@@ -692,7 +642,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	key := experimentKey(name, scale)
 	s.serveKeyed(w, r, key, func(ctx context.Context, d time.Duration) ([]byte, *apiError) {
 		body, err := runner.Guard(key, func() ([]byte, error) {
-			data, text, err := driver(vlt.NewEngineFrom(s.cellSource(ctx, d)), scale)
+			data, text, err := exp.Run(vlt.NewEngineFrom(s.cellSource(ctx, d)), scale)
 			if err != nil {
 				return nil, err
 			}

@@ -54,11 +54,18 @@ if [ "$lint_ms" -gt 5000 ]; then
 fi
 rm -f /tmp/vltlint.check
 
-echo "== docs gate (CLI.md documents every cmd/* binary)"
+echo "== docs gate (CLI.md documents every cmd/* binary and no other)"
+# Whole-word matches, so a mention of vltdis does not count for vltd.
 for d in cmd/*/; do
     name=$(basename "$d")
-    if ! grep -q "$name" CLI.md; then
+    if ! grep -qw "$name" CLI.md; then
         echo "docs gate: CLI.md does not mention $name" >&2
+        exit 1
+    fi
+done
+for name in $(sed -n 's/^## \([^ ]*\) —.*/\1/p' CLI.md); do
+    if [ ! -d "cmd/$name" ]; then
+        echo "docs gate: CLI.md documents $name, but there is no cmd/$name" >&2
         exit 1
     fi
 done

@@ -14,6 +14,8 @@
 //     Engine.CollectAll). NewEngine(jobs) runs at most jobs simulations at
 //     once and memoizes each unique cell for the engine's lifetime;
 //     NewEngineFrom memoizes over another CellSource (vltd's cache tiers);
+//   - Experiments: the catalogue of every table, figure and extension
+//     study by name, in print order (what vltexp prints and vltd serves);
 //   - Table1..Table3: the paper's static tables;
 //   - Machines, Workloads: enumerate the available configurations.
 //
