@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime/debug"
 	"strings"
 
 	"vlt/internal/asm"
 	"vlt/internal/report"
-	"vlt/internal/runner"
 )
 
 func main() {
@@ -19,15 +17,7 @@ func main() {
 
 // run is the testable entry point: it parses args, assembles, writes to
 // stdout/stderr and returns the process exit code.
-func run(args []string, stdout, stderr io.Writer) (code int) {
-	defer func() {
-		if r := recover(); r != nil {
-			fmt.Fprint(stderr, report.Diagnose("vltasm",
-				&runner.PanicError{Key: "vltasm", Value: r, Stack: debug.Stack()}))
-			code = 2
-		}
-	}()
-
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("vltasm", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	out := fs.String("o", "", "output image path (default: input with .vltp)")

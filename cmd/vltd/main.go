@@ -9,13 +9,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime/debug"
 	"strings"
 	"syscall"
 	"time"
 
 	"vlt/internal/fleet"
-	"vlt/internal/report"
 	"vlt/internal/runner"
 	"vlt/internal/serve"
 	"vlt/internal/store"
@@ -32,14 +30,6 @@ var signalNotify = signal.Notify
 // run is the testable entry point: it parses args, serves until a
 // termination signal, and returns the process exit code.
 func run(args []string, stdout, stderr io.Writer) (code int) {
-	defer func() {
-		if r := recover(); r != nil {
-			fmt.Fprint(stderr, report.Diagnose("vltd",
-				&runner.PanicError{Key: "vltd", Value: r, Stack: debug.Stack()}))
-			code = 1
-		}
-	}()
-
 	fs := flag.NewFlagSet("vltd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:8317", "listen address (host:port; port 0 picks a free port)")

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -12,6 +15,10 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"vlt/internal/api"
+	"vlt/internal/netfault"
+	"vlt/internal/vltclient"
 )
 
 // syncBuffer is a goroutine-safe bytes.Buffer for capturing the
@@ -147,6 +154,86 @@ func stopDaemon(t *testing.T, sig chan<- os.Signal, done chan int, out *syncBuff
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("daemon did not exit after SIGTERM")
+	}
+}
+
+// TestChaosSweep is the two-node fleet under a faulty network: a peer and
+// a coordinator booted through run(), the coordinator reaching the peer
+// only through a seeded chaos proxy that drops or answers 503 to about
+// one connection in five. A 2×2 sweep loses no cell, and the routing
+// counters account for every cell exactly once.
+func TestChaosSweep(t *testing.T) {
+	sigc := make(chan chan<- os.Signal, 2)
+	signalNotify = func(c chan<- os.Signal, _ ...os.Signal) { sigc <- c }
+	defer func() { signalNotify = nil }()
+
+	peerURL, peerSig, peerDone, peerOut := bootDaemon(t,
+		[]string{"-addr", "127.0.0.1:0", "-store", t.TempDir()}, sigc)
+	proxy, err := netfault.New(netfault.Config{
+		Target: strings.TrimPrefix(peerURL, "http://"),
+		Seed:   1,
+		Drop:   0.1,
+		Inject: 0.1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	coordURL, coordSig, coordDone, coordOut := bootDaemon(t,
+		[]string{"-addr", "127.0.0.1:0", "-store", t.TempDir(), "-peers", proxy.Base()}, sigc)
+	if !strings.Contains(coordOut.String(), "fleet of 1 peers") {
+		t.Fatalf("coordinator did not report its fleet:\n%s", coordOut.String())
+	}
+
+	client := vltclient.New(vltclient.Config{BaseURL: coordURL, MaxRetries: 4})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	trailer, err := client.Sweep(ctx, api.SweepRequest{
+		Workloads: []string{"mxm", "sage"},
+		Machines:  []string{"base", "V2-CMP"},
+	}, func(cell api.SweepCell) error {
+		if cell.Error != nil {
+			t.Errorf("%s/%s: %s", cell.Workload, cell.Machine, cell.Error.Message)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if trailer.Cells != 4 || trailer.Errors != 0 {
+		t.Fatalf("trailer: %d cells, %d errors; want 4 cells, 0 errors", trailer.Cells, trailer.Errors)
+	}
+
+	resp, err := http.Get(coordURL + "/metricsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics := map[string]uint64{}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var name string
+		var v uint64
+		if _, err := fmt.Sscanf(sc.Text(), "fleet.%s %d", &name, &v); err == nil {
+			metrics[name] = v
+		}
+	}
+	resp.Body.Close()
+	// The FNV shard map keeps three cells on the coordinator and sends
+	// one (sage/base) to the peer, which arrives remotely or, when the
+	// faults exhaust its retries, through the coordinator's fallbacks.
+	if metrics["local"] != 3 {
+		t.Errorf("fleet.local = %d, want 3 (metrics %v)", metrics["local"], metrics)
+	}
+	if n := metrics["remote"] + metrics["fallback"] + metrics["disk"]; n != 1 {
+		t.Errorf("fleet.remote + fleet.fallback + fleet.disk = %d, want 1 (metrics %v)", n, metrics)
+	}
+
+	stopDaemon(t, coordSig, coordDone, coordOut)
+	stopDaemon(t, peerSig, peerDone, peerOut)
+	for _, out := range []*syncBuffer{coordOut, peerOut} {
+		if !strings.Contains(out.String(), "shutdown complete") {
+			t.Errorf("no shutdown line in:\n%s", out.String())
+		}
 	}
 }
 

@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime/debug"
 
 	"vlt/internal/asm"
-	"vlt/internal/report"
-	"vlt/internal/runner"
 )
 
 func main() {
@@ -17,15 +14,7 @@ func main() {
 
 // run is the testable entry point: it parses args, disassembles, writes
 // to stdout/stderr and returns the process exit code.
-func run(args []string, stdout, stderr io.Writer) (code int) {
-	defer func() {
-		if r := recover(); r != nil {
-			fmt.Fprint(stderr, report.Diagnose("vltdis",
-				&runner.PanicError{Key: "vltdis", Value: r, Stack: debug.Stack()}))
-			code = 2
-		}
-	}()
-
+func run(args []string, stdout, stderr io.Writer) int {
 	if len(args) != 1 {
 		fmt.Fprintln(stderr, "vltdis: usage: vltdis prog.vltp")
 		return 2

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"runtime/debug"
 	"runtime/pprof"
 	"strings"
 	"sync"
@@ -14,7 +13,6 @@ import (
 	"vlt"
 	"vlt/internal/guard"
 	"vlt/internal/report"
-	"vlt/internal/runner"
 )
 
 func main() {
@@ -22,17 +20,8 @@ func main() {
 }
 
 // run is the testable entry point: it parses args, simulates, writes to
-// stdout/stderr and returns the process exit code. A panic anywhere
-// below renders as a diagnostic instead of crashing the process.
-func run(args []string, stdout, stderr io.Writer) (code int) {
-	defer func() {
-		if r := recover(); r != nil {
-			fmt.Fprint(stderr, report.Diagnose("vltexp",
-				&runner.PanicError{Key: "vltexp", Value: r, Stack: debug.Stack()}))
-			code = 1
-		}
-	}()
-
+// stdout/stderr and returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("vltexp", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	scale := fs.Int("scale", 1, "problem size multiplier")

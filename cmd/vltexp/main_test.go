@@ -103,6 +103,130 @@ func TestRunGuardStallDiagnostic(t *testing.T) {
 	}
 }
 
+// TestRunMetricsSingleCell: -metrics simulates one verified cell on the
+// named machine and reports its cycle count.
+func TestRunMetricsSingleCell(t *testing.T) {
+	var out, errOut strings.Builder
+	if code := run([]string{"-metrics", "mxm", "-machine", "base"}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+	}
+	if !regexp.MustCompile(`(?m)^machine\.cycles [1-9]\d*$`).MatchString(out.String()) {
+		t.Errorf("-metrics output has no positive machine.cycles line:\n%s", out.String())
+	}
+}
+
+// TestRunMetricsRegistry: -metrics prints the cell's whole registry, one
+// "name value" line per metric, covering every layer of the machine.
+func TestRunMetricsRegistry(t *testing.T) {
+	var out, errOut strings.Builder
+	if code := run([]string{"-metrics", "mxm", "-machine", "base"}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+	}
+	for _, want := range []string{"su0.fetch.instrs ", "vcl.util.busy ", "l2.reads ", "vm.ops.avg_vl "} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("-metrics output missing %q", want)
+		}
+	}
+}
+
+// TestRunMetricsRejectsNonPositiveScale: a scale below 1 is a usage
+// error, not a silent scale-1 run.
+func TestRunMetricsRejectsNonPositiveScale(t *testing.T) {
+	for _, scale := range []string{"0", "-4"} {
+		var out, errOut strings.Builder
+		if code := run([]string{"-metrics", "mxm", "-scale", scale}, &out, &errOut); code != 2 {
+			t.Errorf("-scale %s: exit %d, want 2", scale, code)
+		}
+		if out.Len() != 0 || !strings.Contains(errOut.String(), "-scale") {
+			t.Errorf("-scale %s: stdout %q, stderr %q; want only a -scale diagnostic", scale, out.String(), errOut.String())
+		}
+	}
+}
+
+func TestRunMetricsBadAuditFlag(t *testing.T) {
+	var out, errOut strings.Builder
+	if code := run([]string{"-metrics", "mxm", "-audit", "sometimes"}, &out, &errOut); code != 2 {
+		t.Errorf("bad -audit value: exit %d, want 2", code)
+	}
+	if out.Len() != 0 || !strings.Contains(errOut.String(), "audit") {
+		t.Errorf("stdout %q, stderr %q; want only an audit diagnostic", out.String(), errOut.String())
+	}
+}
+
+// TestRunMetricsGuardStallDiagnostic: a single cell tripping the stall
+// watchdog aborts with the guard's diagnostic and machine dump.
+func TestRunMetricsGuardStallDiagnostic(t *testing.T) {
+	var out, errOut strings.Builder
+	// A 2-cycle stall limit trips during the cold-start cache fill.
+	code := run([]string{"-metrics", "mxm", "-machine", "base", "-stall-limit", "2"}, &out, &errOut)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1\nstderr: %s", code, errOut.String())
+	}
+	got := errOut.String()
+	for _, want := range []string{"vltexp: simulation aborted", "guard:", "machine state at failure", "thread 0"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("diagnostic missing %q:\n%s", want, got)
+		}
+	}
+	if strings.Contains(got, "goroutine") {
+		t.Errorf("diagnostic leaks a raw stack trace:\n%s", got)
+	}
+}
+
+// checkNamesChoices runs args, which name something unknown, and checks
+// the run fails with a diagnostic listing every valid choice.
+func checkNamesChoices(t *testing.T, args, choices []string) {
+	t.Helper()
+	var out, errOut strings.Builder
+	if code := run(args, &out, &errOut); code != 1 {
+		t.Errorf("%v: exit %d, want 1\nstderr: %s", args, code, errOut.String())
+	}
+	if out.Len() != 0 {
+		t.Errorf("%v: printed output despite the error:\n%s", args, out.String())
+	}
+	for _, name := range choices {
+		if !strings.Contains(errOut.String(), name) {
+			t.Errorf("%v: stderr does not name %q:\n%s", args, name, errOut.String())
+		}
+	}
+}
+
+// TestRunMetricsUnknownWorkload: an unknown -metrics workload fails the
+// run, and the diagnostic lists every workload.
+func TestRunMetricsUnknownWorkload(t *testing.T) {
+	checkNamesChoices(t, []string{"-metrics", "nope"}, vlt.Workloads())
+}
+
+// TestRunMetricsUnknownMachine: an unknown -machine fails the run, and
+// the diagnostic lists every machine.
+func TestRunMetricsUnknownMachine(t *testing.T) {
+	var machines []string
+	for _, m := range vlt.Machines() {
+		machines = append(machines, string(m))
+	}
+	checkNamesChoices(t, []string{"-metrics", "mxm", "-machine", "warp9"}, machines)
+}
+
+// TestRunAuditOnMatchesOff: the invariant auditor observes a run without
+// perturbing its timing.
+func TestRunAuditOnMatchesOff(t *testing.T) {
+	cycles := func(audit string) string {
+		t.Helper()
+		var out, errOut strings.Builder
+		if code := run([]string{"-metrics", "mxm", "-audit", audit}, &out, &errOut); code != 0 {
+			t.Fatalf("-audit %s: exit %d, stderr: %s", audit, code, errOut.String())
+		}
+		line := regexp.MustCompile(`(?m)^machine\.cycles \d+$`).FindString(out.String())
+		if line == "" {
+			t.Fatalf("-audit %s: no machine.cycles line:\n%s", audit, out.String())
+		}
+		return line
+	}
+	if on, off := cycles("on"), cycles("off"); on != off {
+		t.Errorf("auditor perturbed timing: %q (on) != %q (off)", on, off)
+	}
+}
+
 func TestRunMetricsIncludesGuardScope(t *testing.T) {
 	var out, errOut strings.Builder
 	code := run([]string{"-metrics", "mxm", "-machine", "base", "-audit", "on"}, &out, &errOut)

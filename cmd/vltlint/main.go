@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime/debug"
 
 	"vlt/internal/lint"
 	"vlt/internal/report"
-	"vlt/internal/runner"
 )
 
 func main() {
@@ -28,15 +26,7 @@ type lintReport struct {
 
 // run is the testable entry point: it parses args, lints, writes to
 // stdout/stderr and returns the process exit code.
-func run(args []string, stdout, stderr io.Writer) (code int) {
-	defer func() {
-		if r := recover(); r != nil {
-			fmt.Fprint(stderr, report.Diagnose("vltlint",
-				&runner.PanicError{Key: "vltlint", Value: r, Stack: debug.Stack()}))
-			code = 2
-		}
-	}()
-
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("vltlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	root := fs.String("root", "", "module root (default: nearest go.mod above the working directory)")

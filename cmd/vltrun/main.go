@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"runtime/debug"
 	"runtime/pprof"
 	"strings"
 
@@ -15,8 +14,6 @@ import (
 	"vlt/internal/core"
 	"vlt/internal/guard"
 	"vlt/internal/report"
-	"vlt/internal/runner"
-	"vlt/internal/scalar"
 )
 
 func main() {
@@ -24,21 +21,13 @@ func main() {
 }
 
 // run is the testable entry point: it parses args, simulates, writes to
-// stdout/stderr and returns the process exit code. A panic anywhere
-// below renders as a diagnostic instead of crashing the process.
-func run(args []string, stdout, stderr io.Writer) (code int) {
-	defer func() {
-		if r := recover(); r != nil {
-			fmt.Fprint(stderr, report.Diagnose("vltrun",
-				&runner.PanicError{Key: "vltrun", Value: r, Stack: debug.Stack()}))
-			code = 1
-		}
-	}()
+// stdout/stderr and returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("vltrun", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	machine := fs.String("machine", "base", "machine: base, V2-CMP, V4-CMT, CMT, VLT-scalar, ...")
+	machine := fs.String("machine", "base", "machine: "+strings.Join(core.MachineNames(), ", "))
 	threads := fs.Int("threads", 1, "software thread count")
-	lanes := fs.Int("lanes", 8, "lane count (base machine)")
+	lanes := fs.Int("lanes", 8, "vector lane count (machines with a vector unit)")
 	trace := fs.Bool("trace", false, "print a retirement trace to stderr")
 	pipeview := fs.Bool("pipeview", false, "print a per-instruction pipeline timeline to stderr")
 	chrome := fs.String("chrometrace", "", "write a chrome://tracing JSON trace to this file")
@@ -64,18 +53,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stderr, "vltrun: usage: vltrun [flags] prog.vasm")
 		return 2
 	}
-	src, err := os.ReadFile(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintln(stderr, "vltrun:", err)
-		return 1
-	}
-	// Accept both binary images (vltasm output) and assembly text.
-	var prog *asm.Program
-	if len(src) >= 4 && string(src[:4]) == "VLTP" {
-		prog, err = asm.LoadImage(src)
-	} else {
-		prog, err = asm.ParseText(fs.Arg(0), string(src))
-	}
+	prog, err := asm.Load(fs.Arg(0))
 	if err != nil {
 		fmt.Fprintln(stderr, "vltrun:", err)
 		return 1
@@ -112,7 +90,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}()
 	}
 
-	cfg, err := machineConfig(*machine, *lanes, *threads)
+	cfg, err := core.ByName(*machine, *lanes, *threads)
 	if err != nil {
 		fmt.Fprintln(stderr, "vltrun:", err)
 		return 1
@@ -231,46 +209,4 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}
 	return 0
-}
-
-func machineConfig(name string, lanes, threads int) (core.Config, error) {
-	switch name {
-	case "base":
-		cfg := core.Base(lanes)
-		cfg.NumThreads = threads
-		cfg.InitialPartitions = threads
-		return cfg, nil
-	case "V2-SMT":
-		return withThreads(core.V2SMT(), threads), nil
-	case "V2-CMP":
-		return withThreads(core.V2CMP(), threads), nil
-	case "V2-CMP-h":
-		return withThreads(core.V2CMPh(), threads), nil
-	case "V4-SMT":
-		return withThreads(core.V4SMT(), threads), nil
-	case "V4-CMT":
-		return withThreads(core.V4CMT(), threads), nil
-	case "V4-CMP":
-		return withThreads(core.V4CMP(), threads), nil
-	case "V4-CMP-h":
-		return withThreads(core.V4CMPh(), threads), nil
-	case "CMT":
-		return core.CMT(threads), nil
-	case "VLT-scalar":
-		return core.VLTScalar(threads), nil
-	case "scalar":
-		// A single plain 4-way scalar core, handy for microbenchmarks.
-		return core.Config{
-			Name:       "scalar",
-			SUs:        []scalar.Config{scalar.Config4Way()},
-			NumThreads: threads,
-		}, nil
-	}
-	return core.Config{}, fmt.Errorf("unknown machine %q", name)
-}
-
-func withThreads(cfg core.Config, threads int) core.Config {
-	cfg.NumThreads = threads
-	cfg.InitialPartitions = threads
-	return cfg
 }

@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+
+	"vlt"
 )
 
 const exampleProg = `
@@ -114,6 +117,33 @@ func TestRunBadArgs(t *testing.T) {
 	}
 	if !strings.Contains(errOut.String(), "unknown machine") {
 		t.Errorf("stderr missing diagnostic: %s", errOut.String())
+	}
+}
+
+// TestRunEveryMachine runs a scalar-only program on every machine the
+// library knows, by the same names, and refuses any other name.
+func TestRunEveryMachine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "scalar.vasm")
+	src := ".alloc out 1\nmovi r1, 6\nmovi r2, 7\nadd r3, r1, r2\nmovi r4, &out\nst r3, 0(r4)\nhalt\n"
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range vlt.Machines() {
+		var out, errOut strings.Builder
+		if code := run([]string{"-machine", string(m), "-dump", "out", path}, &out, &errOut); code != 0 {
+			t.Errorf("-machine %s: exit %d, stderr: %s", m, code, errOut.String())
+			continue
+		}
+		if !regexp.MustCompile(`out @0x[0-9a-f]+: 13\b`).MatchString(out.String()) {
+			t.Errorf("-machine %s: dump missing 6+7=13:\n%s", m, out.String())
+		}
+	}
+	var out, errOut strings.Builder
+	if code := run([]string{"-machine", "scalar", path}, &out, &errOut); code != 1 {
+		t.Errorf("-machine scalar: exit %d, want 1", code)
+	}
+	if !strings.Contains(errOut.String(), `unknown machine "scalar"`) {
+		t.Errorf("-machine scalar: stderr missing diagnostic: %s", errOut.String())
 	}
 }
 

@@ -6,11 +6,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime/debug"
+	"strings"
 
 	"vlt"
 	"vlt/internal/report"
-	"vlt/internal/runner"
 )
 
 func main() {
@@ -19,18 +18,10 @@ func main() {
 
 // run is the testable entry point: it parses args, searches, writes to
 // stdout/stderr and returns the process exit code.
-func run(args []string, stdout, stderr io.Writer) (code int) {
-	defer func() {
-		if r := recover(); r != nil {
-			fmt.Fprint(stderr, report.Diagnose("vltsearch",
-				&runner.PanicError{Key: "vltsearch", Value: r, Stack: debug.Stack()}))
-			code = 2
-		}
-	}()
-
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("vltsearch", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	workload := fs.String("workload", "", "workload name (see vltsim -list)")
+	workload := fs.String("workload", "", "workload name: "+strings.Join(vlt.Workloads(), ", "))
 	machine := fs.String("machine", "V4-CMT", "machine configuration name")
 	budget := fs.Int("budget", 0, "max simulated runs including the baseline (0 = default)")
 	depth := fs.Int("depth", 0, "max leading decisions branched on (0 = default)")
@@ -48,9 +39,23 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if fs.NArg() != 0 {
+		fmt.Fprintf(stderr, "vltsearch: unexpected argument %q\n", fs.Arg(0))
+		fs.Usage()
+		return 2
+	}
 	if *workload == "" {
 		fs.Usage()
 		return 2
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"scale", *scale}, {"budget", *budget}, {"depth", *depth}, {"width", *width}, {"threads", *threads}, {"jobs", *jobs}} {
+		if f.v < 0 {
+			fmt.Fprintf(stderr, "vltsearch: -%s %d: want 0 (the default) or a positive count\n", f.name, f.v)
+			return 2
+		}
 	}
 
 	res, err := vlt.SearchLanePartition(*workload, vlt.Machine(*machine), vlt.SearchOptions{

@@ -61,4 +61,28 @@ func TestRunUsageErrors(t *testing.T) {
 	if code := run([]string{"-workload", "mpenc", "-policy", "nope"}, &out, &errOut); code != 1 {
 		t.Errorf("unknown policy: exit %d, want 1", code)
 	}
+
+	// Bad input is refused before any simulation, with the offending
+	// word or flag named, instead of running a default search.
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-workload", "mpenc", "-budget", "2", "extra"}, `"extra"`},
+		{[]string{"-workload", "mpenc", "-scale", "-3"}, "-scale"},
+		{[]string{"-workload", "mpenc", "-budget", "-5"}, "-budget"},
+		{[]string{"-workload", "mpenc", "-depth", "-1"}, "-depth"},
+		{[]string{"-workload", "mpenc", "-width", "-2"}, "-width"},
+		{[]string{"-workload", "mpenc", "-threads", "-4"}, "-threads"},
+		{[]string{"-workload", "mpenc", "-jobs", "-1"}, "-jobs"},
+	} {
+		out.Reset()
+		errOut.Reset()
+		if code := run(c.args, &out, &errOut); code != 2 {
+			t.Errorf("%v: exit %d, want 2", c.args, code)
+		}
+		if out.Len() != 0 || !strings.Contains(errOut.String(), c.want) {
+			t.Errorf("%v: stdout %q, stderr %q; want only a diagnostic naming %s", c.args, out.String(), errOut.String(), c.want)
+		}
+	}
 }

@@ -7,14 +7,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime/debug"
 	"strconv"
 	"strings"
 	"time"
 
 	"vlt/internal/api"
 	"vlt/internal/report"
-	"vlt/internal/runner"
 	"vlt/internal/vltclient"
 )
 
@@ -24,15 +22,7 @@ func main() {
 
 // run is the testable entry point: it parses args, sweeps, writes to
 // stdout/stderr and returns the process exit code.
-func run(args []string, stdout, stderr io.Writer) (code int) {
-	defer func() {
-		if r := recover(); r != nil {
-			fmt.Fprint(stderr, report.Diagnose("vltsweep",
-				&runner.PanicError{Key: "vltsweep", Value: r, Stack: debug.Stack()}))
-			code = 2
-		}
-	}()
-
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("vltsweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	server := fs.String("server", "http://127.0.0.1:8317", "vltd base URL")

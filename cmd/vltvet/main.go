@@ -6,12 +6,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime/debug"
 	"strings"
 
 	"vlt/internal/asm"
 	"vlt/internal/report"
-	"vlt/internal/runner"
 	"vlt/internal/vet"
 	"vlt/internal/workloads"
 )
@@ -30,15 +28,7 @@ type vetReport struct {
 
 // run is the testable entry point: it parses args, vets, writes to
 // stdout/stderr and returns the process exit code.
-func run(args []string, stdout, stderr io.Writer) (code int) {
-	defer func() {
-		if r := recover(); r != nil {
-			fmt.Fprint(stderr, report.Diagnose("vltvet",
-				&runner.PanicError{Key: "vltvet", Value: r, Stack: debug.Stack()}))
-			code = 2
-		}
-	}()
-
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("vltvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	workloadsFlag := fs.String("workloads", "", `vet built-in kernels: "all" or comma-separated names`)
@@ -68,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}
 	for _, path := range fs.Args() {
-		prog, err := loadProgram(path)
+		prog, err := asm.Load(path)
 		if err != nil {
 			fmt.Fprint(stderr, report.Diagnose("vltvet", err))
 			return 1
@@ -126,16 +116,4 @@ func selectWorkloads(arg string) ([]*workloads.Workload, error) {
 		out = append(out, w)
 	}
 	return out, nil
-}
-
-// loadProgram reads an assembly text file or binary image.
-func loadProgram(path string) (*asm.Program, error) {
-	src, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(src) >= 4 && string(src[:4]) == "VLTP" {
-		return asm.LoadImage(src)
-	}
-	return asm.ParseText(path, string(src))
 }

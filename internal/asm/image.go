@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"os"
 	"sort"
 
 	"vlt/internal/isa"
@@ -65,6 +66,19 @@ func (p *Program) SaveImage() []byte {
 	}
 	writeU64(p.dataEnd)
 	return buf.Bytes()
+}
+
+// Load reads the program at path: a binary image (SaveImage's output,
+// told apart by its magic) or assembly text.
+func Load(path string) (*Program, error) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if bytes.HasPrefix(src, []byte(imageMagic)) {
+		return LoadImage(src)
+	}
+	return ParseText(path, string(src))
 }
 
 // LoadImage deserializes a program image produced by SaveImage.

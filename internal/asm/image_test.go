@@ -1,6 +1,9 @@
 package asm
 
 import (
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -78,6 +81,32 @@ func TestImageRejectsCorruption(t *testing.T) {
 	bad[4] = 99
 	if _, err := LoadImage(bad); err == nil {
 		t.Error("bad version accepted")
+	}
+}
+
+// TestLoadSniffsFormat: Load reads an image file and a text file of the
+// same program to the same code, and reports an unreadable path.
+func TestLoadSniffsFormat(t *testing.T) {
+	p := sampleProgram(t)
+	dir := t.TempDir()
+	img, text := filepath.Join(dir, "p.vltp"), filepath.Join(dir, "p.vasm")
+	if err := os.WriteFile(img, p.SaveImage(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(text, []byte(p.Disassemble()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{img, text} {
+		got, err := Load(path)
+		if err != nil {
+			t.Fatalf("Load(%s): %v", path, err)
+		}
+		if !slices.Equal(got.Code, p.Code) {
+			t.Errorf("Load(%s): code differs from the assembled program", path)
+		}
+	}
+	if _, err := Load(filepath.Join(dir, "missing.vasm")); err == nil {
+		t.Error("Load of a missing file succeeded")
 	}
 }
 

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"strings"
 
 	"vlt/internal/guard"
 	"vlt/internal/lane"
@@ -235,4 +237,64 @@ func VLTScalar(numThreads int) Config {
 		LaneScalarMode: true,
 		NumThreads:     numThreads,
 	}
+}
+
+// machines is the one table of the paper's machine configurations by
+// name, in the paper's order. build returns the machine with the given
+// vector lane count at its natural software thread count.
+var machines = []struct {
+	name  string
+	build func(lanes int) Config
+}{
+	{"base", Base},
+	{"V2-SMT", withLanes(V2SMT)},
+	{"V2-CMP", withLanes(V2CMP)},
+	{"V2-CMP-h", withLanes(V2CMPh)},
+	{"V4-SMT", withLanes(V4SMT)},
+	{"V4-CMT", withLanes(V4CMT)},
+	{"V4-CMP", withLanes(V4CMP)},
+	{"V4-CMP-h", withLanes(V4CMPh)},
+	{"CMT", func(int) Config { return CMT(4) }},
+	{"VLT-scalar", func(int) Config { return VLTScalar(8) }},
+}
+
+// withLanes adapts a VLT machine's constructor to a lane count.
+func withLanes(vltMachine func() Config) func(lanes int) Config {
+	return func(lanes int) Config {
+		cfg := vltMachine()
+		cfg.Lanes = lanes
+		return cfg
+	}
+}
+
+// MachineNames lists every machine ByName resolves, in the paper's order.
+func MachineNames() []string {
+	names := make([]string, len(machines))
+	for i, m := range machines {
+		names[i] = m.name
+	}
+	return names
+}
+
+// ByName resolves a machine configuration by name. lanes sets the vector
+// lane count (0 = 8; the scalar-only CMT and the lane cores of VLT-scalar
+// keep their own) and threads the software thread count (0 = the
+// machine's natural count: 1 for base, 2 for V2-*, 4 for V4-* and CMT, 8
+// for VLT-scalar). A machine with a vector unit starts with one lane
+// partition per thread.
+func ByName(name string, lanes, threads int) (Config, error) {
+	for _, m := range machines {
+		if m.name != name {
+			continue
+		}
+		cfg := m.build(cmp.Or(lanes, 8))
+		if threads != 0 {
+			cfg.NumThreads = threads
+		}
+		if cfg.Lanes > 0 && !cfg.LaneScalarMode {
+			cfg.InitialPartitions = cfg.NumThreads
+		}
+		return cfg, nil
+	}
+	return Config{}, fmt.Errorf("unknown machine %q (have %s)", name, strings.Join(MachineNames(), ", "))
 }

@@ -1,6 +1,8 @@
-// Package netfault is a chaos proxy for exercising the fleet's failure
-// handling: a TCP forwarder that injects faults between a vltclient and
-// a vltd peer with per-rule probabilities. Five faults cover the
+// Package netfault is a chaos proxy for the tests of the fleet's failure
+// handling (internal/serve's TestChaosSweepFleet, cmd/vltd's
+// TestChaosSweep); no command links it. It is a TCP forwarder that
+// injects faults between a vltclient and a vltd peer with per-rule
+// probabilities. Five faults cover the
 // failure modes the client stack claims to survive:
 //
 //   - drop: the connection closes the moment it is accepted (connect

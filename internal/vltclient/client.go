@@ -335,63 +335,6 @@ func (c *Client) RunBody(ctx context.Context, req api.RunRequest) ([]byte, error
 	})
 }
 
-// RunConditional is RunBody with ETag revalidation: when etag is
-// non-empty it travels as If-None-Match, and a 304 answer returns
-// (nil, tag, true, nil) — the caller's copy of the body is still
-// current. Any 200 returns the fresh body plus the server's ETag for
-// the caller to revalidate with next time. Because vltd's tags are
-// store fingerprints (format version ⊕ cell key), a tag stays valid
-// until a server-side format bump, at which point the stale tag simply
-// re-fetches a full body.
-func (c *Client) RunConditional(ctx context.Context, req api.RunRequest, etag string) (body []byte, newTag string, notModified bool, err error) {
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return nil, "", false, err
-	}
-	body, err = c.do(ctx, func() ([]byte, error) {
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url(ctx, "/v1/run"), bytes.NewReader(payload))
-		if err != nil {
-			return nil, err
-		}
-		hreq.Header.Set("Content-Type", "application/json")
-		if etag != "" {
-			hreq.Header.Set("If-None-Match", etag)
-		}
-		resp, err := c.hc.Do(hreq)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			return nil, &transientError{err: err}
-		}
-		newTag, notModified = resp.Header.Get("ETag"), false
-		if resp.StatusCode == http.StatusNotModified {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			notModified = true
-			return nil, nil
-		}
-		return classify(resp)
-	})
-	if err != nil {
-		return nil, "", false, err
-	}
-	return body, newTag, notModified, nil
-}
-
-// Run simulates one cell on the peer and decodes the typed response.
-func (c *Client) Run(ctx context.Context, req api.RunRequest) (api.RunResponse, error) {
-	body, err := c.RunBody(ctx, req)
-	if err != nil {
-		return api.RunResponse{}, err
-	}
-	var out api.RunResponse
-	if err := json.Unmarshal(body, &out); err != nil {
-		return api.RunResponse{}, fmt.Errorf("vltclient: bad run response: %w", err)
-	}
-	return out, nil
-}
-
 // Healthz probes the peer's health: liveness by default, readiness
 // (503 while starting or draining) with ready=true. Health probes are
 // single-attempt and bypass the breaker — they are how callers decide

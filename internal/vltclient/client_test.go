@@ -89,12 +89,12 @@ func TestRetriesTransient5xx(t *testing.T) {
 	defer srv.Close()
 
 	c := New(fastCfg(srv.URL))
-	res, err := c.Run(context.Background(), api.RunRequest{Workload: "fir", Machine: "cmp"})
+	body, err := c.RunBody(context.Background(), api.RunRequest{Workload: "fir", Machine: "cmp"})
 	if err != nil {
-		t.Fatalf("Run after transient 502s: %v", err)
+		t.Fatalf("RunBody after transient 502s: %v", err)
 	}
-	if res.Workload != "fir" {
-		t.Fatalf("decoded workload = %q", res.Workload)
+	if !strings.Contains(string(body), `"workload":"fir"`) {
+		t.Fatalf("body = %q", body)
 	}
 	if got := hits.Load(); got != 3 {
 		t.Fatalf("server hits = %d, want 3", got)
@@ -344,54 +344,5 @@ func TestRetryOnConnectionFailure(t *testing.T) {
 	}
 	if c.Retries() != 2 || c.Failures() != 1 {
 		t.Fatalf("retries=%d failures=%d, want 2/1", c.Retries(), c.Failures())
-	}
-}
-
-func TestRunConditional(t *testing.T) {
-	const body = `{"workload":"mxm"}` + "\n"
-	const tag = `"fp-v1-abc"`
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/run" || r.Method != http.MethodPost {
-			t.Errorf("unexpected %s %s", r.Method, r.URL.Path)
-		}
-		w.Header().Set("ETag", tag)
-		if r.Header.Get("If-None-Match") == tag {
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, body)
-	}))
-	defer srv.Close()
-	c := New(fastCfg(srv.URL))
-
-	// First fetch: no tag to offer, full body plus the server's tag.
-	got, newTag, notMod, err := c.RunConditional(context.Background(), api.RunRequest{Workload: "mxm"}, "")
-	if err != nil || notMod {
-		t.Fatalf("initial RunConditional: notModified=%v err=%v", notMod, err)
-	}
-	if string(got) != body || newTag != tag {
-		t.Fatalf("initial RunConditional = %q tag %q, want %q tag %q", got, newTag, body, tag)
-	}
-
-	// Revalidation with the current tag: 304, no body, cached copy stands.
-	got, newTag, notMod, err = c.RunConditional(context.Background(), api.RunRequest{Workload: "mxm"}, newTag)
-	if err != nil || !notMod {
-		t.Fatalf("revalidation: notModified=%v err=%v", notMod, err)
-	}
-	if got != nil {
-		t.Fatalf("304 revalidation returned a %d-byte body", len(got))
-	}
-	if newTag != tag {
-		t.Fatalf("304 revalidation tag = %q, want %q", newTag, tag)
-	}
-
-	// A stale tag (server bumped its format version) re-fetches in full.
-	got, newTag, notMod, err = c.RunConditional(context.Background(), api.RunRequest{Workload: "mxm"}, `"fp-v0-old"`)
-	if err != nil || notMod {
-		t.Fatalf("stale-tag fetch: notModified=%v err=%v", notMod, err)
-	}
-	if string(got) != body || newTag != tag {
-		t.Fatalf("stale-tag fetch = %q tag %q, want full body and fresh tag", got, newTag)
 	}
 }

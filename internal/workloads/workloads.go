@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"vlt/internal/asm"
 	"vlt/internal/vm"
@@ -118,14 +119,18 @@ func tableOrder(name string) int {
 	return len(order)
 }
 
-// ByName returns the named workload or an error.
+// ByName returns the named workload, or an error listing every name.
 func ByName(name string) (*Workload, error) {
 	for _, w := range registry {
 		if w.Name == name {
 			return w, nil
 		}
 	}
-	return nil, fmt.Errorf("workloads: unknown workload %q", name)
+	var names []string
+	for _, w := range All() {
+		names = append(names, w.Name)
+	}
+	return nil, fmt.Errorf("workloads: unknown workload %q (have %s)", name, strings.Join(names, ", "))
 }
 
 // ShortVectorSet returns the four VLT vector-thread workloads in paper

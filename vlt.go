@@ -66,13 +66,13 @@ const (
 	MachineVLTScalar Machine = "VLT-scalar"
 )
 
-// Machines returns every configuration name.
+// Machines returns every configuration name, in the paper's order.
 func Machines() []Machine {
-	return []Machine{
-		MachineBase, MachineV2SMT, MachineV2CMP, MachineV2CMPh,
-		MachineV4SMT, MachineV4CMT, MachineV4CMP, MachineV4CMPh,
-		MachineCMT, MachineVLTScalar,
+	var out []Machine
+	for _, name := range core.MachineNames() {
+		out = append(out, Machine(name))
 	}
+	return out
 }
 
 // Workloads returns the names of the paper's nine benchmarks, in Table 4
@@ -231,70 +231,16 @@ func (r Result) IPC() float64 {
 	return float64(r.Retired) / float64(r.Cycles)
 }
 
+// machineConfig resolves a machine name and the run's options to the
+// machine configuration and its software thread count.
 func machineConfig(m Machine, opt Options) (core.Config, int, error) {
-	cfg, threads, err := baseMachineConfig(m, opt)
+	cfg, err := core.ByName(string(m), opt.Lanes, opt.Threads)
 	if err != nil {
-		return cfg, threads, err
+		return core.Config{}, 0, fmt.Errorf("vlt: %w", err)
 	}
 	cfg.StallLimit = opt.StallLimit
 	cfg.Audit = opt.Audit
-	return cfg, threads, nil
-}
-
-func baseMachineConfig(m Machine, opt Options) (core.Config, int, error) {
-	threads := opt.Threads
-	pick := func(cfg core.Config, def int) (core.Config, int, error) {
-		if threads == 0 {
-			threads = def
-		}
-		cfg.NumThreads = threads
-		if opt.Lanes != 0 && cfg.Lanes > 0 {
-			cfg.Lanes = opt.Lanes
-		}
-		if cfg.Lanes > 0 && !cfg.LaneScalarMode {
-			cfg.InitialPartitions = threads
-		}
-		return cfg, threads, nil
-	}
-	switch m {
-	case MachineBase:
-		lanes := opt.Lanes
-		if lanes == 0 {
-			lanes = 8
-		}
-		cfg := core.Base(lanes)
-		if threads == 0 {
-			threads = 1
-		}
-		cfg.NumThreads = threads
-		cfg.InitialPartitions = threads
-		return cfg, threads, nil
-	case MachineV2SMT:
-		return pick(core.V2SMT(), 2)
-	case MachineV2CMP:
-		return pick(core.V2CMP(), 2)
-	case MachineV2CMPh:
-		return pick(core.V2CMPh(), 2)
-	case MachineV4SMT:
-		return pick(core.V4SMT(), 4)
-	case MachineV4CMT:
-		return pick(core.V4CMT(), 4)
-	case MachineV4CMP:
-		return pick(core.V4CMP(), 4)
-	case MachineV4CMPh:
-		return pick(core.V4CMPh(), 4)
-	case MachineCMT:
-		if threads == 0 {
-			threads = 4
-		}
-		return core.CMT(threads), threads, nil
-	case MachineVLTScalar:
-		if threads == 0 {
-			threads = 8
-		}
-		return core.VLTScalar(threads), threads, nil
-	}
-	return core.Config{}, 0, fmt.Errorf("vlt: unknown machine %q", m)
+	return cfg, cfg.NumThreads, nil
 }
 
 // Run simulates the named workload on the named machine and returns the

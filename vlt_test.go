@@ -1,13 +1,19 @@
 package vlt
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
 
 func TestMachinesAndWorkloadsEnumerate(t *testing.T) {
-	if len(Machines()) != 10 {
-		t.Errorf("Machines() = %d entries, want 10", len(Machines()))
+	want := []Machine{
+		MachineBase, MachineV2SMT, MachineV2CMP, MachineV2CMPh,
+		MachineV4SMT, MachineV4CMT, MachineV4CMP, MachineV4CMPh,
+		MachineCMT, MachineVLTScalar,
+	}
+	if got := Machines(); !slices.Equal(got, want) {
+		t.Errorf("Machines() = %v, want %v", got, want)
 	}
 	ws := Workloads()
 	if len(ws) != 9 {
