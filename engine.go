@@ -310,6 +310,7 @@ func runCell(workload string, m Machine, opt Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	defer machine.Release()
 	res, err := machine.Run()
 	if err != nil {
 		return Result{}, err

@@ -45,5 +45,6 @@ func TestForkCoversMachine(t *testing.T) {
 
 		"regionCur":  "value copy",
 		"regionPend": "value copy",
+		"regionIDs":  "reset: regions' scratch",
 	})
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 
 	"vlt/internal/asm"
@@ -149,6 +149,7 @@ type Machine struct {
 	// the map write off the per-cycle path.
 	regionCur  int64
 	regionPend uint64
+	regionIDs  []int64 // regions' scratch
 }
 
 // SetTrace directs a retirement trace to w: one line per retired
@@ -297,14 +298,17 @@ func (m *Machine) registerMetrics() {
 
 // regions returns the region ids present in regionCycles in ascending
 // order. Every iteration over the per-region cycle map goes through
-// this helper so results never depend on Go's randomized map order.
+// this helper so results never depend on Go's randomized map order. The
+// slice is the machine's scratch, valid until the next call: the auditor
+// walks it every audit, so it must not allocate.
 func (m *Machine) regions() []int64 {
 	m.flushRegion()
-	ids := make([]int64, 0, len(m.regionCycles))
+	ids := m.regionIDs[:0]
 	for id := range m.regionCycles { //vltlint:ignore map-range — keys sorted before use
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	m.regionIDs = ids
 	return ids
 }
 
@@ -764,6 +768,24 @@ func (m *Machine) Run() (Result, error) {
 		res.VecElemOps = snap.Uint("vcl.elem_ops")
 	}
 	return res, nil
+}
+
+// Release hands the machine's cache tag arrays back to internal/mem's
+// pool, where the next machine built (or forked) draws them instead of
+// allocating 1 MB of L2 tags afresh. Call it once the run's results are
+// read; Result, its metrics and the functional VM stay valid, but the
+// machine must not run or fork again (a cache access then panics).
+// Release is idempotent, and a machine nobody releases is simply
+// garbage-collected.
+func (m *Machine) Release() {
+	m.l2.Cache().Release()
+	for _, su := range m.sus {
+		su.ICache().Cache().Release()
+		su.DCache().Cache().Release()
+	}
+	for _, c := range m.lcs {
+		c.ICache().Cache().Release()
+	}
 }
 
 // RunProgram is a convenience wrapper: build the machine, run it, return

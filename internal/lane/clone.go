@@ -43,11 +43,7 @@ func (c *Core) Clone(cl *pipe.Cloner, vmach *vm.VM, l2 *mem.L2) *Core {
 	for _, u := range c.fetchQ {
 		n.fetchQ = append(n.fetchQ, cl.Uop(u))
 	}
-	n.robArr = make([]*pipe.Uop, 0, cap(c.robArr))
-	n.rob = n.robArr
-	for _, u := range c.rob {
-		n.rob = append(n.rob, cl.Uop(u))
-	}
+	n.rob = c.rob.Clone(cl)
 	for r := range c.lastWriter {
 		n.lastWriter[r] = cl.Uop(c.lastWriter[r])
 	}

@@ -23,8 +23,7 @@ func TestCloneCoversCore(t *testing.T) {
 		"active": "value copy",
 
 		"fetchQ": "rebuilt via Cloner.Uop, preserving positional nil holes",
-		"rob":    "rebuilt via Cloner.Uop onto a fresh base array",
-		"robArr": "fresh base array at the original capacity (rob rebased at offset 0)",
+		"rob":    "pipe.Ring.Clone: same capacity, rebased at offset 0, entries via Cloner.Uop",
 
 		"regScratch": "reset: per-fetch scratch",
 		"arena":      "reset: fresh slab, registered with the Cloner so cloned uops land here",

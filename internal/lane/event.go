@@ -26,8 +26,7 @@ func (c *Core) NextEvent(now uint64) uint64 {
 	ev := uint64(pipe.NeverDone)
 	// Retirement: the in-order head completes at its DoneCycle (issued
 	// barriers wait on the machine controller and contribute nothing).
-	if len(c.rob) > 0 {
-		h := c.rob[0]
+	if h := c.rob.Front(); h != nil {
 		if h.Issued && h.DoneCycle != pipe.NeverDone {
 			if h.DoneCycle <= now {
 				return now + 1 // width-limited retirement backlog
@@ -82,7 +81,7 @@ func (c *Core) NextEvent(now uint64) uint64 {
 			ev = eventAt(ev, now, c.blockedUop.DoneCycle)
 		default:
 			if len(c.fetchQ) < c.cfg.DecoupleWindow+c.cfg.Width &&
-				len(c.rob) < c.cfg.RetireQueue {
+				c.rob.Len() < c.cfg.RetireQueue {
 				return now + 1
 			}
 			// Queues full: unblocked by retirement or issue, covered

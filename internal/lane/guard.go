@@ -13,9 +13,9 @@ import (
 // within capacity, fetch-queue entries unissued, and stage counters
 // monotone along the pipeline (retired <= issued <= fetched).
 func (c *Core) CheckInvariants() error {
-	if len(c.rob) > c.cfg.RetireQueue {
+	if c.rob.Len() > c.cfg.RetireQueue {
 		return fmt.Errorf("lane%d: retire queue holds %d entries, capacity %d",
-			c.ID, len(c.rob), c.cfg.RetireQueue)
+			c.ID, c.rob.Len(), c.cfg.RetireQueue)
 	}
 	if max := c.cfg.DecoupleWindow + c.cfg.Width; len(c.fetchQ) > max {
 		return fmt.Errorf("lane%d: fetch queue holds %d entries, capacity %d", c.ID, len(c.fetchQ), max)
@@ -57,10 +57,9 @@ func (c *Core) DebugDump(now uint64) string {
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "lane%d thread %d: pc=%d fetchq=%d rob=%d/%d fetched=%d issued=%d retired=%d%s\n",
-		c.ID, c.tid, c.vmach.Thread(c.tid).PC, len(c.fetchQ), len(c.rob), c.cfg.RetireQueue,
+		c.ID, c.tid, c.vmach.Thread(c.tid).PC, len(c.fetchQ), c.rob.Len(), c.cfg.RetireQueue,
 		c.Fetched, c.Issued, c.Retired, state)
-	if len(c.rob) > 0 {
-		h := c.rob[0]
+	if h := c.rob.Front(); h != nil {
 		fmt.Fprintf(&sb, "  head t%d @%-5d %-24s issued=%t done@%d\n",
 			h.Thread, h.Dyn.PC, h.Dyn.Inst, h.Issued, h.DoneCycle)
 	}

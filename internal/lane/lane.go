@@ -52,13 +52,7 @@ type Core struct {
 	active bool
 
 	fetchQ []*pipe.Uop // fetched, not yet issued (program order, may have holes)
-	rob    []*pipe.Uop // all in-flight uops in program order (retire queue)
-
-	// robArr is rob's base array: retirement pops by reslicing from the
-	// front, so the queue is rewound onto it whenever it empties to keep
-	// append from allocating fresh backing stores all run long (fetchQ
-	// compacts in place and needs no rewind).
-	robArr []*pipe.Uop
+	rob    pipe.Ring   // all in-flight uops in program order (retire queue)
 
 	regScratch []isa.Reg  // AppendSrcs/AppendDests scratch for fetch
 	arena      pipe.Arena // slab allocator for this core's uops
@@ -101,8 +95,7 @@ func New(id int, cfg Config, machine *vm.VM, l2 *mem.L2) *Core {
 		curLine: ^uint64(0),
 	}
 	c.fetchQ = make([]*pipe.Uop, 0, cfg.DecoupleWindow+cfg.Width)
-	c.robArr = make([]*pipe.Uop, 0, cfg.RetireQueue)
-	c.rob = c.robArr
+	c.rob = pipe.NewRing(cfg.RetireQueue)
 	return c
 }
 
@@ -111,6 +104,10 @@ func (c *Core) ICache() *mem.L1 { return c.icache }
 
 // Predictor exposes the branch predictor (statistics).
 func (c *Core) Predictor() *pipe.Bimodal { return c.pred }
+
+// LiveUops returns the number of this core's uops not yet recycled (see
+// pipe.Arena.Live).
+func (c *Core) LiveUops() int { return c.arena.Live() }
 
 // RegisterMetrics registers every pipeline counter on r (scoped to
 // "lane<ID>" by the machine model). Counters stay plain uint64 fields;
@@ -135,17 +132,14 @@ func (c *Core) AttachThread(tid int) {
 
 // Done reports whether the core's thread has fully drained.
 func (c *Core) Done() bool {
-	return !c.active || (c.haltFetched && len(c.fetchQ) == 0 && len(c.rob) == 0)
+	return !c.active || (c.haltFetched && len(c.fetchQ) == 0 && c.rob.Len() == 0)
 }
 
 // BarrierWaiting returns the BAR uop at the head of the retire queue that
 // has not been released, or nil.
 func (c *Core) BarrierWaiting() *pipe.Uop {
-	if len(c.rob) == 0 {
-		return nil
-	}
-	h := c.rob[0]
-	if h.Dyn.IsBarrier && h.Issued && h.DoneCycle == pipe.NeverDone {
+	h := c.rob.Front()
+	if h != nil && h.Dyn.IsBarrier && h.Issued && h.DoneCycle == pipe.NeverDone {
 		return h
 	}
 	return nil
@@ -163,17 +157,12 @@ func (c *Core) Tick(now uint64) {
 
 func (c *Core) retire(now uint64) {
 	budget := c.cfg.Width
-	for budget > 0 && len(c.rob) > 0 {
-		h := c.rob[0]
+	for budget > 0 && c.rob.Len() > 0 {
+		h := c.rob.Front()
 		if !h.Issued || !h.DoneBy(now) {
 			return
 		}
-		h.Retired = true
-		c.rob[0] = nil
-		c.rob = c.rob[1:]
-		if len(c.rob) == 0 {
-			c.rob = c.robArr[:0]
-		}
+		c.rob.Pop()
 		c.Retired++
 		budget--
 		if c.OnRetire != nil {
@@ -189,8 +178,9 @@ func (c *Core) retire(now uint64) {
 			}
 		}
 		// Nothing reads this uop's edges again: break the producer chain.
-		// This may recycle h, so it must be the last use of it.
+		// Retirement may then recycle h, so it is the last use of h.
 		h.ReleaseProducers()
+		h.Retire()
 	}
 }
 
@@ -311,7 +301,7 @@ func (c *Core) fetch(now uint64) {
 		if len(c.fetchQ) >= c.cfg.DecoupleWindow+c.cfg.Width {
 			return
 		}
-		if len(c.rob) >= c.cfg.RetireQueue {
+		if c.rob.Len() >= c.cfg.RetireQueue {
 			return
 		}
 		pc := c.vmach.Thread(c.tid).PC
@@ -349,7 +339,7 @@ func (c *Core) fetch(now uint64) {
 			c.lastWriter[r] = u
 		}
 		c.fetchQ = append(c.fetchQ, u)
-		c.rob = append(c.rob, u)
+		c.rob.Push(u)
 		c.Fetched++
 
 		if dyn.Branch {

@@ -6,18 +6,21 @@ package mem
 // deep copy; the only cross-object edge is an L1's pointer to the
 // shared L2, which the caller rebases onto the clone's L2.
 
-// Clone returns a deep copy of the tag array.
+// Clone returns a deep copy of the tag array, its arrays drawn from the
+// same pool NewCache uses.
 func (c *Cache) Clone() *Cache {
-	return &Cache{
+	n := &Cache{
 		sets:      c.sets,
 		assoc:     c.assoc,
 		lineShift: c.lineShift,
-		tags:      append([]uint64(nil), c.tags...),
-		stamp:     append([]uint64(nil), c.stamp...),
 		clock:     c.clock,
 		Hits:      c.Hits,
 		Misses:    c.Misses,
 	}
+	n.tags, n.stamp = newTagArrays(len(c.tags))
+	copy(n.tags, c.tags)
+	copy(n.stamp, c.stamp)
+	return n
 }
 
 // Clone returns a deep copy of the shared L2, including the per

@@ -14,8 +14,8 @@ func TestCloneCoversCache(t *testing.T) {
 		"sets":      "value copy",
 		"assoc":     "value copy",
 		"lineShift": "value copy",
-		"tags":      "deep copy",
-		"stamp":     "deep copy",
+		"tags":      "deep copy into an array drawn from the tag pool",
+		"stamp":     "deep copy into an array drawn from the tag pool",
 		"clock":     "value copy",
 		"Hits":      "value copy",
 		"Misses":    "value copy",

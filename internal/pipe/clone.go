@@ -78,13 +78,15 @@ func (c *Cloner) Uop(u *Uop) *Uop {
 			panic("pipe: cloning a uop from an unregistered arena (clone the owning component first)")
 		}
 		n.arena = na
+		if !u.freed {
+			na.live++
+		}
 	}
 	// nil-ness of the edge slices is load-bearing: maybeFree requires
 	// Producers == nil, and the scalar unit uses a non-nil empty
 	// ScalarProducers as its "already collected" sentinel. Preserve the
-	// exact nil/empty/backed shape, including the inline prodBuf backing
-	// for small producer lists (append must spill to the heap at the
-	// same length it would in the parent).
+	// exact nil/empty/backed shape, including the inline prodBuf and
+	// scalarBuf backing for small lists.
 	if u.Producers != nil {
 		if len(u.Producers) <= len(n.prodBuf) {
 			n.Producers = n.prodBuf[:0]
@@ -96,7 +98,11 @@ func (c *Cloner) Uop(u *Uop) *Uop {
 		}
 	}
 	if u.ScalarProducers != nil {
-		n.ScalarProducers = make([]*Uop, 0, len(u.ScalarProducers))
+		if len(u.ScalarProducers) <= len(n.scalarBuf) {
+			n.ScalarProducers = n.scalarBuf[:0]
+		} else {
+			n.ScalarProducers = make([]*Uop, 0, len(u.ScalarProducers))
+		}
 		for _, p := range u.ScalarProducers {
 			n.ScalarProducers = append(n.ScalarProducers, c.Uop(p))
 		}

@@ -26,6 +26,7 @@ func TestCloneCoversUop(t *testing.T) {
 		"Producers":       "deep copy via Cloner.Uop, preserving nil vs prodBuf-backed",
 		"ScalarProducers": "deep copy via Cloner.Uop, preserving nil vs non-nil-empty sentinel",
 		"prodBuf":         "clone's own buffer backs its Producers when small enough",
+		"scalarBuf":       "clone's own buffer backs its ScalarProducers when small enough",
 		"refs":            "value copy (aliasing structure is preserved, so counts stay consistent)",
 		"freed":           "value copy",
 		"arena":           "mapped to the clone's arena via Cloner.RegisterArena",
@@ -37,6 +38,15 @@ func TestCloneCoversArena(t *testing.T) {
 		"slab":     "reset: clone arenas start empty and allocate on demand (timing never observes slabs)",
 		"freeUops": "reset: free lists refill as the clone recycles its own uops",
 		"freeDyns": "reset: same as freeUops",
+		"live":     "counted afresh: Cloner.Uop adds one per live uop it re-owns into the clone's arena",
+	})
+}
+
+func TestCloneCoversRing(t *testing.T) {
+	clonecheck.Check(t, &Ring{}, map[string]string{
+		"buf":  "fresh array at the same capacity, entries mapped through Cloner.Uop",
+		"head": "reset to 0: the clone is rebased so its front sits at offset 0",
+		"n":    "value copy",
 	})
 }
 

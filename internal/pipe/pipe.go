@@ -52,13 +52,19 @@ type Uop struct {
 
 	// ScalarProducers are the scalar-register producers of a vector uop,
 	// tracked by the scalar unit and consulted by the vector control
-	// logic (vector-scalar dependencies).
+	// logic (vector-scalar dependencies). nil means not yet collected;
+	// once collected the list is non-nil, even when empty.
 	ScalarProducers []*Uop
 
 	// prodBuf is the inline backing store for Producers: nearly every
 	// uop has at most a handful of producers, so NewUop points Producers
 	// here and append only spills to the heap past four entries.
 	prodBuf [4]*Uop
+
+	// scalarBuf is the inline backing store for ScalarProducers: a vector
+	// instruction reads at most a base, a stride and VL from the scalar
+	// registers.
+	scalarBuf [3]*Uop
 
 	// refs counts the durable references other pipeline structures hold
 	// to this uop beyond its own front end's queues: producer edges,
@@ -107,7 +113,12 @@ type Arena struct {
 	slab     []Uop
 	freeUops []*Uop
 	freeDyns []*vm.Dyn
+	live     int // uops handed out and not yet recycled
 }
+
+// Live returns the number of uops the arena has handed out that are not
+// yet recycled: the in-flight window plus whatever is still pinned.
+func (a *Arena) Live() int { return a.live }
 
 // NewUop returns an in-flight uop for dyn on the given thread, fetched
 // at cycle now — recycled from the free list when possible, otherwise
@@ -119,7 +130,8 @@ func (a *Arena) NewUop(dyn *vm.Dyn, thread int, now uint64) *Uop {
 		a.freeUops[n-1] = nil
 		a.freeUops = a.freeUops[:n-1]
 		// Free implies refs == 0, Producers/ScalarProducers nil and
-		// prodBuf cleared (ReleaseProducers ran); reset the rest.
+		// both inline buffers cleared (ReleaseProducers ran); reset the
+		// rest.
 		u.DispatchCycle = 0
 		u.IssueCycle = 0
 		u.Issued = false
@@ -137,6 +149,7 @@ func (a *Arena) NewUop(dyn *vm.Dyn, thread int, now uint64) *Uop {
 		u = &a.slab[len(a.slab)-1]
 		u.arena = a
 	}
+	a.live++
 	u.Dyn = dyn
 	u.Thread = thread
 	u.FetchCycle = now
@@ -163,6 +176,7 @@ func (a *Arena) RecycleDyn() *vm.Dyn {
 // free returns a dead uop (and its Dyn) to the arena's free lists.
 func (a *Arena) free(u *Uop) {
 	u.freed = true
+	a.live--
 	a.freeUops = append(a.freeUops, u)
 	if u.Dyn != nil {
 		a.freeDyns = append(a.freeDyns, u.Dyn)
@@ -188,6 +202,15 @@ func (u *Uop) maybeFree() {
 	}
 }
 
+// Retire marks the uop retired from its reorder buffer. Retirement is a
+// free point: a uop whose edges and references are already gone — a
+// vector uop the VCL completed before the ROB released it — is recycled
+// here, so Retire must be the caller's last use of u.
+func (u *Uop) Retire() {
+	u.Retired = true
+	u.maybeFree()
+}
+
 // ReleaseProducers drops the uop's dependence edges once no pipeline
 // stage will read them again (scalar retirement for scalar uops, vector
 // completion for vector uops). Consumers that still hold a pointer to
@@ -203,11 +226,16 @@ func (u *Uop) ReleaseProducers() {
 	}
 	u.Producers = nil
 	u.ScalarProducers = nil
-	for i := range u.prodBuf {
-		u.prodBuf[i] = nil
-	}
+	clear(u.prodBuf[:])
+	clear(u.scalarBuf[:])
 	u.maybeFree()
 }
+
+// CollectedScalarProducers returns an empty ScalarProducers list backed
+// by the uop's inline storage. Assigning it marks the scalar producers
+// collected (non-nil) without a heap allocation; appends spill to the
+// heap only past three entries.
+func (u *Uop) CollectedScalarProducers() []*Uop { return u.scalarBuf[:0] }
 
 // DoneBy reports whether the uop's result is available at cycle now.
 func (u *Uop) DoneBy(now uint64) bool { return u.DoneCycle <= now }

@@ -62,28 +62,19 @@ func (u *Unit) Clone(cl *pipe.Cloner, vmach *vm.VM, l2 *mem.L2) *Unit {
 }
 
 // clone returns a deep copy of one SMT context. The fetch queue and ROB
-// are rebased onto fresh full-capacity arrays (the parent's may be
-// mid-array reslices); content and length — everything the timing model
-// observes — are identical.
+// are rebased at offset 0 of fresh rings of the same capacity; content
+// and order — everything the timing model observes — are identical.
 func (c *context) clone(cl *pipe.Cloner) *context {
 	n := &context{
 		slot:        c.slot,
 		tid:         c.tid,
 		active:      c.active,
+		fetchQ:      c.fetchQ.Clone(cl),
+		rob:         c.rob.Clone(cl),
 		robCap:      c.robCap,
 		haltFetched: c.haltFetched,
 		stallUntil:  c.stallUntil,
 		curLine:     c.curLine,
-	}
-	n.fetchQArr = make([]*pipe.Uop, 0, cap(c.fetchQArr))
-	n.robArr = make([]*pipe.Uop, 0, cap(c.robArr))
-	n.fetchQ = n.fetchQArr
-	n.rob = n.robArr
-	for _, u := range c.fetchQ {
-		n.fetchQ = append(n.fetchQ, cl.Uop(u))
-	}
-	for _, u := range c.rob {
-		n.rob = append(n.rob, cl.Uop(u))
 	}
 	for r := range c.lastWriter {
 		n.lastWriter[r] = cl.Uop(c.lastWriter[r])

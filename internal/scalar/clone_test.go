@@ -49,12 +49,9 @@ func TestCloneCoversContext(t *testing.T) {
 		"tid":    "value copy",
 		"active": "value copy",
 
-		"fetchQ": "rebuilt via Cloner.Uop onto a fresh base array",
-		"rob":    "rebuilt via Cloner.Uop onto a fresh base array",
+		"fetchQ": "pipe.Ring.Clone: same capacity, rebased at offset 0, entries via Cloner.Uop",
+		"rob":    "pipe.Ring.Clone: same capacity, rebased at offset 0, entries via Cloner.Uop",
 		"robCap": "value copy",
-
-		"fetchQArr": "fresh base array at the original capacity (queues rebased at offset 0)",
-		"robArr":    "fresh base array at the original capacity (queues rebased at offset 0)",
 
 		"lastWriter": "per-register map through Cloner.Uop",
 

@@ -30,10 +30,10 @@ func (u *Unit) NextEvent(now uint64) uint64 {
 	// neither known (barriers, vltcfg, dropped completions) are released
 	// by the machine controller or another component's event.
 	for _, c := range u.ctxs {
-		if len(c.rob) == 0 {
+		h := c.rob.Front()
+		if h == nil {
 			continue
 		}
-		h := c.rob[0]
 		t := h.DoneCycle
 		if h.CommitCycle < t {
 			t = h.CommitCycle
@@ -68,13 +68,13 @@ func (u *Unit) NextEvent(now uint64) uint64 {
 	// returning an earlier cycle is safe, the tick simply re-evaluates).
 	robTot := u.robTotal()
 	for _, c := range u.ctxs {
-		if len(c.fetchQ) == 0 {
+		head := c.fetchQ.Front()
+		if head == nil {
 			continue
 		}
-		if len(c.rob) >= c.robCap || robTot >= u.cfg.ROBSize {
+		if c.rob.Len() >= c.robCap || robTot >= u.cfg.ROBSize {
 			continue // unblocked by a retirement, covered above
 		}
-		head := c.fetchQ[0]
 		info := head.Dyn.Inst.Op.Info()
 		switch {
 		case info.Vector:
@@ -97,7 +97,7 @@ func (u *Unit) NextEvent(now uint64) uint64 {
 	// by a resolving stall contributes the resolution cycle; an
 	// ungated context fetches next cycle.
 	for _, c := range u.ctxs {
-		if !c.active || c.haltFetched || len(c.fetchQ) >= 2*u.cfg.Width {
+		if !c.active || c.haltFetched || c.fetchQ.Len() >= 2*u.cfg.Width {
 			continue // unblocked by dispatch draining the queue
 		}
 		if c.stallUntil > now {
@@ -155,7 +155,7 @@ func (u *Unit) SkipIdle(from, to uint64) {
 	// halted, queue space, no pending icache/redirect stall.
 	branchGated := uint64(0)
 	for _, c := range u.ctxs {
-		if c.active && !c.haltFetched && len(c.fetchQ) < 2*u.cfg.Width &&
+		if c.active && !c.haltFetched && c.fetchQ.Len() < 2*u.cfg.Width &&
 			c.stallUntil < from && c.pendingBranch != nil {
 			branchGated++
 		}
@@ -178,14 +178,14 @@ func (u *Unit) SkipIdle(from, to uint64) {
 		cnt := (k - off + uint64(n) - 1) / uint64(n)
 		for i := 0; i < n; i++ {
 			c := u.ctxs[(p+i)%n]
-			if len(c.fetchQ) == 0 {
+			head := c.fetchQ.Front()
+			if head == nil {
 				continue
 			}
-			if len(c.rob) >= c.robCap || robTot >= u.cfg.ROBSize {
+			if c.rob.Len() >= c.robCap || robTot >= u.cfg.ROBSize {
 				u.DispStallROB += cnt
 				continue
 			}
-			head := c.fetchQ[0]
 			info := head.Dyn.Inst.Op.Info()
 			if info.Vector {
 				if u.vsink != nil {

@@ -30,9 +30,9 @@ func (u *Unit) CheckInvariants() error {
 		return fmt.Errorf("su%d: %d ROB entries in use, capacity %d", u.ID, total, u.cfg.ROBSize)
 	}
 	for _, c := range u.ctxs {
-		if len(c.rob) > c.robCap {
+		if c.rob.Len() > c.robCap {
 			return fmt.Errorf("su%d ctx%d: ROB holds %d entries, per-context cap %d",
-				u.ID, c.slot, len(c.rob), c.robCap)
+				u.ID, c.slot, c.rob.Len(), c.robCap)
 		}
 	}
 	if u.Retired > u.Dispatched || u.Dispatched > u.Fetched || u.IssuedCount > u.Dispatched {
@@ -79,13 +79,12 @@ func (u *Unit) DebugDump(now uint64) string {
 			state += fmt.Sprintf(" stalled-until-%d", c.stallUntil)
 		}
 		head := "empty"
-		if len(c.rob) > 0 {
-			h := c.rob[0]
+		if h := c.rob.Front(); h != nil {
 			head = fmt.Sprintf("t%d @%d %s (issued=%t done@%d)",
 				h.Thread, h.Dyn.PC, h.Dyn.Inst, h.Issued, h.DoneCycle)
 		}
 		fmt.Fprintf(&sb, "  ctx%d thread %d: pc=%d fetchq=%d rob=%d/%d head=%s%s\n",
-			c.slot, c.tid, u.vmach.Thread(c.tid).PC, len(c.fetchQ), len(c.rob), c.robCap, head, state)
+			c.slot, c.tid, u.vmach.Thread(c.tid).PC, c.fetchQ.Len(), c.rob.Len(), c.robCap, head, state)
 	}
 	return sb.String()
 }

@@ -72,15 +72,9 @@ type context struct {
 	tid    int // software thread id, -1 when the context is unused
 	active bool
 
-	fetchQ []*pipe.Uop
-	rob    []*pipe.Uop
+	fetchQ pipe.Ring
+	rob    pipe.Ring
 	robCap int
-
-	// Base arrays for fetchQ and rob: both queues pop by reslicing from
-	// the front, so they are rewound onto these whenever they empty to
-	// keep append from allocating fresh backing stores all run long.
-	fetchQArr []*pipe.Uop
-	robArr    []*pipe.Uop
 
 	lastWriter [isa.NumRegs]*pipe.Uop
 
@@ -92,10 +86,10 @@ type context struct {
 }
 
 func (c *context) done() bool {
-	return !c.active || (c.haltFetched && len(c.rob) == 0 && len(c.fetchQ) == 0)
+	return !c.active || (c.haltFetched && c.rob.Len() == 0 && c.fetchQ.Len() == 0)
 }
 
-func (c *context) inflight() int { return len(c.rob) + len(c.fetchQ) }
+func (c *context) inflight() int { return c.rob.Len() + c.fetchQ.Len() }
 
 // Unit is one scalar unit instance.
 type Unit struct {
@@ -162,13 +156,12 @@ func New(id int, cfg Config, machine *vm.VM, l2 *mem.L2, vsink VectorSink) *Unit
 		robCap = cfg.ROBSize * 3 / 4
 	}
 	for s := 0; s < cfg.Contexts; s++ {
-		c := &context{slot: s, tid: -1, robCap: robCap, curLine: ^uint64(0)}
-		// fetchQ is capped at 2*Width before a fetch of up to Width more.
-		c.fetchQArr = make([]*pipe.Uop, 0, 3*cfg.Width)
-		c.robArr = make([]*pipe.Uop, 0, robCap)
-		c.fetchQ = c.fetchQArr
-		c.rob = c.robArr
-		u.ctxs = append(u.ctxs, c)
+		u.ctxs = append(u.ctxs, &context{
+			slot: s, tid: -1, robCap: robCap, curLine: ^uint64(0),
+			// fetchQ is capped at 2*Width before a fetch of up to Width more.
+			fetchQ: pipe.NewRing(3 * cfg.Width),
+			rob:    pipe.NewRing(robCap),
+		})
 	}
 	u.window = make([]*pipe.Uop, 0, cfg.WindowSize)
 	u.fetchReady = make([]*context, 0, cfg.Contexts)
@@ -178,7 +171,7 @@ func New(id int, cfg Config, machine *vm.VM, l2 *mem.L2, vsink VectorSink) *Unit
 func (u *Unit) robTotal() int {
 	n := 0
 	for _, c := range u.ctxs {
-		n += len(c.rob)
+		n += c.rob.Len()
 	}
 	return n
 }
@@ -194,6 +187,10 @@ func (u *Unit) DCache() *mem.L1 { return u.dcache }
 
 // Predictor exposes the branch predictor (statistics).
 func (u *Unit) Predictor() *pipe.Bimodal { return u.pred }
+
+// LiveUops returns the number of this unit's uops not yet recycled (see
+// pipe.Arena.Live).
+func (u *Unit) LiveUops() int { return u.arena.Live() }
 
 // RegisterMetrics registers every pipeline counter on r (scoped to
 // "su<ID>" by the machine model). The counters remain the plain uint64
@@ -236,12 +233,8 @@ func (u *Unit) Done() bool {
 // BarrierWaiting returns, per context, the BAR uop currently at the head
 // of the reorder buffer and not yet released, or nil.
 func (u *Unit) BarrierWaiting(slot int) *pipe.Uop {
-	c := u.ctxs[slot]
-	if len(c.rob) == 0 {
-		return nil
-	}
-	h := c.rob[0]
-	if h.Dyn.IsBarrier && h.DoneCycle == pipe.NeverDone {
+	h := u.ctxs[slot].rob.Front()
+	if h != nil && h.Dyn.IsBarrier && h.DoneCycle == pipe.NeverDone {
 		return h
 	}
 	return nil
@@ -250,12 +243,8 @@ func (u *Unit) BarrierWaiting(slot int) *pipe.Uop {
 // VltCfgWaiting returns the VLTCFG uop at the head of the context's ROB
 // that has not been applied yet, or nil.
 func (u *Unit) VltCfgWaiting(slot int) *pipe.Uop {
-	c := u.ctxs[slot]
-	if len(c.rob) == 0 {
-		return nil
-	}
-	h := c.rob[0]
-	if h.Dyn.VltCfg != 0 && h.DoneCycle == pipe.NeverDone {
+	h := u.ctxs[slot].rob.Front()
+	if h != nil && h.Dyn.VltCfg != 0 && h.DoneCycle == pipe.NeverDone {
 		return h
 	}
 	return nil
@@ -279,14 +268,12 @@ func (u *Unit) retire(now uint64) {
 	n := len(u.ctxs)
 	for i := 0; i < n && budget > 0; i++ {
 		c := u.ctxs[(u.retireRR+i)%n]
-		for budget > 0 && len(c.rob) > 0 {
-			h := c.rob[0]
+		for budget > 0 && c.rob.Len() > 0 {
+			h := c.rob.Front()
 			if !h.RetireBy(now) {
 				break
 			}
-			h.Retired = true
-			c.rob[0] = nil
-			c.rob = c.rob[1:]
+			c.rob.Pop()
 			u.Retired++
 			budget--
 			if u.OnRetire != nil {
@@ -309,13 +296,13 @@ func (u *Unit) retire(now uint64) {
 				// A plain scalar uop (vector uops carry a CommitCycle
 				// from early commit, and the VCL still reads their
 				// dependence edges for chaining): nothing reads this
-				// uop's edges again, so break the producer chain. This may
-				// recycle h, so it must be the last use of it.
+				// uop's edges again, so break the producer chain.
 				h.ReleaseProducers()
 			}
-		}
-		if len(c.rob) == 0 {
-			c.rob = c.robArr[:0]
+			// Retirement is a free point: it recycles h once nothing
+			// else holds it (a vector uop the VCL already completed has
+			// no later chance), so it must be the last use of h.
+			h.Retire()
 		}
 	}
 	u.retireRR++
@@ -379,9 +366,9 @@ func (u *Unit) dispatch(now uint64) {
 	n := len(u.ctxs)
 	for i := 0; i < n && budget > 0; i++ {
 		c := u.ctxs[(u.retireRR+i)%n]
-		for budget > 0 && len(c.fetchQ) > 0 {
-			uop := c.fetchQ[0]
-			if len(c.rob) >= c.robCap || u.robTotal() >= u.cfg.ROBSize {
+		for budget > 0 && c.fetchQ.Len() > 0 {
+			uop := c.fetchQ.Front()
+			if c.rob.Len() >= c.robCap || u.robTotal() >= u.cfg.ROBSize {
 				u.DispStallROB++
 				break
 			}
@@ -423,12 +410,7 @@ func (u *Unit) dispatch(now uint64) {
 				break
 			}
 			uop.DispatchCycle = now
-			c.fetchQ[0] = nil
-			c.fetchQ = c.fetchQ[1:]
-			if len(c.fetchQ) == 0 {
-				c.fetchQ = c.fetchQArr[:0]
-			}
-			c.rob = append(c.rob, uop)
+			c.rob.Push(c.fetchQ.Pop())
 			u.Dispatched++
 			budget--
 		}
@@ -456,6 +438,7 @@ func (u *Unit) collectScalarProducers(c *context, uop *pipe.Uop, now uint64) {
 	if uop.ScalarProducers != nil {
 		return // already collected on a previous (VIQ-full) attempt
 	}
+	uop.ScalarProducers = uop.CollectedScalarProducers()
 	u.regScratch = uop.Dyn.Inst.AppendSrcs(u.regScratch[:0])
 	for _, r := range u.regScratch {
 		if r.IsVec() {
@@ -465,9 +448,6 @@ func (u *Unit) collectScalarProducers(c *context, uop *pipe.Uop, now uint64) {
 			w.Retain()
 			uop.ScalarProducers = append(uop.ScalarProducers, w)
 		}
-	}
-	if uop.ScalarProducers == nil {
-		uop.ScalarProducers = []*pipe.Uop{}
 	}
 }
 
@@ -528,7 +508,7 @@ func (u *Unit) fetchable(c *context, now uint64) bool {
 	if !c.active || c.haltFetched {
 		return false
 	}
-	if len(c.fetchQ) >= 2*u.cfg.Width {
+	if c.fetchQ.Len() >= 2*u.cfg.Width {
 		return false
 	}
 	if c.stallUntil > now {
@@ -578,7 +558,7 @@ func (u *Unit) fetchFrom(c *context, now uint64, width int) int {
 			return i
 		}
 		uop := u.arena.NewUop(dyn, c.tid, now)
-		c.fetchQ = append(c.fetchQ, uop)
+		c.fetchQ.Push(uop)
 		u.Fetched++
 
 		if dyn.Branch {

@@ -189,6 +189,7 @@ func (d *driver) runJob(j job) (jobResult, error) {
 		return chosen
 	})
 	r, err := m.Run()
+	m.Release() // the run is over; its forks own their own caches
 	res.run.Decisions = decisions
 	if err != nil {
 		res.run.Failed = true

@@ -33,10 +33,9 @@ func (v *VCL) Clone(cl *pipe.Cloner, l2 *mem.L2) *VCL {
 	return n
 }
 
-// clone returns a deep copy of one partition. The VIQ is rebased onto a
-// fresh full-capacity base array (the parent's may be a mid-array
-// reslice); content and length — everything the timing model observes —
-// are identical.
+// clone returns a deep copy of one partition. The VIQ is rebased at
+// offset 0 of a fresh ring of the same capacity; content and order —
+// everything the timing model observes — are identical.
 func (p *partition) clone(cl *pipe.Cloner) *partition {
 	n := &partition{
 		id:        p.id,
@@ -44,17 +43,13 @@ func (p *partition) clone(cl *pipe.Cloner) *partition {
 		lanes:     p.lanes,
 		viqCap:    p.viqCap,
 		winCap:    p.winCap,
+		viq:       p.viq.Clone(cl),
 		renames:   p.renames,
 		renameCap: p.renameCap,
 		noChain:   p.noChain,
 		vfuFree:   p.vfuFree,
 		vfuCur:    p.vfuCur,
 		memFree:   p.memFree,
-	}
-	n.viqArr = make([]*pipe.Uop, 0, cap(p.viqArr))
-	n.viq = n.viqArr
-	for _, u := range p.viq {
-		n.viq = append(n.viq, cl.Uop(u))
 	}
 	n.win = make([]*pipe.Uop, 0, cap(p.win))
 	for _, u := range p.win {

@@ -37,9 +37,8 @@ func TestCloneCoversPartition(t *testing.T) {
 
 		"viqCap": "value copy",
 		"winCap": "value copy",
-		"viq":    "rebuilt via Cloner.Uop onto a fresh base array",
+		"viq":    "pipe.Ring.Clone: same capacity, rebased at offset 0, entries via Cloner.Uop",
 		"win":    "rebuilt via Cloner.Uop (window entries alias VIQ history)",
-		"viqArr": "fresh base array at the original capacity (viq rebased at offset 0)",
 		"srcs":   "reset: per-dispatch scratch",
 
 		"lastWriter": "per-register map through Cloner.Uop",

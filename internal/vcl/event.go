@@ -44,8 +44,8 @@ func (v *VCL) NextEvent(now uint64) uint64 {
 				ev = r
 			}
 		}
-		if len(p.viq) > 0 && len(p.win) < p.winCap {
-			if !hasVecDest(p.viq[0]) || p.renames < p.renameCap {
+		if head := p.viq.Front(); head != nil && len(p.win) < p.winCap {
+			if !hasVecDest(head) || p.renames < p.renameCap {
 				return now + 1 // dispatch proceeds next cycle
 			}
 			// Rename-starved: unblocked only by a window retirement,
@@ -154,7 +154,7 @@ func (v *VCL) PeekEnqueue(u *pipe.Uop) (ok, counted bool) {
 	if p == nil {
 		return false, false
 	}
-	if len(p.viq) >= p.viqCap {
+	if p.viq.Len() >= p.viqCap {
 		return false, true
 	}
 	return true, false

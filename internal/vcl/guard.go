@@ -30,9 +30,9 @@ func (v *VCL) CheckScoreboard() error {
 			return fmt.Errorf("partition %d (thread %d): rename count %d outside [0,%d]",
 				p.id, p.thread, p.renames, p.renameCap)
 		}
-		if len(p.viq) > p.viqCap || len(p.win) > p.winCap {
+		if p.viq.Len() > p.viqCap || len(p.win) > p.winCap {
 			return fmt.Errorf("partition %d (thread %d): viq %d/%d or window %d/%d over capacity",
-				p.id, p.thread, len(p.viq), p.viqCap, len(p.win), p.winCap)
+				p.id, p.thread, p.viq.Len(), p.viqCap, len(p.win), p.winCap)
 		}
 	}
 	return nil
@@ -71,7 +71,7 @@ func (v *VCL) DebugDump(now uint64) string {
 			}
 		}
 		fmt.Fprintf(&sb, "  partition %d (thread %d, %d lanes): viq=%d/%d window=%d/%d renames=%d/%d chimes-in-flight=%d mem-ports-busy=%d\n",
-			p.id, p.thread, p.lanes, len(p.viq), p.viqCap, len(p.win), p.winCap,
+			p.id, p.thread, p.lanes, p.viq.Len(), p.viqCap, len(p.win), p.winCap,
 			p.renames, p.renameCap, chimes, memBusy)
 		for _, u := range p.win {
 			state := "waiting"

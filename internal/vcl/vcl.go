@@ -61,10 +61,9 @@ type partition struct {
 
 	viqCap int
 	winCap int
-	viq    []*pipe.Uop
+	viq    pipe.Ring
 	win    []*pipe.Uop
-	viqArr []*pipe.Uop // viq's base array, rewound when the queue empties
-	srcs   []isa.Reg   // dispatch scratch for AppendSrcs
+	srcs   []isa.Reg // dispatch scratch for AppendSrcs
 
 	lastWriter [isa.NumVecRegs]*pipe.Uop
 	renames    int // vector destinations in flight
@@ -183,7 +182,7 @@ func (v *VCL) Partition(threads []int) error {
 	}
 	v.parts = make([]*partition, n)
 	for i, tid := range threads {
-		p := &partition{
+		v.parts[i] = &partition{
 			id:        i,
 			thread:    tid,
 			lanes:     lanes,
@@ -191,11 +190,9 @@ func (v *VCL) Partition(threads []int) error {
 			winCap:    winCap,
 			renameCap: v.cfg.PhysRegs - isa.NumVecRegs,
 			noChain:   v.cfg.DisableChaining,
-			viqArr:    make([]*pipe.Uop, 0, viqCap),
+			viq:       pipe.NewRing(viqCap),
 			win:       make([]*pipe.Uop, 0, winCap),
 		}
-		p.viq = p.viqArr
-		v.parts[i] = p
 	}
 	v.rr = 0
 	return nil
@@ -217,11 +214,11 @@ func (v *VCL) Enqueue(u *pipe.Uop) bool {
 	if p == nil {
 		return false
 	}
-	if len(p.viq) >= p.viqCap {
+	if p.viq.Len() >= p.viqCap {
 		v.VIQRejects++
 		return false
 	}
-	p.viq = append(p.viq, u)
+	p.viq.Push(u)
 	v.Enqueued++
 	return true
 }
@@ -234,14 +231,14 @@ func (v *VCL) ThreadInFlight(tid int) int {
 	if p == nil {
 		return 0
 	}
-	return len(p.viq) + len(p.win)
+	return p.viq.Len() + len(p.win)
 }
 
 // InFlight returns the number of vector instructions in the VIQ or window.
 func (v *VCL) InFlight() int {
 	n := 0
 	for _, p := range v.parts {
-		n += len(p.viq) + len(p.win)
+		n += p.viq.Len() + len(p.win)
 	}
 	return n
 }
@@ -318,20 +315,16 @@ func hasVecDest(u *pipe.Uop) bool {
 
 // dispatch renames up to width instructions from the VIQ into the window.
 func (p *partition) dispatch(now uint64, width int) {
-	for n := 0; n < width && len(p.viq) > 0; n++ {
+	for n := 0; n < width && p.viq.Len() > 0; n++ {
 		if len(p.win) >= p.winCap {
 			return
 		}
-		u := p.viq[0]
+		u := p.viq.Front()
 		needsRename := hasVecDest(u)
 		if needsRename && p.renames >= p.renameCap {
 			return // out of physical registers
 		}
-		p.viq[0] = nil // drop the dequeued entry's reference
-		p.viq = p.viq[1:]
-		if len(p.viq) == 0 {
-			p.viq = p.viqArr[:0] // rewind onto the base array
-		}
+		p.viq.Pop()
 		if needsRename {
 			p.renames++
 		}
@@ -531,8 +524,8 @@ func (p *partition) pendingFor(f int) bool {
 			return true
 		}
 	}
-	for _, u := range p.viq {
-		if inf := u.Dyn.Inst.Op.Info(); inf.Class == isa.ClassVecALU && inf.VFU == f {
+	for i := 0; i < p.viq.Len(); i++ {
+		if inf := p.viq.At(i).Dyn.Inst.Op.Info(); inf.Class == isa.ClassVecALU && inf.VFU == f {
 			return true
 		}
 	}

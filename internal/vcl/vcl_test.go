@@ -313,7 +313,7 @@ func TestRenameCapBlocksDispatch(t *testing.T) {
 	if got := v.parts[0].renames; got != 2 {
 		t.Errorf("renames in flight = %d, want 2", got)
 	}
-	if got := len(v.parts[0].viq); got != 1 {
+	if got := v.parts[0].viq.Len(); got != 1 {
 		t.Errorf("VIQ backlog = %d, want 1", got)
 	}
 }

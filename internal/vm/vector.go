@@ -159,15 +159,15 @@ func (v *VM) execVector(t *Thread, in *isa.Instruction, d *Dyn) error {
 }
 
 // vecAddrs computes the element addresses of a vector memory instruction
-// into buf (normally the Dyn's recycled EffAddrs buffer).
+// into buf (normally the Dyn's recycled EffAddrs buffer). A buffer too
+// small is replaced by one of MaxVL capacity, so a recycled Dyn's buffer
+// fits every later vector access and the steady state allocates none.
 func (v *VM) vecAddrs(t *Thread, in *isa.Instruction, vl int, buf []uint64) ([]uint64, error) {
 	base := t.getInt(in.Ra)
-	var addrs []uint64
-	if cap(buf) >= vl {
-		addrs = buf[:vl]
-	} else {
-		addrs = make([]uint64, vl)
+	if cap(buf) < vl {
+		buf = make([]uint64, 0, isa.MaxVL)
 	}
+	addrs := buf[:vl]
 	switch in.Op {
 	case isa.OpVLd, isa.OpVSt:
 		for i := 0; i < vl; i++ {

@@ -178,6 +178,7 @@ func SearchLanePartition(workload string, m Machine, opt SearchOptions) (SearchR
 		return 0
 	})
 	replay, err := machine.Run()
+	machine.Release()
 	if err != nil {
 		return res, fmt.Errorf("vlt: best plan %v failed on replay: %w", plan, err)
 	}
