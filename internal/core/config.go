@@ -281,8 +281,14 @@ func MachineNames() []string {
 // keep their own) and threads the software thread count (0 = the
 // machine's natural count: 1 for base, 2 for V2-*, 4 for V4-* and CMT, 8
 // for VLT-scalar). A machine with a vector unit starts with one lane
-// partition per thread.
+// partition per thread. A negative lane or thread count is an error.
 func ByName(name string, lanes, threads int) (Config, error) {
+	if lanes < 0 {
+		return Config{}, fmt.Errorf("bad lane count %d for machine %q: want a non-negative integer (0 = 8)", lanes, name)
+	}
+	if threads < 0 {
+		return Config{}, fmt.Errorf("bad thread count %d for machine %q: want a non-negative integer (0 = the machine's own)", threads, name)
+	}
 	for _, m := range machines {
 		if m.name != name {
 			continue

@@ -55,4 +55,26 @@ func TestByName(t *testing.T) {
 			t.Errorf("unknown-machine error %q does not list %q", err, name)
 		}
 	}
+
+	// A negative count never builds a machine, even where the machine
+	// ignores lanes (CMT), and the error names the bad value.
+	for _, c := range []struct {
+		name           string
+		lanes, threads int
+		want           string
+	}{
+		{"base", -2, 0, "lane count -2"},
+		{"CMT", -1, 0, "lane count -1"},
+		{"V4-CMT", 0, -1, "thread count -1"},
+		{"VLT-scalar", 4, -3, "thread count -3"},
+	} {
+		cfg, err := ByName(c.name, c.lanes, c.threads)
+		if err == nil {
+			t.Errorf("ByName(%q, %d, %d) = %s, want an error", c.name, c.lanes, c.threads, cfg.Name)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("ByName(%q, %d, %d) error %q does not name %q", c.name, c.lanes, c.threads, err, c.want)
+		}
+	}
 }

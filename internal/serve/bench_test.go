@@ -3,34 +3,58 @@ package serve
 import (
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"vlt/internal/store"
 )
 
-// benchGet issues one /v1/run request through the full handler stack
-// and fails the benchmark on any non-200.
-func benchGet(b *testing.B, s *Server, target string) {
+// benchRun issues one /v1/run request through the full handler stack —
+// a GET of benchTarget, or a POST of benchBody when post is set — and
+// fails the benchmark on any non-200.
+func benchRun(b *testing.B, s *Server, post bool) {
 	b.Helper()
+	req := httptest.NewRequest(http.MethodGet, benchTarget, nil)
+	if post {
+		req = httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(benchBody))
+	}
 	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+	s.Handler().ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
 		b.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
 }
 
-const benchTarget = "/v1/run?workload=mxm&machine=base"
+// benchTarget and benchBody are the same cell as a GET and as the JSON
+// body the fleet coordinator POSTs.
+const (
+	benchTarget = "/v1/run?workload=mxm&machine=base"
+	benchBody   = `{"workload":"mxm","machine":"base"}`
+)
 
 // BenchmarkServeCellHot measures the cache-hit path: request parsing,
-// fingerprinting, the LRU lookup and the response write — no
+// the memoized key, the LRU lookup and the response write — no
 // simulation. This is the daemon's steady-state cost per served cell.
 func BenchmarkServeCellHot(b *testing.B) {
 	s := New(Config{})
-	benchGet(b, s, benchTarget) // warm the cache
+	benchRun(b, s, false) // warm the cache
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchGet(b, s, benchTarget)
+		benchRun(b, s, false)
+	}
+}
+
+// BenchmarkServeCellHotPost is BenchmarkServeCellHot in the POST form
+// the fleet coordinator (and the serve-hot benchmark workload) sends:
+// the JSON decode replaces the query parse.
+func BenchmarkServeCellHotPost(b *testing.B) {
+	s := New(Config{})
+	benchRun(b, s, true) // warm the cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchRun(b, s, true)
 	}
 }
 
@@ -43,7 +67,7 @@ func BenchmarkServeCellCold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.cache.Reset()
-		benchGet(b, s, benchTarget)
+		benchRun(b, s, false)
 	}
 }
 
@@ -59,11 +83,11 @@ func BenchmarkServeCellDisk(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := New(Config{Store: st})
-	benchGet(b, s, benchTarget) // render once: fills memory and disk
+	benchRun(b, s, false) // render once: fills memory and disk
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.cache.Reset()
-		benchGet(b, s, benchTarget)
+		benchRun(b, s, false)
 	}
 }

@@ -112,11 +112,18 @@ type Server struct {
 	failures    uint64 // responses with a status >= 400
 	notModified uint64 // 304 revalidations (If-None-Match matched)
 
-	// Simulation and verification entry points, indirect so the test
-	// suite can substitute blocking or failing implementations to pin
-	// admission-control and error-path behaviour deterministically.
+	// resolved memoizes /v1/run and /v1/sweep cell requests to their key
+	// and ETag (see resolve); at most maxResolved entries.
+	resolvedMu sync.Mutex
+	resolved   map[cellRequest]cellID
+
+	// Simulation, verification and key-resolution entry points, indirect
+	// so the test suite can substitute blocking, failing or counting
+	// implementations to pin admission-control, error-path and memo
+	// behaviour deterministically.
 	runCell func(workload string, m vlt.Machine, opt vlt.Options) (vlt.Result, error)
 	vetCell func(workload string, m vlt.Machine, opt vlt.Options) error
+	cellKey func(workload string, m vlt.Machine, opt vlt.Options) (string, error)
 }
 
 // New builds a Server with its cache, flight group and metric registry.
@@ -126,16 +133,18 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		cache:   newCache(cfg.CacheBytes),
-		store:   cfg.Store,
-		flight:  runner.NewFlight[string, []byte](cfg.MaxPending),
-		slots:   runner.NewSlots(cfg.Jobs),
-		reg:     stats.New(),
-		mux:     http.NewServeMux(),
-		start:   time.Now(),
-		runCell: func(w string, m vlt.Machine, o vlt.Options) (vlt.Result, error) { return vlt.Run(w, m, o) },
-		vetCell: vlt.VetCell,
+		cfg:      cfg,
+		cache:    newCache(cfg.CacheBytes),
+		store:    cfg.Store,
+		flight:   runner.NewFlight[string, []byte](cfg.MaxPending),
+		slots:    runner.NewSlots(cfg.Jobs),
+		reg:      stats.New(),
+		mux:      http.NewServeMux(),
+		start:    time.Now(),
+		resolved: make(map[cellRequest]cellID),
+		runCell:  func(w string, m vlt.Machine, o vlt.Options) (vlt.Result, error) { return vlt.Run(w, m, o) },
+		vetCell:  vlt.VetCell,
+		cellKey:  vlt.CellKey,
 	}
 	s.registerMetrics(s.reg)
 
@@ -402,19 +411,63 @@ func (s *Server) waitError(err error, d time.Duration) *apiError {
 	}
 }
 
+// cellRequest is one cell as a client asked for it, the memo key of
+// resolve. Equivalent spellings (lanes 0 and 8 on base) are distinct
+// requests that resolve to one cellID.
+type cellRequest struct {
+	workload string
+	machine  vlt.Machine
+	opt      vlt.Options
+}
+
+// cellID is a resolved cell: its content-addressed key and the key's
+// strong ETag (store.ETag).
+type cellID struct{ key, etag string }
+
+// maxResolved caps the resolve memo. The paper grid at a few scales and
+// lane counts is a few hundred requests; a memo that fills is dropped
+// whole rather than evicted entry by entry.
+const maxResolved = 1024
+
+// resolve returns the key and ETag of one /v1/run or sweep cell. Both are
+// pure functions of the request, so the server memoizes them: a repeated
+// request neither formats nor hashes its machine configuration again.
+// Only successful resolutions are kept, and the memo dies with the
+// server.
+func (s *Server) resolve(workload string, m vlt.Machine, opt vlt.Options) (cellID, error) {
+	req := cellRequest{workload, m, opt}
+	s.resolvedMu.Lock()
+	id, ok := s.resolved[req]
+	s.resolvedMu.Unlock()
+	if ok {
+		return id, nil
+	}
+	key, err := s.cellKey(workload, m, opt)
+	if err != nil {
+		return cellID{}, err
+	}
+	id = cellID{key, store.ETag(key)}
+	s.resolvedMu.Lock()
+	if len(s.resolved) >= maxResolved {
+		s.resolved = make(map[cellRequest]cellID)
+	}
+	s.resolved[req] = id
+	s.resolvedMu.Unlock()
+	return id, nil
+}
+
 // serveKeyed answers one single-response request (/v1/run,
 // /v1/experiment) for key: the conditional-request fast path, the tier
 // lookup, and on a miss compute, which must produce the key's body and
-// fill the tiers with it. The key's strong ETag is its store fingerprint
-// (format version ⊕ key), so an If-None-Match match proves the client
-// already holds the exact bytes this content-addressed key can ever
-// produce at this version — 304, no lookup, no simulation. A format bump
-// changes the fingerprint and the stale tag re-serves a full 200. The
-// request's deadline (the server default, lowered by timeout_ms) bounds
-// compute's waits.
-func (s *Server) serveKeyed(w http.ResponseWriter, r *http.Request, key string,
+// fill the tiers with it. The caller passes the key's strong ETag, its
+// store fingerprint (format version ⊕ key), so an If-None-Match match
+// proves the client already holds the exact bytes this content-addressed
+// key can ever produce at this version — 304, no lookup, no simulation. A
+// format bump changes the fingerprint and the stale tag re-serves a full
+// 200. The request's deadline (the server default, lowered by timeout_ms)
+// bounds compute's waits.
+func (s *Server) serveKeyed(w http.ResponseWriter, r *http.Request, key, etag string,
 	compute func(ctx context.Context, d time.Duration) ([]byte, *apiError)) {
-	etag := store.ETag(key)
 	if match := r.Header.Get("If-None-Match"); match != "" && etagMatch(match, etag) {
 		w.Header().Set("ETag", etag)
 		w.WriteHeader(http.StatusNotModified)
@@ -487,6 +540,14 @@ func (s *Server) parseRunRequest(r *http.Request) (RunRequest, *apiError) {
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			return req, &apiError{status: http.StatusBadRequest,
 				Error: api.Error{Code: api.CodeBadRequest, Message: "bad JSON body: " + err.Error()}}
+		}
+		// The key clamps a scale below 1 to 1, so a negative scale would
+		// be served as the default instead of refused as GET refuses it.
+		// Negative lanes and threads fail in core.ByName.
+		if req.Scale < 0 {
+			return req, &apiError{status: http.StatusBadRequest,
+				Error: api.Error{Code: api.CodeBadRequest,
+					Message: fmt.Sprintf("bad scale %d: want a non-negative integer", req.Scale)}}
 		}
 	} else {
 		q := r.URL.Query()
@@ -564,13 +625,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	m, opt := vlt.Machine(req.Machine), req.Options()
-	key, err := vlt.CellKey(req.Workload, m, opt)
+	id, err := s.resolve(req.Workload, m, opt)
 	if err != nil {
 		s.writeError(w, apiError{status: http.StatusBadRequest,
 			Error: api.Error{Code: api.CodeBadRequest, Message: err.Error()}})
 		return
 	}
-	s.serveKeyed(w, r, key, func(ctx context.Context, d time.Duration) ([]byte, *apiError) {
+	key := id.key
+	s.serveKeyed(w, r, key, id.etag, func(ctx context.Context, d time.Duration) ([]byte, *apiError) {
 		if e := s.vetCheck(req.Workload, m, opt); e != nil {
 			return nil, e
 		}
@@ -640,7 +702,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		scale = n
 	}
 	key := experimentKey(name, scale)
-	s.serveKeyed(w, r, key, func(ctx context.Context, d time.Duration) ([]byte, *apiError) {
+	s.serveKeyed(w, r, key, store.ETag(key), func(ctx context.Context, d time.Duration) ([]byte, *apiError) {
 		body, err := runner.Guard(key, func() ([]byte, error) {
 			data, text, err := exp.Run(vlt.NewEngineFrom(s.cellSource(ctx, d)), scale)
 			if err != nil {

@@ -72,17 +72,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Resolve every cell key up front: a malformed grid (unknown
-	// workload or machine) is a 400 before the stream commits to 200,
-	// not a stream full of per-cell errors.
+	// workload or machine, negative lanes or threads) is a 400 before the
+	// stream commits to 200, not a stream full of per-cell errors.
 	keys := make([]string, len(cells))
 	for i, c := range cells {
-		key, err := vlt.CellKey(c.Workload, vlt.Machine(c.Machine), c.Options())
+		id, err := s.resolve(c.Workload, vlt.Machine(c.Machine), c.Options())
 		if err != nil {
 			s.writeError(w, apiError{status: http.StatusBadRequest,
 				Error: api.Error{Code: api.CodeBadRequest, Message: err.Error(), Cell: c.Cell()}})
 			return
 		}
-		keys[i] = key
+		keys[i] = id.key
 	}
 
 	d := s.timeout(r)

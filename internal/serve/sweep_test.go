@@ -192,6 +192,8 @@ func TestSweepBadRequests(t *testing.T) {
 		{"bad scale", api.SweepRequest{Workloads: []string{"mxm"}, Machines: []string{"base"}, Scales: []int{0}}},
 		{"unknown machine", api.SweepRequest{Workloads: []string{"mxm"}, Machines: []string{"warp9"}}},
 		{"unknown workload", api.SweepRequest{Workloads: []string{"nope"}, Machines: []string{"base"}}},
+		{"negative lanes", api.SweepRequest{Workloads: []string{"mxm"}, Machines: []string{"base"}, Lanes: -2}},
+		{"negative threads", api.SweepRequest{Workloads: []string{"mxm"}, Machines: []string{"V4-CMT"}, Threads: -1}},
 	}
 	for _, c := range cases {
 		rec, _, _ := postSweep(t, s, c.req)

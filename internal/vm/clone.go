@@ -20,16 +20,6 @@ func (d *Dyn) Clone() *Dyn {
 	return &n
 }
 
-// clone returns a deep copy of the operation census.
-func (s *OpStats) clone() OpStats {
-	n := *s
-	n.RegionOps = make(map[int64]int64, len(s.RegionOps))
-	for id, ops := range s.RegionOps { //vltlint:ignore map-range — order-independent copy
-		n.RegionOps[id] = ops
-	}
-	return n
-}
-
 // Clone returns a deep copy of the memory image. The one-entry page
 // lookup cache is reset rather than rebased; it refills on first access
 // and has no observable effect beyond lookup speed.
@@ -52,7 +42,7 @@ func (v *VM) Clone() *VM {
 		Prog:       v.Prog,
 		Mem:        v.Mem.Clone(),
 		Partitions: v.Partitions,
-		Stats:      v.Stats.clone(),
+		Stats:      v.Stats, // counters and a value array only
 		threads:    make([]*Thread, len(v.threads)),
 		code:       v.code,
 	}

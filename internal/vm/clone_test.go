@@ -14,7 +14,7 @@ func TestCloneCoversVM(t *testing.T) {
 		"Prog":       "shared: immutable after assembly",
 		"Mem":        "deep copy",
 		"Partitions": "value copy",
-		"Stats":      "deep copy (RegionOps map)",
+		"Stats":      "value copy (counters and a value array)",
 		"threads":    "deep copy (Thread holds only scalars and value arrays)",
 		"code":       "shared: immutable decode of Prog",
 		"dynSlab":    "reset: pure allocation cache, refills on demand",
@@ -60,7 +60,6 @@ func TestCloneCoversOpStats(t *testing.T) {
 		"VecInstrs":    "value copy",
 		"VecElemOps":   "value copy",
 		"VLHist":       "value copy (array)",
-		"RegionOps":    "deep copy",
 	})
 }
 

@@ -64,7 +64,6 @@ type OpStats struct {
 	VecInstrs    int64
 	VecElemOps   int64
 	VLHist       [isa.MaxVL + 1]int64
-	RegionOps    map[int64]int64
 }
 
 // RegisterMetrics registers the operation census on r (scoped to
@@ -178,7 +177,6 @@ func New(prog *asm.Program, numThreads int) (*VM, error) {
 		threads:    make([]*Thread, numThreads),
 		code:       prog.Code,
 	}
-	v.Stats.RegionOps = make(map[int64]int64)
 	for i := range v.threads {
 		t := &Thread{ID: i}
 		t.IntRegs[asm.RegTID.Index()] = uint64(i)
@@ -266,10 +264,8 @@ func (v *VM) StepReusing(tid int, d *Dyn) (*Dyn, error) {
 		v.Stats.VecInstrs++
 		v.Stats.VecElemOps += int64(t.VL)
 		v.Stats.VLHist[t.VL]++
-		v.Stats.RegionOps[t.Region] += int64(t.VL)
 	} else {
 		v.Stats.ScalarInstrs++
-		v.Stats.RegionOps[t.Region]++
 	}
 
 	if err := v.exec(t, in, d); err != nil {

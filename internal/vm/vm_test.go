@@ -404,6 +404,10 @@ func TestOpStats(t *testing.T) {
 	v := mustVM(t, b, 1)
 	run(t, v)
 	s := &v.Stats
+	// Two MARKs, two MOVIs, two SETVLs and the HALT.
+	if s.ScalarInstrs != 7 {
+		t.Errorf("ScalarInstrs = %d, want 7", s.ScalarInstrs)
+	}
 	if s.VecInstrs != 3 {
 		t.Errorf("VecInstrs = %d, want 3", s.VecInstrs)
 	}
@@ -417,12 +421,11 @@ func TestOpStats(t *testing.T) {
 	if len(common) != 2 || common[0] != 16 || common[1] != 4 {
 		t.Errorf("CommonVLs = %v, want [16 4]", common)
 	}
-	if s.PercentVect() <= 0 || s.PercentVect() >= 100 {
-		t.Errorf("PercentVect = %v out of range", s.PercentVect())
+	if s.VLHist[16] != 2 || s.VLHist[4] != 1 {
+		t.Errorf("VLHist[16], VLHist[4] = %d, %d, want 2, 1", s.VLHist[16], s.VLHist[4])
 	}
-	// Region 1 should hold the VL=16 ops (32 element ops + scalars).
-	if s.RegionOps[1] < 32 {
-		t.Errorf("RegionOps[1] = %d, want >= 32", s.RegionOps[1])
+	if got := s.PercentVect(); got != 100*36.0/43 {
+		t.Errorf("PercentVect = %v, want %v", got, 100*36.0/43)
 	}
 }
 
