@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -55,12 +56,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usageErr("unexpected argument %q", fs.Arg(0))
 	}
 	// -fig N and -tab N select the catalogue's figureN and tableN, -ext
-	// its extension studies.
+	// its extension studies; selector is the first of them given.
 	var selected []vlt.Experiment
+	var selector string
 	for _, sel := range []struct {
-		kind string
-		n    int
-	}{{"figure", *fig}, {"table", *tab}} {
+		flag, kind string
+		n          int
+	}{{"-fig", "figure", *fig}, {"-tab", "table", *tab}} {
 		if sel.n == 0 {
 			continue
 		}
@@ -69,6 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return usageErr("no %s %d (have %ss %s)", sel.kind, sel.n, sel.kind, strings.Join(catalogued(sel.kind), ", "))
 		}
 		selected = append(selected, e)
+		selector = cmp.Or(selector, sel.flag)
 	}
 	if *ext {
 		for _, e := range vlt.Experiments() {
@@ -76,6 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				selected = append(selected, e)
 			}
 		}
+		selector = cmp.Or(selector, "-ext")
 	}
 	if *scale < 1 {
 		return usageErr("-scale %d: want a positive problem size multiplier", *scale)
@@ -83,9 +87,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *jobs < 0 {
 		return usageErr("-jobs %d: want 0 (GOMAXPROCS) or a positive worker count", *jobs)
 	}
-
-	if len(selected) == 0 && !*jsonOut && *metricsFor == "" {
-		*all = true
+	// -all, -json, -metrics and the selectors (which combine) are
+	// exclusive modes, and -machine belongs to -metrics.
+	var modes []string
+	for _, m := range []struct {
+		flag string
+		on   bool
+	}{{"-all", *all}, {"-json", *jsonOut}, {"-metrics", *metricsFor != ""}, {selector, selector != ""}} {
+		if m.on {
+			modes = append(modes, m.flag)
+		}
+	}
+	if len(modes) > 1 {
+		return usageErr("%s and %s are mutually exclusive", modes[0], modes[1])
+	}
+	machineSet := false
+	fs.Visit(func(f *flag.Flag) { machineSet = machineSet || f.Name == "machine" })
+	if machineSet && *metricsFor == "" {
+		return usageErr("-machine applies only to -metrics, not %s", cmp.Or(append(modes, "-all")...))
 	}
 
 	if *cpuProfile != "" {
@@ -135,17 +154,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprint(stderr, report.Diagnose("vltexp", err))
 		return 1
 	}
-	show := func(exps []vlt.Experiment) int {
-		for _, e := range exps {
-			_, text, err := e.Run(eng, *scale)
-			if err != nil {
-				return fail(err)
-			}
-			fmt.Fprintln(stdout, text)
-		}
-		return 0
-	}
-
 	if *metricsFor != "" {
 		// Machine-readable registry dump: one "name value" line per
 		// metric, sorted by name (the golden-metrics test's format).
@@ -168,15 +176,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *all {
-		// Warm the engine's memo with every driver running concurrently;
-		// printing the catalogue in order then reads memoized cells.
-		if _, err := eng.CollectAll(*scale); err != nil {
-			return fail(err)
+	if len(selected) > 0 {
+		for _, e := range selected {
+			_, text, err := e.Run(eng, *scale)
+			if err != nil {
+				return fail(err)
+			}
+			fmt.Fprintln(stdout, text)
 		}
-		return show(vlt.Experiments())
+		return 0
 	}
-	return show(selected)
+	// -all, the default: every entry at once, printed in catalogue order.
+	outs, err := eng.CollectAll(*scale)
+	if err != nil {
+		return fail(err)
+	}
+	for _, o := range outs {
+		fmt.Fprintln(stdout, o.Text)
+	}
+	return 0
 }
 
 // catalogued lists the N of every catalogue experiment named kind+N, in

@@ -44,22 +44,40 @@ func TestRunSelectorsMapToCatalogue(t *testing.T) {
 }
 
 func TestRunUsageErrors(t *testing.T) {
-	cases := [][]string{
-		{"-fig", "2"},             // the paper has no figure 2
-		{"-tab", "9"},             // tables are 1-4
-		{"-jobs", "-3"},           // negative worker count
-		{"-audit", "sometimes"},   // not auto/on/off
-		{"-tab", "1", "leftover"}, // positional args are not accepted
-		{"-scale", "0"},           // problem size multipliers start at 1
-		{"-tab", "1", "-scale", "-4"},
+	cases := []struct {
+		args  []string
+		names []string // flags the diagnostic must name
+	}{
+		{args: []string{"-fig", "2"}},             // the paper has no figure 2
+		{args: []string{"-tab", "9"}},             // tables are 1-4
+		{args: []string{"-jobs", "-3"}},           // negative worker count
+		{args: []string{"-audit", "sometimes"}},   // not auto/on/off
+		{args: []string{"-tab", "1", "leftover"}}, // positional args are not accepted
+		{args: []string{"-scale", "0"}},           // problem size multipliers start at 1
+		{args: []string{"-tab", "1", "-scale", "-4"}},
+		// -all, -json, -metrics and the selectors are exclusive modes,
+		// and -machine belongs to -metrics.
+		{[]string{"-json", "-fig", "3"}, []string{"-json", "-fig"}},
+		{[]string{"-metrics", "mxm", "-fig", "3"}, []string{"-metrics", "-fig"}},
+		{[]string{"-all", "-fig", "3"}, []string{"-all", "-fig"}},
+		{[]string{"-all", "-json"}, []string{"-all", "-json"}},
+		{[]string{"-json", "-metrics", "mxm"}, []string{"-json", "-metrics"}},
+		{[]string{"-tab", "1", "-ext", "-json"}, []string{"-json", "-tab"}},
+		{[]string{"-fig", "3", "-machine", "V4-CMT"}, []string{"-machine", "-fig"}},
+		{[]string{"-json", "-machine", "base"}, []string{"-machine", "-json"}},
 	}
-	for _, args := range cases {
+	for _, c := range cases {
 		var out, errOut strings.Builder
-		if code := run(args, &out, &errOut); code != 2 {
-			t.Errorf("%v: exit %d, want 2\nstderr: %s", args, code, errOut.String())
+		if code := run(c.args, &out, &errOut); code != 2 {
+			t.Errorf("%v: exit %d, want 2\nstderr: %s", c.args, code, errOut.String())
 		}
-		if errOut.Len() == 0 {
-			t.Errorf("%v: no usage diagnostic on stderr", args)
+		if errOut.Len() == 0 || out.Len() != 0 {
+			t.Errorf("%v: stdout %q, stderr %q; want only a usage diagnostic", c.args, out.String(), errOut.String())
+		}
+		for _, name := range c.names {
+			if !strings.Contains(errOut.String(), name) {
+				t.Errorf("%v: diagnostic does not name %s:\n%s", c.args, name, errOut.String())
+			}
 		}
 	}
 }

@@ -28,9 +28,10 @@ import (
 // Determinism: the simulator is execution-driven but fully deterministic
 // (no wall clock, no randomness, one private Machine per cell), so a
 // cell's result is a pure function of its fingerprint and an engine's
-// output does not depend on its width or its source; the drivers collect
-// futures in a fixed order, and TestParallelMatchesSerial enforces the
-// equivalence of a one-slot and a multi-slot engine for every figure.
+// output does not depend on its width or its source; every driver reaches
+// the engine through grid, which collects futures in a fixed order, and
+// TestParallelMatchesSerial enforces the equivalence of a one-slot and a
+// multi-slot engine for every catalogue entry.
 
 // CellSource produces the Result of one simulation cell for an Engine.
 // The engine calls it at most once per unique cell, concurrently across
@@ -214,14 +215,58 @@ func (e *Engine) cellDone() {
 	}
 }
 
-// wait blocks until the cell has simulated and returns its result.
-func (f *cellFuture) wait() (Result, UtilizationCounts, error) {
+// wait blocks until the cell has simulated and returns it.
+func (f *cellFuture) wait() (cell, error) {
 	if f.err != nil {
-		return Result{}, UtilizationCounts{}, f.err
+		return cell{}, f.err
 	}
-	c, err := f.task.Wait()
-	return c.res, c.raw, err
+	return f.task.Wait()
 }
+
+// column is one design point of an experiment: a machine and the options
+// its cells run with (grid sets Scale).
+type column struct {
+	m   Machine
+	opt Options
+}
+
+// on returns one default-options column per machine.
+func on(ms ...Machine) []column {
+	cols := make([]column, len(ms))
+	for i, m := range ms {
+		cols[i].m = m
+	}
+	return cols
+}
+
+// grid is every experiment driver's one path to the engine: it submits
+// the cells ws × cols at scale, workload-major, then waits for them in
+// the same order, so rows[i][j] is ws[i] on cols[j]. The first failed
+// cell fails the grid with an error naming label, the workload and the
+// column's machine.
+func (e *Engine) grid(label string, ws []*workloads.Workload, scale int, cols ...column) ([][]cell, error) {
+	futs := make([]*cellFuture, 0, len(ws)*len(cols))
+	for _, w := range ws {
+		for _, c := range cols {
+			c.opt.Scale = scale
+			futs = append(futs, e.submit(w.Name, c.m, c.opt))
+		}
+	}
+	rows := make([][]cell, len(ws))
+	for i, w := range ws {
+		rows[i] = make([]cell, len(cols))
+		for j, c := range cols {
+			var err error
+			if rows[i][j], err = futs[i*len(cols)+j].wait(); err != nil {
+				return nil, fmt.Errorf("%s (%s, %s): %w", label, w.Name, c.m, err)
+			}
+		}
+	}
+	return rows, nil
+}
+
+// speedup is how many times faster cell x ran than cell base.
+func speedup(base, x cell) float64 { return float64(base.res.Cycles) / float64(x.res.Cycles) }
 
 // simulateCell is every simulation's entry point (Run and NewEngine's
 // source), indirect so tests can substitute a panicking implementation

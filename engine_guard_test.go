@@ -26,7 +26,7 @@ func TestEngineIsolatesPanickingCell(t *testing.T) {
 		bad := eng.submit("poison", MachineBase, Options{})
 		good := eng.submit("mxm", MachineBase, Options{SkipVerify: true})
 
-		_, _, err := bad.wait()
+		_, err := bad.wait()
 		var pe *runner.PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("jobs=%d: want *runner.PanicError, got %T: %v", jobs, err, err)
@@ -37,9 +37,9 @@ func TestEngineIsolatesPanickingCell(t *testing.T) {
 		if len(pe.Stack) == 0 {
 			t.Errorf("jobs=%d: panic carries no stack", jobs)
 		}
-		res, _, err := good.wait()
-		if err != nil || res.Cycles == 0 {
-			t.Errorf("jobs=%d: sibling cell broken by panic: %v (cycles %d)", jobs, err, res.Cycles)
+		c, err := good.wait()
+		if err != nil || c.res.Cycles == 0 {
+			t.Errorf("jobs=%d: sibling cell broken by panic: %v (cycles %d)", jobs, err, c.res.Cycles)
 		}
 	}
 }
@@ -49,7 +49,7 @@ func TestEngineIsolatesPanickingCell(t *testing.T) {
 func TestEngineSetGuardAppliesToCells(t *testing.T) {
 	eng := NewEngine(1)
 	eng.SetGuard(2, AuditOff) // 2 cycles without retirement: trips in the cold start
-	_, _, err := eng.submit("mxm", MachineBase, Options{SkipVerify: true}).wait()
+	_, err := eng.submit("mxm", MachineBase, Options{SkipVerify: true}).wait()
 	var stall *guard.StallError
 	if !errors.As(err, &stall) {
 		t.Fatalf("want *guard.StallError, got %T: %v", err, err)

@@ -1,15 +1,18 @@
 package vlt
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
 // TestParallelMatchesSerial is the engine's differential regression: the
 // shared multi-slot test engine must produce results identical to a
-// one-slot engine, which simulates one cell at a time, for every figure,
-// table and extension study. Any data race or cross-run state leak in
-// the simulator would show up here (and under -race).
+// one-slot engine, which simulates one cell at a time, for every
+// catalogue entry: its dataset and its rendered text. Any data race or
+// cross-run state leak in the simulator would show up here (and under
+// -race).
 func TestParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
@@ -24,9 +27,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The one-slot engine starts empty, so its sweep proves the figures
-	// share cells (each workload's base-machine run is requested by
-	// Figures 1, 3, 4, 5 and Table 4 alike): 127 requests, 78 simulated.
+	// The one-slot engine starts empty, so its sweep proves every entry
+	// runs its driver once and the figures share cells (each workload's
+	// base-machine run is requested by Figures 1, 3, 4, 5 and Table 4
+	// alike): 127 requests, 78 simulated.
 	if st := serial.Stats(); st.Submitted != 127 || st.Unique != 78 || st.Hits != st.Submitted-st.Unique {
 		t.Errorf("one-slot sweep stats %+v, want 127 submitted, 78 unique, the rest hits", st)
 	}
@@ -34,22 +38,49 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cmp := range []struct {
-		name      string
-		got, want any
-	}{
-		{"table4", got.Table4, want.Table4},
-		{"figure1", got.Figure1, want.Figure1},
-		{"figure3", got.Figure3, want.Figure3},
-		{"figure4", got.Figure4, want.Figure4},
-		{"figure5", got.Figure5, want.Figure5},
-		{"figure6", got.Figure6, want.Figure6},
-		{"extension16Lanes", got.Extension16Lanes, want.Extension16Lanes},
-		{"extensionPhaseSwitching", got.ExtensionPhaseSwtch, want.ExtensionPhaseSwtch},
-	} {
-		if !reflect.DeepEqual(cmp.got, cmp.want) {
-			t.Errorf("%s: parallel engine diverges from one-slot engine\nparallel: %+v\nserial:   %+v",
-				cmp.name, cmp.got, cmp.want)
+	if len(got) != len(catalogue) || len(want) != len(catalogue) {
+		t.Fatalf("CollectAll returned %d (parallel) and %d (one-slot) entries, want %d", len(got), len(want), len(catalogue))
+	}
+	for i, x := range catalogue {
+		g, w := got[i], want[i]
+		if g.Name != x.Name || w.Name != x.Name {
+			t.Errorf("entry %d named %q (parallel), %q (one-slot), want %q", i, g.Name, w.Name, x.Name)
+		}
+		if !reflect.DeepEqual(g.Data, w.Data) {
+			t.Errorf("%s: parallel engine's data diverges from the one-slot engine's\nparallel: %+v\nserial:   %+v",
+				x.Name, g.Data, w.Data)
+		}
+		if g.Text != w.Text || g.Text == "" {
+			t.Errorf("%s: parallel engine renders\n%s\none-slot engine renders\n%s", x.Name, g.Text, w.Text)
+		}
+	}
+}
+
+// TestDriverErrorsNameTheCell: when one cell fails, every catalogue entry
+// that needs it fails with an error naming the entry, the workload and
+// the machine, and every other entry still succeeds. The source is a fake
+// (every other cell takes one cycle), so nothing is simulated.
+func TestDriverErrorsNameTheCell(t *testing.T) {
+	eng := NewEngineFrom(func(w string, m Machine, opt Options) (Result, error) {
+		if w == "trfd" && m == MachineV4CMP {
+			return Result{}, errors.New("injected failure")
+		}
+		return Result{Workload: w, Machine: m, Cycles: 1}, nil
+	})
+	needs := map[string]bool{"figure3": true, "figure4": true, "figure5": true}
+	for _, x := range Experiments() {
+		_, _, err := x.Run(eng, 1)
+		switch {
+		case !needs[x.Name] && err != nil:
+			t.Errorf("%s does not need trfd on V4-CMP but failed: %v", x.Name, err)
+		case needs[x.Name] && err == nil:
+			t.Errorf("%s needs trfd on V4-CMP but succeeded", x.Name)
+		case err != nil:
+			for _, want := range []string{x.Name, "trfd", string(MachineV4CMP), "injected failure"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s: error %q does not name %q", x.Name, err, want)
+				}
+			}
 		}
 	}
 }
@@ -128,19 +159,19 @@ func TestEngineAliasedCells(t *testing.T) {
 	eng := NewEngine(2)
 	a := eng.submit("bt", MachineBase, Options{Scale: 1})
 	b := eng.submit("bt", MachineBase, Options{Scale: 1, Lanes: 8})
-	ra, _, err := a.wait()
+	ra, err := a.wait()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, _, err := b.wait()
+	rb, err := b.wait()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := eng.Stats(); st.Unique != 1 || st.Hits != 1 {
 		t.Errorf("aliased options did not coalesce: %+v", st)
 	}
-	if ra.Cycles != rb.Cycles {
-		t.Errorf("aliased cells disagree: %d vs %d cycles", ra.Cycles, rb.Cycles)
+	if ra.res.Cycles != rb.res.Cycles {
+		t.Errorf("aliased cells disagree: %d vs %d cycles", ra.res.Cycles, rb.res.Cycles)
 	}
 }
 
@@ -150,11 +181,11 @@ func TestEngineErrorPropagation(t *testing.T) {
 	for _, jobs := range []int{1, 4} {
 		eng := NewEngine(jobs)
 		f := eng.submit("nosuch", MachineBase, Options{Scale: 1})
-		if _, _, err := f.wait(); err == nil {
+		if _, err := f.wait(); err == nil {
 			t.Errorf("jobs=%d: unknown workload did not error", jobs)
 		}
 		g := eng.submit("mxm", Machine("bogus"), Options{Scale: 1})
-		if _, _, err := g.wait(); err == nil {
+		if _, err := g.wait(); err == nil {
 			t.Errorf("jobs=%d: unknown machine did not error", jobs)
 		}
 	}

@@ -34,29 +34,20 @@ type Figure1Data struct {
 // applications (paper Figure 1).
 func (e *Engine) Figure1(scale int) (Figure1Data, error) {
 	ws := workloads.All()
-	futs := make([][]*cellFuture, len(ws))
-	for i, w := range ws {
-		for _, lanes := range Figure1Lanes {
-			futs[i] = append(futs[i], e.submit(w.Name, MachineBase, Options{Scale: scale, Lanes: lanes}))
-		}
+	var cols []column
+	for _, lanes := range Figure1Lanes {
+		cols = append(cols, column{MachineBase, Options{Lanes: lanes}})
 	}
+	rows, err := e.grid("figure1", ws, scale, cols...)
 	var data Figure1Data
-	for i, w := range ws {
-		row := Figure1Row{Workload: w.Name}
-		var base uint64
-		for j, lanes := range Figure1Lanes {
-			res, _, err := futs[i][j].wait()
-			if err != nil {
-				return data, fmt.Errorf("figure 1 (%s, %d lanes): %w", w.Name, lanes, err)
-			}
-			if lanes == 1 {
-				base = res.Cycles
-			}
-			row.Speedup = append(row.Speedup, float64(base)/float64(res.Cycles))
+	for i, row := range rows {
+		r := Figure1Row{Workload: ws[i].Name}
+		for _, c := range row {
+			r.Speedup = append(r.Speedup, speedup(row[0], c)) // Figure1Lanes[0] is 1
 		}
-		data.Rows = append(data.Rows, row)
+		data.Rows = append(data.Rows, r)
 	}
-	return data, nil
+	return data, err
 }
 
 // String renders Figure 1 as a table.
@@ -92,36 +83,12 @@ type Figure3Data struct {
 // Figure 3).
 func (e *Engine) Figure3(scale int) (Figure3Data, error) {
 	ws := workloads.ShortVectorSet()
-	type rowFuts struct{ base, v2, v4 *cellFuture }
-	futs := make([]rowFuts, len(ws))
-	for i, w := range ws {
-		futs[i] = rowFuts{
-			base: e.submit(w.Name, MachineBase, Options{Scale: scale}),
-			v2:   e.submit(w.Name, MachineV2CMP, Options{Scale: scale}),
-			v4:   e.submit(w.Name, MachineV4CMP, Options{Scale: scale}),
-		}
-	}
+	rows, err := e.grid("figure3", ws, scale, on(MachineBase, MachineV2CMP, MachineV4CMP)...)
 	var data Figure3Data
-	for i, w := range ws {
-		base, _, err := futs[i].base.wait()
-		if err != nil {
-			return data, fmt.Errorf("figure 3 (%s base): %w", w.Name, err)
-		}
-		v2, _, err := futs[i].v2.wait()
-		if err != nil {
-			return data, fmt.Errorf("figure 3 (%s V2): %w", w.Name, err)
-		}
-		v4, _, err := futs[i].v4.wait()
-		if err != nil {
-			return data, fmt.Errorf("figure 3 (%s V4): %w", w.Name, err)
-		}
-		data.Rows = append(data.Rows, Figure3Row{
-			Workload: w.Name,
-			V2:       float64(base.Cycles) / float64(v2.Cycles),
-			V4:       float64(base.Cycles) / float64(v4.Cycles),
-		})
+	for i, c := range rows {
+		data.Rows = append(data.Rows, Figure3Row{Workload: ws[i].Name, V2: speedup(c[0], c[1]), V4: speedup(c[0], c[2])})
 	}
-	return data, nil
+	return data, err
 }
 
 // String renders Figure 3 as a table.
@@ -163,35 +130,16 @@ type Figure4Data struct {
 // base and VLT configurations (paper Figure 4).
 func (e *Engine) Figure4(scale int) (Figure4Data, error) {
 	ws := workloads.ShortVectorSet()
-	figure4Machines := []Machine{MachineBase, MachineV2CMP, MachineV4CMP}
-	futs := make([][]*cellFuture, len(ws))
-	for i, w := range ws {
-		for _, m := range figure4Machines {
-			futs[i] = append(futs[i], e.submit(w.Name, m, Options{Scale: scale}))
-		}
-	}
+	rows, err := e.grid("figure4", ws, scale, on(MachineBase, MachineV2CMP, MachineV4CMP)...)
 	var data Figure4Data
-	for i, w := range ws {
-		row := Figure4Row{Workload: w.Name}
-		for j, cfg := range []struct {
-			m    Machine
-			dst  *UtilizationCounts
-			cycs *uint64
-		}{
-			{MachineBase, &row.Base, &row.BaseCyc},
-			{MachineV2CMP, &row.V2, &row.V2Cyc},
-			{MachineV4CMP, &row.V4, &row.V4Cyc},
-		} {
-			res, raw, err := futs[i][j].wait()
-			if err != nil {
-				return data, fmt.Errorf("figure 4 (%s, %s): %w", w.Name, cfg.m, err)
-			}
-			*cfg.dst = raw
-			*cfg.cycs = res.Cycles
-		}
-		data.Rows = append(data.Rows, row)
+	for i, c := range rows {
+		data.Rows = append(data.Rows, Figure4Row{
+			Workload: ws[i].Name,
+			Base:     c[0].raw, V2: c[1].raw, V4: c[2].raw,
+			BaseCyc: c[0].res.Cycles, V2Cyc: c[1].res.Cycles, V4Cyc: c[2].res.Cycles,
+		})
 	}
-	return data, nil
+	return data, err
 }
 
 // String renders Figure 4 as a table of percentages of the base total
@@ -238,34 +186,16 @@ type Figure5Data struct {
 // heterogeneous (CMP-h) scalar units.
 func (e *Engine) Figure5(scale int) (Figure5Data, error) {
 	ws := workloads.ShortVectorSet()
-	type rowFuts struct {
-		base *cellFuture
-		cfgs []*cellFuture
-	}
-	futs := make([]rowFuts, len(ws))
-	for i, w := range ws {
-		futs[i].base = e.submit(w.Name, MachineBase, Options{Scale: scale})
-		for _, m := range Figure5Configs {
-			futs[i].cfgs = append(futs[i].cfgs, e.submit(w.Name, m, Options{Scale: scale}))
-		}
-	}
+	rows, err := e.grid("figure5", ws, scale, on(append([]Machine{MachineBase}, Figure5Configs...)...)...)
 	var data Figure5Data
-	for i, w := range ws {
-		base, _, err := futs[i].base.wait()
-		if err != nil {
-			return data, fmt.Errorf("figure 5 (%s base): %w", w.Name, err)
-		}
-		row := Figure5Row{Workload: w.Name, Speedup: map[Machine]float64{}}
+	for i, c := range rows {
+		r := Figure5Row{Workload: ws[i].Name, Speedup: map[Machine]float64{}}
 		for j, m := range Figure5Configs {
-			res, _, err := futs[i].cfgs[j].wait()
-			if err != nil {
-				return data, fmt.Errorf("figure 5 (%s, %s): %w", w.Name, m, err)
-			}
-			row.Speedup[m] = float64(base.Cycles) / float64(res.Cycles)
+			r.Speedup[m] = speedup(c[0], c[j+1])
 		}
-		data.Rows = append(data.Rows, row)
+		data.Rows = append(data.Rows, r)
 	}
-	return data, nil
+	return data, err
 }
 
 // String renders Figure 5 as a table.
@@ -303,32 +233,17 @@ type Figure6Data struct {
 // non-vectorizable workloads (paper Figure 6).
 func (e *Engine) Figure6(scale int) (Figure6Data, error) {
 	ws := workloads.ScalarSet()
-	type rowFuts struct{ vlt, cmt *cellFuture }
-	futs := make([]rowFuts, len(ws))
-	for i, w := range ws {
-		futs[i] = rowFuts{
-			vlt: e.submit(w.Name, MachineVLTScalar, Options{Scale: scale}),
-			cmt: e.submit(w.Name, MachineCMT, Options{Scale: scale}),
-		}
-	}
+	rows, err := e.grid("figure6", ws, scale, on(MachineVLTScalar, MachineCMT)...)
 	var data Figure6Data
-	for i, w := range ws {
-		vltRes, _, err := futs[i].vlt.wait()
-		if err != nil {
-			return data, fmt.Errorf("figure 6 (%s VLT): %w", w.Name, err)
-		}
-		cmtRes, _, err := futs[i].cmt.wait()
-		if err != nil {
-			return data, fmt.Errorf("figure 6 (%s CMT): %w", w.Name, err)
-		}
+	for i, c := range rows {
 		data.Rows = append(data.Rows, Figure6Row{
-			Workload:   w.Name,
-			VLTOverCMT: float64(cmtRes.Cycles) / float64(vltRes.Cycles),
-			VLTCycles:  vltRes.Cycles,
-			CMTCycles:  cmtRes.Cycles,
+			Workload:   ws[i].Name,
+			VLTOverCMT: speedup(c[1], c[0]),
+			VLTCycles:  c[0].res.Cycles,
+			CMTCycles:  c[1].res.Cycles,
 		})
 	}
-	return data, nil
+	return data, err
 }
 
 // String renders Figure 6 as a table.
@@ -435,20 +350,17 @@ type Table4Row struct {
 	PaperOppPct         float64
 }
 
+// Table4Data is the full Table 4 dataset, one row per workload.
+type Table4Data []Table4Row
+
 // Table4 measures each workload's operation census and VLT opportunity on
 // the base processor and pairs it with the paper's Table 4.
-func (e *Engine) Table4(scale int) ([]Table4Row, error) {
+func (e *Engine) Table4(scale int) (Table4Data, error) {
 	ws := workloads.All()
-	futs := make([]*cellFuture, len(ws))
-	for i, w := range ws {
-		futs[i] = e.submit(w.Name, MachineBase, Options{Scale: scale})
-	}
-	var out []Table4Row
-	for i, w := range ws {
-		res, _, err := futs[i].wait()
-		if err != nil {
-			return nil, fmt.Errorf("table 4 (%s): %w", w.Name, err)
-		}
+	rows, err := e.grid("table4", ws, scale, on(MachineBase)...)
+	var out Table4Data
+	for i, c := range rows {
+		w, res := ws[i], c[0].res
 		out = append(out, Table4Row{
 			Workload:            w.Name,
 			Class:               w.Class.String(),
@@ -462,23 +374,25 @@ func (e *Engine) Table4(scale int) ([]Table4Row, error) {
 			PaperOppPct:         w.Paper.OpportunityPct,
 		})
 	}
-	return out, nil
+	return out, err
 }
 
-// Table4String renders Table 4 (measured vs paper).
+// Table4String runs Table4 and renders it.
 func (e *Engine) Table4String(scale int) (string, error) {
-	rows, err := e.Table4(scale)
-	if err != nil {
-		return "", err
-	}
+	d, err := e.Table4(scale)
+	return d.String(), err
+}
+
+// String renders Table 4 (measured vs paper).
+func (d Table4Data) String() string {
 	t := report.NewTable("Table 4: application characteristics (measured | paper)",
 		"workload", "%vect", "avg VL", "common VLs", "%opportunity")
-	for _, r := range rows {
+	for _, r := range d {
 		t.Row(r.Workload,
 			fmt.Sprintf("%.0f | %.0f", r.MeasuredPercentVect, r.PaperPercentVect),
 			fmt.Sprintf("%.1f | %.1f", r.MeasuredAvgVL, r.PaperAvgVL),
 			fmt.Sprintf("%v | %v", r.MeasuredCommonVLs, r.PaperCommonVLs),
 			fmt.Sprintf("%.0f | %.0f", r.MeasuredOppPct, r.PaperOppPct))
 	}
-	return t.String(), nil
+	return t.String()
 }

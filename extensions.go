@@ -1,8 +1,6 @@
 package vlt
 
 import (
-	"fmt"
-
 	"vlt/internal/report"
 	"vlt/internal/workloads"
 )
@@ -33,39 +31,14 @@ type Ext16Data struct {
 // the speedup VLT recovers should grow.
 func (e *Engine) Extension16Lanes(scale int) (Ext16Data, error) {
 	ws := workloads.ShortVectorSet()
-	ext16Lanes := []int{8, 16}
-	type pair struct{ base, v4 *cellFuture }
-	futs := make([][]pair, len(ws))
-	for i, w := range ws {
-		for _, lanes := range ext16Lanes {
-			futs[i] = append(futs[i], pair{
-				base: e.submit(w.Name, MachineBase, Options{Scale: scale, Lanes: lanes}),
-				v4:   e.submit(w.Name, MachineV4CMT, Options{Scale: scale, Lanes: lanes}),
-			})
-		}
-	}
+	rows, err := e.grid("ext16lanes", ws, scale,
+		column{MachineBase, Options{Lanes: 8}}, column{MachineV4CMT, Options{Lanes: 8}},
+		column{MachineBase, Options{Lanes: 16}}, column{MachineV4CMT, Options{Lanes: 16}})
 	var data Ext16Data
-	for i, w := range ws {
-		row := Ext16Row{Workload: w.Name}
-		for j, lanes := range ext16Lanes {
-			base, _, err := futs[i][j].base.wait()
-			if err != nil {
-				return data, fmt.Errorf("ext16 (%s base %dL): %w", w.Name, lanes, err)
-			}
-			v4, _, err := futs[i][j].v4.wait()
-			if err != nil {
-				return data, fmt.Errorf("ext16 (%s V4 %dL): %w", w.Name, lanes, err)
-			}
-			s := float64(base.Cycles) / float64(v4.Cycles)
-			if lanes == 8 {
-				row.SpeedupAt8 = s
-			} else {
-				row.SpeedupAt16 = s
-			}
-		}
-		data.Rows = append(data.Rows, row)
+	for i, c := range rows {
+		data.Rows = append(data.Rows, Ext16Row{Workload: ws[i].Name, SpeedupAt8: speedup(c[0], c[1]), SpeedupAt16: speedup(c[2], c[3])})
 	}
-	return data, nil
+	return data, err
 }
 
 // String renders the 16-lane study.
@@ -98,32 +71,18 @@ type ExtReclaimData struct {
 // all lanes (and full vector length) instead of one thread's partition.
 func (e *Engine) ExtensionPhaseSwitching(scale int) (ExtReclaimData, error) {
 	ws := workloads.ShortVectorSet()
-	type pair struct{ re, st *cellFuture }
-	futs := make([]pair, len(ws))
-	for i, w := range ws {
-		futs[i] = pair{
-			re: e.submit(w.Name, MachineV4CMT, Options{Scale: scale}),
-			st: e.submit(w.Name, MachineV4CMT, Options{Scale: scale, NoLaneReclaim: true}),
-		}
-	}
+	rows, err := e.grid("extphase", ws, scale,
+		column{MachineV4CMT, Options{}}, column{MachineV4CMT, Options{NoLaneReclaim: true}})
 	var data ExtReclaimData
-	for i, w := range ws {
-		re, _, err := futs[i].re.wait()
-		if err != nil {
-			return data, fmt.Errorf("reclaim (%s): %w", w.Name, err)
-		}
-		st, _, err := futs[i].st.wait()
-		if err != nil {
-			return data, fmt.Errorf("static (%s): %w", w.Name, err)
-		}
+	for i, c := range rows {
 		data.Rows = append(data.Rows, ExtReclaimRow{
-			Workload:       w.Name,
-			CyclesReclaim:  re.Cycles,
-			CyclesStatic:   st.Cycles,
-			ReclaimSpeedup: float64(st.Cycles) / float64(re.Cycles),
+			Workload:       ws[i].Name,
+			CyclesReclaim:  c[0].res.Cycles,
+			CyclesStatic:   c[1].res.Cycles,
+			ReclaimSpeedup: speedup(c[1], c[0]),
 		})
 	}
-	return data, nil
+	return data, err
 }
 
 // String renders the phase-switching study.

@@ -1,6 +1,8 @@
 package vlt
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -111,6 +113,9 @@ func TestTable4StringRendering(t *testing.T) {
 	}
 }
 
+// TestCollectAllAndJSON pins the -json export byte for byte: the text
+// `vltexp -json` prints is MarshalAll's output and a newline. Regenerate
+// with `go test -run TestCollectAllAndJSON -update .`.
 func TestCollectAllAndJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
@@ -119,13 +124,20 @@ func TestCollectAllAndJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := string(data)
-	for _, want := range []string{
-		`"table2"`, `"figure6"`, `"extensionPhaseSwitching"`,
-		`"Workload": "mxm"`, `"Config": "V4-CMT"`,
-	} {
-		if !strings.Contains(s, want) {
-			t.Errorf("JSON export missing %q", want)
+	got := string(data) + "\n"
+	golden := filepath.Join("testdata", "expall_json.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
 		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to generate)", err)
+	}
+	if got != string(want) {
+		t.Errorf("MarshalAll(1) (%d bytes) drifted from %s (%d bytes): diff it against `vltexp -json`, and regenerate with -update if intended",
+			len(got), golden, len(want))
 	}
 }

@@ -28,8 +28,8 @@ echo "== benchmark module tests (expall.golden, run/experiment body digests, vlt
 # digests, so byte-identity gates every change.
 (cd bench && go test ./...)
 
-echo "== golden metrics (testdata/metrics_base_mxm.golden)"
-go test -run TestGoldenMetrics .
+echo "== goldens (testdata/metrics_base_mxm.golden, testdata/expall_json.golden)"
+go test -v -run 'TestGoldenMetrics|TestCollectAllAndJSON' .
 
 echo "== fuzz smoke (5s per target)"
 go test -run='^$' -fuzz=FuzzAssemble -fuzztime=5s ./internal/asm

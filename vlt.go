@@ -10,12 +10,15 @@
 //     the paper's machine configurations and collect timing, utilization
 //     and verification results;
 //   - Engine: regenerate every table and figure of the paper's evaluation
-//     (Engine.Figure1..Figure6, Engine.Table4, the extension studies and
-//     Engine.CollectAll). NewEngine(jobs) runs at most jobs simulations at
-//     once and memoizes each unique cell for the engine's lifetime;
-//     NewEngineFrom memoizes over another CellSource (vltd's cache tiers);
+//     (Engine.Figure1..Figure6, Engine.Table4 and the extension studies).
+//     NewEngine(jobs) runs at most jobs simulations at once and memoizes
+//     each unique cell for the engine's lifetime; NewEngineFrom memoizes
+//     over another CellSource (vltd's cache tiers);
 //   - Experiments: the catalogue of every table, figure and extension
-//     study by name, in print order (what vltexp prints and vltd serves);
+//     study by name, in print order (what vltexp prints and vltd serves).
+//     Engine.CollectAll runs every entry at once and returns each one's
+//     dataset and text in catalogue order; Engine.MarshalAll exports the
+//     datasets as one JSON object;
 //   - Table1..Table3: the paper's static tables;
 //   - Machines, Workloads: enumerate the available configurations.
 //
