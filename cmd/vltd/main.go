@@ -92,16 +92,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			}
 			urls[i] = u
 		}
-		fcfg := fleet.Config{
+		s.SetFleet(fleet.New(fleet.Config{
 			Peers:    urls,
 			Registry: s.Registry().Scope("fleet"),
-		}
-		if st != nil {
-			// A degraded node consults its persistent tier before
-			// re-simulating a peer-owned cell.
-			fcfg.Disk = st.Get
-		}
-		s.SetFleet(fleet.New(fcfg))
+		}))
 		fmt.Fprintf(stdout, "vltd: fleet of %d peers: %s\n", len(urls), strings.Join(urls, ", "))
 	}
 	hs := &http.Server{Handler: s.Handler()}

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"regexp"
@@ -16,7 +17,9 @@ import (
 	"testing"
 	"time"
 
+	"vlt"
 	"vlt/internal/api"
+	"vlt/internal/fleet"
 	"vlt/internal/netfault"
 	"vlt/internal/vltclient"
 )
@@ -204,28 +207,15 @@ func TestChaosSweep(t *testing.T) {
 		t.Fatalf("trailer: %d cells, %d errors; want 4 cells, 0 errors", trailer.Cells, trailer.Errors)
 	}
 
-	resp, err := http.Get(coordURL + "/metricsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics := map[string]uint64{}
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		var name string
-		var v uint64
-		if _, err := fmt.Sscanf(sc.Text(), "fleet.%s %d", &name, &v); err == nil {
-			metrics[name] = v
-		}
-	}
-	resp.Body.Close()
+	metrics := scrapeMetrics(t, coordURL)
 	// The FNV shard map keeps three cells on the coordinator and sends
 	// one (sage/base) to the peer, which arrives remotely or, when the
 	// faults exhaust its retries, through the coordinator's fallbacks.
-	if metrics["local"] != 3 {
-		t.Errorf("fleet.local = %d, want 3 (metrics %v)", metrics["local"], metrics)
+	if metrics["fleet.local"] != 3 {
+		t.Errorf("fleet.local = %d, want 3 (metrics %v)", metrics["fleet.local"], metrics)
 	}
-	if n := metrics["remote"] + metrics["fallback"] + metrics["disk"]; n != 1 {
-		t.Errorf("fleet.remote + fleet.fallback + fleet.disk = %d, want 1 (metrics %v)", n, metrics)
+	if n := metrics["fleet.remote"] + metrics["fleet.fallback"]; n != 1 {
+		t.Errorf("fleet.remote + fleet.fallback = %d, want 1 (metrics %v)", n, metrics)
 	}
 
 	stopDaemon(t, coordSig, coordDone, coordOut)
@@ -234,6 +224,114 @@ func TestChaosSweep(t *testing.T) {
 		if !strings.Contains(out.String(), "shutdown complete") {
 			t.Errorf("no shutdown line in:\n%s", out.String())
 		}
+	}
+}
+
+// scrapeMetrics reads a daemon's integer /metricsz lines into a map.
+func scrapeMetrics(t *testing.T, base string) map[string]uint64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metricsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	metrics := map[string]uint64{}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var name string
+		var v uint64
+		if _, err := fmt.Sscanf(sc.Text(), "%s %d", &name, &v); err == nil {
+			metrics[name] = v
+		}
+	}
+	return metrics
+}
+
+// TestDeadPeerReadsStoreOnce: a coordinator with a store whose one peer
+// is dead reads each sweep cell's store entry exactly once, at lookup,
+// before any cell is routed, and recomputes the dead peer's cells
+// locally. A fresh coordinator over the same store then serves every
+// cell from disk with no simulation, the dead peer notwithstanding.
+func TestDeadPeerReadsStoreOnce(t *testing.T) {
+	sigc := make(chan chan<- os.Signal, 2)
+	signalNotify = func(c chan<- os.Signal, _ ...os.Signal) { sigc <- c }
+	defer func() { signalNotify = nil }()
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := "http://" + ln.Addr().String()
+	ln.Close() // nothing listens: every probe and run fails
+
+	req := api.SweepRequest{
+		Workloads: []string{"mxm", "sage"},
+		Machines:  []string{"base", "V2-CMP", "V4-CMP"},
+	}
+	cells := req.Cells()
+	shard := fleet.New(fleet.Config{Peers: []string{dead}})
+	peerOwned := 0
+	for _, c := range cells {
+		key, err := vlt.CellKey(c.Workload, vlt.Machine(c.Machine), c.Options())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shard.Owner(key) == 1 {
+			peerOwned++
+		}
+	}
+	if peerOwned == 0 || peerOwned == len(cells) {
+		t.Fatalf("degenerate shard map: the peer owns %d of %d cells", peerOwned, len(cells))
+	}
+
+	sweep := func(url string) {
+		t.Helper()
+		client := vltclient.New(vltclient.Config{BaseURL: url})
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+		defer cancel()
+		trailer, err := client.Sweep(ctx, req, func(cell api.SweepCell) error {
+			if cell.Error != nil {
+				t.Errorf("%s/%s: %s", cell.Workload, cell.Machine, cell.Error.Message)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trailer.Cells != len(cells) || trailer.Errors != 0 {
+			t.Fatalf("trailer: %d cells, %d errors; want %d cells, 0 errors", trailer.Cells, trailer.Errors, len(cells))
+		}
+	}
+	dir := t.TempDir()
+	args := []string{"-addr", "127.0.0.1:0", "-store", dir, "-peers", dead}
+
+	url, sig, done, out := bootDaemon(t, args, sigc)
+	sweep(url)
+	m := scrapeMetrics(t, url)
+	if got := m["serve.store.misses"]; got != uint64(len(cells)) {
+		t.Errorf("cold sweep: serve.store.misses = %d, want %d (one read per cell)", got, len(cells))
+	}
+	if got := m["fleet.fallback"]; got != uint64(peerOwned) {
+		t.Errorf("cold sweep: fleet.fallback = %d, want %d (every dead peer's cell)", got, peerOwned)
+	}
+	if got := m["serve.flight.executed"]; got != uint64(len(cells)) {
+		t.Errorf("cold sweep: serve.flight.executed = %d, want %d", got, len(cells))
+	}
+	stopDaemon(t, sig, done, out)
+
+	url, sig, done, out = bootDaemon(t, args, sigc)
+	sweep(url)
+	m = scrapeMetrics(t, url)
+	if got := m["serve.store.hits"]; got != uint64(len(cells)) {
+		t.Errorf("restart: serve.store.hits = %d, want %d (every cell from disk)", got, len(cells))
+	}
+	if m["serve.flight.executed"] != 0 || m["fleet.fallback"] != 0 || m["serve.store.misses"] != 0 {
+		t.Errorf("restart simulated or routed: executed %d, fallback %d, store misses %d",
+			m["serve.flight.executed"], m["fleet.fallback"], m["serve.store.misses"])
+	}
+	stopDaemon(t, sig, done, out)
+	if s := out.String(); !strings.Contains(s, "0 simulations") {
+		t.Fatalf("restarted daemon simulated; shutdown line in %q", s)
 	}
 }
 

@@ -2,9 +2,47 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
+
+// TestRunJSONGolden pins -json byte for byte: the result types'
+// field names, order, omitempty and null-vs-empty slices are the wire
+// format. Regenerate with `go test ./cmd/vltsearch -run
+// TestRunJSONGolden -update` only for an intended output change.
+func TestRunJSONGolden(t *testing.T) {
+	for _, c := range []struct {
+		golden string
+		args   []string
+	}{
+		{"mpenc_exhaustive.golden", []string{"-workload", "mpenc", "-budget", "8", "-json"}},
+		{"mpenc_beam.golden", []string{"-workload", "mpenc", "-budget", "8", "-policy", "beam", "-json"}},
+	} {
+		var out, errOut strings.Builder
+		if code := run(c.args, &out, &errOut); code != 0 {
+			t.Fatalf("%v: exit %d, stderr: %s", c.args, code, errOut.String())
+		}
+		path := filepath.Join("testdata", c.golden)
+		if *updateGolden {
+			if err := os.WriteFile(path, []byte(out.String()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (run with -update to generate)", err)
+		}
+		if out.String() != string(want) {
+			t.Errorf("%v drifted from %s:\ngot:\n%s", c.args, path, out.String())
+		}
+	}
+}
 
 func TestRunText(t *testing.T) {
 	var out, errOut strings.Builder

@@ -2,7 +2,8 @@
 // vltd daemon (or a fleet coordinator node) over POST /v1/sweep and
 // renders the NDJSON stream as it arrives: one line per cell, then a
 // summary from the stream's trailer. The underlying client retries
-// transient failures with backoff, honors Retry-After, and detects a
+// transient failures with backoff (-retries times after the first
+// attempt; 0 = never), honors Retry-After, and detects a
 // truncated stream by the missing trailer — a partial sweep exits
 // nonzero instead of passing silently.
 //

@@ -32,7 +32,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	lanes := fs.Int("lanes", 0, "vector lane override (0 = machine default)")
 	threads := fs.Int("threads", 0, "software thread override (0 = workload default)")
 	timeout := fs.Duration("timeout", 10*time.Minute, "whole-sweep deadline (propagated to the server)")
-	retries := fs.Int("retries", 3, "transient-failure retry budget")
+	retries := fs.Int("retries", 3, "transient-failure retries after the first attempt (0 = none)")
 	jsonOut := fs.Bool("json", false, "emit the raw NDJSON lines instead of the table")
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: vltsweep -workloads a,b -machines x,y [flags]")
@@ -50,6 +50,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
+	if *retries < 0 {
+		fmt.Fprintf(stderr, "vltsweep: -retries %d: want 0 (no retries) or a positive count\n", *retries)
+		return 2
+	}
+	maxRetries := *retries
+	if maxRetries == 0 {
+		maxRetries = -1 // vltclient reads 0 as its default budget and a negative count as none
+	}
 	scales, err := parseScales(*scalesFlag)
 	if err != nil {
 		fmt.Fprintln(stderr, "vltsweep:", err)
@@ -65,7 +73,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	client := vltclient.New(vltclient.Config{
 		BaseURL:    strings.TrimRight(*server, "/"),
-		MaxRetries: *retries,
+		MaxRetries: maxRetries,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()

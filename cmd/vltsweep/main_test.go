@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -40,6 +41,37 @@ func TestUsageErrors(t *testing.T) {
 	}
 	if code := run([]string{"-workloads", "mxm", "-machines", "base", "positional"}, &out, &errb); code != 2 {
 		t.Fatalf("positional arg: exit %d, want 2", code)
+	}
+	errb.Reset()
+	if code := run([]string{"-workloads", "mxm", "-machines", "base", "-retries", "-1"}, &out, &errb); code != 2 {
+		t.Fatalf("negative -retries: exit %d, want 2", code)
+	}
+	if !strings.Contains(errb.String(), "-retries") {
+		t.Fatalf("negative -retries: stderr %q does not name the flag", errb.String())
+	}
+}
+
+// TestRetriesBudget: -retries N makes exactly N+1 attempts against a
+// server that always answers 503, so 0 means one attempt and no retry.
+func TestRetriesBudget(t *testing.T) {
+	for _, c := range []struct {
+		retries  string
+		attempts int64
+	}{{"0", 1}, {"1", 2}} {
+		var attempts atomic.Int64
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			attempts.Add(1)
+			w.WriteHeader(http.StatusServiceUnavailable)
+		}))
+		var out, errb bytes.Buffer
+		code := run([]string{"-server", srv.URL, "-workloads", "mxm", "-machines", "base", "-retries", c.retries}, &out, &errb)
+		srv.Close()
+		if code != 2 {
+			t.Errorf("-retries %s: exit %d, want 2 (transport failure); stderr=%q", c.retries, code, errb.String())
+		}
+		if got := attempts.Load(); got != c.attempts {
+			t.Errorf("-retries %s: %d attempts, want %d", c.retries, got, c.attempts)
+		}
 	}
 }
 

@@ -360,8 +360,9 @@ func runCell(workload string, m Machine, opt Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	metrics := make(Metrics, 0, len(res.Metrics()))
-	for _, v := range res.Metrics() {
+	snap := res.Metrics()
+	metrics := make(Metrics, 0, len(snap))
+	for _, v := range snap {
 		metrics = append(metrics, Metric{Name: v.Name, Value: v.AsFloat()})
 	}
 	out := Result{
@@ -370,10 +371,8 @@ func runCell(workload string, m Machine, opt Options) (Result, error) {
 		Threads:    threads,
 		Cycles:     res.Cycles,
 		Retired:    res.Retired,
-		VecIssued:  res.VecIssued,
-		VecElemOps: res.VecElemOps,
-		SUs:        res.SUs,
-		LaneCores:  res.LaneCore,
+		VecIssued:  snap.Uint("vcl.issued"), // absent, so 0, without a vector unit
+		VecElemOps: snap.Uint("vcl.elem_ops"),
 		Metrics:    metrics,
 	}
 	derive(&out)

@@ -6,6 +6,7 @@ import (
 	"vlt/internal/area"
 	"vlt/internal/report"
 	"vlt/internal/scalar"
+	"vlt/internal/vcl"
 	"vlt/internal/workloads"
 )
 
@@ -102,13 +103,9 @@ func (d Figure3Data) String() string {
 }
 
 // UtilizationCounts is the Figure-4 datapath-cycle census in absolute
-// datapath-cycles.
-type UtilizationCounts struct {
-	Busy, PartIdle, Stalled, AllIdle uint64
-}
-
-// Total returns the sum of all categories.
-func (u UtilizationCounts) Total() uint64 { return u.Busy + u.PartIdle + u.Stalled + u.AllIdle }
+// datapath-cycles: the vector unit's own counters, read back from a
+// run's vcl.util.* metrics.
+type UtilizationCounts = vcl.Utilization
 
 // Figure4Row is one workload's utilization breakdown on the base, VLT-2
 // and VLT-4 machines, in datapath-cycles (normalize by Base.Total() to

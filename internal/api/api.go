@@ -137,8 +137,8 @@ func RunResponseFrom(res vlt.Result) RunResponse {
 
 // Result inverts RunResponseFrom for the fields a run body carries: the
 // identity, the counts, Verified and Metrics. A vlt.Engine derives Util
-// and the Table-4 characterization from Metrics; the per-unit pipeline
-// tables (SUs, LaneCores) are not served.
+// and the Table-4 characterization from Metrics, so a decoded Result
+// equals the one the simulation returned.
 func (r RunResponse) Result() vlt.Result {
 	return vlt.Result{
 		Workload:   r.Workload,

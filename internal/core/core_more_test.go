@@ -63,32 +63,27 @@ func TestMaxCyclesGuard(t *testing.T) {
 	}
 }
 
-func TestResultSpeedupHelper(t *testing.T) {
-	base := Result{Cycles: 1000}
-	fast := Result{Cycles: 400}
-	if got := fast.Speedup(base); got != 2.5 {
-		t.Errorf("Speedup = %v, want 2.5", got)
-	}
-	var zero Result
-	if got := zero.Speedup(base); got != 0 {
-		t.Errorf("zero-cycle speedup = %v, want 0", got)
-	}
-}
-
+// TestRegionCyclesAccounting: every cycle lands in exactly one MARK
+// region of thread 0, and machine.opportunity_pct is the share outside
+// region 0.
 func TestRegionCyclesAccounting(t *testing.T) {
-	res, _, err := RunProgram(Base(8), tinyVectorProgram())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total uint64
-	for _, c := range res.RegionCycles {
-		total += c
+	res, m := runToEnd(t, Base(8), tinyVectorProgram())
+	var total, opp uint64
+	for _, id := range m.regions() {
+		total += m.regionCycles[id]
+		if id > 0 {
+			opp += m.regionCycles[id]
+		}
 	}
 	if total != res.Cycles {
 		t.Errorf("region cycles sum to %d, want total %d", total, res.Cycles)
 	}
-	if res.RegionCycles[1] == 0 {
+	if m.regionCycles[1] == 0 {
 		t.Error("no cycles attributed to region 1")
+	}
+	want := 100 * float64(opp) / float64(res.Cycles)
+	if got := res.Metrics().Float("machine.opportunity_pct"); got != want {
+		t.Errorf("machine.opportunity_pct = %v, want %v", got, want)
 	}
 }
 
@@ -104,11 +99,11 @@ func TestL2AccessorAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.VecIssued != 2 { // viota + vredsum
-		t.Errorf("VecIssued = %d, want 2", res.VecIssued)
+	if got := res.Metrics().Uint("vcl.issued"); got != 2 { // viota + vredsum
+		t.Errorf("vcl.issued = %d, want 2", got)
 	}
-	if res.VecElemOps != 16 {
-		t.Errorf("VecElemOps = %d, want 16", res.VecElemOps)
+	if got := res.Metrics().Uint("vcl.elem_ops"); got != 16 {
+		t.Errorf("vcl.elem_ops = %d, want 16", got)
 	}
 }
 
@@ -135,22 +130,15 @@ func TestHeterogeneousConfigsValidate(t *testing.T) {
 
 func TestSixteenLaneMachine(t *testing.T) {
 	prog := vectorSumProgram(64, 64)
-	r16, _, err := RunProgram(Base(16), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog8 := vectorSumProgram(64, 64)
-	r8, _, err := RunProgram(Base(8), prog8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r16, _ := runToEnd(t, Base(16), prog)
+	r8, _ := runToEnd(t, Base(8), vectorSumProgram(64, 64))
 	if r16.Cycles >= r8.Cycles {
 		t.Errorf("16 lanes (%d cycles) should beat 8 lanes (%d) on VL-64 code",
 			r16.Cycles, r8.Cycles)
 	}
 	// Utilization accounting must cover 16 lanes * 3 datapaths.
-	if r16.Util.Total() != r16.Cycles*3*16 {
-		t.Errorf("utilization total %d, want %d", r16.Util.Total(), r16.Cycles*3*16)
+	if total := utilization(r16).Total(); total != r16.Cycles*3*16 {
+		t.Errorf("utilization total %d, want %d", total, r16.Cycles*3*16)
 	}
 }
 
@@ -167,14 +155,11 @@ func TestBarrierFenceWaitsForVectorDrain(t *testing.T) {
 	b.VSt(isa.V(1), isa.R(3))
 	b.Bar()
 	b.Halt()
-	res, machine, err := RunProgram(Base(8), b.MustAssemble())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, m := runToEnd(t, Base(8), b.MustAssemble())
 	if res.Cycles == 0 {
 		t.Fatal("no cycles")
 	}
-	if got := machine.Mem.MustRead(buf + 63*8); got != 63 {
+	if got := m.VM().Mem.MustRead(buf + 63*8); got != 63 {
 		t.Errorf("store content wrong: %d", got)
 	}
 }

@@ -221,14 +221,8 @@ func TestDeterministicTiming(t *testing.T) {
 	prog1 := genProgram(rng, 2)
 	rng = rand.New(rand.NewSource(7))
 	prog2 := genProgram(rng, 2)
-	r1, _, err := RunProgram(V2CMP(), prog1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, _, err := RunProgram(V2CMP(), prog2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1, _ := runToEnd(t, V2CMP(), prog1)
+	r2, _ := runToEnd(t, V2CMP(), prog2)
 	if r1.Cycles != r2.Cycles || r1.Retired != r2.Retired {
 		t.Errorf("nondeterministic timing: %d/%d vs %d/%d cycles/retired",
 			r1.Cycles, r1.Retired, r2.Cycles, r2.Retired)

@@ -131,7 +131,11 @@ func TestWatchdogAllowsRetiringSpin(t *testing.T) {
 	cfg := Base(8)
 	cfg.StallLimit = 150
 	cfg.MaxCycles = 5000
-	res, _, err := RunProgram(cfg, loopVectorProgram(50))
+	m, err := NewMachine(cfg, loopVectorProgram(50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run()
 	if err != nil {
 		t.Fatalf("retiring loop tripped the watchdog: %v", err)
 	}
@@ -146,10 +150,7 @@ func TestAuditDoesNotPerturbTiming(t *testing.T) {
 	run := func(mode guard.AuditMode) Result {
 		cfg := Base(8)
 		cfg.Audit = mode
-		res, _, err := RunProgram(cfg, loopVectorProgram(200))
-		if err != nil {
-			t.Fatal(err)
-		}
+		res, _ := runToEnd(t, cfg, loopVectorProgram(200))
 		return res
 	}
 	on, off := run(guard.AuditOn), run(guard.AuditOff)
@@ -165,10 +166,7 @@ func TestGuardMetricsRegistered(t *testing.T) {
 	cfg := Base(8)
 	cfg.Audit = guard.AuditOn
 	cfg.AuditEvery = 8
-	res, _, err := RunProgram(cfg, tinyVectorProgram())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := runToEnd(t, cfg, tinyVectorProgram())
 	snap := res.Metrics()
 	if snap.Uint("guard.audit.enabled") != 1 {
 		t.Error("guard.audit.enabled != 1 with AuditOn")
@@ -192,8 +190,11 @@ func TestVMFaultCarriesCycle(t *testing.T) {
 	b.MovI(isa.R(1), 3) // not 8-byte aligned
 	b.Ld(isa.R(2), isa.R(1), 0)
 	b.Halt()
-	_, _, err := RunProgram(Base(8), b.MustAssemble())
-	if err == nil {
+	m, err := NewMachine(Base(8), b.MustAssemble())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err = m.Run(); err == nil {
 		t.Fatal("misaligned load did not fault")
 	}
 	var fault *vm.FaultError

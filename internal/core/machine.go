@@ -26,83 +26,28 @@ type location struct {
 	slot   int // SMT slot (SUs only)
 }
 
-// SUStat is one scalar unit's pipeline census.
-type SUStat struct {
-	ID                  int
-	Fetched             uint64
-	Dispatched          uint64
-	Issued              uint64
-	Retired             uint64
-	FetchStallBranch    uint64
-	FetchStallICache    uint64
-	DispStallROB        uint64
-	DispStallWindow     uint64
-	DispStallVIQ        uint64
-	BranchMispredictPct float64
-	L1IHitPct           float64
-	L1DHitPct           float64
-}
-
-// LaneStat is one lane core's pipeline census (lane-scalar mode).
-type LaneStat struct {
-	ID                  int
-	Fetched             uint64
-	Issued              uint64
-	Retired             uint64
-	StallOperand        uint64
-	StallMemPort        uint64
-	BranchMispredictPct float64
-	ICacheHitPct        float64
-}
-
-// Result summarizes one simulation run.
+// Result is one finished run: the configuration's name, the two
+// headline counts, and the registry snapshot taken at the end. The
+// snapshot is the run's only census — per-unit pipeline counts, the
+// Figure-4 utilization, the region opportunity and the functional
+// operation mix are read from it by name (su0.fetch.instrs,
+// vcl.util.busy, machine.opportunity_pct, vm.ops.pct_vect).
 type Result struct {
-	Config string
-	Cycles uint64
-
-	// Per-unit pipeline statistics.
-	SUs      []SUStat
-	LaneCore []LaneStat
-
-	Retired    uint64 // instructions retired, all threads
-	VecIssued  uint64
-	VecElemOps uint64
-
-	// Util is the Figure-4 datapath-cycle breakdown (vector configs).
-	Util vcl.Utilization
-
-	// RegionCycles maps region id (MARK) to cycles thread 0 spent in it;
-	// OpportunityPct is the share of cycles in regions > 0 — the paper's
-	// "% opportunity" when measured on the base configuration.
-	RegionCycles   map[int64]uint64
-	OpportunityPct float64
-
-	// Ops is the functional operation census (Table 4 inputs).
-	Ops vm.OpStats
-
-	L2BankStalls uint64
-	L2HitRate    float64
+	Config  string
+	Cycles  uint64
+	Retired uint64 // instructions retired, all threads
 
 	metrics stats.Snapshot
 	samples *stats.Sampler
 }
 
-// Metrics returns the full registry snapshot the result was assembled
-// from: every registered counter and gauge, sorted by name. This is the
-// machine-readable superset of the typed fields above.
+// Metrics returns the run's registry snapshot: every registered counter
+// and gauge, sorted by name.
 func (r Result) Metrics() stats.Snapshot { return r.metrics }
 
 // Samples returns the cycle-interval time series recorded during the
 // run, or nil when Config.SampleEvery was zero.
 func (r Result) Samples() *stats.Sampler { return r.samples }
-
-// Speedup returns base-cycles / this-run-cycles.
-func (r Result) Speedup(base Result) float64 {
-	if r.Cycles == 0 {
-		return 0
-	}
-	return float64(base.Cycles) / float64(r.Cycles)
-}
 
 // Machine is one configured processor with a loaded program.
 type Machine struct {
@@ -247,9 +192,8 @@ func DefaultSampleMetrics() []string {
 // registerMetrics builds the machine's unified metric registry: every
 // component registers its counters under a hierarchical prefix (su0.*,
 // lane3.*, vcl.*, l2.*, vm.ops.*), plus machine-level aggregates derived
-// from them. Result assembly, the machine-readable exports and the
-// time-series sampler all read from this registry; nothing is hand-wired
-// per field anymore.
+// from them. A Result is a snapshot of this registry, and the
+// time-series sampler reads from it too.
 func (m *Machine) registerMetrics() {
 	m.reg = stats.New()
 	mr := m.reg.Scope("machine")
@@ -703,71 +647,20 @@ func (m *Machine) RunUntil(stop uint64) error {
 	return nil
 }
 
-// Run simulates to completion and returns the result, assembled from
-// the metric registry: every field that used to be hand-copied from a
-// component is now read back through its registered metric, so the
-// registry is the single source of truth for all exports.
+// Run simulates to completion and returns the result: the headline
+// counts and a snapshot of the metric registry, the single source of
+// truth for every export.
 func (m *Machine) Run() (Result, error) {
 	if err := m.RunUntil(pipe.NeverDone); err != nil {
 		return Result{}, err
 	}
-	m.flushRegion()
-
-	snap := m.reg.Snapshot()
-	res := Result{
-		Config:         m.cfg.Name,
-		Cycles:         snap.Uint("machine.cycles"),
-		Retired:        snap.Uint("machine.retired"),
-		RegionCycles:   m.regionCycles,
-		Ops:            m.vm.Stats,
-		L2BankStalls:   snap.Uint("l2.bank_stalls"),
-		L2HitRate:      snap.Float("l2.hit_rate"),
-		OpportunityPct: snap.Float("machine.opportunity_pct"),
-		metrics:        snap,
-		samples:        m.sampler,
-	}
-	for i, su := range m.sus {
-		p := fmt.Sprintf("su%d.", i)
-		res.SUs = append(res.SUs, SUStat{
-			ID:                  su.ID,
-			Fetched:             snap.Uint(p + "fetch.instrs"),
-			Dispatched:          snap.Uint(p + "dispatch.instrs"),
-			Issued:              snap.Uint(p + "issue.instrs"),
-			Retired:             snap.Uint(p + "retire.instrs"),
-			FetchStallBranch:    snap.Uint(p + "fetch.stall.branch"),
-			FetchStallICache:    snap.Uint(p + "fetch.stall.icache"),
-			DispStallROB:        snap.Uint(p + "dispatch.stall.rob"),
-			DispStallWindow:     snap.Uint(p + "dispatch.stall.window"),
-			DispStallVIQ:        snap.Uint(p + "dispatch.stall.viq"),
-			BranchMispredictPct: snap.Float(p + "bpred.mispredict_pct"),
-			L1IHitPct:           snap.Float(p + "l1i.hit_pct"),
-			L1DHitPct:           snap.Float(p + "l1d.hit_pct"),
-		})
-	}
-	for i, c := range m.lcs {
-		p := fmt.Sprintf("lane%d.", i)
-		res.LaneCore = append(res.LaneCore, LaneStat{
-			ID:                  c.ID,
-			Fetched:             snap.Uint(p + "fetch.instrs"),
-			Issued:              snap.Uint(p + "issue.instrs"),
-			Retired:             snap.Uint(p + "retire.instrs"),
-			StallOperand:        snap.Uint(p + "stall.operand"),
-			StallMemPort:        snap.Uint(p + "stall.mem_port"),
-			BranchMispredictPct: snap.Float(p + "bpred.mispredict_pct"),
-			ICacheHitPct:        snap.Float(p + "icache.hit_pct"),
-		})
-	}
-	if m.vu != nil {
-		res.Util = vcl.Utilization{
-			Busy:     snap.Uint("vcl.util.busy"),
-			PartIdle: snap.Uint("vcl.util.part_idle"),
-			Stalled:  snap.Uint("vcl.util.stalled"),
-			AllIdle:  snap.Uint("vcl.util.all_idle"),
-		}
-		res.VecIssued = snap.Uint("vcl.issued")
-		res.VecElemOps = snap.Uint("vcl.elem_ops")
-	}
-	return res, nil
+	return Result{
+		Config:  m.cfg.Name,
+		Cycles:  m.now,
+		Retired: m.retiredTotal(),
+		metrics: m.reg.Snapshot(),
+		samples: m.sampler,
+	}, nil
 }
 
 // Release hands the machine's cache tag arrays back to internal/mem's
@@ -786,18 +679,4 @@ func (m *Machine) Release() {
 	for _, c := range m.lcs {
 		c.ICache().Cache().Release()
 	}
-}
-
-// RunProgram is a convenience wrapper: build the machine, run it, return
-// the result and the functional machine for verification.
-func RunProgram(cfg Config, prog *asm.Program) (Result, *vm.VM, error) {
-	m, err := NewMachine(cfg, prog)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	res, err := m.Run()
-	if err != nil {
-		return Result{}, nil, err
-	}
-	return res, m.vm, nil
 }

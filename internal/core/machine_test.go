@@ -5,6 +5,7 @@ import (
 
 	"vlt/internal/asm"
 	"vlt/internal/isa"
+	"vlt/internal/vcl"
 	"vlt/internal/vm"
 )
 
@@ -65,6 +66,36 @@ func vectorSumProgram(rows, cols int) *asm.Program {
 	return b.MustAssemble()
 }
 
+// runToEnd builds cfg's machine over prog and runs it to completion,
+// failing the test on any error. The machine's VM holds the functional
+// state to verify.
+func runToEnd(t *testing.T, cfg Config, prog *asm.Program) (Result, *Machine) {
+	t.Helper()
+	m, err := NewMachine(cfg, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run()
+	if err != nil {
+		t.Fatalf("%s: %v", cfg.Name, err)
+	}
+	return res, m
+}
+
+// utilization reads the Figure-4 datapath census from a run's snapshot.
+func utilization(res Result) vcl.Utilization {
+	snap := res.Metrics()
+	return vcl.Utilization{
+		Busy:     snap.Uint("vcl.util.busy"),
+		PartIdle: snap.Uint("vcl.util.part_idle"),
+		Stalled:  snap.Uint("vcl.util.stalled"),
+		AllIdle:  snap.Uint("vcl.util.all_idle"),
+	}
+}
+
+// speedup is how many times faster run x finished than run base.
+func speedup(base, x Result) float64 { return float64(base.Cycles) / float64(x.Cycles) }
+
 func verifyRowSums(t *testing.T, machine *vm.VM, prog *asm.Program, rows, cols int) {
 	t.Helper()
 	a := prog.Symbol("a")
@@ -83,15 +114,12 @@ func verifyRowSums(t *testing.T, machine *vm.VM, prog *asm.Program, rows, cols i
 
 func TestBaseMachineRunsVectorProgram(t *testing.T) {
 	prog := vectorSumProgram(64, 64)
-	res, machine, err := RunProgram(Base(8), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	verifyRowSums(t, machine, prog, 16, 64)
-	if res.Cycles == 0 || res.Retired == 0 || res.VecIssued == 0 {
+	res, m := runToEnd(t, Base(8), prog)
+	verifyRowSums(t, m.VM(), prog, 16, 64)
+	if res.Cycles == 0 || res.Retired == 0 || res.Metrics().Uint("vcl.issued") == 0 {
 		t.Fatalf("implausible result: %+v", res)
 	}
-	if res.OpportunityPct <= 0 {
+	if res.Metrics().Float("machine.opportunity_pct") <= 0 {
 		t.Error("opportunity should be positive (marked region)")
 	}
 }
@@ -99,15 +127,9 @@ func TestBaseMachineRunsVectorProgram(t *testing.T) {
 func TestMoreLanesHelpLongVectors(t *testing.T) {
 	prog1 := vectorSumProgram(64, 64)
 	prog8 := vectorSumProgram(64, 64)
-	r1, _, err := RunProgram(Base(1), prog1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r8, _, err := RunProgram(Base(8), prog8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := r8.Speedup(r1)
+	r1, _ := runToEnd(t, Base(1), prog1)
+	r8, _ := runToEnd(t, Base(8), prog8)
+	sp := speedup(r1, r8)
 	if sp < 1.5 {
 		t.Errorf("8 lanes vs 1 lane speedup = %.2f on VL-64 code, want > 1.5", sp)
 	}
@@ -117,18 +139,12 @@ func TestVLTTwoThreadsBeatBaseOnShortVectors(t *testing.T) {
 	// Short rows (VL 8 on an 8-lane machine leaves most lanes idle when
 	// one thread runs; two threads should help).
 	mk := func() *asm.Program { return vectorSumProgram(64, 8) }
-	base, baseVM, err := RunProgram(Base(8), mk())
-	if err != nil {
-		t.Fatal(err)
-	}
+	base, baseM := runToEnd(t, Base(8), mk())
 	progV := mk()
-	v2, v2VM, err := RunProgram(V2CMP(), progV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	verifyRowSums(t, baseVM, mk(), 64, 8)
-	verifyRowSums(t, v2VM, progV, 64, 8)
-	sp := v2.Speedup(base)
+	v2, v2M := runToEnd(t, V2CMP(), progV)
+	verifyRowSums(t, baseM.VM(), mk(), 64, 8)
+	verifyRowSums(t, v2M.VM(), progV, 64, 8)
+	sp := speedup(base, v2)
 	if sp < 1.2 {
 		t.Errorf("V2-CMP speedup on short vectors = %.2f, want > 1.2", sp)
 	}
@@ -137,11 +153,8 @@ func TestVLTTwoThreadsBeatBaseOnShortVectors(t *testing.T) {
 func TestVLTFourThreadConfigsRun(t *testing.T) {
 	for _, cfg := range []Config{V4CMP(), V4CMT(), V4SMT(), V4CMPh()} {
 		prog := vectorSumProgram(64, 8)
-		res, machine, err := RunProgram(cfg, prog)
-		if err != nil {
-			t.Fatalf("%s: %v", cfg.Name, err)
-		}
-		verifyRowSums(t, machine, prog, 64, 8)
+		res, m := runToEnd(t, cfg, prog)
+		verifyRowSums(t, m.VM(), prog, 64, 8)
 		if res.Cycles == 0 {
 			t.Errorf("%s: zero cycles", cfg.Name)
 		}
@@ -206,12 +219,9 @@ func scalarReduceProgram(n int) *asm.Program {
 func TestCMTRunsScalarThreads(t *testing.T) {
 	const n = 1024
 	prog := scalarReduceProgram(n)
-	res, machine, err := RunProgram(CMT(4), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, m := runToEnd(t, CMT(4), prog)
 	want := uint64(n * (n - 1) / 2)
-	if got := machine.Mem.MustRead(prog.Symbol("total")); got != want {
+	if got := m.VM().Mem.MustRead(prog.Symbol("total")); got != want {
 		t.Fatalf("total = %d, want %d", got, want)
 	}
 	if res.Cycles == 0 {
@@ -222,12 +232,9 @@ func TestCMTRunsScalarThreads(t *testing.T) {
 func TestLaneScalarModeRunsEightThreads(t *testing.T) {
 	const n = 1024
 	prog := scalarReduceProgram(n)
-	res, machine, err := RunProgram(VLTScalar(8), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, m := runToEnd(t, VLTScalar(8), prog)
 	want := uint64(n * (n - 1) / 2)
-	if got := machine.Mem.MustRead(prog.Symbol("total")); got != want {
+	if got := m.VM().Mem.MustRead(prog.Symbol("total")); got != want {
 		t.Fatalf("total = %d, want %d", got, want)
 	}
 	if res.Cycles == 0 {
@@ -256,12 +263,9 @@ func TestBarrierSynchronizesProducerConsumer(t *testing.T) {
 	b.St(isa.R(4), isa.R(5), 0)
 	b.Halt()
 	prog := b.MustAssemble()
-	_, machine, err := RunProgram(CMT(4), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, m := runToEnd(t, CMT(4), prog)
 	for tid := 0; tid < 4; tid++ {
-		if got := machine.Mem.MustRead(prog.Symbol("seen") + uint64(tid)*8); got != 77 {
+		if got := m.VM().Mem.MustRead(prog.Symbol("seen") + uint64(tid)*8); got != 77 {
 			t.Errorf("thread %d saw %d, want 77", tid, got)
 		}
 	}
@@ -307,15 +311,12 @@ func vltcfgProgram() *asm.Program {
 
 func TestVltCfgRepartitionsMidRun(t *testing.T) {
 	prog := vltcfgProgram()
-	_, machine, err := RunProgram(V4CMT(), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := machine.Mem.MustRead(prog.Symbol("outA")); got != 64*63/2 {
+	_, m := runToEnd(t, V4CMT(), prog)
+	if got := m.VM().Mem.MustRead(prog.Symbol("outA")); got != 64*63/2 {
 		t.Errorf("phase-1 redsum = %d, want %d", got, 64*63/2)
 	}
 	for tid := 0; tid < 4; tid++ {
-		if got := machine.Mem.MustRead(prog.Symbol("outB") + uint64(tid)*8); got != 16 {
+		if got := m.VM().Mem.MustRead(prog.Symbol("outB") + uint64(tid)*8); got != 16 {
 			t.Errorf("thread %d observed VL %d after vltcfg 4, want 16", tid, got)
 		}
 	}
@@ -344,19 +345,17 @@ func TestConfigValidation(t *testing.T) {
 
 func TestUtilizationRecordedOnVectorRuns(t *testing.T) {
 	prog := vectorSumProgram(64, 64)
-	res, _, err := RunProgram(Base(8), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Util.Total() == 0 {
+	res, _ := runToEnd(t, Base(8), prog)
+	util := utilization(res)
+	if util.Total() == 0 {
 		t.Fatal("no utilization recorded")
 	}
-	if res.Util.Busy == 0 {
+	if util.Busy == 0 {
 		t.Error("no busy datapath cycles on a vector workload")
 	}
 	// Conservation: total = cycles * 3 VFUs * 8 lanes.
 	want := res.Cycles * 3 * 8
-	if res.Util.Total() != want {
-		t.Errorf("utilization total %d, want %d", res.Util.Total(), want)
+	if util.Total() != want {
+		t.Errorf("utilization total %d, want %d", util.Total(), want)
 	}
 }

@@ -1,17 +1,18 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 )
 
-// The registry refactor's differential guarantee: Result is assembled
-// from the metric registry, and every assembled field must equal the
-// value read directly off the owning component — for every machine
+// The registry wiring's differential guarantee: a Result is its metric
+// snapshot, and every su*, lane*, vcl.* and l2.* value in it must equal
+// the field read directly off the owning component — for every machine
 // shape (OoO SUs with and without a vector unit, SMT, lane cores).
-// Combined with the pre-existing figure/table goldens this pins the
-// refactor to byte-identical output.
+// Combined with the figure/table goldens this pins every export to the
+// components' own counters.
 func TestResultAssembledFromRegistryMatchesComponents(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	type run struct {
@@ -36,54 +37,69 @@ func TestResultAssembledFromRegistryMatchesComponents(t *testing.T) {
 			t.Fatalf("%s: %v", rc.cfg.Name, err)
 		}
 
-		var wantRetired uint64
-		for i, su := range m.sus {
-			got := res.SUs[i]
-			wantRetired += su.Retired
-			if got.Fetched != su.Fetched || got.Dispatched != su.Dispatched ||
-				got.Issued != su.IssuedCount || got.Retired != su.Retired ||
-				got.FetchStallBranch != su.FetchStallBranch ||
-				got.FetchStallICache != su.FetchStallICache ||
-				got.DispStallROB != su.DispStallROB ||
-				got.DispStallWindow != su.DispStallWindow ||
-				got.DispStallVIQ != su.DispStallVIQ {
-				t.Errorf("%s su%d: registry-assembled SUStat %+v diverges from unit fields", rc.cfg.Name, i, got)
-			}
-			if got.BranchMispredictPct != 100*su.Predictor().MispredictRate() ||
-				got.L1IHitPct != 100*su.ICache().Cache().HitRate() ||
-				got.L1DHitPct != 100*su.DCache().Cache().HitRate() {
-				t.Errorf("%s su%d: derived gauges diverge", rc.cfg.Name, i)
+		snap := res.Metrics()
+		// A metric missing from the snapshot fails, even where the
+		// component reads 0.
+		wantUint := func(name string, want uint64) {
+			t.Helper()
+			if v, ok := snap.Get(name); !ok || !v.IsInt || v.Int != want {
+				t.Errorf("%s: %s = %+v (present %t), component reads %d", rc.cfg.Name, name, v, ok, want)
 			}
 		}
+		wantFloat := func(name string, want float64) {
+			t.Helper()
+			if v, ok := snap.Get(name); !ok || v.AsFloat() != want {
+				t.Errorf("%s: %s = %+v (present %t), component reads %v", rc.cfg.Name, name, v, ok, want)
+			}
+		}
+		var wantRetired uint64
+		for i, su := range m.sus {
+			p := fmt.Sprintf("su%d.", i)
+			wantRetired += su.Retired
+			wantUint(p+"fetch.instrs", su.Fetched)
+			wantUint(p+"dispatch.instrs", su.Dispatched)
+			wantUint(p+"issue.instrs", su.IssuedCount)
+			wantUint(p+"retire.instrs", su.Retired)
+			wantUint(p+"fetch.stall.branch", su.FetchStallBranch)
+			wantUint(p+"fetch.stall.icache", su.FetchStallICache)
+			wantUint(p+"dispatch.stall.rob", su.DispStallROB)
+			wantUint(p+"dispatch.stall.window", su.DispStallWindow)
+			wantUint(p+"dispatch.stall.viq", su.DispStallVIQ)
+			wantFloat(p+"bpred.mispredict_pct", 100*su.Predictor().MispredictRate())
+			wantFloat(p+"l1i.hit_pct", 100*su.ICache().Cache().HitRate())
+			wantFloat(p+"l1d.hit_pct", 100*su.DCache().Cache().HitRate())
+		}
 		for i, c := range m.lcs {
-			got := res.LaneCore[i]
+			p := fmt.Sprintf("lane%d.", i)
 			wantRetired += c.Retired
-			if got.Fetched != c.Fetched || got.Issued != c.Issued || got.Retired != c.Retired ||
-				got.StallOperand != c.StallOperand || got.StallMemPort != c.StallMemPort {
-				t.Errorf("%s lane%d: registry-assembled LaneStat %+v diverges from core fields", rc.cfg.Name, i, got)
-			}
-			if got.BranchMispredictPct != 100*c.Predictor().MispredictRate() ||
-				got.ICacheHitPct != 100*c.ICache().Cache().HitRate() {
-				t.Errorf("%s lane%d: derived gauges diverge", rc.cfg.Name, i)
-			}
+			wantUint(p+"fetch.instrs", c.Fetched)
+			wantUint(p+"issue.instrs", c.Issued)
+			wantUint(p+"retire.instrs", c.Retired)
+			wantUint(p+"stall.operand", c.StallOperand)
+			wantUint(p+"stall.mem_port", c.StallMemPort)
+			wantFloat(p+"bpred.mispredict_pct", 100*c.Predictor().MispredictRate())
+			wantFloat(p+"icache.hit_pct", 100*c.ICache().Cache().HitRate())
 		}
 		if res.Retired != wantRetired {
 			t.Errorf("%s: Retired = %d, want %d", rc.cfg.Name, res.Retired, wantRetired)
 		}
+		wantUint("machine.retired", wantRetired)
 		if m.vu != nil {
-			if res.Util != m.vu.Util {
-				t.Errorf("%s: Util %+v != vcl census %+v", rc.cfg.Name, res.Util, m.vu.Util)
-			}
-			if res.VecIssued != m.vu.VecIssued || res.VecElemOps != m.vu.VecElemOps {
-				t.Errorf("%s: vector issue counters diverge", rc.cfg.Name)
-			}
+			wantUint("vcl.util.busy", m.vu.Util.Busy)
+			wantUint("vcl.util.part_idle", m.vu.Util.PartIdle)
+			wantUint("vcl.util.stalled", m.vu.Util.Stalled)
+			wantUint("vcl.util.all_idle", m.vu.Util.AllIdle)
+			wantUint("vcl.issued", m.vu.VecIssued)
+			wantUint("vcl.elem_ops", m.vu.VecElemOps)
+		} else if _, ok := snap.Get("vcl.issued"); ok {
+			t.Errorf("%s: no vector unit, yet the snapshot has vcl.issued", rc.cfg.Name)
 		}
-		if res.L2BankStalls != m.l2.BankStalls || res.L2HitRate != m.l2.Cache().HitRate() {
-			t.Errorf("%s: L2 stats diverge", rc.cfg.Name)
+		wantUint("l2.bank_stalls", m.l2.BankStalls)
+		wantFloat("l2.hit_rate", m.l2.Cache().HitRate())
+		if res.Cycles == 0 || res.Cycles != m.Now() {
+			t.Errorf("%s: Cycles = %d, machine stopped at %d", rc.cfg.Name, res.Cycles, m.Now())
 		}
-		if res.Cycles == 0 || res.Cycles != res.Metrics().Uint("machine.cycles") {
-			t.Errorf("%s: cycles %d not mirrored in registry", rc.cfg.Name, res.Cycles)
-		}
+		wantUint("machine.cycles", res.Cycles)
 	}
 }
 
@@ -161,8 +177,8 @@ func TestSamplerRecordsOccupancySeries(t *testing.T) {
 	}
 	// The cumulative census ends at the run's final value.
 	_, last := s.Row(s.Len() - 1)
-	if last[busyCol] > float64(res.Util.Busy) {
-		t.Fatalf("sampled busy %v exceeds final census %d", last[busyCol], res.Util.Busy)
+	if busy := res.Metrics().Uint("vcl.util.busy"); last[busyCol] > float64(busy) {
+		t.Fatalf("sampled busy %v exceeds final census %d", last[busyCol], busy)
 	}
 	// A no-vector-unit machine quietly samples the scalar subset.
 	cfg2 := CMT(4)

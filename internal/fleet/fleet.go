@@ -30,13 +30,6 @@ type Config struct {
 	HealthTTL time.Duration
 	// HealthTimeout bounds one readiness probe (0 = 1s).
 	HealthTimeout time.Duration
-	// Disk, when non-nil, is a read-only view of this node's persistent
-	// result tier (store.Get shaped). A cell whose owning peer is
-	// unreachable consults it before falling back to local simulation,
-	// so a degraded node serves warm cells at disk-hit cost instead of
-	// re-simulating them. Content addressing makes this safe: the bytes
-	// on local disk are the bytes the owner would have returned.
-	Disk func(key string) ([]byte, bool)
 }
 
 // peer is one remote member plus its cached readiness verdict.
@@ -56,10 +49,9 @@ type Coordinator struct {
 	peers         []*peer
 	healthTTL     time.Duration
 	healthTimeout time.Duration
-	now           func() time.Time            // injectable for tests
-	disk          func(string) ([]byte, bool) // local persistent tier, may be nil
+	now           func() time.Time // injectable for tests
 
-	local, remote, fallback, disked, probes uint64 // atomics
+	local, remote, fallback, probes uint64 // atomics
 }
 
 // New builds a Coordinator over the configured peers.
@@ -74,7 +66,6 @@ func New(cfg Config) *Coordinator {
 		healthTTL:     cfg.HealthTTL,
 		healthTimeout: cfg.HealthTimeout,
 		now:           time.Now,
-		disk:          cfg.Disk,
 	}
 	for i, base := range cfg.Peers {
 		pc := cfg.Client
@@ -98,7 +89,6 @@ func (c *Coordinator) registerMetrics(r *stats.Registry) {
 	r.CounterFn("local", func() uint64 { return atomic.LoadUint64(&c.local) })
 	r.CounterFn("remote", func() uint64 { return atomic.LoadUint64(&c.remote) })
 	r.CounterFn("fallback", func() uint64 { return atomic.LoadUint64(&c.fallback) })
-	r.CounterFn("disk", func() uint64 { return atomic.LoadUint64(&c.disked) })
 	r.CounterFn("probes", func() uint64 { return atomic.LoadUint64(&c.probes) })
 	r.Gauge("peers", func() float64 { return float64(len(c.peers)) })
 }
@@ -134,7 +124,7 @@ func (c *Coordinator) Compute(ctx context.Context, key string, req api.RunReques
 	}
 	p := c.peers[owner-1]
 	if !c.healthy(ctx, p) {
-		return c.degrade(key, local)
+		return c.degrade(local)
 	}
 	body, err := p.client.RunBody(ctx, req)
 	if err != nil {
@@ -143,24 +133,18 @@ func (c *Coordinator) Compute(ctx context.Context, key string, req api.RunReques
 			// locally would just burn a job slot on an abandoned wait.
 			return nil, ctx.Err()
 		}
-		return c.degrade(key, local)
+		return c.degrade(local)
 	}
 	atomic.AddUint64(&c.remote, 1)
 	return body, nil
 }
 
-// degrade resolves a cell whose owning peer is unavailable: the local
-// persistent tier first (a warm cell costs a disk read, not a
-// simulation), then the local fallback closure. Either way the bytes
-// are identical to what the owner would have served — both routes
-// render through the same content-addressed path.
-func (c *Coordinator) degrade(key string, local func() ([]byte, error)) ([]byte, error) {
-	if c.disk != nil {
-		if body, ok := c.disk(key); ok {
-			atomic.AddUint64(&c.disked, 1)
-			return body, nil
-		}
-	}
+// degrade recomputes a cell whose owning peer is unavailable through the
+// local fallback closure. The bytes are identical to what the owner
+// would have served: both routes render through the same
+// content-addressed path. The caller consulted this node's memory and
+// disk tiers before routing the cell, so there is no tier left to read.
+func (c *Coordinator) degrade(local func() ([]byte, error)) ([]byte, error) {
 	atomic.AddUint64(&c.fallback, 1)
 	return local()
 }

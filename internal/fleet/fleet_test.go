@@ -189,53 +189,3 @@ func TestPeerErrorFallsBackAfterRetries(t *testing.T) {
 		t.Fatalf("fallback counter = %d, want 1", c.Fallbacks())
 	}
 }
-
-// TestDeadPeerServesFromDisk proves the persistent-tier degrade path: a
-// cell owned by an unreachable peer is answered from the local disk
-// hook (counted under "disk"), the local simulation closure is never
-// invoked, and a key the disk misses still falls back locally.
-func TestDeadPeerServesFromDisk(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	base := srv.URL
-	srv.Close() // nothing listens: probes and runs all fail
-
-	reg := stats.New()
-	var warmKey string
-	disk := func(key string) ([]byte, bool) {
-		if key == warmKey {
-			return []byte("from-disk\n"), true
-		}
-		return nil, false
-	}
-	c := New(Config{Peers: []string{base}, Client: fastClient(), Registry: reg, Disk: disk})
-	warmKey = keyOwnedBy(t, c, 1)
-
-	body, err := c.Compute(context.Background(), warmKey, api.RunRequest{},
-		func() ([]byte, error) { t.Fatal("local simulation invoked despite a disk hit"); return nil, nil })
-	if err != nil || string(body) != "from-disk\n" {
-		t.Fatalf("Compute = %q, %v", body, err)
-	}
-	snap := reg.Snapshot()
-	if snap.Uint("disk") != 1 || snap.Uint("fallback") != 0 {
-		t.Fatalf("disk=%d fallback=%d, want 1, 0", snap.Uint("disk"), snap.Uint("fallback"))
-	}
-
-	// A cold key (disk miss) still degrades to local simulation.
-	coldKey := warmKey
-	for i := 0; ; i++ {
-		k := fmt.Sprintf("cold-%d", i)
-		if c.Owner(k) == 1 {
-			coldKey = k
-			break
-		}
-	}
-	body, err = c.Compute(context.Background(), coldKey, api.RunRequest{},
-		func() ([]byte, error) { return []byte("recomputed\n"), nil })
-	if err != nil || string(body) != "recomputed\n" {
-		t.Fatalf("cold Compute = %q, %v", body, err)
-	}
-	snap = reg.Snapshot()
-	if snap.Uint("disk") != 1 || snap.Uint("fallback") != 1 {
-		t.Fatalf("after miss: disk=%d fallback=%d, want 1, 1", snap.Uint("disk"), snap.Uint("fallback"))
-	}
-}

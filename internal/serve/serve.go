@@ -523,19 +523,10 @@ func (s *Server) timeout(r *http.Request) time.Duration {
 	return d
 }
 
-// The request/response wire types live in internal/api, shared verbatim
-// with the vltclient decoder; the aliases keep this package's names.
-type (
-	// RunRequest is one /v1/run request: a single workload x machine cell.
-	RunRequest = api.RunRequest
-	// RunResponse is one /v1/run result.
-	RunResponse = api.RunResponse
-	// UtilizationPct mirrors vlt.Utilization with JSON tags.
-	UtilizationPct = api.UtilizationPct
-)
-
-func (s *Server) parseRunRequest(r *http.Request) (RunRequest, *apiError) {
-	var req RunRequest
+// parseRunRequest reads one /v1/run cell from a POST body or a GET query
+// (machine defaults to base) and refuses malformed input with a 400.
+func (s *Server) parseRunRequest(r *http.Request) (api.RunRequest, *apiError) {
+	var req api.RunRequest
 	if r.Method == http.MethodPost {
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			return req, &apiError{status: http.StatusBadRequest,

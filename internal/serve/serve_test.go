@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"vlt"
+	"vlt/internal/api"
 	"vlt/internal/vet"
 )
 
@@ -57,7 +58,7 @@ func TestRunEndpoint(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
-	var got RunResponse
+	var got api.RunResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +485,7 @@ func TestShutdownDrains(t *testing.T) {
 	if r.err != nil || r.status != http.StatusOK {
 		t.Fatalf("drained request: status %d, err %v", r.status, r.err)
 	}
-	var got RunResponse
+	var got api.RunResponse
 	if err := json.Unmarshal(r.body, &got); err != nil || got.Cycles == 0 {
 		t.Fatalf("drained response invalid: %v %.80s", err, r.body)
 	}

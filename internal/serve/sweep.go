@@ -23,7 +23,7 @@ const maxSweepCells = 4096
 // writing pass: either an already-resolved outcome (cache hit, vet
 // rejection, admission timeout) or the cell's in-flight task.
 type sweepFuture struct {
-	req  RunRequest
+	req  api.RunRequest
 	body []byte
 	aerr *apiError
 	task *runner.Task[[]byte]
@@ -182,7 +182,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // renderer routes through it — still under this node's flight group and
 // response cache, so concurrent sweeps coalesce on remote cells exactly
 // as on local ones, and a remote body lands in the local cache.
-func (s *Server) submitCell(ctx context.Context, key string, c RunRequest, d time.Duration) sweepFuture {
+func (s *Server) submitCell(ctx context.Context, key string, c api.RunRequest, d time.Duration) sweepFuture {
 	m, opt := vlt.Machine(c.Machine), c.Options()
 	render := func() ([]byte, error) { return s.renderCell(c.Workload, m, opt) }
 	if fl := s.fleet; fl != nil {

@@ -21,10 +21,12 @@ import (
 // fakeResult builds a deterministic result for one cell: a pure
 // function of the cell coordinates, so every node (and every test
 // server) stubs out simulation identically and byte-identity assertions
-// stay meaningful.
+// stay meaningful. The scale is clamped to 1 as vlt.CellKey clamps it: a
+// GET with no scale and a sweep cell at scale 1 share one key, so they
+// must share one body whichever renders first.
 func fakeResult(w string, m vlt.Machine, o vlt.Options) vlt.Result {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%d|%d|%d", w, m, o.Scale, o.Lanes, o.Threads)
+	fmt.Fprintf(h, "%s|%s|%d|%d|%d", w, m, max(o.Scale, 1), o.Lanes, o.Threads)
 	seed := h.Sum64()
 	return vlt.Result{
 		Workload: w, Machine: m, Threads: max(o.Threads, 1),

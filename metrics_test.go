@@ -39,8 +39,9 @@ func TestGoldenMetrics(t *testing.T) {
 }
 
 // TestMetricsCoverage asserts the machine-readable export carries at
-// least 40 metrics and covers every field that used to live only on the
-// typed result structs (SUStat, LaneStat, vcl.Utilization, vm.OpStats).
+// least 40 metrics and covers every scalar unit's pipeline census, the
+// Figure-4 utilization census and the functional operation mix: the
+// snapshot is the only place a run reports them.
 func TestMetricsCoverage(t *testing.T) {
 	res, err := Run("mxm", MachineBase, Options{SkipVerify: true})
 	if err != nil {
@@ -50,18 +51,17 @@ func TestMetricsCoverage(t *testing.T) {
 	if len(ms) < 40 {
 		t.Fatalf("export has %d metrics, want >= 40", len(ms))
 	}
-	// One registry name per legacy typed field.
 	for _, name := range []string{
-		// SUStat
+		// scalar unit pipeline census
 		"su0.fetch.instrs", "su0.dispatch.instrs", "su0.issue.instrs",
 		"su0.retire.instrs", "su0.fetch.stall.branch", "su0.fetch.stall.icache",
 		"su0.dispatch.stall.rob", "su0.dispatch.stall.window",
 		"su0.dispatch.stall.viq", "su0.bpred.mispredict_pct",
 		"su0.l1i.hit_pct", "su0.l1d.hit_pct",
-		// vcl.Utilization
+		// Figure-4 utilization census
 		"vcl.util.busy", "vcl.util.part_idle", "vcl.util.stalled",
 		"vcl.util.all_idle",
-		// vm.OpStats
+		// functional operation mix (Table 4 inputs)
 		"vm.ops.scalar_instrs", "vm.ops.vec_instrs", "vm.ops.vec_elem_ops",
 		"vm.ops.pct_vect", "vm.ops.avg_vl",
 		// machine-level
@@ -72,7 +72,7 @@ func TestMetricsCoverage(t *testing.T) {
 			t.Errorf("export missing %q", name)
 		}
 	}
-	// The export must mirror the typed fields exactly.
+	// The headline counts are read from the export.
 	if v, _ := ms.Get("machine.cycles"); v != float64(res.Cycles) {
 		t.Errorf("machine.cycles %v != Cycles %d", v, res.Cycles)
 	}
@@ -93,7 +93,7 @@ func TestMetricsCoverage(t *testing.T) {
 	}
 }
 
-// TestLaneCoreMetricsCoverage does the LaneStat half of the coverage
+// TestLaneCoreMetricsCoverage does the lane-core half of the coverage
 // check on a lane-scalar machine.
 func TestLaneCoreMetricsCoverage(t *testing.T) {
 	res, err := Run("radix", MachineVLTScalar, Options{SkipVerify: true})

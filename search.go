@@ -39,24 +39,12 @@ type SearchOptions struct {
 
 // SearchDecision records one lane-repartition decision as a run passed
 // it: the partition count the program requested and the one applied.
-type SearchDecision struct {
-	Index     int    `json:"index"`
-	Cycle     uint64 `json:"cycle"`
-	Thread    int    `json:"thread"`
-	Requested int    `json:"requested"`
-	Chosen    int    `json:"chosen"`
-}
+type SearchDecision = search.Decision
 
 // SearchRun is one completed simulation of a decision plan. Plan[i] is
 // the partition count forced at decision i (0 = the program's own
 // request); decisions past len(Plan) follow the program.
-type SearchRun struct {
-	Plan      []int            `json:"plan"`
-	Decisions []SearchDecision `json:"decisions"`
-	Cycles    uint64           `json:"cycles"`
-	Failed    bool             `json:"failed,omitempty"`
-	Err       string           `json:"err,omitempty"`
-}
+type SearchRun = search.Run
 
 // SearchResult reports one SearchLanePartition exploration.
 type SearchResult struct {
@@ -98,19 +86,6 @@ func searchPolicy(opt SearchOptions) (search.Policy, error) {
 	return nil, fmt.Errorf("vlt: unknown search policy %q", opt.Policy)
 }
 
-func searchRun(r search.Run) SearchRun {
-	out := SearchRun{
-		Plan:   append([]int(nil), r.Plan...),
-		Cycles: r.Cycles,
-		Failed: r.Failed,
-		Err:    r.Err,
-	}
-	for _, d := range r.Decisions {
-		out.Decisions = append(out.Decisions, SearchDecision(d))
-	}
-	return out
-}
-
 // SearchLanePartition explores the lane-repartition decision space of
 // one workload on one machine: every VLTCFG the program issues becomes
 // a decision point where the search may substitute any valid partition
@@ -146,13 +121,11 @@ func SearchLanePartition(workload string, m Machine, opt SearchOptions) (SearchR
 		Workload:      workload,
 		Machine:       m,
 		Threads:       spec.threads,
-		Best:          searchRun(out.Best),
+		Best:          out.Best,
 		DefaultCycles: out.Runs[0].Cycles,
+		Runs:          out.Runs,
 		Simulated:     out.Simulated,
 		Discarded:     out.Discarded,
-	}
-	for _, r := range out.Runs {
-		res.Runs = append(res.Runs, searchRun(r))
 	}
 	if res.Best.Cycles > 0 {
 		res.Speedup = float64(res.DefaultCycles) / float64(res.Best.Cycles)

@@ -126,12 +126,6 @@ const (
 	AuditOff  = guard.AuditOff
 )
 
-// SUStat is one scalar unit's pipeline census.
-type SUStat = core.SUStat
-
-// LaneStat is one lane core's pipeline census (lane-scalar mode).
-type LaneStat = core.LaneStat
-
 // Utilization is a percentage breakdown of the arithmetic-datapath cycles
 // in the vector lanes (Figure 4's categories).
 type Utilization struct {
@@ -207,11 +201,6 @@ type Result struct {
 
 	Util Utilization
 
-	// Per-unit pipeline statistics (one entry per scalar unit or lane
-	// core).
-	SUs       []SUStat
-	LaneCores []LaneStat
-
 	// Workload characterization (Table 4 inputs).
 	PercentVect    float64
 	AvgVL          float64
@@ -219,8 +208,9 @@ type Result struct {
 	OpportunityPct float64
 
 	// Metrics is the run's full registry snapshot: every counter and
-	// derived gauge from every layer, sorted by name. It is a superset
-	// of the typed fields above.
+	// derived gauge from every layer, sorted by name. Every field above
+	// but the identity is read from it; per-unit pipeline counts (su0.*,
+	// lane3.*) are only here.
 	Metrics Metrics
 
 	Verified bool
