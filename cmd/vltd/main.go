@@ -50,6 +50,18 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fs.Usage()
 		return 2
 	}
+	// A negative count or duration would silently become the default
+	// (or, for -drain, cut in-flight work at once instead of draining it).
+	for _, f := range []struct {
+		name     string
+		negative bool
+	}{{"jobs", *jobs < 0}, {"pending", *pending < 0}, {"cache-bytes", *cacheBytes < 0},
+		{"timeout", *timeout < 0}, {"drain", *drain < 0}, {"store-bytes", *storeBytes < 0}} {
+		if f.negative {
+			fmt.Fprintf(stderr, "vltd: -%s %s: must not be negative\n", f.name, fs.Lookup(f.name).Value)
+			return 2
+		}
+	}
 	if *warm && *storeDir == "" {
 		fmt.Fprintln(stderr, "vltd: -warm needs -store DIR (warming promotes disk entries into memory)")
 		fs.Usage()

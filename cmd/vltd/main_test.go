@@ -58,6 +58,21 @@ func TestUsageErrors(t *testing.T) {
 	if code := run([]string{"-warm"}, &out, &errb); code != 2 {
 		t.Fatalf("-warm without -store: exit %d, want 2", code)
 	}
+	// Negative counts and durations are refused before the listener
+	// opens, naming the flag.
+	for _, arg := range [][2]string{
+		{"-jobs", "-1"}, {"-pending", "-1"}, {"-cache-bytes", "-1"},
+		{"-store-bytes", "-1"}, {"-timeout", "-1s"}, {"-drain", "-1s"},
+	} {
+		out.Reset()
+		errb.Reset()
+		if code := run([]string{"-addr", "127.0.0.1:0", arg[0], arg[1]}, &out, &errb); code != 2 {
+			t.Errorf("%s %s: exit %d, want 2 (stdout %q)", arg[0], arg[1], code, out.String())
+		}
+		if want := "vltd: " + arg[0] + " " + arg[1] + ": must not be negative"; !strings.Contains(errb.String(), want) {
+			t.Errorf("%s %s: stderr %q, want %q", arg[0], arg[1], errb.String(), want)
+		}
+	}
 }
 
 // TestDaemonLifecycle boots the daemon on an ephemeral port, exercises

@@ -470,11 +470,7 @@ func (m *Machine) nextEventCycle(now uint64) uint64 {
 	}
 	clamp(m.l2.NextEvent(now))
 	if m.vu != nil && m.repartitionPending() {
-		d := m.vu.DrainCycle()
-		if d <= now {
-			d = now + 1
-		}
-		clamp(d)
+		horizon = pipe.EventAt(horizon, now, m.vu.DrainCycle())
 	}
 	// Machine-level deadlines. The watchdog and MaxCycles checks, the
 	// auditor and the sampler all run only on woken cycles, so no jump
@@ -489,11 +485,7 @@ func (m *Machine) nextEventCycle(now uint64) uint64 {
 		clamp(now - now%every + every)
 	}
 	if m.sampler != nil {
-		s := m.sampler.NextSample()
-		if s <= now {
-			s = now + 1
-		}
-		clamp(s)
+		horizon = pipe.EventAt(horizon, now, m.sampler.NextSample())
 	}
 	if horizon < now+1 {
 		horizon = now + 1

@@ -17,18 +17,15 @@ import (
 // over — it closes over the parent machine; the caller re-wires it.
 func (c *Core) Clone(cl *pipe.Cloner, vmach *vm.VM, l2 *mem.L2) *Core {
 	n := &Core{
-		ID:          c.ID,
-		cfg:         c.cfg,
-		vmach:       vmach,
-		icache:      c.icache.Clone(l2),
-		l2:          l2,
-		pred:        c.pred.Clone(),
-		tid:         c.tid,
-		active:      c.active,
-		haltFetched: c.haltFetched,
-		stallUntil:  c.stallUntil,
-		curLine:     c.curLine,
-		Err:         c.Err,
+		ID:     c.ID,
+		cfg:    c.cfg,
+		vmach:  vmach,
+		icache: c.icache.Clone(l2),
+		l2:     l2,
+		pred:   c.pred.Clone(),
+		tid:    c.tid,
+		active: c.active,
+		Err:    c.Err,
 
 		Fetched:      c.Fetched,
 		Issued:       c.Issued,
@@ -44,11 +41,6 @@ func (c *Core) Clone(cl *pipe.Cloner, vmach *vm.VM, l2 *mem.L2) *Core {
 		n.fetchQ = append(n.fetchQ, cl.Uop(u))
 	}
 	n.rob = c.rob.Clone(cl)
-	for r := range c.lastWriter {
-		n.lastWriter[r] = cl.Uop(c.lastWriter[r])
-	}
-	n.pendingBranch = cl.Uop(c.pendingBranch)
-	n.blockedUop = cl.Uop(c.blockedUop)
-	n.regScratch = append(n.regScratch, c.regScratch...)[:0]
+	n.fe = c.fe.Clone(cl)
 	return n
 }

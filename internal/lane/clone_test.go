@@ -25,16 +25,8 @@ func TestCloneCoversCore(t *testing.T) {
 		"fetchQ": "rebuilt via Cloner.Uop, preserving positional nil holes",
 		"rob":    "pipe.Ring.Clone: same capacity, rebased at offset 0, entries via Cloner.Uop",
 
-		"regScratch": "reset: per-fetch scratch",
-		"arena":      "reset: fresh slab, registered with the Cloner so cloned uops land here",
-
-		"lastWriter": "per-register map through Cloner.Uop",
-
-		"haltFetched":   "value copy",
-		"pendingBranch": "mapped through Cloner.Uop (aliases a ROB entry)",
-		"blockedUop":    "mapped through Cloner.Uop (aliases a ROB entry)",
-		"stallUntil":    "value copy",
-		"curLine":       "value copy",
+		"arena": "reset: fresh slab, registered with the Cloner so cloned uops land here",
+		"fe":    "pipe.Frontend.Clone, after the core registers its arena",
 
 		"OnRetire": "re-wired by core.Machine.Fork (closure must capture the fork)",
 		"Err":      "value copy",

@@ -7,6 +7,8 @@
 // loads from dependent consumers (in-order issue, out-of-order
 // completion).
 //
-// Instruction-cache misses are forwarded through the scalar unit, which
-// adds a fixed service overhead on top of the L2 access.
+// Fetch follows the scalar unit's rules through the shared
+// pipe.Frontend; producers are captured at fetch (there is no rename
+// stage). Instruction-cache misses are forwarded through the scalar
+// unit, which adds a fixed service overhead on top of the L2 access.
 package lane

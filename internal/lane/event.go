@@ -25,16 +25,10 @@ func (c *Core) NextEvent(now uint64) uint64 {
 	}
 	ev := uint64(pipe.NeverDone)
 	// Retirement: the in-order head completes at its DoneCycle (issued
-	// barriers wait on the machine controller and contribute nothing).
-	if h := c.rob.Front(); h != nil {
-		if h.Issued && h.DoneCycle != pipe.NeverDone {
-			if h.DoneCycle <= now {
-				return now + 1 // width-limited retirement backlog
-			}
-			if h.DoneCycle < ev {
-				ev = h.DoneCycle
-			}
-		}
+	// barriers wait on the machine controller and contribute nothing; a
+	// backlog already done retires next cycle).
+	if h := c.rob.Front(); h != nil && h.Issued {
+		ev = pipe.EventAt(ev, now, h.DoneCycle)
 	}
 	// Issue: scan the decouple-window prefix exactly as issue() does —
 	// a control uop past the head is a sequencing point that hides
@@ -66,43 +60,12 @@ func (c *Core) NextEvent(now uint64) uint64 {
 			ev = r
 		}
 	}
-	// Fetch, mirroring fetch()'s gating order. The stall resolutions run
-	// even when the queues are full; an ungated core with queue space
-	// fetches (or takes an icache miss) next cycle.
-	if !c.haltFetched {
-		switch {
-		case c.stallUntil > now:
-			if c.stallUntil < ev {
-				ev = c.stallUntil
-			}
-		case c.pendingBranch != nil:
-			ev = eventAt(ev, now, c.pendingBranch.DoneCycle)
-		case c.blockedUop != nil:
-			ev = eventAt(ev, now, c.blockedUop.DoneCycle)
-		default:
-			if len(c.fetchQ) < c.cfg.DecoupleWindow+c.cfg.Width &&
-				c.rob.Len() < c.cfg.RetireQueue {
-				return now + 1
-			}
-			// Queues full: unblocked by retirement or issue, covered
-			// above.
-		}
-	}
-	return ev
-}
-
-// eventAt folds completion cycle done into event horizon ev: the gating
-// re-evaluates at done itself (clamped to now+1 if already past).
-// NeverDone contributes nothing.
-func eventAt(ev, now, done uint64) uint64 {
-	if done == pipe.NeverDone {
-		return ev
-	}
-	if done <= now {
-		done = now + 1
-	}
-	if done < ev {
-		return done
+	// Fetch: the gates resolve even when the queues are full; an open
+	// core with queue space fetches (or misses) next cycle. Full queues
+	// are unblocked by retirement or issue, covered above.
+	ev, open := c.fe.Event(ev, now)
+	if open && len(c.fetchQ) < c.cfg.DecoupleWindow+c.cfg.Width && c.rob.Len() < c.cfg.RetireQueue {
+		return now + 1
 	}
 	return ev
 }

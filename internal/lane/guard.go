@@ -42,23 +42,10 @@ func (c *Core) DebugDump(now uint64) string {
 	if !c.active {
 		return fmt.Sprintf("lane%d: inactive\n", c.ID)
 	}
-	state := ""
-	if c.haltFetched {
-		state += " halt-fetched"
-	}
-	if c.pendingBranch != nil {
-		state += fmt.Sprintf(" branch-stalled@%d", c.pendingBranch.Dyn.PC)
-	}
-	if c.blockedUop != nil {
-		state += fmt.Sprintf(" blocked-on-%s", c.blockedUop.Dyn.Inst.Op)
-	}
-	if c.stallUntil > now {
-		state += fmt.Sprintf(" stalled-until-%d", c.stallUntil)
-	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "lane%d thread %d: pc=%d fetchq=%d rob=%d/%d fetched=%d issued=%d retired=%d%s\n",
 		c.ID, c.tid, c.vmach.Thread(c.tid).PC, len(c.fetchQ), c.rob.Len(), c.cfg.RetireQueue,
-		c.Fetched, c.Issued, c.Retired, state)
+		c.Fetched, c.Issued, c.Retired, c.fe.State(now))
 	if h := c.rob.Front(); h != nil {
 		fmt.Fprintf(&sb, "  head t%d @%-5d %-24s issued=%t done@%d\n",
 			h.Thread, h.Dyn.PC, h.Dyn.Inst, h.Issued, h.DoneCycle)

@@ -6,7 +6,6 @@ import (
 	"vlt/internal/isa"
 	"vlt/internal/mem"
 	"vlt/internal/pipe"
-	"vlt/internal/scalar"
 	"vlt/internal/stats"
 	"vlt/internal/vm"
 )
@@ -54,16 +53,8 @@ type Core struct {
 	fetchQ []*pipe.Uop // fetched, not yet issued (program order, may have holes)
 	rob    pipe.Ring   // all in-flight uops in program order (retire queue)
 
-	regScratch []isa.Reg  // AppendSrcs/AppendDests scratch for fetch
-	arena      pipe.Arena // slab allocator for this core's uops
-
-	lastWriter [isa.NumRegs]*pipe.Uop
-
-	haltFetched   bool
-	pendingBranch *pipe.Uop
-	blockedUop    *pipe.Uop
-	stallUntil    uint64
-	curLine       uint64
+	arena pipe.Arena // slab allocator for this core's uops
+	fe    pipe.Frontend
 
 	// OnRetire, if set, is invoked for every retired uop.
 	OnRetire func(*pipe.Uop)
@@ -85,14 +76,13 @@ func New(id int, cfg Config, machine *vm.VM, l2 *mem.L2) *Core {
 		cfg = DefaultConfig()
 	}
 	c := &Core{
-		ID:      id,
-		cfg:     cfg,
-		vmach:   machine,
-		icache:  mem.NewL1(cfg.ICache, l2),
-		l2:      l2,
-		pred:    pipe.NewBimodal(cfg.PredictorEntries),
-		tid:     -1,
-		curLine: ^uint64(0),
+		ID:     id,
+		cfg:    cfg,
+		vmach:  machine,
+		icache: mem.NewL1(cfg.ICache, l2),
+		l2:     l2,
+		pred:   pipe.NewBimodal(cfg.PredictorEntries),
+		tid:    -1,
 	}
 	c.fetchQ = make([]*pipe.Uop, 0, cfg.DecoupleWindow+cfg.Width)
 	c.rob = pipe.NewRing(cfg.RetireQueue)
@@ -132,7 +122,7 @@ func (c *Core) AttachThread(tid int) {
 
 // Done reports whether the core's thread has fully drained.
 func (c *Core) Done() bool {
-	return !c.active || (c.haltFetched && len(c.fetchQ) == 0 && c.rob.Len() == 0)
+	return !c.active || (c.fe.Halted() && len(c.fetchQ) == 0 && c.rob.Len() == 0)
 }
 
 // BarrierWaiting returns the BAR uop at the head of the retire queue that
@@ -168,15 +158,7 @@ func (c *Core) retire(now uint64) {
 		if c.OnRetire != nil {
 			c.OnRetire(h)
 		}
-		// Unpin the uop from last-writer tracking (producer capture
-		// filters on Retired, so entries only pin dead uops).
-		c.regScratch = h.Dyn.Inst.AppendDests(c.regScratch[:0])
-		for _, r := range c.regScratch {
-			if c.lastWriter[r] == h {
-				c.lastWriter[r] = nil
-				h.Release()
-			}
-		}
+		c.fe.Unpin(h, now)
 		// Nothing reads this uop's edges again: break the producer chain.
 		// Retirement may then recycle h, so it is the last use of h.
 		h.ReleaseProducers()
@@ -275,97 +257,29 @@ func (c *Core) advance(u *pipe.Uop, now uint64, slot int) {
 	c.Issued++
 }
 
+// fetch resolves the fetch gates, then fetches up to Width instructions
+// while the queues have room. Producers are captured at fetch: the core
+// has no rename stage, and in-order issue makes fetch-time capture safe.
 func (c *Core) fetch(now uint64) {
-	if c.haltFetched || c.stallUntil > now {
+	if open, _ := c.fe.Gate(now, c.cfg.MispredictPenalty); !open {
 		return
 	}
-	if c.pendingBranch != nil {
-		if !c.pendingBranch.DoneBy(now) {
-			return
-		}
-		c.stallUntil = c.pendingBranch.DoneCycle + uint64(c.cfg.MispredictPenalty)
-		c.pendingBranch.Release()
-		c.pendingBranch = nil
-		if c.stallUntil > now {
-			return
-		}
-	}
-	if c.blockedUop != nil {
-		if !c.blockedUop.DoneBy(now) {
-			return
-		}
-		c.blockedUop.Release()
-		c.blockedUop = nil
-	}
 	for i := 0; i < c.cfg.Width; i++ {
-		if len(c.fetchQ) >= c.cfg.DecoupleWindow+c.cfg.Width {
+		if len(c.fetchQ) >= c.cfg.DecoupleWindow+c.cfg.Width || c.rob.Len() >= c.cfg.RetireQueue {
 			return
 		}
-		if c.rob.Len() >= c.cfg.RetireQueue {
+		// An I-cache miss is forwarded through the scalar unit.
+		u, more, err := c.fe.Fetch(now, c.vmach, c.tid, c.icache, uint64(c.cfg.ICacheServiceLat), c.pred, &c.arena)
+		if u == nil {
+			c.Err = err // nil on an I-cache miss
 			return
 		}
-		pc := c.vmach.Thread(c.tid).PC
-		line := scalar.CodeAddr(pc) / mem.LineBytes
-		if line != c.curLine {
-			done := c.icache.AccessLine(now, scalar.CodeAddr(pc))
-			if done > now+1 {
-				// Miss: forwarded through the scalar unit.
-				c.stallUntil = done + uint64(c.cfg.ICacheServiceLat)
-				return
-			}
-			c.curLine = line
-		}
-		dyn, err := c.vmach.StepReusing(c.tid, c.arena.RecycleDyn())
-		if err != nil {
-			c.Err = err
-			return
-		}
-		u := c.arena.NewUop(dyn, c.tid, now)
-		// Record producers at fetch (the core has no rename stage;
-		// in-order issue makes fetch-time capture safe).
-		c.regScratch = dyn.Inst.AppendSrcs(c.regScratch[:0])
-		for _, r := range c.regScratch {
-			if w := c.lastWriter[r]; w != nil && !w.Retired {
-				w.Retain()
-				u.Producers = append(u.Producers, w)
-			}
-		}
-		c.regScratch = dyn.Inst.AppendDests(c.regScratch[:0])
-		for _, r := range c.regScratch {
-			if old := c.lastWriter[r]; old != nil {
-				old.Release()
-			}
-			u.Retain()
-			c.lastWriter[r] = u
-		}
+		u.Producers = c.fe.Producers(u.Producers, u, now)
+		c.fe.Record(u)
 		c.fetchQ = append(c.fetchQ, u)
 		c.rob.Push(u)
 		c.Fetched++
-
-		if dyn.Branch {
-			correct := true
-			switch dyn.Inst.Op {
-			case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge, isa.OpBltu:
-				correct = c.pred.Predict(dyn.PC, dyn.Taken)
-			}
-			if !correct {
-				u.Mispredicted = true
-				u.Retain()
-				c.pendingBranch = u
-				return
-			}
-			if dyn.Taken {
-				return
-			}
-			continue
-		}
-		if dyn.IsBarrier {
-			u.Retain()
-			c.blockedUop = u
-			return
-		}
-		if dyn.IsHalt {
-			c.haltFetched = true
+		if !more {
 			return
 		}
 	}

@@ -195,3 +195,45 @@ func TestMispredictPenaltyVisible(t *testing.T) {
 		t.Error("alternating branch should mispredict on the lane predictor")
 	}
 }
+
+// TestVltCfgFaultsOnLaneCore pins the fault a VLTCFG raises on a lane
+// core: lane threads cannot repartition the machine. The fault is
+// raised when the instruction reaches the head of the fetch queue and
+// issues, so its cycle is fixed by the instructions ahead of it.
+func TestVltCfgFaultsOnLaneCore(t *testing.T) {
+	b := asm.NewBuilder("vltcfg")
+	x := b.Data("x", []uint64{41})
+	b.MovA(isa.R(1), x)
+	b.Ld(isa.R(2), isa.R(1), 0)
+	b.AddI(isa.R(3), isa.R(2), 1)
+	b.VltCfg(2)
+	b.AddI(isa.R(4), isa.R(3), 1)
+	b.Halt()
+	prog, err := b.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	machine, err := vm.New(prog, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(0, DefaultConfig(), machine, mem.NewL2(mem.DefaultL2Config()))
+	c.AttachThread(0)
+	for now := uint64(0); ; now++ {
+		if c.Done() || now > 100_000 {
+			t.Fatalf("no fault by cycle %d", now)
+		}
+		if c.Tick(now); c.Err == nil {
+			continue
+		}
+		if got, want := c.Err.Error(), "lane: vltcfg executed on lane core 0"; got != want {
+			t.Errorf("fault %q, want %q", got, want)
+		}
+		// The load misses to memory; the add waits for it and the
+		// VLTCFG issues behind the add.
+		if now != 208 {
+			t.Errorf("fault at cycle %d, want 208", now)
+		}
+		return
+	}
+}

@@ -15,7 +15,7 @@ package lint
 // subset through a differently-named helper, are not conscripted into
 // the convention). When the registration method is exported, only
 // exported fields are required (unexported uint64s on those structs
-// are implementation state, e.g. lane.Core's stallUntil); when it is
+// are implementation state, such as a stall-until cycle); when it is
 // unexported — the serving-layer convention — every uint64 field is a
 // counter and must be registered. Mentions in any registry-taking
 // method count as registration, so split registrars still pass.

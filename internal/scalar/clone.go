@@ -57,7 +57,6 @@ func (u *Unit) Clone(cl *pipe.Cloner, vmach *vm.VM, l2 *mem.L2) *Unit {
 	// Scratch buffers hold no state between cycles; fresh ones at the
 	// original capacities keep the clone's steady state allocation-free.
 	n.fetchReady = make([]*context, 0, cap(u.fetchReady))
-	n.regScratch = append(n.regScratch, u.regScratch...)[:0]
 	return n
 }
 
@@ -65,23 +64,15 @@ func (u *Unit) Clone(cl *pipe.Cloner, vmach *vm.VM, l2 *mem.L2) *Unit {
 // are rebased at offset 0 of fresh rings of the same capacity; content
 // and order — everything the timing model observes — are identical.
 func (c *context) clone(cl *pipe.Cloner) *context {
-	n := &context{
-		slot:        c.slot,
-		tid:         c.tid,
-		active:      c.active,
-		fetchQ:      c.fetchQ.Clone(cl),
-		rob:         c.rob.Clone(cl),
-		robCap:      c.robCap,
-		haltFetched: c.haltFetched,
-		stallUntil:  c.stallUntil,
-		curLine:     c.curLine,
+	return &context{
+		slot:   c.slot,
+		tid:    c.tid,
+		active: c.active,
+		fetchQ: c.fetchQ.Clone(cl),
+		rob:    c.rob.Clone(cl),
+		robCap: c.robCap,
+		fe:     c.fe.Clone(cl),
 	}
-	for r := range c.lastWriter {
-		n.lastWriter[r] = cl.Uop(c.lastWriter[r])
-	}
-	n.pendingBranch = cl.Uop(c.pendingBranch)
-	n.blockedUop = cl.Uop(c.blockedUop)
-	return n
 }
 
 // SetVectorSink rebinds the unit's vector dispatch target. Machine

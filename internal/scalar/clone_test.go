@@ -24,7 +24,6 @@ func TestCloneCoversUnit(t *testing.T) {
 		"fetchRR":    "value copy",
 		"retireRR":   "value copy",
 		"fetchReady": "reset: per-cycle scratch, repopulated every fetch",
-		"regScratch": "reset: per-dispatch scratch",
 		"arena":      "reset: fresh slab, registered with the Cloner so cloned uops land here",
 		"OnRetire":   "re-wired by core.Machine.Fork (closure must capture the fork)",
 		"Err":        "value copy",
@@ -53,12 +52,6 @@ func TestCloneCoversContext(t *testing.T) {
 		"rob":    "pipe.Ring.Clone: same capacity, rebased at offset 0, entries via Cloner.Uop",
 		"robCap": "value copy",
 
-		"lastWriter": "per-register map through Cloner.Uop",
-
-		"haltFetched":   "value copy",
-		"pendingBranch": "mapped through Cloner.Uop (aliases a ROB entry)",
-		"blockedUop":    "mapped through Cloner.Uop (aliases a ROB entry)",
-		"stallUntil":    "value copy",
-		"curLine":       "value copy",
+		"fe": "pipe.Frontend.Clone, after the unit registers its arena",
 	})
 }

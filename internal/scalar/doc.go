@@ -10,6 +10,9 @@
 // the vector control logic's instruction queue at dispatch; scalar
 // instructions rename implicitly (last-writer tracking with a window-
 // bounded number of in-flight destinations) and issue out of order.
+// Each SMT context's fetch gating, fetch step and last-writer tracking
+// is a pipe.Frontend, the one the lane cores embed too; producers are
+// captured at dispatch.
 //
 // The functional simulator is the fetch stage: vm.Step executes the
 // architecturally correct path, and the branch predictor decides only how

@@ -93,44 +93,16 @@ func (u *Unit) NextEvent(now uint64) uint64 {
 			return now + 1
 		}
 	}
-	// Fetch, mirroring fetchable's gating order exactly: a context gated
-	// by a resolving stall contributes the resolution cycle; an
-	// ungated context fetches next cycle.
+	// Fetch: an open context with queue room fetches next cycle; a
+	// gated one contributes the cycle its gate resolves.
 	for _, c := range u.ctxs {
-		if !c.active || c.haltFetched || c.fetchQ.Len() >= 2*u.cfg.Width {
+		if !c.active || c.fetchQ.Len() >= 2*u.cfg.Width {
 			continue // unblocked by dispatch draining the queue
 		}
-		if c.stallUntil > now {
-			if c.stallUntil < ev {
-				ev = c.stallUntil
-			}
-			continue
+		var open bool
+		if ev, open = c.fe.Event(ev, now); open {
+			return now + 1 // the next tick fetches (or misses)
 		}
-		if c.pendingBranch != nil {
-			ev = eventAt(ev, now, c.pendingBranch.DoneCycle)
-			continue
-		}
-		if c.blockedUop != nil {
-			ev = eventAt(ev, now, c.blockedUop.DoneCycle)
-			continue
-		}
-		return now + 1 // fetchable: the next tick fetches (or misses)
-	}
-	return ev
-}
-
-// eventAt folds completion cycle done into event horizon ev: the gating
-// re-evaluates at done itself (clamped to now+1 if already past).
-// NeverDone contributes nothing.
-func eventAt(ev, now, done uint64) uint64 {
-	if done == pipe.NeverDone {
-		return ev
-	}
-	if done <= now {
-		done = now + 1
-	}
-	if done < ev {
-		return done
 	}
 	return ev
 }
@@ -150,13 +122,11 @@ func (u *Unit) SkipIdle(from, to uint64) {
 	k := to - from
 	n := len(u.ctxs)
 
-	// fetchable() charges one FetchStallBranch per cycle for every
-	// context that reaches its unresolved-mispredict gate: active, not
-	// halted, queue space, no pending icache/redirect stall.
+	// fetch charges one FetchStallBranch per cycle for every
+	// active context with queue space whose fetch is branch-gated.
 	branchGated := uint64(0)
 	for _, c := range u.ctxs {
-		if c.active && !c.haltFetched && c.fetchQ.Len() < 2*u.cfg.Width &&
-			c.stallUntil < from && c.pendingBranch != nil {
+		if c.active && c.fetchQ.Len() < 2*u.cfg.Width && c.fe.BranchGated(from) {
 			branchGated++
 		}
 	}

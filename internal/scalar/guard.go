@@ -65,26 +65,13 @@ func (u *Unit) DebugDump(now uint64) string {
 		if !c.active {
 			continue
 		}
-		state := ""
-		if c.haltFetched {
-			state += " halt-fetched"
-		}
-		if c.pendingBranch != nil {
-			state += fmt.Sprintf(" branch-stalled@%d", c.pendingBranch.Dyn.PC)
-		}
-		if c.blockedUop != nil {
-			state += fmt.Sprintf(" blocked-on-%s", c.blockedUop.Dyn.Inst.Op)
-		}
-		if c.stallUntil > now {
-			state += fmt.Sprintf(" stalled-until-%d", c.stallUntil)
-		}
 		head := "empty"
 		if h := c.rob.Front(); h != nil {
 			head = fmt.Sprintf("t%d @%d %s (issued=%t done@%d)",
 				h.Thread, h.Dyn.PC, h.Dyn.Inst, h.Issued, h.DoneCycle)
 		}
 		fmt.Fprintf(&sb, "  ctx%d thread %d: pc=%d fetchq=%d rob=%d/%d head=%s%s\n",
-			c.slot, c.tid, u.vmach.Thread(c.tid).PC, c.fetchQ.Len(), c.rob.Len(), c.robCap, head, state)
+			c.slot, c.tid, u.vmach.Thread(c.tid).PC, c.fetchQ.Len(), c.rob.Len(), c.robCap, head, c.fe.State(now))
 	}
 	return sb.String()
 }

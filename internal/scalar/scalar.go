@@ -10,13 +10,6 @@ import (
 	"vlt/internal/vm"
 )
 
-// CodeBase maps instruction indices into a byte-address space disjoint
-// from data addresses for instruction-cache indexing.
-const CodeBase uint64 = 1 << 40
-
-// CodeAddr returns the byte address of instruction index pc.
-func CodeAddr(pc int) uint64 { return CodeBase + uint64(pc)*isa.WordSize }
-
 // VectorSink accepts vector uops at dispatch (implemented by vcl.VCL).
 type VectorSink interface {
 	Enqueue(*pipe.Uop) bool
@@ -76,17 +69,11 @@ type context struct {
 	rob    pipe.Ring
 	robCap int
 
-	lastWriter [isa.NumRegs]*pipe.Uop
-
-	haltFetched   bool
-	pendingBranch *pipe.Uop // mispredicted branch gating fetch
-	blockedUop    *pipe.Uop // BAR or VLTCFG gating fetch
-	stallUntil    uint64    // icache miss / redirect penalty
-	curLine       uint64
+	fe pipe.Frontend
 }
 
 func (c *context) done() bool {
-	return !c.active || (c.haltFetched && c.rob.Len() == 0 && c.fetchQ.Len() == 0)
+	return !c.active || (c.fe.Halted() && c.rob.Len() == 0 && c.fetchQ.Len() == 0)
 }
 
 func (c *context) inflight() int { return c.rob.Len() + c.fetchQ.Len() }
@@ -110,7 +97,6 @@ type Unit struct {
 
 	// Hot-path scratch buffers, reused across cycles.
 	fetchReady []*context // fetch's per-cycle fetchable-context list
-	regScratch []isa.Reg  // AppendSrcs/AppendDests buffer for dispatch
 	arena      pipe.Arena // slab allocator for this unit's uops
 
 	// OnRetire, if set, is called for every retired uop (the machine
@@ -157,7 +143,7 @@ func New(id int, cfg Config, machine *vm.VM, l2 *mem.L2, vsink VectorSink) *Unit
 	}
 	for s := 0; s < cfg.Contexts; s++ {
 		u.ctxs = append(u.ctxs, &context{
-			slot: s, tid: -1, robCap: robCap, curLine: ^uint64(0),
+			slot: s, tid: -1, robCap: robCap,
 			// fetchQ is capped at 2*Width before a fetch of up to Width more.
 			fetchQ: pipe.NewRing(3 * cfg.Width),
 			rob:    pipe.NewRing(robCap),
@@ -279,19 +265,7 @@ func (u *Unit) retire(now uint64) {
 			if u.OnRetire != nil {
 				u.OnRetire(h)
 			}
-			// Unpin the uop from last-writer tracking once its result is
-			// in the register file (producer capture skips retired+done
-			// writers, so such entries only pin dead uops). Early-committed
-			// vector uops with in-flight scalar results stay tracked.
-			if h.DoneBy(now) {
-				u.regScratch = h.Dyn.Inst.AppendDests(u.regScratch[:0])
-				for _, r := range u.regScratch {
-					if !r.IsVec() && c.lastWriter[r] == h {
-						c.lastWriter[r] = nil
-						h.Release()
-					}
-				}
-			}
+			c.fe.Unpin(h, now)
 			if h.CommitCycle == pipe.NeverDone {
 				// A plain scalar uop (vector uops carry a CommitCycle
 				// from early commit, and the VCL still reads their
@@ -380,13 +354,15 @@ func (u *Unit) dispatch(now uint64) {
 						uop.Dyn.Inst, uop.Thread)
 					return
 				}
-				u.collectScalarProducers(c, uop, now)
+				if uop.ScalarProducers == nil { // a VIQ-full retry keeps the first capture
+					uop.ScalarProducers = c.fe.Producers(uop.CollectedScalarProducers(), uop, now)
+				}
 				if !u.vsink.Enqueue(uop) {
 					u.DispStallVIQ++
 					budget = 0
 					break
 				}
-				u.recordScalarDests(c, uop)
+				c.fe.Record(uop)
 			case info.Class == isa.ClassCtl && uop.Dyn.Inst.Op != isa.OpSetVL:
 				// NOP/MARK/HALT complete immediately; BAR and VLTCFG
 				// wait for the machine-level controller.
@@ -402,8 +378,8 @@ func (u *Unit) dispatch(now uint64) {
 					budget = 0
 					break
 				}
-				u.collectProducers(c, uop, now)
-				u.recordScalarDests(c, uop)
+				uop.Producers = c.fe.Producers(uop.Producers, uop, now)
+				c.fe.Record(uop)
 				u.window = append(u.window, uop)
 			}
 			if budget == 0 {
@@ -417,55 +393,6 @@ func (u *Unit) dispatch(now uint64) {
 	}
 }
 
-// collectProducers records the producers of a scalar uop. Writers both
-// retired and done are skipped: their result is in the register file and
-// imposes no wait. (Retirement alone is not enough — a vector uop with a
-// scalar destination retires early on its CommitCycle while its result
-// is still in flight.)
-func (u *Unit) collectProducers(c *context, uop *pipe.Uop, now uint64) {
-	u.regScratch = uop.Dyn.Inst.AppendSrcs(u.regScratch[:0])
-	for _, r := range u.regScratch {
-		if w := c.lastWriter[r]; w != nil && !(w.Retired && w.DoneBy(now)) {
-			w.Retain()
-			uop.Producers = append(uop.Producers, w)
-		}
-	}
-}
-
-// collectScalarProducers records the scalar-register producers of a
-// vector uop for the VCL's vector-scalar dependence check.
-func (u *Unit) collectScalarProducers(c *context, uop *pipe.Uop, now uint64) {
-	if uop.ScalarProducers != nil {
-		return // already collected on a previous (VIQ-full) attempt
-	}
-	uop.ScalarProducers = uop.CollectedScalarProducers()
-	u.regScratch = uop.Dyn.Inst.AppendSrcs(u.regScratch[:0])
-	for _, r := range u.regScratch {
-		if r.IsVec() {
-			continue
-		}
-		if w := c.lastWriter[r]; w != nil && !(w.Retired && w.DoneBy(now)) {
-			w.Retain()
-			uop.ScalarProducers = append(uop.ScalarProducers, w)
-		}
-	}
-}
-
-// recordScalarDests updates last-writer tracking for the uop's scalar
-// destinations (vector destinations are renamed inside the VCL).
-func (u *Unit) recordScalarDests(c *context, uop *pipe.Uop) {
-	u.regScratch = uop.Dyn.Inst.AppendDests(u.regScratch[:0])
-	for _, r := range u.regScratch {
-		if !r.IsVec() {
-			if old := c.lastWriter[r]; old != nil {
-				old.Release()
-			}
-			uop.Retain()
-			c.lastWriter[r] = uop
-		}
-	}
-}
-
 // fetch pulls up to Width instructions per cycle, splitting the fetch
 // bandwidth across all fetchable SMT contexts (2+2 for two contexts on a
 // 4-wide unit, 1 each for four), honoring instruction-cache misses,
@@ -475,7 +402,14 @@ func (u *Unit) fetch(now uint64) {
 	ready := u.fetchReady[:0]
 	for i := 0; i < n; i++ {
 		c := u.ctxs[(u.fetchRR+i)%n]
-		if u.fetchable(c, now) {
+		if !c.active || c.fetchQ.Len() >= 2*u.cfg.Width {
+			continue
+		}
+		open, branch := c.fe.Gate(now, u.cfg.MispredictPenalty)
+		if branch {
+			u.FetchStallBranch++
+		}
+		if open {
 			ready = append(ready, c)
 		}
 	}
@@ -504,87 +438,22 @@ func (u *Unit) fetch(now uint64) {
 	}
 }
 
-func (u *Unit) fetchable(c *context, now uint64) bool {
-	if !c.active || c.haltFetched {
-		return false
-	}
-	if c.fetchQ.Len() >= 2*u.cfg.Width {
-		return false
-	}
-	if c.stallUntil > now {
-		return false
-	}
-	if c.pendingBranch != nil {
-		if !c.pendingBranch.DoneBy(now) {
-			u.FetchStallBranch++
-			return false
-		}
-		c.stallUntil = c.pendingBranch.DoneCycle + uint64(u.cfg.MispredictPenalty)
-		c.pendingBranch.Release()
-		c.pendingBranch = nil
-		if c.stallUntil > now {
-			u.FetchStallBranch++
-			return false
-		}
-	}
-	if c.blockedUop != nil {
-		if !c.blockedUop.DoneBy(now) {
-			return false
-		}
-		c.blockedUop.Release()
-		c.blockedUop = nil
-	}
-	return true
-}
-
 // fetchFrom fetches up to width instructions from context c and reports
 // how many fetch slots it consumed.
 func (u *Unit) fetchFrom(c *context, now uint64, width int) int {
 	for i := 0; i < width; i++ {
-		pc := u.vmach.Thread(c.tid).PC
-		line := CodeAddr(pc) / mem.LineBytes
-		if line != c.curLine {
-			done := u.icache.AccessLine(now, CodeAddr(pc))
-			if done > now+1 {
-				c.stallUntil = done
+		uop, more, err := c.fe.Fetch(now, u.vmach, c.tid, u.icache, 0, u.pred, &u.arena)
+		if uop == nil {
+			if err != nil {
+				u.Err = err
+			} else {
 				u.FetchStallICache++
-				return i
 			}
-			c.curLine = line
-		}
-		dyn, err := u.vmach.StepReusing(c.tid, u.arena.RecycleDyn())
-		if err != nil {
-			u.Err = err
 			return i
 		}
-		uop := u.arena.NewUop(dyn, c.tid, now)
 		c.fetchQ.Push(uop)
 		u.Fetched++
-
-		if dyn.Branch {
-			correct := true
-			switch dyn.Inst.Op {
-			case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge, isa.OpBltu:
-				correct = u.pred.Predict(dyn.PC, dyn.Taken)
-			}
-			if !correct {
-				uop.Mispredicted = true
-				uop.Retain()
-				c.pendingBranch = uop
-				return i + 1
-			}
-			if dyn.Taken {
-				return i + 1 // fetch group ends at a taken branch
-			}
-			continue
-		}
-		if dyn.IsBarrier || dyn.VltCfg != 0 {
-			uop.Retain()
-			c.blockedUop = uop
-			return i + 1
-		}
-		if dyn.IsHalt {
-			c.haltFetched = true
+		if !more {
 			return i + 1
 		}
 	}

@@ -266,3 +266,31 @@ func TestResolveRace(t *testing.T) {
 		t.Fatal("body after the hammer differs from a fresh server's")
 	}
 }
+
+// TestPostRejectsUnknownFields proves a misspelt field in a POST body
+// is a 400 naming it, on /v1/run and /v1/sweep alike, rather than a
+// default silently standing in for it and serving a different cell.
+func TestPostRejectsUnknownFields(t *testing.T) {
+	s := fakeServer(Config{})
+	var sims atomic.Int32
+	s.runCell = func(w string, m vlt.Machine, o vlt.Options) (vlt.Result, error) {
+		sims.Add(1)
+		return fakeResult(w, m, o), nil
+	}
+	for _, c := range []struct{ target, body, field string }{
+		{"/v1/run", `{"workload":"mxm","machin":"V4-CMT"}`, "machin"},
+		{"/v1/sweep", `{"workloads":["mxm"],"machines":["base"],"scale":[2]}`, "scale"},
+	} {
+		rec := post(t, s, c.target, c.body)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("POST %s %s: status %d, want 400: %s", c.target, c.body, rec.Code, rec.Body)
+			continue
+		}
+		if e := decodeError(t, rec.Body.Bytes()); e.Code != api.CodeBadRequest || !strings.Contains(e.Message, `"`+c.field+`"`) {
+			t.Errorf("POST %s %s: error %+v, want bad_request naming %q", c.target, c.body, e, c.field)
+		}
+	}
+	if n := sims.Load(); n != 0 {
+		t.Fatalf("rejected requests ran %d simulations", n)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -523,12 +524,21 @@ func (s *Server) timeout(r *http.Request) time.Duration {
 	return d
 }
 
+// decodeStrict decodes a JSON request body into v, refusing unknown
+// fields: a misspelt field would otherwise fall back to its default and
+// serve a different cell.
+func decodeStrict(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
 // parseRunRequest reads one /v1/run cell from a POST body or a GET query
 // (machine defaults to base) and refuses malformed input with a 400.
 func (s *Server) parseRunRequest(r *http.Request) (api.RunRequest, *apiError) {
 	var req api.RunRequest
 	if r.Method == http.MethodPost {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := decodeStrict(r.Body, &req); err != nil {
 			return req, &apiError{status: http.StatusBadRequest,
 				Error: api.Error{Code: api.CodeBadRequest, Message: "bad JSON body: " + err.Error()}}
 		}

@@ -45,7 +45,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeStrict(r.Body, &req); err != nil {
 		s.writeError(w, apiError{status: http.StatusBadRequest,
 			Error: api.Error{Code: api.CodeBadRequest, Message: "bad JSON body: " + err.Error()}})
 		return
