@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	vltsweep -workloads mxm,fir8 -machines base,vlt8 [flags]
+//	vltsweep -workloads mxm,mpenc -machines base,V4-CMT [flags]
 //
 // Cells that fail simulation occupy their line with the server's typed
 // error and do not stop the sweep; vltsweep exits 1 if any cell erred

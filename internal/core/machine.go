@@ -392,7 +392,7 @@ func (m *Machine) coordinate(now uint64) {
 		if u == nil {
 			continue
 		}
-		if !m.vu.Drained(now) {
+		if m.vu.DrainCycle() > now {
 			continue
 		}
 		req := u.Dyn.VltCfg

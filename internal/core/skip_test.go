@@ -3,6 +3,9 @@ package core
 import (
 	"math/rand"
 	"testing"
+
+	"vlt/internal/stats"
+	"vlt/internal/workloads"
 )
 
 // TestSamplerRowsUnaffectedBySkipping pins the interaction between the
@@ -64,6 +67,75 @@ func TestSamplerRowsUnaffectedBySkipping(t *testing.T) {
 					t.Fatalf("trial %d (%s) row %d: metric %s = %v skipping vs %v ticking",
 						trial, cfg.Name, i, ss.Names()[j], sv[j], tv[j])
 				}
+			}
+		}
+	}
+}
+
+// TestSkipMatchesTickUnderAblations extends the skip-vs-tick oracle to
+// the ablation settings the named machines never use: consumers that
+// wait for full completion (VCL.DisableChaining), a fully replicated
+// VCL issue stage (VCL.ReplicatedIssue) and the lane cores' decouple
+// window at its blocking and a narrow setting (LaneCore.DecoupleWindow).
+// Each changes a readiness or issue rule the event horizon and the idle
+// replay share with the tick, so each cell's full metric snapshot must
+// match between the two schedulers.
+func TestSkipMatchesTickUnderAblations(t *testing.T) {
+	vector := []string{"mpenc", "trfd", "multprec", "bt", "mxm"}
+	scalarOnly := []string{"radix", "ocean", "barnes"}
+	type ablation struct {
+		name      string
+		machines  []func() Config
+		workloads []string
+		apply     func(*Config)
+	}
+	vectorMachines := []func() Config{func() Config { return Base(8) }, V2CMP, V4CMT}
+	laneMachines := []func() Config{func() Config { return VLTScalar(8) }}
+	ablations := []ablation{
+		{"no-chaining", vectorMachines, vector, func(c *Config) { c.VCL.DisableChaining = true }},
+		{"replicated-issue", vectorMachines, vector, func(c *Config) { c.VCL.ReplicatedIssue = true }},
+		{"decouple-1", laneMachines, scalarOnly, func(c *Config) { c.LaneCore.DecoupleWindow = 1 }},
+		{"decouple-4", laneMachines, scalarOnly, func(c *Config) { c.LaneCore.DecoupleWindow = 4 }},
+	}
+	for _, ab := range ablations {
+		for _, machine := range ab.machines {
+			for _, name := range ab.workloads {
+				cfg := machine()
+				ab.apply(&cfg)
+				t.Run(ab.name+"/"+cfg.Name+"/"+name, func(t *testing.T) {
+					w, err := workloads.ByName(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					prog := w.Build(workloads.Params{
+						Threads:    cfg.NumThreads,
+						ScalarOnly: cfg.Lanes == 0 || cfg.LaneScalarMode,
+					})
+					run := func(noSkip bool) stats.Snapshot {
+						c := cfg
+						c.NoSkip = noSkip
+						m, err := NewMachine(c, prog)
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer m.Release()
+						res, err := m.Run()
+						if err != nil {
+							t.Fatalf("NoSkip=%v: %v", noSkip, err)
+						}
+						return res.Metrics()
+					}
+					skip, tick := run(false), run(true)
+					if len(skip) != len(tick) {
+						t.Fatalf("metric count differs: %d skipping vs %d ticking", len(skip), len(tick))
+					}
+					for i := range skip {
+						if skip[i] != tick[i] {
+							t.Errorf("metric %s: %s skipping vs %s ticking",
+								skip[i].Name, skip[i].FormatValue(), tick[i].FormatValue())
+						}
+					}
+				})
 			}
 		}
 	}

@@ -316,3 +316,16 @@ func TestBranchTarget(t *testing.T) {
 		}
 	}
 }
+
+func TestSequencingOps(t *testing.T) {
+	for _, op := range []Op{OpNop, OpHalt, OpBar, OpMark, OpVltCfg} {
+		if !op.Info().Sequencing {
+			t.Errorf("%s: not sequencing, want sequencing", op.Info().Name)
+		}
+	}
+	for _, op := range []Op{OpSetVL, OpAdd, OpBeq, OpVAdd} {
+		if op.Info().Sequencing {
+			t.Errorf("%s: sequencing, want a datapath op", op.Info().Name)
+		}
+	}
+}

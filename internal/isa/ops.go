@@ -163,14 +163,21 @@ const (
 
 // Info is static metadata for one opcode.
 type Info struct {
-	Name    string
-	Format  Format
-	Class   Class
-	Vector  bool // occupies the vector unit (implies implicit VL read)
-	Memory  bool // touches data memory
-	Branch  bool // may redirect control flow
-	Latency int  // execution latency in cycles (first-result latency for vector ops)
-	VFU     int  // vector functional unit index (0..2) for ClassVecALU
+	Name   string
+	Format Format
+	Class  Class
+	Vector bool // occupies the vector unit (implies implicit VL read)
+	Memory bool // touches data memory
+	Branch bool // may redirect control flow
+
+	// Sequencing marks a control op that needs no datapath: every
+	// ClassCtl op but SETVL (nop, halt, bar, mark, vltcfg). Pipelines
+	// complete or hold these in order instead of issuing them to a
+	// unit. defOp derives it from Class.
+	Sequencing bool
+
+	Latency int // execution latency in cycles (first-result latency for vector ops)
+	VFU     int // vector functional unit index (0..2) for ClassVecALU
 
 	Reads  []slot // operand slots read
 	Writes []slot // operand slots written
@@ -182,6 +189,7 @@ func defOp(op Op, inf Info) {
 	if opInfos[op].Name != "" {
 		panic("isa: duplicate opcode definition " + inf.Name)
 	}
+	inf.Sequencing = inf.Class == ClassCtl && op != OpSetVL
 	opInfos[op] = inf
 }
 

@@ -11,4 +11,10 @@
 // pipe.Frontend; producers are captured at fetch (there is no rename
 // stage). Instruction-cache misses are forwarded through the scalar
 // unit, which adds a fixed service overhead on top of the L2 access.
+//
+// event.go is the core's part in the machine's cycle skipping
+// (DESIGN.md §11). Its NextEvent and SkipIdle walk the decouple window
+// with visible, the walk issue takes (the window is clamped to at least
+// 1 once, in New), and ask Uop.ReadyCycle and queueRoom as issue and
+// fetch do.
 package lane

@@ -5,12 +5,11 @@ package lane
 // earliest future cycle at which the core could change architectural or
 // accounting state; SkipIdle replays the per-cycle stall bookkeeping of
 // a skipped quiescent span so every exported counter is byte-identical
-// to a tick-every-cycle run.
+// to a tick-every-cycle run. Both walk the decouple window with
+// visible, the walk issue takes, and ask the rules issue and fetch ask
+// (Uop.ReadyCycle, queueRoom), so skipping cannot drift from ticking.
 
-import (
-	"vlt/internal/isa"
-	"vlt/internal/pipe"
-)
+import "vlt/internal/pipe"
 
 // NextEvent reports the earliest cycle after now at which Tick could do
 // more than idle bookkeeping: retire the completed retire-queue head,
@@ -30,70 +29,45 @@ func (c *Core) NextEvent(now uint64) uint64 {
 	if h := c.rob.Front(); h != nil && h.Issued {
 		ev = pipe.EventAt(ev, now, h.DoneCycle)
 	}
-	// Issue: scan the decouple-window prefix exactly as issue() does —
-	// a control uop past the head is a sequencing point that hides
-	// everything younger.
-	window := c.cfg.DecoupleWindow
-	if window < 1 {
-		window = 1
-	}
-	for slot := 0; slot < len(c.fetchQ) && slot < window; slot++ {
-		u := c.fetchQ[slot]
-		if u == nil || u.Issued {
-			continue // holes only exist mid-tick; defensive
+	// Issue: walk the decouple window as issue does. A control uop at
+	// the head issues next cycle; any other entry issues once its
+	// operands are ready, and one already ready is waiting on width or
+	// a memory port.
+	w := c.window()
+	for slot := 0; ; slot++ {
+		info := visible(w, slot)
+		if info == nil {
+			break
 		}
-		info := u.Dyn.Inst.Op.Info()
-		if info.Class == isa.ClassCtl && u.Dyn.Inst.Op != isa.OpSetVL {
-			if slot != 0 {
-				break
-			}
-			return now + 1 // head control uop issues next cycle
+		if info.Sequencing {
+			return now + 1
 		}
-		r, known := u.ReadyCycle()
-		if !known {
-			continue // gated on an unresolved producer
-		}
-		if r <= now {
-			return now + 1 // ready but width- or port-limited
-		}
-		if r < ev {
-			ev = r
+		if ev = pipe.EventAt(ev, now, w[slot].ReadyCycle(ev)); ev == now+1 {
+			return ev
 		}
 	}
 	// Fetch: the gates resolve even when the queues are full; an open
 	// core with queue space fetches (or misses) next cycle. Full queues
 	// are unblocked by retirement or issue, covered above.
 	ev, open := c.fe.Event(ev, now)
-	if open && len(c.fetchQ) < c.cfg.DecoupleWindow+c.cfg.Width && c.rob.Len() < c.cfg.RetireQueue {
+	if open && c.queueRoom() {
 		return now + 1
 	}
 	return ev
 }
 
 // SkipIdle replays the skipped quiescent cycles [from, to): every
-// non-control uop in the decouple-window prefix charges StallOperand
-// once per cycle it waits on operands (the span is quiescent, so all of
-// them wait the whole span and no memory-port stall can occur — port
-// stalls require a ready instruction).
+// entry of the decouple-window walk charges StallOperand once per cycle
+// it waits on operands (the span is quiescent, so all of them wait the
+// whole span, none is a control uop at the head, and no memory-port
+// stall can occur — port stalls require a ready instruction).
 func (c *Core) SkipIdle(from, to uint64) {
 	if c.Err != nil || !c.active {
 		return
 	}
-	window := c.cfg.DecoupleWindow
-	if window < 1 {
-		window = 1
-	}
-	stalls := uint64(0)
-	for slot := 0; slot < len(c.fetchQ) && slot < window; slot++ {
-		u := c.fetchQ[slot]
-		if u == nil || u.Issued {
-			continue
-		}
-		info := u.Dyn.Inst.Op.Info()
-		if info.Class == isa.ClassCtl && u.Dyn.Inst.Op != isa.OpSetVL {
-			break // sequencing point: issue() never scans past it
-		}
+	w, stalls := c.window(), 0
+	for visible(w, stalls) != nil {
 		stalls++
 	}
-	c.StallOperand += (to - from) * stalls
+	c.StallOperand += (to - from) * uint64(stalls)
 }

@@ -10,8 +10,9 @@ import (
 // stall diagnostics.
 
 // CheckInvariants verifies the core's internal accounting: structures
-// within capacity, fetch-queue entries unissued, and stage counters
-// monotone along the pipeline (retired <= issued <= fetched).
+// within capacity, fetch-queue entries present and unissued (the issue
+// walk relies on it), and stage counters monotone along the pipeline
+// (retired <= issued <= fetched).
 func (c *Core) CheckInvariants() error {
 	if c.rob.Len() > c.cfg.RetireQueue {
 		return fmt.Errorf("lane%d: retire queue holds %d entries, capacity %d",
@@ -20,8 +21,11 @@ func (c *Core) CheckInvariants() error {
 	if max := c.cfg.DecoupleWindow + c.cfg.Width; len(c.fetchQ) > max {
 		return fmt.Errorf("lane%d: fetch queue holds %d entries, capacity %d", c.ID, len(c.fetchQ), max)
 	}
-	for _, u := range c.fetchQ {
-		if u != nil && (u.Issued || u.Retired) {
+	for i, u := range c.fetchQ {
+		if u == nil {
+			return fmt.Errorf("lane%d: fetch-queue slot %d is a hole", c.ID, i)
+		}
+		if u.Issued || u.Retired {
 			return fmt.Errorf("lane%d: fetch-queue entry t%d @%d (%s) is issued=%t retired=%t",
 				c.ID, u.Thread, u.Dyn.PC, u.Dyn.Inst, u.Issued, u.Retired)
 		}

@@ -70,11 +70,13 @@ type Core struct {
 	StallMemPort uint64
 }
 
-// New builds a lane core over the shared L2.
+// New builds a lane core over the shared L2. A DecoupleWindow below 1
+// is taken as 1: the queue head is always an issue candidate.
 func New(id int, cfg Config, machine *vm.VM, l2 *mem.L2) *Core {
 	if cfg.Width == 0 {
 		cfg = DefaultConfig()
 	}
+	cfg.DecoupleWindow = max(cfg.DecoupleWindow, 1)
 	c := &Core{
 		ID:     id,
 		cfg:    cfg,
@@ -166,6 +168,30 @@ func (c *Core) retire(now uint64) {
 	}
 }
 
+// window returns the decouple-window prefix of the fetch queue: the
+// entries issue may look at this cycle. Between cycles it holds no
+// holes and no issued entries — issue compacts the queue before it
+// returns, and CheckInvariants checks it.
+func (c *Core) window() []*pipe.Uop {
+	return c.fetchQ[:min(len(c.fetchQ), c.cfg.DecoupleWindow)]
+}
+
+// visible returns the opcode info of entry slot of window w when issue
+// considers it, and nil once the walk ends: past the window, or at a
+// control uop that is not the queue head (control uops are sequencing
+// points that hide everything younger). issue, NextEvent and SkipIdle
+// all walk the window with it, slot by slot from the head.
+func visible(w []*pipe.Uop, slot int) *isa.Info {
+	if slot >= len(w) {
+		return nil
+	}
+	info := w[slot].Dyn.Inst.Op.Info()
+	if slot != 0 && info.Sequencing {
+		return nil
+	}
+	return info
+}
+
 // issue starts up to Width instructions per cycle. Issue is in order,
 // but the access-decoupling queues let independent younger instructions
 // within DecoupleWindow proceed past a stalled consumer (out-of-order
@@ -173,28 +199,20 @@ func (c *Core) retire(now uint64) {
 func (c *Core) issue(now uint64) {
 	memUsed := 0
 	issued := 0
-	window := c.cfg.DecoupleWindow
-	if window < 1 {
-		window = 1
-	}
-	for slot := 0; slot < len(c.fetchQ) && slot < window && issued < c.cfg.Width; slot++ {
-		u := c.fetchQ[slot]
-		if u == nil || u.Issued {
-			continue
+	w := c.window()
+	for slot := 0; issued < c.cfg.Width; slot++ {
+		info := visible(w, slot)
+		if info == nil {
+			break
 		}
-		info := u.Dyn.Inst.Op.Info()
+		u := w[slot]
 
 		if info.Vector {
 			c.Err = fmt.Errorf("lane: vector instruction %s on lane core %d", u.Dyn.Inst, c.ID)
 			return
 		}
 
-		// Control uops that need no datapath; they are sequencing points,
-		// so they only issue from the queue head.
-		if info.Class == isa.ClassCtl && u.Dyn.Inst.Op != isa.OpSetVL {
-			if slot != 0 {
-				break
-			}
+		if info.Sequencing { // the queue head: the walk stops at any other
 			if u.Dyn.IsBarrier {
 				u.DoneCycle = pipe.NeverDone // released by the machine
 			} else if u.Dyn.VltCfg != 0 {
@@ -208,7 +226,7 @@ func (c *Core) issue(now uint64) {
 			continue
 		}
 
-		if !u.ReadyBy(now) {
+		if u.ReadyCycle(now) > now {
 			c.StallOperand++
 			continue
 		}
@@ -257,6 +275,12 @@ func (c *Core) advance(u *pipe.Uop, now uint64, slot int) {
 	c.Issued++
 }
 
+// queueRoom reports whether the fetch and retire queues have room for
+// another fetched instruction. fetch and NextEvent both ask it.
+func (c *Core) queueRoom() bool {
+	return len(c.fetchQ) < c.cfg.DecoupleWindow+c.cfg.Width && c.rob.Len() < c.cfg.RetireQueue
+}
+
 // fetch resolves the fetch gates, then fetches up to Width instructions
 // while the queues have room. Producers are captured at fetch: the core
 // has no rename stage, and in-order issue makes fetch-time capture safe.
@@ -265,7 +289,7 @@ func (c *Core) fetch(now uint64) {
 		return
 	}
 	for i := 0; i < c.cfg.Width; i++ {
-		if len(c.fetchQ) >= c.cfg.DecoupleWindow+c.cfg.Width || c.rob.Len() >= c.cfg.RetireQueue {
+		if !c.queueRoom() {
 			return
 		}
 		// An I-cache miss is forwarded through the scalar unit.

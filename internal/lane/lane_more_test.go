@@ -1,6 +1,7 @@
 package lane
 
 import (
+	"strings"
 	"testing"
 
 	"vlt/internal/asm"
@@ -235,5 +236,53 @@ func TestVltCfgFaultsOnLaneCore(t *testing.T) {
 			t.Errorf("fault at cycle %d, want 208", now)
 		}
 		return
+	}
+}
+
+// TestDecoupleWindowClampedInNew pins the one clamp: New takes a window
+// below 1 as 1, so a zero or negative window runs exactly like the
+// strictly blocking pipeline.
+func TestDecoupleWindowClampedInNew(t *testing.T) {
+	blocking := DefaultConfig()
+	blocking.DecoupleWindow = 1
+	_, want := runCoreCfg(t, decoupleProbe(), blocking)
+	for _, window := range []int{0, -3} {
+		cfg := DefaultConfig()
+		cfg.DecoupleWindow = window
+		c, got := runCoreCfg(t, decoupleProbe(), cfg)
+		if c.cfg.DecoupleWindow != 1 {
+			t.Errorf("window %d: core runs with window %d, want 1", window, c.cfg.DecoupleWindow)
+		}
+		if got != want {
+			t.Errorf("window %d: %d cycles, want the blocking pipeline's %d", window, got, want)
+		}
+	}
+}
+
+// TestFetchQueueHoleIsAnInvariantViolation pins what the issue walk
+// relies on: between cycles the fetch queue holds no holes.
+func TestFetchQueueHoleIsAnInvariantViolation(t *testing.T) {
+	prog, err := decoupleProbe().Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	machine, err := vm.New(prog, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(0, DefaultConfig(), machine, mem.NewL2(mem.DefaultL2Config()))
+	c.AttachThread(0)
+	for now := uint64(0); len(c.fetchQ) == 0; now++ {
+		if now > 1000 {
+			t.Fatal("fetch queue never filled")
+		}
+		c.Tick(now)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatalf("healthy core: %v", err)
+	}
+	c.fetchQ[0] = nil
+	if err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "hole") {
+		t.Errorf("hole in the fetch queue: CheckInvariants = %v, want a hole violation", err)
 	}
 }

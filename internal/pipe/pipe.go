@@ -240,37 +240,27 @@ func (u *Uop) CollectedScalarProducers() []*Uop { return u.scalarBuf[:0] }
 // DoneBy reports whether the uop's result is available at cycle now.
 func (u *Uop) DoneBy(now uint64) bool { return u.DoneCycle <= now }
 
-// RetireBy reports whether the reorder buffer may retire the uop at now:
-// either its result is complete or it has been committed early.
-func (u *Uop) RetireBy(now uint64) bool {
-	return u.DoneCycle <= now || (u.CommitCycle != NeverDone && u.CommitCycle <= now)
-}
-
-// ReadyBy reports whether every producer's result is available at now.
-func (u *Uop) ReadyBy(now uint64) bool {
-	for _, p := range u.Producers {
-		if !p.DoneBy(now) {
-			return false
-		}
-	}
-	return true
-}
+// RetireCycle returns the first cycle at which the reorder buffer may
+// retire the uop: when its result completes or, for an early-committed
+// vector instruction, when it commits, whichever is sooner. NeverDone
+// means neither is known yet.
+func (u *Uop) RetireCycle() uint64 { return min(u.DoneCycle, u.CommitCycle) }
 
 // ReadyCycle returns the first cycle at which every producer's result is
-// available. known is false while any producer's completion time is
-// still unknown (NeverDone) — readiness is then gated on another event
-// and no cycle can be predicted yet.
-func (u *Uop) ReadyCycle() (cycle uint64, known bool) {
+// available, provided it is no later than bound: the uop may issue at
+// now once ReadyCycle(now) <= now, and an event horizon ev folds in
+// ReadyCycle(ev). A later cycle is not computed in full: the walk stops
+// at the first producer past bound and returns its completion cycle —
+// NeverDone when that producer's completion is still unknown, so
+// readiness is gated on another event.
+func (u *Uop) ReadyCycle(bound uint64) uint64 {
 	var r uint64
 	for _, p := range u.Producers {
-		if p.DoneCycle == NeverDone {
-			return 0, false
-		}
-		if p.DoneCycle > r {
-			r = p.DoneCycle
+		if r = max(r, p.DoneCycle); r > bound {
+			return r
 		}
 	}
-	return r, true
+	return r
 }
 
 // Bimodal is a table of 2-bit saturating counters indexed by PC. The

@@ -13,11 +13,18 @@ func TestUopReadiness(t *testing.T) {
 	p1 := &Uop{DoneCycle: 10}
 	p2 := &Uop{DoneCycle: 20}
 	u := &Uop{Producers: []*Uop{p1, p2}, DoneCycle: NeverDone}
-	if u.ReadyBy(15) {
-		t.Error("ready before slowest producer")
+	if r := u.ReadyCycle(NeverDone); r != 20 {
+		t.Errorf("ReadyCycle = %d, want the slowest producer's completion 20", r)
 	}
-	if !u.ReadyBy(20) {
-		t.Error("not ready at slowest producer completion")
+	if r := u.ReadyCycle(15); r <= 15 {
+		t.Errorf("ReadyCycle(15) = %d, want a cycle past the bound", r)
+	}
+	if r := u.ReadyCycle(20); r != 20 {
+		t.Errorf("ReadyCycle(20) = %d, want 20", r)
+	}
+	p2.DoneCycle = NeverDone
+	if r := u.ReadyCycle(1 << 62); r != NeverDone {
+		t.Errorf("ReadyCycle = %d with an unresolved producer, want NeverDone", r)
 	}
 	if u.DoneBy(1 << 62) {
 		t.Error("NeverDone uop reported done")
@@ -26,8 +33,23 @@ func TestUopReadiness(t *testing.T) {
 
 func TestUopNoProducersAlwaysReady(t *testing.T) {
 	u := &Uop{DoneCycle: NeverDone}
-	if !u.ReadyBy(0) {
-		t.Error("uop with no producers should be ready")
+	if r := u.ReadyCycle(0); r != 0 {
+		t.Errorf("uop with no producers ready at %d, want 0", r)
+	}
+}
+
+func TestUopRetireCycle(t *testing.T) {
+	u := &Uop{DoneCycle: NeverDone, CommitCycle: NeverDone}
+	if r := u.RetireCycle(); r != NeverDone {
+		t.Errorf("RetireCycle = %d with neither cycle known, want NeverDone", r)
+	}
+	u.CommitCycle = 7 // early commit
+	if r := u.RetireCycle(); r != 7 {
+		t.Errorf("RetireCycle = %d, want the commit cycle 7", r)
+	}
+	u.DoneCycle = 5
+	if r := u.RetireCycle(); r != 5 {
+		t.Errorf("RetireCycle = %d, want the earlier completion 5", r)
 	}
 }
 

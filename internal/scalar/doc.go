@@ -17,4 +17,10 @@
 // The functional simulator is the fetch stage: vm.Step executes the
 // architecturally correct path, and the branch predictor decides only how
 // much fetch time speculation would have cost.
+//
+// event.go is the unit's part in the machine's cycle skipping
+// (DESIGN.md §11). Its NextEvent and SkipIdle ask the rules the Tick
+// steps ask: Uop.RetireCycle for retirement, Uop.ReadyCycle for issue,
+// the dispatch-head classifier headStall (charged through chargeStall)
+// for dispatch, and fetchable for fetch.
 package scalar

@@ -6,12 +6,12 @@ package scalar
 // accounting state; SkipIdle replays the per-cycle bookkeeping of a
 // skipped quiescent span — round-robin advances and the stall counters
 // Tick charges even when no instruction moves — so every exported
-// counter is byte-identical to a tick-every-cycle run.
+// counter is byte-identical to a tick-every-cycle run. Neither restates
+// a stage's rule: both ask the predicates the Tick steps ask
+// (Uop.RetireCycle, Uop.ReadyCycle, headStall with chargeStall, and
+// fetchable), so skipping cannot drift from ticking.
 
-import (
-	"vlt/internal/isa"
-	"vlt/internal/pipe"
-)
+import "vlt/internal/pipe"
 
 // NextEvent reports the earliest cycle after now at which Tick could do
 // more than idle bookkeeping: retire a completed ROB head, issue a
@@ -19,85 +19,50 @@ import (
 // is evaluated after the cycle at now has fully run, and never returns
 // a cycle later than the unit's first actual state change (an earlier
 // cycle merely costs a no-op tick). pipe.NeverDone means the unit is
-// idle until some other component feeds it.
+// idle until some other component feeds it. Each stage asks the rule
+// its Tick step asks: RetireCycle, ReadyCycle, headStall and fetchable.
 func (u *Unit) NextEvent(now uint64) uint64 {
 	if u.Err != nil {
 		return pipe.NeverDone
 	}
 	ev := uint64(pipe.NeverDone)
-	// Retirement: each context's ROB head completes at DoneCycle, or
-	// CommitCycle for early-committed vector instructions. Heads with
-	// neither known (barriers, vltcfg, dropped completions) are released
-	// by the machine controller or another component's event.
+	// Retirement: heads with no retire cycle known (barriers, vltcfg,
+	// dropped completions) are released by the machine controller or
+	// another component's event; a head already retirable is waiting on
+	// width and retires next cycle.
 	for _, c := range u.ctxs {
-		h := c.rob.Front()
-		if h == nil {
-			continue
-		}
-		t := h.DoneCycle
-		if h.CommitCycle < t {
-			t = h.CommitCycle
-		}
-		if t == pipe.NeverDone {
-			continue
-		}
-		if t <= now {
-			return now + 1 // retirement already pending (width-limited)
-		}
-		if t < ev {
-			ev = t
+		if h := c.rob.Front(); h != nil {
+			if ev = pipe.EventAt(ev, now, h.RetireCycle()); ev == now+1 {
+				return ev
+			}
 		}
 	}
 	// Issue: a window entry becomes ready when its last producer
 	// completes; entries already ready are waiting on width or ports and
 	// will issue on a following cycle.
 	for _, w := range u.window {
-		r, known := w.ReadyCycle()
-		if !known {
-			continue
-		}
-		if r <= now {
-			return now + 1
-		}
-		if r < ev {
-			ev = r
+		if ev = pipe.EventAt(ev, now, w.ReadyCycle(ev)); ev == now+1 {
+			return ev
 		}
 	}
 	// Dispatch: any movable fetch-queue head is progress next cycle
 	// (possibly deferred a few cycles by the round-robin scan order —
 	// returning an earlier cycle is safe, the tick simply re-evaluates).
-	robTot := u.robTotal()
+	// A blocked head is unblocked by a retirement or an issue, covered
+	// above, or by VCL dispatch, a VCL event.
 	for _, c := range u.ctxs {
-		head := c.fetchQ.Front()
-		if head == nil {
-			continue
-		}
-		if c.rob.Len() >= c.robCap || robTot >= u.cfg.ROBSize {
-			continue // unblocked by a retirement, covered above
-		}
-		info := head.Dyn.Inst.Op.Info()
-		switch {
-		case info.Vector:
-			if u.vsink != nil {
-				if ok, _ := u.vsink.PeekEnqueue(head); !ok {
-					continue // unblocked by VCL dispatch, a VCL event
-				}
+		if head := c.fetchQ.Front(); head != nil {
+			if s, _ := u.headStall(c, head); s == stallNone {
+				return now + 1
 			}
-			return now + 1
-		case info.Class == isa.ClassCtl && head.Dyn.Inst.Op != isa.OpSetVL:
-			return now + 1 // control uops always enter the ROB
-		default:
-			if len(u.window) >= u.cfg.WindowSize {
-				continue // unblocked by an issue, covered above
-			}
-			return now + 1
 		}
 	}
 	// Fetch: an open context with queue room fetches next cycle; a
-	// gated one contributes the cycle its gate resolves.
+	// gated one contributes the cycle its gate resolves. A full queue
+	// is unblocked by dispatch draining it.
 	for _, c := range u.ctxs {
-		if !c.active || c.fetchQ.Len() >= 2*u.cfg.Width {
-			continue // unblocked by dispatch draining the queue
+		if !u.fetchable(c) {
+			continue
 		}
 		var open bool
 		if ev, open = c.fe.Event(ev, now); open {
@@ -123,10 +88,10 @@ func (u *Unit) SkipIdle(from, to uint64) {
 	n := len(u.ctxs)
 
 	// fetch charges one FetchStallBranch per cycle for every
-	// active context with queue space whose fetch is branch-gated.
+	// fetchable context whose fetch is branch-gated.
 	branchGated := uint64(0)
 	for _, c := range u.ctxs {
-		if c.active && c.fetchQ.Len() < 2*u.cfg.Width && c.fe.BranchGated(from) {
+		if u.fetchable(c) && c.fe.BranchGated(from) {
 			branchGated++
 		}
 	}
@@ -138,7 +103,6 @@ func (u *Unit) SkipIdle(from, to uint64) {
 	// walk the scan exactly as dispatch would: a ROB-blocked head is
 	// charged and skipped, the first window- or VIQ-blocked head is
 	// charged and zeroes the budget, ending the whole scan.
-	robTot := u.robTotal()
 	start := (u.retireRR + 1) % n
 	for p := 0; p < n; p++ {
 		off := uint64(((p-start)%n + n) % n)
@@ -152,22 +116,11 @@ func (u *Unit) SkipIdle(from, to uint64) {
 			if head == nil {
 				continue
 			}
-			if c.rob.Len() >= c.robCap || robTot >= u.cfg.ROBSize {
-				u.DispStallROB += cnt
-				continue
+			s, counted := u.headStall(c, head)
+			u.chargeStall(s, counted, cnt)
+			if s != stallROB {
+				break // budget zeroed: the scan ends here every cycle
 			}
-			info := head.Dyn.Inst.Op.Info()
-			if info.Vector {
-				if u.vsink != nil {
-					if _, counted := u.vsink.PeekEnqueue(head); counted {
-						u.vsink.CreditRejects(cnt)
-					}
-				}
-				u.DispStallVIQ += cnt
-			} else if info.Class != isa.ClassCtl || head.Dyn.Inst.Op == isa.OpSetVL {
-				u.DispStallWindow += cnt
-			}
-			break // budget zeroed: the scan ends here every cycle
 		}
 	}
 

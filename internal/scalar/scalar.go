@@ -11,15 +11,15 @@ import (
 )
 
 // VectorSink accepts vector uops at dispatch (implemented by vcl.VCL).
+// Dispatch asks PeekEnqueue first and enqueues only what it accepts.
 type VectorSink interface {
 	Enqueue(*pipe.Uop) bool
 	// PeekEnqueue reports whether Enqueue would accept the uop (ok)
 	// and, when it would not, whether the refusal would be counted as a
 	// VIQ rejection (counted). It must not change any state.
 	PeekEnqueue(*pipe.Uop) (ok, counted bool)
-	// CreditRejects records n VIQ rejections without enqueue attempts —
-	// the event-driven scheduler's bulk credit for skipped cycles on
-	// which dispatch would have retried a blocked vector head.
+	// CreditRejects records n counted VIQ rejections: one for each
+	// cycle dispatch finds its vector head refused, ticked or skipped.
 	CreditRejects(n uint64)
 }
 
@@ -256,7 +256,7 @@ func (u *Unit) retire(now uint64) {
 		c := u.ctxs[(u.retireRR+i)%n]
 		for budget > 0 && c.rob.Len() > 0 {
 			h := c.rob.Front()
-			if !h.RetireBy(now) {
+			if h.RetireCycle() > now {
 				break
 			}
 			c.rob.Pop()
@@ -292,7 +292,7 @@ func (u *Unit) issue(now uint64) {
 			kept = append(kept, u.window[idx:]...)
 			break
 		}
-		if !w.ReadyBy(now) {
+		if w.ReadyCycle(now) > now {
 			kept = append(kept, w)
 			continue
 		}
@@ -333,6 +333,59 @@ func (u *Unit) issue(now uint64) {
 	u.window = kept
 }
 
+// dispatchStall is what holds a context's fetch-queue head at dispatch.
+type dispatchStall uint8
+
+const (
+	stallNone   dispatchStall = iota // the head dispatches this cycle
+	stallROB                         // ROB full: the scan moves to the next context
+	stallWindow                      // scheduler window full: the scan ends
+	stallVIQ                         // vector unit refuses it: the scan ends
+)
+
+// headStall classifies head, the front of context c's fetch queue, at
+// dispatch: whether it moves this cycle and, if not, which structure
+// holds it. counted reports that a VIQ refusal counts as a vector unit
+// reject. A control uop needs no window entry and always moves once the
+// ROB has room; a vector uop with no vector unit moves too, and dispatch
+// faults on it. dispatch, NextEvent and SkipIdle all ask this one rule.
+func (u *Unit) headStall(c *context, head *pipe.Uop) (s dispatchStall, counted bool) {
+	if c.rob.Len() >= c.robCap || u.robTotal() >= u.cfg.ROBSize {
+		return stallROB, false
+	}
+	info := head.Dyn.Inst.Op.Info()
+	switch {
+	case info.Vector:
+		if u.vsink != nil {
+			if ok, counted := u.vsink.PeekEnqueue(head); !ok {
+				return stallVIQ, counted
+			}
+		}
+	case info.Sequencing: // needs no window entry
+	default:
+		if len(u.window) >= u.cfg.WindowSize {
+			return stallWindow, false
+		}
+	}
+	return stallNone, false
+}
+
+// chargeStall charges n cycles of dispatch stall s to its counter and,
+// for a counted VIQ refusal, n rejects to the vector unit.
+func (u *Unit) chargeStall(s dispatchStall, counted bool, n uint64) {
+	switch s {
+	case stallROB:
+		u.DispStallROB += n
+	case stallWindow:
+		u.DispStallWindow += n
+	case stallVIQ:
+		u.DispStallVIQ += n
+		if counted {
+			u.vsink.CreditRejects(n)
+		}
+	}
+}
+
 // dispatch moves fetched instructions into the ROB (and window or vector
 // queue), in order per context, up to Width per cycle.
 func (u *Unit) dispatch(now uint64) {
@@ -342,13 +395,13 @@ func (u *Unit) dispatch(now uint64) {
 		c := u.ctxs[(u.retireRR+i)%n]
 		for budget > 0 && c.fetchQ.Len() > 0 {
 			uop := c.fetchQ.Front()
-			if c.rob.Len() >= c.robCap || u.robTotal() >= u.cfg.ROBSize {
-				u.DispStallROB++
+			stall, counted := u.headStall(c, uop)
+			if stall == stallROB {
+				u.chargeStall(stall, counted, 1)
 				break
 			}
 			info := uop.Dyn.Inst.Op.Info()
-			switch {
-			case info.Vector:
+			if info.Vector {
 				if u.vsink == nil {
 					u.Err = fmt.Errorf("scalar: vector instruction %s with no vector unit (thread %d)",
 						uop.Dyn.Inst, uop.Thread)
@@ -357,13 +410,17 @@ func (u *Unit) dispatch(now uint64) {
 				if uop.ScalarProducers == nil { // a VIQ-full retry keeps the first capture
 					uop.ScalarProducers = c.fe.Producers(uop.CollectedScalarProducers(), uop, now)
 				}
-				if !u.vsink.Enqueue(uop) {
-					u.DispStallVIQ++
-					budget = 0
-					break
-				}
+			}
+			if stall != stallNone {
+				u.chargeStall(stall, counted, 1)
+				budget = 0
+				break
+			}
+			switch {
+			case info.Vector:
+				u.vsink.Enqueue(uop) // accepted: headStall peeked
 				c.fe.Record(uop)
-			case info.Class == isa.ClassCtl && uop.Dyn.Inst.Op != isa.OpSetVL:
+			case info.Sequencing:
 				// NOP/MARK/HALT complete immediately; BAR and VLTCFG
 				// wait for the machine-level controller.
 				if uop.Dyn.IsBarrier || uop.Dyn.VltCfg != 0 {
@@ -373,17 +430,9 @@ func (u *Unit) dispatch(now uint64) {
 					uop.ChainCycle = now
 				}
 			default:
-				if len(u.window) >= u.cfg.WindowSize {
-					u.DispStallWindow++
-					budget = 0
-					break
-				}
 				uop.Producers = c.fe.Producers(uop.Producers, uop, now)
 				c.fe.Record(uop)
 				u.window = append(u.window, uop)
-			}
-			if budget == 0 {
-				break
 			}
 			uop.DispatchCycle = now
 			c.rob.Push(c.fetchQ.Pop())
@@ -391,6 +440,13 @@ func (u *Unit) dispatch(now uint64) {
 			budget--
 		}
 	}
+}
+
+// fetchable reports whether context c may fetch at all this cycle: it
+// runs a thread and its fetch queue has room for another fetch group.
+// fetch, NextEvent and SkipIdle all ask this one rule before the gates.
+func (u *Unit) fetchable(c *context) bool {
+	return c.active && c.fetchQ.Len() < 2*u.cfg.Width
 }
 
 // fetch pulls up to Width instructions per cycle, splitting the fetch
@@ -402,7 +458,7 @@ func (u *Unit) fetch(now uint64) {
 	ready := u.fetchReady[:0]
 	for i := 0; i < n; i++ {
 		c := u.ctxs[(u.fetchRR+i)%n]
-		if !c.active || c.fetchQ.Len() >= 2*u.cfg.Width {
+		if !u.fetchable(c) {
 			continue
 		}
 		open, branch := c.fe.Gate(now, u.cfg.MispredictPenalty)

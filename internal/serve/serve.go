@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -149,15 +150,33 @@ func New(cfg Config) *Server {
 	}
 	s.registerMetrics(s.reg)
 
-	s.mux.HandleFunc("/v1/run", s.handleRun)
-	s.mux.HandleFunc("/v1/sweep", s.handleSweep)
-	s.mux.HandleFunc("/v1/experiment", s.handleExperiment)
-	s.mux.HandleFunc("/v1/workloads", s.handleWorkloads)
-	s.mux.HandleFunc("/v1/machines", s.handleMachines)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/metricsz", s.handleMetricsz)
+	get := []string{http.MethodGet, http.MethodHead}
+	s.route("/v1/run", s.handleRun, http.MethodGet, http.MethodHead, http.MethodPost)
+	s.route("/v1/sweep", s.handleSweep, http.MethodPost)
+	s.route("/v1/experiment", s.handleExperiment, get...)
+	s.route("/v1/workloads", s.handleWorkloads, get...)
+	s.route("/v1/machines", s.handleMachines, get...)
+	s.route("/healthz", s.handleHealthz, get...)
+	s.route("/metricsz", s.handleMetricsz, get...)
 	s.ready.Store(true)
 	return s
+}
+
+// route mounts h at path for the given methods. Any other method is a
+// 405 carrying an Allow header and the JSON error envelope, counted as
+// a failure like every other error response.
+func (s *Server) route(path string, h http.HandlerFunc, methods ...string) {
+	allow := strings.Join(methods, ", ")
+	s.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+		if !slices.Contains(methods, r.Method) {
+			w.Header().Set("Allow", allow)
+			s.writeError(w, apiError{status: http.StatusMethodNotAllowed,
+				Error: api.Error{Code: api.CodeBadRequest,
+					Message: fmt.Sprintf("method %s not allowed on %s; use %s", r.Method, path, allow)}})
+			return
+		}
+		h(w, r)
+	})
 }
 
 // registerMetrics exposes the server's counters under the "serve"

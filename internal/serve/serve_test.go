@@ -613,3 +613,51 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 		t.Errorf("load run shed %d requests; MaxPending default too low for this mix", st.Rejected)
 	}
 }
+
+// TestRoutesRefuseOtherMethods pins the method gate on every route: a
+// method the route does not serve is a 405 with an Allow header and the
+// JSON error envelope, counted as a failure, and it never reaches the
+// handler — a DELETE of a run must not simulate it.
+func TestRoutesRefuseOtherMethods(t *testing.T) {
+	s := fakeServer(Config{})
+	var sims int
+	s.runCell = func(w string, m vlt.Machine, o vlt.Options) (vlt.Result, error) {
+		sims++
+		return fakeResult(w, m, o), nil
+	}
+	for _, c := range []struct{ method, target, allow string }{
+		{http.MethodDelete, "/v1/run?workload=mxm&machine=base", "GET, HEAD, POST"},
+		{http.MethodPut, "/v1/experiment?name=table1", "GET, HEAD"},
+		{http.MethodDelete, "/v1/workloads", "GET, HEAD"},
+		{http.MethodPatch, "/metricsz", "GET, HEAD"},
+		{http.MethodGet, "/v1/sweep", "POST"},
+	} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(c.method, c.target, nil))
+		name := c.method + " " + c.target
+		if rec.Code != http.StatusMethodNotAllowed {
+			t.Errorf("%s: status %d, want 405", name, rec.Code)
+			continue
+		}
+		if got := rec.Header().Get("Allow"); got != c.allow {
+			t.Errorf("%s: Allow %q, want %q", name, got, c.allow)
+		}
+		if e := decodeError(t, rec.Body.Bytes()); e.Code != api.CodeBadRequest {
+			t.Errorf("%s: code %q, want bad_request", name, e.Code)
+		}
+	}
+	if sims != 0 {
+		t.Errorf("refused requests ran %d simulations, want 0", sims)
+	}
+	if n := s.Registry().Snapshot().Uint("serve.http.failures"); n != 5 {
+		t.Errorf("serve.http.failures = %d, want 5", n)
+	}
+	// The allowed methods still reach their handlers.
+	for _, method := range []string{http.MethodGet, http.MethodHead} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(method, "/v1/workloads", nil))
+		if rec.Code != http.StatusOK {
+			t.Errorf("%s /v1/workloads: status %d, want 200", method, rec.Code)
+		}
+	}
+}

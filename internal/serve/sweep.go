@@ -39,11 +39,6 @@ type sweepFuture struct {
 // kills a sweep. The final line is a trailer; a client that does not
 // see it knows the stream was truncated rather than finished.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeError(w, apiError{status: http.StatusMethodNotAllowed,
-			Error: api.Error{Code: api.CodeBadRequest, Message: "POST a sweep grid (JSON body) to this endpoint"}})
-		return
-	}
 	var req api.SweepRequest
 	if err := decodeStrict(r.Body, &req); err != nil {
 		s.writeError(w, apiError{status: http.StatusBadRequest,

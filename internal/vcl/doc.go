@@ -9,4 +9,10 @@
 // window entries, issue slots) are statically partitioned across the
 // groups, the design point the paper found performs as well as a fully
 // replicated VCL.
+//
+// event.go is the unit's part in the machine's cycle skipping
+// (DESIGN.md §11). NextEvent asks readyCycle, the rule issue asks;
+// SkipIdle charges a skipped span through census, the Figure-4
+// accounting Tick runs for one cycle; and DrainCycle is the one drain
+// rule, which a pending lane repartition waits on in both schedulers.
 package vcl

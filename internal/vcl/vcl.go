@@ -2,6 +2,7 @@ package vcl
 
 import (
 	"fmt"
+	"slices"
 
 	"vlt/internal/isa"
 	"vlt/internal/mem"
@@ -87,7 +88,8 @@ type VCL struct {
 
 	VecIssued  uint64
 	VecElemOps uint64
-	// VIQRejects counts Enqueue calls refused for lack of VIQ space —
+	// VIQRejects counts offers refused for lack of VIQ space, by Enqueue
+	// or credited by a dispatch that peeked (CreditRejects) —
 	// back-pressure into the scalar unit's dispatch stage.
 	VIQRejects uint64
 
@@ -243,26 +245,6 @@ func (v *VCL) InFlight() int {
 	return n
 }
 
-// Drained reports whether the vector unit has no work at cycle now.
-func (v *VCL) Drained(now uint64) bool {
-	if v.InFlight() != 0 {
-		return false
-	}
-	for _, p := range v.parts {
-		for _, f := range p.vfuFree {
-			if f > now {
-				return false
-			}
-		}
-		for _, f := range p.memFree {
-			if f > now {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Tick advances the VCL by one cycle: retires completed window entries,
 // renames/dispatches from the VIQ into the window, issues ready
 // instructions to the lane datapaths, and accounts datapath utilization
@@ -273,7 +255,7 @@ func (v *VCL) Tick(now uint64) {
 		p.dispatch(now, v.cfg.IssueWidth)
 	}
 	v.issue(now)
-	v.account(now)
+	v.census(now, now+1)
 }
 
 // retireDone removes completed instructions from the window, releasing
@@ -351,13 +333,20 @@ func (p *partition) dispatch(now uint64, width int) {
 	}
 }
 
-// readyAt reports whether u can begin execution at now: scalar operands
-// complete, vector operands at least chainable, and its functional unit
-// free.
-func (p *partition) readyAt(u *pipe.Uop, now uint64) bool {
+// readyCycle returns the first cycle at which u may issue, provided it
+// is no later than bound: the latest of its scalar producers'
+// completions, its vector producers' chain (or, without chaining,
+// completion) cycles, and the cycle its functional unit frees (for a
+// memory instruction, the first port to free). As with
+// pipe.Uop.ReadyCycle, a later cycle is not computed in full: the first
+// term past bound is returned, pipe.NeverDone for a producer whose
+// completion is still unknown. issue asks readyCycle(u, now) <= now and
+// NextEvent folds in readyCycle(u, ev).
+func (p *partition) readyCycle(u *pipe.Uop, bound uint64) uint64 {
+	var r uint64
 	for _, sp := range u.ScalarProducers {
-		if !sp.DoneBy(now) {
-			return false
+		if r = max(r, sp.DoneCycle); r > bound {
+			return r
 		}
 	}
 	for _, vp := range u.Producers {
@@ -365,28 +354,23 @@ func (p *partition) readyAt(u *pipe.Uop, now uint64) bool {
 		if p.noChain {
 			ready = vp.DoneCycle
 		}
-		if ready > now {
-			return false
+		if r = max(r, ready); r > bound {
+			return r
 		}
 	}
 	info := u.Dyn.Inst.Op.Info()
 	switch info.Class {
 	case isa.ClassVecALU:
-		return p.vfuFree[info.VFU] <= now
+		r = max(r, p.vfuFree[info.VFU])
 	case isa.ClassVecLoad, isa.ClassVecStore:
-		for _, f := range p.memFree {
-			if f <= now {
-				return true
-			}
-		}
-		return false
+		r = max(r, slices.Min(p.memFree[:]))
 	}
-	return false
+	return r
 }
 
 func (p *partition) nextIssuable(now uint64) *pipe.Uop {
 	for _, u := range p.win {
-		if !u.Issued && p.readyAt(u, now) {
+		if !u.Issued && p.readyCycle(u, now) <= now {
 			return u
 		}
 	}
@@ -401,6 +385,8 @@ func (p *partition) nextIssuable(now uint64) *pipe.Uop {
 func (v *VCL) issue(now uint64) {
 	width := v.cfg.IssueWidth
 	n := len(v.parts)
+	first := v.rr
+	v.rr++ // once per cycle, ticked or skipped (SkipIdle)
 	if v.cfg.ReplicatedIssue {
 		for _, p := range v.parts {
 			for k := 0; k < width; k++ {
@@ -415,7 +401,7 @@ func (v *VCL) issue(now uint64) {
 	}
 	issued := 0
 	for attempt := 0; attempt < n && issued < width; attempt++ {
-		p := v.parts[(v.rr+attempt)%n]
+		p := v.parts[(first+attempt)%n]
 		for issued < width {
 			u := p.nextIssuable(now)
 			if u == nil {
@@ -428,7 +414,6 @@ func (v *VCL) issue(now uint64) {
 			}
 		}
 	}
-	v.rr++
 }
 
 func (v *VCL) issueUop(p *partition, u *pipe.Uop, now uint64) {
@@ -482,31 +467,32 @@ func (v *VCL) issueUop(p *partition, u *pipe.Uop, now uint64) {
 	}
 }
 
-// account classifies this cycle for every arithmetic datapath in every
-// lane (3 per lane), in the paper's Figure-4 categories.
-func (v *VCL) account(now uint64) {
+// census charges cycles [from, to) to every arithmetic datapath in
+// every lane (3 per lane), in the paper's Figure-4 categories. Tick
+// charges its one cycle after issue; SkipIdle charges a whole quiescent
+// span, across which no instruction issues, so the pending/idle class
+// of every FU is constant and an FU mid-execution drains on the element
+// schedule fixed at its issue.
+func (v *VCL) census(from, to uint64) {
 	for _, p := range v.parts {
+		lanes := uint64(p.lanes)
 		for f := 0; f < NumVFUs; f++ {
-			if now < p.vfuFree[f] {
-				// FU executing: elements this cycle.
-				cur := p.vfuCur[f]
-				k := int(now - cur.issue)
-				rem := cur.vl - k*p.lanes
-				elems := p.lanes
-				if rem < elems {
-					elems = rem
-				}
-				if elems < 0 {
-					elems = 0
-				}
-				v.Util.Busy += uint64(elems)
-				v.Util.PartIdle += uint64(p.lanes - elems)
+			cycle, cur := from, p.vfuCur[f]
+			for end := min(to, p.vfuFree[f]); cycle < end; cycle++ {
+				// FU executing: the elements of its instruction due this
+				// cycle, one group of lanes per cycle since issue.
+				rem := cur.vl - int(cycle-cur.issue)*p.lanes
+				elems := uint64(min(max(rem, 0), p.lanes))
+				v.Util.Busy += elems
+				v.Util.PartIdle += lanes - elems
+			}
+			if cycle == to {
 				continue
 			}
 			if p.pendingFor(f) {
-				v.Util.Stalled += uint64(p.lanes)
+				v.Util.Stalled += (to - cycle) * lanes
 			} else {
-				v.Util.AllIdle += uint64(p.lanes)
+				v.Util.AllIdle += (to - cycle) * lanes
 			}
 		}
 	}

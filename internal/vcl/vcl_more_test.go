@@ -173,7 +173,7 @@ func TestRepartitionResetsRenameState(t *testing.T) {
 	u := vecUop(0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 64, nil)
 	v.Enqueue(u)
 	runCycles(v, 0, 40)
-	if !v.Drained(40) {
+	if v.DrainCycle() > 40 {
 		t.Fatal("not drained")
 	}
 	if err := v.Partition([]int{0, 1}); err != nil {

@@ -233,14 +233,14 @@ func TestDrainAndRepartition(t *testing.T) {
 	u := vecUop(0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 64, nil)
 	v.Enqueue(u)
 	v.Tick(0)
-	if v.Drained(1) {
+	if v.DrainCycle() <= 1 {
 		t.Error("should not be drained while executing")
 	}
 	if err := v.Partition([]int{0, 1}); err == nil {
 		t.Error("repartition should fail while in flight")
 	}
 	runCycles(v, 1, 40)
-	if !v.Drained(40) {
+	if v.DrainCycle() > 40 {
 		t.Error("should be drained after completion")
 	}
 	if err := v.Partition([]int{0, 1, 2, 3}); err != nil {

@@ -31,6 +31,18 @@ echo "== benchmark module tests (expall.golden, run/experiment body digests, vlt
 echo "== goldens (testdata/metrics_base_mxm.golden, testdata/expall_json.golden)"
 go test -v -run 'TestGoldenMetrics|TestCollectAllAndJSON' .
 
+echo "== cycle-skip golden (VLT_NOSKIP=1 vltexp -all vs bench/testdata/expall.golden)"
+# TestSkipMatchesTickEveryCycle compares skipping with ticking on the
+# default cells only. -all also runs Figure 1's 1, 2 and 4 lanes and the
+# 16-lane and no-reclaim extensions; ticking every cycle must print the
+# golden the skipping run is pinned to (bench module), byte for byte.
+VLT_NOSKIP=1 go run ./cmd/vltexp -all >/tmp/vltexp.noskip
+if ! diff -u bench/testdata/expall.golden /tmp/vltexp.noskip; then
+    echo "cycle-skip golden: VLT_NOSKIP=1 vltexp -all differs from bench/testdata/expall.golden" >&2
+    exit 1
+fi
+rm -f /tmp/vltexp.noskip
+
 echo "== fuzz smoke (5s per target)"
 go test -run='^$' -fuzz=FuzzAssemble -fuzztime=5s ./internal/asm
 go test -run='^$' -fuzz=FuzzDecode -fuzztime=5s ./internal/isa
