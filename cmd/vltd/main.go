@@ -133,9 +133,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		func() error {
 			select {
 			case sig := <-sigc:
-				// Flip readiness first: fleet health-checkers and load
-				// balancers see 503 on /healthz?ready=1 and stop routing
-				// new cells here while in-flight work drains.
+				// Flip readiness first: load balancers see 503 on
+				// /healthz?ready=1 and stop routing new work here while
+				// in-flight work drains. Fleet coordinators keep sending
+				// cells until Shutdown closes the listener; then their
+				// calls fail and the cells fall back to local compute.
 				s.BeginDrain()
 				fmt.Fprintf(stdout, "vltd: %v: draining in-flight simulations (up to %s)\n", sig, *drain)
 				ctx, cancel := context.WithTimeout(context.Background(), *drain)

@@ -242,6 +242,92 @@ func TestChaosSweep(t *testing.T) {
 	}
 }
 
+// TestStoppedPeerFallsBack pins what a coordinator does once its peer
+// shuts down, with no health probe in between: a two-node fleet sweeps
+// one grid, the peer gets SIGTERM, and a sweep of new cells still
+// answers every cell with the bytes a single node serves. The dead
+// peer's calls fail, its breaker opens, and its cells fall back locally;
+// each cell takes exactly one route.
+func TestStoppedPeerFallsBack(t *testing.T) {
+	sigc := make(chan chan<- os.Signal, 3)
+	signalNotify = func(c chan<- os.Signal, _ ...os.Signal) { sigc <- c }
+	defer func() { signalNotify = nil }()
+
+	before := api.SweepRequest{Workloads: []string{"mxm", "sage"}, Machines: []string{"base", "V2-CMP"}}
+	after := api.SweepRequest{Workloads: []string{"mxm", "sage"}, Machines: []string{"V4-CMP", "V4-CMT"}}
+	// peerOwned counts a grid's cells the 2-member shard map gives the peer.
+	peerOwned := func(req api.SweepRequest) int {
+		shard := fleet.New(fleet.Config{Peers: []string{"http://peer"}})
+		n := 0
+		for _, c := range req.Cells() {
+			key, err := vlt.CellKey(c.Workload, vlt.Machine(c.Machine), c.Options())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if shard.Owner(key) == 1 {
+				n++
+			}
+		}
+		if n == 0 || n == len(req.Cells()) {
+			t.Fatalf("degenerate shard map: the peer owns %d of %d cells", n, len(req.Cells()))
+		}
+		return n
+	}
+	remoteWant, fallbackWant := peerOwned(before), peerOwned(after)
+
+	// sweep runs a grid on a daemon and returns each cell's body.
+	sweep := func(url string, req api.SweepRequest) [][]byte {
+		t.Helper()
+		client := vltclient.New(vltclient.Config{BaseURL: url})
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+		defer cancel()
+		var bodies [][]byte
+		trailer, err := client.Sweep(ctx, req, func(cell api.SweepCell) error {
+			if cell.Error != nil {
+				t.Errorf("%s/%s: %s", cell.Workload, cell.Machine, cell.Error.Message)
+			}
+			bodies = append(bodies, cell.Result)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(req.Cells()); trailer.Cells != n || trailer.Errors != 0 {
+			t.Fatalf("trailer: %d cells, %d errors; want %d cells, 0 errors", trailer.Cells, trailer.Errors, n)
+		}
+		return bodies
+	}
+
+	peerURL, peerSig, peerDone, peerOut := bootDaemon(t, []string{"-addr", "127.0.0.1:0"}, sigc)
+	coordURL, coordSig, coordDone, coordOut := bootDaemon(t,
+		[]string{"-addr", "127.0.0.1:0", "-peers", peerURL}, sigc)
+	sweep(coordURL, before)
+	if m := scrapeMetrics(t, coordURL); m["fleet.remote"] != uint64(remoteWant) {
+		t.Fatalf("live peer: fleet.remote = %d, want %d (metrics %v)", m["fleet.remote"], remoteWant, m)
+	}
+	stopDaemon(t, peerSig, peerDone, peerOut)
+
+	got := sweep(coordURL, after)
+	m := scrapeMetrics(t, coordURL)
+	stopDaemon(t, coordSig, coordDone, coordOut)
+	singleURL, singleSig, singleDone, singleOut := bootDaemon(t, []string{"-addr", "127.0.0.1:0"}, sigc)
+	want := sweep(singleURL, after)
+	stopDaemon(t, singleSig, singleDone, singleOut)
+
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("cell %d: body after the peer stopped differs from a single node's", i)
+		}
+	}
+	cells := uint64(len(before.Cells()) + len(after.Cells()))
+	if l, r, f := m["fleet.local"], m["fleet.remote"], m["fleet.fallback"]; l+r+f != cells {
+		t.Errorf("local %d + remote %d + fallback %d != %d cells", l, r, f, cells)
+	}
+	if m["fleet.fallback"] != uint64(fallbackWant) {
+		t.Errorf("stopped peer: fleet.fallback = %d, want %d (every cell it owned)", m["fleet.fallback"], fallbackWant)
+	}
+}
+
 // scrapeMetrics reads a daemon's integer /metricsz lines into a map.
 func scrapeMetrics(t *testing.T, base string) map[string]uint64 {
 	t.Helper()
@@ -277,7 +363,7 @@ func TestDeadPeerReadsStoreOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	dead := "http://" + ln.Addr().String()
-	ln.Close() // nothing listens: every probe and run fails
+	ln.Close() // nothing listens: every run fails
 
 	req := api.SweepRequest{
 		Workloads: []string{"mxm", "sage"},

@@ -72,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Threads:   *threads,
 	}
 	client := vltclient.New(vltclient.Config{
-		BaseURL:    strings.TrimRight(*server, "/"),
+		BaseURL:    *server,
 		MaxRetries: maxRetries,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)

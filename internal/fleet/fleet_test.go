@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -58,30 +59,28 @@ func TestOwnerDeterministicAndCoversAllMembers(t *testing.T) {
 }
 
 func TestNoPeersComputesLocally(t *testing.T) {
-	c := New(Config{})
+	reg := stats.New()
+	c := New(Config{Registry: reg})
 	body, err := c.Compute(context.Background(), "anything", api.RunRequest{},
 		func() ([]byte, error) { return []byte("local\n"), nil })
 	if err != nil || string(body) != "local\n" {
 		t.Fatalf("Compute = %q, %v", body, err)
 	}
-	if c.local != 1 {
-		t.Fatalf("local counter = %d, want 1", c.local)
+	if got := reg.Snapshot().Uint("local"); got != 1 {
+		t.Fatalf("local counter = %d, want 1", got)
 	}
 }
 
 func TestRemoteCellRoutesToPeer(t *testing.T) {
-	var runs, probes int
+	var runs int
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/healthz":
-			probes++
-			fmt.Fprintln(w, `{"status":"ready"}`)
-		case "/v1/run":
-			runs++
-			fmt.Fprintln(w, `{"workload":"fir","machine":"cmp","mips":7}`)
-		default:
+		if r.URL.Path != "/v1/run" {
+			t.Errorf("coordinator requested %s; it sends cells and nothing else", r.URL.Path)
 			http.NotFound(w, r)
+			return
 		}
+		runs++
+		fmt.Fprintln(w, `{"workload":"fir","machine":"cmp","mips":7}`)
 	}))
 	defer srv.Close()
 
@@ -101,12 +100,8 @@ func TestRemoteCellRoutesToPeer(t *testing.T) {
 	if runs != 5 {
 		t.Fatalf("peer served %d runs, want 5", runs)
 	}
-	// 5 computes inside one TTL window: exactly one readiness probe.
-	if probes != 1 {
-		t.Fatalf("peer saw %d probes, want 1 (verdict must be cached)", probes)
-	}
 	snap := reg.Snapshot()
-	if snap.Uint("remote") != 5 || snap.Uint("probes") != 1 || snap.Uint("fallback") != 0 {
+	if snap.Uint("remote") != 5 || snap.Uint("fallback") != 0 {
 		t.Fatalf("counters: %s", snap)
 	}
 	if snap.Uint("peer0.requests") != 5 {
@@ -117,65 +112,113 @@ func TestRemoteCellRoutesToPeer(t *testing.T) {
 func TestDeadPeerFallsBackLocally(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	base := srv.URL
-	srv.Close() // nothing listens: probes and runs all fail
+	srv.Close() // nothing listens: every run fails
 
-	c := New(Config{Peers: []string{base}, Client: fastClient()})
+	reg := stats.New()
+	c := New(Config{Peers: []string{base}, Client: fastClient(), Registry: reg})
 	key := keyOwnedBy(t, c, 1)
 	body, err := c.Compute(context.Background(), key, api.RunRequest{},
 		func() ([]byte, error) { return []byte("recomputed\n"), nil })
 	if err != nil || string(body) != "recomputed\n" {
 		t.Fatalf("Compute = %q, %v", body, err)
 	}
-	if c.Fallbacks() != 1 {
-		t.Fatalf("fallback counter = %d, want 1", c.Fallbacks())
+	if got := reg.Snapshot().Uint("fallback"); got != 1 {
+		t.Fatalf("fallback counter = %d, want 1", got)
 	}
 }
 
-func TestDrainingPeerFallsBackAndVerdictIsCached(t *testing.T) {
-	var probes int
+// TestUnansweringPeerFallsBackBeforeDeadline: a peer that accepts the
+// connection but never answers must not hold a cell until the caller's
+// deadline. The call gives up in time for the local fallback, and the
+// breaker hears it as a failure.
+func TestUnansweringPeerFallsBackBeforeDeadline(t *testing.T) {
+	release := make(chan struct{})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/healthz":
-			probes++
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintln(w, `{"error":{"code":"not_ready","message":"vltd is draining"}}`)
-		case "/v1/run":
-			t.Error("draining peer received a cell")
+		select {
+		case <-r.Context().Done():
+		case <-release:
 		}
 	}))
 	defer srv.Close()
+	defer close(release)
 
-	c := New(Config{Peers: []string{srv.URL}, Client: fastClient()})
+	reg := stats.New()
+	c := New(Config{Peers: []string{srv.URL}, Client: fastClient(), Registry: reg})
 	key := keyOwnedBy(t, c, 1)
-	for i := 0; i < 5; i++ {
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	body, err := c.Compute(ctx, key, api.RunRequest{},
+		func() ([]byte, error) { return []byte("local\n"), nil })
+	if err != nil || string(body) != "local\n" {
+		t.Fatalf("Compute = %q, %v", body, err)
+	}
+	if ctx.Err() != nil {
+		t.Fatalf("Compute returned after the caller's deadline")
+	}
+	snap := reg.Snapshot()
+	if snap.Uint("fallback") != 1 || snap.Uint("peer0.failures") != 1 {
+		t.Fatalf("want fallback 1 and peer0.failures 1: %s", snap)
+	}
+}
+
+// TestOpenBreakerFallsBackWithoutCallingPeer: the peer's breaker is its
+// only health verdict. Once failures open it, the peer's cells fall back
+// locally and fail fast, without a single request reaching the peer.
+func TestOpenBreakerFallsBackWithoutCallingPeer(t *testing.T) {
+	var runs atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		runs.Add(1)
+		http.Error(w, "down", http.StatusServiceUnavailable)
+	}))
+	defer srv.Close()
+
+	cfg := fastClient()
+	cfg.MaxRetries = -1
+	cfg.BreakerThreshold = 2
+	cfg.BreakerCooldown = time.Hour
+	reg := stats.New()
+	c := New(Config{Peers: []string{srv.URL}, Client: cfg, Registry: reg})
+	key := keyOwnedBy(t, c, 1)
+	compute := func() {
+		t.Helper()
 		body, err := c.Compute(context.Background(), key, api.RunRequest{},
 			func() ([]byte, error) { return []byte("x\n"), nil })
 		if err != nil || string(body) != "x\n" {
 			t.Fatalf("Compute = %q, %v", body, err)
 		}
 	}
-	if probes != 1 {
-		t.Fatalf("draining peer saw %d probes, want 1 (negative verdict must be cached)", probes)
+	for i := 0; i < cfg.BreakerThreshold; i++ {
+		compute()
 	}
-	if c.Fallbacks() != 5 {
-		t.Fatalf("fallback counter = %d, want 5", c.Fallbacks())
+	if got := reg.Snapshot().Uint("peer0.breaker.trips"); got != 1 {
+		t.Fatalf("peer0.breaker.trips = %d after %d failures, want 1", got, cfg.BreakerThreshold)
+	}
+	before := runs.Load()
+	for i := 0; i < 5; i++ {
+		compute()
+	}
+	if got := runs.Load(); got != before {
+		t.Fatalf("peer saw %d requests with its breaker open, want 0", got-before)
+	}
+	snap := reg.Snapshot()
+	if snap.Uint("fallback") != uint64(cfg.BreakerThreshold+5) || snap.Uint("remote") != 0 {
+		t.Fatalf("counters: %s", snap)
+	}
+	if got := snap.Uint("peer0.breaker.rejects"); got != 5 {
+		t.Fatalf("peer0.breaker.rejects = %d, want 5", got)
 	}
 }
 
 func TestPeerErrorFallsBackAfterRetries(t *testing.T) {
 	var runs int
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/healthz":
-			fmt.Fprintln(w, `{"status":"ready"}`)
-		case "/v1/run":
-			runs++
-			http.Error(w, "flaky", http.StatusBadGateway)
-		}
+		runs++
+		http.Error(w, "flaky", http.StatusBadGateway)
 	}))
 	defer srv.Close()
 
-	c := New(Config{Peers: []string{srv.URL}, Client: fastClient()})
+	reg := stats.New()
+	c := New(Config{Peers: []string{srv.URL}, Client: fastClient(), Registry: reg})
 	key := keyOwnedBy(t, c, 1)
 	body, err := c.Compute(context.Background(), key, api.RunRequest{},
 		func() ([]byte, error) { return []byte("fallback\n"), nil })
@@ -185,7 +228,7 @@ func TestPeerErrorFallsBackAfterRetries(t *testing.T) {
 	if runs != 2 { // first attempt + MaxRetries(1)
 		t.Fatalf("peer saw %d run attempts, want 2", runs)
 	}
-	if c.Fallbacks() != 1 {
-		t.Fatalf("fallback counter = %d, want 1", c.Fallbacks())
+	if got := reg.Snapshot().Uint("fallback"); got != 1 {
+		t.Fatalf("fallback counter = %d, want 1", got)
 	}
 }

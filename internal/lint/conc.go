@@ -28,7 +28,7 @@ import (
 // package identity instead.
 var blockingMethods = map[string]bool{
 	"Wait": true, "WaitContext": true, "Submit": true, "Do": true,
-	"RunBody": true, "Sweep": true, "Healthz": true, "Compute": true,
+	"RunBody": true, "Sweep": true, "Compute": true,
 }
 
 // structInfo is the syntactic shape of one package-local struct.

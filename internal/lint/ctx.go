@@ -22,7 +22,7 @@ var ctxDerivers = map[string]bool{
 // context (the daemon client's verbs, the runner's context-aware join):
 // their arg0 must be derived from the caller's context.
 var ctxFirstMethods = map[string]bool{
-	"RunBody": true, "Sweep": true, "Healthz": true, "Compute": true,
+	"RunBody": true, "Sweep": true, "Compute": true,
 	"WaitContext": true,
 }
 

@@ -160,31 +160,31 @@ func outerGood(ctx context.Context) error { return inner(ctx) }
 	}
 }
 
-// TestCtxPropagateMethodTable: the client-verb methods (Healthz etc.)
+// TestCtxPropagateMethodTable: the client-verb methods (RunBody etc.)
 // must receive a derived context wherever they are called from.
 func TestCtxPropagateMethodTable(t *testing.T) {
 	root := writeTree(t, map[string]string{
-		"internal/fleet/probe.go": `package fleet
+		"internal/fleet/route.go": `package fleet
 
 import "context"
 
-type prober interface {
-	Healthz(ctx context.Context, ready bool) error
+type runner interface {
+	RunBody(ctx context.Context, req string) ([]byte, error)
 }
 
 var stale context.Context
 
-func probeBad(ctx context.Context, p prober) error { return p.Healthz(stale, true) }
+func routeBad(ctx context.Context, p runner) ([]byte, error) { return p.RunBody(stale, "") }
 
-func probeGood(ctx context.Context, p prober) error { return p.Healthz(ctx, true) }
+func routeGood(ctx context.Context, p runner) ([]byte, error) { return p.RunBody(ctx, "") }
 `,
 	})
 	fs := mustRun(t, root)
-	if !hasRule(fs, RuleCtxPropagate, "internal/fleet/probe.go", 11) {
-		t.Errorf("missing ctx-propagate finding for Healthz with stale context: %v", fs)
+	if !hasRule(fs, RuleCtxPropagate, "internal/fleet/route.go", 11) {
+		t.Errorf("missing ctx-propagate finding for RunBody with stale context: %v", fs)
 	}
-	if hasRule(fs, RuleCtxPropagate, "internal/fleet/probe.go", 13) {
-		t.Errorf("Healthz(ctx, ...) must be clean: %v", fs)
+	if hasRule(fs, RuleCtxPropagate, "internal/fleet/route.go", 13) {
+		t.Errorf("RunBody(ctx, ...) must be clean: %v", fs)
 	}
 }
 

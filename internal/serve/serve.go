@@ -17,6 +17,7 @@ import (
 
 	"vlt"
 	"vlt/internal/api"
+	"vlt/internal/fleet"
 	"vlt/internal/report"
 	"vlt/internal/runner"
 	"vlt/internal/stats"
@@ -78,15 +79,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Fleet computes one cell's response body somewhere in a fleet: on the
-// peer that owns the cell's key, or through the local fallback closure
-// the caller provides when the owner is unreachable. internal/fleet
-// implements it; the serve package only defines the seam so the
-// dependency points outward.
-type Fleet interface {
-	Compute(ctx context.Context, key string, req api.RunRequest, local func() ([]byte, error)) ([]byte, error)
-}
-
 // Server serves simulation and experiment requests over the vlt engine
 // layers. Construct with New, mount Handler on an http.Server, and
 // drain with the http.Server's Shutdown: every admitted simulation runs
@@ -101,7 +93,7 @@ type Server struct {
 	reg    *stats.Registry
 	mux    *http.ServeMux
 	start  time.Time
-	fleet  Fleet
+	fleet  *fleet.Coordinator // nil = every cell computes here
 
 	// ready flips on once construction completes (and can be driven by
 	// SetReady); draining flips on at BeginDrain. Both feed the
@@ -222,16 +214,17 @@ func (s *Server) Registry() *stats.Registry { return s.reg }
 // local fallback). /v1/run always computes locally, so a peer serving a
 // coordinator's cell can never bounce it onward — the fleet graph has no
 // cycles by construction.
-func (s *Server) SetFleet(f Fleet) { s.fleet = f }
+func (s *Server) SetFleet(f *fleet.Coordinator) { s.fleet = f }
 
 // SetReady overrides the readiness state reported by /healthz?ready=1.
 // Liveness is unaffected.
 func (s *Server) SetReady(ok bool) { s.ready.Store(ok) }
 
 // BeginDrain marks the server draining: /healthz?ready=1 answers 503 so
-// fleet health-checkers and load balancers stop routing new work here,
-// while in-flight requests (and liveness) are unaffected. Call it
-// before http.Server.Shutdown.
+// load balancers and smoke gates stop routing new work here, while
+// in-flight requests, liveness and every other endpoint are unaffected:
+// a draining node still answers /v1/run. Call it before
+// http.Server.Shutdown.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
 // Ready reports the readiness state: constructed, not draining.
@@ -809,9 +802,10 @@ func (s *Server) handleMachines(w http.ResponseWriter, r *http.Request) {
 // handleHealthz serves both health forms. The bare endpoint is
 // liveness: it answers "ok" whenever the process can serve HTTP at all.
 // With ?ready=1 it is readiness: 503 while the server is still warming
-// up (SetReady(false)) or draining (BeginDrain), so fleet
-// health-checkers and smoke gates stop racing startup and stop routing
-// work to a node on its way out.
+// up (SetReady(false)) or draining (BeginDrain), so load balancers and
+// smoke gates stop racing startup and stop routing work to a node on
+// its way out. Fleet coordinators do not ask it: a peer's one health
+// verdict is its vltclient breaker.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := api.HealthResponse{
 		Status:        "ok",

@@ -433,6 +433,37 @@ func TestHealthzAndMetricsz(t *testing.T) {
 	}
 }
 
+// TestDrainingNodeStillServesRun pins what a fleet coordinator sees
+// when it sends a cell to a draining peer: BeginDrain flips only the
+// readiness form of /healthz, and POST /v1/run keeps answering 200 with
+// the bytes a node that is not draining serves, for a cached cell and a
+// cold one alike.
+func TestDrainingNodeStillServesRun(t *testing.T) {
+	post := func(s *Server, body string) *httptest.ResponseRecorder {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("POST /v1/run %s: status %d: %s", body, rec.Code, rec.Body)
+		}
+		return rec
+	}
+	const warm, cold = `{"workload":"mxm","machine":"base"}`, `{"workload":"sage","machine":"V4-CMT"}`
+	s, ref := fakeServer(Config{}), fakeServer(Config{})
+	before := post(s, warm)
+
+	s.BeginDrain()
+	if rec := get(t, s, "/healthz?ready=1"); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("draining readiness: status %d, want 503", rec.Code)
+	}
+	if got := post(s, warm); !bytes.Equal(got.Body.Bytes(), before.Body.Bytes()) {
+		t.Fatal("draining node's body for a cached cell differs from its pre-drain body")
+	}
+	if got, want := post(s, cold), post(ref, cold); !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+		t.Fatal("draining node's body for a cold cell differs from a serving node's")
+	}
+}
+
 // TestShutdownDrains proves the drain contract cmd/vltd relies on:
 // http.Server.Shutdown waits for an in-flight simulation to finish and
 // its request to be answered.

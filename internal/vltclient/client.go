@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,7 +34,8 @@ var ErrTruncated = errors.New("vltclient: sweep stream truncated")
 
 // Config tunes a Client. Only BaseURL is required.
 type Config struct {
-	// BaseURL is the peer's root, e.g. "http://127.0.0.1:8317".
+	// BaseURL is the peer's root, e.g. "http://127.0.0.1:8317"; trailing
+	// slashes are trimmed, so "http://127.0.0.1:8317/" names the same peer.
 	BaseURL string
 	// HTTPClient overrides the transport (nil = a fresh http.Client).
 	HTTPClient *http.Client
@@ -44,11 +46,6 @@ type Config struct {
 	// it doubles per retry, capped at MaxBackoff (0 = 2s).
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// Seed seeds the jitter source. Jitter desynchronizes retry storms
-	// across clients, and a fixed seed keeps any single client's
-	// schedule reproducible (the same discipline as internal/search:
-	// never the process-global source).
-	Seed int64
 	// BreakerThreshold is the consecutive-failure count that opens the
 	// circuit (0 = 3); BreakerCooldown is how long it stays open before
 	// a half-open probe (0 = 5s).
@@ -60,6 +57,7 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
+	c.BaseURL = strings.TrimRight(c.BaseURL, "/")
 	if c.HTTPClient == nil {
 		c.HTTPClient = &http.Client{}
 	}
@@ -74,9 +72,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBackoff <= 0 {
 		c.MaxBackoff = 2 * time.Second
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3
@@ -94,6 +89,9 @@ type Client struct {
 	hc  *http.Client
 	br  *breaker
 
+	// rng jitters backoffs. Its fixed seed keeps each client's retry
+	// schedule reproducible (the same discipline as internal/search:
+	// never the process-global source).
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
@@ -107,7 +105,7 @@ func New(cfg Config) *Client {
 		cfg: cfg,
 		hc:  cfg.HTTPClient,
 		br:  newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, nil),
-		rng: rand.New(rand.NewSource(cfg.Seed)),
+		rng: rand.New(rand.NewSource(1)),
 	}
 	if cfg.Registry != nil {
 		c.register(cfg.Registry)
@@ -127,33 +125,6 @@ func (c *Client) register(r *stats.Registry) {
 	br.CounterFn("rejects", func() uint64 { _, _, rj := c.br.snapshot(); return rj })
 }
 
-// Base returns the peer's base URL.
-func (c *Client) Base() string { return c.cfg.BaseURL }
-
-// Ready reports, without consuming a half-open probe, whether the
-// breaker would let a call through right now.
-func (c *Client) Ready() bool {
-	c.br.mu.Lock()
-	defer c.br.mu.Unlock()
-	switch c.br.state {
-	case stateClosed:
-		return true
-	case stateOpen:
-		return c.br.now().Sub(c.br.openedAt) >= c.br.cooldown
-	default:
-		return !c.br.probing
-	}
-}
-
-// Retries reports the total retry attempts performed so far.
-func (c *Client) Retries() uint64 { return atomic.LoadUint64(&c.retries) }
-
-// Failures reports the logical calls that failed after all retries.
-func (c *Client) Failures() uint64 { return atomic.LoadUint64(&c.failures) }
-
-// BreakerTrips reports how often the breaker has opened.
-func (c *Client) BreakerTrips() uint64 { _, t, _ := c.br.snapshot(); return t }
-
 // transientError marks a retryable failure (network trouble, 5xx, 429).
 type transientError struct {
 	err        error
@@ -163,25 +134,30 @@ type transientError struct {
 func (e *transientError) Error() string { return e.err.Error() }
 func (e *transientError) Unwrap() error { return e.err }
 
-// do runs one logical call under the breaker and the retry policy.
-// attempt issues one network attempt and returns the result, an error,
-// and whether a failure is worth retrying.
-func (c *Client) do(ctx context.Context, attempt func() ([]byte, error)) ([]byte, error) {
+// do runs one logical call under the breaker and the retry policy:
+// every Client method goes through it. attempt issues one network
+// attempt; a *transientError it returns is worth retrying, any other
+// error is final. The breaker hears one verdict per call. A body or a
+// typed answer (an *api.Error that is not transient: a 4xx or
+// simulation_failed) came from a live peer and counts as a success;
+// transport errors, 429 and retryable 5xx that outlast the retries
+// count as a failure. The transient marker never leaves do, so no
+// caller's error can look retryable to a later call.
+func (c *Client) do(ctx context.Context, attempt func() error) error {
 	atomic.AddUint64(&c.requests, 1)
 	if !c.br.allow() {
-		return nil, fmt.Errorf("%w: %s", ErrCircuitOpen, c.cfg.BaseURL)
+		return fmt.Errorf("%w: %s", ErrCircuitOpen, c.cfg.BaseURL)
 	}
 	var lastErr error
 	for try := 0; ; try++ {
 		atomic.AddUint64(&c.attempts, 1)
-		body, err := attempt()
+		err := attempt()
 		if err == nil {
 			c.br.success()
-			return body, nil
+			return nil
 		}
 		lastErr = err
-		var te *transientError
-		retryable := errors.As(err, &te)
+		te, retryable := err.(*transientError)
 		if !retryable || try >= c.cfg.MaxRetries || ctx.Err() != nil {
 			break
 		}
@@ -191,9 +167,18 @@ func (c *Client) do(ctx context.Context, attempt func() ([]byte, error)) ([]byte
 			break
 		}
 	}
-	c.br.failure()
 	atomic.AddUint64(&c.failures, 1)
-	return nil, lastErr
+	if te, ok := lastErr.(*transientError); ok {
+		c.br.failure()
+		return te.err
+	}
+	var answer *api.Error
+	if errors.As(lastErr, &answer) {
+		c.br.success()
+	} else {
+		c.br.failure()
+	}
+	return lastErr
 }
 
 // backoff computes the wait before retry number try (0-based): the
@@ -289,22 +274,6 @@ func classify(resp *http.Response) ([]byte, error) {
 	return nil, &transientError{err: cause, retryAfter: ra}
 }
 
-// get issues one GET attempt.
-func (c *Client) get(ctx context.Context, path string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url(ctx, path), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, &transientError{err: err}
-	}
-	return classify(resp)
-}
-
 // post issues one POST attempt with the given JSON payload.
 func (c *Client) post(ctx context.Context, path string, payload []byte) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url(ctx, path), bytes.NewReader(payload))
@@ -330,30 +299,12 @@ func (c *Client) RunBody(ctx context.Context, req api.RunRequest) ([]byte, error
 	if err != nil {
 		return nil, err
 	}
-	return c.do(ctx, func() ([]byte, error) {
-		return c.post(ctx, "/v1/run", payload)
+	var body []byte
+	err = c.do(ctx, func() (err error) {
+		body, err = c.post(ctx, "/v1/run", payload)
+		return err
 	})
-}
-
-// Healthz probes the peer's health: liveness by default, readiness
-// (503 while starting or draining) with ready=true. Health probes are
-// single-attempt and bypass the breaker — they are how callers decide
-// whether to close it, so they must not consume its budget.
-func (c *Client) Healthz(ctx context.Context, ready bool) error {
-	path := "/healthz"
-	if ready {
-		path += "?ready=1"
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.cfg.BaseURL+path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	_, err = classify(resp)
-	return err
+	return body, err
 }
 
 // Sweep posts a grid and streams its NDJSON lines, invoking each for
@@ -368,57 +319,35 @@ func (c *Client) Sweep(ctx context.Context, req api.SweepRequest, each func(api.
 	if err != nil {
 		return api.SweepTrailer{}, err
 	}
-	atomic.AddUint64(&c.requests, 1)
-	if !c.br.allow() {
-		return api.SweepTrailer{}, fmt.Errorf("%w: %s", ErrCircuitOpen, c.cfg.BaseURL)
-	}
-	var lastErr error
-	for try := 0; ; try++ {
-		atomic.AddUint64(&c.attempts, 1)
-		trailer, started, err := c.sweepOnce(ctx, payload, each)
-		if err == nil {
-			c.br.success()
-			return trailer, nil
-		}
-		lastErr = err
-		var te *transientError
-		retryable := errors.As(err, &te) && !started
-		if !retryable || try >= c.cfg.MaxRetries || ctx.Err() != nil {
-			break
-		}
-		atomic.AddUint64(&c.retries, 1)
-		if err := c.sleep(ctx, c.backoff(try, te.retryAfter)); err != nil {
-			lastErr = err
-			break
-		}
-	}
-	c.br.failure()
-	atomic.AddUint64(&c.failures, 1)
-	return api.SweepTrailer{}, lastErr
+	var trailer api.SweepTrailer
+	err = c.do(ctx, func() (err error) {
+		trailer, err = c.sweepOnce(ctx, payload, each)
+		return err
+	})
+	return trailer, err
 }
 
-// sweepOnce is one sweep attempt. started reports whether any cell line
-// was delivered to the callback (after which a retry would replay
-// cells, so the caller must not).
-func (c *Client) sweepOnce(ctx context.Context, payload []byte, each func(api.SweepCell) error) (api.SweepTrailer, bool, error) {
+// sweepOnce is one sweep attempt. Only failures before the first line
+// are transient: once a cell line has been delivered a retry would
+// replay cells, so every later error is final.
+func (c *Client) sweepOnce(ctx context.Context, payload []byte, each func(api.SweepCell) error) (api.SweepTrailer, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url(ctx, "/v1/sweep"), bytes.NewReader(payload))
 	if err != nil {
-		return api.SweepTrailer{}, false, err
+		return api.SweepTrailer{}, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
-			return api.SweepTrailer{}, false, ctx.Err()
+			return api.SweepTrailer{}, ctx.Err()
 		}
-		return api.SweepTrailer{}, false, &transientError{err: err}
+		return api.SweepTrailer{}, &transientError{err: err}
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		_, err := classify(resp)
-		return api.SweepTrailer{}, false, err
+		return api.SweepTrailer{}, err
 	}
-	started := false
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
 	for sc.Scan() {
@@ -433,23 +362,22 @@ func (c *Client) sweepOnce(ctx context.Context, payload []byte, each func(api.Sw
 		if json.Unmarshal(line, &probe) == nil && probe.Done != nil {
 			var trailer api.SweepTrailer
 			if err := json.Unmarshal(line, &trailer); err != nil {
-				return api.SweepTrailer{}, started, fmt.Errorf("vltclient: bad sweep trailer: %w", err)
+				return api.SweepTrailer{}, fmt.Errorf("vltclient: bad sweep trailer: %w", err)
 			}
-			return trailer, started, nil
+			return trailer, nil
 		}
 		var cell api.SweepCell
 		if err := json.Unmarshal(line, &cell); err != nil {
-			return api.SweepTrailer{}, started, fmt.Errorf("vltclient: bad sweep line: %w", err)
+			return api.SweepTrailer{}, fmt.Errorf("vltclient: bad sweep line: %w", err)
 		}
-		started = true
 		if each != nil {
 			if err := each(cell); err != nil {
-				return api.SweepTrailer{}, started, err
+				return api.SweepTrailer{}, err
 			}
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return api.SweepTrailer{}, started, fmt.Errorf("%w: %v", ErrTruncated, err)
+		return api.SweepTrailer{}, fmt.Errorf("%w: %v", ErrTruncated, err)
 	}
-	return api.SweepTrailer{}, started, fmt.Errorf("%w: stream ended without a trailer", ErrTruncated)
+	return api.SweepTrailer{}, fmt.Errorf("%w: stream ended without a trailer", ErrTruncated)
 }

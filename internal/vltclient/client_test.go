@@ -88,7 +88,10 @@ func TestRetriesTransient5xx(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := New(fastCfg(srv.URL))
+	cfg := fastCfg(srv.URL)
+	reg := stats.New()
+	cfg.Registry = reg
+	c := New(cfg)
 	body, err := c.RunBody(context.Background(), api.RunRequest{Workload: "fir", Machine: "cmp"})
 	if err != nil {
 		t.Fatalf("RunBody after transient 502s: %v", err)
@@ -99,8 +102,8 @@ func TestRetriesTransient5xx(t *testing.T) {
 	if got := hits.Load(); got != 3 {
 		t.Fatalf("server hits = %d, want 3", got)
 	}
-	if c.Retries() != 2 {
-		t.Fatalf("retries counter = %d, want 2", c.Retries())
+	if got := reg.Snapshot().Uint("retries"); got != 2 {
+		t.Fatalf("retries counter = %d, want 2", got)
 	}
 }
 
@@ -205,9 +208,6 @@ func TestBreakerOpensAndFailsFast(t *testing.T) {
 	if !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("third call error = %v, want ErrCircuitOpen", err)
 	}
-	if c.Ready() {
-		t.Fatal("Ready() = true with breaker open inside cooldown")
-	}
 	snap := reg.Snapshot()
 	if got := snap.Uint("breaker.trips"); got != 1 {
 		t.Fatalf("breaker.trips = %d, want 1", got)
@@ -217,6 +217,43 @@ func TestBreakerOpensAndFailsFast(t *testing.T) {
 	}
 	if got := snap.Float("breaker.state"); got != stateOpen {
 		t.Fatalf("breaker.state = %v, want %d (open)", got, stateOpen)
+	}
+}
+
+// TestTypedAnswersKeepBreakerClosed: a typed, non-transient answer
+// (here simulation_failed) is deterministic and comes from a live peer,
+// so any number of them leaves the breaker closed.
+func TestTypedAnswersKeepBreakerClosed(t *testing.T) {
+	var hits atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		w.WriteHeader(http.StatusInternalServerError)
+		fmt.Fprintln(w, `{"error":{"code":"simulation_failed","message":"deadlock at cycle 10"}}`)
+	}))
+	defer srv.Close()
+
+	cfg := fastCfg(srv.URL)
+	cfg.BreakerThreshold = 2
+	cfg.BreakerCooldown = time.Hour
+	reg := stats.New()
+	cfg.Registry = reg
+	c := New(cfg)
+	for i := 0; i < cfg.BreakerThreshold+1; i++ {
+		_, err := c.RunBody(context.Background(), api.RunRequest{Workload: "fir", Machine: "cmp"})
+		var ae *api.Error
+		if !errors.As(err, &ae) || ae.Code != api.CodeSimFailed {
+			t.Fatalf("call %d: error = %v, want simulation_failed envelope", i, err)
+		}
+	}
+	snap := reg.Snapshot()
+	if got := snap.Float("breaker.state"); got != stateClosed {
+		t.Fatalf("breaker.state = %v, want %d (closed)", got, stateClosed)
+	}
+	if got := snap.Uint("breaker.trips"); got != 0 {
+		t.Fatalf("breaker.trips = %d, want 0", got)
+	}
+	if got := hits.Load(); got != int64(cfg.BreakerThreshold+1) {
+		t.Fatalf("server hits = %d, want %d (no call may fail fast)", got, cfg.BreakerThreshold+1)
 	}
 }
 
@@ -238,35 +275,6 @@ func TestDeadlinePropagation(t *testing.T) {
 	}
 	if !sawTimeout.Load() {
 		t.Fatal("context deadline did not propagate as timeout_ms")
-	}
-}
-
-func TestHealthzReadiness(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("ready") == "1" {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintln(w, `{"error":{"code":"not_ready","message":"vltd is draining"}}`)
-			return
-		}
-		fmt.Fprintln(w, `{"status":"ok"}`)
-	}))
-	defer srv.Close()
-
-	c := New(fastCfg(srv.URL))
-	if err := c.Healthz(context.Background(), false); err != nil {
-		t.Fatalf("liveness probe: %v", err)
-	}
-	err := c.Healthz(context.Background(), true)
-	var ae *api.Error
-	if !errors.As(err, &ae) || ae.Code != api.CodeNotReady {
-		t.Fatalf("readiness probe error = %v, want not_ready envelope", err)
-	}
-	// Health probes bypass the breaker: repeated failures must not trip it.
-	for i := 0; i < 10; i++ {
-		c.Healthz(context.Background(), true)
-	}
-	if !c.Ready() {
-		t.Fatal("health probes consumed the breaker budget")
 	}
 }
 
@@ -308,7 +316,9 @@ func TestSweepStream(t *testing.T) {
 }
 
 func TestSweepTruncationDetected(t *testing.T) {
+	var hits atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		// One cell line, then the stream dies without a trailer.
 		fmt.Fprintln(w, `{"index":0,"workload":"fir","machine":"cmp","result":{"mips":1}}`)
@@ -326,6 +336,82 @@ func TestSweepTruncationDetected(t *testing.T) {
 	if seen != 1 {
 		t.Fatalf("callback saw %d cells before truncation, want 1", seen)
 	}
+	// A delivered cell line makes every later failure final: a retry
+	// would replay cells to the callback.
+	if hits.Load() != 1 {
+		t.Fatalf("server hits = %d, want 1 (a started stream must not retry)", hits.Load())
+	}
+}
+
+// TestSweepRetriesBeforeFirstLine: Sweep runs under the same retry loop
+// as RunBody, so a transient answer before the stream starts retries.
+func TestSweepRetriesBeforeFirstLine(t *testing.T) {
+	var hits atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if hits.Add(1) == 1 {
+			http.Error(w, "warming", http.StatusServiceUnavailable)
+			return
+		}
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		fmt.Fprintln(w, `{"index":0,"workload":"fir","machine":"cmp","result":{"mips":1}}`)
+		fmt.Fprintln(w, `{"done":true,"cells":1,"errors":0}`)
+	}))
+	defer srv.Close()
+
+	cfg := fastCfg(srv.URL)
+	reg := stats.New()
+	cfg.Registry = reg
+	c := New(cfg)
+	seen := 0
+	trailer, err := c.Sweep(context.Background(), api.SweepRequest{
+		Workloads: []string{"fir"}, Machines: []string{"cmp"},
+	}, func(api.SweepCell) error { seen++; return nil })
+	if err != nil || trailer.Cells != 1 || seen != 1 {
+		t.Fatalf("Sweep = %+v, %v after %d cells; want 1 cell, no error", trailer, err, seen)
+	}
+	snap := reg.Snapshot()
+	if hits.Load() != 2 || snap.Uint("retries") != 1 || snap.Uint("requests") != 1 {
+		t.Fatalf("hits=%d retries=%d requests=%d, want 2/1/1", hits.Load(), snap.Uint("retries"), snap.Uint("requests"))
+	}
+}
+
+// TestTrailingSlashBaseURL: a peer URL written with a trailing slash
+// names the same peer. Joined verbatim it would produce "//v1/run",
+// which http.ServeMux answers with a 301 that the Go client re-sends as
+// a body-less GET.
+func TestTrailingSlashBaseURL(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/run", func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			w.WriteHeader(http.StatusBadRequest)
+			fmt.Fprintln(w, `{"error":{"code":"bad_request","message":"missing workload"}}`)
+			return
+		}
+		fmt.Fprintln(w, `{"workload":"fir"}`)
+	})
+	mux.HandleFunc("/v1/sweep", func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			http.Error(w, "POST only", http.StatusMethodNotAllowed)
+			return
+		}
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		fmt.Fprintln(w, `{"index":0,"workload":"fir","machine":"cmp","result":{"mips":1}}`)
+		fmt.Fprintln(w, `{"done":true,"cells":1,"errors":0}`)
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	c := New(fastCfg(srv.URL + "/"))
+	body, err := c.RunBody(context.Background(), api.RunRequest{Workload: "fir", Machine: "cmp"})
+	if err != nil || string(body) != `{"workload":"fir"}`+"\n" {
+		t.Fatalf("RunBody via trailing-slash URL = %q, %v", body, err)
+	}
+	trailer, err := c.Sweep(context.Background(), api.SweepRequest{
+		Workloads: []string{"fir"}, Machines: []string{"cmp"},
+	}, nil)
+	if err != nil || trailer.Cells != 1 {
+		t.Fatalf("Sweep via trailing-slash URL = %+v, %v", trailer, err)
+	}
 }
 
 func TestRetryOnConnectionFailure(t *testing.T) {
@@ -337,12 +423,15 @@ func TestRetryOnConnectionFailure(t *testing.T) {
 
 	cfg := fastCfg(base)
 	cfg.MaxRetries = 2
+	reg := stats.New()
+	cfg.Registry = reg
 	c := New(cfg)
 	_, err := c.RunBody(context.Background(), api.RunRequest{Workload: "fir", Machine: "cmp"})
 	if err == nil {
 		t.Fatal("want connect error")
 	}
-	if c.Retries() != 2 || c.Failures() != 1 {
-		t.Fatalf("retries=%d failures=%d, want 2/1", c.Retries(), c.Failures())
+	snap := reg.Snapshot()
+	if snap.Uint("retries") != 2 || snap.Uint("failures") != 1 {
+		t.Fatalf("retries=%d failures=%d, want 2/1", snap.Uint("retries"), snap.Uint("failures"))
 	}
 }

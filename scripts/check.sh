@@ -4,6 +4,17 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every file this run writes lives under its own work directory, so two
+# concurrent runs on one host never share a binary, a daemon log or a
+# store. The EXIT trap removes it (and stops a smoke daemon still up).
+work=$(mktemp -d "${TMPDIR:-/tmp}/vltcheck.XXXXXX")
+vltd_pid=""
+cleanup() {
+    [ -n "$vltd_pid" ] && kill "$vltd_pid" 2>/dev/null || true
+    rm -rf "$work"
+}
+trap cleanup EXIT
+
 echo "== gofmt -l"
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -36,12 +47,11 @@ echo "== cycle-skip golden (VLT_NOSKIP=1 vltexp -all vs bench/testdata/expall.go
 # default cells only. -all also runs Figure 1's 1, 2 and 4 lanes and the
 # 16-lane and no-reclaim extensions; ticking every cycle must print the
 # golden the skipping run is pinned to (bench module), byte for byte.
-VLT_NOSKIP=1 go run ./cmd/vltexp -all >/tmp/vltexp.noskip
-if ! diff -u bench/testdata/expall.golden /tmp/vltexp.noskip; then
+VLT_NOSKIP=1 go run ./cmd/vltexp -all >"$work/vltexp.noskip"
+if ! diff -u bench/testdata/expall.golden "$work/vltexp.noskip"; then
     echo "cycle-skip golden: VLT_NOSKIP=1 vltexp -all differs from bench/testdata/expall.golden" >&2
     exit 1
 fi
-rm -f /tmp/vltexp.noskip
 
 echo "== fuzz smoke (5s per target)"
 go test -run='^$' -fuzz=FuzzAssemble -fuzztime=5s ./internal/asm
@@ -54,9 +64,9 @@ echo "== vltlint -docs ./... (all lint passes repo-wide + analyzer speed guard)"
 # ignore directives, and doc.go per internal/cmd package. The run is
 # timed against a 5s bound (built binary, so compile time is excluded):
 # the suite only stays a per-commit gate while it stays cheap.
-go build -o /tmp/vltlint.check ./cmd/vltlint
+go build -o "$work/vltlint" ./cmd/vltlint
 lint_start=$(date +%s%N)
-/tmp/vltlint.check -docs ./...
+"$work/vltlint" -docs ./...
 lint_end=$(date +%s%N)
 lint_ms=$(( (lint_end - lint_start) / 1000000 ))
 echo "guard: full-repo lint took ${lint_ms}ms"
@@ -64,7 +74,6 @@ if [ "$lint_ms" -gt 5000 ]; then
     echo "guard: analyzer exceeded the 5000ms bound" >&2
     exit 1
 fi
-rm -f /tmp/vltlint.check
 
 echo "== docs gate (CLI.md documents every cmd/* binary and no other)"
 # Whole-word matches, so a mention of vltdis does not count for vltd.
@@ -166,28 +175,24 @@ printf '%s\n' "$forkb" | awk '
     }'
 
 echo "== vltd smoke (boot with a temp -store, run and experiment, restart serves both from disk, ETag revalidates)"
-go build -o /tmp/vltd.check ./cmd/vltd
-vltd_store=$(mktemp -d /tmp/vltd.store.XXXXXX)
-vltd_pid=""
-vltd_cleanup() {
-    [ -n "$vltd_pid" ] && kill "$vltd_pid" 2>/dev/null || true
-    rm -rf "$vltd_store"
-}
-trap vltd_cleanup EXIT
+go build -o "$work/vltd" ./cmd/vltd
+vltd_store="$work/store"
+vltd_log="$work/vltd.out"
+mkdir "$vltd_store"
 
 # vltd_boot [extra flags...]: boot one daemon, set vltd_pid and vltd_url.
 vltd_boot() {
-    /tmp/vltd.check -addr 127.0.0.1:0 -store "$vltd_store" "$@" >/tmp/vltd.check.out 2>&1 &
+    "$work/vltd" -addr 127.0.0.1:0 -store "$vltd_store" "$@" >"$vltd_log" 2>&1 &
     vltd_pid=$!
     vltd_url=""
     for _ in $(seq 1 100); do
-        vltd_url=$(sed -n 's/.*listening on \(http:\/\/[^ ]*\).*/\1/p' /tmp/vltd.check.out)
+        vltd_url=$(sed -n 's/.*listening on \(http:\/\/[^ ]*\).*/\1/p' "$vltd_log")
         [ -n "$vltd_url" ] && break
         sleep 0.05
     done
     if [ -z "$vltd_url" ]; then
         echo "vltd smoke: daemon never printed its listen line" >&2
-        cat /tmp/vltd.check.out >&2
+        cat "$vltd_log" >&2
         exit 1
     fi
 }
@@ -197,11 +202,11 @@ vltd_stop() {
     kill -TERM "$vltd_pid"
     if ! wait "$vltd_pid"; then
         echo "vltd smoke: daemon did not exit cleanly on SIGTERM" >&2
-        cat /tmp/vltd.check.out >&2
+        cat "$vltd_log" >&2
         exit 1
     fi
     vltd_pid=""
-    grep -q "shutdown complete" /tmp/vltd.check.out
+    grep -q "shutdown complete" "$vltd_log"
 }
 
 # Boot 1: cold store, one simulated cell and one experiment (its cells
@@ -239,15 +244,11 @@ vltd_stop
 # serves from memory.
 vltd_boot -warm
 for _ in $(seq 1 100); do
-    grep -q "warmed" /tmp/vltd.check.out && break
+    grep -q "warmed" "$vltd_log" && break
     sleep 0.05
 done
-grep -q "warmed" /tmp/vltd.check.out
+grep -q "warmed" "$vltd_log"
 curl -fsSi "$vltd_url/v1/run?workload=mxm&machine=base" | grep -qi 'X-VLT-Cache: hit'
 vltd_stop
-
-trap - EXIT
-rm -rf "$vltd_store"
-rm -f /tmp/vltd.check /tmp/vltd.check.out
 
 echo "check.sh: all gates passed"
