@@ -15,7 +15,6 @@ import (
 	"vlt/internal/core"
 	"vlt/internal/lane"
 	"vlt/internal/mem"
-	"vlt/internal/workloads"
 )
 
 // BenchmarkTable1 reports the component areas (mm², Table 1).
@@ -241,24 +240,12 @@ func BenchmarkSimulate(b *testing.B) {
 	}
 }
 
-// --- ablation studies (design choices in DESIGN.md §5) ---
-
-func runAblation(b *testing.B, workload string, threads int, mutate func(*core.Config)) uint64 {
+// cellCycles simulates c with mutate (when non-nil) applied to its
+// resolved configuration and returns its cycle count.
+func cellCycles(b *testing.B, c simCell, mutate func(*core.Config)) uint64 {
 	b.Helper()
-	w, err := workloads.ByName(workload)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := core.V4CMT()
-	if threads == 1 {
-		cfg = core.Base(8)
-	}
-	mutate(&cfg)
-	prog := w.Build(workloads.Params{Threads: threads, Scale: 1})
-	m, err := core.NewMachine(cfg, prog)
-	if err != nil {
-		b.Fatal(err)
-	}
+	m := buildCell(b, c, mutate).machine(b)
+	defer m.Release()
 	res, err := m.Run()
 	if err != nil {
 		b.Fatal(err)
@@ -266,14 +253,38 @@ func runAblation(b *testing.B, workload string, threads int, mutate func(*core.C
 	return res.Cycles
 }
 
+// benchScheduler runs mxm on the base machine, unverified and unaudited
+// as in BenchmarkRunBaseMXM, with event-driven cycle skipping on or off.
+func benchScheduler(b *testing.B, noSkip bool) {
+	b.ReportAllocs()
+	var cycles uint64
+	for i := 0; i < b.N; i++ {
+		cycles = cellCycles(b, simCell{"mxm", MachineBase, Options{SkipVerify: true, Audit: AuditOff}},
+			func(c *core.Config) { c.NoSkip = noSkip })
+	}
+	b.ReportMetric(float64(cycles), "simcycles")
+}
+
+// BenchmarkBaseMXMSkip and BenchmarkBaseMXMTick are the cycle-skip
+// overhead pair scripts/check.sh compares: mxm on the base machine
+// saturates the vector unit, so there is almost nothing to skip and the
+// skipping run's ns/op bounds the event scheduler's cost over ticking
+// every cycle.
+func BenchmarkBaseMXMSkip(b *testing.B) { benchScheduler(b, false) }
+
+// BenchmarkBaseMXMTick is BenchmarkBaseMXMSkip ticking every cycle.
+func BenchmarkBaseMXMTick(b *testing.B) { benchScheduler(b, true) }
+
+// --- ablation studies (design choices in DESIGN.md §5) ---
+
 // BenchmarkAblationChaining quantifies vector chaining: mxm (long
 // dependent vector chains, 8-cycle occupancies) on the base machine with
 // and without chained operand forwarding.
 func BenchmarkAblationChaining(b *testing.B) {
 	var with, without uint64
 	for i := 0; i < b.N; i++ {
-		with = runAblation(b, "mxm", 1, func(c *core.Config) {})
-		without = runAblation(b, "mxm", 1, func(c *core.Config) {
+		with = cellCycles(b, simCell{"mxm", MachineBase, Options{}}, nil)
+		without = cellCycles(b, simCell{"mxm", MachineBase, Options{}}, func(c *core.Config) {
 			c.VCL.DisableChaining = true
 		})
 	}
@@ -284,20 +295,10 @@ func BenchmarkAblationChaining(b *testing.B) {
 // scalar threads with and without the XOR bank hash.
 func BenchmarkAblationBankHash(b *testing.B) {
 	run := func(plain bool) uint64 {
-		w, _ := workloads.ByName("radix")
-		cfg := core.VLTScalar(8)
-		cfg.L2 = mem.DefaultL2Config()
-		cfg.L2.PlainBanks = plain
-		prog := w.Build(workloads.Params{Threads: 8, Scale: 1, ScalarOnly: true})
-		m, err := core.NewMachine(cfg, prog)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := m.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res.Cycles
+		return cellCycles(b, simCell{"radix", MachineVLTScalar, Options{}}, func(c *core.Config) {
+			c.L2 = mem.DefaultL2Config()
+			c.L2.PlainBanks = plain
+		})
 	}
 	var hashed, plain uint64
 	for i := 0; i < b.N; i++ {
@@ -312,20 +313,10 @@ func BenchmarkAblationBankHash(b *testing.B) {
 // blocking in-order pipeline.
 func BenchmarkAblationDecoupling(b *testing.B) {
 	run := func(window int) uint64 {
-		w, _ := workloads.ByName("radix")
-		cfg := core.VLTScalar(8)
-		cfg.LaneCore = lane.DefaultConfig()
-		cfg.LaneCore.DecoupleWindow = window
-		prog := w.Build(workloads.Params{Threads: 8, Scale: 1, ScalarOnly: true})
-		m, err := core.NewMachine(cfg, prog)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := m.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res.Cycles
+		return cellCycles(b, simCell{"radix", MachineVLTScalar, Options{}}, func(c *core.Config) {
+			c.LaneCore = lane.DefaultConfig()
+			c.LaneCore.DecoupleWindow = window
+		})
 	}
 	var decoupled, blocking uint64
 	for i := 0; i < b.N; i++ {
@@ -344,7 +335,7 @@ func BenchmarkAblationVCLIssueWidth(b *testing.B) {
 		b.Run(fmt.Sprintf("issue%d", width), func(b *testing.B) {
 			var cycles uint64
 			for i := 0; i < b.N; i++ {
-				cycles = runAblation(b, "bt", 4, func(c *core.Config) {
+				cycles = cellCycles(b, simCell{"bt", MachineV4CMT, Options{}}, func(c *core.Config) {
 					c.VCL.IssueWidth = width
 				})
 			}
@@ -353,17 +344,16 @@ func BenchmarkAblationVCLIssueWidth(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationEarlyCommit quantifies Espasa-style early commit of
-// vector instructions by reverting the SU ROB to completion-order
-// retirement for vector uops. (Early commit cannot be disabled by
-// configuration — it is structural — so this benchmark approximates the
-// no-early-commit machine with a chaining-disabled, issue-width-1 VCL,
-// the closest strictly-in-order vector backend.)
+// BenchmarkAblationStrictVectorBackend approximates the cost of
+// Espasa-style early commit of vector instructions. Early commit is
+// structural and cannot be disabled by configuration, so the machine
+// without it is approximated by a chaining-disabled, issue-width-1 VCL,
+// the closest strictly-in-order vector backend, on mxm/base.
 func BenchmarkAblationStrictVectorBackend(b *testing.B) {
 	var relaxed, strict uint64
 	for i := 0; i < b.N; i++ {
-		relaxed = runAblation(b, "mxm", 1, func(c *core.Config) {})
-		strict = runAblation(b, "mxm", 1, func(c *core.Config) {
+		relaxed = cellCycles(b, simCell{"mxm", MachineBase, Options{}}, nil)
+		strict = cellCycles(b, simCell{"mxm", MachineBase, Options{}}, func(c *core.Config) {
 			c.VCL.DisableChaining = true
 			c.VCL.IssueWidth = 1
 		})
@@ -421,8 +411,8 @@ func BenchmarkAblationReplicatedVCL(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var mux, rep uint64
 			for i := 0; i < b.N; i++ {
-				mux = runAblation(b, name, 4, func(c *core.Config) {})
-				rep = runAblation(b, name, 4, func(c *core.Config) {
+				mux = cellCycles(b, simCell{name, MachineV4CMT, Options{}}, nil)
+				rep = cellCycles(b, simCell{name, MachineV4CMT, Options{}}, func(c *core.Config) {
 					c.VCL.ReplicatedIssue = true
 				})
 			}

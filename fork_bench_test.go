@@ -15,15 +15,7 @@ const benchForkCut = 5000 // cycles of prefix before the fork point
 
 func buildBenchMachine(b *testing.B) *core.Machine {
 	b.Helper()
-	spec, err := resolveCell("mpenc", MachineV4CMT, Options{})
-	if err != nil {
-		b.Fatalf("resolve: %v", err)
-	}
-	m, err := core.NewMachine(spec.cfg, spec.w.Build(spec.params))
-	if err != nil {
-		b.Fatalf("build: %v", err)
-	}
-	return m
+	return buildCell(b, simCell{"mpenc", MachineV4CMT, Options{}}, nil).machine(b)
 }
 
 // BenchmarkFork measures one Fork of a machine paused mid-run.

@@ -1,164 +1,18 @@
 package vlt
 
 import (
-	"fmt"
 	"testing"
 
 	"vlt/internal/core"
-	"vlt/internal/stats"
 )
-
-// buildCellMachine constructs the machine for one workload/machine cell
-// exactly as runCell does, but returns it unrun so tests can drive
-// RunUntil and Fork directly.
-func buildCellMachine(t *testing.T, w string, m Machine) *core.Machine {
-	t.Helper()
-	spec, err := resolveCell(w, m, Options{})
-	if err != nil {
-		t.Fatalf("resolve %s/%s: %v", w, m, err)
-	}
-	machine, err := core.NewMachine(spec.cfg, spec.w.Build(spec.params))
-	if err != nil {
-		t.Fatalf("build %s/%s: %v", w, m, err)
-	}
-	return machine
-}
-
-// diffSnapshots fails the test naming each metric that differs between
-// two registry snapshots.
-func diffSnapshots(t *testing.T, labelA, labelB string, a, b stats.Snapshot) {
-	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("metric count differs: %d %s vs %d %s", len(a), labelA, len(b), labelB)
-	}
-	bad := 0
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("metric %s: %s %s vs %s %s",
-				a[i].Name, a[i].FormatValue(), labelA, b[i].FormatValue(), labelB)
-			if bad++; bad >= 20 {
-				t.Fatal("too many metric diffs, stopping")
-			}
-		}
-	}
-}
-
-// forkWorkloads picks three workloads for a machine: the lane-reclaim
-// benchmark, a long-vector one and a scalar-parallel one for vector
-// machines; the three scalar-parallel ones for machines without a
-// vector unit.
-func forkWorkloads(m Machine) []string {
-	if m == MachineCMT || m == MachineVLTScalar {
-		return []string{"radix", "ocean", "barnes"}
-	}
-	return []string{"mpenc", "mxm", "radix"}
-}
-
-// TestForkedMachineMatchesParent is the differential test behind machine
-// forking: a machine forked mid-run and its parent, both simulated to
-// completion, must produce identical metric snapshots — any divergence
-// means Fork shared mutable state or missed a field. The parent must
-// also match a one-shot run of the same cell, proving RunUntil-then-Run
-// is seamless.
-func TestForkedMachineMatchesParent(t *testing.T) {
-	machineList := Machines()
-	if testing.Short() {
-		machineList = []Machine{MachineV4CMT, MachineCMT, MachineVLTScalar}
-	}
-	for _, m := range machineList {
-		wls := forkWorkloads(m)
-		if testing.Short() {
-			wls = wls[:1]
-		}
-		for _, w := range wls {
-			t.Run(string(m)+"/"+w, func(t *testing.T) {
-				ref := buildCellMachine(t, w, m)
-				refRes, err := ref.Run()
-				if err != nil {
-					t.Fatalf("reference run: %v", err)
-				}
-				total := refRes.Cycles
-				cuts := []uint64{1, total / 3, total * 9 / 10}
-				if testing.Short() {
-					cuts = cuts[1:2]
-				}
-				for _, cut := range cuts {
-					t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
-						parent := buildCellMachine(t, w, m)
-						if err := parent.RunUntil(cut); err != nil {
-							t.Fatalf("run to cycle %d: %v", cut, err)
-						}
-						clone := parent.Fork()
-						pres, perr := parent.Run()
-						cres, cerr := clone.Run()
-						if perr != nil || cerr != nil {
-							t.Fatalf("parent err=%v fork err=%v", perr, cerr)
-						}
-						diffSnapshots(t, "parent", "fork", pres.Metrics(), cres.Metrics())
-						diffSnapshots(t, "one-shot", "resumed", refRes.Metrics(), pres.Metrics())
-					})
-				}
-			})
-		}
-	}
-}
-
-// TestForkUnderSkip pins the interaction of forking with event-driven
-// cycle skipping: forking at a cycle inside a skippable idle span must
-// not change the outcome — a fork cut under the skipping scheduler and
-// the same cut under VLT_NOSKIP=1 reach identical final metrics.
-func TestForkUnderSkip(t *testing.T) {
-	cells := []struct {
-		w string
-		m Machine
-	}{
-		{"mpenc", MachineV4CMT},
-		{"mxm", MachineBase},
-		{"radix", MachineVLTScalar},
-	}
-	if testing.Short() {
-		cells = cells[:1]
-	}
-	for _, c := range cells {
-		t.Run(c.w+"/"+string(c.m), func(t *testing.T) {
-			run := func(cut uint64) stats.Snapshot {
-				parent := buildCellMachine(t, c.w, c.m)
-				if err := parent.RunUntil(cut); err != nil {
-					t.Fatalf("run to cycle %d: %v", cut, err)
-				}
-				res, err := parent.Fork().Run()
-				if err != nil {
-					t.Fatalf("forked run: %v", err)
-				}
-				return res.Metrics()
-			}
-			ref := buildCellMachine(t, c.w, c.m)
-			refRes, err := ref.Run()
-			if err != nil {
-				t.Fatalf("reference run: %v", err)
-			}
-			cut := refRes.Cycles / 2
-			skipping := run(cut)
-			t.Setenv("VLT_NOSKIP", "1")
-			ticking := run(cut)
-			diffSnapshots(t, "skipping", "ticking", skipping, ticking)
-		})
-	}
-}
 
 // TestForkCarriesSampler pins that a fork inherits the time-series
 // sampler: rows recorded before the cut appear identically in parent
 // and fork, and both record the same rows after it.
 func TestForkCarriesSampler(t *testing.T) {
-	spec, err := resolveCell("mpenc", MachineV4CMT, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.cfg.SampleEvery = 64
-	machine, err := core.NewMachine(spec.cfg, spec.w.Build(spec.params))
-	if err != nil {
-		t.Fatal(err)
-	}
+	machine := buildCell(t, simCell{"mpenc", MachineV4CMT, Options{}}, func(c *core.Config) {
+		c.SampleEvery = 64
+	}).machine(t)
 	if err := machine.RunUntil(1000); err != nil {
 		t.Fatal(err)
 	}

@@ -77,10 +77,11 @@ type Config struct {
 	SampleMetrics []string
 
 	// NoSkip disables event-driven cycle skipping: the machine ticks
-	// every cycle like the pre-event-driven simulator. Results are
-	// byte-identical either way (the differential tests enforce it); the
-	// switch exists for bisecting and for the check.sh bench guard. The
-	// VLT_NOSKIP environment variable (1/on/true) forces it globally.
+	// every cycle. It is the reference path: the root package's
+	// equivalence harness requires every other way of running a cell
+	// (skipping, forking, auditing) to reproduce its metric snapshot,
+	// and the BenchmarkBaseMXMTick baseline times it. Set it to bisect a
+	// suspected skip bug: a number that moves with it is a scheduler bug.
 	NoSkip bool
 
 	// ForkAt, when set, is called at every lane-repartition decision —

@@ -87,7 +87,6 @@ func (m *Machine) Fork() *Machine {
 		now:         m.now,
 		frozen:      m.frozen,
 		injected:    m.injected,
-		noskip:      m.noskip,
 		skipRetired: m.skipRetired,
 		stage:       m.stage,
 		decisionSeq: m.decisionSeq,

@@ -36,7 +36,6 @@ func TestForkCoversMachine(t *testing.T) {
 		"frozen":   "value copy",
 		"injected": "value copy",
 
-		"noskip":      "value copy",
 		"skipRetired": "value copy",
 		"coordOwners": "reset: per-coordinate scratch",
 

@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
-	"os"
 	"slices"
-	"strings"
 
 	"vlt/internal/asm"
 	"vlt/internal/guard"
@@ -75,7 +73,6 @@ type Machine struct {
 	frozen   bool           // stall injection fired: component clocks stop
 	injected bool           // the configured fault has been applied
 
-	noskip      bool   // event-driven cycle skipping disabled (Config.NoSkip / VLT_NOSKIP)
 	skipRetired uint64 // retiredTotal at the last skip attempt (quiescence gate)
 	coordOwners []int  // coordinate's scratch for repartition owner lists
 
@@ -124,7 +121,6 @@ func NewMachine(cfg Config, prog *asm.Program) (*Machine, error) {
 		l2:           mem.NewL2(cfg.L2),
 		region:       make([]int64, cfg.NumThreads),
 		regionCycles: make(map[int64]uint64),
-		noskip:       cfg.NoSkip || noskipEnv(),
 	}
 
 	if cfg.Lanes > 0 && !cfg.LaneScalarMode {
@@ -425,16 +421,6 @@ func (m *Machine) coordinate(now uint64) {
 	}
 }
 
-// noskipEnv reports whether the VLT_NOSKIP environment variable forces
-// cycle-by-cycle simulation (the bisecting escape hatch).
-func noskipEnv() bool {
-	switch strings.ToLower(os.Getenv("VLT_NOSKIP")) {
-	case "1", "on", "true":
-		return true
-	}
-	return false
-}
-
 // nextEventCycle computes the machine-wide event horizon after the
 // cycle body at now has fully run (ticks plus coordination): the
 // earliest future cycle at which any component could change state,
@@ -614,7 +600,7 @@ func (m *Machine) RunUntil(stop uint64) error {
 		// per-cycle bookkeeping. Frozen machines (stall injection) keep
 		// ticking cycle-by-cycle.
 		next := now + 1
-		if !m.noskip && !m.frozen {
+		if !m.cfg.NoSkip && !m.frozen {
 			// Computing the jump target is a full component scan —
 			// pure overhead on busy cycles, where the next event is
 			// now+1 anyway. A cycle that retired instructions is busy,

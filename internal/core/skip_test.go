@@ -2,8 +2,12 @@ package core
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
+	"vlt/internal/guard"
+	"vlt/internal/lane"
 	"vlt/internal/stats"
 	"vlt/internal/workloads"
 )
@@ -72,14 +76,16 @@ func TestSamplerRowsUnaffectedBySkipping(t *testing.T) {
 	}
 }
 
-// TestSkipMatchesTickUnderAblations extends the skip-vs-tick oracle to
-// the ablation settings the named machines never use: consumers that
-// wait for full completion (VCL.DisableChaining), a fully replicated
-// VCL issue stage (VCL.ReplicatedIssue) and the lane cores' decouple
-// window at its blocking and a narrow setting (LaneCore.DecoupleWindow).
-// Each changes a readiness or issue rule the event horizon and the idle
-// replay share with the tick, so each cell's full metric snapshot must
-// match between the two schedulers.
+// TestSkipMatchesTickUnderAblations extends the equivalence harness's
+// skip and audit-off modes (equiv_test.go in the root package) to the
+// ablation settings the named machines never use: consumers that wait
+// for full completion (VCL.DisableChaining), a fully replicated VCL
+// issue stage (VCL.ReplicatedIssue) and the lane cores' decouple window
+// at its blocking and a narrow setting (LaneCore.DecoupleWindow). Each
+// changes a readiness or issue rule the event horizon and the idle
+// replay share with the tick, so each cell's full metric snapshot,
+// skipping with the auditor on and off, must match the tick reference's
+// (every metric but guard.audit.* with the auditor off).
 func TestSkipMatchesTickUnderAblations(t *testing.T) {
 	vector := []string{"mpenc", "trfd", "multprec", "bt", "mxm"}
 	scalarOnly := []string{"radix", "ocean", "barnes"}
@@ -91,11 +97,19 @@ func TestSkipMatchesTickUnderAblations(t *testing.T) {
 	}
 	vectorMachines := []func() Config{func() Config { return Base(8) }, V2CMP, V4CMT}
 	laneMachines := []func() Config{func() Config { return VLTScalar(8) }}
+	// A window is set on a full lane config: defaults replaces a
+	// LaneCore whose Width is 0 wholesale.
+	window := func(n int) func(*Config) {
+		return func(c *Config) {
+			c.LaneCore = lane.DefaultConfig()
+			c.LaneCore.DecoupleWindow = n
+		}
+	}
 	ablations := []ablation{
 		{"no-chaining", vectorMachines, vector, func(c *Config) { c.VCL.DisableChaining = true }},
 		{"replicated-issue", vectorMachines, vector, func(c *Config) { c.VCL.ReplicatedIssue = true }},
-		{"decouple-1", laneMachines, scalarOnly, func(c *Config) { c.LaneCore.DecoupleWindow = 1 }},
-		{"decouple-4", laneMachines, scalarOnly, func(c *Config) { c.LaneCore.DecoupleWindow = 4 }},
+		{"decouple-1", laneMachines, scalarOnly, window(1)},
+		{"decouple-4", laneMachines, scalarOnly, window(4)},
 	}
 	for _, ab := range ablations {
 		for _, machine := range ab.machines {
@@ -103,6 +117,7 @@ func TestSkipMatchesTickUnderAblations(t *testing.T) {
 				cfg := machine()
 				ab.apply(&cfg)
 				t.Run(ab.name+"/"+cfg.Name+"/"+name, func(t *testing.T) {
+					t.Parallel()
 					w, err := workloads.ByName(name)
 					if err != nil {
 						t.Fatal(err)
@@ -111,9 +126,9 @@ func TestSkipMatchesTickUnderAblations(t *testing.T) {
 						Threads:    cfg.NumThreads,
 						ScalarOnly: cfg.Lanes == 0 || cfg.LaneScalarMode,
 					})
-					run := func(noSkip bool) stats.Snapshot {
+					run := func(noSkip bool, audit guard.AuditMode) stats.Snapshot {
 						c := cfg
-						c.NoSkip = noSkip
+						c.NoSkip, c.Audit = noSkip, audit
 						m, err := NewMachine(c, prog)
 						if err != nil {
 							t.Fatal(err)
@@ -121,20 +136,30 @@ func TestSkipMatchesTickUnderAblations(t *testing.T) {
 						defer m.Release()
 						res, err := m.Run()
 						if err != nil {
-							t.Fatalf("NoSkip=%v: %v", noSkip, err)
+							t.Fatalf("NoSkip=%v audit=%v: %v", noSkip, audit, err)
 						}
 						return res.Metrics()
 					}
-					skip, tick := run(false), run(true)
-					if len(skip) != len(tick) {
-						t.Fatalf("metric count differs: %d skipping vs %d ticking", len(skip), len(tick))
-					}
-					for i := range skip {
-						if skip[i] != tick[i] {
-							t.Errorf("metric %s: %s skipping vs %s ticking",
-								skip[i].Name, skip[i].FormatValue(), tick[i].FormatValue())
+					tick := run(true, guard.AuditOn)
+					diff := func(mode string, got stats.Snapshot) {
+						ref := tick
+						if mode == "audit-off" {
+							audit := func(v stats.Value) bool { return strings.HasPrefix(v.Name, "guard.audit.") }
+							ref = slices.DeleteFunc(slices.Clone(ref), audit)
+							got = slices.DeleteFunc(got, audit)
+						}
+						if len(got) != len(ref) {
+							t.Fatalf("%s: metric count differs: %d vs %d ticking", mode, len(got), len(ref))
+						}
+						for i := range got {
+							if got[i] != ref[i] {
+								t.Errorf("%s: metric %s: %s vs %s ticking",
+									mode, got[i].Name, got[i].FormatValue(), ref[i].FormatValue())
+							}
 						}
 					}
+					diff("skip", run(false, guard.AuditOn))
+					diff("audit-off", run(false, guard.AuditOff))
 				})
 			}
 		}

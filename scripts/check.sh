@@ -42,17 +42,6 @@ echo "== benchmark module tests (expall.golden, run/experiment body digests, vlt
 echo "== goldens (testdata/metrics_base_mxm.golden, testdata/expall_json.golden)"
 go test -v -run 'TestGoldenMetrics|TestCollectAllAndJSON' .
 
-echo "== cycle-skip golden (VLT_NOSKIP=1 vltexp -all vs bench/testdata/expall.golden)"
-# TestSkipMatchesTickEveryCycle compares skipping with ticking on the
-# default cells only. -all also runs Figure 1's 1, 2 and 4 lanes and the
-# 16-lane and no-reclaim extensions; ticking every cycle must print the
-# golden the skipping run is pinned to (bench module), byte for byte.
-VLT_NOSKIP=1 go run ./cmd/vltexp -all >"$work/vltexp.noskip"
-if ! diff -u bench/testdata/expall.golden "$work/vltexp.noskip"; then
-    echo "cycle-skip golden: VLT_NOSKIP=1 vltexp -all differs from bench/testdata/expall.golden" >&2
-    exit 1
-fi
-
 echo "== fuzz smoke (5s per target)"
 go test -run='^$' -fuzz=FuzzAssemble -fuzztime=5s ./internal/asm
 go test -run='^$' -fuzz=FuzzDecode -fuzztime=5s ./internal/isa
@@ -114,16 +103,12 @@ printf '%s\n' "$bench" | awk '
         }
     }'
 
-echo "== cycle-skip guard (BenchmarkRunBaseMXM, skipping vs VLT_NOSKIP=1)"
-skipb=$(go test -run '^$' -bench '^BenchmarkRunBaseMXM$' -benchtime 30x -count 5 .)
-tickb=$(VLT_NOSKIP=1 go test -run '^$' -bench '^BenchmarkRunBaseMXM$' -benchtime 30x -count 5 .)
-printf '%s\n' "$skipb" | grep '^Benchmark'
-printf '%s\n' "$tickb" | grep '^Benchmark' | sed 's/$/   (VLT_NOSKIP=1)/'
-printf '%s\nNOSKIPMARK\n%s\n' "$skipb" "$tickb" | awk '
-    /^NOSKIPMARK$/     { ticking = 1; next }
-    $1 ~ /^BenchmarkRunBaseMXM/ {
-        if (ticking) { t[tn++] = $3 } else { s[sn++] = $3 }
-    }
+echo "== cycle-skip guard (BenchmarkBaseMXMSkip vs BenchmarkBaseMXMTick)"
+schedb=$(go test -run '^$' -bench '^BenchmarkBaseMXM(Skip|Tick)$' -benchtime 30x -count 5 .)
+printf '%s\n' "$schedb" | grep '^Benchmark'
+printf '%s\n' "$schedb" | awk '
+    $1 ~ /^BenchmarkBaseMXMSkip/ { s[sn++] = $3 }
+    $1 ~ /^BenchmarkBaseMXMTick/ { t[tn++] = $3 }
     function median(a, n,    i, j, v) {
         for (i = 1; i < n; i++) {
             v = a[i]
@@ -142,7 +127,7 @@ printf '%s\nNOSKIPMARK\n%s\n' "$skipb" "$tickb" | awk '
             smed / 1e6, tmed / 1e6, ratio, sn
         # mxm on the base machine saturates the vector unit, so there is
         # almost nothing to skip: this cell bounds the event-scheduler
-        # OVERHEAD (the differential tests bound its correctness;
+        # OVERHEAD (the equivalence harness bounds its correctness;
         # quiescence gating keeps the expected ratio ~1.0). Medians,
         # because single samples on a shared box swing ~30%; the 20%
         # headroom is CI noise, same spirit as the vet overhead guard.

@@ -66,7 +66,7 @@ func TestSearchDeterministic(t *testing.T) {
 // ForkAt hook that declines every override (returns 0, or echoes the
 // request) must leave the run metric-identical to an unhooked machine.
 func TestForkAtDefaultIsNeutral(t *testing.T) {
-	baseline := buildCellMachine(t, "mpenc", MachineV4CMT)
+	baseline := buildCell(t, simCell{"mpenc", MachineV4CMT, Options{}}, nil).machine(t)
 	ref, err := baseline.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestForkAtDefaultIsNeutral(t *testing.T) {
 	}
 	for _, name := range []string{"return-zero", "echo-request", "invalid-choice"} {
 		t.Run(name, func(t *testing.T) {
-			m := buildCellMachine(t, "mpenc", MachineV4CMT)
+			m := buildCell(t, simCell{"mpenc", MachineV4CMT, Options{}}, nil).machine(t)
 			fired := 0
 			hook := hooks[name]
 			m.SetForkAt(func(mm *core.Machine, pt core.ForkPoint) int {
@@ -92,7 +92,7 @@ func TestForkAtDefaultIsNeutral(t *testing.T) {
 			if fired == 0 {
 				t.Error("hook never fired on a workload with VLTCFG instructions")
 			}
-			diffSnapshots(t, "unhooked", "hooked", ref.Metrics(), res.Metrics())
+			diffSnapshots(t, "hooked", ref.Metrics(), res.Metrics(), "")
 		})
 	}
 }
@@ -100,11 +100,11 @@ func TestForkAtDefaultIsNeutral(t *testing.T) {
 // TestPartitionChoices pins the valid-choice enumeration the search
 // branches over.
 func TestPartitionChoices(t *testing.T) {
-	m := buildCellMachine(t, "mpenc", MachineV4CMT) // 8 lanes, 4 threads
+	m := buildCell(t, simCell{"mpenc", MachineV4CMT, Options{}}, nil).machine(t) // 8 lanes, 4 threads
 	if got, want := m.PartitionChoices(), []int{1, 2, 4}; !reflect.DeepEqual(got, want) {
 		t.Errorf("PartitionChoices() = %v, want %v", got, want)
 	}
-	scalar := buildCellMachine(t, "radix", MachineCMT) // no vector unit
+	scalar := buildCell(t, simCell{"radix", MachineCMT, Options{}}, nil).machine(t) // no vector unit
 	if got := scalar.PartitionChoices(); got != nil {
 		t.Errorf("PartitionChoices() on a scalar machine = %v, want nil", got)
 	}
