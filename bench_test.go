@@ -14,7 +14,6 @@ import (
 
 	"vlt/internal/core"
 	"vlt/internal/lane"
-	"vlt/internal/mem"
 )
 
 // BenchmarkTable1 reports the component areas (mm², Table 1).
@@ -296,7 +295,6 @@ func BenchmarkAblationChaining(b *testing.B) {
 func BenchmarkAblationBankHash(b *testing.B) {
 	run := func(plain bool) uint64 {
 		return cellCycles(b, simCell{"radix", MachineVLTScalar, Options{}}, func(c *core.Config) {
-			c.L2 = mem.DefaultL2Config()
 			c.L2.PlainBanks = plain
 		})
 	}
@@ -314,7 +312,6 @@ func BenchmarkAblationBankHash(b *testing.B) {
 func BenchmarkAblationDecoupling(b *testing.B) {
 	run := func(window int) uint64 {
 		return cellCycles(b, simCell{"radix", MachineVLTScalar, Options{}}, func(c *core.Config) {
-			c.LaneCore = lane.DefaultConfig()
 			c.LaneCore.DecoupleWindow = window
 		})
 	}

@@ -206,10 +206,8 @@ func TestChaosSweep(t *testing.T) {
 	client := vltclient.New(vltclient.Config{BaseURL: coordURL, MaxRetries: 4})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	trailer, err := client.Sweep(ctx, api.SweepRequest{
-		Workloads: []string{"mxm", "sage"},
-		Machines:  []string{"base", "V2-CMP"},
-	}, func(cell api.SweepCell) error {
+	req := api.SweepRequest{Workloads: []string{"mxm", "sage"}, Machines: []string{"base", "V2-CMP"}}
+	trailer, err := client.Sweep(ctx, req, func(cell api.SweepCell) error {
 		if cell.Error != nil {
 			t.Errorf("%s/%s: %s", cell.Workload, cell.Machine, cell.Error.Message)
 		}
@@ -223,14 +221,15 @@ func TestChaosSweep(t *testing.T) {
 	}
 
 	metrics := scrapeMetrics(t, coordURL)
-	// The FNV shard map keeps three cells on the coordinator and sends
-	// one (sage/base) to the peer, which arrives remotely or, when the
-	// faults exhaust its retries, through the coordinator's fallbacks.
-	if metrics["fleet.local"] != 3 {
-		t.Errorf("fleet.local = %d, want 3 (metrics %v)", metrics["fleet.local"], metrics)
+	// The shard map keeps the coordinator's cells local and sends the
+	// peer's to it; each of those arrives remotely or, when the faults
+	// exhaust its retries, through the coordinator's fallback.
+	remote := peerOwned(t, req)
+	if local := len(req.Cells()) - remote; metrics["fleet.local"] != uint64(local) {
+		t.Errorf("fleet.local = %d, want %d (metrics %v)", metrics["fleet.local"], local, metrics)
 	}
-	if n := metrics["fleet.remote"] + metrics["fleet.fallback"]; n != 1 {
-		t.Errorf("fleet.remote + fleet.fallback = %d, want 1 (metrics %v)", n, metrics)
+	if n := metrics["fleet.remote"] + metrics["fleet.fallback"]; n != uint64(remote) {
+		t.Errorf("fleet.remote + fleet.fallback = %d, want %d (metrics %v)", n, remote, metrics)
 	}
 
 	stopDaemon(t, coordSig, coordDone, coordOut)
@@ -255,25 +254,7 @@ func TestStoppedPeerFallsBack(t *testing.T) {
 
 	before := api.SweepRequest{Workloads: []string{"mxm", "sage"}, Machines: []string{"base", "V2-CMP"}}
 	after := api.SweepRequest{Workloads: []string{"mxm", "sage"}, Machines: []string{"V4-CMP", "V4-CMT"}}
-	// peerOwned counts a grid's cells the 2-member shard map gives the peer.
-	peerOwned := func(req api.SweepRequest) int {
-		shard := fleet.New(fleet.Config{Peers: []string{"http://peer"}})
-		n := 0
-		for _, c := range req.Cells() {
-			key, err := vlt.CellKey(c.Workload, vlt.Machine(c.Machine), c.Options())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if shard.Owner(key) == 1 {
-				n++
-			}
-		}
-		if n == 0 || n == len(req.Cells()) {
-			t.Fatalf("degenerate shard map: the peer owns %d of %d cells", n, len(req.Cells()))
-		}
-		return n
-	}
-	remoteWant, fallbackWant := peerOwned(before), peerOwned(after)
+	remoteWant, fallbackWant := peerOwned(t, before), peerOwned(t, after)
 
 	// sweep runs a grid on a daemon and returns each cell's body.
 	sweep := func(url string, req api.SweepRequest) [][]byte {
@@ -328,6 +309,28 @@ func TestStoppedPeerFallsBack(t *testing.T) {
 	}
 }
 
+// peerOwned counts the cells of a sweep that a two-member fleet's shard
+// map gives the peer, failing t when the map puts every cell on one
+// member (the test would then not exercise both routes).
+func peerOwned(t *testing.T, req api.SweepRequest) int {
+	t.Helper()
+	shard := fleet.New(fleet.Config{Peers: []string{"http://peer"}})
+	n := 0
+	for _, c := range req.Cells() {
+		key, err := vlt.CellKey(c.Workload, vlt.Machine(c.Machine), c.Options())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shard.Owner(key) == 1 {
+			n++
+		}
+	}
+	if n == 0 || n == len(req.Cells()) {
+		t.Fatalf("degenerate shard map: the peer owns %d of %d cells", n, len(req.Cells()))
+	}
+	return n
+}
+
 // scrapeMetrics reads a daemon's integer /metricsz lines into a map.
 func scrapeMetrics(t *testing.T, base string) map[string]uint64 {
 	t.Helper()
@@ -370,20 +373,7 @@ func TestDeadPeerReadsStoreOnce(t *testing.T) {
 		Machines:  []string{"base", "V2-CMP", "V4-CMP"},
 	}
 	cells := req.Cells()
-	shard := fleet.New(fleet.Config{Peers: []string{dead}})
-	peerOwned := 0
-	for _, c := range cells {
-		key, err := vlt.CellKey(c.Workload, vlt.Machine(c.Machine), c.Options())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if shard.Owner(key) == 1 {
-			peerOwned++
-		}
-	}
-	if peerOwned == 0 || peerOwned == len(cells) {
-		t.Fatalf("degenerate shard map: the peer owns %d of %d cells", peerOwned, len(cells))
-	}
+	deadOwned := peerOwned(t, req)
 
 	sweep := func(url string) {
 		t.Helper()
@@ -412,8 +402,8 @@ func TestDeadPeerReadsStoreOnce(t *testing.T) {
 	if got := m["serve.store.misses"]; got != uint64(len(cells)) {
 		t.Errorf("cold sweep: serve.store.misses = %d, want %d (one read per cell)", got, len(cells))
 	}
-	if got := m["fleet.fallback"]; got != uint64(peerOwned) {
-		t.Errorf("cold sweep: fleet.fallback = %d, want %d (every dead peer's cell)", got, peerOwned)
+	if got := m["fleet.fallback"]; got != uint64(deadOwned) {
+		t.Errorf("cold sweep: fleet.fallback = %d, want %d (every dead peer's cell)", got, deadOwned)
 	}
 	if got := m["serve.flight.executed"]; got != uint64(len(cells)) {
 		t.Errorf("cold sweep: serve.flight.executed = %d, want %d", got, len(cells))

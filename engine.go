@@ -148,9 +148,11 @@ func (e *Engine) applyGuard(opt Options) Options {
 }
 
 // fingerprint content-addresses one simulation cell: the workload, the
-// fully resolved machine configuration (so aliases like Lanes:0 and
-// Lanes:8 on the base machine coincide), and every build/verify option
-// that can change the simulated program or the reported result.
+// fully resolved machine configuration (every preset is complete, so
+// this is every parameter the machine runs with, and aliases like
+// Lanes:0 and Lanes:8 on the base machine coincide), and every
+// build/verify option that can change the simulated program or the
+// reported result.
 func fingerprint(workload string, m Machine, opt Options) (string, error) {
 	cfg, threads, err := machineConfig(m, opt)
 	if err != nil {

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"vlt/internal/area"
+	"vlt/internal/core"
 	"vlt/internal/report"
-	"vlt/internal/scalar"
 	"vlt/internal/vcl"
 	"vlt/internal/workloads"
 )
@@ -318,16 +318,21 @@ func Table2String() string {
 	return t.String()
 }
 
-// Table3String renders the base machine parameters (paper Table 3).
+// Table3String renders the base machine parameters (paper Table 3) from
+// the 8-lane base machine's configuration.
 func Table3String() string {
-	su := scalar.Config4Way()
+	c := core.Base(8)
+	su, l1, l2 := c.SUs[0], c.SUs[0].L1D, c.L2
 	t := report.NewTable("Table 3: base vector processor parameters", "component", "parameters")
 	t.Row("Scalar unit", fmt.Sprintf("%d-way OoO, %d-entry window/ROB, %d ALUs, %d mem ports",
 		su.Width, su.WindowSize, su.NumALU, su.NumMemPorts))
-	t.Row("L1 caches", "16-KByte, 2-way associative")
-	t.Row("Vector control", "2-way issue, 32-entry VIQ, 32-entry vector window")
-	t.Row("Vector lanes", "8 lanes, 3 arithmetic units, 2 memory ports, 64 phys vregs")
-	t.Row("Memory system", "4-MByte L2, 4-way assoc, 16 banks, 10-cycle hit, 100-cycle miss")
+	t.Row("L1 caches", fmt.Sprintf("%d-KByte, %d-way associative", l1.SizeBytes>>10, l1.Assoc))
+	t.Row("Vector control", fmt.Sprintf("%d-way issue, %d-entry VIQ, %d-entry vector window",
+		c.VCL.IssueWidth, c.VCL.VIQSize, c.VCL.WindowSize))
+	t.Row("Vector lanes", fmt.Sprintf("%d lanes, %d arithmetic units, %d memory ports, %d phys vregs",
+		c.Lanes, vcl.NumVFUs, vcl.NumMemPorts, c.VCL.PhysRegs))
+	t.Row("Memory system", fmt.Sprintf("%d-MByte L2, %d-way assoc, %d banks, %d-cycle hit, %d-cycle miss",
+		l2.SizeBytes>>20, l2.Assoc, l2.Banks, l2.HitLat, l2.MissLat))
 	return t.String()
 }
 

@@ -1,0 +1,82 @@
+package vlt
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+
+	"vlt/internal/store"
+)
+
+// formatDigests maps each store.FormatVersion to the digest of what is
+// served and stored under it (outputsDigest). A change that moves any of
+// those outputs must bump store.FormatVersion, so that Open sweeps the
+// old store entries and old ETags stop revalidating, and record the new
+// version's digest here.
+var formatDigests = map[int]string{
+	1: "c148612434bb1bcbd03e34f88da5516d9c3471e71745aec16abb8781a2fea1dd",
+	2: "469527e4c4e14d4a4c13d363520ac724847c475a2b5f752cabd0c3e6361454dc",
+}
+
+// formatOutputs are the committed goldens outputsDigest covers: the
+// `vltexp -all` text, the digests of the 89 bodies vltd serves for the
+// grid and the experiments, the base/mxm metric snapshot and the `-json`
+// document.
+var formatOutputs = []string{
+	"bench/testdata/expall.golden",
+	"bench/testdata/digests.txt",
+	"testdata/metrics_base_mxm.golden",
+	"testdata/expall_json.golden",
+}
+
+// outputsDigest hashes the formatOutputs files and the sorted cell keys
+// of every runnable grid cell.
+func outputsDigest(t *testing.T) string {
+	t.Helper()
+	h := sha256.New()
+	for _, name := range formatOutputs {
+		b, err := os.ReadFile(filepath.FromSlash(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s %d\n", name, len(b))
+		h.Write(b)
+	}
+	var keys []string
+	for _, m := range Machines() {
+		for _, w := range Workloads() {
+			if _, err := resolveCell(w, m, Options{}); err != nil {
+				continue // a vector workload on a machine without a vector unit
+			}
+			key, err := CellKey(w, m, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys = append(keys, key)
+		}
+	}
+	slices.Sort(keys)
+	fmt.Fprintf(h, "cell keys %d\n%s\n", len(keys), strings.Join(keys, "\n"))
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestFormatVersionPinsOutputs ties store.FormatVersion to the outputs it
+// versions: the goldens, the served bodies' digests and the cell keys
+// must hash to the digest recorded for the current version.
+func TestFormatVersionPinsOutputs(t *testing.T) {
+	got := outputsDigest(t)
+	want, ok := formatDigests[store.FormatVersion]
+	if !ok {
+		t.Fatalf("no digest recorded for store.FormatVersion %d; record %s", store.FormatVersion, got)
+	}
+	if got != want {
+		t.Fatalf("outputs digest %s, but store.FormatVersion %d recorded %s: the goldens, "+
+			"the served body digests or the cell keys moved; bump store.FormatVersion "+
+			"and record the new digest under the new version", got, store.FormatVersion, want)
+	}
+}

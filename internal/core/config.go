@@ -39,7 +39,7 @@ type Config struct {
 	// VLTCFG.
 	InitialPartitions int
 
-	// MaxCycles aborts runaway simulations (0 = default guard).
+	// MaxCycles aborts runaway simulations (0 = 2e9 cycles).
 	MaxCycles uint64
 
 	// StallLimit aborts the run with a *guard.StallError (carrying a full
@@ -98,10 +98,32 @@ type Config struct {
 	ForkAt func(*Machine, ForkPoint) int
 }
 
-// Validate checks structural consistency.
+// Validate checks structural consistency: every size and count of a
+// component the machine builds is at least 1, and there are enough SMT
+// slots, lane cores and lane partitions for the threads.
 func (c Config) Validate() error {
 	if c.NumThreads < 1 {
 		return fmt.Errorf("core: config %q: NumThreads %d < 1", c.Name, c.NumThreads)
+	}
+	// The sizes and counts of the components the machine builds. None
+	// has a meaning at zero; latencies and penalties may be 0.
+	vector, laneCores := c.Lanes > 0 && !c.LaneScalarMode, c.LaneScalarMode
+	for _, f := range []struct {
+		field string
+		n     int
+		built bool
+	}{
+		{"L2.SizeBytes", c.L2.SizeBytes, true}, {"L2.Assoc", c.L2.Assoc, true},
+		{"L2.Banks", c.L2.Banks, true}, {"L2.BankPorts", c.L2.BankPorts, true},
+		{"VCL.IssueWidth", c.VCL.IssueWidth, vector}, {"VCL.VIQSize", c.VCL.VIQSize, vector},
+		{"VCL.WindowSize", c.VCL.WindowSize, vector}, {"VCL.PhysRegs", c.VCL.PhysRegs, vector},
+		{"LaneCore.Width", c.LaneCore.Width, laneCores},
+		{"LaneCore.RetireQueue", c.LaneCore.RetireQueue, laneCores},
+		{"LaneCore.ICache.SizeBytes", c.LaneCore.ICache.SizeBytes, laneCores},
+	} {
+		if f.built && f.n < 1 {
+			return fmt.Errorf("core: config %q: %s %d < 1", c.Name, f.field, f.n)
+		}
 	}
 	if c.LaneScalarMode {
 		if c.Lanes < c.NumThreads {
@@ -131,113 +153,88 @@ func (c Config) Validate() error {
 	return nil
 }
 
-func defaults(c Config) Config {
-	if c.L2.SizeBytes == 0 {
-		c.L2 = mem.DefaultL2Config()
-	}
-	// VCL zero fields are filled by vcl.New, preserving explicitly-set
-	// options like DisableChaining.
-	if c.LaneScalarMode && c.LaneCore.Width == 0 {
-		c.LaneCore = lane.DefaultConfig()
-	}
-	if c.InitialPartitions == 0 {
-		c.InitialPartitions = 1
-	}
-	if c.MaxCycles == 0 {
-		c.MaxCycles = 2_000_000_000
-	}
-	return c
-}
-
 // --- the paper's machine configurations ---
+
+// table3 returns the paper's Table 3 machine, every component complete:
+// lanes vector lanes (0 = none) behind the scalar units sus, running
+// threads software threads on partitions initial lane partitions. Every
+// preset starts here, and each component's numbers live in its own
+// package's constructor.
+func table3(name string, lanes, threads, partitions int, sus ...scalar.Config) Config {
+	return Config{
+		Name:              name,
+		Lanes:             lanes,
+		SUs:               sus,
+		VCL:               vcl.DefaultConfig(),
+		L2:                mem.DefaultL2Config(),
+		LaneCore:          lane.DefaultConfig(),
+		NumThreads:        threads,
+		InitialPartitions: partitions,
+	}
+}
 
 // Base returns the base vector processor of Table 3 with the given lane
 // count, running a single thread.
 func Base(lanes int) Config {
-	return Config{
-		Name:              fmt.Sprintf("base-%dL", lanes),
-		Lanes:             lanes,
-		SUs:               []scalar.Config{scalar.Config4Way()},
-		NumThreads:        1,
-		InitialPartitions: 1,
-	}
+	return table3(fmt.Sprintf("base-%dL", lanes), lanes, 1, 1, scalar.Config4Way())
 }
 
 // vltConfig builds a VLT machine with 8 lanes and threads partitions.
-func vltConfig(name string, threads int, sus []scalar.Config) Config {
-	return Config{
-		Name:              name,
-		Lanes:             8,
-		SUs:               sus,
-		NumThreads:        threads,
-		InitialPartitions: threads,
-	}
+func vltConfig(name string, threads int, sus ...scalar.Config) Config {
+	return table3(name, 8, threads, threads, sus...)
 }
 
 // V2SMT: 2 VLT threads on one 2-way-multithreaded 4-way SU.
 func V2SMT() Config {
-	return vltConfig("V2-SMT", 2, []scalar.Config{scalar.Config4Way().WithSMT(2)})
+	return vltConfig("V2-SMT", 2, scalar.Config4Way().WithSMT(2))
 }
 
 // V2CMP: 2 VLT threads on two replicated 4-way SUs.
 func V2CMP() Config {
-	return vltConfig("V2-CMP", 2, []scalar.Config{scalar.Config4Way(), scalar.Config4Way()})
+	return vltConfig("V2-CMP", 2, scalar.Config4Way(), scalar.Config4Way())
 }
 
 // V2CMPh: 2 VLT threads on heterogeneous SUs (one 4-way, one 2-way).
 func V2CMPh() Config {
-	return vltConfig("V2-CMP-h", 2, []scalar.Config{scalar.Config4Way(), scalar.Config2Way()})
+	return vltConfig("V2-CMP-h", 2, scalar.Config4Way(), scalar.Config2Way())
 }
 
 // V4SMT: 4 VLT threads on one 4-way-multithreaded SU.
 func V4SMT() Config {
-	return vltConfig("V4-SMT", 4, []scalar.Config{scalar.Config4Way().WithSMT(4)})
+	return vltConfig("V4-SMT", 4, scalar.Config4Way().WithSMT(4))
 }
 
 // V4CMT: 4 VLT threads on two 4-way SUs, each 2-way multithreaded.
 func V4CMT() Config {
-	return vltConfig("V4-CMT", 4, []scalar.Config{
-		scalar.Config4Way().WithSMT(2), scalar.Config4Way().WithSMT(2),
-	})
+	return vltConfig("V4-CMT", 4, scalar.Config4Way().WithSMT(2), scalar.Config4Way().WithSMT(2))
 }
 
 // V4CMP: 4 VLT threads on four replicated 4-way SUs.
 func V4CMP() Config {
-	return vltConfig("V4-CMP", 4, []scalar.Config{
-		scalar.Config4Way(), scalar.Config4Way(), scalar.Config4Way(), scalar.Config4Way(),
-	})
+	return vltConfig("V4-CMP", 4,
+		scalar.Config4Way(), scalar.Config4Way(), scalar.Config4Way(), scalar.Config4Way())
 }
 
 // V4CMPh: 4 VLT threads on one 4-way and three 2-way SUs.
 func V4CMPh() Config {
-	return vltConfig("V4-CMP-h", 4, []scalar.Config{
-		scalar.Config4Way(), scalar.Config2Way(), scalar.Config2Way(), scalar.Config2Way(),
-	})
+	return vltConfig("V4-CMP-h", 4,
+		scalar.Config4Way(), scalar.Config2Way(), scalar.Config2Way(), scalar.Config2Way())
 }
 
 // CMT: the scalar-only baseline of Section 7.2 — the V4-CMT configuration
 // without the vector unit: two 4-way SUs, each 2-way multithreaded,
 // running numThreads scalar threads.
 func CMT(numThreads int) Config {
-	return Config{
-		Name: "CMT",
-		SUs: []scalar.Config{
-			scalar.Config4Way().WithSMT(2), scalar.Config4Way().WithSMT(2),
-		},
-		NumThreads: numThreads,
-	}
+	return table3("CMT", 0, numThreads, 1, scalar.Config4Way().WithSMT(2), scalar.Config4Way().WithSMT(2))
 }
 
 // VLTScalar: 8 scalar threads running on the 8 vector lanes as 2-way
 // in-order cores (Section 5). The scalar unit services lane I-cache
 // misses but runs no thread, as in the paper.
 func VLTScalar(numThreads int) Config {
-	return Config{
-		Name:           "VLT-scalar",
-		Lanes:          8,
-		LaneScalarMode: true,
-		NumThreads:     numThreads,
-	}
+	c := table3("VLT-scalar", 8, numThreads, 1)
+	c.LaneScalarMode = true
+	return c
 }
 
 // machines is the one table of the paper's machine configurations by

@@ -4,6 +4,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"vlt/internal/lane"
+	"vlt/internal/vcl"
+	"vlt/internal/workloads"
 )
 
 // TestByName pins the name table's resolution against the constructors it
@@ -76,5 +80,73 @@ func TestByName(t *testing.T) {
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("ByName(%q, %d, %d) error %q does not name %q", c.name, c.lanes, c.threads, err, c.want)
 		}
+	}
+}
+
+// TestZeroCountIsAnError pins that a zero size or count in a component
+// the machine builds is refused by name, never replaced by a default:
+// each case zeroes one field of a complete preset. Latencies and
+// penalties may be 0, and a component the machine does not build (the
+// VCL of a scalar-only machine) is not checked.
+func TestZeroCountIsAnError(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		cfg   Config
+		zero  func(*Config)
+	}{
+		{"L2.SizeBytes", Base(8), func(c *Config) { c.L2.SizeBytes = 0 }},
+		{"L2.Assoc", Base(8), func(c *Config) { c.L2.Assoc = 0 }},
+		{"L2.Banks", Base(8), func(c *Config) { c.L2.Banks = 0 }},
+		{"L2.BankPorts", V4CMT(), func(c *Config) { c.L2.BankPorts = 0 }},
+		{"VCL.IssueWidth", Base(8), func(c *Config) { c.VCL.IssueWidth = 0 }},
+		{"VCL.VIQSize", V2CMP(), func(c *Config) { c.VCL.VIQSize = 0 }},
+		{"VCL.WindowSize", Base(8), func(c *Config) { c.VCL.WindowSize = 0 }},
+		{"VCL.PhysRegs", Base(8), func(c *Config) { c.VCL.PhysRegs = 0 }},
+		{"LaneCore.Width", VLTScalar(8), func(c *Config) { c.LaneCore.Width = 0 }},
+		{"LaneCore.RetireQueue", VLTScalar(8), func(c *Config) { c.LaneCore.RetireQueue = 0 }},
+		{"LaneCore.ICache.SizeBytes", VLTScalar(8), func(c *Config) { c.LaneCore.ICache.SizeBytes = 0 }},
+	} {
+		c.zero(&c.cfg)
+		if _, err := NewMachine(c.cfg, tinyVectorProgram()); err == nil {
+			t.Errorf("%s: %s = 0 built a machine, want an error", c.cfg.Name, c.field)
+		} else if !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: %s = 0: error %q does not name the field", c.cfg.Name, c.field, err)
+		}
+	}
+
+	for _, c := range []struct {
+		what string
+		cfg  Config
+		zero func(*Config)
+	}{
+		{"zero latencies", Base(8), func(c *Config) { c.L2.HitLat, c.L2.MissLat = 0, 0 }},
+		{"zero lane penalties", VLTScalar(8), func(c *Config) { c.LaneCore.MispredictPenalty, c.LaneCore.ICacheServiceLat = 0, 0 }},
+		{"an unbuilt VCL", CMT(4), func(c *Config) { c.VCL = vcl.Config{} }},
+		{"an unbuilt lane core", Base(8), func(c *Config) { c.LaneCore = lane.Config{} }},
+	} {
+		c.zero(&c.cfg)
+		if err := c.cfg.Validate(); err != nil {
+			t.Errorf("%s with %s: %v, want it valid", c.cfg.Name, c.what, err)
+		}
+	}
+}
+
+// TestDecoupleWindowSetOnPresetTakesEffect pins that an ablation is a
+// plain mutator on a preset: a lane decouple window set directly on
+// VLT-scalar reaches the lane cores, so the blocking pipeline (window 1)
+// runs radix in a different number of cycles than the default window.
+func TestDecoupleWindowSetOnPresetTakesEffect(t *testing.T) {
+	w, err := workloads.ByName("radix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := w.Build(workloads.Params{Threads: 8, ScalarOnly: true})
+	def, _ := runToEnd(t, VLTScalar(8), prog)
+	blocking := VLTScalar(8)
+	blocking.LaneCore.DecoupleWindow = 1
+	got, _ := runToEnd(t, blocking, prog)
+	if got.Cycles == def.Cycles {
+		t.Errorf("decouple window 1 ran radix in %d cycles, the same as the default window %d",
+			got.Cycles, lane.DefaultConfig().DecoupleWindow)
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"vlt/internal/asm"
 	"vlt/internal/isa"
-	"vlt/internal/vcl"
 )
 
 func tinyVectorProgram() *asm.Program {
@@ -109,7 +108,8 @@ func TestL2AccessorAndStats(t *testing.T) {
 
 func TestCustomVCLConfigPropagates(t *testing.T) {
 	cfg := Base(8)
-	cfg.VCL = vcl.Config{IssueWidth: 1, DisableChaining: true}
+	cfg.VCL.IssueWidth = 1
+	cfg.VCL.DisableChaining = true
 	m, err := NewMachine(cfg, tinyVectorProgram())
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,6 @@ func TestCustomVCLConfigPropagates(t *testing.T) {
 
 func TestHeterogeneousConfigsValidate(t *testing.T) {
 	for _, cfg := range []Config{V2SMT(), V2CMPh(), V4CMPh(), CMT(4), VLTScalar(8)} {
-		cfg := defaults(cfg)
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("%s: %v", cfg.Name, err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"slices"
@@ -107,7 +108,7 @@ func (m *Machine) SetPipeView(w io.Writer) { m.pipes = w }
 // NewMachine builds the machine described by cfg and loads prog with
 // cfg.NumThreads software threads.
 func NewMachine(cfg Config, prog *asm.Program) (*Machine, error) {
-	cfg = defaults(cfg)
+	cfg.MaxCycles = cmp.Or(cfg.MaxCycles, 2_000_000_000)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

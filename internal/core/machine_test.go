@@ -332,7 +332,6 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("5 threads on 2 slots should fail")
 	}
 	c2 := VLTScalar(9)
-	c2 = defaults(c2)
 	if err := c2.Validate(); err == nil {
 		t.Error("9 threads on 8 lanes should fail")
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"vlt/internal/guard"
-	"vlt/internal/lane"
 	"vlt/internal/stats"
 	"vlt/internal/workloads"
 )
@@ -97,13 +96,8 @@ func TestSkipMatchesTickUnderAblations(t *testing.T) {
 	}
 	vectorMachines := []func() Config{func() Config { return Base(8) }, V2CMP, V4CMT}
 	laneMachines := []func() Config{func() Config { return VLTScalar(8) }}
-	// A window is set on a full lane config: defaults replaces a
-	// LaneCore whose Width is 0 wholesale.
 	window := func(n int) func(*Config) {
-		return func(c *Config) {
-			c.LaneCore = lane.DefaultConfig()
-			c.LaneCore.DecoupleWindow = n
-		}
+		return func(c *Config) { c.LaneCore.DecoupleWindow = n }
 	}
 	ablations := []ablation{
 		{"no-chaining", vectorMachines, vector, func(c *Config) { c.VCL.DisableChaining = true }},

@@ -73,9 +73,6 @@ type Core struct {
 // New builds a lane core over the shared L2. A DecoupleWindow below 1
 // is taken as 1: the queue head is always an issue candidate.
 func New(id int, cfg Config, machine *vm.VM, l2 *mem.L2) *Core {
-	if cfg.Width == 0 {
-		cfg = DefaultConfig()
-	}
 	cfg.DecoupleWindow = max(cfg.DecoupleWindow, 1)
 	c := &Core{
 		ID:     id,

@@ -38,9 +38,6 @@ type L1 struct {
 
 // NewL1 builds an L1 in front of l2.
 func NewL1(cfg L1Config, l2 *L2) *L1 {
-	if cfg.SizeBytes == 0 {
-		cfg = DefaultL1Config()
-	}
 	return &L1{cfg: cfg, cache: NewCache(cfg.SizeBytes, cfg.Assoc), l2: l2}
 }
 

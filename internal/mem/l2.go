@@ -9,12 +9,12 @@ import (
 
 // L2Config parameterizes the shared second-level cache.
 type L2Config struct {
-	SizeBytes int // capacity (default 4 MB)
-	Assoc     int // associativity (default 4)
-	Banks     int // word-interleaved banks (default 16)
-	BankPorts int // accesses each bank accepts per cycle (default 2)
-	HitLat    int // cycles from bank service to data (default 10)
-	MissLat   int // cycles on miss, including DRAM (default 100)
+	SizeBytes int // capacity
+	Assoc     int // associativity
+	Banks     int // word-interleaved banks
+	BankPorts int // accesses each bank accepts per cycle
+	HitLat    int // cycles from bank service to data
+	MissLat   int // cycles on miss, including DRAM
 
 	// PlainBanks disables the XOR bank hash (bank = word mod Banks).
 	// The default hashed mapping breaks the pathological power-of-two
@@ -48,12 +48,6 @@ type L2 struct {
 
 // NewL2 builds the shared L2.
 func NewL2(cfg L2Config) *L2 {
-	if cfg.SizeBytes == 0 {
-		cfg = DefaultL2Config()
-	}
-	if cfg.BankPorts == 0 {
-		cfg.BankPorts = 2
-	}
 	return &L2{
 		cfg:   cfg,
 		cache: NewCache(cfg.SizeBytes, cfg.Assoc),

@@ -25,7 +25,13 @@ import (
 // is the invalidation contract — there is no other expiry mechanism,
 // because a content-addressed entry can never be stale within one
 // version.
-const FormatVersion = 1
+//
+// Version 2: every machine preset starts from one complete Table 3
+// configuration, so each cell key hashes the component parameters that
+// zero fields used to stand for. No simulated result or body moved, but
+// every key did, and the bump sweeps the version-1 entries at Open
+// instead of leaving them to eviction.
+const FormatVersion = 2
 
 // magic is the first token of every entry's header line.
 const magic = "vltstore"

@@ -103,19 +103,6 @@ type VCL struct {
 // New builds a VCL controlling totalLanes lanes, initially configured as a
 // single partition owned by software thread 0.
 func New(cfg Config, l2 *mem.L2, totalLanes int) *VCL {
-	def := DefaultConfig()
-	if cfg.IssueWidth == 0 {
-		cfg.IssueWidth = def.IssueWidth
-	}
-	if cfg.VIQSize == 0 {
-		cfg.VIQSize = def.VIQSize
-	}
-	if cfg.WindowSize == 0 {
-		cfg.WindowSize = def.WindowSize
-	}
-	if cfg.PhysRegs == 0 {
-		cfg.PhysRegs = def.PhysRegs
-	}
 	v := &VCL{cfg: cfg, l2: l2, totalLanes: totalLanes}
 	if err := v.Partition([]int{0}); err != nil {
 		panic(err)

@@ -29,13 +29,16 @@ func TestChainingDisabledWaitsForCompletion(t *testing.T) {
 	}
 }
 
+// TestZeroFieldConfigGetsDefaults pins that New runs with the config it
+// is given, field for field: a changed field is kept and nothing else is
+// filled in. A zero size is rejected before New, by core.Config.Validate
+// (core's TestZeroCountIsAnError).
 func TestZeroFieldConfigGetsDefaults(t *testing.T) {
-	v := New(Config{IssueWidth: 1}, mem.NewL2(mem.DefaultL2Config()), 8)
-	if v.cfg.VIQSize != DefaultConfig().VIQSize || v.cfg.WindowSize != DefaultConfig().WindowSize {
-		t.Errorf("zero fields not defaulted: %+v", v.cfg)
-	}
-	if v.cfg.IssueWidth != 1 {
-		t.Errorf("explicit IssueWidth overwritten: %+v", v.cfg)
+	cfg := DefaultConfig()
+	cfg.IssueWidth = 1
+	v := New(cfg, mem.NewL2(mem.DefaultL2Config()), 8)
+	if v.cfg != cfg {
+		t.Errorf("New rewrote its config: got %+v, want %+v", v.cfg, cfg)
 	}
 }
 

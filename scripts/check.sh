@@ -39,8 +39,8 @@ echo "== benchmark module tests (expall.golden, run/experiment body digests, vlt
 # digests, so byte-identity gates every change.
 (cd bench && go test ./...)
 
-echo "== goldens (testdata/metrics_base_mxm.golden, testdata/expall_json.golden)"
-go test -v -run 'TestGoldenMetrics|TestCollectAllAndJSON' .
+echo "== goldens (testdata/metrics_base_mxm.golden, testdata/expall_json.golden, store.FormatVersion pinned to the outputs)"
+go test -v -run 'TestGoldenMetrics|TestCollectAllAndJSON|TestFormatVersionPinsOutputs' .
 
 echo "== fuzz smoke (5s per target)"
 go test -run='^$' -fuzz=FuzzAssemble -fuzztime=5s ./internal/asm

@@ -4,6 +4,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"vlt/internal/core"
+	"vlt/internal/vcl"
 )
 
 func TestMachinesAndWorkloadsEnumerate(t *testing.T) {
@@ -110,6 +113,40 @@ func TestTableRendering(t *testing.T) {
 	t3 := Table3String()
 	if !strings.Contains(t3, "4-way OoO") {
 		t.Errorf("Table 3 rendering wrong:\n%s", t3)
+	}
+
+	// The base machine against the paper's Table 3, number by number.
+	base := core.Base(8)
+	su, vc, l2 := base.SUs[0], base.VCL, base.L2
+	for _, p := range []struct {
+		param     string
+		got, want int
+	}{
+		{"SU issue width", su.Width, 4},
+		{"SU window", su.WindowSize, 64},
+		{"SU ROB", su.ROBSize, 64},
+		{"SU ALUs", su.NumALU, 4},
+		{"SU memory ports", su.NumMemPorts, 2},
+		{"L1I KB", su.L1I.SizeBytes >> 10, 16},
+		{"L1I ways", su.L1I.Assoc, 2},
+		{"L1D KB", su.L1D.SizeBytes >> 10, 16},
+		{"L1D ways", su.L1D.Assoc, 2},
+		{"VCL issue width", vc.IssueWidth, 2},
+		{"VIQ entries", vc.VIQSize, 32},
+		{"vector window entries", vc.WindowSize, 32},
+		{"lanes", base.Lanes, 8},
+		{"arithmetic units per lane", vcl.NumVFUs, 3},
+		{"memory ports per lane", vcl.NumMemPorts, 2},
+		{"physical vector registers", vc.PhysRegs, 64},
+		{"L2 MB", l2.SizeBytes >> 20, 4},
+		{"L2 ways", l2.Assoc, 4},
+		{"L2 banks", l2.Banks, 16},
+		{"L2 hit cycles", l2.HitLat, 10},
+		{"L2 miss cycles", l2.MissLat, 100},
+	} {
+		if p.got != p.want {
+			t.Errorf("Table 3 %s = %d, paper %d", p.param, p.got, p.want)
+		}
 	}
 }
 
