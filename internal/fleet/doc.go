@@ -12,6 +12,14 @@
 // the local engine, or a fallback. Losing peers costs throughput, not
 // answers.
 //
+// A peer's body is the one input a node takes from outside the
+// program, so Compute checks it once, where it enters: it must be in
+// api.Marshal's canonical form, compact JSON that re-encodes to itself
+// as a json.RawMessage, plus one trailing newline. A body that fails is
+// handled as a failed peer call: the cell falls back to the local
+// render and counts under fleet.fallback, and the peer's bytes are
+// never cached, served or spliced into a sweep line.
+//
 // A peer's health is judged in one place: its vltclient circuit
 // breaker. The coordinator asks nothing else before routing a cell; an
 // open breaker fails the call fast with vltclient.ErrCircuitOpen and

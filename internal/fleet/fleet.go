@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"sync/atomic"
@@ -96,12 +98,12 @@ func (c *Coordinator) Compute(ctx context.Context, key string, req api.RunReques
 		defer cancel()
 	}
 	body, err := c.peers[owner-1].RunBody(peerCtx, req)
-	if err != nil {
-		if ctx.Err() != nil {
-			// The caller's deadline died, not the peer; recomputing
-			// locally would just burn a job slot on an abandoned wait.
-			return nil, ctx.Err()
-		}
+	if err != nil && ctx.Err() != nil {
+		// The caller's deadline died, not the peer; recomputing
+		// locally would just burn a job slot on an abandoned wait.
+		return nil, ctx.Err()
+	}
+	if err != nil || !canonical(body) {
 		// The bytes are identical to what the owner would have served:
 		// both routes render through the same content-addressed path.
 		// The caller consulted this node's memory and disk tiers before
@@ -111,4 +113,18 @@ func (c *Coordinator) Compute(ctx context.Context, key string, req api.RunReques
 	}
 	atomic.AddUint64(&c.remote, 1)
 	return body, nil
+}
+
+// canonical reports whether a peer's body is in api.Marshal's form:
+// compact JSON that re-encodes to itself, plus one trailing newline. A
+// peer body is the one input a node takes from outside the program, so
+// it is checked here, once, where it enters; the caller caches it,
+// serves it verbatim on /v1/run and splices it into sweep lines.
+func canonical(body []byte) bool {
+	raw, ok := bytes.CutSuffix(body, []byte("\n"))
+	if !ok {
+		return false
+	}
+	enc, err := json.Marshal(json.RawMessage(raw))
+	return err == nil && bytes.Equal(enc, raw)
 }

@@ -232,3 +232,32 @@ func TestPeerErrorFallsBackAfterRetries(t *testing.T) {
 		t.Fatalf("fallback counter = %d, want 1", got)
 	}
 }
+
+// TestNonCanonicalPeerBodyFallsBack: a peer body is checked where it
+// enters. A 200 whose body is not api.Marshal's form (invalid JSON,
+// indented JSON, an unescaped '<', or a missing trailing newline) is
+// not cached or served: the cell falls back to the local render and
+// counts as a fallback.
+func TestNonCanonicalPeerBodyFallsBack(t *testing.T) {
+	for _, body := range []string{
+		`{"workload":` + "\n",
+		"{\n  \"workload\": \"fir\"\n}\n",
+		`{"workload":"<fir>"}` + "\n",
+		`{"workload":"fir"}`,
+	} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			fmt.Fprint(w, body)
+		}))
+		reg := stats.New()
+		c := New(Config{Peers: []string{srv.URL}, Client: fastClient(), Registry: reg})
+		got, err := c.Compute(context.Background(), keyOwnedBy(t, c, 1), api.RunRequest{},
+			func() ([]byte, error) { return []byte("local\n"), nil })
+		srv.Close()
+		if err != nil || string(got) != "local\n" {
+			t.Fatalf("peer body %q: Compute = %q, %v; want the local body", body, got, err)
+		}
+		if snap := reg.Snapshot(); snap.Uint("fallback") != 1 || snap.Uint("remote") != 0 {
+			t.Fatalf("peer body %q: counters %s; want one fallback", body, snap)
+		}
+	}
+}

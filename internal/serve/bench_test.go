@@ -1,12 +1,17 @@
 package serve
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"vlt"
+	"vlt/internal/api"
 	"vlt/internal/store"
+	"vlt/internal/vltclient"
+	"vlt/internal/workloads"
 )
 
 // benchRun issues one /v1/run request through the full handler stack —
@@ -89,5 +94,70 @@ func BenchmarkServeCellDisk(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.cache.Reset()
 		benchRun(b, s, false)
+	}
+}
+
+// gridHalves splits the paper grid's 78 runnable cells into two sweeps:
+// the vector workloads on the vector machines, and the scalar-parallel
+// workloads on every machine.
+func gridHalves() [2]api.SweepRequest {
+	var vec, sca api.SweepRequest
+	for _, w := range workloads.All() {
+		if w.Class == workloads.ScalarParallel {
+			sca.Workloads = append(sca.Workloads, w.Name)
+		} else {
+			vec.Workloads = append(vec.Workloads, w.Name)
+		}
+	}
+	for _, m := range vlt.Machines() {
+		sca.Machines = append(sca.Machines, string(m))
+		if m != vlt.MachineCMT && m != vlt.MachineVLTScalar {
+			vec.Machines = append(vec.Machines, string(m))
+		}
+	}
+	return [2]api.SweepRequest{vec, sca}
+}
+
+// BenchmarkSweepFromDisk measures a restart served from disk, the
+// serving path's read side end to end: each iteration opens a filled
+// store, starts a fresh server over it and sweeps both grid halves
+// through vltclient. Every cell is a disk read; nothing simulates. The
+// cost is the store's open and reads, the sweep writer's encode and the
+// client's decode of every line.
+func BenchmarkSweepFromDisk(b *testing.B) {
+	dir := b.TempDir()
+	halves := gridHalves()
+	sweep := func(st *store.Store) {
+		srv := httptest.NewServer(New(Config{Store: st}).Handler())
+		defer srv.Close()
+		hc := &http.Client{Transport: &http.Transport{}}
+		defer hc.CloseIdleConnections()
+		c := vltclient.New(vltclient.Config{BaseURL: srv.URL, HTTPClient: hc, MaxRetries: -1})
+		for _, req := range halves {
+			n := 0
+			tr, err := c.Sweep(context.Background(), req, func(line api.SweepCell) error {
+				if line.Error != nil {
+					return line.Error
+				}
+				n++
+				return nil
+			})
+			if err != nil || tr.Errors != 0 || n != len(req.Cells()) {
+				b.Fatalf("sweep: %d cells, trailer %+v, %v", n, tr, err)
+			}
+		}
+	}
+	open := func() *store.Store {
+		st, err := store.Open(dir, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return st
+	}
+	sweep(open()) // fill the store: the only simulations
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep(open())
 	}
 }

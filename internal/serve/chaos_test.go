@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -191,4 +192,72 @@ func TestChaosSweepFleet(t *testing.T) {
 		runtime.GC()
 		return runtime.NumGoroutine() <= baseline+3
 	})
+}
+
+// TestFleetChecksPeerBodies: a peer that answers 200 with a body that is
+// not in canonical form (not JSON at all, indented JSON, or a raw '<'
+// that json.Marshal would escape) is a failed peer call. Its cells fall
+// back to the local render, the sweep completes with its trailer and
+// the single node's bytes, and a later /v1/run serves the local bytes
+// the fallback cached, never the peer's.
+func TestFleetChecksPeerBodies(t *testing.T) {
+	req := api.SweepRequest{Workloads: []string{"mxm", "sage", "radix"}, Machines: []string{"base", "V2-CMP"}}
+	single := fakeServer(Config{})
+	_, want, _ := postSweep(t, single, req)
+	for _, c := range []struct {
+		name   string
+		mangle func(body []byte) []byte
+	}{
+		{"invalid JSON", func(b []byte) []byte { return b[:len(b)/2] }},
+		{"indented", func(b []byte) []byte {
+			var out bytes.Buffer
+			if err := json.Indent(&out, b, "", "  "); err != nil {
+				t.Error(err)
+			}
+			return out.Bytes()
+		}},
+		{"raw <", func(b []byte) []byte { return bytes.Replace(b, []byte(`"workload":"`), []byte(`"workload":"<`), 1) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				rec := httptest.NewRecorder()
+				single.Handler().ServeHTTP(rec, r)
+				w.Write(c.mangle(rec.Body.Bytes()))
+			}))
+			defer peer.Close()
+			coord := fakeServer(Config{})
+			fl := fleet.New(fleet.Config{Peers: []string{peer.URL}, Registry: coord.Registry().Scope("fleet")})
+			coord.SetFleet(fl)
+			var owned []api.RunRequest
+			for _, cell := range req.Cells() {
+				if key, _ := vlt.CellKey(cell.Workload, vlt.Machine(cell.Machine), cell.Options()); fl.Owner(key) == 1 {
+					owned = append(owned, cell)
+				}
+			}
+			if len(owned) == 0 {
+				t.Fatal("the peer owns no cell of the grid")
+			}
+
+			rec, got, trailer := postSweep(t, coord, req)
+			if trailer == nil || trailer.Cells != len(want) || trailer.Errors != 0 {
+				t.Fatalf("sweep: status %d, trailer %+v; want %d cells, no errors", rec.Code, trailer, len(want))
+			}
+			for i := range want {
+				if !bytes.Equal(got[i].Result, want[i].Result) {
+					t.Fatalf("cell %d (%s/%s): result %s, want the local body %s", i, got[i].Workload, got[i].Machine, got[i].Result, want[i].Result)
+				}
+			}
+			snap := coord.Registry().Snapshot()
+			if f, r := snap.Uint("fleet.fallback"), snap.Uint("fleet.remote"); f != uint64(len(owned)) || r != 0 {
+				t.Fatalf("fleet.fallback %d, fleet.remote %d; want %d and 0", f, r, len(owned))
+			}
+			for _, cell := range owned {
+				target := "/v1/run?workload=" + cell.Workload + "&machine=" + cell.Machine
+				a, b := get(t, coord, target), get(t, single, target)
+				if a.Header().Get("X-VLT-Cache") != tierMemory || !bytes.Equal(a.Body.Bytes(), b.Body.Bytes()) {
+					t.Fatalf("%s: tier %q, body %q; want the cached local body %q", target, a.Header().Get("X-VLT-Cache"), a.Body, b.Body)
+				}
+			}
+		})
+	}
 }

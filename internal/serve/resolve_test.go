@@ -105,6 +105,56 @@ func TestResolveOncePerRequest(t *testing.T) {
 	}
 }
 
+// TestExperimentCellsResolveOnce proves experiment cells share the
+// resolve memo with runs and sweeps: after a sweep of the paper grid,
+// the experiments over grid cells key nothing, and all eleven
+// experiments key each cell request the grid did not spell, once.
+func TestExperimentCellsResolveOnce(t *testing.T) {
+	grid := api.SweepRequest{Workloads: vlt.Workloads(), Machines: machineNames()}
+	var mu sync.Mutex
+	outside := make(map[cellRequest]bool)
+	record := func(w string, m vlt.Machine, o vlt.Options) (vlt.Result, error) {
+		mu.Lock()
+		outside[cellRequest{w, m, o}] = true
+		mu.Unlock()
+		return fakeResult(w, m, o), nil
+	}
+	for _, e := range vlt.Experiments() {
+		if _, _, err := e.Run(vlt.NewEngineFrom(record), 1); err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+	}
+	for _, c := range grid.Cells() {
+		delete(outside, cellRequest{c.Workload, vlt.Machine(c.Machine), c.Options()})
+	}
+	if len(outside) == 0 {
+		t.Fatal("every experiment cell is a grid cell; the test proves nothing")
+	}
+
+	s := fakeServer(Config{})
+	calls := countKeys(s)
+	if _, cells, trailer := postSweep(t, s, grid); trailer == nil || len(cells) != len(grid.Cells()) {
+		t.Fatalf("grid sweep: %d lines, trailer %+v", len(cells), trailer)
+	}
+	swept := calls.Load()
+	for _, name := range []string{"figure3", "figure4", "figure5", "figure6", "table4"} {
+		if rec := get(t, s, "/v1/experiment?name="+name); rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", name, rec.Code, rec.Body)
+		}
+	}
+	if n := calls.Load() - swept; n != 0 {
+		t.Fatalf("grid experiments after a grid sweep keyed %d cells, want 0", n)
+	}
+	for _, e := range vlt.Experiments() {
+		if rec := get(t, s, "/v1/experiment?name="+e.Name); rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", e.Name, rec.Code, rec.Body)
+		}
+	}
+	if n := calls.Load() - swept; int(n) != len(outside) {
+		t.Fatalf("all eleven experiments keyed %d cells, want the %d requests outside the grid", n, len(outside))
+	}
+}
+
 // TestResolveMemoBounded proves the cap: one more distinct request than
 // the memo holds never grows it past maxResolved, and every answer, before
 // and after the memo is dropped, is still the recomputed key.

@@ -106,8 +106,8 @@ type Server struct {
 	failures    uint64 // responses with a status >= 400
 	notModified uint64 // 304 revalidations (If-None-Match matched)
 
-	// resolved memoizes /v1/run and /v1/sweep cell requests to their key
-	// and ETag (see resolve); at most maxResolved entries.
+	// resolved memoizes /v1/run, /v1/sweep and experiment cell requests
+	// to their key and ETag (see resolve); at most maxResolved entries.
 	resolvedMu sync.Mutex
 	resolved   map[cellRequest]cellID
 
@@ -442,11 +442,11 @@ type cellID struct{ key, etag string }
 // whole rather than evicted entry by entry.
 const maxResolved = 1024
 
-// resolve returns the key and ETag of one /v1/run or sweep cell. Both are
-// pure functions of the request, so the server memoizes them: a repeated
-// request neither formats nor hashes its machine configuration again.
-// Only successful resolutions are kept, and the memo dies with the
-// server.
+// resolve returns the key and ETag of one /v1/run, sweep or experiment
+// cell. Both are pure functions of the request, so the server memoizes
+// them: a repeated request neither formats nor hashes its machine
+// configuration again. Only successful resolutions are kept, and the
+// memo dies with the server.
 func (s *Server) resolve(workload string, m vlt.Machine, opt vlt.Options) (cellID, error) {
 	req := cellRequest{workload, m, opt}
 	s.resolvedMu.Lock()
@@ -735,18 +735,20 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 // request. Every cell takes a sweep cell's admission path (admitCell), so
 // it is served from memory or disk when any earlier run, sweep or
 // experiment computed it, coalesces with the same cell in flight, and
-// fills both tiers when simulated; its Result is decoded from the cell's
-// canonical run body. The handler's goroutine coordinates the
-// driver, so it holds neither a slot nor a pending entry. Experiment
-// cells always compute locally: the fleet routes api.RunRequests, which
-// cannot express every Options field (NoLaneReclaim).
+// fills both tiers when simulated. Its key comes from resolve, so a cell
+// spelled as an earlier request spelled it is not keyed again, and its
+// Result is decoded from the cell's canonical run body. The handler's
+// goroutine coordinates the driver, so it holds neither a slot nor a
+// pending entry. Experiment cells always compute locally: the fleet
+// routes api.RunRequests, which cannot express every Options field
+// (NoLaneReclaim).
 func (s *Server) cellSource(ctx context.Context, d time.Duration) vlt.CellSource {
 	return func(w string, m vlt.Machine, opt vlt.Options) (vlt.Result, error) {
-		key, err := vlt.CellKey(w, m, opt)
+		id, err := s.resolve(w, m, opt)
 		if err != nil {
 			return vlt.Result{}, err
 		}
-		body, task, aerr := s.admitCell(ctx, key, w, m, opt, d, func() ([]byte, error) {
+		body, task, aerr := s.admitCell(ctx, id.key, w, m, opt, d, func() ([]byte, error) {
 			return s.renderCell(w, m, opt)
 		})
 		if aerr != nil {

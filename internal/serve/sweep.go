@@ -106,6 +106,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		},
 		func() error {
 			written := 0
+			var buf []byte
 			for f := range futures {
 				body, aerr := f.body, f.aerr
 				if f.task != nil {
@@ -133,14 +134,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 					e.Cell = f.req.Cell()
 					line.Error = &e
 					errCells++
-				} else {
-					line.Result = json.RawMessage(bytes.TrimRight(body, "\n"))
 				}
-				enc, err := json.Marshal(line)
-				if err != nil {
+				var err error
+				if buf, err = appendSweepLine(buf[:0], line, body); err != nil {
 					return err
 				}
-				if _, err := w.Write(append(enc, '\n')); err != nil {
+				if _, err = w.Write(buf); err != nil {
 					aborted = true
 					return nil
 				}
@@ -187,4 +186,28 @@ func (s *Server) submitCell(ctx context.Context, key string, c api.RunRequest, d
 	f := sweepFuture{req: c, d: d}
 	f.body, f.task, f.aerr = s.admitCell(ctx, key, c.Workload, m, opt, d, render)
 	return f
+}
+
+// appendSweepLine appends one NDJSON line of a sweep stream to dst:
+// line's fields, then the cell's canonical run body, if any, under
+// "result" (a line with an Error has no body). The header is encoded
+// once and the body spliced in before its closing brace, so the body is
+// never re-read.
+// The bytes are exactly json.Marshal of line with Result set to the
+// body, because every body the server holds is already canonical:
+// api.Marshal is the one renderer, the store checks a CRC on every
+// read, and the fleet coordinator checks each peer's body on receipt.
+func appendSweepLine(dst []byte, line api.SweepCell, body []byte) ([]byte, error) {
+	head, err := json.Marshal(line)
+	if err != nil {
+		return dst, err
+	}
+	result := bytes.TrimRight(body, "\n")
+	if len(result) == 0 {
+		return append(append(dst, head...), '\n'), nil
+	}
+	dst = append(dst, head[:len(head)-1]...)
+	dst = append(dst, `,"result":`...)
+	dst = append(dst, result...)
+	return append(dst, '}', '\n'), nil
 }

@@ -327,6 +327,16 @@ func (c *Client) Sweep(ctx context.Context, req api.SweepRequest, each func(api.
 	return trailer, err
 }
 
+// sweepLine is any line of a sweep stream, decoded in one pass: a cell
+// line fills the api.SweepCell fields, and the trailer, the only line
+// with a top-level "done", fills Done, Cells and Errors.
+type sweepLine struct {
+	api.SweepCell
+	Done   *bool `json:"done"`
+	Cells  int   `json:"cells"`
+	Errors int   `json:"errors"`
+}
+
 // sweepOnce is one sweep attempt. Only failures before the first line
 // are transient: once a cell line has been delivered a retry would
 // replay cells, so every later error is final.
@@ -355,23 +365,15 @@ func (c *Client) sweepOnce(ctx context.Context, payload []byte, each func(api.Sw
 		if len(line) == 0 {
 			continue
 		}
-		// The trailer is the only line with a "done" field.
-		var probe struct {
-			Done *bool `json:"done"`
-		}
-		if json.Unmarshal(line, &probe) == nil && probe.Done != nil {
-			var trailer api.SweepTrailer
-			if err := json.Unmarshal(line, &trailer); err != nil {
-				return api.SweepTrailer{}, fmt.Errorf("vltclient: bad sweep trailer: %w", err)
-			}
-			return trailer, nil
-		}
-		var cell api.SweepCell
-		if err := json.Unmarshal(line, &cell); err != nil {
+		var l sweepLine
+		if err := json.Unmarshal(line, &l); err != nil {
 			return api.SweepTrailer{}, fmt.Errorf("vltclient: bad sweep line: %w", err)
 		}
+		if l.Done != nil {
+			return api.SweepTrailer{Done: *l.Done, Cells: l.Cells, Errors: l.Errors}, nil
+		}
 		if each != nil {
-			if err := each(cell); err != nil {
+			if err := each(l.SweepCell); err != nil {
 				return api.SweepTrailer{}, err
 			}
 		}

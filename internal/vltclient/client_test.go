@@ -343,6 +343,71 @@ func TestSweepTruncationDetected(t *testing.T) {
 	}
 }
 
+// ndjsonServer answers every request with the given NDJSON lines and
+// counts the requests it sees.
+func ndjsonServer(lines ...string) (*httptest.Server, *atomic.Int64) {
+	var hits atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		fmt.Fprint(w, strings.Join(lines, "\n")+"\n")
+	}))
+	return srv, &hits
+}
+
+// TestSweepDecodesEachLineOnce pins the one-pass decode: only a
+// top-level "done" makes a line the trailer, so a result body with a
+// nested "done" key is a cell whose Result arrives byte for byte, and
+// the trailer's counts come through.
+func TestSweepDecodesEachLineOnce(t *testing.T) {
+	result := `{"workload":"fir","done":true,"metrics":{"done":false,"cells":3}}`
+	srv, _ := ndjsonServer(
+		`{"index":0,"workload":"fir","machine":"cmp","scale":2,"result":`+result+`}`,
+		`{"done":true,"cells":7,"errors":5}`,
+	)
+	defer srv.Close()
+
+	var cells []api.SweepCell
+	trailer, err := New(fastCfg(srv.URL)).Sweep(context.Background(), api.SweepRequest{
+		Workloads: []string{"fir"}, Machines: []string{"cmp"},
+	}, func(cell api.SweepCell) error {
+		cells = append(cells, cell)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Sweep: %v", err)
+	}
+	if len(cells) != 1 || string(cells[0].Result) != result || cells[0].Scale != 2 || cells[0].Workload != "fir" {
+		t.Fatalf("cells = %+v, want one fir/cmp@x2 cell carrying %s", cells, result)
+	}
+	if want := (api.SweepTrailer{Done: true, Cells: 7, Errors: 5}); trailer != want {
+		t.Fatalf("trailer = %+v, want %+v", trailer, want)
+	}
+}
+
+// TestSweepMalformedLineIsFinal: a line that is not JSON fails the sweep
+// naming it, and the call does not retry, since the cell before it was
+// already delivered.
+func TestSweepMalformedLineIsFinal(t *testing.T) {
+	srv, hits := ndjsonServer(
+		`{"index":0,"workload":"fir","machine":"cmp","result":{"mips":1}}`,
+		`{"index":1,"workload":"fir",`,
+		`{"done":true,"cells":2,"errors":0}`,
+	)
+	defer srv.Close()
+
+	seen := 0
+	_, err := New(fastCfg(srv.URL)).Sweep(context.Background(), api.SweepRequest{
+		Workloads: []string{"fir"}, Machines: []string{"cmp", "vec"},
+	}, func(api.SweepCell) error { seen++; return nil })
+	if err == nil || !strings.Contains(err.Error(), "bad sweep line") {
+		t.Fatalf("error = %v, want a bad sweep line", err)
+	}
+	if seen != 1 || hits.Load() != 1 {
+		t.Fatalf("callback saw %d cells over %d requests, want 1 cell and no retry", seen, hits.Load())
+	}
+}
+
 // TestSweepRetriesBeforeFirstLine: Sweep runs under the same retry loop
 // as RunBody, so a transient answer before the stream starts retries.
 func TestSweepRetriesBeforeFirstLine(t *testing.T) {

@@ -45,6 +45,7 @@ go test -v -run 'TestGoldenMetrics|TestCollectAllAndJSON|TestFormatVersionPinsOu
 echo "== fuzz smoke (5s per target)"
 go test -run='^$' -fuzz=FuzzAssemble -fuzztime=5s ./internal/asm
 go test -run='^$' -fuzz=FuzzDecode -fuzztime=5s ./internal/isa
+go test -run='^$' -fuzz=FuzzSweepLine -fuzztime=5s ./internal/serve
 
 echo "== vltlint -docs ./... (all lint passes repo-wide + analyzer speed guard)"
 # All passes must run clean: determinism rules on the core, lock
