@@ -84,17 +84,26 @@ func (b builtCell) machine(tb testing.TB) *core.Machine {
 // unless the cell skips verification, and releases it.
 func (b builtCell) finish(tb testing.TB, m *core.Machine) core.Result {
 	tb.Helper()
+	res, err := b.complete(m)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+// complete is finish without a testing.TB, for a goroutine of its own.
+func (b builtCell) complete(m *core.Machine) (core.Result, error) {
 	defer m.Release()
 	res, err := m.Run()
 	if err != nil {
-		tb.Fatalf("run: %v", err)
+		return res, fmt.Errorf("run: %w", err)
 	}
 	if b.verify {
 		if err := b.w.Verify(m.VM(), b.prog, b.params); err != nil {
-			tb.Fatalf("verification failed: %v", err)
+			return res, fmt.Errorf("verification failed: %w", err)
 		}
 	}
-	return res
+	return res, nil
 }
 
 // equivCase is one harness cell: a simulation cell, whether the fork
@@ -194,7 +203,8 @@ func (b builtCell) run(t *testing.T, noSkip bool, audit AuditMode) core.Result {
 
 // forkAt runs the cell to cycle cut with the auditor on, skipping
 // unless noSkip, forks it, and runs the parent and the fork to
-// completion.
+// completion in two goroutines, so the race detector flags any array
+// the fork still shares with its parent.
 func (b builtCell) forkAt(t *testing.T, cut uint64, noSkip bool) (parent, fork core.Result) {
 	t.Helper()
 	b.cfg.NoSkip, b.cfg.Audit = noSkip, AuditOn
@@ -203,7 +213,21 @@ func (b builtCell) forkAt(t *testing.T, cut uint64, noSkip bool) (parent, fork c
 		t.Fatalf("run to cycle %d: %v", cut, err)
 	}
 	clone := m.Fork()
-	return b.finish(t, m), b.finish(t, clone)
+	var forkErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fork, forkErr = b.complete(clone)
+	}()
+	parent, err := b.complete(m)
+	<-done
+	if err != nil {
+		t.Fatalf("parent: %v", err)
+	}
+	if forkErr != nil {
+		t.Fatalf("fork: %v", forkErr)
+	}
+	return parent, fork
 }
 
 // diffSnapshots fails t naming the mode and the first metric of got

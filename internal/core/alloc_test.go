@@ -81,21 +81,8 @@ func TestSteadyStateAllocations(t *testing.T) {
 	}
 }
 
-// liveUops counts the uops the machine's arenas have handed out and not
-// recycled.
-func (m *Machine) liveUops() int {
-	n := 0
-	for _, su := range m.sus {
-		n += su.LiveUops()
-	}
-	for _, c := range m.lcs {
-		n += c.LiveUops()
-	}
-	return n
-}
-
-// TestRetiredVectorUopsRecycle pins that every dead uop goes back to its
-// arena. What is live at the end of a run is bounded by the pipeline
+// TestRetiredVectorUopsRecycle pins that every dead uop goes back to the
+// machine's arena. What is live at the end of a run is bounded by the pipeline
 // (last-writer slots still pinned), not by the run length: a uop that
 // died without being recycled would pin its Dyn and address buffer for
 // the rest of the run, and the count would grow with the problem size.
@@ -123,7 +110,7 @@ func TestRetiredVectorUopsRecycle(t *testing.T) {
 				if _, err := m.Run(); err != nil {
 					t.Fatal(err)
 				}
-				return m.liveUops()
+				return m.arena.Live()
 			}
 			// What may legitimately stay live is bounded by the last-writer
 			// tables: one pinned uop per register per thread at most.

@@ -66,23 +66,22 @@ func (m *Machine) PartitionChoices() []int {
 }
 
 // Fork returns a deep copy of the machine at its current point in the
-// run: architectural state, cache hierarchies, every pipeline's queues
-// (with the in-flight uop graph's aliasing preserved), guard state,
-// metrics and recorded samples. Parent and clone share no mutable
-// state — only immutable structure (the program, its decoded
-// instructions) — so both can be simulated independently, including
-// from other goroutines, and a clone run identically to its parent
-// yields byte-identical metrics.
+// run: architectural state, cache hierarchies, the uop arena and every
+// pipeline's queues of uop handles, guard state, metrics and recorded
+// samples. Parent and clone share no mutable state — only immutable
+// structure (the program, its decoded instructions) — so both can be
+// simulated independently, including from other goroutines, and a
+// clone run identically to its parent yields byte-identical metrics.
 //
 // The clone's trace, pipeline-view and Chrome-trace writers are not
 // carried over, and its ForkAt hook is cleared; everything else,
 // including an armed fault injection and the watchdog's stall window,
 // forks with the machine.
 func (m *Machine) Fork() *Machine {
-	cl := pipe.NewCloner()
 	n := &Machine{
 		cfg:         m.cfg,
 		vm:          m.vm.Clone(),
+		arena:       m.arena.Clone(),
 		l2:          m.l2.Clone(),
 		now:         m.now,
 		frozen:      m.frozen,
@@ -101,29 +100,22 @@ func (m *Machine) Fork() *Machine {
 		n.regionCycles[id] = c
 	}
 
-	// Components. The scalar units and lane cores own the uop arenas, so
-	// they clone first (registering their arenas) and the VCL — whose
-	// queues alias uops from those arenas — after. The vector sink and
-	// the retire callbacks reference the parent's assembly and are
-	// re-wired onto the clone's.
-	for _, su := range m.sus {
-		n.sus = append(n.sus, su.Clone(cl, n.vm, n.l2))
-	}
-	for _, c := range m.lcs {
-		n.lcs = append(n.lcs, c.Clone(cl, n.vm, n.l2))
-	}
+	// Components. A uop handle names the same uop in the copied arena,
+	// so each component copies its queues as they are; the components
+	// borrow the clone's VM, arena, L2 and VCL, and the retire callbacks
+	// are re-wired onto the clone.
 	if m.vu != nil {
-		n.vu = m.vu.Clone(cl, n.l2)
-		for _, su := range n.sus {
-			su.SetVectorSink(n.vu)
-		}
+		n.vu = m.vu.Clone(n.arena, n.l2)
 	}
-	for _, su := range n.sus {
+	for _, su := range m.sus {
+		su := su.Clone(n.vm, n.arena, n.l2, n.vectorSink())
 		su.OnRetire = func(u *pipe.Uop) { n.onRetire(u.Thread, u) }
+		n.sus = append(n.sus, su)
 	}
-	for i, c := range n.lcs {
-		tid := i
-		c.OnRetire = func(u *pipe.Uop) { n.onRetire(tid, u) }
+	for i, c := range m.lcs {
+		c := c.Clone(n.vm, n.arena, n.l2)
+		c.OnRetire = func(u *pipe.Uop) { n.onRetire(i, u) }
+		n.lcs = append(n.lcs, c)
 	}
 
 	// Guard: the auditor's checks are closures over the parent's

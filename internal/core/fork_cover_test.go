@@ -12,13 +12,14 @@ import (
 
 func TestForkCoversMachine(t *testing.T) {
 	clonecheck.Check(t, &Machine{}, map[string]string{
-		"cfg":  "value copy, with ForkAt cleared (hooks do not survive a fork)",
-		"vm":   "deep copy via vm.VM.Clone",
-		"l2":   "deep copy via mem.L2.Clone",
-		"vu":   "deep copy via vcl.VCL.Clone, rebased onto the cloned L2",
-		"sus":  "deep copy via scalar.Unit.Clone, sharing one Cloner so cross-unit uop edges survive",
-		"lcs":  "deep copy via lane.Core.Clone, sharing the same Cloner",
-		"locs": "value copy of the slice (location holds only scalars)",
+		"cfg":   "value copy, with ForkAt cleared (hooks do not survive a fork)",
+		"vm":    "deep copy via vm.VM.Clone",
+		"arena": "deep copy via pipe.Arena.Clone: every uop handle names the same uop in the copy",
+		"l2":    "deep copy via mem.L2.Clone",
+		"vu":    "copy via vcl.VCL.Clone, rebased onto the cloned arena and L2",
+		"sus":   "copy via scalar.Unit.Clone, rebased onto the cloned VM, arena, L2 and VCL",
+		"lcs":   "copy via lane.Core.Clone, rebased onto the cloned VM, arena and L2",
+		"locs":  "value copy of the slice (location holds only scalars)",
 
 		"region": "value copy of the slice",
 		"now":    "value copy",

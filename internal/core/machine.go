@@ -50,13 +50,14 @@ func (r Result) Samples() *stats.Sampler { return r.samples }
 
 // Machine is one configured processor with a loaded program.
 type Machine struct {
-	cfg  Config
-	vm   *vm.VM
-	l2   *mem.L2
-	vu   *vcl.VCL
-	sus  []*scalar.Unit
-	lcs  []*lane.Core
-	locs []location
+	cfg   Config
+	vm    *vm.VM
+	arena *pipe.Arena // every in-flight uop, shared by all pipelines
+	l2    *mem.L2
+	vu    *vcl.VCL
+	sus   []*scalar.Unit
+	lcs   []*lane.Core
+	locs  []location
 
 	region []int64 // current MARK region per thread (updated at retire)
 	now    uint64
@@ -119,13 +120,14 @@ func NewMachine(cfg Config, prog *asm.Program) (*Machine, error) {
 	m := &Machine{
 		cfg:          cfg,
 		vm:           machine,
+		arena:        new(pipe.Arena),
 		l2:           mem.NewL2(cfg.L2),
 		region:       make([]int64, cfg.NumThreads),
 		regionCycles: make(map[int64]uint64),
 	}
 
 	if cfg.Lanes > 0 && !cfg.LaneScalarMode {
-		m.vu = vcl.New(cfg.VCL, m.l2, cfg.Lanes)
+		m.vu = vcl.New(cfg.VCL, m.arena, m.l2, cfg.Lanes)
 		owners := make([]int, cfg.InitialPartitions)
 		for i := range owners {
 			owners[i] = i
@@ -139,7 +141,7 @@ func NewMachine(cfg Config, prog *asm.Program) (*Machine, error) {
 	m.locs = make([]location, cfg.NumThreads)
 	if cfg.LaneScalarMode {
 		for t := 0; t < cfg.NumThreads; t++ {
-			c := lane.New(t, cfg.LaneCore, m.vm, m.l2)
+			c := lane.New(t, cfg.LaneCore, m.vm, m.arena, m.l2)
 			c.AttachThread(t)
 			tid := t
 			c.OnRetire = func(u *pipe.Uop) { m.onRetire(tid, u) }
@@ -151,13 +153,9 @@ func NewMachine(cfg Config, prog *asm.Program) (*Machine, error) {
 		return m, nil
 	}
 
-	var sink scalar.VectorSink
-	if m.vu != nil {
-		sink = m.vu
-	}
 	next := 0
 	for i, sc := range cfg.SUs {
-		su := scalar.New(i, sc, m.vm, m.l2, sink)
+		su := scalar.New(i, sc, m.vm, m.arena, m.l2, m.vectorSink())
 		su.OnRetire = func(u *pipe.Uop) { m.onRetire(u.Thread, u) }
 		m.sus = append(m.sus, su)
 		for s := 0; s < sc.Contexts && next < cfg.NumThreads; s++ {
@@ -169,6 +167,15 @@ func NewMachine(cfg Config, prog *asm.Program) (*Machine, error) {
 	m.initGuard()
 	m.registerMetrics()
 	return m, nil
+}
+
+// vectorSink returns the scalar units' vector dispatch target: the VCL,
+// or a nil interface (not a nil *vcl.VCL) on a machine without one.
+func (m *Machine) vectorSink() scalar.VectorSink {
+	if m.vu == nil {
+		return nil
+	}
+	return m.vu
 }
 
 // DefaultSampleMetrics is the default time-series selection when

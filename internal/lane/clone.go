@@ -6,41 +6,22 @@ import (
 	"vlt/internal/vm"
 )
 
-// This file implements deep copying of a lane core for machine forking
-// (core.Machine.Fork). The core owns its I-cache, predictor, queues and
-// uop arena; it borrows the functional machine and the shared L2, which
-// the caller rebases onto the clone's copies.
+// This file implements copying of a lane core for machine forking
+// (core.Machine.Fork). The core owns its I-cache, predictor and queues;
+// it borrows the functional machine, the machine's uop arena and the
+// shared L2, which the caller passes in as the fork's copies. The
+// queues hold uop handles, which name the same uops in the forked
+// arena, so they and the front end copy as plain values.
 
-// Clone returns a deep copy of the core running against the given
-// (cloned) functional machine and L2. The core's arena is registered on
-// cl before any uop is cloned. The OnRetire callback is NOT carried
-// over — it closes over the parent machine; the caller re-wires it.
-func (c *Core) Clone(cl *pipe.Cloner, vmach *vm.VM, l2 *mem.L2) *Core {
-	n := &Core{
-		ID:     c.ID,
-		cfg:    c.cfg,
-		vmach:  vmach,
-		icache: c.icache.Clone(l2),
-		l2:     l2,
-		pred:   c.pred.Clone(),
-		tid:    c.tid,
-		active: c.active,
-		Err:    c.Err,
-
-		Fetched:      c.Fetched,
-		Issued:       c.Issued,
-		Retired:      c.Retired,
-		StallOperand: c.StallOperand,
-		StallMemPort: c.StallMemPort,
-	}
-	cl.RegisterArena(&c.arena, &n.arena)
-	// fetchQ may contain positional nil holes (issued entries not yet
-	// compacted); Cloner.Uop(nil) == nil preserves them in place.
-	n.fetchQ = make([]*pipe.Uop, 0, cap(c.fetchQ))
-	for _, u := range c.fetchQ {
-		n.fetchQ = append(n.fetchQ, cl.Uop(u))
-	}
-	n.rob = c.rob.Clone(cl)
-	n.fe = c.fe.Clone(cl)
-	return n
+// Clone returns a copy of the core running against the given (forked)
+// functional machine, arena and L2. The OnRetire callback is not
+// carried over — it closes over the parent machine; the caller sets it.
+func (c *Core) Clone(vmach *vm.VM, arena *pipe.Arena, l2 *mem.L2) *Core {
+	n := *c
+	n.vmach, n.arena, n.l2, n.OnRetire = vmach, arena, l2, nil
+	n.icache = c.icache.Clone(l2)
+	n.pred = c.pred.Clone()
+	n.fetchQ = pipe.CloneIDs(c.fetchQ)
+	n.rob = c.rob.Clone()
+	return &n
 }

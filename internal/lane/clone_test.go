@@ -15,6 +15,7 @@ func TestCloneCoversCore(t *testing.T) {
 		"ID":     "value copy",
 		"cfg":    "value copy",
 		"vmach":  "rebased onto the caller's cloned VM",
+		"arena":  "rebased onto the caller's cloned arena, where every handle names the same uop",
 		"icache": "deep copy, rebased onto the caller's cloned L2",
 		"l2":     "rebased onto the caller's cloned L2",
 		"pred":   "deep copy",
@@ -22,13 +23,12 @@ func TestCloneCoversCore(t *testing.T) {
 		"tid":    "value copy",
 		"active": "value copy",
 
-		"fetchQ": "rebuilt via Cloner.Uop, preserving positional nil holes",
-		"rob":    "pipe.Ring.Clone: same capacity, rebased at offset 0, entries via Cloner.Uop",
+		"fetchQ": "copy at the same capacity (handles)",
+		"rob":    "pipe.Ring.Clone: a copy of the handles at the same capacity",
 
-		"arena": "reset: fresh slab, registered with the Cloner so cloned uops land here",
-		"fe":    "pipe.Frontend.Clone, after the core registers its arena",
+		"fe": "value copy (pipe.Frontend holds only values and handles)",
 
-		"OnRetire": "re-wired by core.Machine.Fork (closure must capture the fork)",
+		"OnRetire": "reset; core.Machine.Fork sets it (closure must capture the fork)",
 		"Err":      "value copy",
 
 		"Fetched": "value copy",

@@ -7,7 +7,7 @@ package lane
 // a skipped quiescent span so every exported counter is byte-identical
 // to a tick-every-cycle run. Both walk the decouple window with
 // visible, the walk issue takes, and ask the rules issue and fetch ask
-// (Uop.ReadyCycle, queueRoom), so skipping cannot drift from ticking.
+// (Arena.ReadyCycle, queueRoom), so skipping cannot drift from ticking.
 
 import "vlt/internal/pipe"
 
@@ -26,8 +26,10 @@ func (c *Core) NextEvent(now uint64) uint64 {
 	// Retirement: the in-order head completes at its DoneCycle (issued
 	// barriers wait on the machine controller and contribute nothing; a
 	// backlog already done retires next cycle).
-	if h := c.rob.Front(); h != nil && h.Issued {
-		ev = pipe.EventAt(ev, now, h.DoneCycle)
+	if id := c.rob.Front(); id != 0 {
+		if h := c.arena.At(id); h.Issued {
+			ev = pipe.EventAt(ev, now, h.DoneCycle)
+		}
 	}
 	// Issue: walk the decouple window as issue does. A control uop at
 	// the head issues next cycle; any other entry issues once its
@@ -35,21 +37,21 @@ func (c *Core) NextEvent(now uint64) uint64 {
 	// a memory port.
 	w := c.window()
 	for slot := 0; ; slot++ {
-		info := visible(w, slot)
+		info := c.visible(w, slot)
 		if info == nil {
 			break
 		}
 		if info.Sequencing {
 			return now + 1
 		}
-		if ev = pipe.EventAt(ev, now, w[slot].ReadyCycle(ev)); ev == now+1 {
+		if ev = pipe.EventAt(ev, now, c.arena.ReadyCycle(c.arena.At(w[slot]), ev)); ev == now+1 {
 			return ev
 		}
 	}
 	// Fetch: the gates resolve even when the queues are full; an open
 	// core with queue space fetches (or misses) next cycle. Full queues
 	// are unblocked by retirement or issue, covered above.
-	ev, open := c.fe.Event(ev, now)
+	ev, open := c.fe.Event(c.arena, ev, now)
 	if open && c.queueRoom() {
 		return now + 1
 	}
@@ -66,7 +68,7 @@ func (c *Core) SkipIdle(from, to uint64) {
 		return
 	}
 	w, stalls := c.window(), 0
-	for visible(w, stalls) != nil {
+	for c.visible(w, stalls) != nil {
 		stalls++
 	}
 	c.StallOperand += (to - from) * uint64(stalls)

@@ -21,11 +21,11 @@ func (c *Core) CheckInvariants() error {
 	if max := c.cfg.DecoupleWindow + c.cfg.Width; len(c.fetchQ) > max {
 		return fmt.Errorf("lane%d: fetch queue holds %d entries, capacity %d", c.ID, len(c.fetchQ), max)
 	}
-	for i, u := range c.fetchQ {
-		if u == nil {
+	for i, id := range c.fetchQ {
+		if id == 0 {
 			return fmt.Errorf("lane%d: fetch-queue slot %d is a hole", c.ID, i)
 		}
-		if u.Issued || u.Retired {
+		if u := c.arena.At(id); u.Issued || u.Retired {
 			return fmt.Errorf("lane%d: fetch-queue entry t%d @%d (%s) is issued=%t retired=%t",
 				c.ID, u.Thread, u.Dyn.PC, u.Dyn.Inst, u.Issued, u.Retired)
 		}
@@ -49,8 +49,9 @@ func (c *Core) DebugDump(now uint64) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "lane%d thread %d: pc=%d fetchq=%d rob=%d/%d fetched=%d issued=%d retired=%d%s\n",
 		c.ID, c.tid, c.vmach.Thread(c.tid).PC, len(c.fetchQ), c.rob.Len(), c.cfg.RetireQueue,
-		c.Fetched, c.Issued, c.Retired, c.fe.State(now))
-	if h := c.rob.Front(); h != nil {
+		c.Fetched, c.Issued, c.Retired, c.fe.State(c.arena, now))
+	if id := c.rob.Front(); id != 0 {
+		h := c.arena.At(id)
 		fmt.Fprintf(&sb, "  head t%d @%-5d %-24s issued=%t done@%d\n",
 			h.Thread, h.Dyn.PC, h.Dyn.Inst, h.Issued, h.DoneCycle)
 	}

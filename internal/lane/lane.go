@@ -43,6 +43,7 @@ type Core struct {
 	cfg Config
 
 	vmach  *vm.VM
+	arena  *pipe.Arena // the machine's uops
 	icache *mem.L1
 	l2     *mem.L2
 	pred   *pipe.Bimodal
@@ -50,11 +51,10 @@ type Core struct {
 	tid    int
 	active bool
 
-	fetchQ []*pipe.Uop // fetched, not yet issued (program order, may have holes)
-	rob    pipe.Ring   // all in-flight uops in program order (retire queue)
+	fetchQ []pipe.UopID // fetched, not yet issued (program order, 0 = an issued hole)
+	rob    pipe.Ring    // all in-flight uops in program order (retire queue)
 
-	arena pipe.Arena // slab allocator for this core's uops
-	fe    pipe.Frontend
+	fe pipe.Frontend
 
 	// OnRetire, if set, is invoked for every retired uop.
 	OnRetire func(*pipe.Uop)
@@ -70,20 +70,22 @@ type Core struct {
 	StallMemPort uint64
 }
 
-// New builds a lane core over the shared L2. A DecoupleWindow below 1
-// is taken as 1: the queue head is always an issue candidate.
-func New(id int, cfg Config, machine *vm.VM, l2 *mem.L2) *Core {
+// New builds a lane core drawing its uops from arena, over the shared
+// L2. A DecoupleWindow below 1 is taken as 1: the queue head is always
+// an issue candidate.
+func New(id int, cfg Config, machine *vm.VM, arena *pipe.Arena, l2 *mem.L2) *Core {
 	cfg.DecoupleWindow = max(cfg.DecoupleWindow, 1)
 	c := &Core{
 		ID:     id,
 		cfg:    cfg,
 		vmach:  machine,
+		arena:  arena,
 		icache: mem.NewL1(cfg.ICache, l2),
 		l2:     l2,
 		pred:   pipe.NewBimodal(cfg.PredictorEntries),
 		tid:    -1,
 	}
-	c.fetchQ = make([]*pipe.Uop, 0, cfg.DecoupleWindow+cfg.Width)
+	c.fetchQ = make([]pipe.UopID, 0, cfg.DecoupleWindow+cfg.Width)
 	c.rob = pipe.NewRing(cfg.RetireQueue)
 	return c
 }
@@ -93,10 +95,6 @@ func (c *Core) ICache() *mem.L1 { return c.icache }
 
 // Predictor exposes the branch predictor (statistics).
 func (c *Core) Predictor() *pipe.Bimodal { return c.pred }
-
-// LiveUops returns the number of this core's uops not yet recycled (see
-// pipe.Arena.Live).
-func (c *Core) LiveUops() int { return c.arena.Live() }
 
 // RegisterMetrics registers every pipeline counter on r (scoped to
 // "lane<ID>" by the machine model). Counters stay plain uint64 fields;
@@ -127,9 +125,10 @@ func (c *Core) Done() bool {
 // BarrierWaiting returns the BAR uop at the head of the retire queue that
 // has not been released, or nil.
 func (c *Core) BarrierWaiting() *pipe.Uop {
-	h := c.rob.Front()
-	if h != nil && h.Dyn.IsBarrier && h.Issued && h.DoneCycle == pipe.NeverDone {
-		return h
+	if id := c.rob.Front(); id != 0 {
+		if h := c.arena.At(id); h.Dyn.IsBarrier && h.Issued && h.DoneCycle == pipe.NeverDone {
+			return h
+		}
 	}
 	return nil
 }
@@ -147,7 +146,8 @@ func (c *Core) Tick(now uint64) {
 func (c *Core) retire(now uint64) {
 	budget := c.cfg.Width
 	for budget > 0 && c.rob.Len() > 0 {
-		h := c.rob.Front()
+		id := c.rob.Front()
+		h := c.arena.At(id)
 		if !h.Issued || !h.DoneBy(now) {
 			return
 		}
@@ -157,11 +157,11 @@ func (c *Core) retire(now uint64) {
 		if c.OnRetire != nil {
 			c.OnRetire(h)
 		}
-		c.fe.Unpin(h, now)
+		c.fe.Unpin(c.arena, id, now)
 		// Nothing reads this uop's edges again: break the producer chain.
 		// Retirement may then recycle h, so it is the last use of h.
-		h.ReleaseProducers()
-		h.Retire()
+		c.arena.ReleaseProducers(id)
+		c.arena.Retire(id)
 	}
 }
 
@@ -169,7 +169,7 @@ func (c *Core) retire(now uint64) {
 // entries issue may look at this cycle. Between cycles it holds no
 // holes and no issued entries — issue compacts the queue before it
 // returns, and CheckInvariants checks it.
-func (c *Core) window() []*pipe.Uop {
+func (c *Core) window() []pipe.UopID {
 	return c.fetchQ[:min(len(c.fetchQ), c.cfg.DecoupleWindow)]
 }
 
@@ -178,11 +178,11 @@ func (c *Core) window() []*pipe.Uop {
 // control uop that is not the queue head (control uops are sequencing
 // points that hide everything younger). issue, NextEvent and SkipIdle
 // all walk the window with it, slot by slot from the head.
-func visible(w []*pipe.Uop, slot int) *isa.Info {
+func (c *Core) visible(w []pipe.UopID, slot int) *isa.Info {
 	if slot >= len(w) {
 		return nil
 	}
-	info := w[slot].Dyn.Inst.Op.Info()
+	info := c.arena.At(w[slot]).Dyn.Inst.Op.Info()
 	if slot != 0 && info.Sequencing {
 		return nil
 	}
@@ -198,11 +198,11 @@ func (c *Core) issue(now uint64) {
 	issued := 0
 	w := c.window()
 	for slot := 0; issued < c.cfg.Width; slot++ {
-		info := visible(w, slot)
+		info := c.visible(w, slot)
 		if info == nil {
 			break
 		}
-		u := w[slot]
+		u := c.arena.At(w[slot])
 
 		if info.Vector {
 			c.Err = fmt.Errorf("lane: vector instruction %s on lane core %d", u.Dyn.Inst, c.ID)
@@ -223,7 +223,7 @@ func (c *Core) issue(now uint64) {
 			continue
 		}
 
-		if u.ReadyCycle(now) > now {
+		if c.arena.ReadyCycle(u, now) > now {
 			c.StallOperand++
 			continue
 		}
@@ -253,13 +253,10 @@ func (c *Core) issue(now uint64) {
 // issued holes so the lookahead window keeps sliding.
 func (c *Core) compactFetchQ() {
 	dst := c.fetchQ[:0]
-	for _, u := range c.fetchQ {
-		if u != nil {
-			dst = append(dst, u)
+	for _, id := range c.fetchQ {
+		if id != 0 {
+			dst = append(dst, id)
 		}
-	}
-	for i := len(dst); i < len(c.fetchQ); i++ {
-		c.fetchQ[i] = nil
 	}
 	c.fetchQ = dst
 }
@@ -268,7 +265,7 @@ func (c *Core) advance(u *pipe.Uop, now uint64, slot int) {
 	u.Issued = true
 	u.IssueCycle = now
 	u.ChainCycle = u.DoneCycle
-	c.fetchQ[slot] = nil
+	c.fetchQ[slot] = 0
 	c.Issued++
 }
 
@@ -282,7 +279,7 @@ func (c *Core) queueRoom() bool {
 // while the queues have room. Producers are captured at fetch: the core
 // has no rename stage, and in-order issue makes fetch-time capture safe.
 func (c *Core) fetch(now uint64) {
-	if open, _ := c.fe.Gate(now, c.cfg.MispredictPenalty); !open {
+	if open, _ := c.fe.Gate(c.arena, now, c.cfg.MispredictPenalty); !open {
 		return
 	}
 	for i := 0; i < c.cfg.Width; i++ {
@@ -290,15 +287,16 @@ func (c *Core) fetch(now uint64) {
 			return
 		}
 		// An I-cache miss is forwarded through the scalar unit.
-		u, more, err := c.fe.Fetch(now, c.vmach, c.tid, c.icache, uint64(c.cfg.ICacheServiceLat), c.pred, &c.arena)
-		if u == nil {
+		id, more, err := c.fe.Fetch(c.arena, now, c.vmach, c.tid, c.icache, uint64(c.cfg.ICacheServiceLat), c.pred)
+		if id == 0 {
 			c.Err = err // nil on an I-cache miss
 			return
 		}
-		u.Producers = c.fe.Producers(u.Producers, u, now)
-		c.fe.Record(u)
-		c.fetchQ = append(c.fetchQ, u)
-		c.rob.Push(u)
+		u := c.arena.At(id)
+		c.fe.Producers(c.arena, &u.Producers, u, now)
+		c.fe.Record(c.arena, id)
+		c.fetchQ = append(c.fetchQ, id)
+		c.rob.Push(id)
 		c.Fetched++
 		if !more {
 			return

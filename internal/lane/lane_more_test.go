@@ -21,7 +21,7 @@ func runCoreCfg(t *testing.T, b *asm.Builder, cfg Config) (*Core, uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(0, cfg, machine, mem.NewL2(mem.DefaultL2Config()))
+	c := New(0, cfg, machine, new(pipe.Arena), mem.NewL2(mem.DefaultL2Config()))
 	c.AttachThread(0)
 	var now uint64
 	for ; !c.Done(); now++ {
@@ -122,7 +122,7 @@ func TestRetireOrderWithLookahead(t *testing.T) {
 	b.Halt()
 	prog := b.MustAssemble()
 	machine, _ := vm.New(prog, 1)
-	c := New(0, DefaultConfig(), machine, mem.NewL2(mem.DefaultL2Config()))
+	c := New(0, DefaultConfig(), machine, new(pipe.Arena), mem.NewL2(mem.DefaultL2Config()))
 	c.AttachThread(0)
 	var pcs []int
 	c.OnRetire = func(u *pipe.Uop) { pcs = append(pcs, u.Dyn.PC) }
@@ -155,7 +155,7 @@ func TestBarrierIsSequencingPoint(t *testing.T) {
 	b.Halt()
 	prog := b.MustAssemble()
 	machine, _ := vm.New(prog, 1)
-	c := New(0, DefaultConfig(), machine, mem.NewL2(mem.DefaultL2Config()))
+	c := New(0, DefaultConfig(), machine, new(pipe.Arena), mem.NewL2(mem.DefaultL2Config()))
 	c.AttachThread(0)
 	for now := uint64(0); now < 300; now++ {
 		c.Tick(now)
@@ -218,7 +218,7 @@ func TestVltCfgFaultsOnLaneCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(0, DefaultConfig(), machine, mem.NewL2(mem.DefaultL2Config()))
+	c := New(0, DefaultConfig(), machine, new(pipe.Arena), mem.NewL2(mem.DefaultL2Config()))
 	c.AttachThread(0)
 	for now := uint64(0); ; now++ {
 		if c.Done() || now > 100_000 {
@@ -270,7 +270,7 @@ func TestFetchQueueHoleIsAnInvariantViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(0, DefaultConfig(), machine, mem.NewL2(mem.DefaultL2Config()))
+	c := New(0, DefaultConfig(), machine, new(pipe.Arena), mem.NewL2(mem.DefaultL2Config()))
 	c.AttachThread(0)
 	for now := uint64(0); len(c.fetchQ) == 0; now++ {
 		if now > 1000 {
@@ -281,7 +281,7 @@ func TestFetchQueueHoleIsAnInvariantViolation(t *testing.T) {
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatalf("healthy core: %v", err)
 	}
-	c.fetchQ[0] = nil
+	c.fetchQ[0] = 0
 	if err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "hole") {
 		t.Errorf("hole in the fetch queue: CheckInvariants = %v, want a hole violation", err)
 	}

@@ -21,7 +21,7 @@ func runCore(t *testing.T, b *asm.Builder) (*Core, uint64) {
 		t.Fatal(err)
 	}
 	l2 := mem.NewL2(mem.DefaultL2Config())
-	c := New(0, DefaultConfig(), machine, l2)
+	c := New(0, DefaultConfig(), machine, new(pipe.Arena), l2)
 	c.AttachThread(0)
 	var now uint64
 	for ; !c.Done(); now++ {
@@ -132,7 +132,7 @@ func TestVectorInstructionFaults(t *testing.T) {
 	b.Halt()
 	prog := b.MustAssemble()
 	machine, _ := vm.New(prog, 1)
-	c := New(0, DefaultConfig(), machine, mem.NewL2(mem.DefaultL2Config()))
+	c := New(0, DefaultConfig(), machine, new(pipe.Arena), mem.NewL2(mem.DefaultL2Config()))
 	c.AttachThread(0)
 	for now := uint64(0); now < 1000 && c.Err == nil && !c.Done(); now++ {
 		c.Tick(now)
@@ -150,7 +150,7 @@ func TestBarrierBlocksUntilReleased(t *testing.T) {
 	b.Halt()
 	prog := b.MustAssemble()
 	machine, _ := vm.New(prog, 1)
-	c := New(0, DefaultConfig(), machine, mem.NewL2(mem.DefaultL2Config()))
+	c := New(0, DefaultConfig(), machine, new(pipe.Arena), mem.NewL2(mem.DefaultL2Config()))
 	c.AttachThread(0)
 	var now uint64
 	for ; now < 500; now++ {
@@ -188,7 +188,7 @@ func TestRetireOrderPreserved(t *testing.T) {
 	b.Halt()
 	prog := b.MustAssemble()
 	machine, _ := vm.New(prog, 1)
-	c := New(0, DefaultConfig(), machine, mem.NewL2(mem.DefaultL2Config()))
+	c := New(0, DefaultConfig(), machine, new(pipe.Arena), mem.NewL2(mem.DefaultL2Config()))
 	c.AttachThread(0)
 	var order []int
 	c.OnRetire = func(u *pipe.Uop) { order = append(order, u.Dyn.PC) }

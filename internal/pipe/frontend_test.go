@@ -10,48 +10,50 @@ import (
 	"vlt/internal/vm"
 )
 
-// gateUop returns a uop done at cycle done and retained once, as a
-// gating pointer holds it.
-func gateUop(done uint64) *Uop {
-	u := NewUop(&vm.Dyn{PC: 7, Inst: &isa.Instruction{Op: isa.OpBar}}, 0, 0)
+// gateUop returns a uop of a done at cycle done and retained once, as a
+// gating handle holds it.
+func gateUop(a *Arena, done uint64) UopID {
+	id, u := a.New(0, 0)
+	u.Dyn = vm.Dyn{PC: 7, Inst: &isa.Instruction{Op: isa.OpBar}}
 	u.DoneCycle = done
-	u.Retain()
-	return u
+	a.Retain(id)
+	return id
 }
 
 func TestGateOrder(t *testing.T) {
 	type want struct{ open, branch bool }
+	var a Arena
 	check := func(t *testing.T, f *Frontend, now uint64, penalty int, w want) {
 		t.Helper()
-		if open, branch := f.Gate(now, penalty); open != w.open || branch != w.branch {
+		if open, branch := f.Gate(&a, now, penalty); open != w.open || branch != w.branch {
 			t.Errorf("Gate(%d) = open %t branch %t, want %t %t", now, open, branch, w.open, w.branch)
 		}
 	}
 
 	t.Run("stall before mispredict before barrier", func(t *testing.T) {
-		br, bar := gateUop(10), gateUop(20)
+		br, bar := gateUop(&a, 10), gateUop(&a, 20)
 		f := &Frontend{stallUntil: 5, pendingBranch: br, blockedUop: bar}
 		check(t, f, 4, 3, want{})             // I-cache stall: no branch charge
 		check(t, f, 5, 3, want{branch: true}) // branch unresolved
-		if f.pendingBranch != br || br.refs != 1 {
+		if f.pendingBranch != br || a.At(br).refs != 1 {
 			t.Fatal("an unresolved branch must stay pending")
 		}
 		// Resolution at 10 redirects fetch 3 cycles later.
 		check(t, f, 10, 3, want{branch: true})
-		if f.pendingBranch != nil || br.refs != 0 || f.stallUntil != 13 {
-			t.Fatalf("resolved branch: pending=%v refs=%d stallUntil=%d, want nil 0 13",
-				f.pendingBranch, br.refs, f.stallUntil)
+		if f.pendingBranch != 0 || a.At(br).refs != 0 || f.stallUntil != 13 {
+			t.Fatalf("resolved branch: pending=%v refs=%d stallUntil=%d, want 0 0 13",
+				f.pendingBranch, a.At(br).refs, f.stallUntil)
 		}
 		check(t, f, 12, 3, want{})
 		check(t, f, 13, 3, want{}) // the barrier holds, uncharged
 		check(t, f, 20, 3, want{open: true})
-		if f.blockedUop != nil || bar.refs != 0 {
+		if f.blockedUop != 0 || a.At(bar).refs != 0 {
 			t.Fatal("a released barrier must drop its gate")
 		}
 	})
 
 	t.Run("zero penalty redirects the same cycle", func(t *testing.T) {
-		f := &Frontend{pendingBranch: gateUop(10)}
+		f := &Frontend{pendingBranch: gateUop(&a, 10)}
 		check(t, f, 10, 0, want{open: true})
 	})
 
@@ -80,6 +82,7 @@ func TestEventAt(t *testing.T) {
 }
 
 func TestFrontendEventMirrorsGate(t *testing.T) {
+	var a Arena
 	for _, c := range []struct {
 		name string
 		f    Frontend
@@ -87,12 +90,12 @@ func TestFrontendEventMirrorsGate(t *testing.T) {
 		open bool
 	}{
 		{"halted", Frontend{haltFetched: true, stallUntil: 30}, 50, false},
-		{"stall", Frontend{stallUntil: 30, pendingBranch: gateUop(20)}, 30, false},
-		{"branch", Frontend{pendingBranch: gateUop(20), blockedUop: gateUop(25)}, 20, false},
-		{"barrier awaiting release", Frontend{blockedUop: gateUop(NeverDone)}, 50, false},
+		{"stall", Frontend{stallUntil: 30, pendingBranch: gateUop(&a, 20)}, 30, false},
+		{"branch", Frontend{pendingBranch: gateUop(&a, 20), blockedUop: gateUop(&a, 25)}, 20, false},
+		{"barrier awaiting release", Frontend{blockedUop: gateUop(&a, NeverDone)}, 50, false},
 		{"open", Frontend{stallUntil: 10}, 50, true},
 	} {
-		if ev, open := c.f.Event(50, 10); ev != c.ev || open != c.open {
+		if ev, open := c.f.Event(&a, 50, 10); ev != c.ev || open != c.open {
 			t.Errorf("%s: Event = %d %t, want %d %t", c.name, ev, open, c.ev, c.open)
 		}
 	}
@@ -126,9 +129,9 @@ func TestFetchGroupEnds(t *testing.T) {
 
 	// The first fetch misses: fetch stalls until the line arrives plus
 	// the caller's extra latency.
-	u, _, err := f.Fetch(0, m, 0, ic, 4, pred, &a)
-	if u != nil || err != nil {
-		t.Fatalf("cold fetch = %v, %v; want an I-cache miss", u, err)
+	id, _, err := f.Fetch(&a, 0, m, 0, ic, 4, pred)
+	if id != 0 || err != nil {
+		t.Fatalf("cold fetch = %v, %v; want an I-cache miss", id, err)
 	}
 	if f.stallUntil <= 1+4 {
 		t.Fatalf("miss stalls until %d, want past the L2 latency", f.stallUntil)
@@ -143,21 +146,21 @@ func TestFetchGroupEnds(t *testing.T) {
 		{isa.OpMovI, true, nil},
 		{isa.OpBne, true, nil},
 		{isa.OpJ, false, nil},
-		{isa.OpBar, false, func() bool { return f.blockedUop != nil }},
-		{isa.OpVltCfg, false, func() bool { return f.blockedUop != nil && f.blockedUop.Dyn.Inst.Op == isa.OpVltCfg }},
+		{isa.OpBar, false, func() bool { return f.blockedUop != 0 }},
+		{isa.OpVltCfg, false, func() bool { return f.blockedUop != 0 && a.At(f.blockedUop).Dyn.Inst.Op == isa.OpVltCfg }},
 		{isa.OpMovI, true, nil},
-		{isa.OpBne, false, func() bool { return f.pendingBranch != nil && f.pendingBranch.Mispredicted }},
+		{isa.OpBne, false, func() bool { return f.pendingBranch != 0 && a.At(f.pendingBranch).Mispredicted }},
 		{isa.OpHalt, false, f.Halted},
 	} {
-		u, more, err := f.Fetch(now, m, 0, ic, 4, pred, &a)
-		for u == nil && err == nil { // a new line: wait it out
+		id, more, err := f.Fetch(&a, now, m, 0, ic, 4, pred)
+		for id == 0 && err == nil { // a new line: wait it out
 			now = f.stallUntil
-			u, more, err = f.Fetch(now, m, 0, ic, 4, pred, &a)
+			id, more, err = f.Fetch(&a, now, m, 0, ic, 4, pred)
 		}
 		if err != nil {
 			t.Fatalf("fetch %d: %v", i, err)
 		}
-		if u.Dyn.Inst.Op != w.op || more != w.more {
+		if u := a.At(id); u.Dyn.Inst.Op != w.op || more != w.more {
 			t.Errorf("fetch %d: %s more=%t, want %s more=%t", i, u.Dyn.Inst.Op, more, w.op, w.more)
 		}
 		if w.gate != nil && !w.gate() {
@@ -169,46 +172,58 @@ func TestFetchGroupEnds(t *testing.T) {
 
 func TestLastWriterTracking(t *testing.T) {
 	var f Frontend
-	uop := func(in isa.Instruction) *Uop { return NewUop(&vm.Dyn{Inst: &in}, 0, 0) }
+	var a Arena
+	uop := func(in isa.Instruction) UopID {
+		id, u := a.New(0, 0)
+		u.Dyn.Inst = &in
+		return id
+	}
 	w := uop(isa.Instruction{Op: isa.OpMovI, Rd: isa.R(1)})
 	vw := uop(isa.Instruction{Op: isa.OpVAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)})
-	f.Record(w)
-	f.Record(vw)
-	if f.lastWriter[isa.R(1)] != w || f.lastWriter[isa.V(1)] != nil {
+	f.Record(&a, w)
+	f.Record(&a, vw)
+	if f.lastWriter[isa.R(1)] != w || f.lastWriter[isa.V(1)] != 0 {
 		t.Fatal("Record must track scalar destinations only")
 	}
+	wu := a.At(w)
 
-	r := uop(isa.Instruction{Op: isa.OpAdd, Rd: isa.R(2), Ra: isa.R(1), Rb: isa.R(1)})
-	if p := f.Producers(nil, r, 5); len(p) != 2 || p[0] != w || w.refs != 3 {
-		t.Fatalf("producers %v (refs %d), want w twice and three references", p, w.refs)
+	r := a.At(uop(isa.Instruction{Op: isa.OpAdd, Rd: isa.R(2), Ra: isa.R(1), Rb: isa.R(1)}))
+	producers := func(now uint64) []UopID {
+		var p Edges
+		f.Producers(&a, &p, r, now)
+		return p.IDs()
+	}
+	if p := producers(5); len(p) != 2 || p[0] != w || wu.refs != 3 {
+		t.Fatalf("producers %v (refs %d), want w twice and three references", p, wu.refs)
 	}
 
 	// An early-committed writer still in flight is a producer and stays
 	// tracked at retirement; once done it is neither.
-	w.DoneCycle, w.Retired = 10, true
-	if p := f.Producers(nil, r, 9); len(p) != 2 {
+	wu.DoneCycle, wu.Retired = 10, true
+	if p := producers(9); len(p) != 2 {
 		t.Errorf("retired writer done at 10 gave %d producers at 9, want 2", len(p))
 	}
-	f.Unpin(w, 9)
+	f.Unpin(&a, w, 9)
 	if f.lastWriter[isa.R(1)] != w {
 		t.Fatal("Unpin dropped a writer whose result is still in flight")
 	}
-	if p := f.Producers(nil, r, 10); len(p) != 0 {
+	if p := producers(10); len(p) != 0 {
 		t.Errorf("retired, done writer gave %d producers, want 0", len(p))
 	}
-	refs := w.refs
-	f.Unpin(w, 10)
-	if f.lastWriter[isa.R(1)] != nil || w.refs != refs-1 {
+	refs := wu.refs
+	f.Unpin(&a, w, 10)
+	if f.lastWriter[isa.R(1)] != 0 || wu.refs != refs-1 {
 		t.Error("Unpin must drop a done writer and its reference")
 	}
 }
 
 func TestFrontendState(t *testing.T) {
-	f := &Frontend{haltFetched: true, pendingBranch: gateUop(5), blockedUop: gateUop(9), stallUntil: 12}
-	if got, want := f.State(10), " halt-fetched branch-stalled@7 blocked-on-bar stalled-until-12"; got != want {
+	var a Arena
+	f := &Frontend{haltFetched: true, pendingBranch: gateUop(&a, 5), blockedUop: gateUop(&a, 9), stallUntil: 12}
+	if got, want := f.State(&a, 10), " halt-fetched branch-stalled@7 blocked-on-bar stalled-until-12"; got != want {
 		t.Errorf("State = %q, want %q", got, want)
 	}
-	if got := (&Frontend{stallUntil: 10}).State(10); got != "" {
+	if got := (&Frontend{stallUntil: 10}).State(&a, 10); got != "" {
 		t.Errorf("open front end State = %q, want empty", got)
 	}
 }
@@ -216,29 +231,34 @@ func TestFrontendState(t *testing.T) {
 func TestCloneCoversFrontend(t *testing.T) {
 	clonecheck.Check(t, &Frontend{}, map[string]string{
 		"haltFetched":   "value copy",
-		"pendingBranch": "mapped through Cloner.Uop (aliases a ROB entry)",
-		"blockedUop":    "mapped through Cloner.Uop (aliases a ROB entry)",
+		"pendingBranch": "value copy: the handle names the same ROB entry in the cloned arena",
+		"blockedUop":    "value copy: the handle names the same ROB entry in the cloned arena",
 		"stallUntil":    "value copy",
 		"curLine":       "value copy",
-		"lastWriter":    "per-register map through Cloner.Uop",
-		"regScratch":    "reset: per-call scratch, fresh at the same capacity",
+		"lastWriter":    "value copy (array of handles)",
 	})
 }
 
+// TestFrontendCloneAliases pins that a front end forks by plain copy: the
+// copy keeps its gate and last writer as the same handle, and resolving
+// the gate in the copy against a cloned arena leaves the parent's gate
+// and the parent arena's reference count as they were.
 func TestFrontendCloneAliases(t *testing.T) {
 	var a Arena
-	br := a.NewUop(&vm.Dyn{Inst: &isa.Instruction{Op: isa.OpBne}}, 0, 0)
-	br.Retain()
-	f := Frontend{pendingBranch: br, stallUntil: 3, curLine: 9}
+	br := gateUop(&a, 2)
+	a.Retain(br)
+	f := Frontend{pendingBranch: br, stallUntil: 1, curLine: 9}
 	f.lastWriter[isa.R(1)] = br
-	var na Arena
-	cl := NewCloner()
-	cl.RegisterArena(&a, &na)
-	n := f.Clone(cl)
-	if n.pendingBranch == br || n.pendingBranch != n.lastWriter[isa.R(1)] {
-		t.Error("clone must map the gate and the last writer to one new uop")
+
+	n, na := f, a.Clone()
+	if n.pendingBranch != br || n.lastWriter[isa.R(1)] != br || n.curLine != 9 {
+		t.Fatalf("copy = %+v, want the gate and the last writer on handle %d", n, br)
 	}
-	if n.stallUntil != 3 || n.curLine != 9 || n.blockedUop != nil {
-		t.Errorf("clone state = %+v", n)
+	if open, _ := n.Gate(na, 3, 0); !open || n.pendingBranch != 0 || na.At(br).refs != 1 {
+		t.Fatalf("copy's gate: open=%t pending=%d refs=%d, want open, 0, 1", open, n.pendingBranch, na.At(br).refs)
+	}
+	if f.pendingBranch != br || a.At(br).refs != 2 || f.stallUntil != 1 {
+		t.Errorf("parent after the copy resolved: pending=%d refs=%d stallUntil=%d, want %d 2 1",
+			f.pendingBranch, a.At(br).refs, f.stallUntil, br)
 	}
 }

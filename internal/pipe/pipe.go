@@ -10,21 +10,77 @@ import (
 // is not yet known.
 const NeverDone = math.MaxUint64
 
+// UopID is a handle to a uop in its machine's Arena; 0 is no uop. The
+// pipeline queues, producer edges, last-writer slots and fetch gates
+// all hold handles, never pointers, so a copy of the arena and of those
+// handles is a complete copy of the in-flight instruction graph.
+type UopID uint32
+
+// MaxSrcs is the capacity of each of a uop's two edge lists: no
+// instruction reads more than three operand slots (vfma, vsts, vstx)
+// plus the implicit VL of a vector operation. The ISA does not fix a
+// slot's register class (vfma.vs reads a scalar Rb), so either list may
+// need every source; TestEdgeCapacity pins the bound against every op.
+const MaxSrcs = 4
+
+// Edges is a uop's inline list of producer handles.
+type Edges struct {
+	ids [MaxSrcs]UopID
+	n   uint8
+}
+
+// Add appends producer id.
+func (e *Edges) Add(id UopID) {
+	e.ids[e.n] = id
+	e.n++
+}
+
+// IDs returns the producers in the order they were added.
+func (e *Edges) IDs() []UopID { return e.ids[:e.n] }
+
 // Uop is one in-flight dynamic instruction. The functional outcome
 // (registers, memory, branch direction) was already computed by
-// internal/vm at fetch; Uop carries only timing state.
+// internal/vm at fetch, into Dyn; the rest is timing state.
 type Uop struct {
-	Dyn    *vm.Dyn
-	Thread int // software thread id
-
-	FetchCycle    uint64
-	DispatchCycle uint64
-	IssueCycle    uint64
+	// The fields a readiness check reads come first, so a uop's producer
+	// list and a producer's completion cycles sit in its first cache
+	// line; Dyn comes last.
 
 	// DoneCycle is when the result becomes architecturally available.
 	// NeverDone until execution determines it (or, for barriers and
 	// vltcfg, until the machine-level controller releases it).
 	DoneCycle uint64
+
+	// ChainCycle is when the first element group of a vector result is
+	// available for chaining; equals DoneCycle for scalar results.
+	ChainCycle uint64
+
+	// Producers are the older in-flight uops whose results this uop
+	// reads. Producers that have already retired are dropped at dispatch
+	// (their results are in the register file).
+	Producers Edges
+
+	Issued  bool
+	Retired bool
+
+	// Mispredicted marks a branch whose predicted direction differed
+	// from the architectural outcome.
+	Mispredicted bool
+
+	// ScalarsCollected marks ScalarProducers captured: the scalar unit
+	// collects them at a vector uop's first dispatch attempt, and a
+	// VIQ-full retry keeps that capture.
+	ScalarsCollected bool
+
+	// released marks both edge lists dropped (ReleaseProducers ran).
+	released bool
+
+	// refs counts the durable references other pipeline structures hold
+	// to this uop beyond its own front end's queues: producer edges,
+	// last-writer tracking, and fetch-gating handles. Together with
+	// Retired and released it decides when the arena may recycle the
+	// uop (see Arena.Retain and Arena.Release).
+	refs int32
 
 	// CommitCycle, when set (non-NeverDone), allows the reorder buffer to
 	// retire the instruction before DoneCycle. The vector control logic
@@ -34,208 +90,179 @@ type Uop struct {
 	// (Espasa-style early commit of vector instructions).
 	CommitCycle uint64
 
-	// ChainCycle is when the first element group of a vector result is
-	// available for chaining; equals DoneCycle for scalar results.
-	ChainCycle uint64
-
-	Issued  bool
-	Retired bool
-
-	// Mispredicted marks a branch whose predicted direction differed
-	// from the architectural outcome.
-	Mispredicted bool
-
-	// Producers are the older in-flight uops whose results this uop
-	// reads. Producers that have already retired are dropped at dispatch
-	// (their results are in the register file).
-	Producers []*Uop
-
 	// ScalarProducers are the scalar-register producers of a vector uop,
 	// tracked by the scalar unit and consulted by the vector control
-	// logic (vector-scalar dependencies). nil means not yet collected;
-	// once collected the list is non-nil, even when empty.
-	ScalarProducers []*Uop
+	// logic (vector-scalar dependencies).
+	ScalarProducers Edges
 
-	// prodBuf is the inline backing store for Producers: nearly every
-	// uop has at most a handful of producers, so NewUop points Producers
-	// here and append only spills to the heap past four entries.
-	prodBuf [4]*Uop
+	Thread int // software thread id
 
-	// scalarBuf is the inline backing store for ScalarProducers: a vector
-	// instruction reads at most a base, a stride and VL from the scalar
-	// registers.
-	scalarBuf [3]*Uop
+	FetchCycle    uint64
+	DispatchCycle uint64
+	IssueCycle    uint64
 
-	// refs counts the durable references other pipeline structures hold
-	// to this uop beyond its own front end's queues: producer edges,
-	// last-writer tracking, and fetch-gating pointers. Together with
-	// Retired and released edges it decides when the owning arena may
-	// recycle the uop (see Retain/Release).
-	refs int32
-
-	// freed guards against double-recycling an already freed uop.
-	freed bool
-
-	// arena is the owning allocator, nil for uops built with NewUop
-	// directly (tests); nil-arena uops are never recycled.
-	arena *Arena
+	Dyn vm.Dyn
 }
 
-// NewUop returns an in-flight uop for dyn on the given thread, fetched
-// at cycle now, with all completion times unknown and Producers backed
-// by the uop's inline storage.
-func NewUop(dyn *vm.Dyn, thread int, now uint64) *Uop {
-	u := &Uop{
-		Dyn:         dyn,
-		Thread:      thread,
-		FetchCycle:  now,
-		DoneCycle:   NeverDone,
-		CommitCycle: NeverDone,
-		ChainCycle:  NeverDone,
-	}
-	u.Producers = u.prodBuf[:0]
-	return u
-}
+// arenaSlab is the number of uops per arena slab (~28 KB), a power of
+// two so a handle splits into slab and slot with a shift and a mask.
+// Most machines keep 100–500 uops in flight, so a fork copies a few
+// slabs rather than one mostly empty large one.
+const arenaSlab = 128
 
-// arenaSlab is the number of uops per arena slab: large enough to
-// amortize the allocator, small enough (~78KB) that an almost-drained
-// slab pinned by one long-lived uop wastes little.
-const arenaSlab = 512
-
-// Arena allocates uops for one pipeline front end. Dead uops — retired,
-// edges released, refcount zero — are recycled through a free list, so
-// steady-state simulation performs no per-instruction heap allocation at
-// all; when the free list is empty, uops are bump-allocated from slabs,
-// replacing one heap allocation per dynamic instruction with one per
-// 512. The zero Arena is ready to use. Arenas are not safe for
-// concurrent use: one machine's components all tick on one goroutine.
+// Arena holds every uop of one machine: its scalar units, lane cores
+// and vector control logic all tick on one goroutine and share it. Uops
+// live in fixed-size slabs, so the *Uop that At returns never moves; a
+// caller may hold one for the length of a call, but stores only
+// handles. Dead uops — retired, edges released, no references left —
+// go back on a free list, so steady-state simulation allocates nothing
+// per instruction (a recycled slot keeps its Dyn's address buffer).
+// The zero Arena is ready to use.
 type Arena struct {
-	slab     []Uop
-	freeUops []*Uop
-	freeDyns []*vm.Dyn
-	live     int // uops handed out and not yet recycled
+	slabs []*[arenaSlab]Uop
+	next  UopID   // first slot never handed out (slot 0 is the null handle)
+	free  []UopID // recycled slots
+	live  int     // uops handed out and not yet recycled
 }
 
 // Live returns the number of uops the arena has handed out that are not
 // yet recycled: the in-flight window plus whatever is still pinned.
 func (a *Arena) Live() int { return a.live }
 
-// NewUop returns an in-flight uop for dyn on the given thread, fetched
-// at cycle now — recycled from the free list when possible, otherwise
-// carved from the arena's current slab.
-func (a *Arena) NewUop(dyn *vm.Dyn, thread int, now uint64) *Uop {
+// At returns the uop id names. The pointer stays valid for the arena's
+// lifetime, but the slot is reused once the uop is recycled.
+func (a *Arena) At(id UopID) *Uop { return &a.slabs[id/arenaSlab][id%arenaSlab] }
+
+// New returns a fresh in-flight uop on the given thread, fetched at
+// cycle now, with all completion times unknown — a recycled slot when
+// one is free, otherwise the next slot of the current slab. The caller
+// fills in its Dyn (vm.StepReusing keeps the slot's address buffer).
+func (a *Arena) New(thread int, now uint64) (UopID, *Uop) {
+	var id UopID
 	var u *Uop
-	if n := len(a.freeUops); n > 0 {
-		u = a.freeUops[n-1]
-		a.freeUops[n-1] = nil
-		a.freeUops = a.freeUops[:n-1]
-		// Free implies refs == 0, Producers/ScalarProducers nil and
-		// both inline buffers cleared (ReleaseProducers ran); reset the
-		// rest.
+	if n := len(a.free); n > 0 {
+		id = a.free[n-1]
+		a.free = a.free[:n-1]
+		u = a.At(id)
+		// A free slot is retired, released and unreferenced, with both
+		// edge lists empty; reset the rest.
 		u.DispatchCycle = 0
 		u.IssueCycle = 0
 		u.Issued = false
 		u.Retired = false
 		u.Mispredicted = false
-		u.freed = false
+		u.ScalarsCollected = false
+		u.released = false
 	} else {
-		if len(a.slab) == cap(a.slab) {
-			a.slab = make([]Uop, 0, arenaSlab)
+		if a.next%arenaSlab == 0 {
+			a.slabs = append(a.slabs, new([arenaSlab]Uop))
+			a.next = max(a.next, 1)
 		}
-		// Field assignments into the pre-zeroed slot, rather than
-		// copying a composite literal, to avoid a 152-byte struct copy
-		// plus bulk write barriers on the hottest path in the simulator.
-		a.slab = a.slab[:len(a.slab)+1]
-		u = &a.slab[len(a.slab)-1]
-		u.arena = a
+		id = a.next
+		a.next++
+		u = a.At(id)
 	}
 	a.live++
-	u.Dyn = dyn
 	u.Thread = thread
 	u.FetchCycle = now
 	u.DoneCycle = NeverDone
 	u.CommitCycle = NeverDone
 	u.ChainCycle = NeverDone
-	u.Producers = u.prodBuf[:0]
-	return u
+	return id, u
 }
 
-// RecycleDyn pops a dead Dyn record for reuse by the functional
-// simulator (vm.StepReusing), or nil when none is free.
-func (a *Arena) RecycleDyn() *vm.Dyn {
-	n := len(a.freeDyns)
-	if n == 0 {
-		return nil
+// Clone returns an independent copy of the arena: every slot, the free
+// list and the live count, with each live slot's Dyn given its own
+// address buffer at the same capacity (a free slot's buffer is dropped
+// and grows again on reuse). A handle names the same uop in both, so a
+// component forks its handle queues by copying them.
+func (a *Arena) Clone() *Arena {
+	n := &Arena{
+		slabs: make([]*[arenaSlab]Uop, len(a.slabs)),
+		next:  a.next,
+		free:  CloneIDs(a.free),
+		live:  a.live,
 	}
-	d := a.freeDyns[n-1]
-	a.freeDyns[n-1] = nil
-	a.freeDyns = a.freeDyns[:n-1]
-	return d
-}
-
-// free returns a dead uop (and its Dyn) to the arena's free lists.
-func (a *Arena) free(u *Uop) {
-	u.freed = true
-	a.live--
-	a.freeUops = append(a.freeUops, u)
-	if u.Dyn != nil {
-		a.freeDyns = append(a.freeDyns, u.Dyn)
-		u.Dyn = nil
+	for k, s := range a.slabs {
+		n.slabs[k] = new([arenaSlab]Uop)
+		*n.slabs[k] = *s
 	}
+	for _, id := range n.free {
+		n.At(id).Dyn.EffAddrs = nil
+	}
+	total := 0
+	for _, s := range n.slabs {
+		for i := range s {
+			total += cap(s[i].Dyn.EffAddrs)
+		}
+	}
+	// One backing array serves every buffer, each capped at its own
+	// capacity so an append past it moves out, never into a neighbour.
+	addrs := make([]uint64, 0, total)
+	for _, s := range n.slabs {
+		for i := range s {
+			d := &s[i].Dyn
+			if c := cap(d.EffAddrs); c > 0 {
+				off := len(addrs)
+				addrs = append(addrs, d.EffAddrs...)
+				d.EffAddrs = addrs[off : len(addrs) : off+c]
+				addrs = addrs[:off+c]
+			}
+		}
+	}
+	return n
 }
 
-// Retain records one durable reference to the uop: a producer edge, a
-// last-writer slot, or a fetch-gating pointer. Every Retain must be
+// CloneIDs returns a copy of s with its own array at the same capacity:
+// how a component forks a handle slice without growing it later.
+func CloneIDs(s []UopID) []UopID { return append(make([]UopID, 0, cap(s)), s...) }
+
+// Retain records one durable reference to uop id: a producer edge, a
+// last-writer slot, or a fetch-gating handle. Every Retain must be
 // paired with exactly one Release when the reference is dropped.
-func (u *Uop) Retain() { u.refs++ }
+func (a *Arena) Retain(id UopID) { a.At(id).refs++ }
 
 // Release drops one durable reference and recycles the uop once it is
 // fully dead: retired, own edges released, and no references left.
-func (u *Uop) Release() {
+func (a *Arena) Release(id UopID) {
+	u := a.At(id)
 	u.refs--
-	u.maybeFree()
+	a.maybeFree(id, u)
 }
 
-func (u *Uop) maybeFree() {
-	if u.arena != nil && !u.freed && u.refs == 0 && u.Retired && u.Producers == nil {
-		u.arena.free(u)
+func (a *Arena) maybeFree(id UopID, u *Uop) {
+	if u.refs == 0 && u.Retired && u.released {
+		a.live--
+		a.free = append(a.free, id)
 	}
 }
 
-// Retire marks the uop retired from its reorder buffer. Retirement is a
+// Retire marks uop id retired from its reorder buffer. Retirement is a
 // free point: a uop whose edges and references are already gone — a
 // vector uop the VCL completed before the ROB released it — is recycled
-// here, so Retire must be the caller's last use of u.
-func (u *Uop) Retire() {
+// here, so Retire must be the caller's last use of id.
+func (a *Arena) Retire(id UopID) {
+	u := a.At(id)
 	u.Retired = true
-	u.maybeFree()
+	a.maybeFree(id, u)
 }
 
-// ReleaseProducers drops the uop's dependence edges once no pipeline
+// ReleaseProducers drops uop id's dependence edges once no pipeline
 // stage will read them again (scalar retirement for scalar uops, vector
-// completion for vector uops). Consumers that still hold a pointer to
-// this uop only read its cycle fields, which stay valid; clearing the
-// edges keeps retired producer chains from staying reachable for the
-// whole run.
-func (u *Uop) ReleaseProducers() {
-	for _, p := range u.Producers {
-		p.Release()
+// completion for vector uops). Consumers that still hold its handle
+// only read its cycle fields, which stay valid until it is recycled.
+func (a *Arena) ReleaseProducers(id UopID) {
+	u := a.At(id)
+	for _, p := range u.Producers.IDs() {
+		a.Release(p)
 	}
-	for _, p := range u.ScalarProducers {
-		p.Release()
+	for _, p := range u.ScalarProducers.IDs() {
+		a.Release(p)
 	}
-	u.Producers = nil
-	u.ScalarProducers = nil
-	clear(u.prodBuf[:])
-	clear(u.scalarBuf[:])
-	u.maybeFree()
+	u.Producers, u.ScalarProducers = Edges{}, Edges{}
+	u.released = true
+	a.maybeFree(id, u)
 }
-
-// CollectedScalarProducers returns an empty ScalarProducers list backed
-// by the uop's inline storage. Assigning it marks the scalar producers
-// collected (non-nil) without a heap allocation; appends spill to the
-// heap only past three entries.
-func (u *Uop) CollectedScalarProducers() []*Uop { return u.scalarBuf[:0] }
 
 // DoneBy reports whether the uop's result is available at cycle now.
 func (u *Uop) DoneBy(now uint64) bool { return u.DoneCycle <= now }
@@ -246,17 +273,17 @@ func (u *Uop) DoneBy(now uint64) bool { return u.DoneCycle <= now }
 // means neither is known yet.
 func (u *Uop) RetireCycle() uint64 { return min(u.DoneCycle, u.CommitCycle) }
 
-// ReadyCycle returns the first cycle at which every producer's result is
-// available, provided it is no later than bound: the uop may issue at
-// now once ReadyCycle(now) <= now, and an event horizon ev folds in
-// ReadyCycle(ev). A later cycle is not computed in full: the walk stops
-// at the first producer past bound and returns its completion cycle —
-// NeverDone when that producer's completion is still unknown, so
-// readiness is gated on another event.
-func (u *Uop) ReadyCycle(bound uint64) uint64 {
+// ReadyCycle returns the first cycle at which every producer of u has
+// its result available, provided it is no later than bound: u may issue
+// at now once ReadyCycle(u, now) <= now, and an event horizon ev folds
+// in ReadyCycle(u, ev). A later cycle is not computed in full: the walk
+// stops at the first producer past bound and returns its completion
+// cycle — NeverDone when that producer's completion is still unknown,
+// so readiness is gated on another event.
+func (a *Arena) ReadyCycle(u *Uop, bound uint64) uint64 {
 	var r uint64
-	for _, p := range u.Producers {
-		if r = max(r, p.DoneCycle); r > bound {
+	for _, p := range u.Producers.IDs() {
+		if r = max(r, a.At(p).DoneCycle); r > bound {
 			return r
 		}
 	}
@@ -315,4 +342,14 @@ func (b *Bimodal) MispredictRate() float64 {
 		return 0
 	}
 	return float64(b.Mispredicts) / float64(b.Lookups)
+}
+
+// Clone returns a deep copy of the predictor.
+func (b *Bimodal) Clone() *Bimodal {
+	return &Bimodal{
+		table:       append([]uint8(nil), b.table...),
+		mask:        b.mask,
+		Lookups:     b.Lookups,
+		Mispredicts: b.Mispredicts,
+	}
 }

@@ -3,6 +3,8 @@ package pipe
 import (
 	"testing"
 	"testing/quick"
+
+	"vlt/internal/isa"
 )
 
 func quickCheck(f any) error {
@@ -10,20 +12,24 @@ func quickCheck(f any) error {
 }
 
 func TestUopReadiness(t *testing.T) {
-	p1 := &Uop{DoneCycle: 10}
-	p2 := &Uop{DoneCycle: 20}
-	u := &Uop{Producers: []*Uop{p1, p2}, DoneCycle: NeverDone}
-	if r := u.ReadyCycle(NeverDone); r != 20 {
+	var a Arena
+	id1, p1 := a.New(0, 0)
+	id2, p2 := a.New(0, 0)
+	p1.DoneCycle, p2.DoneCycle = 10, 20
+	_, u := a.New(0, 0)
+	u.Producers.Add(id1)
+	u.Producers.Add(id2)
+	if r := a.ReadyCycle(u, NeverDone); r != 20 {
 		t.Errorf("ReadyCycle = %d, want the slowest producer's completion 20", r)
 	}
-	if r := u.ReadyCycle(15); r <= 15 {
+	if r := a.ReadyCycle(u, 15); r <= 15 {
 		t.Errorf("ReadyCycle(15) = %d, want a cycle past the bound", r)
 	}
-	if r := u.ReadyCycle(20); r != 20 {
+	if r := a.ReadyCycle(u, 20); r != 20 {
 		t.Errorf("ReadyCycle(20) = %d, want 20", r)
 	}
 	p2.DoneCycle = NeverDone
-	if r := u.ReadyCycle(1 << 62); r != NeverDone {
+	if r := a.ReadyCycle(u, 1<<62); r != NeverDone {
 		t.Errorf("ReadyCycle = %d with an unresolved producer, want NeverDone", r)
 	}
 	if u.DoneBy(1 << 62) {
@@ -32,8 +38,9 @@ func TestUopReadiness(t *testing.T) {
 }
 
 func TestUopNoProducersAlwaysReady(t *testing.T) {
-	u := &Uop{DoneCycle: NeverDone}
-	if r := u.ReadyCycle(0); r != 0 {
+	var a Arena
+	_, u := a.New(0, 0)
+	if r := a.ReadyCycle(u, 0); r != 0 {
 		t.Errorf("uop with no producers ready at %d, want 0", r)
 	}
 }
@@ -50,6 +57,54 @@ func TestUopRetireCycle(t *testing.T) {
 	u.DoneCycle = 5
 	if r := u.RetireCycle(); r != 5 {
 		t.Errorf("RetireCycle = %d, want the earlier completion 5", r)
+	}
+}
+
+// TestEdgeCapacity walks every op and checks the producers a uop of it
+// can collect against its two inline edge lists. A vector uop collects
+// its scalar sources, VL included, into ScalarProducers (the scalar
+// unit) and its vector sources into Producers (the VCL); any other uop
+// collects its scalar sources into Producers. The ISA does not fix a
+// read slot's register class (vfma.vs reads a scalar Rb), so every
+// operand field takes each class in turn. The front end's and the VCL's
+// register buffers are MaxSrcs long too, so destinations must fit as
+// well. An op with more sources fails here, not past an array at run
+// time.
+func TestEdgeCapacity(t *testing.T) {
+	var e Edges
+	capacity := len(e.ids)
+	for op := isa.Op(0); int(op) < isa.NumOps; op++ {
+		info := op.Info()
+		if info.Name == "" {
+			continue
+		}
+		scalars, vectors, dests := 0, 0, 0
+		for mask := 0; mask < 16; mask++ {
+			reg := func(bit int) isa.Reg {
+				if mask&(1<<bit) != 0 {
+					return isa.V(bit + 1)
+				}
+				return isa.R(bit + 1)
+			}
+			in := isa.Instruction{Op: op, Rd: reg(0), Ra: reg(1), Rb: reg(2), Rc: reg(3)}
+			s, v := 0, 0
+			for _, r := range in.AppendSrcs(nil) {
+				if r.IsVec() {
+					v++
+				} else {
+					s++
+				}
+			}
+			scalars, vectors = max(scalars, s), max(vectors, v)
+			dests = max(dests, len(in.AppendDests(nil)))
+		}
+		if !info.Vector {
+			vectors = 0 // no stage collects a scalar op's vector sources
+		}
+		if scalars > capacity || vectors > capacity || dests > MaxSrcs {
+			t.Errorf("%s: up to %d scalar and %d vector sources and %d destinations; the edge lists hold %d, the register buffers %d",
+				op, scalars, vectors, dests, capacity, MaxSrcs)
+		}
 	}
 }
 

@@ -15,17 +15,17 @@ func TestCloneCoversUnit(t *testing.T) {
 		"ID":         "value copy",
 		"cfg":        "value copy",
 		"vmach":      "rebased onto the caller's cloned VM",
+		"arena":      "rebased onto the caller's cloned arena, where every handle names the same uop",
 		"icache":     "deep copy, rebased onto the caller's cloned L2",
 		"dcache":     "deep copy, rebased onto the caller's cloned L2",
 		"pred":       "deep copy",
-		"vsink":      "re-wired by core.Machine.Fork via SetVectorSink",
+		"vsink":      "rebased onto the caller's cloned VCL",
 		"ctxs":       "deep copy via context.clone",
-		"window":     "rebuilt via Cloner.Uop, preserving aliasing with the ROBs",
+		"window":     "copy at the same capacity (handles)",
 		"fetchRR":    "value copy",
 		"retireRR":   "value copy",
 		"fetchReady": "reset: per-cycle scratch, repopulated every fetch",
-		"arena":      "reset: fresh slab, registered with the Cloner so cloned uops land here",
-		"OnRetire":   "re-wired by core.Machine.Fork (closure must capture the fork)",
+		"OnRetire":   "reset; core.Machine.Fork sets it (closure must capture the fork)",
 		"Err":        "value copy",
 		"dropNext":   "value copy (armed fault injection carries over)",
 
@@ -48,10 +48,10 @@ func TestCloneCoversContext(t *testing.T) {
 		"tid":    "value copy",
 		"active": "value copy",
 
-		"fetchQ": "pipe.Ring.Clone: same capacity, rebased at offset 0, entries via Cloner.Uop",
-		"rob":    "pipe.Ring.Clone: same capacity, rebased at offset 0, entries via Cloner.Uop",
+		"fetchQ": "pipe.Ring.Clone: a copy of the handles at the same capacity",
+		"rob":    "pipe.Ring.Clone: a copy of the handles at the same capacity",
 		"robCap": "value copy",
 
-		"fe": "pipe.Frontend.Clone, after the unit registers its arena",
+		"fe": "value copy (pipe.Frontend holds only values and handles)",
 	})
 }

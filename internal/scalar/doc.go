@@ -20,7 +20,7 @@
 //
 // event.go is the unit's part in the machine's cycle skipping
 // (DESIGN.md §11). Its NextEvent and SkipIdle ask the rules the Tick
-// steps ask: Uop.RetireCycle for retirement, Uop.ReadyCycle for issue,
+// steps ask: Uop.RetireCycle for retirement, Arena.ReadyCycle for issue,
 // the dispatch-head classifier headStall (charged through chargeStall)
 // for dispatch, and fetchable for fetch.
 package scalar

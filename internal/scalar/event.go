@@ -8,7 +8,7 @@ package scalar
 // Tick charges even when no instruction moves — so every exported
 // counter is byte-identical to a tick-every-cycle run. Neither restates
 // a stage's rule: both ask the predicates the Tick steps ask
-// (Uop.RetireCycle, Uop.ReadyCycle, headStall with chargeStall, and
+// (Uop.RetireCycle, Arena.ReadyCycle, headStall with chargeStall, and
 // fetchable), so skipping cannot drift from ticking.
 
 import "vlt/internal/pipe"
@@ -31,8 +31,8 @@ func (u *Unit) NextEvent(now uint64) uint64 {
 	// another component's event; a head already retirable is waiting on
 	// width and retires next cycle.
 	for _, c := range u.ctxs {
-		if h := c.rob.Front(); h != nil {
-			if ev = pipe.EventAt(ev, now, h.RetireCycle()); ev == now+1 {
+		if h := c.rob.Front(); h != 0 {
+			if ev = pipe.EventAt(ev, now, u.arena.At(h).RetireCycle()); ev == now+1 {
 				return ev
 			}
 		}
@@ -41,7 +41,7 @@ func (u *Unit) NextEvent(now uint64) uint64 {
 	// completes; entries already ready are waiting on width or ports and
 	// will issue on a following cycle.
 	for _, w := range u.window {
-		if ev = pipe.EventAt(ev, now, w.ReadyCycle(ev)); ev == now+1 {
+		if ev = pipe.EventAt(ev, now, u.arena.ReadyCycle(u.arena.At(w), ev)); ev == now+1 {
 			return ev
 		}
 	}
@@ -51,7 +51,7 @@ func (u *Unit) NextEvent(now uint64) uint64 {
 	// A blocked head is unblocked by a retirement or an issue, covered
 	// above, or by VCL dispatch, a VCL event.
 	for _, c := range u.ctxs {
-		if head := c.fetchQ.Front(); head != nil {
+		if head := c.fetchQ.Front(); head != 0 {
 			if s, _ := u.headStall(c, head); s == stallNone {
 				return now + 1
 			}
@@ -65,7 +65,7 @@ func (u *Unit) NextEvent(now uint64) uint64 {
 			continue
 		}
 		var open bool
-		if ev, open = c.fe.Event(ev, now); open {
+		if ev, open = c.fe.Event(u.arena, ev, now); open {
 			return now + 1 // the next tick fetches (or misses)
 		}
 	}
@@ -113,7 +113,7 @@ func (u *Unit) SkipIdle(from, to uint64) {
 		for i := 0; i < n; i++ {
 			c := u.ctxs[(p+i)%n]
 			head := c.fetchQ.Front()
-			if head == nil {
+			if head == 0 {
 				continue
 			}
 			s, counted := u.headStall(c, head)

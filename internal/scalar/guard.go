@@ -20,8 +20,8 @@ func (u *Unit) CheckInvariants() error {
 	if len(u.window) > u.cfg.WindowSize {
 		return fmt.Errorf("su%d: window holds %d entries, capacity %d", u.ID, len(u.window), u.cfg.WindowSize)
 	}
-	for _, w := range u.window {
-		if w.Issued || w.Retired {
+	for _, id := range u.window {
+		if w := u.arena.At(id); w.Issued || w.Retired {
 			return fmt.Errorf("su%d: window entry t%d @%d (%s) is issued=%t retired=%t",
 				u.ID, w.Thread, w.Dyn.PC, w.Dyn.Inst, w.Issued, w.Retired)
 		}
@@ -66,12 +66,13 @@ func (u *Unit) DebugDump(now uint64) string {
 			continue
 		}
 		head := "empty"
-		if h := c.rob.Front(); h != nil {
+		if id := c.rob.Front(); id != 0 {
+			h := u.arena.At(id)
 			head = fmt.Sprintf("t%d @%d %s (issued=%t done@%d)",
 				h.Thread, h.Dyn.PC, h.Dyn.Inst, h.Issued, h.DoneCycle)
 		}
 		fmt.Fprintf(&sb, "  ctx%d thread %d: pc=%d fetchq=%d rob=%d/%d head=%s%s\n",
-			c.slot, c.tid, u.vmach.Thread(c.tid).PC, c.fetchQ.Len(), c.rob.Len(), c.robCap, head, c.fe.State(now))
+			c.slot, c.tid, u.vmach.Thread(c.tid).PC, c.fetchQ.Len(), c.rob.Len(), c.robCap, head, c.fe.State(u.arena, now))
 	}
 	return sb.String()
 }

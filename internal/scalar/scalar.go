@@ -10,14 +10,15 @@ import (
 	"vlt/internal/vm"
 )
 
-// VectorSink accepts vector uops at dispatch (implemented by vcl.VCL).
-// Dispatch asks PeekEnqueue first and enqueues only what it accepts.
+// VectorSink accepts vector uops at dispatch (implemented by vcl.VCL,
+// which shares the unit's arena). Dispatch asks PeekEnqueue first and
+// enqueues only what it accepts.
 type VectorSink interface {
-	Enqueue(*pipe.Uop) bool
+	Enqueue(pipe.UopID) bool
 	// PeekEnqueue reports whether Enqueue would accept the uop (ok)
 	// and, when it would not, whether the refusal would be counted as a
 	// VIQ rejection (counted). It must not change any state.
-	PeekEnqueue(*pipe.Uop) (ok, counted bool)
+	PeekEnqueue(pipe.UopID) (ok, counted bool)
 	// CreditRejects records n counted VIQ rejections: one for each
 	// cycle dispatch finds its vector head refused, ticked or skipped.
 	CreditRejects(n uint64)
@@ -84,20 +85,20 @@ type Unit struct {
 	cfg Config
 
 	vmach  *vm.VM
+	arena  *pipe.Arena // the machine's uops
 	icache *mem.L1
 	dcache *mem.L1
 	pred   *pipe.Bimodal
 	vsink  VectorSink
 
 	ctxs   []*context
-	window []*pipe.Uop // unissued scalar uops, age order across contexts
+	window []pipe.UopID // unissued scalar uops, age order across contexts
 
 	fetchRR  int
 	retireRR int
 
 	// Hot-path scratch buffers, reused across cycles.
 	fetchReady []*context // fetch's per-cycle fetchable-context list
-	arena      pipe.Arena // slab allocator for this unit's uops
 
 	// OnRetire, if set, is called for every retired uop (the machine
 	// model uses it for region tracking and completion accounting).
@@ -122,13 +123,15 @@ type Unit struct {
 	DispStallVIQ     uint64
 }
 
-// New builds a scalar unit over the shared L2. vsink may be nil for a
-// CMP/CMT configuration without a vector unit.
-func New(id int, cfg Config, machine *vm.VM, l2 *mem.L2, vsink VectorSink) *Unit {
+// New builds a scalar unit drawing its uops from arena, over the shared
+// L2. vsink may be nil for a CMP/CMT configuration without a vector
+// unit.
+func New(id int, cfg Config, machine *vm.VM, arena *pipe.Arena, l2 *mem.L2, vsink VectorSink) *Unit {
 	u := &Unit{
 		ID:     id,
 		cfg:    cfg,
 		vmach:  machine,
+		arena:  arena,
 		icache: mem.NewL1(cfg.L1I, l2),
 		dcache: mem.NewL1(cfg.L1D, l2),
 		pred:   pipe.NewBimodal(cfg.PredictorEntries),
@@ -149,7 +152,7 @@ func New(id int, cfg Config, machine *vm.VM, l2 *mem.L2, vsink VectorSink) *Unit
 			rob:    pipe.NewRing(robCap),
 		})
 	}
-	u.window = make([]*pipe.Uop, 0, cfg.WindowSize)
+	u.window = make([]pipe.UopID, 0, cfg.WindowSize)
 	u.fetchReady = make([]*context, 0, cfg.Contexts)
 	return u
 }
@@ -173,10 +176,6 @@ func (u *Unit) DCache() *mem.L1 { return u.dcache }
 
 // Predictor exposes the branch predictor (statistics).
 func (u *Unit) Predictor() *pipe.Bimodal { return u.pred }
-
-// LiveUops returns the number of this unit's uops not yet recycled (see
-// pipe.Arena.Live).
-func (u *Unit) LiveUops() int { return u.arena.Live() }
 
 // RegisterMetrics registers every pipeline counter on r (scoped to
 // "su<ID>" by the machine model). The counters remain the plain uint64
@@ -219,9 +218,10 @@ func (u *Unit) Done() bool {
 // BarrierWaiting returns, per context, the BAR uop currently at the head
 // of the reorder buffer and not yet released, or nil.
 func (u *Unit) BarrierWaiting(slot int) *pipe.Uop {
-	h := u.ctxs[slot].rob.Front()
-	if h != nil && h.Dyn.IsBarrier && h.DoneCycle == pipe.NeverDone {
-		return h
+	if id := u.ctxs[slot].rob.Front(); id != 0 {
+		if h := u.arena.At(id); h.Dyn.IsBarrier && h.DoneCycle == pipe.NeverDone {
+			return h
+		}
 	}
 	return nil
 }
@@ -229,9 +229,10 @@ func (u *Unit) BarrierWaiting(slot int) *pipe.Uop {
 // VltCfgWaiting returns the VLTCFG uop at the head of the context's ROB
 // that has not been applied yet, or nil.
 func (u *Unit) VltCfgWaiting(slot int) *pipe.Uop {
-	h := u.ctxs[slot].rob.Front()
-	if h != nil && h.Dyn.VltCfg != 0 && h.DoneCycle == pipe.NeverDone {
-		return h
+	if id := u.ctxs[slot].rob.Front(); id != 0 {
+		if h := u.arena.At(id); h.Dyn.VltCfg != 0 && h.DoneCycle == pipe.NeverDone {
+			return h
+		}
 	}
 	return nil
 }
@@ -255,7 +256,8 @@ func (u *Unit) retire(now uint64) {
 	for i := 0; i < n && budget > 0; i++ {
 		c := u.ctxs[(u.retireRR+i)%n]
 		for budget > 0 && c.rob.Len() > 0 {
-			h := c.rob.Front()
+			id := c.rob.Front()
+			h := u.arena.At(id)
 			if h.RetireCycle() > now {
 				break
 			}
@@ -265,18 +267,18 @@ func (u *Unit) retire(now uint64) {
 			if u.OnRetire != nil {
 				u.OnRetire(h)
 			}
-			c.fe.Unpin(h, now)
+			c.fe.Unpin(u.arena, id, now)
 			if h.CommitCycle == pipe.NeverDone {
 				// A plain scalar uop (vector uops carry a CommitCycle
 				// from early commit, and the VCL still reads their
 				// dependence edges for chaining): nothing reads this
 				// uop's edges again, so break the producer chain.
-				h.ReleaseProducers()
+				u.arena.ReleaseProducers(id)
 			}
 			// Retirement is a free point: it recycles h once nothing
 			// else holds it (a vector uop the VCL already completed has
 			// no later chance), so it must be the last use of h.
-			h.Retire()
+			u.arena.Retire(id)
 		}
 	}
 	u.retireRR++
@@ -287,20 +289,21 @@ func (u *Unit) retire(now uint64) {
 func (u *Unit) issue(now uint64) {
 	issued, aluUsed, memUsed := 0, 0, 0
 	kept := u.window[:0]
-	for idx, w := range u.window {
+	for idx, id := range u.window {
 		if issued >= u.cfg.Width {
 			kept = append(kept, u.window[idx:]...)
 			break
 		}
-		if w.ReadyCycle(now) > now {
-			kept = append(kept, w)
+		w := u.arena.At(id)
+		if u.arena.ReadyCycle(w, now) > now {
+			kept = append(kept, id)
 			continue
 		}
 		info := w.Dyn.Inst.Op.Info()
 		switch info.Class {
 		case isa.ClassLoad, isa.ClassStore:
 			if memUsed >= u.cfg.NumMemPorts {
-				kept = append(kept, w)
+				kept = append(kept, id)
 				continue
 			}
 			memUsed++
@@ -314,7 +317,7 @@ func (u *Unit) issue(now uint64) {
 			w.DoneCycle = done
 		default: // IntALU, IntMul, FP, Ctl(SETVL)
 			if aluUsed >= u.cfg.NumALU {
-				kept = append(kept, w)
+				kept = append(kept, id)
 				continue
 			}
 			aluUsed++
@@ -326,9 +329,6 @@ func (u *Unit) issue(now uint64) {
 		w.ChainCycle = w.DoneCycle
 		issued++
 		u.IssuedCount++
-	}
-	for i := len(kept); i < len(u.window); i++ {
-		u.window[i] = nil
 	}
 	u.window = kept
 }
@@ -349,11 +349,11 @@ const (
 // reject. A control uop needs no window entry and always moves once the
 // ROB has room; a vector uop with no vector unit moves too, and dispatch
 // faults on it. dispatch, NextEvent and SkipIdle all ask this one rule.
-func (u *Unit) headStall(c *context, head *pipe.Uop) (s dispatchStall, counted bool) {
+func (u *Unit) headStall(c *context, head pipe.UopID) (s dispatchStall, counted bool) {
 	if c.rob.Len() >= c.robCap || u.robTotal() >= u.cfg.ROBSize {
 		return stallROB, false
 	}
-	info := head.Dyn.Inst.Op.Info()
+	info := u.arena.At(head).Dyn.Inst.Op.Info()
 	switch {
 	case info.Vector:
 		if u.vsink != nil {
@@ -394,8 +394,9 @@ func (u *Unit) dispatch(now uint64) {
 	for i := 0; i < n && budget > 0; i++ {
 		c := u.ctxs[(u.retireRR+i)%n]
 		for budget > 0 && c.fetchQ.Len() > 0 {
-			uop := c.fetchQ.Front()
-			stall, counted := u.headStall(c, uop)
+			id := c.fetchQ.Front()
+			uop := u.arena.At(id)
+			stall, counted := u.headStall(c, id)
 			if stall == stallROB {
 				u.chargeStall(stall, counted, 1)
 				break
@@ -407,8 +408,9 @@ func (u *Unit) dispatch(now uint64) {
 						uop.Dyn.Inst, uop.Thread)
 					return
 				}
-				if uop.ScalarProducers == nil { // a VIQ-full retry keeps the first capture
-					uop.ScalarProducers = c.fe.Producers(uop.CollectedScalarProducers(), uop, now)
+				if !uop.ScalarsCollected { // a VIQ-full retry keeps the first capture
+					c.fe.Producers(u.arena, &uop.ScalarProducers, uop, now)
+					uop.ScalarsCollected = true
 				}
 			}
 			if stall != stallNone {
@@ -418,8 +420,8 @@ func (u *Unit) dispatch(now uint64) {
 			}
 			switch {
 			case info.Vector:
-				u.vsink.Enqueue(uop) // accepted: headStall peeked
-				c.fe.Record(uop)
+				u.vsink.Enqueue(id) // accepted: headStall peeked
+				c.fe.Record(u.arena, id)
 			case info.Sequencing:
 				// NOP/MARK/HALT complete immediately; BAR and VLTCFG
 				// wait for the machine-level controller.
@@ -430,9 +432,9 @@ func (u *Unit) dispatch(now uint64) {
 					uop.ChainCycle = now
 				}
 			default:
-				uop.Producers = c.fe.Producers(uop.Producers, uop, now)
-				c.fe.Record(uop)
-				u.window = append(u.window, uop)
+				c.fe.Producers(u.arena, &uop.Producers, uop, now)
+				c.fe.Record(u.arena, id)
+				u.window = append(u.window, id)
 			}
 			uop.DispatchCycle = now
 			c.rob.Push(c.fetchQ.Pop())
@@ -461,7 +463,7 @@ func (u *Unit) fetch(now uint64) {
 		if !u.fetchable(c) {
 			continue
 		}
-		open, branch := c.fe.Gate(now, u.cfg.MispredictPenalty)
+		open, branch := c.fe.Gate(u.arena, now, u.cfg.MispredictPenalty)
 		if branch {
 			u.FetchStallBranch++
 		}
@@ -498,8 +500,8 @@ func (u *Unit) fetch(now uint64) {
 // how many fetch slots it consumed.
 func (u *Unit) fetchFrom(c *context, now uint64, width int) int {
 	for i := 0; i < width; i++ {
-		uop, more, err := c.fe.Fetch(now, u.vmach, c.tid, u.icache, 0, u.pred, &u.arena)
-		if uop == nil {
+		id, more, err := c.fe.Fetch(u.arena, now, u.vmach, c.tid, u.icache, 0, u.pred)
+		if id == 0 {
 			if err != nil {
 				u.Err = err
 			} else {
@@ -507,7 +509,7 @@ func (u *Unit) fetchFrom(c *context, now uint64, width int) int {
 			}
 			return i
 		}
-		c.fetchQ.Push(uop)
+		c.fetchQ.Push(id)
 		u.Fetched++
 		if !more {
 			return i + 1

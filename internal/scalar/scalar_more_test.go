@@ -6,6 +6,7 @@ import (
 	"vlt/internal/asm"
 	"vlt/internal/isa"
 	"vlt/internal/mem"
+	"vlt/internal/pipe"
 	"vlt/internal/vm"
 )
 
@@ -19,7 +20,7 @@ func newUnit(t *testing.T, b *asm.Builder, threads int, cfg Config) (*Unit, *vm.
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := New(0, cfg, machine, mem.NewL2(mem.DefaultL2Config()), nil)
+	u := New(0, cfg, machine, new(pipe.Arena), mem.NewL2(mem.DefaultL2Config()), nil)
 	for s := 0; s < threads && s < cfg.Contexts; s++ {
 		u.AttachThread(s, s)
 	}

@@ -23,7 +23,7 @@ func runProgram(t *testing.T, b *asm.Builder, cfg Config) (*Unit, uint64) {
 		t.Fatal(err)
 	}
 	l2 := mem.NewL2(mem.DefaultL2Config())
-	u := New(0, cfg, machine, l2, nil)
+	u := New(0, cfg, machine, new(pipe.Arena), l2, nil)
 	u.AttachThread(0, 0)
 	var now uint64
 	for ; !u.Done(); now++ {
@@ -205,7 +205,7 @@ func TestSMTTwoThreadsShareUnit(t *testing.T) {
 		t.Fatal(err)
 	}
 	l2 := mem.NewL2(mem.DefaultL2Config())
-	u := New(0, Config4Way().WithSMT(2), machine, l2, nil)
+	u := New(0, Config4Way().WithSMT(2), machine, new(pipe.Arena), l2, nil)
 	u.AttachThread(0, 0)
 	u.AttachThread(1, 1)
 	var now uint64
@@ -234,7 +234,7 @@ func TestVectorInstructionWithoutVURaisesError(t *testing.T) {
 	b.Halt()
 	prog := b.MustAssemble()
 	machine, _ := vm.New(prog, 1)
-	u := New(0, Config4Way(), machine, mem.NewL2(mem.DefaultL2Config()), nil)
+	u := New(0, Config4Way(), machine, new(pipe.Arena), mem.NewL2(mem.DefaultL2Config()), nil)
 	u.AttachThread(0, 0)
 	for now := uint64(0); now < 1000 && u.Err == nil && !u.Done(); now++ {
 		u.Tick(now)
@@ -256,7 +256,7 @@ func TestRetireIsInOrder(t *testing.T) {
 	b.Halt()
 	prog := b.MustAssemble()
 	machine, _ := vm.New(prog, 1)
-	u := New(0, Config4Way(), machine, mem.NewL2(mem.DefaultL2Config()), nil)
+	u := New(0, Config4Way(), machine, new(pipe.Arena), mem.NewL2(mem.DefaultL2Config()), nil)
 	u.AttachThread(0, 0)
 	var retireOrder []int
 	u.OnRetire = func(uop *pipe.Uop) {

@@ -13,9 +13,10 @@ import (
 func TestCloneCoversVCL(t *testing.T) {
 	clonecheck.Check(t, &VCL{}, map[string]string{
 		"cfg":        "value copy",
+		"arena":      "rebased onto the caller's cloned arena, where every handle names the same uop",
 		"l2":         "rebased onto the caller's cloned L2",
 		"totalLanes": "value copy",
-		"parts":      "deep copy via partition.clone",
+		"parts":      "each partition copied, with its own viq and win arrays",
 		"rr":         "value copy",
 
 		"Util": "value copy (plain counters)",
@@ -37,11 +38,10 @@ func TestCloneCoversPartition(t *testing.T) {
 
 		"viqCap": "value copy",
 		"winCap": "value copy",
-		"viq":    "pipe.Ring.Clone: same capacity, rebased at offset 0, entries via Cloner.Uop",
-		"win":    "rebuilt via Cloner.Uop (window entries alias VIQ history)",
-		"srcs":   "reset: per-dispatch scratch",
+		"viq":    "pipe.Ring.Clone: a copy of the handles at the same capacity",
+		"win":    "copy at the same capacity (handles)",
 
-		"lastWriter": "per-register map through Cloner.Uop",
+		"lastWriter": "value copy (array of handles)",
 		"renames":    "value copy",
 		"renameCap":  "value copy",
 		"noChain":    "value copy",

@@ -23,20 +23,21 @@ import "vlt/internal/pipe"
 func (v *VCL) NextEvent(now uint64) uint64 {
 	ev := uint64(pipe.NeverDone)
 	for _, p := range v.parts {
-		for _, u := range p.win {
+		for _, id := range p.win {
 			// An issued entry retires once done; an unissued one issues
 			// once ready. Either already due is pending next cycle
 			// (retirement, or issue limited by bandwidth).
+			u := v.arena.At(id)
 			due := u.DoneCycle
 			if !u.Issued {
-				due = p.readyCycle(u, ev)
+				due = p.readyCycle(v.arena, u, ev)
 			}
 			if ev = pipe.EventAt(ev, now, due); ev == now+1 {
 				return ev
 			}
 		}
-		if head := p.viq.Front(); head != nil && len(p.win) < p.winCap {
-			if !hasVecDest(head) || p.renames < p.renameCap {
+		if head := p.viq.Front(); head != 0 && len(p.win) < p.winCap {
+			if !hasVecDest(v.arena.At(head)) || p.renames < p.renameCap {
 				return now + 1 // dispatch proceeds next cycle
 			}
 			// Rename-starved: unblocked only by a window retirement,
@@ -55,12 +56,12 @@ func (v *VCL) SkipIdle(from, to uint64) {
 	v.census(from, to)
 }
 
-// PeekEnqueue reports whether Enqueue would accept u (ok) and, when it
-// would not, whether the refusal would count as a VIQ rejection: Enqueue
-// refuses silently when u's thread owns no partition, and counts a
-// reject only when the partition's VIQ is full.
-func (v *VCL) PeekEnqueue(u *pipe.Uop) (ok, counted bool) {
-	p := v.partitionOf(u.Thread)
+// PeekEnqueue reports whether Enqueue would accept uop id (ok) and,
+// when it would not, whether the refusal would count as a VIQ
+// rejection: Enqueue refuses silently when the uop's thread owns no
+// partition, and counts a reject only when the partition's VIQ is full.
+func (v *VCL) PeekEnqueue(id pipe.UopID) (ok, counted bool) {
+	p := v.partitionOf(v.arena.At(id).Thread)
 	if p == nil {
 		return false, false
 	}

@@ -17,8 +17,8 @@ import (
 func (v *VCL) CheckScoreboard() error {
 	for _, p := range v.parts {
 		vecDests := 0
-		for _, u := range p.win {
-			if hasVecDest(u) {
+		for _, id := range p.win {
+			if hasVecDest(v.arena.At(id)) {
 				vecDests++
 			}
 		}
@@ -73,7 +73,8 @@ func (v *VCL) DebugDump(now uint64) string {
 		fmt.Fprintf(&sb, "  partition %d (thread %d, %d lanes): viq=%d/%d window=%d/%d renames=%d/%d chimes-in-flight=%d mem-ports-busy=%d\n",
 			p.id, p.thread, p.lanes, p.viq.Len(), p.viqCap, len(p.win), p.winCap,
 			p.renames, p.renameCap, chimes, memBusy)
-		for _, u := range p.win {
+		for _, id := range p.win {
+			u := v.arena.At(id)
 			state := "waiting"
 			if u.Issued {
 				state = fmt.Sprintf("issued@%d done@%d", u.IssueCycle, u.DoneCycle)

@@ -63,10 +63,9 @@ type partition struct {
 	viqCap int
 	winCap int
 	viq    pipe.Ring
-	win    []*pipe.Uop
-	srcs   []isa.Reg // dispatch scratch for AppendSrcs
+	win    []pipe.UopID
 
-	lastWriter [isa.NumVecRegs]*pipe.Uop
+	lastWriter [isa.NumVecRegs]pipe.UopID
 	renames    int // vector destinations in flight
 	renameCap  int
 	noChain    bool
@@ -76,9 +75,12 @@ type partition struct {
 	memFree [NumMemPorts]uint64
 }
 
-// VCL is the vector control logic shared by all thread partitions.
+// VCL is the vector control logic shared by all thread partitions. Its
+// queues hold handles into the machine's uop arena, which the scalar
+// units that dispatch to it share.
 type VCL struct {
 	cfg        Config
+	arena      *pipe.Arena
 	l2         *mem.L2
 	totalLanes int
 	parts      []*partition
@@ -100,10 +102,10 @@ type VCL struct {
 	Completed uint64
 }
 
-// New builds a VCL controlling totalLanes lanes, initially configured as a
-// single partition owned by software thread 0.
-func New(cfg Config, l2 *mem.L2, totalLanes int) *VCL {
-	v := &VCL{cfg: cfg, l2: l2, totalLanes: totalLanes}
+// New builds a VCL controlling totalLanes lanes over arena's uops,
+// initially configured as a single partition owned by software thread 0.
+func New(cfg Config, arena *pipe.Arena, l2 *mem.L2, totalLanes int) *VCL {
+	v := &VCL{cfg: cfg, arena: arena, l2: l2, totalLanes: totalLanes}
 	if err := v.Partition([]int{0}); err != nil {
 		panic(err)
 	}
@@ -180,7 +182,7 @@ func (v *VCL) Partition(threads []int) error {
 			renameCap: v.cfg.PhysRegs - isa.NumVecRegs,
 			noChain:   v.cfg.DisableChaining,
 			viq:       pipe.NewRing(viqCap),
-			win:       make([]*pipe.Uop, 0, winCap),
+			win:       make([]pipe.UopID, 0, winCap),
 		}
 	}
 	v.rr = 0
@@ -198,8 +200,8 @@ func (v *VCL) partitionOf(tid int) *partition {
 
 // Enqueue offers a vector uop from a scalar unit's dispatch stage,
 // reporting whether the VIQ accepted it.
-func (v *VCL) Enqueue(u *pipe.Uop) bool {
-	p := v.partitionOf(u.Thread)
+func (v *VCL) Enqueue(id pipe.UopID) bool {
+	p := v.partitionOf(v.arena.At(id).Thread)
 	if p == nil {
 		return false
 	}
@@ -207,7 +209,7 @@ func (v *VCL) Enqueue(u *pipe.Uop) bool {
 		v.VIQRejects++
 		return false
 	}
-	p.viq.Push(u)
+	p.viq.Push(id)
 	v.Enqueued++
 	return true
 }
@@ -238,8 +240,8 @@ func (v *VCL) InFlight() int {
 // for this cycle.
 func (v *VCL) Tick(now uint64) {
 	for _, p := range v.parts {
-		v.Completed += uint64(p.retireDone(now))
-		p.dispatch(now, v.cfg.IssueWidth)
+		v.Completed += uint64(p.retireDone(v.arena, now))
+		p.dispatch(v.arena, now, v.cfg.IssueWidth)
 	}
 	v.issue(now)
 	v.census(now, now+1)
@@ -247,31 +249,27 @@ func (v *VCL) Tick(now uint64) {
 
 // retireDone removes completed instructions from the window, releasing
 // their implicit renames, and returns how many it retired.
-func (p *partition) retireDone(now uint64) int {
+func (p *partition) retireDone(a *pipe.Arena, now uint64) int {
 	retired := 0
 	dst := p.win[:0]
-	for _, u := range p.win {
-		if u.Issued && u.DoneBy(now) {
+	for _, id := range p.win {
+		if u := a.At(id); u.Issued && u.DoneBy(now) {
 			if hasVecDest(u) {
 				p.renames--
 				// Unpin the uop from chain tracking: it is done, so any
 				// later consumer chains from the register file anyway.
-				if rd := u.Dyn.Inst.Rd.Index(); p.lastWriter[rd] == u {
-					p.lastWriter[rd] = nil
-					u.Release()
+				if rd := u.Dyn.Inst.Rd.Index(); p.lastWriter[rd] == id {
+					p.lastWriter[rd] = 0
+					a.Release(id)
 				}
 			}
 			// No stage reads this uop's edges again: break the producer
-			// chain. This may recycle u, so it must be the last use of it.
-			u.ReleaseProducers()
+			// chain. This may recycle it, so it must be the last use.
+			a.ReleaseProducers(id)
 			retired++
 			continue
 		}
-		dst = append(dst, u)
-	}
-	// Zero the tail so retired uops are collectable.
-	for i := len(dst); i < len(p.win); i++ {
-		p.win[i] = nil
+		dst = append(dst, id)
 	}
 	p.win = dst
 	return retired
@@ -283,12 +281,13 @@ func hasVecDest(u *pipe.Uop) bool {
 }
 
 // dispatch renames up to width instructions from the VIQ into the window.
-func (p *partition) dispatch(now uint64, width int) {
+func (p *partition) dispatch(a *pipe.Arena, now uint64, width int) {
 	for n := 0; n < width && p.viq.Len() > 0; n++ {
 		if len(p.win) >= p.winCap {
 			return
 		}
-		u := p.viq.Front()
+		id := p.viq.Front()
+		u := a.At(id)
 		needsRename := hasVecDest(u)
 		if needsRename && p.renames >= p.renameCap {
 			return // out of physical registers
@@ -298,25 +297,25 @@ func (p *partition) dispatch(now uint64, width int) {
 			p.renames++
 		}
 		// Vector-register producers (chaining sources).
-		p.srcs = u.Dyn.Inst.AppendSrcs(p.srcs[:0])
-		for _, r := range p.srcs {
+		var srcs [pipe.MaxSrcs]isa.Reg
+		for _, r := range u.Dyn.Inst.AppendSrcs(srcs[:0]) {
 			if r.IsVec() {
-				if w := p.lastWriter[r.Index()]; w != nil {
-					w.Retain()
-					u.Producers = append(u.Producers, w)
+				if w := p.lastWriter[r.Index()]; w != 0 {
+					a.Retain(w)
+					u.Producers.Add(w)
 				}
 			}
 		}
 		if needsRename {
 			rd := u.Dyn.Inst.Rd.Index()
-			if old := p.lastWriter[rd]; old != nil {
-				old.Release()
+			if old := p.lastWriter[rd]; old != 0 {
+				a.Release(old)
 			}
-			u.Retain()
-			p.lastWriter[rd] = u
+			a.Retain(id)
+			p.lastWriter[rd] = id
 		}
 		u.DispatchCycle = now
-		p.win = append(p.win, u)
+		p.win = append(p.win, id)
 	}
 }
 
@@ -325,18 +324,19 @@ func (p *partition) dispatch(now uint64, width int) {
 // completions, its vector producers' chain (or, without chaining,
 // completion) cycles, and the cycle its functional unit frees (for a
 // memory instruction, the first port to free). As with
-// pipe.Uop.ReadyCycle, a later cycle is not computed in full: the first
-// term past bound is returned, pipe.NeverDone for a producer whose
-// completion is still unknown. issue asks readyCycle(u, now) <= now and
-// NextEvent folds in readyCycle(u, ev).
-func (p *partition) readyCycle(u *pipe.Uop, bound uint64) uint64 {
+// pipe.Arena.ReadyCycle, a later cycle is not computed in full: the
+// first term past bound is returned, pipe.NeverDone for a producer whose
+// completion is still unknown. issue asks readyCycle(a, u, now) <= now
+// and NextEvent folds in readyCycle(a, u, ev).
+func (p *partition) readyCycle(a *pipe.Arena, u *pipe.Uop, bound uint64) uint64 {
 	var r uint64
-	for _, sp := range u.ScalarProducers {
-		if r = max(r, sp.DoneCycle); r > bound {
+	for _, sp := range u.ScalarProducers.IDs() {
+		if r = max(r, a.At(sp).DoneCycle); r > bound {
 			return r
 		}
 	}
-	for _, vp := range u.Producers {
+	for _, id := range u.Producers.IDs() {
+		vp := a.At(id)
 		ready := vp.ChainCycle
 		if p.noChain {
 			ready = vp.DoneCycle
@@ -355,9 +355,9 @@ func (p *partition) readyCycle(u *pipe.Uop, bound uint64) uint64 {
 	return r
 }
 
-func (p *partition) nextIssuable(now uint64) *pipe.Uop {
-	for _, u := range p.win {
-		if !u.Issued && p.readyCycle(u, now) <= now {
+func (p *partition) nextIssuable(a *pipe.Arena, now uint64) *pipe.Uop {
+	for _, id := range p.win {
+		if u := a.At(id); !u.Issued && p.readyCycle(a, u, now) <= now {
 			return u
 		}
 	}
@@ -377,7 +377,7 @@ func (v *VCL) issue(now uint64) {
 	if v.cfg.ReplicatedIssue {
 		for _, p := range v.parts {
 			for k := 0; k < width; k++ {
-				u := p.nextIssuable(now)
+				u := p.nextIssuable(v.arena, now)
 				if u == nil {
 					break
 				}
@@ -390,7 +390,7 @@ func (v *VCL) issue(now uint64) {
 	for attempt := 0; attempt < n && issued < width; attempt++ {
 		p := v.parts[(first+attempt)%n]
 		for issued < width {
-			u := p.nextIssuable(now)
+			u := p.nextIssuable(v.arena, now)
 			if u == nil {
 				break
 			}
@@ -476,7 +476,7 @@ func (v *VCL) census(from, to uint64) {
 			if cycle == to {
 				continue
 			}
-			if p.pendingFor(f) {
+			if p.pendingFor(v.arena, f) {
 				v.Util.Stalled += (to - cycle) * lanes
 			} else {
 				v.Util.AllIdle += (to - cycle) * lanes
@@ -488,8 +488,9 @@ func (v *VCL) census(from, to uint64) {
 // pendingFor reports whether any unissued instruction in the window or
 // VIQ targets arithmetic datapath f (memory instructions do not stall the
 // arithmetic datapaths).
-func (p *partition) pendingFor(f int) bool {
-	for _, u := range p.win {
+func (p *partition) pendingFor(a *pipe.Arena, f int) bool {
+	for _, id := range p.win {
+		u := a.At(id)
 		if u.Issued {
 			continue
 		}
@@ -498,7 +499,7 @@ func (p *partition) pendingFor(f int) bool {
 		}
 	}
 	for i := 0; i < p.viq.Len(); i++ {
-		if inf := p.viq.At(i).Dyn.Inst.Op.Info(); inf.Class == isa.ClassVecALU && inf.VFU == f {
+		if inf := a.At(p.viq.At(i)).Dyn.Inst.Op.Info(); inf.Class == isa.ClassVecALU && inf.VFU == f {
 			return true
 		}
 	}

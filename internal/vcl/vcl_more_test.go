@@ -11,11 +11,11 @@ import (
 func TestChainingDisabledWaitsForCompletion(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DisableChaining = true
-	v := New(cfg, mem.NewL2(mem.DefaultL2Config()), 8)
-	u1 := vecUop(0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 64, nil)
-	u2 := vecUop(0, isa.Instruction{Op: isa.OpVFMul, Rd: isa.V(4), Ra: isa.V(1), Rb: isa.V(5)}, 64, nil)
-	v.Enqueue(u1)
-	v.Enqueue(u2)
+	v := New(cfg, new(pipe.Arena), mem.NewL2(mem.DefaultL2Config()), 8)
+	u1ID, u1 := vecUop(v, 0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 64, nil)
+	u2ID, u2 := vecUop(v, 0, isa.Instruction{Op: isa.OpVFMul, Rd: isa.V(4), Ra: isa.V(1), Rb: isa.V(5)}, 64, nil)
+	v.Enqueue(u1ID)
+	v.Enqueue(u2ID)
 	runCycles(v, 0, 40)
 	// u1 completes at 11 (occupancy 8, latency 4); without chaining u2
 	// waits for completion instead of the chain point (cycle 4).
@@ -36,7 +36,7 @@ func TestChainingDisabledWaitsForCompletion(t *testing.T) {
 func TestZeroFieldConfigGetsDefaults(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.IssueWidth = 1
-	v := New(cfg, mem.NewL2(mem.DefaultL2Config()), 8)
+	v := New(cfg, new(pipe.Arena), mem.NewL2(mem.DefaultL2Config()), 8)
 	if v.cfg != cfg {
 		t.Errorf("New rewrote its config: got %+v, want %+v", v.cfg, cfg)
 	}
@@ -44,8 +44,8 @@ func TestZeroFieldConfigGetsDefaults(t *testing.T) {
 
 func TestReductionDoesNotConsumeRename(t *testing.T) {
 	v := newVCL(8)
-	u := vecUop(0, isa.Instruction{Op: isa.OpVRedSum, Rd: isa.R(3), Ra: isa.V(1)}, 8, nil)
-	v.Enqueue(u)
+	uID, u := vecUop(v, 0, isa.Instruction{Op: isa.OpVRedSum, Rd: isa.R(3), Ra: isa.V(1)}, 8, nil)
+	v.Enqueue(uID)
 	v.Tick(0)
 	if got := v.parts[0].renames; got != 0 {
 		t.Errorf("scalar-destination reduction took %d renames", got)
@@ -61,8 +61,8 @@ func TestVectorStoreCommitsAtLastIssue(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = uint64(i) * 8
 	}
-	st := vecUop(0, isa.Instruction{Op: isa.OpVSt, Rd: isa.V(1), Ra: isa.R(2)}, 64, addrs)
-	v.Enqueue(st)
+	stID, st := vecUop(v, 0, isa.Instruction{Op: isa.OpVSt, Rd: isa.V(1), Ra: isa.R(2)}, 64, addrs)
+	v.Enqueue(stID)
 	runCycles(v, 0, 40)
 	if !st.Issued {
 		t.Fatal("store did not issue")
@@ -79,9 +79,9 @@ func TestThreadInFlightTracksPartition(t *testing.T) {
 	if err := v.Partition([]int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	u := vecUop(1, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 32, nil)
-	u.ScalarProducers = []*pipe.Uop{{DoneCycle: pipe.NeverDone}} // block it
-	v.Enqueue(u)
+	uID, u := vecUop(v, 1, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 32, nil)
+	u.ScalarProducers.Add(never(v)) // block it
+	v.Enqueue(uID)
 	v.Tick(0)
 	if got := v.ThreadInFlight(1); got != 1 {
 		t.Errorf("ThreadInFlight(1) = %d, want 1", got)
@@ -96,10 +96,10 @@ func TestThreadInFlightTracksPartition(t *testing.T) {
 
 func TestEarlyCommitSetAtIssue(t *testing.T) {
 	v := newVCL(8)
-	u := vecUop(0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 64, nil)
-	v.Enqueue(u)
-	if u.CommitCycle != 0 { // zero value before issue (test constructs raw uops)
-		t.Skip("uop constructed without CommitCycle; only checking post-issue")
+	uID, u := vecUop(v, 0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 64, nil)
+	v.Enqueue(uID)
+	if u.CommitCycle != pipe.NeverDone {
+		t.Fatalf("CommitCycle = %d before issue, want NeverDone", u.CommitCycle)
 	}
 	v.Tick(0)
 	if u.CommitCycle != 1 {
@@ -118,13 +118,13 @@ func TestIssueRoundRobinIsFairAcrossPartitions(t *testing.T) {
 	// Each partition gets a steady stream of short ops; all four threads
 	// must make progress at comparable rates despite 2 issue slots.
 	counts := map[int]int{}
-	var uops []*pipe.Uop
-	pending := map[int][]*pipe.Uop{}
+	var uops []pipe.UopID
+	pending := map[int][]pipe.UopID{}
 	for tid := 0; tid < 4; tid++ {
 		for k := 0; k < 10; k++ {
-			u := vecUop(tid, isa.Instruction{Op: isa.OpVAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 16, nil)
-			uops = append(uops, u)
-			pending[tid] = append(pending[tid], u)
+			uID, _ := vecUop(v, tid, isa.Instruction{Op: isa.OpVAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 16, nil)
+			uops = append(uops, uID)
+			pending[tid] = append(pending[tid], uID)
 		}
 	}
 	for c := uint64(0); c < 400; c++ {
@@ -136,8 +136,8 @@ func TestIssueRoundRobinIsFairAcrossPartitions(t *testing.T) {
 		}
 		v.Tick(c)
 	}
-	for _, u := range uops {
-		if u.Issued {
+	for _, id := range uops {
+		if u := v.arena.At(id); u.Issued {
 			counts[u.Thread]++
 		}
 	}
@@ -153,8 +153,8 @@ func TestUtilizationAcrossPartitionsConserved(t *testing.T) {
 	if err := v.Partition([]int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	v.Enqueue(vecUop(0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 20, nil))
-	v.Enqueue(vecUop(1, isa.Instruction{Op: isa.OpVAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 11, nil))
+	offer(v, 0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 20)
+	offer(v, 1, isa.Instruction{Op: isa.OpVAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 11)
 	const cycles = 50
 	runCycles(v, 0, cycles)
 	want := uint64(cycles * NumVFUs * 8)
@@ -173,8 +173,8 @@ func TestUtilizationAcrossPartitionsConserved(t *testing.T) {
 
 func TestRepartitionResetsRenameState(t *testing.T) {
 	v := newVCL(8)
-	u := vecUop(0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 64, nil)
-	v.Enqueue(u)
+	uID, _ := vecUop(v, 0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 64, nil)
+	v.Enqueue(uID)
 	runCycles(v, 0, 40)
 	if v.DrainCycle() > 40 {
 		t.Fatal("not drained")
@@ -187,7 +187,7 @@ func TestRepartitionResetsRenameState(t *testing.T) {
 			t.Errorf("partition %d renames = %d after repartition", p.id, p.renames)
 		}
 		for _, w := range p.lastWriter {
-			if w != nil {
+			if w != 0 {
 				t.Error("lastWriter state leaked across repartition")
 				break
 			}

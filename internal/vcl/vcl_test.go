@@ -10,16 +10,26 @@ import (
 )
 
 func newVCL(lanes int) *VCL {
-	return New(DefaultConfig(), mem.NewL2(mem.DefaultL2Config()), lanes)
+	return New(DefaultConfig(), new(pipe.Arena), mem.NewL2(mem.DefaultL2Config()), lanes)
 }
 
-func vecUop(thread int, in isa.Instruction, vl int, addrs []uint64) *pipe.Uop {
-	inst := in
-	return &pipe.Uop{
-		Thread:    thread,
-		Dyn:       &vm.Dyn{Thread: thread, Inst: &inst, VL: vl, EffAddrs: addrs},
-		DoneCycle: pipe.NeverDone,
-	}
+// vecUop returns a fresh vector uop of v's arena on thread.
+func vecUop(v *VCL, thread int, in isa.Instruction, vl int, addrs []uint64) (pipe.UopID, *pipe.Uop) {
+	id, u := v.arena.New(thread, 0)
+	u.Dyn = vm.Dyn{Thread: thread, Inst: &in, VL: vl, EffAddrs: addrs}
+	return id, u
+}
+
+// offer enqueues a fresh vector uop and reports whether v accepted it.
+func offer(v *VCL, thread int, in isa.Instruction, vl int) bool {
+	id, _ := vecUop(v, thread, in, vl, nil)
+	return v.Enqueue(id)
+}
+
+// never returns a uop of v's arena that never completes.
+func never(v *VCL) pipe.UopID {
+	id, _ := v.arena.New(0, 0)
+	return id
 }
 
 func runCycles(v *VCL, from, to uint64) {
@@ -30,8 +40,8 @@ func runCycles(v *VCL, from, to uint64) {
 
 func TestSingleVectorOpTiming(t *testing.T) {
 	v := newVCL(8)
-	u := vecUop(0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 64, nil)
-	if !v.Enqueue(u) {
+	uID, u := vecUop(v, 0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 64, nil)
+	if !v.Enqueue(uID) {
 		t.Fatal("enqueue refused")
 	}
 	v.Tick(0) // dispatch; issue happens the same cycle
@@ -52,8 +62,8 @@ func TestSingleVectorOpTiming(t *testing.T) {
 
 func TestShortVectorUnderutilizesLanes(t *testing.T) {
 	v := newVCL(8)
-	u := vecUop(0, isa.Instruction{Op: isa.OpVAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 4, nil)
-	v.Enqueue(u)
+	uID, _ := vecUop(v, 0, isa.Instruction{Op: isa.OpVAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 4, nil)
+	v.Enqueue(uID)
 	v.Tick(0)
 	// VL=4 on 8 lanes: occupancy 1 cycle, 4 busy + 4 partly idle on VFU0;
 	// the other two VFUs are all-idle (8 lanes each).
@@ -67,10 +77,10 @@ func TestShortVectorUnderutilizesLanes(t *testing.T) {
 
 func TestChainingAllowsOverlap(t *testing.T) {
 	v := newVCL(8)
-	u1 := vecUop(0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 64, nil)
-	u2 := vecUop(0, isa.Instruction{Op: isa.OpVFMul, Rd: isa.V(4), Ra: isa.V(1), Rb: isa.V(5)}, 64, nil)
-	v.Enqueue(u1)
-	v.Enqueue(u2)
+	u1ID, u1 := vecUop(v, 0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 64, nil)
+	u2ID, u2 := vecUop(v, 0, isa.Instruction{Op: isa.OpVFMul, Rd: isa.V(4), Ra: isa.V(1), Rb: isa.V(5)}, 64, nil)
+	v.Enqueue(u1ID)
+	v.Enqueue(u2ID)
 	runCycles(v, 0, 20)
 	if !u2.Issued {
 		t.Fatal("dependent uop never issued")
@@ -85,10 +95,10 @@ func TestChainingAllowsOverlap(t *testing.T) {
 func TestStructuralHazardSameVFU(t *testing.T) {
 	v := newVCL(8)
 	// Two independent VFU-1 (fadd) ops: second must wait for occupancy.
-	u1 := vecUop(0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 64, nil)
-	u2 := vecUop(0, isa.Instruction{Op: isa.OpVFSub, Rd: isa.V(4), Ra: isa.V(5), Rb: isa.V(6)}, 64, nil)
-	v.Enqueue(u1)
-	v.Enqueue(u2)
+	u1ID, _ := vecUop(v, 0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 64, nil)
+	u2ID, u2 := vecUop(v, 0, isa.Instruction{Op: isa.OpVFSub, Rd: isa.V(4), Ra: isa.V(5), Rb: isa.V(6)}, 64, nil)
+	v.Enqueue(u1ID)
+	v.Enqueue(u2ID)
 	runCycles(v, 0, 20)
 	if u2.IssueCycle != 8 {
 		t.Errorf("u2 issued at %d, want 8 (VFU busy 8 cycles)", u2.IssueCycle)
@@ -100,18 +110,19 @@ func TestIssueWidthLimitsIndependentOps(t *testing.T) {
 	// Three independent ops on three different VFUs: only 2 issue slots
 	// per cycle.
 	ops := []isa.Op{isa.OpVAdd, isa.OpVFAdd, isa.OpVFMul}
-	var uops []*pipe.Uop
+	var uops []pipe.UopID
 	for i, op := range ops {
-		u := vecUop(0, isa.Instruction{Op: op, Rd: isa.V(i + 1), Ra: isa.V(10), Rb: isa.V(11)}, 64, nil)
-		uops = append(uops, u)
-		v.Enqueue(u)
+		uID, _ := vecUop(v, 0, isa.Instruction{Op: op, Rd: isa.V(i + 1), Ra: isa.V(10), Rb: isa.V(11)}, 64, nil)
+		uops = append(uops, uID)
+		v.Enqueue(uID)
 	}
 	runCycles(v, 0, 5)
-	if uops[0].IssueCycle != 0 || uops[1].IssueCycle != 0 {
-		t.Errorf("first two should issue at 0: got %d, %d", uops[0].IssueCycle, uops[1].IssueCycle)
+	issue := func(i int) uint64 { return v.arena.At(uops[i]).IssueCycle }
+	if issue(0) != 0 || issue(1) != 0 {
+		t.Errorf("first two should issue at 0: got %d, %d", issue(0), issue(1))
 	}
-	if uops[2].IssueCycle != 1 {
-		t.Errorf("third should issue at 1, got %d", uops[2].IssueCycle)
+	if issue(2) != 1 {
+		t.Errorf("third should issue at 1, got %d", issue(2))
 	}
 }
 
@@ -124,10 +135,10 @@ func TestPartitioningSplitsLanesAndIssue(t *testing.T) {
 		t.Errorf("lanes = %d/%d, want 4/4", v.LanesFor(0), v.LanesFor(1))
 	}
 	// VL=32 on 4 lanes: occupancy 8 cycles.
-	u0 := vecUop(0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 32, nil)
-	u1 := vecUop(1, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 32, nil)
-	v.Enqueue(u0)
-	v.Enqueue(u1)
+	u0ID, u0 := vecUop(v, 0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 32, nil)
+	u1ID, u1 := vecUop(v, 1, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 32, nil)
+	v.Enqueue(u0ID)
+	v.Enqueue(u1ID)
 	v.Tick(0)
 	if !u0.Issued || !u1.Issued {
 		t.Fatal("both partitions should issue in the same cycle")
@@ -139,18 +150,18 @@ func TestPartitioningSplitsLanesAndIssue(t *testing.T) {
 
 func TestEnqueueRejectsUnknownThreadAndFullVIQ(t *testing.T) {
 	v := newVCL(8)
-	if v.Enqueue(vecUop(3, isa.Instruction{Op: isa.OpVAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 8, nil)) {
+	if offer(v, 3, isa.Instruction{Op: isa.OpVAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 8) {
 		t.Error("enqueue for thread without partition should fail")
 	}
 	// Fill the VIQ (32 entries, one partition). Ops depend on a never-done
 	// producer so they cannot drain: make them all read v9 written by a
 	// blocked uop... simpler: don't tick, queue just fills.
 	for i := 0; i < 32; i++ {
-		if !v.Enqueue(vecUop(0, isa.Instruction{Op: isa.OpVAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 8, nil)) {
+		if !offer(v, 0, isa.Instruction{Op: isa.OpVAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 8) {
 			t.Fatalf("enqueue %d refused before VIQ full", i)
 		}
 	}
-	if v.Enqueue(vecUop(0, isa.Instruction{Op: isa.OpVAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 8, nil)) {
+	if offer(v, 0, isa.Instruction{Op: isa.OpVAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 8) {
 		t.Error("enqueue past VIQ capacity should fail")
 	}
 	if v.VIQRejects == 0 {
@@ -160,10 +171,11 @@ func TestEnqueueRejectsUnknownThreadAndFullVIQ(t *testing.T) {
 
 func TestScalarDependencyBlocksIssue(t *testing.T) {
 	v := newVCL(8)
-	producer := &pipe.Uop{DoneCycle: 15} // scalar producer finishing at 15
-	u := vecUop(0, isa.Instruction{Op: isa.OpVAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.R(5), BScalar: true}, 8, nil)
-	u.ScalarProducers = []*pipe.Uop{producer}
-	v.Enqueue(u)
+	producerID, producer := v.arena.New(0, 0)
+	producer.DoneCycle = 15 // scalar producer finishing at 15
+	uID, u := vecUop(v, 0, isa.Instruction{Op: isa.OpVAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.R(5), BScalar: true}, 8, nil)
+	u.ScalarProducers.Add(producerID)
+	v.Enqueue(uID)
 	runCycles(v, 0, 30)
 	if u.IssueCycle != 15 {
 		t.Errorf("issued at %d, want 15 (scalar operand ready)", u.IssueCycle)
@@ -176,10 +188,10 @@ func TestVectorLoadTimingAndChaining(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = uint64(i) * 8
 	}
-	ld := vecUop(0, isa.Instruction{Op: isa.OpVLd, Rd: isa.V(1), Ra: isa.R(2)}, 64, addrs)
-	use := vecUop(0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(3), Ra: isa.V(1), Rb: isa.V(4)}, 64, nil)
-	v.Enqueue(ld)
-	v.Enqueue(use)
+	ldID, ld := vecUop(v, 0, isa.Instruction{Op: isa.OpVLd, Rd: isa.V(1), Ra: isa.R(2)}, 64, addrs)
+	useID, use := vecUop(v, 0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(3), Ra: isa.V(1), Rb: isa.V(4)}, 64, nil)
+	v.Enqueue(ldID)
+	v.Enqueue(useID)
 	runCycles(v, 0, 300)
 	if !ld.Issued || !use.Issued {
 		t.Fatal("load chain never issued")
@@ -209,12 +221,12 @@ func TestTwoMemPortsOverlap(t *testing.T) {
 	for i := range addrs3 {
 		addrs3[i] = uint64(i)*8 + 131072
 	}
-	ld1 := vecUop(0, isa.Instruction{Op: isa.OpVLd, Rd: isa.V(1), Ra: isa.R(2)}, 64, addrs)
-	ld2 := vecUop(0, isa.Instruction{Op: isa.OpVLd, Rd: isa.V(2), Ra: isa.R(3)}, 64, addrs2)
-	ld3 := vecUop(0, isa.Instruction{Op: isa.OpVLd, Rd: isa.V(3), Ra: isa.R(4)}, 64, addrs3)
-	v.Enqueue(ld1)
-	v.Enqueue(ld2)
-	v.Enqueue(ld3)
+	ld1ID, ld1 := vecUop(v, 0, isa.Instruction{Op: isa.OpVLd, Rd: isa.V(1), Ra: isa.R(2)}, 64, addrs)
+	ld2ID, ld2 := vecUop(v, 0, isa.Instruction{Op: isa.OpVLd, Rd: isa.V(2), Ra: isa.R(3)}, 64, addrs2)
+	ld3ID, ld3 := vecUop(v, 0, isa.Instruction{Op: isa.OpVLd, Rd: isa.V(3), Ra: isa.R(4)}, 64, addrs3)
+	v.Enqueue(ld1ID)
+	v.Enqueue(ld2ID)
+	v.Enqueue(ld3ID)
 	runCycles(v, 0, 300)
 	// Two ports: the first two loads overlap in the same cycle.
 	if ld1.IssueCycle != 0 || ld2.IssueCycle != 0 {
@@ -230,8 +242,8 @@ func TestTwoMemPortsOverlap(t *testing.T) {
 
 func TestDrainAndRepartition(t *testing.T) {
 	v := newVCL(8)
-	u := vecUop(0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 64, nil)
-	v.Enqueue(u)
+	uID, _ := vecUop(v, 0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 64, nil)
+	v.Enqueue(uID)
 	v.Tick(0)
 	if v.DrainCycle() <= 1 {
 		t.Error("should not be drained while executing")
@@ -265,7 +277,7 @@ func TestUtilizationConservation(t *testing.T) {
 	// Over any run, total datapath-cycles == cycles * 3 VFUs * lanes.
 	v := newVCL(8)
 	for i := 0; i < 5; i++ {
-		v.Enqueue(vecUop(0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 37, nil))
+		offer(v, 0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 37)
 	}
 	const cycles = 100
 	runCycles(v, 0, cycles)
@@ -282,9 +294,9 @@ func TestStalledAccounting(t *testing.T) {
 	v := newVCL(8)
 	// An op blocked on a never-finishing scalar producer: its VFU counts
 	// as stalled, not idle.
-	blocked := vecUop(0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 8, nil)
-	blocked.ScalarProducers = []*pipe.Uop{{DoneCycle: pipe.NeverDone}}
-	v.Enqueue(blocked)
+	blockedID, blocked := vecUop(v, 0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(1), Ra: isa.V(2), Rb: isa.V(3)}, 8, nil)
+	blocked.ScalarProducers.Add(never(v))
+	v.Enqueue(blockedID)
 	runCycles(v, 0, 10)
 	if v.Util.Stalled == 0 {
 		t.Error("expected stalled datapath-cycles")
@@ -300,14 +312,14 @@ func TestRenameCapBlocksDispatch(t *testing.T) {
 	cfg.PhysRegs = isa.NumVecRegs + 2 // only 2 renames available
 	cfg.VIQSize = 32
 	cfg.WindowSize = 32
-	v := New(cfg, mem.NewL2(mem.DefaultL2Config()), 8)
+	v := New(cfg, new(pipe.Arena), mem.NewL2(mem.DefaultL2Config()), 8)
 	// Three ops blocked on a never-done scalar producer, each with a
 	// vector destination: only 2 should reach the window.
-	never := &pipe.Uop{DoneCycle: pipe.NeverDone}
+	blocker := never(v)
 	for i := 0; i < 3; i++ {
-		u := vecUop(0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(i), Ra: isa.V(10), Rb: isa.V(11)}, 8, nil)
-		u.ScalarProducers = []*pipe.Uop{never}
-		v.Enqueue(u)
+		uID, u := vecUop(v, 0, isa.Instruction{Op: isa.OpVFAdd, Rd: isa.V(i), Ra: isa.V(10), Rb: isa.V(11)}, 8, nil)
+		u.ScalarProducers.Add(blocker)
+		v.Enqueue(uID)
 	}
 	runCycles(v, 0, 5)
 	if got := v.parts[0].renames; got != 2 {

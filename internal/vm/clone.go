@@ -7,19 +7,6 @@ package vm
 // running thread can write — the memory image, the thread contexts, the
 // operation census — is copied.
 
-// Clone returns a deep copy of the dynamic instruction record. The Inst
-// pointer is shared: it points into the program's immutable code array.
-// The EffAddrs buffer is copied with its exact nil/non-nil shape
-// preserved (timing models index it only when present).
-func (d *Dyn) Clone() *Dyn {
-	n := *d
-	if d.EffAddrs != nil {
-		n.EffAddrs = make([]uint64, len(d.EffAddrs))
-		copy(n.EffAddrs, d.EffAddrs)
-	}
-	return &n
-}
-
 // Clone returns a deep copy of the memory image. The one-entry page
 // lookup cache is reset rather than rebased; it refills on first access
 // and has no observable effect beyond lookup speed.
@@ -34,9 +21,8 @@ func (m *Memory) Clone() *Memory {
 
 // Clone returns a deep copy of the functional machine: the program is
 // shared (immutable after assembly), memory, thread contexts and the
-// operation census are copied, and the Dyn slab allocator starts fresh
-// (in-flight Dyn records are cloned by the pipe.Cloner, which owns the
-// uop graph's aliasing).
+// operation census are copied. In-flight Dyn records live in the
+// pipeline's uop slots and fork with them (pipe.Arena.Clone).
 func (v *VM) Clone() *VM {
 	n := &VM{
 		Prog:       v.Prog,

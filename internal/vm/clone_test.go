@@ -6,7 +6,8 @@ import (
 	"vlt/internal/clonecheck"
 )
 
-// Clone-semantics declarations for every struct VM.Clone copies;
+// Clone-semantics declarations for every struct VM.Clone copies, and
+// for Dyn, which pipe.Arena.Clone copies by value inside each uop slot;
 // clonecheck fails these tests when a field is added without one.
 
 func TestCloneCoversVM(t *testing.T) {
@@ -17,7 +18,6 @@ func TestCloneCoversVM(t *testing.T) {
 		"Stats":      "value copy (counters and a value array)",
 		"threads":    "deep copy (Thread holds only scalars and value arrays)",
 		"code":       "shared: immutable decode of Prog",
-		"dynSlab":    "reset: pure allocation cache, refills on demand",
 	})
 }
 
@@ -45,7 +45,7 @@ func TestCloneCoversDyn(t *testing.T) {
 		"Taken":     "value copy",
 		"NextPC":    "value copy",
 		"VL":        "value copy",
-		"EffAddrs":  "deep copy, preserving nil",
+		"EffAddrs":  "deep copy: pipe.Arena.Clone gives each slot its own array at the same capacity",
 		"IsBarrier": "value copy",
 		"IsHalt":    "value copy",
 		"MarkID":    "value copy",

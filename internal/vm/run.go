@@ -14,6 +14,7 @@ func (v *VM) RunFunctional(maxSteps int64) error {
 	n := len(v.threads)
 	atBarrier := make([]bool, n)
 	var steps int64
+	var d Dyn // one record, reused by every step
 
 	allDone := func() bool {
 		for _, t := range v.threads {
@@ -46,8 +47,7 @@ func (v *VM) RunFunctional(maxSteps int64) error {
 			// Run this thread until it halts or reaches a barrier, in
 			// chunks so no thread starves the step budget.
 			for i := 0; i < 4096; i++ {
-				d, err := v.Step(tid)
-				if err != nil {
+				if err := v.StepReusing(tid, &d); err != nil {
 					return err
 				}
 				steps++

@@ -146,16 +146,7 @@ type VM struct {
 
 	threads []*Thread
 	code    []isa.Instruction
-
-	// dynSlab bump-allocates Dyn records: one heap allocation per 512
-	// dynamic instructions instead of one each. Slabs are never reused —
-	// a full slab is abandoned to the garbage collector, which reclaims
-	// it once no uop references any Dyn in it.
-	dynSlab []Dyn
 }
-
-// dynSlabSize is the number of Dyn records per slab (~57KB each).
-const dynSlabSize = 512
 
 // New loads the program image and creates numThreads thread contexts. The
 // functional register conventions are established here: RegTID and RegNTH
@@ -218,38 +209,31 @@ func (t *Thread) setInt(r isa.Reg, val uint64) {
 	}
 }
 
-// Step executes one instruction on thread tid and reports what happened.
-// Calling Step on a halted thread is an error (the timing model must not
-// fetch past HALT).
-func (v *VM) Step(tid int) (*Dyn, error) { return v.StepReusing(tid, nil) }
+// Step executes one instruction on thread tid and reports what happened
+// in a fresh record. Calling Step on a halted thread is an error (the
+// timing model must not fetch past HALT).
+func (v *VM) Step(tid int) (*Dyn, error) {
+	d := new(Dyn)
+	if err := v.StepReusing(tid, d); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
 
-// StepReusing is Step with an optional recycled Dyn record (from
-// pipe.Arena.RecycleDyn): when d is non-nil it is fully reset and reused
-// — including its EffAddrs buffer, so steady-state simulation allocates
-// no Dyn records and no address slices at all. d must not be referenced
-// by any live uop.
-func (v *VM) StepReusing(tid int, d *Dyn) (*Dyn, error) {
+// StepReusing is Step into a caller-owned record: d is fully reset and
+// rewritten, keeping its EffAddrs buffer, so a pipeline that steps into
+// its recycled uop slots allocates no Dyn records and no address
+// slices at all.
+func (v *VM) StepReusing(tid int, d *Dyn) error {
 	t := v.threads[tid]
 	if t.Halted {
-		return nil, fmt.Errorf("vm: thread %d stepped after halt", tid)
+		return fmt.Errorf("vm: thread %d stepped after halt", tid)
 	}
 	if t.PC < 0 || t.PC >= len(v.code) {
-		return nil, fmt.Errorf("vm: thread %d pc %d out of range", tid, t.PC)
+		return fmt.Errorf("vm: thread %d pc %d out of range", tid, t.PC)
 	}
 	in := &v.code[t.PC]
-	if d != nil {
-		addrs := d.EffAddrs[:0]
-		*d = Dyn{EffAddrs: addrs}
-	} else {
-		if len(v.dynSlab) == cap(v.dynSlab) {
-			v.dynSlab = make([]Dyn, 0, dynSlabSize)
-		}
-		// Field assignments into the pre-zeroed slot, rather than
-		// copying a composite literal, to avoid a 112-byte struct copy
-		// plus bulk write barriers once per dynamic instruction.
-		v.dynSlab = v.dynSlab[:len(v.dynSlab)+1]
-		d = &v.dynSlab[len(v.dynSlab)-1]
-	}
+	*d = Dyn{EffAddrs: d.EffAddrs[:0]}
 	d.Thread = tid
 	d.Seq = t.seq
 	d.PC = t.PC
@@ -269,10 +253,10 @@ func (v *VM) StepReusing(tid int, d *Dyn) (*Dyn, error) {
 	}
 
 	if err := v.exec(t, in, d); err != nil {
-		return nil, err
+		return err
 	}
 	t.PC = d.NextPC
-	return d, nil
+	return nil
 }
 
 func (v *VM) exec(t *Thread, in *isa.Instruction, d *Dyn) error {

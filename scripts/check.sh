@@ -152,9 +152,11 @@ printf '%s\n' "$forkb" | awk '
             fmin / 1e6, rmin / 1e6, ratio
         # Fork is the search driver'\''s whole value proposition: an O(state)
         # snapshot instead of re-simulating the 5000-cycle prefix. Measured
-        # ~0.06x on this cell; the 0.5x bound only trips if Fork degrades
-        # to the same order as replay (e.g. an accidental deep copy of the
-        # program or a per-uop re-simulation sneaking in).
+        # ~0.09x on this cell on a shared 2-vCPU host, most of it the L2
+        # tag copy (the uop arena copy is a few slabs); the 0.5x bound
+        # only trips if Fork degrades to the same order as replay (e.g. an
+        # accidental deep copy of the program or a per-uop re-simulation
+        # sneaking in).
         if (ratio > 0.5) {
             print "guard: forking costs more than half a prefix replay" > "/dev/stderr"; exit 1
         }
