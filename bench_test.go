@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"vlt/internal/core"
+	"vlt/internal/guard"
 	"vlt/internal/lane"
 )
 
@@ -179,14 +180,16 @@ func BenchmarkExpAll(b *testing.B) {
 // lookups, metric reads only at Snapshot() time — so this benchmark's
 // ns/op must stay within noise (<2%) of the pre-registry simulator.
 // Compare against a pre-registry checkout with `benchstat` to audit.
-// Audit is pinned off here: testing.Testing() is true under -bench, so
-// AuditAuto would silently enable the invariant auditor and shift the
-// baseline; BenchmarkRunBaseMXMAudit measures that overhead explicitly.
+// VLT_AUDIT is pinned off here: testing.Testing() is true under -bench,
+// so the unset default would silently enable the invariant auditor and
+// shift the baseline; BenchmarkRunBaseMXMAudit measures that overhead
+// explicitly.
 func BenchmarkRunBaseMXM(b *testing.B) {
+	b.Setenv("VLT_AUDIT", "off")
 	b.ReportAllocs()
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		r, err := Run("mxm", MachineBase, Options{SkipVerify: true, Audit: AuditOff})
+		r, err := Run("mxm", MachineBase, Options{SkipVerify: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -200,10 +203,11 @@ func BenchmarkRunBaseMXM(b *testing.B) {
 // DESIGN.md §8 is this benchmark's ns/op versus BenchmarkRunBaseMXM's
 // and must stay under 5%.
 func BenchmarkRunBaseMXMAudit(b *testing.B) {
+	b.Setenv("VLT_AUDIT", "on")
 	b.ReportAllocs()
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		r, err := Run("mxm", MachineBase, Options{SkipVerify: true, Audit: AuditOn})
+		r, err := Run("mxm", MachineBase, Options{SkipVerify: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -258,8 +262,8 @@ func benchScheduler(b *testing.B, noSkip bool) {
 	b.ReportAllocs()
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		cycles = cellCycles(b, simCell{"mxm", MachineBase, Options{SkipVerify: true, Audit: AuditOff}},
-			func(c *core.Config) { c.NoSkip = noSkip })
+		cycles = cellCycles(b, simCell{"mxm", MachineBase, Options{SkipVerify: true}},
+			func(c *core.Config) { c.NoSkip, c.Audit = noSkip, guard.AuditOff })
 	}
 	b.ReportMetric(float64(cycles), "simcycles")
 }

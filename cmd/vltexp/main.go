@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"vlt"
-	"vlt/internal/guard"
 	"vlt/internal/report"
 )
 
@@ -35,8 +34,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	all := fs.Bool("all", false, "print every table and figure")
 	jobs := fs.Int("jobs", 0, "max concurrent simulations (0 = GOMAXPROCS, 1 = one at a time)")
 	progress := fs.Bool("progress", false, "report completed/total simulation cells on stderr")
-	stallLimit := fs.Uint64("stall-limit", 0, "abort a cell when no instruction retires for N cycles (0 = default)")
-	auditFlag := fs.String("audit", "auto", "invariant auditor: auto, on, off")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile to this file at exit")
 	if err := fs.Parse(args); err != nil {
@@ -47,10 +44,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "vltexp: "+format+"\n", a...)
 		fs.Usage()
 		return 2
-	}
-	audit, err := guard.ParseAuditMode(*auditFlag)
-	if err != nil {
-		return usageErr("%v", err)
 	}
 	if fs.NArg() > 0 {
 		return usageErr("unexpected argument %q", fs.Arg(0))
@@ -137,7 +130,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	eng := vlt.NewEngine(*jobs)
-	eng.SetGuard(*stallLimit, audit)
 	if *progress {
 		var mu sync.Mutex
 		eng.SetProgress(func(done, total int) {
@@ -150,18 +142,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		})
 	}
 
-	fail := func(err error) int {
-		fmt.Fprint(stderr, report.Diagnose("vltexp", err))
-		return 1
-	}
 	if *metricsFor != "" {
 		// Machine-readable registry dump: one "name value" line per
 		// metric, sorted by name (the golden-metrics test's format).
-		res, err := vlt.Run(*metricsFor, vlt.Machine(*machine), vlt.Options{
-			Scale: *scale, StallLimit: *stallLimit, Audit: audit,
-		})
+		res, err := vlt.Run(*metricsFor, vlt.Machine(*machine), vlt.Options{Scale: *scale})
 		if err != nil {
-			return fail(err)
+			return abort(stderr, err)
 		}
 		fmt.Fprint(stdout, res.Metrics.String())
 		return 0
@@ -170,7 +156,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *jsonOut {
 		data, err := eng.MarshalAll(*scale)
 		if err != nil {
-			return fail(err)
+			return abort(stderr, err)
 		}
 		fmt.Fprintln(stdout, string(data))
 		return 0
@@ -180,7 +166,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, e := range selected {
 			_, text, err := e.Run(eng, *scale)
 			if err != nil {
-				return fail(err)
+				return abort(stderr, err)
 			}
 			fmt.Fprintln(stdout, text)
 		}
@@ -189,12 +175,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// -all, the default: every entry at once, printed in catalogue order.
 	outs, err := eng.CollectAll(*scale)
 	if err != nil {
-		return fail(err)
+		return abort(stderr, err)
 	}
 	for _, o := range outs {
 		fmt.Fprintln(stdout, o.Text)
 	}
 	return 0
+}
+
+// abort prints a simulation failure as vltexp's clean diagnostic (a
+// headline plus any machine-state dump) and returns the exit code 1.
+func abort(stderr io.Writer, err error) int {
+	fmt.Fprint(stderr, report.Diagnose("vltexp", err))
+	return 1
 }
 
 // catalogued lists the N of every catalogue experiment named kind+N, in

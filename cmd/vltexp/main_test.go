@@ -1,11 +1,17 @@
 package main
 
 import (
+	"errors"
+	"fmt"
 	"regexp"
 	"strings"
 	"testing"
 
 	"vlt"
+	"vlt/internal/asm"
+	"vlt/internal/core"
+	"vlt/internal/guard"
+	"vlt/internal/isa"
 )
 
 func TestRunStaticTable(t *testing.T) {
@@ -51,7 +57,7 @@ func TestRunUsageErrors(t *testing.T) {
 		{args: []string{"-fig", "2"}},             // the paper has no figure 2
 		{args: []string{"-tab", "9"}},             // tables are 1-4
 		{args: []string{"-jobs", "-3"}},           // negative worker count
-		{args: []string{"-audit", "sometimes"}},   // not auto/on/off
+		{args: []string{"-stall-limit", "2"}},     // the watchdog's limit is a constant
 		{args: []string{"-tab", "1", "leftover"}}, // positional args are not accepted
 		{args: []string{"-scale", "0"}},           // problem size multipliers start at 1
 		{args: []string{"-tab", "1", "-scale", "-4"}},
@@ -102,23 +108,54 @@ func TestRunRejectsArguments(t *testing.T) {
 	}
 }
 
-func TestRunGuardStallDiagnostic(t *testing.T) {
-	var out, errOut strings.Builder
-	// A 2-cycle stall limit trips in every cell's cold start, so the
-	// first simulated cell aborts the whole run with a clean diagnostic.
-	code := run([]string{"-tab", "4", "-stall-limit", "2", "-jobs", "1"}, &out, &errOut)
-	if code != 1 {
+// stallErr runs a tiny program on a base machine whose stall limit (2
+// cycles) trips during the cold start's first I-cache fill, and returns
+// the watchdog's *guard.StallError. The watchdog's limit is a constant in
+// every command, so the core config is the one place to shrink it.
+func stallErr(t *testing.T) error {
+	t.Helper()
+	b := asm.NewBuilder("stall")
+	b.MovI(isa.R(1), 1)
+	b.Halt()
+	cfg := core.Base(8)
+	cfg.StallLimit = 2
+	m, err := core.NewMachine(cfg, b.MustAssemble())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = m.Run()
+	var stall *guard.StallError
+	if !errors.As(err, &stall) {
+		t.Fatalf("want *guard.StallError, got %T: %v", err, err)
+	}
+	return err
+}
+
+// checkAbort renders err through vltexp's failure path and checks the
+// exit code and the diagnostic's lines.
+func checkAbort(t *testing.T, err error, want ...string) {
+	t.Helper()
+	var errOut strings.Builder
+	if code := abort(&errOut, err); code != 1 {
 		t.Fatalf("exit %d, want 1\nstderr: %s", code, errOut.String())
 	}
 	got := errOut.String()
-	for _, want := range []string{"vltexp: simulation aborted", "guard:", "machine state at failure"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("diagnostic missing %q:\n%s", want, got)
+	for _, w := range want {
+		if !strings.Contains(got, w) {
+			t.Errorf("diagnostic missing %q:\n%s", w, got)
 		}
 	}
 	if strings.Contains(got, "goroutine") {
 		t.Errorf("diagnostic leaks a raw stack trace:\n%s", got)
 	}
+}
+
+// TestRunGuardStallDiagnostic: a table cell tripping the stall watchdog,
+// wrapped with its label as the engine reports it, aborts the run with a
+// clean diagnostic.
+func TestRunGuardStallDiagnostic(t *testing.T) {
+	err := fmt.Errorf("table4 (mxm, base): %w", stallErr(t))
+	checkAbort(t, err, "vltexp: simulation aborted", "guard:", "machine state at failure")
 }
 
 // TestRunMetricsSingleCell: -metrics simulates one verified cell on the
@@ -161,34 +198,22 @@ func TestRunMetricsRejectsNonPositiveScale(t *testing.T) {
 	}
 }
 
+// TestRunMetricsBadAuditFlag: VLT_AUDIT is the only audit switch, so
+// -audit is an unknown flag.
 func TestRunMetricsBadAuditFlag(t *testing.T) {
 	var out, errOut strings.Builder
-	if code := run([]string{"-metrics", "mxm", "-audit", "sometimes"}, &out, &errOut); code != 2 {
-		t.Errorf("bad -audit value: exit %d, want 2", code)
+	if code := run([]string{"-metrics", "mxm", "-audit", "on"}, &out, &errOut); code != 2 {
+		t.Errorf("-audit on: exit %d, want 2", code)
 	}
-	if out.Len() != 0 || !strings.Contains(errOut.String(), "audit") {
-		t.Errorf("stdout %q, stderr %q; want only an audit diagnostic", out.String(), errOut.String())
+	if out.Len() != 0 || !strings.Contains(errOut.String(), "flag provided but not defined: -audit") {
+		t.Errorf("stdout %q, stderr %q; want only an unknown-flag diagnostic", out.String(), errOut.String())
 	}
 }
 
 // TestRunMetricsGuardStallDiagnostic: a single cell tripping the stall
 // watchdog aborts with the guard's diagnostic and machine dump.
 func TestRunMetricsGuardStallDiagnostic(t *testing.T) {
-	var out, errOut strings.Builder
-	// A 2-cycle stall limit trips during the cold-start cache fill.
-	code := run([]string{"-metrics", "mxm", "-machine", "base", "-stall-limit", "2"}, &out, &errOut)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1\nstderr: %s", code, errOut.String())
-	}
-	got := errOut.String()
-	for _, want := range []string{"vltexp: simulation aborted", "guard:", "machine state at failure", "thread 0"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("diagnostic missing %q:\n%s", want, got)
-		}
-	}
-	if strings.Contains(got, "goroutine") {
-		t.Errorf("diagnostic leaks a raw stack trace:\n%s", got)
-	}
+	checkAbort(t, stallErr(t), "vltexp: simulation aborted", "guard:", "machine state at failure", "thread 0")
 }
 
 // checkNamesChoices runs args, which name something unknown, and checks
@@ -228,26 +253,31 @@ func TestRunMetricsUnknownMachine(t *testing.T) {
 // TestRunAuditOnMatchesOff: the invariant auditor observes a run without
 // perturbing its timing.
 func TestRunAuditOnMatchesOff(t *testing.T) {
-	cycles := func(audit string) string {
+	cycles := func(audit, enabled string) string {
 		t.Helper()
+		t.Setenv("VLT_AUDIT", audit)
 		var out, errOut strings.Builder
-		if code := run([]string{"-metrics", "mxm", "-audit", audit}, &out, &errOut); code != 0 {
-			t.Fatalf("-audit %s: exit %d, stderr: %s", audit, code, errOut.String())
+		if code := run([]string{"-metrics", "mxm"}, &out, &errOut); code != 0 {
+			t.Fatalf("VLT_AUDIT=%s: exit %d, stderr: %s", audit, code, errOut.String())
+		}
+		if !strings.Contains(out.String(), "\nguard.audit.enabled "+enabled+"\n") {
+			t.Fatalf("VLT_AUDIT=%s: guard.audit.enabled is not %s:\n%s", audit, enabled, out.String())
 		}
 		line := regexp.MustCompile(`(?m)^machine\.cycles \d+$`).FindString(out.String())
 		if line == "" {
-			t.Fatalf("-audit %s: no machine.cycles line:\n%s", audit, out.String())
+			t.Fatalf("VLT_AUDIT=%s: no machine.cycles line:\n%s", audit, out.String())
 		}
 		return line
 	}
-	if on, off := cycles("on"), cycles("off"); on != off {
+	if on, off := cycles("on", "1"), cycles("off", "0"); on != off {
 		t.Errorf("auditor perturbed timing: %q (on) != %q (off)", on, off)
 	}
 }
 
 func TestRunMetricsIncludesGuardScope(t *testing.T) {
+	t.Setenv("VLT_AUDIT", "on")
 	var out, errOut strings.Builder
-	code := run([]string{"-metrics", "mxm", "-machine", "base", "-audit", "on"}, &out, &errOut)
+	code := run([]string{"-metrics", "mxm", "-machine", "base"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 	}

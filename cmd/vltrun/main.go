@@ -12,7 +12,6 @@ import (
 
 	"vlt/internal/asm"
 	"vlt/internal/core"
-	"vlt/internal/guard"
 	"vlt/internal/report"
 )
 
@@ -36,16 +35,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	stats := fs.Bool("stats", false, "print every registry metric after the run")
 	jsonOut := fs.Bool("json", false, "emit the result as JSON (cycles plus the full metric map)")
 	sample := fs.Uint64("sample", 0, "record the metric time series every N cycles and print it as CSV")
-	stallLimit := fs.Uint64("stall-limit", 0, "abort when no instruction retires for N cycles (0 = default)")
-	auditFlag := fs.String("audit", "auto", "invariant auditor: auto, on, off")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile to this file at exit")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	audit, err := guard.ParseAuditMode(*auditFlag)
-	if err != nil {
-		fmt.Fprintln(stderr, "vltrun:", err)
 		return 2
 	}
 
@@ -96,8 +88,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	cfg.SampleEvery = *sample
-	cfg.StallLimit = *stallLimit
-	cfg.Audit = audit
 	m, err := core.NewMachine(cfg, prog)
 	if err != nil {
 		fmt.Fprintln(stderr, "vltrun:", err)
@@ -128,8 +118,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		chromeFile.Close()
 	}
 	if err != nil {
-		fmt.Fprint(stderr, report.Diagnose("vltrun", err))
-		return 1
+		return abort(stderr, err)
 	}
 
 	snap := res.Metrics()
@@ -209,4 +198,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
+}
+
+// abort prints a simulation failure as vltrun's clean diagnostic (a
+// headline plus any machine-state dump) and returns the exit code 1.
+func abort(stderr io.Writer, err error) int {
+	fmt.Fprint(stderr, report.Diagnose("vltrun", err))
+	return 1
 }

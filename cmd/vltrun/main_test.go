@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"vlt"
+	"vlt/internal/asm"
+	"vlt/internal/core"
 )
 
 const exampleProg = `
@@ -147,10 +149,30 @@ func TestRunEveryMachine(t *testing.T) {
 	}
 }
 
+// TestRunGuardStallDiagnostic: a run the stall watchdog aborts prints a
+// clean diagnostic through vltrun's failure path. The watchdog's limit is
+// a constant, so the test shrinks it to 2 cycles in the core config,
+// where it trips during the cold start's first I-cache fill.
 func TestRunGuardStallDiagnostic(t *testing.T) {
-	var out, errOut strings.Builder
-	code := run([]string{"-stall-limit", "2", writeProg(t)}, &out, &errOut)
-	if code != 1 {
+	prog, err := asm.Load(writeProg(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := core.ByName("base", 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.StallLimit = 2
+	m, err := core.NewMachine(cfg, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = m.Run()
+	if err == nil {
+		t.Fatal("run with a 2-cycle stall limit succeeded")
+	}
+	var errOut strings.Builder
+	if code := abort(&errOut, err); code != 1 {
 		t.Fatalf("exit %d, want 1\nstderr: %s", code, errOut.String())
 	}
 	got := errOut.String()
@@ -187,9 +209,16 @@ func TestRunGuestFaultDiagnostic(t *testing.T) {
 	}
 }
 
+// TestRunBadAuditFlag: VLT_AUDIT is the only audit switch and the stall
+// limit a constant, so neither has a flag.
 func TestRunBadAuditFlag(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-audit", "sometimes", writeProg(t)}, &out, &errOut); code != 2 {
-		t.Errorf("bad -audit value: exit %d, want 2", code)
+	for _, flag := range []string{"-audit", "-stall-limit"} {
+		var out, errOut strings.Builder
+		if code := run([]string{flag, "2", writeProg(t)}, &out, &errOut); code != 2 {
+			t.Errorf("%s: exit %d, want 2", flag, code)
+		}
+		if !strings.Contains(errOut.String(), "flag provided but not defined: "+flag) {
+			t.Errorf("%s: stderr missing diagnostic: %s", flag, errOut.String())
+		}
 	}
 }

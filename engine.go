@@ -53,11 +53,6 @@ type Engine struct {
 	stats    EngineStats
 	done     int // cells finished simulating
 	progress func(done, total int)
-
-	// engine-wide guard defaults, applied to every submitted cell that
-	// does not set its own (see SetGuard).
-	guardStall uint64
-	guardAudit AuditMode
 }
 
 // EngineStats counts an engine's cell submissions.
@@ -120,39 +115,12 @@ func (e *Engine) Stats() EngineStats {
 	return e.stats
 }
 
-// SetGuard installs engine-wide robustness defaults: every subsequently
-// submitted cell runs with the given forward-progress stall limit and
-// audit mode unless its own Options set them. The experiment tools use
-// this to apply their -stall-limit/-audit flags to every simulation a
-// driver schedules.
-func (e *Engine) SetGuard(stallLimit uint64, audit AuditMode) {
-	e.mu.Lock()
-	e.guardStall = stallLimit
-	e.guardAudit = audit
-	e.mu.Unlock()
-}
-
-// applyGuard fills a cell's unset guard options from the engine-wide
-// defaults. It runs before fingerprinting, so guarded and unguarded
-// variants of a cell never share a cache entry.
-func (e *Engine) applyGuard(opt Options) Options {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if opt.StallLimit == 0 {
-		opt.StallLimit = e.guardStall
-	}
-	if opt.Audit == AuditAuto {
-		opt.Audit = e.guardAudit
-	}
-	return opt
-}
-
 // fingerprint content-addresses one simulation cell: the workload, the
 // fully resolved machine configuration (every preset is complete, so
-// this is every parameter the machine runs with, and aliases like
-// Lanes:0 and Lanes:8 on the base machine coincide), and every
-// build/verify option that can change the simulated program or the
-// reported result.
+// this is every parameter the machine runs with, the auditor's resolved
+// on/off included, and aliases like Lanes:0 and Lanes:8 on the base
+// machine coincide), and every build/verify option that can change the
+// simulated program or the reported result.
 func fingerprint(workload string, m Machine, opt Options) (string, error) {
 	cfg, threads, err := machineConfig(m, opt)
 	if err != nil {
@@ -179,7 +147,6 @@ type cellFuture struct {
 // submit schedules one simulation cell: a new cell is requested from the
 // source at once, and a duplicate joins the memoized task.
 func (e *Engine) submit(workload string, m Machine, opt Options) *cellFuture {
-	opt = e.applyGuard(opt)
 	key, err := fingerprint(workload, m, opt)
 	if err != nil {
 		return &cellFuture{err: err}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"vlt/internal/guard"
 	"vlt/internal/runner"
 )
 
@@ -41,20 +40,5 @@ func TestEngineIsolatesPanickingCell(t *testing.T) {
 		if err != nil || c.res.Cycles == 0 {
 			t.Errorf("jobs=%d: sibling cell broken by panic: %v (cycles %d)", jobs, err, c.res.Cycles)
 		}
-	}
-}
-
-// TestEngineSetGuardAppliesToCells: SetGuard's stall limit reaches every
-// cell the engine simulates.
-func TestEngineSetGuardAppliesToCells(t *testing.T) {
-	eng := NewEngine(1)
-	eng.SetGuard(2, AuditOff) // 2 cycles without retirement: trips in the cold start
-	_, err := eng.submit("mxm", MachineBase, Options{SkipVerify: true}).wait()
-	var stall *guard.StallError
-	if !errors.As(err, &stall) {
-		t.Fatalf("want *guard.StallError, got %T: %v", err, err)
-	}
-	if stall.Limit != 2 {
-		t.Errorf("stall limit %d reached the cell, want 2", stall.Limit)
 	}
 }

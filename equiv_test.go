@@ -10,6 +10,7 @@ import (
 
 	"vlt/internal/asm"
 	"vlt/internal/core"
+	"vlt/internal/guard"
 	"vlt/internal/stats"
 )
 
@@ -195,7 +196,7 @@ func equivCases(tb testing.TB) []equivCase {
 
 // run simulates the cell from scratch with the given scheduler and
 // auditor settings.
-func (b builtCell) run(t *testing.T, noSkip bool, audit AuditMode) core.Result {
+func (b builtCell) run(t *testing.T, noSkip bool, audit guard.AuditMode) core.Result {
 	t.Helper()
 	b.cfg.NoSkip, b.cfg.Audit = noSkip, audit
 	return b.finish(t, b.machine(t))
@@ -207,7 +208,7 @@ func (b builtCell) run(t *testing.T, noSkip bool, audit AuditMode) core.Result {
 // the fork still shares with its parent.
 func (b builtCell) forkAt(t *testing.T, cut uint64, noSkip bool) (parent, fork core.Result) {
 	t.Helper()
-	b.cfg.NoSkip, b.cfg.Audit = noSkip, AuditOn
+	b.cfg.NoSkip, b.cfg.Audit = noSkip, guard.AuditOn
 	m := b.machine(t)
 	if err := m.RunUntil(cut); err != nil {
 		t.Fatalf("run to cycle %d: %v", cut, err)
@@ -265,7 +266,7 @@ func (c equivCase) reference(t *testing.T) (builtCell, core.Result) {
 	t.Helper()
 	c.ref.once.Do(func() {
 		c.ref.bc = buildCell(t, c.simCell, nil)
-		c.ref.ref = c.ref.bc.run(t, true, AuditOn)
+		c.ref.ref = c.ref.bc.run(t, true, guard.AuditOn)
 		c.ref.ok = true
 	})
 	if !c.ref.ok {
@@ -312,7 +313,7 @@ func equivMode(t *testing.T, keep func(equivCase) bool, check func(t *testing.T,
 // lied about its next state change or SkipIdle miscredited a counter.
 func TestSkipMatchesTickEveryCycle(t *testing.T) {
 	equivMode(t, nil, func(t *testing.T, bc builtCell, ref core.Result) {
-		diffSnapshots(t, "skip", ref.Metrics(), bc.run(t, false, AuditOn).Metrics(), "")
+		diffSnapshots(t, "skip", ref.Metrics(), bc.run(t, false, guard.AuditOn).Metrics(), "")
 	})
 }
 
@@ -320,7 +321,7 @@ func TestSkipMatchesTickEveryCycle(t *testing.T) {
 // auditor off, the production configuration, on every cell.
 func TestAuditOffMatchesOn(t *testing.T) {
 	equivMode(t, nil, func(t *testing.T, bc builtCell, ref core.Result) {
-		diffSnapshots(t, "audit-off", ref.Metrics(), bc.run(t, false, AuditOff).Metrics(), "guard.audit.")
+		diffSnapshots(t, "audit-off", ref.Metrics(), bc.run(t, false, guard.AuditOff).Metrics(), "guard.audit.")
 	})
 }
 

@@ -21,6 +21,7 @@ import (
 var formatDigests = map[int]string{
 	1: "c148612434bb1bcbd03e34f88da5516d9c3471e71745aec16abb8781a2fea1dd",
 	2: "469527e4c4e14d4a4c13d363520ac724847c475a2b5f752cabd0c3e6361454dc",
+	3: "3e7cf8256f31a7061b6e0a0b5c067603d15ae194f37ac2fba160e9f82f11c28f",
 }
 
 // formatOutputs are the committed goldens outputsDigest covers: the
@@ -35,9 +36,11 @@ var formatOutputs = []string{
 }
 
 // outputsDigest hashes the formatOutputs files and the sorted cell keys
-// of every runnable grid cell.
+// of every runnable grid cell, keyed as production binaries key them:
+// with the auditor off.
 func outputsDigest(t *testing.T) string {
 	t.Helper()
+	t.Setenv("VLT_AUDIT", "off")
 	h := sha256.New()
 	for _, name := range formatOutputs {
 		b, err := os.ReadFile(filepath.FromSlash(name))
@@ -78,5 +81,23 @@ func TestFormatVersionPinsOutputs(t *testing.T) {
 		t.Fatalf("outputs digest %s, but store.FormatVersion %d recorded %s: the goldens, "+
 			"the served body digests or the cell keys moved; bump store.FormatVersion "+
 			"and record the new digest under the new version", got, store.FormatVersion, want)
+	}
+}
+
+// TestCellKeyCoversAudit: the auditor's counters are part of every body,
+// so VLT_AUDIT's decision is part of every cell key, and a store shared
+// by processes that audit differently never serves one's body to the
+// other.
+func TestCellKeyCoversAudit(t *testing.T) {
+	key := func(audit string) string {
+		t.Setenv("VLT_AUDIT", audit)
+		k, err := CellKey("mxm", MachineBase, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	if on, off := key("on"), key("off"); on == off {
+		t.Errorf("VLT_AUDIT=on and off share cell key %s", on)
 	}
 }

@@ -53,7 +53,8 @@ type Config struct {
 	// counters, stage-counter monotonicity) every AuditEvery cycles and
 	// aborts with a *guard.InvariantError on a violation. The zero value
 	// AuditAuto turns it on under `go test` and off otherwise; the
-	// VLT_AUDIT environment variable (on/off) overrides.
+	// VLT_AUDIT environment variable (on/off) overrides. The vlt
+	// package's cells always carry the resolved AuditOn or AuditOff.
 	Audit guard.AuditMode
 
 	// AuditEvery is the cycle interval between audits

@@ -22,7 +22,8 @@ const DefaultAuditEvery = 64
 
 // AuditMode selects whether the runtime invariant auditor runs. The zero
 // value is AuditAuto, so a zero Config audits exactly when it should:
-// always under `go test`, never in production binaries unless asked.
+// always under `go test`, never in production binaries unless VLT_AUDIT
+// asks.
 type AuditMode int
 
 const (
@@ -35,7 +36,8 @@ const (
 	AuditOff
 )
 
-// String renders the mode as its flag spelling.
+// String renders the mode as auto, on or off. Cell keys hash a
+// core.Config with %+v, so changing a spelling moves every key.
 func (m AuditMode) String() string {
 	switch m {
 	case AuditOn:
@@ -62,19 +64,6 @@ func (m AuditMode) Enabled() bool {
 		return false
 	}
 	return testing.Testing()
-}
-
-// ParseAuditMode parses a -audit flag value.
-func ParseAuditMode(s string) (AuditMode, error) {
-	switch strings.ToLower(s) {
-	case "", "auto":
-		return AuditAuto, nil
-	case "on", "1", "true":
-		return AuditOn, nil
-	case "off", "0", "false":
-		return AuditOff, nil
-	}
-	return AuditAuto, fmt.Errorf("guard: invalid audit mode %q (want auto, on or off)", s)
 }
 
 // InjectKind names a fault-injection experiment. Injections exist to

@@ -92,23 +92,6 @@ func TestAuditorRunsEveryKAndNamesFailure(t *testing.T) {
 
 var errFail = &InvariantError{Invariant: "inner", Detail: "boom"}
 
-func TestParseAuditMode(t *testing.T) {
-	cases := map[string]AuditMode{
-		"": AuditAuto, "auto": AuditAuto,
-		"on": AuditOn, "1": AuditOn, "true": AuditOn,
-		"off": AuditOff, "0": AuditOff, "false": AuditOff,
-	}
-	for in, want := range cases {
-		got, err := ParseAuditMode(in)
-		if err != nil || got != want {
-			t.Errorf("ParseAuditMode(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParseAuditMode("sometimes"); err == nil {
-		t.Error("ParseAuditMode accepted garbage")
-	}
-}
-
 func TestAuditModeResolution(t *testing.T) {
 	if !AuditOn.Enabled() {
 		t.Error("AuditOn disabled")

@@ -48,7 +48,7 @@ func Diagnose(tool string, err error) string {
 	case errors.As(err, &inv):
 		headline("self-check failed: %v", inv)
 		sb.WriteString("\nthis is a simulator bug, not a property of the workload;\n")
-		sb.WriteString("re-run with the auditor off (-audit off) to work around it.\n")
+		sb.WriteString("re-run with the auditor off (VLT_AUDIT=off) to work around it.\n")
 		dump(inv.Dump)
 	case errors.As(err, &pan):
 		headline("internal panic in %s: %v", pan.Key, pan.Value)

@@ -31,7 +31,13 @@ import (
 // zero fields used to stand for. No simulated result or body moved, but
 // every key did, and the bump sweeps the version-1 entries at Open
 // instead of leaving them to eviction.
-const FormatVersion = 2
+//
+// Version 3: each cell key hashes the invariant auditor's resolved on
+// or off instead of "auto". The auditor's counters are in every body,
+// and under version 2 one store served a cell simulated under
+// VLT_AUDIT=on to a process running with it off, under the same ETag.
+// No body under a fixed VLT_AUDIT moved; every key did.
+const FormatVersion = 3
 
 // magic is the first token of every entry's header line.
 const magic = "vltstore"

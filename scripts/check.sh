@@ -47,6 +47,10 @@ go test -run='^$' -fuzz=FuzzAssemble -fuzztime=5s ./internal/asm
 go test -run='^$' -fuzz=FuzzDecode -fuzztime=5s ./internal/isa
 go test -run='^$' -fuzz=FuzzSweepLine -fuzztime=5s ./internal/serve
 
+echo "== go build ./cmd/... (the nine commands, built once for the gates below)"
+bin="$work/bin"
+go build -o "$bin/" ./cmd/...
+
 echo "== vltlint -docs ./... (all lint passes repo-wide + analyzer speed guard)"
 # All passes must run clean: determinism rules on the core, lock
 # discipline and goroutine ownership module-wide, deadline propagation
@@ -54,9 +58,8 @@ echo "== vltlint -docs ./... (all lint passes repo-wide + analyzer speed guard)"
 # ignore directives, and doc.go per internal/cmd package. The run is
 # timed against a 5s bound (built binary, so compile time is excluded):
 # the suite only stays a per-commit gate while it stays cheap.
-go build -o "$work/vltlint" ./cmd/vltlint
 lint_start=$(date +%s%N)
-"$work/vltlint" -docs ./...
+"$bin/vltlint" -docs ./...
 lint_end=$(date +%s%N)
 lint_ms=$(( (lint_end - lint_start) / 1000000 ))
 echo "guard: full-repo lint took ${lint_ms}ms"
@@ -65,7 +68,7 @@ if [ "$lint_ms" -gt 5000 ]; then
     exit 1
 fi
 
-echo "== docs gate (CLI.md documents every cmd/* binary and no other)"
+echo "== docs gate (CLI.md documents every cmd/* binary and no other, each synopsis names exactly the flags -h prints)"
 # Whole-word matches, so a mention of vltdis does not count for vltd.
 for d in cmd/*/; do
     name=$(basename "$d")
@@ -77,6 +80,25 @@ done
 for name in $(sed -n 's/^## \([^ ]*\) —.*/\1/p' CLI.md); do
     if [ ! -d "cmd/$name" ]; then
         echo "docs gate: CLI.md documents $name, but there is no cmd/$name" >&2
+        exit 1
+    fi
+    # The synopsis is the first code block of the command's section; a
+    # flag is a "-name" after a space, "[" or "|" (so V4-CMT is not one).
+    documented=$(awk -v name="$name" '
+        $0 ~ "^## " name " —" { sect = 1; next }
+        /^## / { sect = 0 }
+        sect && /^```/ { if (blk) exit; blk = 1; next }
+        sect && blk {
+            s = " " $0
+            while (match(s, /[[ |]-[a-z][a-z0-9-]*/)) {
+                print substr(s, RSTART + 2, RLENGTH - 2)
+                s = substr(s, RSTART + RLENGTH)
+            }
+        }' CLI.md | sort -u)
+    help=$("$bin/$name" -h 2>&1 || true)
+    printed=$(printf '%s\n' "$help" | sed -n 's/^  -\([a-z0-9-]*\).*/\1/p' | sort -u)
+    if [ "$documented" != "$printed" ]; then
+        echo "docs gate: $name's CLI.md synopsis names flags {" $documented "}, but $name -h prints {" $printed "}" >&2
         exit 1
     fi
 done
@@ -163,14 +185,13 @@ printf '%s\n' "$forkb" | awk '
     }'
 
 echo "== vltd smoke (boot with a temp -store, run and experiment, restart serves both from disk, ETag revalidates)"
-go build -o "$work/vltd" ./cmd/vltd
 vltd_store="$work/store"
 vltd_log="$work/vltd.out"
 mkdir "$vltd_store"
 
 # vltd_boot [extra flags...]: boot one daemon, set vltd_pid and vltd_url.
 vltd_boot() {
-    "$work/vltd" -addr 127.0.0.1:0 -store "$vltd_store" "$@" >"$vltd_log" 2>&1 &
+    "$bin/vltd" -addr 127.0.0.1:0 -store "$vltd_store" "$@" >"$vltd_log" 2>&1 &
     vltd_pid=$!
     vltd_url=""
     for _ in $(seq 1 100); do

@@ -105,26 +105,7 @@ type Options struct {
 	// hands all lanes to thread 0 for serial phases (the phase-switching
 	// extension study's baseline).
 	NoLaneReclaim bool
-	// StallLimit aborts the run with a *guard.StallError and a full
-	// diagnostic dump when no instruction retires for this many
-	// consecutive cycles (0 = guard.DefaultStallLimit).
-	StallLimit uint64
-	// Audit controls the runtime invariant auditor. The zero value
-	// AuditAuto enables it under `go test` and disables it otherwise
-	// (the VLT_AUDIT environment variable overrides).
-	Audit AuditMode
 }
-
-// AuditMode selects whether the machine's invariant auditor runs; see
-// the guard package for the resolution rules.
-type AuditMode = guard.AuditMode
-
-// Audit modes, re-exported for Options.Audit.
-const (
-	AuditAuto = guard.AuditAuto
-	AuditOn   = guard.AuditOn
-	AuditOff  = guard.AuditOff
-)
 
 // Utilization is a percentage breakdown of the arithmetic-datapath cycles
 // in the vector lanes (Figure 4's categories).
@@ -231,8 +212,13 @@ func machineConfig(m Machine, opt Options) (core.Config, int, error) {
 	if err != nil {
 		return core.Config{}, 0, fmt.Errorf("vlt: %w", err)
 	}
-	cfg.StallLimit = opt.StallLimit
-	cfg.Audit = opt.Audit
+	// VLT_AUDIT's decision goes into the configuration, so the cell key
+	// hashes the auditor the cell runs with (its counters are in every
+	// snapshot) rather than an "auto" that resolves per process.
+	cfg.Audit = guard.AuditOff
+	if guard.AuditAuto.Enabled() {
+		cfg.Audit = guard.AuditOn
+	}
 	return cfg, cfg.NumThreads, nil
 }
 
