@@ -22,6 +22,7 @@ var formatDigests = map[int]string{
 	1: "c148612434bb1bcbd03e34f88da5516d9c3471e71745aec16abb8781a2fea1dd",
 	2: "469527e4c4e14d4a4c13d363520ac724847c475a2b5f752cabd0c3e6361454dc",
 	3: "3e7cf8256f31a7061b6e0a0b5c067603d15ae194f37ac2fba160e9f82f11c28f",
+	4: "7f3f3e73e3b1b5e9fd2fe3943bdcb90d46bd1f684ad002e9f2779c6744f3398f",
 }
 
 // formatOutputs are the committed goldens outputsDigest covers: the

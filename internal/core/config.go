@@ -50,32 +50,20 @@ type Config struct {
 
 	// Audit enables the runtime invariant auditor, which cross-checks the
 	// components' internal accounting (scoreboard occupancy, cache
-	// counters, stage-counter monotonicity) every AuditEvery cycles and
-	// aborts with a *guard.InvariantError on a violation. The zero value
-	// AuditAuto turns it on under `go test` and off otherwise; the
-	// VLT_AUDIT environment variable (on/off) overrides. The vlt
-	// package's cells always carry the resolved AuditOn or AuditOff.
+	// counters, stage-counter monotonicity, retirement conservation)
+	// every guard.AuditEvery cycles and aborts with a
+	// *guard.InvariantError on a violation. The zero value AuditAuto
+	// turns it on under `go test` and off otherwise; the VLT_AUDIT
+	// environment variable (on/off) overrides. The vlt package's cells
+	// always carry the resolved AuditOn or AuditOff.
 	Audit guard.AuditMode
 
-	// AuditEvery is the cycle interval between audits
-	// (0 = guard.DefaultAuditEvery).
-	AuditEvery uint64
-
-	// Inject arms the fault-injection hook: at Inject.Cycle the
-	// configured fault fires once. Used by tests to prove the watchdog
-	// and auditor detect the failures they claim to.
-	Inject guard.Injection
-
 	// SampleEvery, when non-zero, enables the metric registry's
-	// time-series sampler: the metrics named in SampleMetrics (or
-	// DefaultSampleMetrics when empty) are recorded every SampleEvery
+	// time-series sampler: the vector-datapath occupancy census and
+	// overall progress (sampleMetrics) are recorded every SampleEvery
 	// cycles. Read the series back with Machine.Sampler or
 	// Result.Samples after the run.
 	SampleEvery uint64
-
-	// SampleMetrics selects the registry metrics to sample. Names not
-	// registered on this configuration are dropped silently.
-	SampleMetrics []string
 
 	// NoSkip disables event-driven cycle skipping: the machine ticks
 	// every cycle. It is the reference path: the root package's

@@ -75,8 +75,7 @@ func (m *Machine) PartitionChoices() []int {
 //
 // The clone's trace, pipeline-view and Chrome-trace writers are not
 // carried over, and its ForkAt hook is cleared; everything else,
-// including an armed fault injection and the watchdog's stall window,
-// forks with the machine.
+// including the watchdog's stall window, forks with the machine.
 func (m *Machine) Fork() *Machine {
 	n := &Machine{
 		cfg:         m.cfg,
@@ -84,8 +83,7 @@ func (m *Machine) Fork() *Machine {
 		arena:       m.arena.Clone(),
 		l2:          m.l2.Clone(),
 		now:         m.now,
-		frozen:      m.frozen,
-		injected:    m.injected,
+		retired:     m.retired,
 		skipRetired: m.skipRetired,
 		stage:       m.stage,
 		decisionSeq: m.decisionSeq,

@@ -34,8 +34,7 @@ func TestForkCoversMachine(t *testing.T) {
 		"watchdog": "deep copy via guard.Watchdog.Clone",
 		"auditor":  "rebuilt by initGuard against the fork; Passes/Checks counters carried over",
 		"ring":     "deep copy via guard.Ring.Clone",
-		"frozen":   "value copy",
-		"injected": "value copy",
+		"retired":  "value copy (the conservation invariant's tally)",
 
 		"skipRetired": "value copy",
 		"coordOwners": "reset: per-coordinate scratch",

@@ -9,9 +9,9 @@ import (
 )
 
 // This file wires the guard package into the machine: the
-// forward-progress watchdog, the runtime invariant auditor, the retired-
-// instruction ring buffer and the fault-injection hook, plus the
-// diagnostic dump every typed guard error carries.
+// forward-progress watchdog, the runtime invariant auditor and the
+// retired-instruction ring buffer, plus the diagnostic dump every typed
+// guard error carries.
 
 // retiredTotal sums instructions retired across every pipeline.
 func (m *Machine) retiredTotal() uint64 {
@@ -34,7 +34,7 @@ func (m *Machine) initGuard() {
 	if !m.cfg.Audit.Enabled() {
 		return
 	}
-	a := guard.NewAuditor(m.cfg.AuditEvery)
+	a := guard.NewAuditor()
 	for i, su := range m.sus {
 		a.Register(fmt.Sprintf("su%d.pipeline", i), su.CheckInvariants)
 		a.Register(fmt.Sprintf("su%d.cache-counters", i), su.CheckCacheCounters)
@@ -47,13 +47,13 @@ func (m *Machine) initGuard() {
 		a.Register("vcl.occupancy", m.vu.CheckOccupancy)
 	}
 	a.Register("l2.cache-counters", m.l2.CheckInvariants)
-	var lastRet uint64
-	a.Register("machine.retired-monotone", func() error {
-		n := m.retiredTotal()
-		if n < lastRet {
-			return fmt.Errorf("retired total went backwards: %d after %d", n, lastRet)
+	// Every retirement passes through onRetire, so a unit count that
+	// drifts from the machine's tally by any amount, up or down, lost or
+	// invented a retirement.
+	a.Register("machine.retired-conserved", func() error {
+		if n := m.retiredTotal(); n != m.retired {
+			return fmt.Errorf("units count %d retired instructions, the machine saw %d retire", n, m.retired)
 		}
-		lastRet = n
 		return nil
 	})
 	// The registry's metric set is fixed at construction: components may
@@ -109,56 +109,6 @@ func (m *Machine) registerGuardMetrics(r *stats.Registry) {
 		return 0
 	})
 	r.CounterFn("stall.limit", func() uint64 { return m.watchdog.Limit() })
-}
-
-// applyInjection fires the configured fault once its cycle arrives.
-// Timing faults (stall, drop-completion) are applied before the
-// components tick so they shape this cycle's execution; state
-// corruptions are applied after, immediately before the audit, so the
-// auditor must catch them on the very sweep they land.
-func (m *Machine) applyInjection(now uint64, preTick bool) {
-	inj := m.cfg.Inject
-	if inj.Kind == guard.InjectNone || m.injected || now < inj.Cycle {
-		return
-	}
-	switch inj.Kind {
-	case guard.InjectStall, guard.InjectDropCompletion:
-		if !preTick {
-			return
-		}
-	default:
-		if preTick {
-			return
-		}
-	}
-	m.injected = true
-	switch inj.Kind {
-	case guard.InjectStall:
-		m.frozen = true
-	case guard.InjectDropCompletion:
-		if len(m.sus) > 0 {
-			m.sus[0].InjectDropCompletion()
-		}
-	case guard.InjectCorruptScoreboard:
-		if m.vu != nil {
-			m.vu.InjectCorruptScoreboard()
-		}
-	case guard.InjectCorruptOccupancy:
-		if m.vu != nil {
-			m.vu.InjectCorruptOccupancy()
-		}
-	case guard.InjectCorruptCache:
-		if len(m.sus) > 0 {
-			m.sus[0].DCache().Cache().Hits++
-		}
-	case guard.InjectCorruptRetired:
-		// Halve the counter (rather than decrement it) so the next
-		// audit's monotonicity check sees a regression no matter how many
-		// instructions retire in the injection cycle itself.
-		if len(m.sus) > 0 {
-			m.sus[0].Retired /= 2
-		}
-	}
 }
 
 // stallError assembles the typed forward-progress failure with the full

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"vlt/internal/asm"
 	"vlt/internal/guard"
 	"vlt/internal/isa"
+	"vlt/internal/pipe"
 	"vlt/internal/vm"
 )
 
@@ -28,39 +30,97 @@ func loopVectorProgram(iters int64) *asm.Program {
 	return b.MustAssemble()
 }
 
-// TestFaultInjectionMatrix proves every injectable fault is detected by
-// the layer that claims it: timing faults trip the forward-progress
-// watchdog, state corruptions trip the named invariant — each with a
+// faultCycle is where TestFaultInjectionMatrix stops the machine to
+// break it: an audit boundary, well after the ~104-cycle cold start
+// (the first I-cache line fill goes to DRAM), so the pipelines are
+// retiring steadily when the fault lands.
+const faultCycle = 20 * guard.AuditEvery
+
+// oldestUop returns the oldest in-flight uop that ok accepts. It walks
+// the arena's first 128-uop slab, which holds the steady-state window of
+// the single-threaded loop because freed slots are reused last-in
+// first-out.
+func oldestUop(t *testing.T, m *Machine, ok func(*pipe.Uop) bool) *pipe.Uop {
+	t.Helper()
+	var oldest *pipe.Uop
+	for id := pipe.UopID(1); id < 128; id++ {
+		u := m.arena.At(id)
+		if u.Dyn.Inst == nil || u.Retired || !ok(u) {
+			continue
+		}
+		if oldest == nil || u.Dyn.Seq < oldest.Dyn.Seq {
+			oldest = u
+		}
+	}
+	if oldest == nil {
+		t.Fatalf("no matching uop in flight at cycle %d", m.now)
+	}
+	return oldest
+}
+
+// TestFaultInjectionMatrix proves every detector fires on the fault it
+// claims: the test stops a machine at faultCycle, breaks one structure
+// through state the core package reaches, and resumes. Timing faults
+// trip the forward-progress watchdog, state corruptions trip the named
+// invariant on the very audit the fault lands before, each with a
 // diagnostic dump identifying thread, cycle and structure.
 func TestFaultInjectionMatrix(t *testing.T) {
 	cases := []struct {
-		kind          guard.InjectKind
-		wantInvariant string // expected InvariantError.Invariant; "" = expect StallError
+		name          string
+		stallLimit    uint64                         // 0 = 200, above the cold-start fill
+		fault         func(t *testing.T, m *Machine) // applied at faultCycle; nil = none
+		wantInvariant string                         // expected InvariantError.Invariant; "" = expect StallError
+		stallFrom     uint64                         // a StallError's earliest cycle
 	}{
-		{kind: guard.InjectStall},
-		{kind: guard.InjectDropCompletion},
-		{kind: guard.InjectCorruptScoreboard, wantInvariant: "vcl.scoreboard"},
-		{kind: guard.InjectCorruptOccupancy, wantInvariant: "vcl.occupancy"},
-		{kind: guard.InjectCorruptCache, wantInvariant: "su0.cache-counters"},
-		{kind: guard.InjectCorruptRetired, wantInvariant: "machine.retired-monotone"},
+		// The cold-start fill retires nothing for ~104 cycles, so a
+		// shorter window trips the watchdog before faultCycle.
+		{name: "stall", stallLimit: 50, stallFrom: 50},
+		{name: "drop-completion", stallFrom: faultCycle + 200, fault: func(t *testing.T, m *Machine) {
+			u := oldestUop(t, m, func(u *pipe.Uop) bool {
+				return u.Issued && !u.Dyn.Inst.Op.Info().Vector
+			})
+			u.DoneCycle = pipe.NeverDone
+		}},
+		{name: "corrupt-scoreboard", wantInvariant: "vcl.scoreboard", fault: func(t *testing.T, m *Machine) {
+			// The VIQ feeds the VCL window in order, so the oldest
+			// waiting vector write is in the window, holding a rename.
+			// The private copy leaves the program untouched.
+			u := oldestUop(t, m, func(u *pipe.Uop) bool {
+				in := u.Dyn.Inst
+				return !u.Issued && in.Op.Info().Vector && in.Rd.IsVec()
+			})
+			in := *u.Dyn.Inst
+			in.Rd = isa.RegNone
+			u.Dyn.Inst = &in
+		}},
+		{name: "corrupt-occupancy", wantInvariant: "vcl.occupancy",
+			fault: func(_ *testing.T, m *Machine) { m.vu.Enqueued++ }},
+		{name: "corrupt-cache", wantInvariant: "su0.cache-counters",
+			fault: func(_ *testing.T, m *Machine) { m.sus[0].DCache().Cache().Hits++ }},
+		{name: "corrupt-retired", wantInvariant: "machine.retired-conserved",
+			fault: func(_ *testing.T, m *Machine) { m.sus[0].Retired /= 2 }},
+		{name: "corrupt-retired-by-one", wantInvariant: "machine.retired-conserved",
+			fault: func(_ *testing.T, m *Machine) { m.sus[0].Retired-- }},
 	}
 	for _, tc := range cases {
-		t.Run(string(tc.kind), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			cfg := Base(8)
 			cfg.Audit = guard.AuditOn
-			cfg.AuditEvery = 1
-			cfg.StallLimit = 200
-			// Inject well after the ~104-cycle cold start (first I-cache
-			// line fill goes to DRAM), so the pipelines are retiring
-			// steadily when the fault lands.
-			cfg.Inject = guard.Injection{Kind: tc.kind, Cycle: 300}
+			cfg.StallLimit = cmp.Or(tc.stallLimit, 200)
 			m, err := NewMachine(cfg, loopVectorProgram(100_000))
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = m.Run()
+			err = m.RunUntil(faultCycle)
+			if tc.fault != nil {
+				if err != nil {
+					t.Fatalf("run failed before the fault at cycle %d: %v", faultCycle, err)
+				}
+				tc.fault(t, m)
+				_, err = m.Run()
+			}
 			if err == nil {
-				t.Fatal("injected fault went undetected")
+				t.Fatal("fault went undetected")
 			}
 			var dump string
 			if tc.wantInvariant != "" {
@@ -68,12 +128,11 @@ func TestFaultInjectionMatrix(t *testing.T) {
 				if !errors.As(err, &inv) {
 					t.Fatalf("want *guard.InvariantError, got %T: %v", err, err)
 				}
-				if inv.Invariant != tc.wantInvariant {
-					t.Errorf("invariant %q fired, want %q (%v)", inv.Invariant, tc.wantInvariant, err)
+				if inv.Invariant != tc.wantInvariant || inv.Cycle != faultCycle {
+					t.Errorf("invariant %q fired at cycle %d, want %q at %d (%v)",
+						inv.Invariant, inv.Cycle, tc.wantInvariant, faultCycle, err)
 				}
-				if inv.Cycle < 300 {
-					t.Errorf("detected at cycle %d, before the injection at 300", inv.Cycle)
-				}
+				t.Logf("%s: %s at cycle %d", tc.name, inv.Invariant, inv.Cycle)
 				dump = inv.Dump
 			} else {
 				var stall *guard.StallError
@@ -83,9 +142,10 @@ func TestFaultInjectionMatrix(t *testing.T) {
 				if stall.Kind != "livelock" {
 					t.Errorf("stall kind %q, want livelock", stall.Kind)
 				}
-				if stall.Cycle < 300 {
-					t.Errorf("fired at cycle %d, before the injection at 300", stall.Cycle)
+				if stall.Cycle < tc.stallFrom {
+					t.Errorf("fired at cycle %d, before cycle %d", stall.Cycle, tc.stallFrom)
 				}
+				t.Logf("%s: watchdog %s at cycle %d", tc.name, stall.Kind, stall.Cycle)
 				dump = stall.Dump
 			}
 			for _, want := range []string{"thread 0", "su0", "vcl", "retired instructions"} {
@@ -165,7 +225,6 @@ func TestAuditDoesNotPerturbTiming(t *testing.T) {
 func TestGuardMetricsRegistered(t *testing.T) {
 	cfg := Base(8)
 	cfg.Audit = guard.AuditOn
-	cfg.AuditEvery = 8
 	res, _ := runToEnd(t, cfg, tinyVectorProgram())
 	snap := res.Metrics()
 	if snap.Uint("guard.audit.enabled") != 1 {

@@ -72,8 +72,7 @@ type Machine struct {
 	watchdog *guard.Watchdog
 	auditor  *guard.Auditor // nil when auditing is off
 	ring     *guard.Ring    // last retired instructions, for diagnostic dumps
-	frozen   bool           // stall injection fired: component clocks stop
-	injected bool           // the configured fault has been applied
+	retired  uint64         // retirements onRetire saw; the units' Retired must sum to it
 
 	skipRetired uint64 // retiredTotal at the last skip attempt (quiescence gate)
 	coordOwners []int  // coordinate's scratch for repartition owner lists
@@ -178,12 +177,11 @@ func (m *Machine) vectorSink() scalar.VectorSink {
 	return m.vu
 }
 
-// DefaultSampleMetrics is the default time-series selection when
-// Config.SampleEvery is set without SampleMetrics: the vector-datapath
-// occupancy census over time (the raw material for a Figure-4-style
-// animation) plus overall progress. Names absent on a configuration
-// (e.g. no vector unit) are dropped by the sampler.
-func DefaultSampleMetrics() []string {
+// sampleMetrics is the time-series selection when Config.SampleEvery is
+// set: the vector-datapath occupancy census over time (the raw material
+// for a Figure-4-style animation) plus overall progress. Names absent on
+// a configuration (e.g. no vector unit) are dropped by the sampler.
+func sampleMetrics() []string {
 	return []string{
 		"machine.retired",
 		"vcl.util.busy", "vcl.util.part_idle", "vcl.util.stalled",
@@ -236,11 +234,7 @@ func (m *Machine) registerMetrics() {
 	m.registerGuardMetrics(m.reg.Scope("guard"))
 
 	if m.cfg.SampleEvery > 0 {
-		names := m.cfg.SampleMetrics
-		if len(names) == 0 {
-			names = DefaultSampleMetrics()
-		}
-		m.sampler = m.reg.NewSampler(m.cfg.SampleEvery, names...)
+		m.sampler = m.reg.NewSampler(m.cfg.SampleEvery, sampleMetrics()...)
 	}
 }
 
@@ -287,6 +281,7 @@ func (m *Machine) L2() *mem.L2 { return m.l2 }
 func (m *Machine) Now() uint64 { return m.now }
 
 func (m *Machine) onRetire(tid int, u *pipe.Uop) {
+	m.retired++
 	m.ring.Push(m.now, tid, u.Dyn.PC, u.Dyn.Inst)
 	if u.Dyn.Inst.Op == isa.OpMark {
 		m.region[tid] = u.Dyn.MarkID
@@ -434,9 +429,8 @@ func (m *Machine) coordinate(now uint64) {
 // earliest future cycle at which any component could change state,
 // clamped to every machine-level boundary whose per-cycle bookkeeping
 // must observe exact cycle numbers — MaxCycles, the watchdog's stall
-// deadline, the audit cadence, sampling boundaries, an armed fault
-// injection, and the vector unit's drain cycle while a repartition
-// waits. A result of now+1 means no skip.
+// deadline, the audit cadence, sampling boundaries, and the vector
+// unit's drain cycle while a repartition waits. A result of now+1 means no skip.
 func (m *Machine) nextEventCycle(now uint64) uint64 {
 	horizon := uint64(pipe.NeverDone)
 	clamp := func(c uint64) {
@@ -471,12 +465,8 @@ func (m *Machine) nextEventCycle(now uint64) uint64 {
 	// may cross their next boundary.
 	clamp(m.cfg.MaxCycles)
 	clamp(m.watchdog.Deadline())
-	if inj := m.cfg.Inject; inj.Kind != guard.InjectNone && !m.injected && inj.Cycle > now {
-		clamp(inj.Cycle)
-	}
 	if m.auditor != nil {
-		every := m.auditor.Every()
-		clamp(now - now%every + every)
+		clamp(now - now%guard.AuditEvery + guard.AuditEvery)
 	}
 	if m.sampler != nil {
 		horizon = pipe.EventAt(horizon, now, m.sampler.NextSample())
@@ -550,7 +540,7 @@ func (m *Machine) skipTo(from, to uint64) {
 type runStage uint8
 
 const (
-	stageTick  runStage = iota // next: guards, injection, component ticks
+	stageTick  runStage = iota // next: guards, component ticks
 	stageCoord                 // ticked; next: coordinate and the cycle tail
 )
 
@@ -572,17 +562,14 @@ func (m *Machine) RunUntil(stop uint64) error {
 			if m.watchdog.Observe(now, m.retiredTotal()) {
 				return m.stallError("livelock", now, m.watchdog.Limit())
 			}
-			m.applyInjection(now, true)
-			if !m.frozen {
-				if m.vu != nil {
-					m.vu.Tick(now)
-				}
-				for _, su := range m.sus {
-					su.Tick(now)
-				}
-				for _, c := range m.lcs {
-					c.Tick(now)
-				}
+			if m.vu != nil {
+				m.vu.Tick(now)
+			}
+			for _, su := range m.sus {
+				su.Tick(now)
+			}
+			for _, c := range m.lcs {
+				c.Tick(now)
 			}
 			if err := m.err(); err != nil {
 				return fmt.Errorf("core: %s: cycle %d: %w", m.cfg.Name, now, err)
@@ -591,7 +578,6 @@ func (m *Machine) RunUntil(stop uint64) error {
 		}
 		m.coordinate(now)
 		m.creditRegion(m.region[0], 1)
-		m.applyInjection(now, false)
 		if m.auditor != nil {
 			if aerr := m.auditor.Check(now); aerr != nil {
 				aerr.Config = m.cfg.Name
@@ -605,10 +591,9 @@ func (m *Machine) RunUntil(stop uint64) error {
 		// Event-driven advance (DESIGN.md §11): when every component
 		// agrees nothing can change state before some future cycle, jump
 		// there in one step, bulk-crediting the skipped quiescent span's
-		// per-cycle bookkeeping. Frozen machines (stall injection) keep
-		// ticking cycle-by-cycle.
+		// per-cycle bookkeeping.
 		next := now + 1
-		if !m.cfg.NoSkip && !m.frozen {
+		if !m.cfg.NoSkip {
 			// Computing the jump target is a full component scan —
 			// pure overhead on busy cycles, where the next event is
 			// now+1 anyway. A cycle that retired instructions is busy,

@@ -1,8 +1,10 @@
 // Package guard hardens the simulation core: a forward-progress watchdog
-// that turns livelock and deadlock into typed, diagnosable errors, a
+// that turns livelock and deadlock into typed, diagnosable errors, and a
 // runtime invariant auditor that cross-checks the timing models' internal
-// accounting while they run, and a fault-injection hook that lets tests
-// prove both actually fire.
+// accounting every AuditEvery cycles while they run. The machine carries
+// no fault hook: core's fault-matrix test stops a machine, breaks one
+// structure through state the core package already reaches, and proves
+// each detector fires.
 //
 // The paper's proprietary X1 simulator was validated against real
 // hardware; this rebuild has no such oracle, so the guard machinery is the

@@ -15,10 +15,10 @@ import (
 // comfortable two orders of magnitude of slack.
 const DefaultStallLimit = 100_000
 
-// DefaultAuditEvery is the auditor's default check interval in cycles,
-// chosen so the full invariant sweep stays well under 5% of simulation
-// time (see BenchmarkRunBaseMXMAudit).
-const DefaultAuditEvery = 64
+// AuditEvery is the auditor's check interval in cycles, chosen so the
+// full invariant sweep stays well under 5% of simulation time (see
+// BenchmarkRunBaseMXMAudit).
+const AuditEvery = 64
 
 // AuditMode selects whether the runtime invariant auditor runs. The zero
 // value is AuditAuto, so a zero Config audits exactly when it should:
@@ -64,46 +64,6 @@ func (m AuditMode) Enabled() bool {
 		return false
 	}
 	return testing.Testing()
-}
-
-// InjectKind names a fault-injection experiment. Injections exist to
-// prove the watchdog and auditor fire: each kind perturbs exactly one
-// structure so a test can assert the matching invariant (or the stall
-// watchdog) catches it.
-type InjectKind string
-
-const (
-	// InjectNone disables injection (the zero value).
-	InjectNone InjectKind = ""
-	// InjectStall freezes every pipeline's Tick from the chosen cycle on;
-	// the forward-progress watchdog must abort the run.
-	InjectStall InjectKind = "stall"
-	// InjectDropCompletion marks the next-issued scalar uop on SU 0 as
-	// never completing — a lost completion deadlocks retirement and the
-	// watchdog must catch it.
-	InjectDropCompletion InjectKind = "drop-completion"
-	// InjectCorruptScoreboard increments partition 0's vector rename
-	// count without a matching window entry; the vcl.scoreboard
-	// invariant must fail.
-	InjectCorruptScoreboard InjectKind = "corrupt-scoreboard"
-	// InjectCorruptOccupancy bumps the VCL's enqueued counter so
-	// enqueued != completed + in-flight; the vcl.occupancy invariant
-	// must fail.
-	InjectCorruptOccupancy InjectKind = "corrupt-occupancy"
-	// InjectCorruptCache bumps SU 0's L1D tag-hit counter so
-	// hits+misses != accesses; the cache-counter invariant must fail.
-	InjectCorruptCache InjectKind = "corrupt-cache"
-	// InjectCorruptRetired decrements SU 0's retired-instruction count;
-	// the machine.retired-monotone invariant must fail.
-	InjectCorruptRetired InjectKind = "corrupt-retired"
-)
-
-// Injection arms one fault-injection experiment: Kind fires once when the
-// simulation reaches Cycle. The zero value injects nothing. It is a plain
-// value struct so it embeds deterministically in a Config fingerprint.
-type Injection struct {
-	Kind  InjectKind
-	Cycle uint64
 }
 
 // StallError reports a run aborted for lack of forward progress: either
@@ -253,11 +213,10 @@ func (w *Watchdog) Observe(now, retired uint64) bool {
 	return now-w.lastAdvance >= w.limit
 }
 
-// Auditor evaluates a set of named invariant checks every `every` cycles.
-// Checks are read-only closures over the machine's structures; a non-nil
-// error from a check becomes an InvariantError naming it.
+// Auditor evaluates a set of named invariant checks every AuditEvery
+// cycles. Checks are read-only closures over the machine's structures; a
+// non-nil error from a check becomes an InvariantError naming it.
 type Auditor struct {
-	every  uint64
 	names  []string
 	checks []func() error
 
@@ -267,17 +226,8 @@ type Auditor struct {
 	Checks uint64
 }
 
-// NewAuditor returns an auditor checking every `every` cycles (0 selects
-// DefaultAuditEvery).
-func NewAuditor(every uint64) *Auditor {
-	if every == 0 {
-		every = DefaultAuditEvery
-	}
-	return &Auditor{every: every}
-}
-
-// Every returns the check interval in cycles.
-func (a *Auditor) Every() uint64 { return a.every }
+// NewAuditor returns an auditor with no checks registered.
+func NewAuditor() *Auditor { return &Auditor{} }
 
 // Register adds a named invariant check.
 func (a *Auditor) Register(name string, check func() error) {
@@ -293,7 +243,7 @@ func (a *Auditor) Names() []string { return append([]string(nil), a.names...) }
 // invariant name and cycle filled in; Config and Dump are the caller's to
 // complete.
 func (a *Auditor) Check(now uint64) *InvariantError {
-	if now%a.every != 0 {
+	if now%AuditEvery != 0 {
 		return nil
 	}
 	for i, check := range a.checks {

@@ -1,6 +1,7 @@
 package guard
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -55,7 +56,7 @@ func TestWatchdogFiresAfterLimit(t *testing.T) {
 }
 
 func TestAuditorRunsEveryKAndNamesFailure(t *testing.T) {
-	a := NewAuditor(4)
+	a := NewAuditor()
 	calls := 0
 	fail := false
 	a.Register("always-ok", func() error { return nil })
@@ -66,26 +67,29 @@ func TestAuditorRunsEveryKAndNamesFailure(t *testing.T) {
 		}
 		return nil
 	})
-	for now := uint64(0); now < 12; now++ {
+	for now := uint64(0); now < 3*AuditEvery; now++ {
 		if err := a.Check(now); err != nil {
 			t.Fatalf("clean auditor failed at %d: %v", now, err)
 		}
 	}
 	if calls != 3 {
-		t.Errorf("check ran %d times over 12 cycles at every=4, want 3", calls)
+		t.Errorf("check ran %d times over %d cycles, want 3", calls, 3*AuditEvery)
 	}
 	if a.Passes != 3 {
 		t.Errorf("Passes = %d, want 3", a.Passes)
 	}
 	fail = true
-	err := a.Check(12)
+	if err := a.Check(3*AuditEvery + 1); err != nil {
+		t.Fatalf("failing invariant checked off the cadence: %v", err)
+	}
+	err := a.Check(3 * AuditEvery)
 	if err == nil {
 		t.Fatal("failing invariant not reported")
 	}
-	if err.Invariant != "togglable" || err.Cycle != 12 {
-		t.Errorf("error names %q at cycle %d, want togglable at 12", err.Invariant, err.Cycle)
+	if err.Invariant != "togglable" || err.Cycle != 3*AuditEvery {
+		t.Errorf("error names %q at cycle %d, want togglable at %d", err.Invariant, err.Cycle, 3*AuditEvery)
 	}
-	if !strings.Contains(err.Error(), "togglable") || !strings.Contains(err.Error(), "12") {
+	if !strings.Contains(err.Error(), "togglable") || !strings.Contains(err.Error(), fmt.Sprint(3*AuditEvery)) {
 		t.Errorf("Error() = %q misses invariant name or cycle", err.Error())
 	}
 }

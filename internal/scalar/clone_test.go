@@ -27,7 +27,6 @@ func TestCloneCoversUnit(t *testing.T) {
 		"fetchReady": "reset: per-cycle scratch, repopulated every fetch",
 		"OnRetire":   "reset; core.Machine.Fork sets it (closure must capture the fork)",
 		"Err":        "value copy",
-		"dropNext":   "value copy (armed fault injection carries over)",
 
 		"Fetched":     "value copy",
 		"Dispatched":  "value copy",

@@ -3,14 +3,11 @@ package scalar
 import (
 	"fmt"
 	"strings"
-
-	"vlt/internal/pipe"
 )
 
 // This file is the scalar unit's self-checking surface for
-// internal/guard: pipeline invariants for the runtime auditor, the
-// occupancy dump for stall diagnostics, and the drop-completion fault
-// hook the injection tests use to prove the watchdog fires.
+// internal/guard: pipeline invariants for the runtime auditor and the
+// occupancy dump for stall diagnostics.
 
 // CheckInvariants verifies the unit's internal accounting: window
 // entries must be unissued and unretired, every structure must respect
@@ -75,17 +72,4 @@ func (u *Unit) DebugDump(now uint64) string {
 			c.slot, c.tid, u.vmach.Thread(c.tid).PC, c.fetchQ.Len(), c.rob.Len(), c.robCap, head, c.fe.State(u.arena, now))
 	}
 	return sb.String()
-}
-
-// InjectDropCompletion arms the drop-completion fault: the next uop this
-// unit issues gets DoneCycle=NeverDone, so it blocks retirement forever
-// and the forward-progress watchdog must abort the run.
-func (u *Unit) InjectDropCompletion() { u.dropNext = true }
-
-// applyDropCompletion consumes an armed drop-completion fault on w.
-func (u *Unit) applyDropCompletion(w *pipe.Uop) {
-	if u.dropNext {
-		u.dropNext = false
-		w.DoneCycle = pipe.NeverDone
-	}
 }

@@ -107,10 +107,6 @@ type Unit struct {
 	// Err records a functional-simulator fault; the machine stops.
 	Err error
 
-	// dropNext arms the guard package's drop-completion fault injection:
-	// the next issued uop never completes (tests only).
-	dropNext bool
-
 	Fetched     uint64
 	Dispatched  uint64
 	IssuedCount uint64
@@ -323,7 +319,6 @@ func (u *Unit) issue(now uint64) {
 			aluUsed++
 			w.DoneCycle = now + uint64(info.Latency)
 		}
-		u.applyDropCompletion(w)
 		w.Issued = true
 		w.IssueCycle = now
 		w.ChainCycle = w.DoneCycle

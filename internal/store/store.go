@@ -37,7 +37,11 @@ import (
 // and under version 2 one store served a cell simulated under
 // VLT_AUDIT=on to a process running with it off, under the same ETag.
 // No body under a fixed VLT_AUDIT moved; every key did.
-const FormatVersion = 3
+//
+// Version 4: core.Config lost its fault-injection, audit-interval and
+// sample-selection fields, and each cell key hashes the Config with %+v,
+// so every key moved. No body moved.
+const FormatVersion = 4
 
 // magic is the first token of every entry's header line.
 const magic = "vltstore"

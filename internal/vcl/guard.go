@@ -6,9 +6,8 @@ import (
 )
 
 // This file is the VCL's self-checking surface for internal/guard: the
-// cross-layer invariants the runtime auditor evaluates, the occupancy
-// dump that goes into stall/invariant diagnostics, and the fault hooks
-// the injection tests use to prove the auditor fires.
+// cross-layer invariants the runtime auditor evaluates and the occupancy
+// dump that goes into stall/invariant diagnostics.
 
 // CheckScoreboard verifies the implicit-rename scoreboard: every
 // partition's rename count must equal the number of window entries with a
@@ -84,11 +83,3 @@ func (v *VCL) DebugDump(now uint64) string {
 	}
 	return sb.String()
 }
-
-// InjectCorruptScoreboard deliberately desynchronizes partition 0's
-// rename count (fault injection: the scoreboard invariant must catch it).
-func (v *VCL) InjectCorruptScoreboard() { v.parts[0].renames++ }
-
-// InjectCorruptOccupancy deliberately bumps the enqueued counter (fault
-// injection: the occupancy invariant must catch it).
-func (v *VCL) InjectCorruptOccupancy() { v.Enqueued++ }
