@@ -21,8 +21,9 @@ var vetOnlySeeds = []string{
 }
 
 // FuzzAssemble proves the text assembler never panics: any input either
-// parses into a program or returns an error — and that the vet analyses
-// are panic-free on whatever parses. The corpus seeds are the nine
+// parses into a program or returns an error — that whatever parses
+// reparses from its Disassemble output to identical code, and that the
+// vet analyses are panic-free on it. The corpus seeds are the nine
 // workload kernels' own disassembly (real programs exercising every
 // directive and instruction form the workloads use) plus programs that
 // assemble but fail vet.
@@ -42,10 +43,19 @@ func FuzzAssemble(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// A program that parses must also survive the binary round trip
-		// and the static verifier (findings are fine, panics are not).
+		// A program that parses must also survive the binary round trip,
+		// reparse from its own disassembly to the same code, and pass
+		// through the static verifier (findings are fine, panics are not).
 		if _, err := asm.LoadImage(prog.SaveImage()); err != nil {
 			t.Fatalf("SaveImage output rejected by LoadImage: %v", err)
+		}
+		text := prog.Disassemble()
+		back, err := asm.ParseText("fuzz.vasm", text)
+		if err != nil {
+			t.Fatalf("disassembly does not reparse: %v\n%s", err, text)
+		}
+		if d := codeDiff(prog.Code, back.Code); d != "" {
+			t.Fatalf("disassembly does not reparse to the same code: %s", d)
 		}
 		prog.Vet()
 	})

@@ -9,8 +9,10 @@ import (
 	"vlt/internal/isa"
 )
 
-// ParseText assembles a textual program. The syntax mirrors the
-// disassembler output of internal/isa plus labels and data directives:
+// ParseText assembles a textual program. Each instruction's operands
+// follow its opcode's isa.Info.Syntax, the template Instruction.String
+// prints from, so Program.Disassemble output reparses to the same code.
+// Labels and data directives come on top:
 //
 //	# comment (also ;)
 //	.alloc buf 64          — reserve 64 zero words, symbol "buf"
@@ -20,14 +22,20 @@ import (
 //	start:                 — code label
 //	    movi r1, 8
 //	    movi r2, &tbl      — &name takes a data symbol's address
+//	    fmovi f1, 0.25     — a float literal
 //	    setvl r3, r1
 //	    vld v1, (r2)
+//	    ld r4, (r2)        — an omitted offset is 0: (r2) is 0(r2)
+//	    viota v3           — viota reads no source register
 //	    vadd.vs v2, v1, r1
+//	    jal r31, fn        — jal names its link register
 //	    beq r1, r0, start  — branch targets are labels (or @index)
 //	    halt
 //
 // Register operands use the disassembler's names (r0-r31, f0-f31,
-// v0-v31); the ".vs" suffix selects the vector-scalar form.
+// v0-v31). The ".vs" suffix selects the vector-scalar form and is
+// accepted only on the opcodes that have one (a V in their Syntax); a
+// scalar register in that slot implies it.
 func ParseText(name, source string) (*Program, error) {
 	b := NewBuilder(name)
 	labels := map[string]*Label{}
@@ -132,303 +140,120 @@ var opsByName = func() map[string]isa.Op {
 	return m
 }()
 
+// parseInstruction matches the operands against the opcode's
+// isa.Info.Syntax, the template the disassembler prints from: a literal
+// byte must come next (spaces between tokens are free), and a field runs
+// up to the template's next literal, or to the end of the line.
 func parseInstruction(b *Builder, line string, getLabel func(string) *Label) error {
-	mnemonic := line
-	rest := ""
+	mnemonic, rest := line, ""
 	if i := strings.IndexAny(line, " \t"); i >= 0 {
-		mnemonic, rest = line[:i], strings.TrimSpace(line[i+1:])
+		mnemonic, rest = line[:i], line[i+1:]
 	}
-	scalarForm := strings.HasSuffix(mnemonic, ".vs")
-	mnemonic = strings.TrimSuffix(mnemonic, ".vs")
+	mnemonic, vs := strings.CutSuffix(mnemonic, ".vs")
 	op, ok := opsByName[mnemonic]
 	if !ok {
 		return fmt.Errorf("unknown mnemonic %q", mnemonic)
 	}
-	args := splitOperands(rest)
-	info := op.Info()
+	syntax := op.Info().Syntax
+	if vs && !strings.Contains(syntax, "V") {
+		return fmt.Errorf("%s has no vector-scalar (.vs) form", mnemonic)
+	}
+	operands := strings.TrimSpace(rest)
+	rest = strings.TrimSuffix(operands, ",") // a trailing comma is tolerated
+	mismatch := func() error {
+		return fmt.Errorf("%s wants operands %q, got %q", mnemonic, syntax, operands)
+	}
 
 	// Unused register fields stay at their zero value, matching the
 	// programmatic Builder's composite literals.
-	in := isa.Instruction{Op: op, BScalar: scalarForm}
-
-	reg := func(s string) (isa.Reg, error) { return parseReg(s) }
-	imm := func(s string) (int64, error) {
-		if sym, ok := strings.CutPrefix(s, "&"); ok {
-			addr, found := b.symbols[sym]
-			if !found {
-				return 0, fmt.Errorf("unknown symbol %q (declare data before use)", sym)
+	in := isa.Instruction{Op: op, BScalar: vs}
+	var target *Label
+	for i := 0; i < len(syntax); i++ {
+		c := syntax[i]
+		if strings.IndexByte("dabcBVift", c) < 0 {
+			if rest = strings.TrimLeft(rest, " \t"); c != ' ' {
+				if rest == "" || rest[0] != c {
+					return mismatch()
+				}
+				rest = rest[1:]
 			}
-			return int64(addr), nil
+			continue
 		}
-		return strconv.ParseInt(s, 0, 64)
-	}
-	need := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("%s wants %d operand(s), got %d", mnemonic, n, len(args))
-		}
-		return nil
-	}
-
-	switch info.Format {
-	case isa.FmtNone:
-		switch op {
-		case isa.OpMark, isa.OpVltCfg:
-			if err := need(1); err != nil {
-				return err
+		field := rest
+		if i+1 < len(syntax) {
+			end := strings.IndexByte(rest, syntax[i+1])
+			if end < 0 {
+				return mismatch()
 			}
-			v, err := imm(args[0])
-			if err != nil {
-				return err
-			}
-			in.Imm = v
-		default:
-			if err := need(0); err != nil {
-				return err
-			}
-		}
-	case isa.FmtRRR:
-		if err := need(3); err != nil {
-			return err
-		}
-		var err error
-		if in.Rd, err = reg(args[0]); err != nil {
-			return err
-		}
-		if in.Ra, err = reg(args[1]); err != nil {
-			return err
-		}
-		if r, rerr := reg(args[2]); rerr == nil {
-			in.Rb = r
+			field, rest = rest[:end], rest[end:]
 		} else {
-			v, ierr := imm(args[2])
-			if ierr != nil {
-				return fmt.Errorf("operand %q is neither register nor immediate", args[2])
+			rest = ""
+		}
+		field = strings.TrimSpace(field)
+		if field == "" {
+			if c == 'i' && strings.HasPrefix(syntax[i+1:], "(") {
+				continue // "(r2)" is "0(r2)"
 			}
-			in.HasImm = true
-			in.Imm = v
-		}
-	case isa.FmtRR, isa.FmtSetVL, isa.FmtVecRed:
-		if err := need(2); err != nil {
-			return err
+			return mismatch()
 		}
 		var err error
-		if in.Rd, err = reg(args[0]); err != nil {
-			return err
-		}
-		if in.Ra, err = reg(args[1]); err != nil {
-			return err
-		}
-	case isa.FmtMovI:
-		if err := need(2); err != nil {
-			return err
-		}
-		var err error
-		if in.Rd, err = reg(args[0]); err != nil {
-			return err
-		}
-		if op == isa.OpFMovI {
-			f, ferr := strconv.ParseFloat(args[1], 64)
+		switch c {
+		case 'i':
+			in.Imm, err = b.immediate(field)
+		case 'f':
+			f, ferr := strconv.ParseFloat(field, 64)
 			if ferr != nil {
-				return fmt.Errorf("bad float immediate %q", args[1])
+				return fmt.Errorf("bad float immediate %q", field)
 			}
 			in.Imm = int64(math.Float64bits(f))
-		} else if in.Imm, err = imm(args[1]); err != nil {
-			return err
-		}
-	case isa.FmtLoad, isa.FmtStore:
-		if err := need(2); err != nil {
-			return err
-		}
-		var err error
-		if in.Rd, err = reg(args[0]); err != nil {
-			return err
-		}
-		off, base, merr := parseMemOperand(args[1])
-		if merr != nil {
-			return merr
-		}
-		in.Ra = base
-		in.Imm = off
-	case isa.FmtBranch:
-		if err := need(3); err != nil {
-			return err
-		}
-		var err error
-		if in.Ra, err = reg(args[0]); err != nil {
-			return err
-		}
-		if in.Rb, err = reg(args[1]); err != nil {
-			return err
-		}
-		return emitControl(b, in, args[2], getLabel)
-	case isa.FmtJump:
-		if op == isa.OpJal {
-			if err := need(2); err != nil {
-				return err
+		case 't':
+			if idx, ok := strings.CutPrefix(field, "@"); ok {
+				if in.Imm, err = strconv.ParseInt(idx, 10, 64); err != nil {
+					return fmt.Errorf("bad absolute target %q", field)
+				}
+			} else {
+				target = getLabel(field)
 			}
-			var err error
-			if in.Rd, err = reg(args[0]); err != nil {
-				return err
-			}
-			return emitControl(b, in, args[1], getLabel)
-		}
-		if err := need(1); err != nil {
-			return err
-		}
-		return emitControl(b, in, args[0], getLabel)
-	case isa.FmtJumpReg:
-		if err := need(1); err != nil {
-			return err
-		}
-		var err error
-		if in.Ra, err = reg(args[0]); err != nil {
-			return err
-		}
-	case isa.FmtVec3:
-		if err := need(3); err != nil {
-			return err
-		}
-		var err error
-		if in.Rd, err = reg(args[0]); err != nil {
-			return err
-		}
-		if in.Ra, err = reg(args[1]); err != nil {
-			return err
-		}
-		if in.Rb, err = reg(args[2]); err != nil {
-			return err
-		}
-		if !scalarForm && in.Rb.IsScalar() {
-			in.BScalar = true // tolerate omitted .vs when the operand is scalar
-		}
-	case isa.FmtVecFMA:
-		if err := need(4); err != nil {
-			return err
-		}
-		var err error
-		if in.Rd, err = reg(args[0]); err != nil {
-			return err
-		}
-		if in.Ra, err = reg(args[1]); err != nil {
-			return err
-		}
-		if in.Rb, err = reg(args[2]); err != nil {
-			return err
-		}
-		if in.Rc, err = reg(args[3]); err != nil {
-			return err
-		}
-		if in.Rb.IsScalar() {
-			in.BScalar = true
-		}
-	case isa.FmtVecLoad, isa.FmtVecStore:
-		return parseVecMem(b, in, args)
-	case isa.FmtVecUnary:
-		switch op {
-		case isa.OpVIota:
-			if err := need(1); err != nil {
-				return err
-			}
-			var err error
-			if in.Rd, err = reg(args[0]); err != nil {
-				return err
+		case 'B':
+			if r, rerr := parseReg(field); rerr == nil {
+				in.Rb = r
+			} else if in.Imm, err = b.immediate(field); err != nil {
+				return fmt.Errorf("operand %q is neither register nor immediate", field)
+			} else {
+				in.HasImm = true
 			}
 		default:
-			if err := need(2); err != nil {
-				return err
-			}
-			var err error
-			if in.Rd, err = reg(args[0]); err != nil {
-				return err
-			}
-			if in.Ra, err = reg(args[1]); err != nil {
-				return err
+			*in.Field(c), err = parseReg(field)
+			if c == 'V' && in.Rb.IsScalar() {
+				in.BScalar = true // a scalar b is the vector-scalar form, ".vs" or not
 			}
 		}
-	default:
-		return fmt.Errorf("unsupported format for %q", mnemonic)
-	}
-	b.Emit(in)
-	return nil
-}
-
-func emitControl(b *Builder, in isa.Instruction, target string, getLabel func(string) *Label) error {
-	if idx, ok := strings.CutPrefix(target, "@"); ok {
-		v, err := strconv.ParseInt(idx, 10, 64)
 		if err != nil {
-			return fmt.Errorf("bad absolute target %q", target)
+			return err
 		}
-		in.Imm = v
+	}
+	if strings.TrimSpace(rest) != "" {
+		return mismatch()
+	}
+	if target != nil {
+		b.emitBranch(in, target)
+	} else {
 		b.Emit(in)
-		return nil
 	}
-	b.emitBranch(in, getLabel(target))
 	return nil
 }
 
-// parseVecMem handles "vld v0, (r4)", "vlds v0, (r4), r5" and
-// "vldx v0, (r4+v6)" (and the store forms).
-func parseVecMem(b *Builder, in isa.Instruction, args []string) error {
-	if len(args) < 2 {
-		return fmt.Errorf("%s wants a destination and an address", in.Op)
+// immediate parses an integer immediate: a Go integer literal, or
+// &name for a data symbol's address.
+func (b *Builder) immediate(s string) (int64, error) {
+	if sym, ok := strings.CutPrefix(s, "&"); ok {
+		addr, found := b.symbols[sym]
+		if !found {
+			return 0, fmt.Errorf("unknown symbol %q (declare data before use)", sym)
+		}
+		return int64(addr), nil
 	}
-	var err error
-	if in.Rd, err = parseReg(args[0]); err != nil {
-		return err
-	}
-	addr := args[1]
-	if !strings.HasPrefix(addr, "(") || !strings.HasSuffix(addr, ")") {
-		return fmt.Errorf("bad vector address %q", addr)
-	}
-	inner := addr[1 : len(addr)-1]
-	switch in.Op {
-	case isa.OpVLd, isa.OpVSt, isa.OpVLdS, isa.OpVStS:
-		if in.Ra, err = parseReg(inner); err != nil {
-			return err
-		}
-	case isa.OpVLdX, isa.OpVStX:
-		parts := strings.SplitN(inner, "+", 2)
-		if len(parts) != 2 {
-			return fmt.Errorf("indexed address %q wants (base+vindex)", addr)
-		}
-		if in.Ra, err = parseReg(strings.TrimSpace(parts[0])); err != nil {
-			return err
-		}
-		if in.Rb, err = parseReg(strings.TrimSpace(parts[1])); err != nil {
-			return err
-		}
-	}
-	switch in.Op {
-	case isa.OpVLdS, isa.OpVStS:
-		if len(args) != 3 {
-			return fmt.Errorf("%s wants a stride register", in.Op)
-		}
-		if in.Rb, err = parseReg(args[2]); err != nil {
-			return err
-		}
-	default:
-		if len(args) != 2 {
-			return fmt.Errorf("%s wants 2 operands", in.Op)
-		}
-	}
-	b.Emit(in)
-	return nil
-}
-
-// parseMemOperand parses "16(r2)" or "(r2)".
-func parseMemOperand(s string) (off int64, base isa.Reg, err error) {
-	i := strings.Index(s, "(")
-	if i < 0 || !strings.HasSuffix(s, ")") {
-		return 0, isa.RegNone, fmt.Errorf("bad memory operand %q", s)
-	}
-	if i > 0 {
-		off, err = strconv.ParseInt(s[:i], 0, 64)
-		if err != nil {
-			return 0, isa.RegNone, fmt.Errorf("bad offset in %q", s)
-		}
-	}
-	base, err = parseReg(s[i+1 : len(s)-1])
-	return off, base, err
+	return strconv.ParseInt(s, 0, 64)
 }
 
 func parseReg(s string) (isa.Reg, error) {
@@ -461,32 +286,4 @@ func parseReg(s string) (isa.Reg, error) {
 		return isa.V(n), nil
 	}
 	return isa.RegNone, fmt.Errorf("bad register %q", s)
-}
-
-func splitOperands(s string) []string {
-	if strings.TrimSpace(s) == "" {
-		return nil
-	}
-	var out []string
-	depth := 0
-	cur := strings.Builder{}
-	for _, r := range s {
-		switch {
-		case r == '(':
-			depth++
-			cur.WriteRune(r)
-		case r == ')':
-			depth--
-			cur.WriteRune(r)
-		case r == ',' && depth == 0:
-			out = append(out, strings.TrimSpace(cur.String()))
-			cur.Reset()
-		default:
-			cur.WriteRune(r)
-		}
-	}
-	if t := strings.TrimSpace(cur.String()); t != "" {
-		out = append(out, t)
-	}
-	return out
 }

@@ -123,70 +123,121 @@ func TestParseTextErrors(t *testing.T) {
 		"add r40, r1, r2\nhalt",     // register out of range
 		"j @notanumber\nhalt",       // bad absolute target
 		".unknown foo\nhalt",        // unknown directive
+		"add.vs r1, r2, r3\nhalt",   // .vs on an op with no vector-scalar form
 	}
 	for _, src := range cases {
 		if _, err := ParseText("bad", src); err == nil {
 			t.Errorf("expected error for %q", strings.Split(src, "\n")[0])
 		}
 	}
+	if _, err := ParseText("bad", "add.vs r1, r2, r3\nhalt"); err == nil || !strings.Contains(err.Error(), "add has no") {
+		t.Errorf("add.vs: error %v does not name the mnemonic", err)
+	}
 }
 
-// Round trip: disassembling an instruction and parsing it back yields the
-// same instruction, for all register-only formats.
+// roundTripOps lists every opcode with the register class of its Rd,
+// Ra, Rb and Rc fields, as far as it uses them (r integer, f floating
+// point, v vector, - unused), and the operand forms it takes beyond
+// registers: i an integer immediate or branch target, f a float
+// immediate, B a register or an immediate Rb, V a vector or a scalar
+// (vector-scalar) Rb. The scalar Rb of a vector floating-point op (vf*)
+// is an f register, of any other an r register.
+var roundTripOps = []struct {
+	regs, form string
+	ops        []isa.Op
+}{
+	{"rrr", "B", []isa.Op{isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpDiv, isa.OpRem, isa.OpAnd, isa.OpOr,
+		isa.OpXor, isa.OpSll, isa.OpSrl, isa.OpSra, isa.OpSlt, isa.OpSltu, isa.OpSeq}},
+	{"fff", "B", []isa.Op{isa.OpFAdd, isa.OpFSub, isa.OpFMul, isa.OpFDiv, isa.OpFMin, isa.OpFMax}},
+	{"rff", "B", []isa.Op{isa.OpFLt, isa.OpFLe, isa.OpFEq}},
+	{"r", "i", []isa.Op{isa.OpMovI, isa.OpJal}},
+	{"rr", "i", []isa.Op{isa.OpLd, isa.OpSt}},
+	{"fr", "i", []isa.Op{isa.OpFLd, isa.OpFSt}},
+	{"-rr", "i", []isa.Op{isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge, isa.OpBltu}},
+	{"", "i", []isa.Op{isa.OpJ, isa.OpMark, isa.OpVltCfg}},
+	{"f", "f", []isa.Op{isa.OpFMovI}},
+	{"", "", []isa.Op{isa.OpNop, isa.OpHalt, isa.OpBar}},
+	{"rr", "", []isa.Op{isa.OpMov, isa.OpSetVL}},
+	{"ff", "", []isa.Op{isa.OpFSqrt, isa.OpFNeg, isa.OpFAbs, isa.OpFMov}},
+	{"fr", "", []isa.Op{isa.OpCvtIF}},
+	{"rf", "", []isa.Op{isa.OpCvtFI}},
+	{"-r", "", []isa.Op{isa.OpJr}},
+	{"vvv", "V", []isa.Op{isa.OpVAdd, isa.OpVSub, isa.OpVMul, isa.OpVAnd, isa.OpVOr, isa.OpVXor,
+		isa.OpVSll, isa.OpVSrl, isa.OpVAbsDiff, isa.OpVMax, isa.OpVMin,
+		isa.OpVFAdd, isa.OpVFSub, isa.OpVFMul, isa.OpVFDiv}},
+	{"vvvv", "V", []isa.Op{isa.OpVFMA}},
+	{"vvv", "", []isa.Op{isa.OpVLdX, isa.OpVStX}},
+	{"vrr", "", []isa.Op{isa.OpVLdS, isa.OpVStS}},
+	{"vr", "", []isa.Op{isa.OpVBcastI, isa.OpVLd, isa.OpVSt}},
+	{"vf", "", []isa.Op{isa.OpVBcastF}},
+	{"v", "", []isa.Op{isa.OpVIota}},
+	{"vv", "", []isa.Op{isa.OpVMov}},
+	{"rv", "", []isa.Op{isa.OpVRedSum, isa.OpVRedMax}},
+	{"fv", "", []isa.Op{isa.OpVFRedSum, isa.OpVFRedMax}},
+}
+
+// Round trip: every opcode, disassembled and parsed back, yields the
+// same instruction — with both forms of a B and a V operand, and float
+// immediates that need a sign or all 17 digits to come back bit for bit.
 func TestDisassembleParseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	vecRegs := func() (isa.Reg, isa.Reg, isa.Reg) {
-		return isa.V(rng.Intn(32)), isa.V(rng.Intn(32)), isa.V(rng.Intn(32))
+	reg := func(class byte) isa.Reg {
+		switch class {
+		case 'r':
+			return isa.R(rng.Intn(isa.NumIntRegs))
+		case 'f':
+			return isa.F(rng.Intn(isa.NumFPRegs))
+		case 'v':
+			return isa.V(rng.Intn(isa.NumVecRegs))
+		}
+		return 0 // an unused field keeps the parser's zero value
 	}
+	seen := map[isa.Op]bool{}
 	var cases []isa.Instruction
-	for i := 0; i < 200; i++ {
-		switch i % 10 {
-		case 0:
-			cases = append(cases, isa.Instruction{Op: isa.OpAdd,
-				Rd: isa.R(rng.Intn(32)), Ra: isa.R(rng.Intn(32)), Rb: isa.R(rng.Intn(32))})
-		case 1:
-			cases = append(cases, isa.Instruction{Op: isa.OpSub,
-				Rd: isa.R(rng.Intn(32)), Ra: isa.R(rng.Intn(32)), HasImm: true,
-				Imm: int64(rng.Intn(2000) - 1000)})
-		case 2:
-			cases = append(cases, isa.Instruction{Op: isa.OpFAdd,
-				Rd: isa.F(rng.Intn(32)), Ra: isa.F(rng.Intn(32)), Rb: isa.F(rng.Intn(32))})
-		case 3:
-			a, b, c := vecRegs()
-			cases = append(cases, isa.Instruction{Op: isa.OpVAdd, Rd: a, Ra: b, Rb: c})
-		case 4:
-			a, b, _ := vecRegs()
-			cases = append(cases, isa.Instruction{Op: isa.OpVMul, Rd: a, Ra: b,
-				Rb: isa.R(rng.Intn(32)), BScalar: true})
-		case 5:
-			a, b, c := vecRegs()
-			cases = append(cases, isa.Instruction{Op: isa.OpVFMA, Rd: a, Ra: b, Rb: c,
-				Rc: isa.V(rng.Intn(32))})
-		case 6:
-			a, _, _ := vecRegs()
-			cases = append(cases, isa.Instruction{Op: isa.OpVLd, Rd: a, Ra: isa.R(rng.Intn(32))})
-		case 7:
-			a, _, _ := vecRegs()
-			cases = append(cases, isa.Instruction{Op: isa.OpVLdS, Rd: a,
-				Ra: isa.R(rng.Intn(32)), Rb: isa.R(rng.Intn(32))})
-		case 8:
-			a, b, _ := vecRegs()
-			cases = append(cases, isa.Instruction{Op: isa.OpVStX, Rd: a,
-				Ra: isa.R(rng.Intn(32)), Rb: b})
-		case 9:
-			cases = append(cases, isa.Instruction{Op: isa.OpLd,
-				Rd: isa.R(rng.Intn(32)), Ra: isa.R(rng.Intn(32)), Imm: int64(rng.Intn(512) * 8)})
+	for _, g := range roundTripOps {
+		classes := g.regs + "----"
+		for _, op := range g.ops {
+			seen[op] = true
+			in := isa.Instruction{Op: op, Rd: reg(classes[0]), Ra: reg(classes[1]), Rb: reg(classes[2]), Rc: reg(classes[3])}
+			switch g.form {
+			case "i":
+				in.Imm = int64(rng.Intn(4000) - 2000)
+			case "f":
+				for _, f := range []float64{0.25, math.Copysign(0, -1), 0.1, 1e-300, -2.5e17} {
+					in.Imm = int64(math.Float64bits(f))
+					cases = append(cases, in)
+				}
+				continue
+			}
+			cases = append(cases, in)
+			switch g.form {
+			case "B":
+				in.Rb, in.HasImm, in.Imm = 0, true, int64(rng.Intn(4000)-2000)
+				cases = append(cases, in)
+			case "V":
+				scalar := byte('r')
+				if strings.HasPrefix(op.String(), "vf") {
+					scalar = 'f'
+				}
+				in.Rb, in.BScalar = reg(scalar), true
+				cases = append(cases, in)
+			}
+		}
+	}
+	for op := isa.Op(1); int(op) < isa.NumOps; op++ {
+		if !seen[op] {
+			t.Errorf("%s: missing from roundTripOps", op)
 		}
 	}
 	for _, in := range cases {
-		src := in.String() + "\nhalt"
-		p, err := ParseText("rt", src)
+		text := in.String()
+		p, err := ParseText("rt", text+"\nhalt")
 		if err != nil {
-			t.Fatalf("parse of %q failed: %v", in.String(), err)
+			t.Errorf("parse of %q failed: %v", text, err)
+			continue
 		}
-		got := p.Code[0]
-		if got != in {
-			t.Fatalf("round trip mismatch:\n disasm %q\n in  %+v\n out %+v", in.String(), in, got)
+		if got := p.Code[0]; got != in {
+			t.Errorf("round trip mismatch:\n disasm %q\n in  %+v\n out %+v", text, in, got)
 		}
 	}
 }

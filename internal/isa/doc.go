@@ -4,8 +4,10 @@
 // up to MaxVL 64-bit elements each.
 //
 // The package is purely declarative: it defines registers, opcodes,
-// instruction formats, per-opcode execution metadata (functional-unit class
-// and latency), a fixed-width binary encoding, and a disassembler.
+// per-opcode operand syntax and execution metadata (functional-unit class
+// and latency), a fixed-width binary encoding, and a disassembler. The
+// operand syntax (Info.Syntax) is the one the text assembler in
+// internal/asm parses.
 // Functional semantics live in internal/vm and timing semantics in
 // internal/scalar, internal/vcl and internal/lane.
 package isa

@@ -1,6 +1,11 @@
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"strconv"
+	"strings"
+)
 
 // Architectural constants. They mirror the Cray X1 register model used by
 // the paper (32 vector registers with 64 64-bit elements per register).
@@ -109,9 +114,10 @@ func (r Reg) String() string {
 }
 
 // Instruction is a decoded machine instruction. Operand meaning depends on
-// the opcode's Format; see ops.go. PC-relative control flow is not used:
-// branch and jump targets are absolute instruction indices held in Imm
-// (the assembler resolves labels to indices).
+// the opcode, and its Info.Syntax (ops.go) lays out the text form.
+// PC-relative control flow is not used: branch and jump targets are
+// absolute instruction indices held in Imm (the assembler resolves
+// labels to indices).
 type Instruction struct {
 	Op  Op
 	Rd  Reg // destination (or store-data source for stores)
@@ -181,18 +187,14 @@ func (in *Instruction) AppendSrcs(buf []Reg) []Reg {
 }
 
 // BranchTarget returns the static control-flow target of the
-// instruction (an absolute instruction index), if it has one:
-// conditional branches, jumps and calls. Indirect jumps (JR) have no
-// static target.
+// instruction (an absolute instruction index), if it has one: every
+// opcode whose Syntax ends in a target (conditional branches, jumps and
+// calls). Indirect jumps (JR) have no static target.
 func (in *Instruction) BranchTarget() (int, bool) {
-	if int(in.Op) >= NumOps {
+	if int(in.Op) >= NumOps || !strings.HasSuffix(opInfos[in.Op].Syntax, "t") {
 		return 0, false
 	}
-	switch opInfos[in.Op].Format {
-	case FmtBranch, FmtJump:
-		return int(in.Imm), true
-	}
-	return 0, false
+	return int(in.Imm), true
 }
 
 // operand slots used by the metadata tables.
@@ -219,63 +221,47 @@ func (in *Instruction) reg(s slot) Reg {
 	return RegNone
 }
 
-// String disassembles the instruction.
-func (in *Instruction) String() string {
-	info := in.Op.Info()
-	switch info.Format {
-	case FmtNone:
-		if in.Op == OpMark || in.Op == OpVltCfg {
-			return fmt.Sprintf("%s %d", info.Name, in.Imm)
-		}
-		return info.Name
-	case FmtRRR:
-		if in.HasImm {
-			return fmt.Sprintf("%s %s, %s, %d", info.Name, in.Rd, in.Ra, in.Imm)
-		}
-		return fmt.Sprintf("%s %s, %s, %s", info.Name, in.Rd, in.Ra, in.Rb)
-	case FmtRR:
-		return fmt.Sprintf("%s %s, %s", info.Name, in.Rd, in.Ra)
-	case FmtMovI:
-		return fmt.Sprintf("%s %s, %d", info.Name, in.Rd, in.Imm)
-	case FmtLoad:
-		return fmt.Sprintf("%s %s, %d(%s)", info.Name, in.Rd, in.Imm, in.Ra)
-	case FmtStore:
-		return fmt.Sprintf("%s %s, %d(%s)", info.Name, in.Rd, in.Imm, in.Ra)
-	case FmtBranch:
-		return fmt.Sprintf("%s %s, %s, @%d", info.Name, in.Ra, in.Rb, in.Imm)
-	case FmtJump:
-		return fmt.Sprintf("%s @%d", info.Name, in.Imm)
-	case FmtJumpReg:
-		return fmt.Sprintf("%s %s", info.Name, in.Ra)
-	case FmtVec3:
-		if in.BScalar {
-			return fmt.Sprintf("%s.vs %s, %s, %s", info.Name, in.Rd, in.Ra, in.Rb)
-		}
-		return fmt.Sprintf("%s %s, %s, %s", info.Name, in.Rd, in.Ra, in.Rb)
-	case FmtVecFMA:
-		return fmt.Sprintf("%s %s, %s, %s, %s", info.Name, in.Rd, in.Ra, in.Rb, in.Rc)
-	case FmtVecRed:
-		return fmt.Sprintf("%s %s, %s", info.Name, in.Rd, in.Ra)
-	case FmtVecLoad:
-		if in.Op == OpVLdS {
-			return fmt.Sprintf("%s %s, (%s), %s", info.Name, in.Rd, in.Ra, in.Rb)
-		}
-		if in.Op == OpVLdX {
-			return fmt.Sprintf("%s %s, (%s+%s)", info.Name, in.Rd, in.Ra, in.Rb)
-		}
-		return fmt.Sprintf("%s %s, (%s)", info.Name, in.Rd, in.Ra)
-	case FmtVecStore:
-		if in.Op == OpVStS {
-			return fmt.Sprintf("%s %s, (%s), %s", info.Name, in.Rd, in.Ra, in.Rb)
-		}
-		if in.Op == OpVStX {
-			return fmt.Sprintf("%s %s, (%s+%s)", info.Name, in.Rd, in.Ra, in.Rb)
-		}
-		return fmt.Sprintf("%s %s, (%s)", info.Name, in.Rd, in.Ra)
-	case FmtVecUnary:
-		return fmt.Sprintf("%s %s, %s", info.Name, in.Rd, in.Ra)
-	case FmtSetVL:
-		return fmt.Sprintf("%s %s, %s", info.Name, in.Rd, in.Ra)
+// Field returns the register field a Syntax letter names: Rd for d, Ra
+// for a, Rb for b, B and V, and Rc for c; nil for any other byte.
+func (in *Instruction) Field(c byte) *Reg {
+	switch c {
+	case 'd':
+		return &in.Rd
+	case 'a':
+		return &in.Ra
+	case 'b', 'B', 'V':
+		return &in.Rb
+	case 'c':
+		return &in.Rc
 	}
-	return fmt.Sprintf("%s <unknown format>", info.Name)
+	return nil
+}
+
+// String disassembles the instruction: the mnemonic, ".vs" for the
+// vector-scalar form, then the operands laid out by its Info.Syntax.
+func (in *Instruction) String() string {
+	syntax := in.Op.Info().Syntax
+	buf := append(make([]byte, 0, 32), in.Op.String()...)
+	if in.BScalar && strings.Contains(syntax, "V") {
+		buf = append(buf, ".vs"...)
+	}
+	if syntax != "" {
+		buf = append(buf, ' ')
+	}
+	for i := 0; i < len(syntax); i++ {
+		c := syntax[i]
+		switch r := in.Field(c); {
+		case c == 'i' || c == 'B' && in.HasImm:
+			buf = strconv.AppendInt(buf, in.Imm, 10)
+		case c == 'f':
+			buf = strconv.AppendFloat(buf, math.Float64frombits(uint64(in.Imm)), 'g', -1, 64)
+		case c == 't':
+			buf = strconv.AppendInt(append(buf, '@'), in.Imm, 10)
+		case r != nil:
+			buf = append(buf, r.String()...)
+		default:
+			buf = append(buf, c)
+		}
+	}
+	return string(buf)
 }

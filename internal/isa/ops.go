@@ -120,28 +120,6 @@ const (
 // NumOps is the number of defined opcodes (including OpInvalid).
 const NumOps = int(numOps)
 
-// Format describes how an instruction's operand fields are interpreted.
-type Format uint8
-
-const (
-	FmtNone     Format = iota // no register operands (system ops)
-	FmtRRR                    // rd <- ra op rb/imm
-	FmtRR                     // rd <- op ra
-	FmtMovI                   // rd <- imm
-	FmtLoad                   // rd <- mem[ra+imm]
-	FmtStore                  // mem[ra+imm] <- rd
-	FmtBranch                 // compare ra,rb; target imm
-	FmtJump                   // target imm (rd = link for JAL)
-	FmtJumpReg                // target ra
-	FmtVec3                   // vd <- va op vb (or scalar rb)
-	FmtVecFMA                 // vd <- va*vb + vc
-	FmtVecRed                 // scalar rd <- reduce(va)
-	FmtVecLoad                // vd <- mem[...]
-	FmtVecStore               // mem[...] <- vd
-	FmtVecUnary               // vd <- f(ra|fa|nothing)
-	FmtSetVL                  // rd, VL <- min(ra, max)
-)
-
 // Class is the functional-unit class an instruction executes on. The
 // scalar unit has 4 arithmetic units (shared by IntALU/IntMul/FP) and 2
 // memory ports; the vector unit has 3 arithmetic datapaths per lane (one
@@ -163,8 +141,17 @@ const (
 
 // Info is static metadata for one opcode.
 type Info struct {
-	Name   string
-	Format Format
+	Name string
+
+	// Syntax is the operand template that Instruction.String prints
+	// and the text assembler parses. The letters d, a, b and c name the
+	// Rd, Ra, Rb and Rc register slots; B is Rb, or Imm in the HasImm
+	// form; V is an Rb whose scalar register selects the vector-scalar
+	// form, written with a ".vs" suffix on the mnemonic; i is Imm as an
+	// integer and f is Imm read as a float64; t is a branch target,
+	// "@index" (or a label in source). Every other byte is literal.
+	Syntax string
+
 	Class  Class
 	Vector bool // occupies the vector unit (implies implicit VL read)
 	Memory bool // touches data memory
@@ -224,7 +211,7 @@ var (
 
 func init() {
 	intALU := func(op Op, name string) {
-		defOp(op, Info{Name: name, Format: FmtRRR, Class: ClassIntALU, Latency: 1, Reads: rdRaRb, Writes: wrRd})
+		defOp(op, Info{Name: name, Syntax: "d, a, B", Class: ClassIntALU, Latency: 1, Reads: rdRaRb, Writes: wrRd})
 	}
 	intALU(OpAdd, "add")
 	intALU(OpSub, "sub")
@@ -237,14 +224,14 @@ func init() {
 	intALU(OpSlt, "slt")
 	intALU(OpSltu, "sltu")
 	intALU(OpSeq, "seq")
-	defOp(OpMul, Info{Name: "mul", Format: FmtRRR, Class: ClassIntMul, Latency: 3, Reads: rdRaRb, Writes: wrRd})
-	defOp(OpDiv, Info{Name: "div", Format: FmtRRR, Class: ClassIntMul, Latency: 12, Reads: rdRaRb, Writes: wrRd})
-	defOp(OpRem, Info{Name: "rem", Format: FmtRRR, Class: ClassIntMul, Latency: 12, Reads: rdRaRb, Writes: wrRd})
-	defOp(OpMovI, Info{Name: "movi", Format: FmtMovI, Class: ClassIntALU, Latency: 1, Writes: wrRd})
-	defOp(OpMov, Info{Name: "mov", Format: FmtRR, Class: ClassIntALU, Latency: 1, Reads: rdRa, Writes: wrRd})
+	defOp(OpMul, Info{Name: "mul", Syntax: "d, a, B", Class: ClassIntMul, Latency: 3, Reads: rdRaRb, Writes: wrRd})
+	defOp(OpDiv, Info{Name: "div", Syntax: "d, a, B", Class: ClassIntMul, Latency: 12, Reads: rdRaRb, Writes: wrRd})
+	defOp(OpRem, Info{Name: "rem", Syntax: "d, a, B", Class: ClassIntMul, Latency: 12, Reads: rdRaRb, Writes: wrRd})
+	defOp(OpMovI, Info{Name: "movi", Syntax: "d, i", Class: ClassIntALU, Latency: 1, Writes: wrRd})
+	defOp(OpMov, Info{Name: "mov", Syntax: "d, a", Class: ClassIntALU, Latency: 1, Reads: rdRa, Writes: wrRd})
 
 	fp2 := func(op Op, name string, lat int) {
-		defOp(op, Info{Name: name, Format: FmtRRR, Class: ClassFP, Latency: lat, Reads: rdRaRb, Writes: wrRd})
+		defOp(op, Info{Name: name, Syntax: "d, a, B", Class: ClassFP, Latency: lat, Reads: rdRaRb, Writes: wrRd})
 	}
 	fp2(OpFAdd, "fadd", 4)
 	fp2(OpFSub, "fsub", 4)
@@ -256,7 +243,7 @@ func init() {
 	fp2(OpFLe, "fle", 4)
 	fp2(OpFEq, "feq", 4)
 	fp1 := func(op Op, name string, lat int) {
-		defOp(op, Info{Name: name, Format: FmtRR, Class: ClassFP, Latency: lat, Reads: rdRa, Writes: wrRd})
+		defOp(op, Info{Name: name, Syntax: "d, a", Class: ClassFP, Latency: lat, Reads: rdRa, Writes: wrRd})
 	}
 	fp1(OpFSqrt, "fsqrt", 20)
 	fp1(OpFNeg, "fneg", 1)
@@ -264,35 +251,35 @@ func init() {
 	fp1(OpFMov, "fmov", 1)
 	fp1(OpCvtIF, "cvtif", 4)
 	fp1(OpCvtFI, "cvtfi", 4)
-	defOp(OpFMovI, Info{Name: "fmovi", Format: FmtMovI, Class: ClassFP, Latency: 1, Writes: wrRd})
+	defOp(OpFMovI, Info{Name: "fmovi", Syntax: "d, f", Class: ClassFP, Latency: 1, Writes: wrRd})
 
 	br := func(op Op, name string) {
-		defOp(op, Info{Name: name, Format: FmtBranch, Class: ClassIntALU, Branch: true, Latency: 1, Reads: rdRaRb})
+		defOp(op, Info{Name: name, Syntax: "a, b, t", Class: ClassIntALU, Branch: true, Latency: 1, Reads: rdRaRb})
 	}
 	br(OpBeq, "beq")
 	br(OpBne, "bne")
 	br(OpBlt, "blt")
 	br(OpBge, "bge")
 	br(OpBltu, "bltu")
-	defOp(OpJ, Info{Name: "j", Format: FmtJump, Class: ClassIntALU, Branch: true, Latency: 1})
-	defOp(OpJal, Info{Name: "jal", Format: FmtJump, Class: ClassIntALU, Branch: true, Latency: 1, Writes: wrRd})
-	defOp(OpJr, Info{Name: "jr", Format: FmtJumpReg, Class: ClassIntALU, Branch: true, Latency: 1, Reads: rdRa})
+	defOp(OpJ, Info{Name: "j", Syntax: "t", Class: ClassIntALU, Branch: true, Latency: 1})
+	defOp(OpJal, Info{Name: "jal", Syntax: "d, t", Class: ClassIntALU, Branch: true, Latency: 1, Writes: wrRd})
+	defOp(OpJr, Info{Name: "jr", Syntax: "a", Class: ClassIntALU, Branch: true, Latency: 1, Reads: rdRa})
 
-	defOp(OpLd, Info{Name: "ld", Format: FmtLoad, Class: ClassLoad, Memory: true, Latency: 1, Reads: rdRa, Writes: wrRd})
-	defOp(OpFLd, Info{Name: "fld", Format: FmtLoad, Class: ClassLoad, Memory: true, Latency: 1, Reads: rdRa, Writes: wrRd})
-	defOp(OpSt, Info{Name: "st", Format: FmtStore, Class: ClassStore, Memory: true, Latency: 1, Reads: []slot{slotRd, slotRa}})
-	defOp(OpFSt, Info{Name: "fst", Format: FmtStore, Class: ClassStore, Memory: true, Latency: 1, Reads: []slot{slotRd, slotRa}})
+	defOp(OpLd, Info{Name: "ld", Syntax: "d, i(a)", Class: ClassLoad, Memory: true, Latency: 1, Reads: rdRa, Writes: wrRd})
+	defOp(OpFLd, Info{Name: "fld", Syntax: "d, i(a)", Class: ClassLoad, Memory: true, Latency: 1, Reads: rdRa, Writes: wrRd})
+	defOp(OpSt, Info{Name: "st", Syntax: "d, i(a)", Class: ClassStore, Memory: true, Latency: 1, Reads: []slot{slotRd, slotRa}})
+	defOp(OpFSt, Info{Name: "fst", Syntax: "d, i(a)", Class: ClassStore, Memory: true, Latency: 1, Reads: []slot{slotRd, slotRa}})
 
-	defOp(OpNop, Info{Name: "nop", Format: FmtNone, Class: ClassCtl, Latency: 1})
-	defOp(OpHalt, Info{Name: "halt", Format: FmtNone, Class: ClassCtl, Latency: 1})
-	defOp(OpBar, Info{Name: "bar", Format: FmtNone, Class: ClassCtl, Latency: 1})
-	defOp(OpMark, Info{Name: "mark", Format: FmtNone, Class: ClassCtl, Latency: 1})
-	defOp(OpVltCfg, Info{Name: "vltcfg", Format: FmtNone, Class: ClassCtl, Latency: 1})
+	defOp(OpNop, Info{Name: "nop", Class: ClassCtl, Latency: 1})
+	defOp(OpHalt, Info{Name: "halt", Class: ClassCtl, Latency: 1})
+	defOp(OpBar, Info{Name: "bar", Class: ClassCtl, Latency: 1})
+	defOp(OpMark, Info{Name: "mark", Syntax: "i", Class: ClassCtl, Latency: 1})
+	defOp(OpVltCfg, Info{Name: "vltcfg", Syntax: "i", Class: ClassCtl, Latency: 1})
 
-	defOp(OpSetVL, Info{Name: "setvl", Format: FmtSetVL, Class: ClassCtl, Latency: 1, Reads: rdRa, Writes: wrRd})
+	defOp(OpSetVL, Info{Name: "setvl", Syntax: "d, a", Class: ClassCtl, Latency: 1, Reads: rdRa, Writes: wrRd})
 
 	vint := func(op Op, name string) {
-		defOp(op, Info{Name: name, Format: FmtVec3, Class: ClassVecALU, Vector: true, Latency: 2, VFU: 0, Reads: rdRaRb, Writes: wrRd})
+		defOp(op, Info{Name: name, Syntax: "d, a, V", Class: ClassVecALU, Vector: true, Latency: 2, VFU: 0, Reads: rdRaRb, Writes: wrRd})
 	}
 	vint(OpVAdd, "vadd")
 	vint(OpVSub, "vsub")
@@ -304,32 +291,32 @@ func init() {
 	vint(OpVAbsDiff, "vabsdiff")
 	vint(OpVMax, "vmax")
 	vint(OpVMin, "vmin")
-	defOp(OpVMul, Info{Name: "vmul", Format: FmtVec3, Class: ClassVecALU, Vector: true, Latency: 4, VFU: 2, Reads: rdRaRb, Writes: wrRd})
+	defOp(OpVMul, Info{Name: "vmul", Syntax: "d, a, V", Class: ClassVecALU, Vector: true, Latency: 4, VFU: 2, Reads: rdRaRb, Writes: wrRd})
 
 	vfp := func(op Op, name string, lat, vfu int) {
-		defOp(op, Info{Name: name, Format: FmtVec3, Class: ClassVecALU, Vector: true, Latency: lat, VFU: vfu, Reads: rdRaRb, Writes: wrRd})
+		defOp(op, Info{Name: name, Syntax: "d, a, V", Class: ClassVecALU, Vector: true, Latency: lat, VFU: vfu, Reads: rdRaRb, Writes: wrRd})
 	}
 	vfp(OpVFAdd, "vfadd", 4, 1)
 	vfp(OpVFSub, "vfsub", 4, 1)
 	vfp(OpVFMul, "vfmul", 4, 2)
 	vfp(OpVFDiv, "vfdiv", 16, 2)
-	defOp(OpVFMA, Info{Name: "vfma", Format: FmtVecFMA, Class: ClassVecALU, Vector: true, Latency: 6, VFU: 2,
+	defOp(OpVFMA, Info{Name: "vfma", Syntax: "d, a, V, c", Class: ClassVecALU, Vector: true, Latency: 6, VFU: 2,
 		Reads: []slot{slotRa, slotRb, slotRc}, Writes: wrRd})
 
-	defOp(OpVBcastI, Info{Name: "vbcasti", Format: FmtVecUnary, Class: ClassVecALU, Vector: true, Latency: 2, VFU: 0, Reads: rdRa, Writes: wrRd})
-	defOp(OpVBcastF, Info{Name: "vbcastf", Format: FmtVecUnary, Class: ClassVecALU, Vector: true, Latency: 2, VFU: 0, Reads: rdRa, Writes: wrRd})
-	defOp(OpVIota, Info{Name: "viota", Format: FmtVecUnary, Class: ClassVecALU, Vector: true, Latency: 2, VFU: 0, Writes: wrRd})
-	defOp(OpVMov, Info{Name: "vmov", Format: FmtVecUnary, Class: ClassVecALU, Vector: true, Latency: 2, VFU: 0, Reads: rdRa, Writes: wrRd})
+	defOp(OpVBcastI, Info{Name: "vbcasti", Syntax: "d, a", Class: ClassVecALU, Vector: true, Latency: 2, VFU: 0, Reads: rdRa, Writes: wrRd})
+	defOp(OpVBcastF, Info{Name: "vbcastf", Syntax: "d, a", Class: ClassVecALU, Vector: true, Latency: 2, VFU: 0, Reads: rdRa, Writes: wrRd})
+	defOp(OpVIota, Info{Name: "viota", Syntax: "d", Class: ClassVecALU, Vector: true, Latency: 2, VFU: 0, Writes: wrRd})
+	defOp(OpVMov, Info{Name: "vmov", Syntax: "d, a", Class: ClassVecALU, Vector: true, Latency: 2, VFU: 0, Reads: rdRa, Writes: wrRd})
 
-	defOp(OpVRedSum, Info{Name: "vredsum", Format: FmtVecRed, Class: ClassVecALU, Vector: true, Latency: 8, VFU: 0, Reads: rdRa, Writes: wrRd})
-	defOp(OpVRedMax, Info{Name: "vredmax", Format: FmtVecRed, Class: ClassVecALU, Vector: true, Latency: 8, VFU: 0, Reads: rdRa, Writes: wrRd})
-	defOp(OpVFRedSum, Info{Name: "vfredsum", Format: FmtVecRed, Class: ClassVecALU, Vector: true, Latency: 12, VFU: 1, Reads: rdRa, Writes: wrRd})
-	defOp(OpVFRedMax, Info{Name: "vfredmax", Format: FmtVecRed, Class: ClassVecALU, Vector: true, Latency: 12, VFU: 1, Reads: rdRa, Writes: wrRd})
+	defOp(OpVRedSum, Info{Name: "vredsum", Syntax: "d, a", Class: ClassVecALU, Vector: true, Latency: 8, VFU: 0, Reads: rdRa, Writes: wrRd})
+	defOp(OpVRedMax, Info{Name: "vredmax", Syntax: "d, a", Class: ClassVecALU, Vector: true, Latency: 8, VFU: 0, Reads: rdRa, Writes: wrRd})
+	defOp(OpVFRedSum, Info{Name: "vfredsum", Syntax: "d, a", Class: ClassVecALU, Vector: true, Latency: 12, VFU: 1, Reads: rdRa, Writes: wrRd})
+	defOp(OpVFRedMax, Info{Name: "vfredmax", Syntax: "d, a", Class: ClassVecALU, Vector: true, Latency: 12, VFU: 1, Reads: rdRa, Writes: wrRd})
 
-	defOp(OpVLd, Info{Name: "vld", Format: FmtVecLoad, Class: ClassVecLoad, Vector: true, Memory: true, Latency: 1, Reads: rdRa, Writes: wrRd})
-	defOp(OpVLdS, Info{Name: "vlds", Format: FmtVecLoad, Class: ClassVecLoad, Vector: true, Memory: true, Latency: 1, Reads: rdRaRb, Writes: wrRd})
-	defOp(OpVLdX, Info{Name: "vldx", Format: FmtVecLoad, Class: ClassVecLoad, Vector: true, Memory: true, Latency: 1, Reads: rdRaRb, Writes: wrRd})
-	defOp(OpVSt, Info{Name: "vst", Format: FmtVecStore, Class: ClassVecStore, Vector: true, Memory: true, Latency: 1, Reads: []slot{slotRd, slotRa}})
-	defOp(OpVStS, Info{Name: "vsts", Format: FmtVecStore, Class: ClassVecStore, Vector: true, Memory: true, Latency: 1, Reads: []slot{slotRd, slotRa, slotRb}})
-	defOp(OpVStX, Info{Name: "vstx", Format: FmtVecStore, Class: ClassVecStore, Vector: true, Memory: true, Latency: 1, Reads: []slot{slotRd, slotRa, slotRb}})
+	defOp(OpVLd, Info{Name: "vld", Syntax: "d, (a)", Class: ClassVecLoad, Vector: true, Memory: true, Latency: 1, Reads: rdRa, Writes: wrRd})
+	defOp(OpVLdS, Info{Name: "vlds", Syntax: "d, (a), b", Class: ClassVecLoad, Vector: true, Memory: true, Latency: 1, Reads: rdRaRb, Writes: wrRd})
+	defOp(OpVLdX, Info{Name: "vldx", Syntax: "d, (a+b)", Class: ClassVecLoad, Vector: true, Memory: true, Latency: 1, Reads: rdRaRb, Writes: wrRd})
+	defOp(OpVSt, Info{Name: "vst", Syntax: "d, (a)", Class: ClassVecStore, Vector: true, Memory: true, Latency: 1, Reads: []slot{slotRd, slotRa}})
+	defOp(OpVStS, Info{Name: "vsts", Syntax: "d, (a), b", Class: ClassVecStore, Vector: true, Memory: true, Latency: 1, Reads: []slot{slotRd, slotRa, slotRb}})
+	defOp(OpVStX, Info{Name: "vstx", Syntax: "d, (a+b)", Class: ClassVecStore, Vector: true, Memory: true, Latency: 1, Reads: []slot{slotRd, slotRa, slotRb}})
 }

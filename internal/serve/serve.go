@@ -47,8 +47,6 @@ type Config struct {
 	// Timeout is the default per-request deadline; a request may lower
 	// (never raise) it with timeout_ms (0 = 60s).
 	Timeout time.Duration
-	// RetryAfter is the backoff hint sent with 429 responses (0 = 1s).
-	RetryAfter time.Duration
 	// Store, when non-nil, is the persistent result tier consulted
 	// between the memory cache and simulation: disk hits replay the
 	// stored bytes (X-VLT-Cache: disk) and promote into memory, and
@@ -72,9 +70,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = 60 * time.Second
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	return c
 }
@@ -290,17 +285,15 @@ func (s *Server) count(status int) {
 	s.mu.Unlock()
 }
 
-// retryAfterSeconds is the Retry-After hint for 429/503 responses,
-// rounded up to whole seconds.
-func (s *Server) retryAfterSeconds() int {
-	return int((s.cfg.RetryAfter + time.Second - 1) / time.Second)
-}
+// retryAfterSeconds is the Retry-After hint sent with 429 and 503
+// responses.
+const retryAfterSeconds = 1
 
 func (s *Server) writeError(w http.ResponseWriter, e apiError) {
 	body, _ := json.Marshal(api.Envelope{Error: e.Error})
 	w.Header().Set("Content-Type", "application/json")
 	if e.status == http.StatusTooManyRequests || e.status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 	}
 	w.WriteHeader(e.status)
 	w.Write(append(body, '\n'))
@@ -656,7 +649,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			return nil, &apiError{status: http.StatusTooManyRequests,
 				Error: api.Error{Code: api.CodeOverloaded,
 					Message: fmt.Sprintf("at capacity: %d requests in flight; retry after %ds",
-						s.flight.Inflight(), s.retryAfterSeconds())}}
+						s.flight.Inflight(), retryAfterSeconds)}}
 		}
 		body, err := task.WaitContext(ctx)
 		if err != nil {

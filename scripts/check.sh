@@ -51,6 +51,23 @@ echo "== go build ./cmd/... (the nine commands, built once for the gates below)"
 bin="$work/bin"
 go build -o "$bin/" ./cmd/...
 
+echo "== toolchain round trip (vltasm, vltdis, vltasm, vltdis over examples/programs/*.vasm)"
+# The disassembler prints each operand in the syntax the assembler
+# parses (isa.Info.Syntax), so a disassembly must assemble back to the
+# same program: the two disassemblies match after their "# program"
+# header line, which names the input file.
+for src in examples/programs/*.vasm; do
+    base="$work/$(basename "$src" .vasm)"
+    "$bin/vltasm" -o "$base.1.vltp" "$src"
+    "$bin/vltdis" "$base.1.vltp" >"$base.1.vasm"
+    "$bin/vltasm" -o "$base.2.vltp" "$base.1.vasm"
+    "$bin/vltdis" "$base.2.vltp" >"$base.2.vasm"
+    if ! diff <(tail -n +2 "$base.1.vasm") <(tail -n +2 "$base.2.vasm"); then
+        echo "toolchain round trip: $src does not reassemble to the same program" >&2
+        exit 1
+    fi
+done
+
 echo "== vltlint -docs ./... (all lint passes repo-wide + analyzer speed guard)"
 # All passes must run clean: determinism rules on the core, lock
 # discipline and goroutine ownership module-wide, deadline propagation
