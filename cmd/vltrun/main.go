@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -87,35 +88,39 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "vltrun:", err)
 		return 1
 	}
-	cfg.SampleEvery = *sample
 	m, err := core.NewMachine(cfg, prog)
 	if err != nil {
 		fmt.Fprintln(stderr, "vltrun:", err)
 		return 1
 	}
-	if *trace {
-		m.SetTrace(stderr)
-	}
-	if *pipeview {
-		m.SetPipeView(stderr)
-	}
 	var chromeFile *os.File
-	var chromeTracer *core.ChromeTracer
+	var tracer *chromeTracer
 	if *chrome != "" {
 		chromeFile, err = os.Create(*chrome)
 		if err != nil {
 			fmt.Fprintln(stderr, "vltrun:", err)
 			return 1
 		}
-		chromeTracer = core.NewChromeTracer(chromeFile)
-		m.SetChromeTrace(chromeTracer)
+		tracer = newChromeTracer(chromeFile)
 	}
-	res, err := m.Run()
-	if chromeTracer != nil {
-		if cerr := chromeTracer.Close(); cerr != nil {
-			fmt.Fprintln(stderr, "vltrun: trace:", cerr)
+	if *trace || *pipeview || tracer != nil {
+		m.SetRetireHook(retireHook(stderr, *trace, *pipeview, tracer))
+	}
+	var series string
+	if *sample > 0 {
+		series, err = sampleSeries(m, *sample)
+	}
+	var res core.Result
+	if err == nil {
+		res, err = m.Run()
+	}
+	if tracer != nil {
+		if terr := errors.Join(tracer.Close(m.Registry()), chromeFile.Close()); terr != nil {
+			fmt.Fprintln(stderr, "vltrun: trace:", terr)
+			if err == nil {
+				return 1
+			}
 		}
-		chromeFile.Close()
 	}
 	if err != nil {
 		return abort(stderr, err)
@@ -155,8 +160,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprint(stdout, report.Metrics("\nmetrics", pairs))
 	}
-	if s := res.Samples(); s != nil && s.Len() > 0 {
-		fmt.Fprintf(stdout, "\nsamples (every %d cycles):\n%s", s.Interval(), s.CSV())
+	if *sample > 0 {
+		fmt.Fprintf(stdout, "\nsamples (every %d cycles):\n%s", *sample, series)
 	}
 	if *regs {
 		th := m.VM().Thread(0)

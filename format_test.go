@@ -23,6 +23,7 @@ var formatDigests = map[int]string{
 	2: "469527e4c4e14d4a4c13d363520ac724847c475a2b5f752cabd0c3e6361454dc",
 	3: "3e7cf8256f31a7061b6e0a0b5c067603d15ae194f37ac2fba160e9f82f11c28f",
 	4: "7f3f3e73e3b1b5e9fd2fe3943bdcb90d46bd1f684ad002e9f2779c6744f3398f",
+	5: "d19682bc9775725130984b7570d9a46481f2260eb2b427e379075bf7d18d8b02",
 }
 
 // formatOutputs are the committed goldens outputsDigest covers: the

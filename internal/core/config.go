@@ -58,13 +58,6 @@ type Config struct {
 	// always carry the resolved AuditOn or AuditOff.
 	Audit guard.AuditMode
 
-	// SampleEvery, when non-zero, enables the metric registry's
-	// time-series sampler: the vector-datapath occupancy census and
-	// overall progress (sampleMetrics) are recorded every SampleEvery
-	// cycles. Read the series back with Machine.Sampler or
-	// Result.Samples after the run.
-	SampleEvery uint64
-
 	// NoSkip disables event-driven cycle skipping: the machine ticks
 	// every cycle. It is the reference path: the root package's
 	// equivalence harness requires every other way of running a cell
@@ -72,19 +65,6 @@ type Config struct {
 	// and the BenchmarkBaseMXMTick baseline times it. Set it to bisect a
 	// suspected skip bug: a number that moves with it is a scheduler bug.
 	NoSkip bool
-
-	// ForkAt, when set, is called at every lane-repartition decision —
-	// the cycle a VLTCFG is about to be applied — with the machine and
-	// the decision's ForkPoint. Returning a positive count from
-	// Machine.PartitionChoices overrides the program's requested
-	// partition count; returning 0 (or the requested count, or an
-	// invalid one) keeps the program's choice, cycle-for-cycle identical
-	// to running without a hook. The hook may Fork the machine to
-	// explore the choices it does not take — that is what
-	// internal/search does. Timing-model state must not be mutated from
-	// the hook. Fork clears this field on the clone; set it again with
-	// SetForkAt.
-	ForkAt func(*Machine, ForkPoint) int
 }
 
 // Validate checks structural consistency: every size and count of a

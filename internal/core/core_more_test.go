@@ -1,12 +1,12 @@
 package core
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
 	"vlt/internal/asm"
 	"vlt/internal/isa"
+	"vlt/internal/pipe"
 )
 
 func tinyVectorProgram() *asm.Program {
@@ -20,29 +20,6 @@ func tinyVectorProgram() *asm.Program {
 	b.Bar()
 	b.Halt()
 	return b.MustAssemble()
-}
-
-func TestSetTraceEmitsRetirementLines(t *testing.T) {
-	m, err := NewMachine(Base(8), tinyVectorProgram())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	m.SetTrace(&sb)
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"setvl", "viota", "vredsum", "halt", "t0"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace missing %q:\n%s", want, out)
-		}
-	}
-	lines := strings.Count(out, "\n")
-	if lines != len(tinyVectorProgram().Code) {
-		t.Errorf("trace has %d lines, want %d (one per retired instruction)",
-			lines, len(tinyVectorProgram().Code))
-	}
 }
 
 func TestMaxCyclesGuard(t *testing.T) {
@@ -163,84 +140,46 @@ func TestBarrierFenceWaitsForVectorDrain(t *testing.T) {
 	}
 }
 
-func TestSetPipeViewEmitsTimeline(t *testing.T) {
-	m, err := NewMachine(Base(8), tinyVectorProgram())
+// TestRetireHookSeesEveryRetirement: the one retirement hook sees each
+// retired instruction once, in cycle order, and a Fork does not carry
+// it — the clone retires the rest of the program unobserved.
+func TestRetireHookSeesEveryRetirement(t *testing.T) {
+	prog := tinyVectorProgram()
+	m, err := NewMachine(Base(8), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sb strings.Builder
-	m.SetPipeView(&sb)
+	var pcs []int
+	var last uint64
+	m.SetRetireHook(func(now uint64, tid int, u *pipe.Uop) {
+		if now < last || tid != 0 {
+			t.Errorf("retirement at cycle %d thread %d after cycle %d", now, tid, last)
+		}
+		last = now
+		pcs = append(pcs, u.Dyn.PC)
+	})
+	if err := m.RunUntil(40); err != nil {
+		t.Fatal(err)
+	}
+	before := len(pcs)
+	if before == len(prog.Code) {
+		t.Fatal("program retired before the fork point; move the fork earlier")
+	}
+	if _, err := m.Fork().Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(pcs) != before {
+		t.Fatalf("forked machine's retirements reached the parent's hook: %d, want %d", len(pcs), before)
+	}
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimRight(sb.String(), "\n"), "\n")
-	if len(lines) != len(tinyVectorProgram().Code) {
-		t.Fatalf("pipeview has %d lines, want %d", len(lines), len(tinyVectorProgram().Code))
+	if len(pcs) != len(prog.Code) {
+		t.Fatalf("hook saw %d retirements, want %d (one per instruction)", len(pcs), len(prog.Code))
 	}
-	for _, l := range lines {
-		if !strings.Contains(l, "F") || !strings.Contains(l, "R") || !strings.HasPrefix(l, "t0") {
-			t.Errorf("malformed pipeview line %q", l)
-		}
-	}
-}
-
-func TestChromeTraceIsValidJSON(t *testing.T) {
-	m, err := NewMachine(Base(8), tinyVectorProgram())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	tracer := NewChromeTracer(&sb)
-	m.SetChromeTrace(tracer)
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tracer.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &events); err != nil {
-		t.Fatalf("trace is not valid JSON: %v\n%s", err, sb.String())
-	}
-	// One duration event per instruction plus the Close-time metrics
-	// metadata event.
-	if len(events) != len(tinyVectorProgram().Code)+1 {
-		t.Errorf("%d events, want %d", len(events), len(tinyVectorProgram().Code)+1)
-	}
-	for _, e := range events[:len(events)-1] {
-		if e["ph"] != "X" || e["name"] == "" {
-			t.Errorf("malformed event: %v", e)
-		}
-	}
-	meta := events[len(events)-1]
-	if meta["ph"] != "M" || meta["name"] != "metrics" {
-		t.Fatalf("last event is not the metrics snapshot: %v", meta)
-	}
-	args, ok := meta["args"].(map[string]any)
-	if !ok || len(args) < 40 {
-		t.Fatalf("metrics event carries %d counters, want >= 40", len(args))
-	}
-	if args["machine.cycles"].(float64) <= 0 || args["vcl.issued"].(float64) <= 0 {
-		t.Errorf("metrics event missing machine.cycles/vcl.issued: %v", args)
-	}
-}
-
-// traceName must keep trace events valid JSON for hostile instruction
-// names (control bytes, invalid UTF-8) and cap runaway lengths.
-func TestChromeTraceNameEscaping(t *testing.T) {
-	for _, hostile := range []string{
-		"add\x00r1, r2",
-		"bad\x80\xfebytes",
-		"quote\"and\\slash",
-		strings.Repeat("x", 4096),
-	} {
-		q := traceName(hostile)
-		var back string
-		if err := json.Unmarshal([]byte(q), &back); err != nil {
-			t.Fatalf("traceName(%q) emitted invalid JSON %q: %v", hostile, q, err)
-		}
-		if len(q) > maxTraceName*8 {
-			t.Fatalf("traceName did not cap %d-byte name (got %d bytes)", len(hostile), len(q))
+	for i, pc := range pcs {
+		if pc != i {
+			t.Fatalf("retirement %d at pc %d, want %d (straight-line program)", i, pc, i)
 		}
 	}
 }

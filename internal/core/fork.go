@@ -9,12 +9,12 @@ import (
 // mid-run machine with no shared mutable aliasing, so parent and clone
 // can be simulated independently (including concurrently) and a clone
 // run the same way as its parent produces byte-identical metrics. The
-// design-space search driver (internal/search) builds on it: a ForkAt
+// design-space search driver (internal/search) builds on it: a SetForkAt
 // hook forks at a repartition decision and steers each copy down a
 // different choice.
 
 // ForkPoint identifies one lane-repartition decision presented to a
-// ForkAt hook.
+// SetForkAt hook.
 type ForkPoint struct {
 	// Index is the decision's sequence number, starting at 0. It advances
 	// on every applied repartition whether or not a hook is installed, so
@@ -33,13 +33,21 @@ type ForkPoint struct {
 	Requested int
 }
 
-// SetForkAt installs (or clears) the machine's repartition-decision
-// hook. Fork clears the hook on the clone — a freshly forked machine
-// never re-runs its parent's hook — so drivers set their own after
+// SetForkAt installs (or, with nil, clears) the machine's
+// repartition-decision hook. f is called at every lane-repartition
+// decision — the cycle a VLTCFG is about to be applied — with the
+// machine and the decision's ForkPoint. Returning a positive count from
+// PartitionChoices overrides the program's requested partition count;
+// returning 0 (or the requested count, or an invalid one) keeps the
+// program's choice, cycle-for-cycle identical to running without a
+// hook. f may Fork the machine to explore the choices it does not take
+// — that is what internal/search does — but must not mutate
+// timing-model state. A Fork does not carry the hook: a freshly forked
+// machine never re-runs its parent's, so drivers set their own after
 // forking.
-func (m *Machine) SetForkAt(f func(*Machine, ForkPoint) int) { m.cfg.ForkAt = f }
+func (m *Machine) SetForkAt(f func(*Machine, ForkPoint) int) { m.forkAt = f }
 
-// validPartitionChoice reports whether n is a partition count a ForkAt
+// validPartitionChoice reports whether n is a partition count a forkAt
 // hook may substitute for the program's request: every constraint the
 // VLTCFG exec-time validation and the VCL's Partition would enforce,
 // plus one owner thread per partition.
@@ -49,7 +57,7 @@ func (m *Machine) validPartitionChoice(n int) bool {
 }
 
 // PartitionChoices returns, in ascending order, every partition count a
-// ForkAt hook could choose at a repartition decision on this machine.
+// forkAt hook could choose at a repartition decision on this machine.
 // The set is static per configuration: lane count, thread count, VIQ
 // and window capacities, and MaxVL divisibility all constrain it.
 func (m *Machine) PartitionChoices() []int {
@@ -67,15 +75,15 @@ func (m *Machine) PartitionChoices() []int {
 
 // Fork returns a deep copy of the machine at its current point in the
 // run: architectural state, cache hierarchies, the uop arena and every
-// pipeline's queues of uop handles, guard state, metrics and recorded
-// samples. Parent and clone share no mutable state — only immutable
-// structure (the program, its decoded instructions) — so both can be
-// simulated independently, including from other goroutines, and a
-// clone run identically to its parent yields byte-identical metrics.
+// pipeline's queues of uop handles, guard state and metrics. Parent
+// and clone share no mutable state — only immutable structure (the
+// program, its decoded instructions) — so both can be simulated
+// independently, including from other goroutines, and a clone run
+// identically to its parent yields byte-identical metrics.
 //
-// The clone's trace, pipeline-view and Chrome-trace writers are not
-// carried over, and its ForkAt hook is cleared; everything else,
-// including the watchdog's stall window, forks with the machine.
+// The clone has no retirement hook and no fork-point hook (set them
+// with SetRetireHook and SetForkAt); everything else, including the
+// watchdog's stall window, forks with the machine.
 func (m *Machine) Fork() *Machine {
 	n := &Machine{
 		cfg:         m.cfg,
@@ -90,7 +98,6 @@ func (m *Machine) Fork() *Machine {
 		regionCur:   m.regionCur,
 		regionPend:  m.regionPend,
 	}
-	n.cfg.ForkAt = nil
 	n.locs = append(n.locs, m.locs...)
 	n.region = append(n.region, m.region...)
 	n.regionCycles = make(map[int64]uint64, len(m.regionCycles))
@@ -129,10 +136,7 @@ func (m *Machine) Fork() *Machine {
 
 	// Metrics: counters and gauges are pointers and closures over the
 	// parent's components, so the clone re-registers the identical name
-	// set against its own, then carries the sampler's recorded series.
+	// set against its own.
 	n.registerMetrics()
-	if m.sampler != nil {
-		n.sampler = m.sampler.CloneInto(n.reg)
-	}
 	return n
 }

@@ -12,7 +12,7 @@ import (
 
 func TestForkCoversMachine(t *testing.T) {
 	clonecheck.Check(t, &Machine{}, map[string]string{
-		"cfg":   "value copy, with ForkAt cleared (hooks do not survive a fork)",
+		"cfg":   "value copy",
 		"vm":    "deep copy via vm.VM.Clone",
 		"arena": "deep copy via pipe.Arena.Clone: every uop handle names the same uop in the copy",
 		"l2":    "deep copy via mem.L2.Clone",
@@ -23,12 +23,11 @@ func TestForkCoversMachine(t *testing.T) {
 
 		"region": "value copy of the slice",
 		"now":    "value copy",
-		"trace":  "reset: diagnostic writers are not carried across a fork",
-		"pipes":  "reset: diagnostic writers are not carried across a fork",
-		"chrome": "reset: diagnostic writers are not carried across a fork",
+
+		"retireHook": "reset: observers are not carried across a fork",
+		"forkAt":     "reset: hooks do not survive a fork; each copy sets its own",
 
 		"reg":          "rebuilt: registerMetrics runs against the fork's own counters",
-		"sampler":      "carried via stats.Sampler.CloneInto against the fork's registry",
 		"regionCycles": "deep copy",
 
 		"watchdog": "deep copy via guard.Watchdog.Clone",

@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"io"
 	"slices"
 
 	"vlt/internal/asm"
@@ -37,16 +36,11 @@ type Result struct {
 	Retired uint64 // instructions retired, all threads
 
 	metrics stats.Snapshot
-	samples *stats.Sampler
 }
 
 // Metrics returns the run's registry snapshot: every registered counter
 // and gauge, sorted by name.
 func (r Result) Metrics() stats.Snapshot { return r.metrics }
-
-// Samples returns the cycle-interval time series recorded during the
-// run, or nil when Config.SampleEvery was zero.
-func (r Result) Samples() *stats.Sampler { return r.samples }
 
 // Machine is one configured processor with a loaded program.
 type Machine struct {
@@ -61,12 +55,14 @@ type Machine struct {
 
 	region []int64 // current MARK region per thread (updated at retire)
 	now    uint64
-	trace  io.Writer
-	pipes  io.Writer
-	chrome *ChromeTracer
+
+	// retireHook observes every retirement (SetRetireHook); forkAt
+	// steers every repartition decision (SetForkAt). Neither survives
+	// a Fork.
+	retireHook func(now uint64, tid int, u *pipe.Uop)
+	forkAt     func(*Machine, ForkPoint) int
 
 	reg          *stats.Registry
-	sampler      *stats.Sampler
 	regionCycles map[int64]uint64
 
 	watchdog *guard.Watchdog
@@ -78,7 +74,7 @@ type Machine struct {
 	coordOwners []int  // coordinate's scratch for repartition owner lists
 
 	// stage records where within the current cycle the run loop stands, so
-	// a machine forked from inside a ForkAt hook (mid-coordinate) resumes
+	// a machine forked from inside a forkAt hook (mid-coordinate) resumes
 	// exactly there instead of re-ticking the cycle. decisionSeq numbers
 	// the repartition decisions applied so far; it advances whether or not
 	// a hook is installed, so hooked and unhooked runs agree on every
@@ -95,15 +91,13 @@ type Machine struct {
 	regionIDs  []int64 // regions' scratch
 }
 
-// SetTrace directs a retirement trace to w: one line per retired
-// instruction with cycle, thread and disassembly. Expensive; for
-// debugging and the vltrun tool.
-func (m *Machine) SetTrace(w io.Writer) { m.trace = w }
-
-// SetPipeView directs a pipeline timeline to w: per retired instruction,
-// the cycles it was fetched, dispatched, issued and completed — the raw
-// material for pipeline visualization.
-func (m *Machine) SetPipeView(w io.Writer) { m.pipes = w }
+// SetRetireHook installs (or, with nil, clears) the machine's
+// retirement observer: f sees every retired instruction, in retirement
+// order, with the cycle it retired in and its software thread. The uop
+// is the arena's live slot, valid only during the call. f must not
+// mutate the machine; a Fork does not carry it. vltrun's trace,
+// pipeline view and Chrome trace are all written from this hook.
+func (m *Machine) SetRetireHook(f func(now uint64, tid int, u *pipe.Uop)) { m.retireHook = f }
 
 // NewMachine builds the machine described by cfg and loads prog with
 // cfg.NumThreads software threads.
@@ -177,25 +171,10 @@ func (m *Machine) vectorSink() scalar.VectorSink {
 	return m.vu
 }
 
-// sampleMetrics is the time-series selection when Config.SampleEvery is
-// set: the vector-datapath occupancy census over time (the raw material
-// for a Figure-4-style animation) plus overall progress. Names absent on
-// a configuration (e.g. no vector unit) are dropped by the sampler.
-func sampleMetrics() []string {
-	return []string{
-		"machine.retired",
-		"vcl.util.busy", "vcl.util.part_idle", "vcl.util.stalled",
-		"vcl.util.all_idle", "vcl.util.busy_pct",
-		"vcl.issued", "vcl.elem_ops",
-		"l2.bank_stalls",
-	}
-}
-
 // registerMetrics builds the machine's unified metric registry: every
 // component registers its counters under a hierarchical prefix (su0.*,
 // lane3.*, vcl.*, l2.*, vm.ops.*), plus machine-level aggregates derived
-// from them. A Result is a snapshot of this registry, and the
-// time-series sampler reads from it too.
+// from them. A Result is a snapshot of this registry.
 func (m *Machine) registerMetrics() {
 	m.reg = stats.New()
 	mr := m.reg.Scope("machine")
@@ -232,10 +211,6 @@ func (m *Machine) registerMetrics() {
 	m.l2.RegisterMetrics(m.reg.Scope("l2"))
 	m.vm.Stats.RegisterMetrics(m.reg.Scope("vm.ops"))
 	m.registerGuardMetrics(m.reg.Scope("guard"))
-
-	if m.cfg.SampleEvery > 0 {
-		m.sampler = m.reg.NewSampler(m.cfg.SampleEvery, sampleMetrics()...)
-	}
 }
 
 // regions returns the region ids present in regionCycles in ascending
@@ -261,11 +236,6 @@ func (m *Machine) regions() []int64 {
 // registry grows mid-flight. For an independent copy, Fork the machine.
 func (m *Machine) Registry() *stats.Registry { return m.reg }
 
-// Sampler exposes the time-series sampler, or nil when sampling is off.
-// Like Registry, this is the machine's live sampler, not a copy; Fork
-// for an independent one.
-func (m *Machine) Sampler() *stats.Sampler { return m.sampler }
-
 // VM exposes the functional machine (for result verification). This is
 // the machine's live architectural state, not a copy — mutating it
 // mid-run corrupts the simulation. Fork the machine for an independent
@@ -286,20 +256,8 @@ func (m *Machine) onRetire(tid int, u *pipe.Uop) {
 	if u.Dyn.Inst.Op == isa.OpMark {
 		m.region[tid] = u.Dyn.MarkID
 	}
-	if m.trace != nil {
-		fmt.Fprintf(m.trace, "%10d  t%d  @%-6d %s\n", m.now, tid, u.Dyn.PC, u.Dyn.Inst)
-	}
-	if m.pipes != nil {
-		done := u.DoneCycle
-		if done == pipe.NeverDone {
-			done = m.now // released control uops (barriers) complete at retire
-		}
-		fmt.Fprintf(m.pipes, "t%d @%d %s | F%d D%d I%d C%d R%d\n",
-			tid, u.Dyn.PC, u.Dyn.Inst.Op, u.FetchCycle, u.DispatchCycle,
-			u.IssueCycle, done, m.now)
-	}
-	if m.chrome != nil {
-		m.chrome.emit(m.now, tid, u)
+	if m.retireHook != nil {
+		m.retireHook(m.now, tid, u)
 	}
 }
 
@@ -373,7 +331,7 @@ func (m *Machine) coordinate(now uint64) {
 	}
 
 	// VLT reconfiguration. This is the machine's only scheduling decision
-	// point, so it doubles as the fork-point hook site: a ForkAt hook sees
+	// point, so it doubles as the fork-point hook site: a forkAt hook sees
 	// each repartition just before it is applied and may override the
 	// requested partition count (Fork-ing the machine first to explore the
 	// alternative it did not choose). The hook fires only once per
@@ -396,7 +354,7 @@ func (m *Machine) coordinate(now uint64) {
 		}
 		req := u.Dyn.VltCfg
 		n := req
-		if hook := m.cfg.ForkAt; hook != nil {
+		if hook := m.forkAt; hook != nil {
 			pt := ForkPoint{Index: m.decisionSeq, Cycle: now, Thread: t, Requested: req}
 			if c := hook(m, pt); c > 0 && m.validPartitionChoice(c) {
 				n = c
@@ -429,8 +387,8 @@ func (m *Machine) coordinate(now uint64) {
 // earliest future cycle at which any component could change state,
 // clamped to every machine-level boundary whose per-cycle bookkeeping
 // must observe exact cycle numbers — MaxCycles, the watchdog's stall
-// deadline, the audit cadence, sampling boundaries, and the vector
-// unit's drain cycle while a repartition waits. A result of now+1 means no skip.
+// deadline, the audit cadence and the vector unit's drain cycle while a
+// repartition waits. A result of now+1 means no skip.
 func (m *Machine) nextEventCycle(now uint64) uint64 {
 	horizon := uint64(pipe.NeverDone)
 	clamp := func(c uint64) {
@@ -460,16 +418,13 @@ func (m *Machine) nextEventCycle(now uint64) uint64 {
 	if m.vu != nil && m.repartitionPending() {
 		horizon = pipe.EventAt(horizon, now, m.vu.DrainCycle())
 	}
-	// Machine-level deadlines. The watchdog and MaxCycles checks, the
-	// auditor and the sampler all run only on woken cycles, so no jump
-	// may cross their next boundary.
+	// Machine-level deadlines. The watchdog and MaxCycles checks and the
+	// auditor run only on woken cycles, so no jump may cross their next
+	// boundary.
 	clamp(m.cfg.MaxCycles)
 	clamp(m.watchdog.Deadline())
 	if m.auditor != nil {
 		clamp(now - now%guard.AuditEvery + guard.AuditEvery)
-	}
-	if m.sampler != nil {
-		horizon = pipe.EventAt(horizon, now, m.sampler.NextSample())
 	}
 	if horizon < now+1 {
 		horizon = now + 1
@@ -533,7 +488,7 @@ func (m *Machine) skipTo(from, to uint64) {
 
 // runStage marks where within the current cycle the run loop stands.
 // The loop body is split at the coordinate step: a Fork taken from
-// inside a ForkAt hook (which fires during coordinate) leaves the clone
+// inside a forkAt hook (which fires during coordinate) leaves the clone
 // in stageCoord, so its resumed run re-enters at coordinate — which is
 // idempotent over already-applied decisions — instead of re-ticking the
 // components for a cycle they already executed.
@@ -548,7 +503,9 @@ const (
 // reaches stop, whichever comes first (so RunUntil(c) on a fresh
 // machine executes cycles [0, c)). It may be called repeatedly; Fork a
 // machine mid-run to branch the simulation. Event-driven cycle
-// skipping never jumps past stop.
+// skipping never jumps past stop, so the registry read after
+// RunUntil(c+1) holds exactly the counts at the end of cycle c: a
+// caller stepping through the run reads a time series that way.
 func (m *Machine) RunUntil(stop uint64) error {
 	for !m.done() {
 		if m.now >= stop {
@@ -584,9 +541,6 @@ func (m *Machine) RunUntil(stop uint64) error {
 				aerr.Dump = m.dump(now)
 				return aerr
 			}
-		}
-		if m.sampler != nil {
-			m.sampler.Tick(now)
 		}
 		// Event-driven advance (DESIGN.md §11): when every component
 		// agrees nothing can change state before some future cycle, jump
@@ -630,7 +584,6 @@ func (m *Machine) Run() (Result, error) {
 		Cycles:  m.now,
 		Retired: m.retiredTotal(),
 		metrics: m.reg.Snapshot(),
-		samples: m.sampler,
 	}, nil
 }
 

@@ -11,68 +11,69 @@ import (
 	"vlt/internal/workloads"
 )
 
-// TestSamplerRowsUnaffectedBySkipping pins the interaction between the
-// event-driven scheduler and the time-series sampler: a cycle jump must
-// stop at every sample boundary, so the recorded series — row cycles
-// and row values — is identical with and without skipping. An odd
-// interval (7) makes the boundaries land off any natural event cycle,
-// which is exactly where a missed clamp would show.
-func TestSamplerRowsUnaffectedBySkipping(t *testing.T) {
+// TestSkipMatchesTickAtEveryStop pins what a caller stepping through a
+// run sees (vltrun -sample reads its rows this way): stopped by
+// RunUntil after every seventh cycle, a skipping machine's full
+// registry snapshot equals the tick-every-cycle reference's. A jump
+// must end at the caller's stop and bulk-credit exactly the span it
+// skipped, so a missed clamp or a mis-credited span shows at the first
+// stop past it. An odd interval (7) lands the stops off any natural
+// event cycle.
+func TestSkipMatchesTickAtEveryStop(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	configs := []func() Config{
 		func() Config { return Base(8) },
-		func() Config { return V4CMT() },
+		V4CMT,
 		func() Config { return VLTScalar(4) },
+		V2SMT,
 	}
-	for trial := 0; trial < 6; trial++ {
+	stops := 0
+	for trial := 0; trial < 12; trial++ {
 		cfg := configs[trial%len(configs)]()
-		cfg.SampleEvery = 7
 		prog := genProgram(rng, cfg.NumThreads)
 		if cfg.Lanes == 0 || cfg.LaneScalarMode {
 			prog = genScalarProgram(rng, cfg.NumThreads)
 		}
-
+		ref := cfg
+		ref.NoSkip = true
 		skipM, err := NewMachine(cfg, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := skipM.Run(); err != nil {
-			t.Fatalf("trial %d (%s): skipping run: %v", trial, cfg.Name, err)
-		}
-
-		ref := cfg
-		ref.NoSkip = true
 		tickM, err := NewMachine(ref, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tickM.Run(); err != nil {
-			t.Fatalf("trial %d (%s): ticking run: %v", trial, cfg.Name, err)
-		}
-
-		ss, ts := skipM.Sampler(), tickM.Sampler()
-		if ss.Len() == 0 {
-			t.Fatalf("trial %d (%s): sampler recorded no rows", trial, cfg.Name)
-		}
-		if ss.Len() != ts.Len() {
-			t.Fatalf("trial %d (%s): %d sample rows skipping vs %d ticking",
-				trial, cfg.Name, ss.Len(), ts.Len())
-		}
-		for i := 0; i < ss.Len(); i++ {
-			sc, sv := ss.Row(i)
-			tc, tv := ts.Row(i)
-			if sc != tc {
-				t.Fatalf("trial %d (%s) row %d: sampled at cycle %d skipping vs %d ticking",
-					trial, cfg.Name, i, sc, tc)
+		for stop := uint64(1); ; stop += 7 {
+			if err := skipM.RunUntil(stop); err != nil {
+				t.Fatalf("trial %d (%s): skipping run: %v", trial, cfg.Name, err)
 			}
-			for j := range sv {
-				if sv[j] != tv[j] {
-					t.Fatalf("trial %d (%s) row %d: metric %s = %v skipping vs %v ticking",
-						trial, cfg.Name, i, ss.Names()[j], sv[j], tv[j])
+			if err := tickM.RunUntil(stop); err != nil {
+				t.Fatalf("trial %d (%s): ticking run: %v", trial, cfg.Name, err)
+			}
+			if skipM.Now() != tickM.Now() {
+				t.Fatalf("trial %d (%s) stop %d: skipping stopped at cycle %d, ticking at %d",
+					trial, cfg.Name, stop, skipM.Now(), tickM.Now())
+			}
+			got, want := skipM.Registry().Snapshot(), tickM.Registry().Snapshot()
+			if len(got) != len(want) {
+				t.Fatalf("trial %d (%s) stop %d: %d metrics skipping vs %d ticking",
+					trial, cfg.Name, stop, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d (%s) stop %d: metric %s = %s skipping vs %s = %s ticking",
+						trial, cfg.Name, stop, got[i].Name, got[i].FormatValue(),
+						want[i].Name, want[i].FormatValue())
 				}
+			}
+			stops++
+			if skipM.Now() < stop {
+				break // both finished before the stop
 			}
 		}
 	}
+	t.Logf("%d stops matched", stops)
 }
 
 // TestSkipMatchesTickUnderAblations extends the equivalence harness's

@@ -131,68 +131,3 @@ func TestMetricNamingAndOrder(t *testing.T) {
 		}
 	}
 }
-
-// The sampler records the vector-datapath occupancy census at the
-// configured interval, and its rows are monotone (counters only grow).
-func TestSamplerRecordsOccupancySeries(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	cfg := Base(8)
-	cfg.SampleEvery = 50
-	m, err := NewMachine(cfg, genProgram(rng, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := res.Samples()
-	if s == nil {
-		t.Fatal("SampleEvery set but Result.Samples is nil")
-	}
-	if s.Len() < 2 {
-		t.Fatalf("recorded %d samples over %d cycles (interval 50)", s.Len(), res.Cycles)
-	}
-	names := s.Names()
-	busyCol := -1
-	for i, n := range names {
-		if n == "vcl.util.busy" {
-			busyCol = i
-		}
-	}
-	if busyCol < 0 {
-		t.Fatalf("default sample set %v lacks vcl.util.busy", names)
-	}
-	var prevCycle uint64
-	var prevBusy float64
-	for i := 0; i < s.Len(); i++ {
-		cyc, vals := s.Row(i)
-		if i > 0 && cyc != prevCycle+50 {
-			t.Fatalf("row %d at cycle %d, want %d", i, cyc, prevCycle+50)
-		}
-		if vals[busyCol] < prevBusy {
-			t.Fatalf("busy census shrank at row %d", i)
-		}
-		prevCycle, prevBusy = cyc, vals[busyCol]
-	}
-	// The cumulative census ends at the run's final value.
-	_, last := s.Row(s.Len() - 1)
-	if busy := res.Metrics().Uint("vcl.util.busy"); last[busyCol] > float64(busy) {
-		t.Fatalf("sampled busy %v exceeds final census %d", last[busyCol], busy)
-	}
-	// A no-vector-unit machine quietly samples the scalar subset.
-	cfg2 := CMT(4)
-	cfg2.SampleEvery = 100
-	m2, err := NewMachine(cfg2, genProgramKind(rng, 4, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m2.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range m2.Sampler().Names() {
-		if strings.HasPrefix(n, "vcl.") {
-			t.Fatalf("scalar-only machine samples %q", n)
-		}
-	}
-}

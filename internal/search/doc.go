@@ -1,7 +1,7 @@
 // Package search explores the lane-repartition design space of a VLT
 // machine by speculative simulation. It builds on core.Machine.Fork: a
 // single run proceeds down the program's own VLTCFG choices while a
-// ForkAt hook forks the machine at each repartition decision and steers
+// SetForkAt hook forks the machine at each repartition decision and steers
 // every copy down an alternative partition count. Each fork is an
 // O(state) snapshot, so exploring a choice costs only the simulation
 // from that decision onward — never a replay of the prefix.

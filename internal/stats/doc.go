@@ -13,8 +13,10 @@
 //  2. Full-fidelity export. A Snapshot preserves integer counters exactly
 //     and derived ratios as float64, sorted by name, ready for JSON, a
 //     golden file, or a pretty-printer.
-//  3. Time series. A Sampler records selected metrics every N cycles,
-//     yielding the raw material for occupancy-over-time plots.
+//  3. Live reads. Float evaluates one metric right now, so a caller
+//     that runs the machine in RunUntil steps reads a time series
+//     (occupancy over time) from the same registry; the registry
+//     records nothing between reads.
 //
 // A Registry is not safe for concurrent use; each simulated Machine owns
 // exactly one (machines are already single-goroutine by construction).

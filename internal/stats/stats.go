@@ -2,7 +2,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -99,6 +98,12 @@ func (r *Registry) Names() []string {
 	sort.Strings(names)
 	return names
 }
+
+// NumMetrics returns the number of registered metrics in the
+// registry's underlying table (scoped views share the table, so the
+// count is registry-wide). The machine's guard auditor uses it to
+// detect registration after the run has started.
+func (r *Registry) NumMetrics() int { return len(r.table) }
 
 // read evaluates one registered metric as a float64 (histograms read as
 // their total count).
@@ -231,117 +236,6 @@ func (s Snapshot) String() string {
 	var sb strings.Builder
 	for _, v := range s {
 		sb.WriteString(v.String())
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
-// Sampler records selected metrics every interval cycles: a cycle-indexed
-// time series for plots such as vector-datapath occupancy over time.
-// Counters sample cumulatively; DeltaRow converts to per-interval rates.
-type Sampler struct {
-	reg      *Registry
-	interval uint64
-	names    []string
-	metrics  []metric
-	next     uint64
-
-	cycles []uint64
-	rows   [][]float64
-}
-
-// NewSampler builds a sampler over the registry recording the named
-// metrics every interval cycles (interval < 1 is clamped to 1). Names not
-// registered are silently dropped, so one default sample set serves
-// machine configurations with and without a vector unit; the selection
-// actually in effect is reported by Names.
-func (r *Registry) NewSampler(interval uint64, names ...string) *Sampler {
-	if interval < 1 {
-		interval = 1
-	}
-	s := &Sampler{reg: r, interval: interval}
-	for _, n := range names {
-		if m, ok := r.table[n]; ok {
-			s.names = append(s.names, n)
-			s.metrics = append(s.metrics, m)
-		}
-	}
-	return s
-}
-
-// Names returns the metrics actually being sampled.
-func (s *Sampler) Names() []string { return s.names }
-
-// Interval returns the sampling interval in cycles.
-func (s *Sampler) Interval() uint64 { return s.interval }
-
-// NextSample returns the cycle at which Tick will next record a row
-// (math.MaxUint64 when the sampler records no metrics). The
-// event-driven scheduler clamps cycle jumps to this boundary so the
-// sampled time series is identical with and without cycle skipping.
-func (s *Sampler) NextSample() uint64 {
-	if len(s.metrics) == 0 {
-		return math.MaxUint64
-	}
-	return s.next
-}
-
-// Tick observes the cycle counter; on interval boundaries it records one
-// row. Call once per simulated cycle.
-func (s *Sampler) Tick(now uint64) {
-	if now < s.next || len(s.metrics) == 0 {
-		return
-	}
-	s.next = now + s.interval
-	row := make([]float64, len(s.metrics))
-	for i, m := range s.metrics {
-		row[i] = s.reg.read(m)
-	}
-	s.cycles = append(s.cycles, now)
-	s.rows = append(s.rows, row)
-}
-
-// Len returns the number of recorded samples.
-func (s *Sampler) Len() int { return len(s.rows) }
-
-// Row returns sample i: the cycle it was taken and the metric values
-// (cumulative, in Names order).
-func (s *Sampler) Row(i int) (cycle uint64, values []float64) {
-	return s.cycles[i], s.rows[i]
-}
-
-// DeltaRow returns sample i as per-interval increments (row i minus row
-// i-1; row 0 is returned as-is, its baseline being zero).
-func (s *Sampler) DeltaRow(i int) (cycle uint64, deltas []float64) {
-	cur := s.rows[i]
-	out := make([]float64, len(cur))
-	if i == 0 {
-		copy(out, cur)
-		return s.cycles[i], out
-	}
-	prev := s.rows[i-1]
-	for j := range cur {
-		out[j] = cur[j] - prev[j]
-	}
-	return s.cycles[i], out
-}
-
-// CSV renders the series as comma-separated text with a header row
-// ("cycle,metric,..."), cumulative values.
-func (s *Sampler) CSV() string {
-	var sb strings.Builder
-	sb.WriteString("cycle")
-	for _, n := range s.names {
-		sb.WriteByte(',')
-		sb.WriteString(n)
-	}
-	sb.WriteByte('\n')
-	for i := range s.rows {
-		sb.WriteString(strconv.FormatUint(s.cycles[i], 10))
-		for _, v := range s.rows[i] {
-			sb.WriteByte(',')
-			sb.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-		}
 		sb.WriteByte('\n')
 	}
 	return sb.String()

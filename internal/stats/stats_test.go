@@ -1,9 +1,7 @@
 package stats
 
 import (
-	"math"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -95,80 +93,5 @@ func TestHistogramExpandsNonZeroBuckets(t *testing.T) {
 	// Histogram base name reads as the total.
 	if v, ok := r.Float("vl_hist"); !ok || v != 12 {
 		t.Fatalf("Float(vl_hist) = %v, %v; want 12", v, ok)
-	}
-}
-
-func TestSamplerRecordsAtInterval(t *testing.T) {
-	r := New()
-	var busy uint64
-	r.Counter("busy", &busy)
-	s := r.NewSampler(10, "busy", "not.registered")
-	if got := s.Names(); !reflect.DeepEqual(got, []string{"busy"}) {
-		t.Fatalf("sampler names %v, want [busy]", got)
-	}
-	for now := uint64(0); now < 35; now++ {
-		busy += 2
-		s.Tick(now)
-	}
-	if s.Len() != 4 { // cycles 0, 10, 20, 30
-		t.Fatalf("recorded %d samples, want 4", s.Len())
-	}
-	cyc, vals := s.Row(2)
-	if cyc != 20 || vals[0] != 42 { // busy incremented before Tick(20)
-		t.Fatalf("row 2 = cycle %d, %v; want 20, [42]", cyc, vals)
-	}
-	_, d := s.DeltaRow(2)
-	if d[0] != 20 {
-		t.Fatalf("delta row 2 = %v, want [20]", d)
-	}
-	csv := s.CSV()
-	if !strings.HasPrefix(csv, "cycle,busy\n0,2\n") {
-		t.Fatalf("CSV = %q", csv)
-	}
-}
-
-func TestEmptySamplerNeverRecords(t *testing.T) {
-	r := New()
-	s := r.NewSampler(0, "missing")
-	for now := uint64(0); now < 5; now++ {
-		s.Tick(now)
-	}
-	if s.Len() != 0 {
-		t.Fatalf("empty sampler recorded %d rows", s.Len())
-	}
-}
-
-func TestSamplerNextSample(t *testing.T) {
-	r := New()
-	var busy uint64
-	r.Counter("busy", &busy)
-	s := r.NewSampler(7, "busy")
-	// The first row is recorded at cycle 0; after a Tick at cycle n the
-	// next boundary is n+interval, whether or not n was itself a
-	// boundary (a late Tick re-anchors the series, matching Tick).
-	if got := s.NextSample(); got != 0 {
-		t.Fatalf("NextSample before any Tick = %d, want 0", got)
-	}
-	s.Tick(0)
-	if got := s.NextSample(); got != 7 {
-		t.Fatalf("NextSample after Tick(0) = %d, want 7", got)
-	}
-	s.Tick(3) // below the boundary: no row, no change
-	if got := s.NextSample(); got != 7 {
-		t.Fatalf("NextSample after Tick(3) = %d, want 7", got)
-	}
-	s.Tick(9) // past the boundary: records and re-anchors at 9+7
-	if got := s.NextSample(); got != 16 {
-		t.Fatalf("NextSample after Tick(9) = %d, want 16", got)
-	}
-	if s.Len() != 2 {
-		t.Fatalf("recorded %d rows, want 2", s.Len())
-	}
-
-	// A sampler with no matched metrics never records: NextSample must
-	// never schedule a wake-up.
-	e := r.NewSampler(5, "missing")
-	if got := e.NextSample(); got != math.MaxUint64 {
-		t.Fatalf("empty sampler NextSample = %d, want MaxUint64", got)
 	}
 }

@@ -41,7 +41,11 @@ import (
 // Version 4: core.Config lost its fault-injection, audit-interval and
 // sample-selection fields, and each cell key hashes the Config with %+v,
 // so every key moved. No body moved.
-const FormatVersion = 4
+//
+// Version 5: core.Config lost its sampling interval and its func-valued
+// fork-point hook (now set only by Machine.SetForkAt), so every key
+// moved again. No body moved.
+const FormatVersion = 5
 
 // magic is the first token of every entry's header line.
 const magic = "vltstore"

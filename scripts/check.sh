@@ -51,11 +51,14 @@ echo "== go build ./cmd/... (the nine commands, built once for the gates below)"
 bin="$work/bin"
 go build -o "$bin/" ./cmd/...
 
-echo "== toolchain round trip (vltasm, vltdis, vltasm, vltdis over examples/programs/*.vasm)"
+echo "== toolchain round trip (vltasm, vltdis, vltasm, vltdis over examples/programs/*.vasm; vltrun on source and image)"
 # The disassembler prints each operand in the syntax the assembler
 # parses (isa.Info.Syntax), so a disassembly must assemble back to the
 # same program: the two disassemblies match after their "# program"
-# header line, which names the input file.
+# header line, which names the input file. vltrun then runs the source
+# and the twice-assembled image with every observer on; stdout, stderr
+# and the Chrome trace must be identical.
+run_flags=(-machine V2-CMP -threads 2 -sample 50 -trace -pipeview)
 for src in examples/programs/*.vasm; do
     base="$work/$(basename "$src" .vasm)"
     "$bin/vltasm" -o "$base.1.vltp" "$src"
@@ -66,6 +69,17 @@ for src in examples/programs/*.vasm; do
         echo "toolchain round trip: $src does not reassemble to the same program" >&2
         exit 1
     fi
+    "$bin/vltrun" "${run_flags[@]}" -chrometrace "$base.src.json" "$src" \
+        >"$base.src.out" 2>"$base.src.err"
+    "$bin/vltrun" "${run_flags[@]}" -chrometrace "$base.img.json" "$base.2.vltp" \
+        >"$base.img.out" 2>"$base.img.err"
+    for ext in out err json; do
+        if ! diff "$base.src.$ext" "$base.img.$ext" >/dev/null; then
+            echo "toolchain round trip: vltrun's $ext differs between $src and its reassembled image" >&2
+            diff "$base.src.$ext" "$base.img.$ext" | head -20 >&2
+            exit 1
+        fi
+    done
 done
 
 echo "== vltlint -docs ./... (all lint passes repo-wide + analyzer speed guard)"

@@ -63,7 +63,7 @@ func TestSearchDeterministic(t *testing.T) {
 }
 
 // TestForkAtDefaultIsNeutral pins the hook-site contract: installing a
-// ForkAt hook that declines every override (returns 0, or echoes the
+// SetForkAt hook that declines every override (returns 0, or echoes the
 // request) must leave the run metric-identical to an unhooked machine.
 func TestForkAtDefaultIsNeutral(t *testing.T) {
 	baseline := buildCell(t, simCell{"mpenc", MachineV4CMT, Options{}}, nil).machine(t)
