@@ -9,8 +9,8 @@
 //
 //	vltsearch -workload mpenc -machine V4-CMT [flags]
 //
-// The default exhaustive policy tries every alternative at the first
-// -depth decisions, bounded by -budget total simulated runs; -policy
-// beam and -policy sample (with -width and -seed) scale to deeper
-// decision trees. The search is deterministic for fixed flags.
+// The search tries every alternative partition count at the first
+// -depth decisions, bounded by -budget total simulated runs. No kernel
+// issues more than two decisions, so the default budget covers the
+// whole tree. The search is deterministic for fixed flags at any -jobs.
 package main

@@ -25,9 +25,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	machine := fs.String("machine", "V4-CMT", "machine configuration name")
 	budget := fs.Int("budget", 0, "max simulated runs including the baseline (0 = default)")
 	depth := fs.Int("depth", 0, "max leading decisions branched on (0 = default)")
-	policy := fs.String("policy", "exhaustive", "expansion policy: exhaustive, beam or sample")
-	width := fs.Int("width", 0, "beam width / sample count for -policy beam|sample (0 = 2)")
-	seed := fs.Int64("seed", 0, "random seed for -policy sample")
 	scale := fs.Int("scale", 0, "workload problem-size multiplier (0 = calibrated default)")
 	threads := fs.Int("threads", 0, "software thread count (0 = machine's natural count)")
 	jobs := fs.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS)")
@@ -51,7 +48,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"scale", *scale}, {"budget", *budget}, {"depth", *depth}, {"width", *width}, {"threads", *threads}, {"jobs", *jobs}} {
+	}{{"scale", *scale}, {"budget", *budget}, {"depth", *depth}, {"threads", *threads}, {"jobs", *jobs}} {
 		if f.v < 0 {
 			fmt.Fprintf(stderr, "vltsearch: -%s %d: want 0 (the default) or a positive count\n", f.name, f.v)
 			return 2
@@ -63,9 +60,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Threads: *threads,
 		Budget:  *budget,
 		Depth:   *depth,
-		Policy:  *policy,
-		Width:   *width,
-		Seed:    *seed,
 		Workers: *jobs,
 	})
 	if err != nil {

@@ -12,10 +12,11 @@
 //     math/rand, no range over a map inside the simulation core
 //     packages (map iteration order is runtime-randomized; sorted-key
 //     helpers are the sanctioned replacement);
-//   - rand-global: inside internal/search, whose Sample policy may
-//     build explicitly seeded sources, every draw from the
-//     process-global source is banned (rand.Intn, rand.Perm, ...) —
-//     only rand.New and rand.NewSource are permitted;
+//   - rand-global: inside internal/search, internal/netfault and
+//     internal/vltclient, which may build explicitly seeded sources,
+//     every draw from the process-global source is banned
+//     (rand.Intn, rand.Perm, ...) — only rand.New and rand.NewSource
+//     are permitted;
 //   - goroutine: no goroutine spawns outside internal/runner — the
 //     audited worker pool is the sanctioned home for concurrency; a
 //     spawn elsewhere needs an explicit, reasoned ignore directive.

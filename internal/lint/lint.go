@@ -67,8 +67,8 @@ var ctxPkgs = map[string]bool{
 const statsPkg = "vlt/internal/stats"
 
 // seededRandPkgs are the non-workload packages granted math/rand: the
-// design-space search driver (its Sample policy draws from a seeded
-// source), the chaos proxy (reproducible fault schedules), and the
+// design-space search driver (it draws nothing, but any draw there must
+// replay), the chaos proxy (reproducible fault schedules), and the
 // daemon client (retry jitter). The grant is narrow — the rand-global
 // rule bans every package-level rand function there (rand.Intn,
 // rand.Perm, rand.Shuffle, ...), because those hit the process-global,

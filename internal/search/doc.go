@@ -7,9 +7,11 @@
 // from that decision onward — never a replay of the prefix.
 //
 // The driver is wave-synchronized and deterministic: every job in a
-// wave runs to completion (on an internal/runner Slots), its spawned
-// children are collected in plan order, a Policy selects which
-// children survive, and the next wave starts. A fixed machine builder,
-// policy and budget always produce the identical Outcome, regardless
-// of worker count or goroutine scheduling.
+// wave runs to completion (on a runner.Slots), every run's children
+// form the next wave in wave order, and the budget truncates a wave
+// before it starts. The search is exhaustive down to Depth decisions:
+// no kernel issues more than two repartition decisions, so the whole
+// tree is a handful of runs. A fixed machine builder, budget and depth
+// always produce the identical Outcome, regardless of worker count or
+// goroutine scheduling.
 package search

@@ -16,9 +16,6 @@ type Options struct {
 	// Depth caps how many leading decisions are branched on; decisions
 	// past it always follow the program (0 = DefaultDepth).
 	Depth int
-	// Policy selects which runs' children each wave expands
-	// (nil = Exhaustive).
-	Policy Policy
 	// Workers bounds concurrent simulations (0 = GOMAXPROCS).
 	Workers int
 }
@@ -46,7 +43,7 @@ type jobResult struct {
 
 // Optimize explores the repartition decision space of the machine that
 // build constructs and returns every simulated run plus the best one.
-// The search is deterministic: a fixed builder, policy and budget
+// The search is deterministic: a fixed builder, budget and depth
 // produce the identical Outcome for any worker count.
 //
 // The all-defaults root run is always simulated first and makes
@@ -59,14 +56,10 @@ func Optimize(build func() (*core.Machine, error), opts Options) (Outcome, error
 	if opts.Depth <= 0 {
 		opts.Depth = DefaultDepth
 	}
-	if opts.Policy == nil {
-		opts.Policy = Exhaustive{}
-	}
 
 	d := driver{build: build, opts: opts}
 	slots := runner.NewSlots(opts.Workers)
 	out := Outcome{}
-	seen := map[string]bool{}
 	wave := []job{{}} // the all-defaults root
 
 	for len(wave) > 0 {
@@ -83,40 +76,23 @@ func Optimize(build func() (*core.Machine, error), opts Options) (Outcome, error
 				return d.runJob(j)
 			})
 		}
-		runs := make([]Run, len(wave))
-		children := make([][]job, len(wave))
-		for i, t := range tasks {
+		// Every run's children form the next wave, in wave order. The
+		// plans are distinct without a dedupe. A child's plan is its
+		// parent's plan, zero-padded up to the fork's decision, plus one
+		// count the program did not request there. So every plan but
+		// the root's ends in a nonzero count, and dropping a child's last
+		// entry and then its trailing zeros gives back its parent's plan:
+		// children of distinct parents differ, and siblings differ in
+		// length or in their last count.
+		var next []job
+		for _, t := range tasks {
 			r, err := t.Wait()
 			if err != nil {
 				return out, err
 			}
-			runs[i] = r.run
-			children[i] = r.children
 			out.Runs = append(out.Runs, r.run)
 			out.Simulated++
-		}
-
-		var next []job
-		if out.Simulated < opts.Budget {
-			picked := map[int]bool{}
-			for _, i := range opts.Policy.Select(runs) {
-				if i >= 0 && i < len(runs) {
-					picked[i] = true
-				}
-			}
-			for i := range runs { // wave order, not map order: deterministic
-				if !picked[i] {
-					continue
-				}
-				for _, c := range children[i] {
-					if k := planKey(c.plan); !seen[k] {
-						seen[k] = true
-						next = append(next, c)
-					}
-				}
-			}
-			// Children of unselected runs are pruned, not budget-discarded:
-			// the policy chose to skip them.
+			next = append(next, r.children...)
 		}
 		wave = next
 	}

@@ -1,10 +1,6 @@
 package search
 
-import (
-	"fmt"
-	"math/rand"
-	"sort"
-)
+import "fmt"
 
 // Decision records one lane-repartition decision as a run passed it.
 type Decision struct {
@@ -73,75 +69,3 @@ func planLess(a, b []int) bool {
 }
 
 func planKey(p []int) string { return fmt.Sprint(p) }
-
-// Policy decides, after each wave of runs completes, which runs'
-// speculative children are expanded in the next wave. Select returns
-// indices into wave; out-of-range indices are ignored and duplicates
-// are collapsed. Implementations must be deterministic functions of
-// their configuration and the wave contents.
-type Policy interface {
-	Select(wave []Run) []int
-}
-
-// Exhaustive expands every run's children: a full exhaustive search of
-// the decision tree down to the driver's Depth, bounded only by the
-// budget.
-type Exhaustive struct{}
-
-// Select returns every index.
-func (Exhaustive) Select(wave []Run) []int {
-	out := make([]int, len(wave))
-	for i := range wave {
-		out[i] = i
-	}
-	return out
-}
-
-// Beam expands only the children of the Width best runs of each wave —
-// classic beam search over the decision tree.
-type Beam struct {
-	Width int
-}
-
-// Select returns the indices of the Width best runs.
-func (b Beam) Select(wave []Run) []int {
-	idx := make([]int, len(wave))
-	for i := range wave {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(i, j int) bool { return better(wave[idx[i]], wave[idx[j]]) })
-	w := b.Width
-	if w < 1 {
-		w = 1
-	}
-	if w > len(idx) {
-		w = len(idx)
-	}
-	return idx[:w]
-}
-
-// Sample expands the children of K runs drawn pseudo-randomly from each
-// wave. The generator is seeded from Seed and the wave number, so a
-// fixed Seed reproduces the identical search.
-type Sample struct {
-	K    int
-	Seed int64
-
-	wave int64 // waves consumed; part of each wave's derived seed
-}
-
-// Select draws K distinct indices.
-func (s *Sample) Select(wave []Run) []int {
-	s.wave++
-	k := s.K
-	if k < 1 {
-		k = 1
-	}
-	if k >= len(wave) {
-		k = len(wave)
-	}
-	r := rand.New(rand.NewSource(s.Seed ^ s.wave*0x5851f42d4c957f2d))
-	idx := r.Perm(len(wave))[:k]
-	sort.Ints(idx)
-	return idx
-}

@@ -59,34 +59,84 @@ func TestOptimizeExhaustive(t *testing.T) {
 	}
 }
 
-// TestOptimizeDeterministic pins the driver's core contract: two
-// searches with identical options produce deeply equal outcomes, for
-// both serial and parallel pools and for the seeded sampling policy.
+// TestOptimizeCoversWholeTree pins the one expansion rule: on mpenc,
+// whose two repartition decisions each take one of three partition
+// counts, the search simulates the complete tree — every pair of
+// applied counts exactly once — and discards nothing.
+func TestOptimizeCoversWholeTree(t *testing.T) {
+	build := buildMpenc(t)
+	m, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	choices := m.PartitionChoices()
+	m.Release()
+	out, err := Optimize(build, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Discarded != 0 {
+		t.Errorf("discarded %d runs of a tree the default budget covers", out.Discarded)
+	}
+	want := map[[2]int]bool{}
+	for _, a := range choices {
+		for _, b := range choices {
+			want[[2]int{a, b}] = true
+		}
+	}
+	got := map[[2]int]bool{}
+	plans := map[string]bool{}
+	for _, r := range out.Runs {
+		if len(r.Decisions) != 2 {
+			t.Fatalf("plan %v passed %d decisions, want 2", r.Plan, len(r.Decisions))
+		}
+		pair := [2]int{r.Decisions[0].Chosen, r.Decisions[1].Chosen}
+		if got[pair] {
+			t.Errorf("plan %v repeats applied counts %v", r.Plan, pair)
+		}
+		got[pair] = true
+		if k := planKey(r.Plan); plans[k] {
+			t.Errorf("plan %v simulated twice", r.Plan)
+		} else {
+			plans[k] = true
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("applied count pairs %v, want every pair of %v (%d)", got, choices, len(want))
+	}
+}
+
+// TestOptimizeDeterministic pins the driver's core contract: identical
+// options produce deeply equal outcomes, and the worker count changes
+// nothing. The budget truncates the last wave mid-way, so the order in
+// which a wave is cut is checked too.
 func TestOptimizeDeterministic(t *testing.T) {
 	build := buildMpenc(t)
-	cases := []struct {
-		name string
-		opts func() Options
-	}{
-		{"exhaustive-serial", func() Options { return Options{Budget: 16, Workers: 1} }},
-		{"exhaustive-parallel", func() Options { return Options{Budget: 16, Workers: 4} }},
-		{"beam", func() Options { return Options{Budget: 16, Policy: Beam{Width: 1}} }},
-		{"sample", func() Options { return Options{Budget: 16, Policy: &Sample{K: 1, Seed: 42}} }},
-	}
-	for _, tc := range cases {
+	var outs []Outcome
+	for _, tc := range []struct {
+		name    string
+		workers int
+	}{{"exhaustive-serial", 1}, {"exhaustive-parallel", 4}} {
 		t.Run(tc.name, func(t *testing.T) {
-			a, err := Optimize(build, tc.opts())
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := Optimize(build, tc.opts())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(a, b) {
-				t.Errorf("outcomes differ across identical searches:\n%+v\nvs\n%+v", a, b)
+			for range 2 {
+				out, err := Optimize(build, Options{Budget: 7, Workers: tc.workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out.Simulated != 7 || out.Discarded == 0 {
+					t.Fatalf("budget 7 simulated %d and discarded %d; want a binding budget", out.Simulated, out.Discarded)
+				}
+				outs = append(outs, out)
 			}
 		})
+	}
+	if t.Failed() {
+		return
+	}
+	for i, out := range outs[1:] {
+		if !reflect.DeepEqual(outs[0], out) {
+			t.Errorf("outcome %d differs from the first:\n%+v\nvs\n%+v", i+1, out, outs[0])
+		}
 	}
 }
 
@@ -114,6 +164,16 @@ func TestOptimizeBudget(t *testing.T) {
 			t.Errorf("run %d differs between budgets: %+v vs %+v", i, r, full.Runs[i])
 		}
 	}
+	// A budget spent exactly at a wave's end still reports the forks
+	// it leaves unrun: budget 1 runs the root and drops its four forks
+	// (two alternatives at each of mpenc's two decisions).
+	root, err := Optimize(buildMpenc(t), Options{Budget: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if root.Simulated != 1 || root.Discarded != 4 {
+		t.Errorf("budget 1 simulated %d and discarded %d, want 1 and 4", root.Simulated, root.Discarded)
+	}
 }
 
 func TestOptimizeDepthZeroBranchesNothingPastDepth(t *testing.T) {
@@ -124,44 +184,6 @@ func TestOptimizeDepthZeroBranchesNothingPastDepth(t *testing.T) {
 	for _, r := range out.Runs {
 		if len(r.Plan) > 1 {
 			t.Errorf("depth 1 produced plan %v", r.Plan)
-		}
-	}
-}
-
-func TestBeamSelect(t *testing.T) {
-	wave := []Run{
-		{Plan: []int{2}, Cycles: 300},
-		{Plan: []int{4}, Cycles: 100},
-		{Plan: []int{1}, Cycles: 100},
-		{Plan: []int{3}, Failed: true},
-	}
-	got := Beam{Width: 2}.Select(wave)
-	// Ties on cycles break by plan order: [1] before [4].
-	want := []int{2, 1}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Beam.Select = %v, want %v", got, want)
-	}
-	if got := (Beam{Width: 10}).Select(wave); len(got) != len(wave) {
-		t.Errorf("oversized beam selected %d of %d", len(got), len(wave))
-	}
-}
-
-func TestSampleSelectDeterministic(t *testing.T) {
-	wave := make([]Run, 8)
-	a := (&Sample{K: 3, Seed: 7}).Select(wave)
-	b := (&Sample{K: 3, Seed: 7}).Select(wave)
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("same seed drew %v then %v", a, b)
-	}
-	s := &Sample{K: 3, Seed: 7}
-	s.Select(wave)
-	c := s.Select(wave) // second wave must use a different derived seed
-	if reflect.DeepEqual(a, c) {
-		t.Logf("wave 1 and 2 drew the same indices (possible, just unlikely): %v", a)
-	}
-	for _, i := range a {
-		if i < 0 || i >= len(wave) {
-			t.Fatalf("index %d out of range", i)
 		}
 	}
 }

@@ -82,6 +82,16 @@ for src in examples/programs/*.vasm; do
     done
 done
 
+echo "== vltsearch determinism (-workload mpenc -json at -jobs 1 and -jobs 2)"
+# The search runs each wave's forks in parallel but collects them in
+# wave order, so the worker count must not change a byte of the result.
+"$bin/vltsearch" -workload mpenc -json -jobs 1 >"$work/search.1.json"
+"$bin/vltsearch" -workload mpenc -json -jobs 2 >"$work/search.2.json"
+if ! diff "$work/search.1.json" "$work/search.2.json"; then
+    echo "vltsearch determinism: -json output differs between -jobs 1 and -jobs 2" >&2
+    exit 1
+fi
+
 echo "== vltlint -docs ./... (all lint passes repo-wide + analyzer speed guard)"
 # All passes must run clean: determinism rules on the core, lock
 # discipline and goroutine ownership module-wide, deadline propagation

@@ -24,15 +24,6 @@ type SearchOptions struct {
 	// Depth caps how many leading repartition decisions are branched on
 	// (0 = search.DefaultDepth).
 	Depth int
-	// Policy selects the expansion policy: "exhaustive" (default),
-	// "beam" or "sample".
-	Policy string
-	// Width is the beam width or sample count for those policies
-	// (0 = 2).
-	Width int
-	// Seed seeds the "sample" policy; a fixed seed reproduces the
-	// identical search.
-	Seed int64
 	// Workers bounds concurrent simulations (0 = GOMAXPROCS).
 	Workers int
 }
@@ -70,22 +61,6 @@ type SearchResult struct {
 	Verified bool `json:"verified"`
 }
 
-func searchPolicy(opt SearchOptions) (search.Policy, error) {
-	width := opt.Width
-	if width == 0 {
-		width = 2
-	}
-	switch opt.Policy {
-	case "", "exhaustive":
-		return search.Exhaustive{}, nil
-	case "beam":
-		return search.Beam{Width: width}, nil
-	case "sample":
-		return &search.Sample{K: width, Seed: opt.Seed}, nil
-	}
-	return nil, fmt.Errorf("vlt: unknown search policy %q", opt.Policy)
-}
-
 // SearchLanePartition explores the lane-repartition decision space of
 // one workload on one machine: every VLTCFG the program issues becomes
 // a decision point where the search may substitute any valid partition
@@ -98,10 +73,6 @@ func SearchLanePartition(workload string, m Machine, opt SearchOptions) (SearchR
 	if err != nil {
 		return SearchResult{}, err
 	}
-	policy, err := searchPolicy(opt)
-	if err != nil {
-		return SearchResult{}, err
-	}
 	// One immutable program shared by every speculative machine; each
 	// machine gets its own functional memory at construction.
 	prog := spec.w.Build(spec.params)
@@ -110,7 +81,6 @@ func SearchLanePartition(workload string, m Machine, opt SearchOptions) (SearchR
 	out, err := search.Optimize(build, search.Options{
 		Budget:  opt.Budget,
 		Depth:   opt.Depth,
-		Policy:  policy,
 		Workers: opt.Workers,
 	})
 	if err != nil {

@@ -45,20 +45,24 @@ func TestSearchLanePartitionMpenc(t *testing.T) {
 	}
 }
 
-// TestSearchDeterministic pins end-to-end facade determinism: two
-// searches with the same options are deeply equal.
+// TestSearchDeterministic pins end-to-end facade determinism: searches
+// with the same options are deeply equal at 1 and 4 workers, under a
+// budget that cuts the search short.
 func TestSearchDeterministic(t *testing.T) {
-	opt := SearchOptions{Budget: 12, Policy: "beam", Width: 1, Workers: 4}
-	a, err := SearchLanePartition("mpenc", MachineV4CMT, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SearchLanePartition("mpenc", MachineV4CMT, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("results differ across identical searches:\n%+v\nvs\n%+v", a, b)
+	var first SearchResult
+	for i, workers := range []int{1, 1, 4, 4} {
+		res, err := SearchLanePartition("mpenc", MachineV4CMT, SearchOptions{Budget: 7, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Discarded == 0 {
+			t.Fatal("budget 7 discarded nothing; want a binding budget")
+		}
+		if i == 0 {
+			first = res
+		} else if !reflect.DeepEqual(first, res) {
+			t.Errorf("result %d (%d workers) differs:\n%+v\nvs\n%+v", i, workers, res, first)
+		}
 	}
 }
 
