@@ -148,8 +148,10 @@ func BenchmarkFigure6(b *testing.B) {
 // one slot and once on GOMAXPROCS slots. A fresh engine per iteration
 // keeps the memoization cache inside the measured region, so the metric
 // tracks the real `vltexp -all` cost and the dedup factor
-// (unique/submitted cells) stays honest.
+// (unique/submitted cells) stays honest. VLT_AUDIT is pinned off, as in
+// BenchmarkRunBaseMXM, so its profiles are of the program vltexp runs.
 func BenchmarkExpAll(b *testing.B) {
+	b.Setenv("VLT_AUDIT", "off")
 	for _, bc := range []struct {
 		name string
 		jobs int
@@ -219,8 +221,10 @@ func BenchmarkRunBaseMXMAudit(b *testing.B) {
 // --- per-workload simulation throughput ---
 
 // BenchmarkSimulate measures raw simulator throughput (simulated cycles
-// per wall-clock second) for one representative workload per class.
+// per wall-clock second) for one representative workload per class,
+// with the auditor off as in BenchmarkRunBaseMXM.
 func BenchmarkSimulate(b *testing.B) {
+	b.Setenv("VLT_AUDIT", "off")
 	for _, tc := range []struct {
 		workload string
 		machine  Machine

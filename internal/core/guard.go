@@ -38,6 +38,7 @@ func (m *Machine) initGuard() {
 	for i, su := range m.sus {
 		a.Register(fmt.Sprintf("su%d.pipeline", i), su.CheckInvariants)
 		a.Register(fmt.Sprintf("su%d.cache-counters", i), su.CheckCacheCounters)
+		a.Register(fmt.Sprintf("su%d.waiting", i), su.CheckWaiting)
 	}
 	for i, c := range m.lcs {
 		a.Register(fmt.Sprintf("lane%d.pipeline", i), c.CheckInvariants)
@@ -45,6 +46,7 @@ func (m *Machine) initGuard() {
 	if m.vu != nil {
 		a.Register("vcl.scoreboard", m.vu.CheckScoreboard)
 		a.Register("vcl.occupancy", m.vu.CheckOccupancy)
+		a.Register("vcl.pending-counts", m.vu.CheckPending)
 	}
 	a.Register("l2.cache-counters", m.l2.CheckInvariants)
 	// Every retirement passes through onRetire, so a unit count that
@@ -149,6 +151,8 @@ func (m *Machine) dump(now uint64) string {
 	}
 	fmt.Fprintf(&sb, "l2: reads=%d writes=%d bank-stalls=%d\n",
 		m.l2.Reads, m.l2.Writes, m.l2.BankStalls)
-	fmt.Fprintf(&sb, "last %d retired instructions:\n%s", m.ring.Len(), m.ring)
+	code := m.vm.Prog.Code
+	fmt.Fprintf(&sb, "last %d retired instructions:\n%s", m.ring.Len(),
+		m.ring.Dump(func(pc int) fmt.Stringer { return &code[pc] }))
 	return sb.String()
 }

@@ -3,8 +3,11 @@ package core
 import (
 	"cmp"
 	"errors"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"vlt/internal/asm"
 	"vlt/internal/guard"
@@ -101,6 +104,19 @@ func TestFaultInjectionMatrix(t *testing.T) {
 			fault: func(_ *testing.T, m *Machine) { m.sus[0].Retired /= 2 }},
 		{name: "corrupt-retired-by-one", wantInvariant: "machine.retired-conserved",
 			fault: func(_ *testing.T, m *Machine) { m.sus[0].Retired-- }},
+		{name: "corrupt-ready-cycle", wantInvariant: "su0.waiting", fault: func(t *testing.T, m *Machine) {
+			// Push the oldest issue entry's cached ready cycle far out:
+			// it stays listed through the audit, disagreeing with its
+			// producers' completions. The field is unexported, so the
+			// test writes it through reflect.
+			q := reflect.ValueOf(m.sus[0]).Elem().FieldByName("issueQ")
+			if q.Len() == 0 {
+				t.Fatalf("su0 has no issue entry at cycle %d", m.now)
+			}
+			ready := q.Index(0).FieldByName("ready")
+			ready = reflect.NewAt(ready.Type(), unsafe.Pointer(ready.UnsafeAddr())).Elem()
+			ready.SetUint(ready.Uint() + 1000)
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -148,12 +164,61 @@ func TestFaultInjectionMatrix(t *testing.T) {
 				t.Logf("%s: watchdog %s at cycle %d", tc.name, stall.Kind, stall.Cycle)
 				dump = stall.Dump
 			}
-			for _, want := range []string{"thread 0", "su0", "vcl", "retired instructions"} {
+			wants := []string{"thread 0", "su0", "vcl", "retired instructions"}
+			if tc.fault != nil {
+				// The loop is retiring by faultCycle, and the ring names
+				// each instruction by its text.
+				code := loopVectorProgram(1).Code
+				bne := slices.IndexFunc(code, func(in isa.Instruction) bool { return in.Op == isa.OpBne })
+				wants = append(wants, code[bne].String())
+			}
+			for _, want := range wants {
 				if !strings.Contains(dump, want) {
 					t.Errorf("diagnostic dump missing %q:\n%s", want, dump)
 				}
 			}
 		})
+	}
+}
+
+// TestRefusedVltCfgFaults: a VLTCFG the functional machine accepts but
+// the vector unit refuses (six lanes do not split four ways) fails the
+// run within one cycle of fetch gating on it, naming the instruction
+// and the reason, instead of waiting at the ROB head until the
+// watchdog fires.
+func TestRefusedVltCfgFaults(t *testing.T) {
+	b := asm.NewBuilder("vltcfg4")
+	b.VltCfg(4)
+	b.Halt()
+	cfg, err := ByName("V2-CMP", 6, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMachine(cfg, b.MustAssemble())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gated uint64 // the cycle a VLTCFG first gated a thread's fetch
+	for c := uint64(1); err == nil; c++ {
+		if c > 10_000 {
+			t.Fatal("the refused VLTCFG did not fault in 10000 cycles")
+		}
+		err = m.RunUntil(c)
+		if gated == 0 && m.arena.Gated() > 0 {
+			gated = c - 1
+		}
+	}
+	if gated == 0 || m.Now() > gated+1 {
+		t.Errorf("faulted at cycle %d, want within one cycle of the VLTCFG at %d", m.Now(), gated)
+	}
+	var stall *guard.StallError
+	if errors.As(err, &stall) {
+		t.Fatalf("want a machine fault, got a stall: %v", err)
+	}
+	for _, want := range []string{"vltcfg 4", "pc 0", "cannot split 6 lanes into 4 partitions"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("fault %q does not name %q", err, want)
+		}
 	}
 }
 

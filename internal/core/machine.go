@@ -252,7 +252,7 @@ func (m *Machine) Now() uint64 { return m.now }
 
 func (m *Machine) onRetire(tid int, u *pipe.Uop) {
 	m.retired++
-	m.ring.Push(m.now, tid, u.Dyn.PC, u.Dyn.Inst)
+	m.ring.Push(m.now, tid, u.Dyn.PC)
 	if u.Dyn.Inst.Op == isa.OpMark {
 		m.region[tid] = u.Dyn.MarkID
 	}
@@ -292,8 +292,8 @@ func (m *Machine) err() error {
 }
 
 // barrierUop returns thread t's waiting barrier uop, if its pipeline has
-// one at the retire head.
-func (m *Machine) barrierUop(t int) *pipe.Uop {
+// one at the retire head, or 0.
+func (m *Machine) barrierUop(t int) pipe.UopID {
 	loc := m.locs[t]
 	if loc.onLane {
 		return m.lcs[loc.unit].BarrierWaiting()
@@ -306,26 +306,33 @@ func (m *Machine) threadHalted(t int) bool {
 }
 
 // coordinate releases barriers once every live thread has arrived and
-// applies pending VLTCFG repartition requests once the vector unit drains.
-func (m *Machine) coordinate(now uint64) {
+// applies pending VLTCFG repartition requests once the vector unit
+// drains. A VLTCFG the vector unit refuses is a fault. Both wait on a
+// BAR or VLTCFG that gates its thread's fetch, so while no front end is
+// gated there is nothing to do.
+func (m *Machine) coordinate(now uint64) error {
+	if m.arena.Gated() == 0 {
+		return nil
+	}
 	// Barriers: every non-halted thread must present a waiting BAR, with
 	// its vector work drained (the barrier acts as a memory fence: early-
 	// committed vector instructions must complete before it releases).
 	arrived := 0
 	live := 0
 	for t := 0; t < m.cfg.NumThreads; t++ {
-		if m.threadHalted(t) && m.barrierUop(t) == nil {
+		bar := m.barrierUop(t)
+		if m.threadHalted(t) && bar == 0 {
 			continue
 		}
 		live++
-		if m.barrierUop(t) != nil && (m.vu == nil || m.vu.ThreadInFlight(t) == 0) {
+		if bar != 0 && (m.vu == nil || m.vu.ThreadInFlight(t) == 0) {
 			arrived++
 		}
 	}
 	if live > 0 && arrived == live {
 		for t := 0; t < m.cfg.NumThreads; t++ {
-			if u := m.barrierUop(t); u != nil {
-				u.DoneCycle = now
+			if id := m.barrierUop(t); id != 0 {
+				m.arena.Complete(id, now)
 			}
 		}
 	}
@@ -338,17 +345,18 @@ func (m *Machine) coordinate(now uint64) {
 	// decision — an applied VLTCFG has its DoneCycle set, so re-running
 	// coordinate on a forked machine re-presents only pending decisions.
 	if m.vu == nil {
-		return
+		return nil
 	}
 	for t := 0; t < m.cfg.NumThreads; t++ {
 		loc := m.locs[t]
 		if loc.onLane {
 			continue
 		}
-		u := m.sus[loc.unit].VltCfgWaiting(loc.slot)
-		if u == nil {
+		id := m.sus[loc.unit].VltCfgWaiting(loc.slot)
+		if id == 0 {
 			continue
 		}
+		u := m.arena.At(id)
 		if m.vu.DrainCycle() > now {
 			continue
 		}
@@ -367,19 +375,21 @@ func (m *Machine) coordinate(now uint64) {
 		for i := range owners {
 			owners[i] = i
 		}
-		if err := m.vu.Partition(owners); err == nil {
-			u.DoneCycle = now
-			m.decisionSeq++
-			if n != req {
-				// The functional machine applied the *requested* count when
-				// it executed the VLTCFG; rewrite it now that the hook chose
-				// otherwise. Fetch in thread t is blocked behind the VLTCFG
-				// uop, so no later instruction of t has observed the
-				// requested value yet.
-				m.vm.Partitions = n
-			}
+		if err := m.vu.Partition(owners); err != nil {
+			return fmt.Errorf("thread %d: vltcfg %d at pc %d: %w", t, n, u.Dyn.PC, err)
+		}
+		m.arena.Complete(id, now)
+		m.decisionSeq++
+		if n != req {
+			// The functional machine applied the *requested* count when
+			// it executed the VLTCFG; rewrite it now that the hook chose
+			// otherwise. Fetch in thread t is blocked behind the VLTCFG
+			// uop, so no later instruction of t has observed the
+			// requested value yet.
+			m.vm.Partitions = n
 		}
 	}
+	return nil
 }
 
 // nextEventCycle computes the machine-wide event horizon after the
@@ -436,12 +446,15 @@ func (m *Machine) nextEventCycle(now uint64) uint64 {
 // its retire head — coordinate applies it the cycle the vector unit
 // drains, so that cycle is an event.
 func (m *Machine) repartitionPending() bool {
+	if m.arena.Gated() == 0 {
+		return false
+	}
 	for t := 0; t < m.cfg.NumThreads; t++ {
 		loc := m.locs[t]
 		if loc.onLane {
 			continue
 		}
-		if m.sus[loc.unit].VltCfgWaiting(loc.slot) != nil {
+		if m.sus[loc.unit].VltCfgWaiting(loc.slot) != 0 {
 			return true
 		}
 	}
@@ -533,7 +546,9 @@ func (m *Machine) RunUntil(stop uint64) error {
 			}
 			m.stage = stageCoord
 		}
-		m.coordinate(now)
+		if err := m.coordinate(now); err != nil {
+			return fmt.Errorf("core: %s: cycle %d: %w", m.cfg.Name, now, err)
+		}
 		m.creditRegion(m.region[0], 1)
 		if m.auditor != nil {
 			if aerr := m.auditor.Check(now); aerr != nil {

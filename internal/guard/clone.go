@@ -13,9 +13,7 @@ func (w *Watchdog) Clone() *Watchdog {
 	return &c
 }
 
-// Clone returns a deep copy of the ring. The Inst entries are shared:
-// they point into the program's immutable code array and are only ever
-// formatted, never mutated.
+// Clone returns a deep copy of the ring.
 func (r *Ring) Clone() *Ring {
 	return &Ring{
 		buf:  append([]Retired(nil), r.buf...),

@@ -20,7 +20,7 @@ func TestCloneCoversWatchdog(t *testing.T) {
 
 func TestCloneCoversRing(t *testing.T) {
 	clonecheck.Check(t, &Ring{}, map[string]string{
-		"buf":  "deep copy (Retired entries share immutable Inst pointers)",
+		"buf":  "deep copy (Retired entries hold only scalars)",
 		"next": "value copy",
 		"full": "value copy",
 	})

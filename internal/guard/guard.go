@@ -104,16 +104,18 @@ func (e *InvariantError) Error() string {
 		e.Config, e.Invariant, e.Cycle, e.Detail)
 }
 
-// Retired is one entry of the retired-instruction ring buffer.
+// Retired is one entry of the retired-instruction ring buffer: when,
+// on which thread and at which PC an instruction retired. The entry
+// holds no pointer; Dump looks the instruction up by PC.
 type Retired struct {
 	Cycle  uint64
 	Thread int
 	PC     int
-	Inst   fmt.Stringer // the retired instruction; formatted only on dump
 }
 
 // Ring is a fixed-capacity ring buffer of the last K retired
-// instructions. Push is allocation-free so it can run on every retire.
+// instructions. Push is allocation-free and stores three scalars, so it
+// can run on every retire.
 type Ring struct {
 	buf  []Retired
 	next int
@@ -129,8 +131,8 @@ func NewRing(k int) *Ring {
 }
 
 // Push records one retirement, evicting the oldest when full.
-func (r *Ring) Push(cycle uint64, thread, pc int, inst fmt.Stringer) {
-	r.buf[r.next] = Retired{Cycle: cycle, Thread: thread, PC: pc, Inst: inst}
+func (r *Ring) Push(cycle uint64, thread, pc int) {
+	r.buf[r.next] = Retired{Cycle: cycle, Thread: thread, PC: pc}
 	r.next++
 	if r.next == len(r.buf) {
 		r.next = 0
@@ -156,15 +158,16 @@ func (r *Ring) Records() []Retired {
 	return append(out, r.buf[:r.next]...)
 }
 
-// String renders the ring for a diagnostic dump, oldest first.
-func (r *Ring) String() string {
+// Dump renders the ring for a diagnostic dump, oldest first, with inst
+// giving the instruction at each entry's PC.
+func (r *Ring) Dump(inst func(pc int) fmt.Stringer) string {
 	recs := r.Records()
 	if len(recs) == 0 {
 		return "  (no instructions retired)\n"
 	}
 	var sb strings.Builder
 	for _, rec := range recs {
-		fmt.Fprintf(&sb, "  cycle %-8d t%d @%-5d %s\n", rec.Cycle, rec.Thread, rec.PC, rec.Inst)
+		fmt.Fprintf(&sb, "  cycle %-8d t%d @%-5d %s\n", rec.Cycle, rec.Thread, rec.PC, inst(rec.PC))
 	}
 	return sb.String()
 }

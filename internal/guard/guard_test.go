@@ -15,11 +15,12 @@ func TestRingKeepsLastK(t *testing.T) {
 	if r.Len() != 0 {
 		t.Fatalf("empty ring Len = %d", r.Len())
 	}
-	if !strings.Contains(r.String(), "no instructions retired") {
-		t.Errorf("empty ring renders %q", r.String())
+	inst := func(pc int) fmt.Stringer { return fakeInst(fmt.Sprintf("inst%d", pc)) }
+	if !strings.Contains(r.Dump(inst), "no instructions retired") {
+		t.Errorf("empty ring renders %q", r.Dump(inst))
 	}
 	for i := 0; i < 10; i++ {
-		r.Push(uint64(i), 0, i, fakeInst("inst"))
+		r.Push(uint64(i), 0, i)
 	}
 	recs := r.Records()
 	if len(recs) != 4 {
@@ -29,6 +30,10 @@ func TestRingKeepsLastK(t *testing.T) {
 		if want := uint64(6 + i); rec.Cycle != want {
 			t.Errorf("record %d cycle = %d, want %d (oldest-first)", i, rec.Cycle, want)
 		}
+	}
+	// Dump formats each entry's instruction from its PC.
+	if d := r.Dump(inst); !strings.Contains(d, "@6     inst6") || strings.Contains(d, "inst5") {
+		t.Errorf("dump does not name the last four instructions by PC:\n%s", d)
 	}
 }
 

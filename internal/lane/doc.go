@@ -15,6 +15,6 @@
 // event.go is the core's part in the machine's cycle skipping
 // (DESIGN.md §11). Its NextEvent and SkipIdle walk the decouple window
 // with visible, the walk issue takes (the window is clamped to at least
-// 1 once, in New), and ask Arena.ReadyCycle and queueRoom as issue and
+// 1 once, in New), and ask Uop.ReadyCycle and queueRoom as issue and
 // fetch do.
 package lane

@@ -7,7 +7,7 @@ package lane
 // a skipped quiescent span so every exported counter is byte-identical
 // to a tick-every-cycle run. Both walk the decouple window with
 // visible, the walk issue takes, and ask the rules issue and fetch ask
-// (Arena.ReadyCycle, queueRoom), so skipping cannot drift from ticking.
+// (Uop.ReadyCycle, queueRoom), so skipping cannot drift from ticking.
 
 import "vlt/internal/pipe"
 
@@ -44,7 +44,7 @@ func (c *Core) NextEvent(now uint64) uint64 {
 		if info.Sequencing {
 			return now + 1
 		}
-		if ev = pipe.EventAt(ev, now, c.arena.ReadyCycle(c.arena.At(w[slot]), ev)); ev == now+1 {
+		if ev = pipe.EventAt(ev, now, c.arena.At(w[slot]).ReadyCycle()); ev == now+1 {
 			return ev
 		}
 	}

@@ -123,14 +123,14 @@ func (c *Core) Done() bool {
 }
 
 // BarrierWaiting returns the BAR uop at the head of the retire queue that
-// has not been released, or nil.
-func (c *Core) BarrierWaiting() *pipe.Uop {
+// has not been released, or 0.
+func (c *Core) BarrierWaiting() pipe.UopID {
 	if id := c.rob.Front(); id != 0 {
 		if h := c.arena.At(id); h.Dyn.IsBarrier && h.Issued && h.DoneCycle == pipe.NeverDone {
-			return h
+			return id
 		}
 	}
-	return nil
+	return 0
 }
 
 // Tick advances the core one cycle.
@@ -202,7 +202,8 @@ func (c *Core) issue(now uint64) {
 		if info == nil {
 			break
 		}
-		u := c.arena.At(w[slot])
+		id := w[slot]
+		u := c.arena.At(id)
 
 		if info.Vector {
 			c.Err = fmt.Errorf("lane: vector instruction %s on lane core %d", u.Dyn.Inst, c.ID)
@@ -210,20 +211,20 @@ func (c *Core) issue(now uint64) {
 		}
 
 		if info.Sequencing { // the queue head: the walk stops at any other
-			if u.Dyn.IsBarrier {
-				u.DoneCycle = pipe.NeverDone // released by the machine
-			} else if u.Dyn.VltCfg != 0 {
+			// A barrier stays incomplete until the machine releases it.
+			if u.Dyn.VltCfg != 0 {
 				c.Err = fmt.Errorf("lane: vltcfg executed on lane core %d", c.ID)
 				return
-			} else {
-				u.DoneCycle = now
+			}
+			if !u.Dyn.IsBarrier {
+				c.arena.Complete(id, now)
 			}
 			c.advance(u, now, slot)
 			issued++
 			continue
 		}
 
-		if c.arena.ReadyCycle(u, now) > now {
+		if u.ReadyCycle() > now {
 			c.StallOperand++
 			continue
 		}
@@ -239,9 +240,9 @@ func (c *Core) issue(now uint64) {
 				// Stores retire once accepted by the lane store queue.
 				done = now + 1
 			}
-			u.DoneCycle = done
+			c.arena.Complete(id, done)
 		default:
-			u.DoneCycle = now + uint64(info.Latency)
+			c.arena.Complete(id, now+uint64(info.Latency))
 		}
 		c.advance(u, now, slot)
 		issued++
@@ -292,8 +293,7 @@ func (c *Core) fetch(now uint64) {
 			c.Err = err // nil on an I-cache miss
 			return
 		}
-		u := c.arena.At(id)
-		c.fe.Producers(c.arena, &u.Producers, u, now)
+		c.fe.Producers(c.arena, id, now)
 		c.fe.Record(c.arena, id)
 		c.fetchQ = append(c.fetchQ, id)
 		c.rob.Push(id)

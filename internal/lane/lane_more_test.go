@@ -160,7 +160,7 @@ func TestBarrierIsSequencingPoint(t *testing.T) {
 	for now := uint64(0); now < 300; now++ {
 		c.Tick(now)
 	}
-	if c.BarrierWaiting() == nil {
+	if c.BarrierWaiting() == 0 {
 		t.Fatal("barrier should be waiting")
 	}
 	// The instruction after BAR must not have issued or retired: the

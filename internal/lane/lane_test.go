@@ -160,13 +160,13 @@ func TestBarrierBlocksUntilReleased(t *testing.T) {
 		}
 	}
 	bar := c.BarrierWaiting()
-	if bar == nil {
+	if bar == 0 {
 		t.Fatal("barrier should be waiting at retire head")
 	}
 	if c.Done() {
 		t.Fatal("core finished through an unreleased barrier")
 	}
-	bar.DoneCycle = now // release
+	c.arena.Complete(bar, now) // release
 	for ; !c.Done(); now++ {
 		c.Tick(now)
 		if c.Err != nil {

@@ -29,6 +29,13 @@ func TestCloneCoversUop(t *testing.T) {
 		"Producers":        "value copy: inline handles name the same uops in the cloned arena",
 		"ScalarProducers":  "value copy: inline handles name the same uops in the cloned arena",
 		"released":         "value copy",
+		"waiting":          "value copy",
+		"readyAt":          "value copy",
+		"waiters":          "value copy: edge references name the same uops in the cloned arena",
+		"next":             "value copy: edge references name the same uops in the cloned arena",
+		"parked":           "value copy",
+		"key":              "value copy",
+		"owner":            "value copy",
 		"refs":             "value copy (every holder's handle is copied too, so counts stay consistent)",
 	})
 }
@@ -39,6 +46,8 @@ func TestCloneCoversArena(t *testing.T) {
 		"next":  "value copy",
 		"free":  "copy at the same capacity: the clone recycles into its own free list",
 		"live":  "value copy",
+		"woken": "per-owner copies at the same capacity: the handles name the same uops in the cloned arena",
+		"gated": "value copy (every front end's gating handle is copied too)",
 	})
 }
 

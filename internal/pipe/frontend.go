@@ -65,6 +65,7 @@ func (f *Frontend) Gate(a *Arena, now uint64, penalty int) (open, branch bool) {
 			return false, false
 		}
 		a.Release(b)
+		a.gated--
 		f.blockedUop = 0
 	}
 	return true, false
@@ -106,6 +107,7 @@ func (f *Frontend) Fetch(a *Arena, now uint64, m *vm.VM, tid int, ic *mem.L1, mi
 		return id, !dyn.Taken, nil
 	case dyn.IsBarrier || dyn.VltCfg != 0:
 		a.Retain(id)
+		a.gated++
 		f.blockedUop = id
 		return id, false, nil
 	case dyn.IsHalt:
@@ -115,19 +117,31 @@ func (f *Frontend) Fetch(a *Arena, now uint64, m *vm.VM, tid int, ic *mem.L1, mi
 	return id, true, nil
 }
 
-// Producers adds to dst the in-flight writers of u's source registers,
-// retaining each. Writers both retired and done are skipped: their
-// result is in the register file. (Retirement alone is not enough: a
-// vector uop with a scalar destination retires early on its
-// CommitCycle while its result is still in flight.)
-func (f *Frontend) Producers(a *Arena, dst *Edges, u *Uop, now uint64) {
+// Producers records the in-flight writers of uop id's source registers,
+// retaining each: a vector uop's go to its ScalarProducers, which the
+// vector control logic reads, and any other uop's to its Producers
+// through Arena.Depend, which keeps its ReadyCycle. Writers both retired
+// and done are skipped: their result is in the register file.
+// (Retirement alone is not enough: a vector uop with a scalar
+// destination retires early on its CommitCycle while its result is
+// still in flight.)
+func (f *Frontend) Producers(a *Arena, id UopID, now uint64) {
+	u := a.At(id)
+	vector := u.Dyn.Inst.Op.Info().Vector
 	var buf [MaxSrcs]isa.Reg
 	for _, r := range u.Dyn.Inst.AppendSrcs(buf[:0]) {
-		if w := f.lastWriter[r]; w != 0 {
-			if wu := a.At(w); !(wu.Retired && wu.DoneBy(now)) {
-				a.Retain(w)
-				dst.Add(w)
-			}
+		w := f.lastWriter[r]
+		if w == 0 {
+			continue
+		}
+		if wu := a.At(w); wu.Retired && wu.DoneBy(now) {
+			continue
+		}
+		if vector {
+			a.Retain(w)
+			u.ScalarProducers.Add(w)
+		} else {
+			a.Depend(id, w)
 		}
 	}
 }

@@ -187,14 +187,22 @@ func TestLastWriterTracking(t *testing.T) {
 	}
 	wu := a.At(w)
 
-	r := a.At(uop(isa.Instruction{Op: isa.OpAdd, Rd: isa.R(2), Ra: isa.R(1), Rb: isa.R(1)}))
+	// Each call captures a fresh reader's producers.
 	producers := func(now uint64) []UopID {
-		var p Edges
-		f.Producers(&a, &p, r, now)
-		return p.IDs()
+		r := uop(isa.Instruction{Op: isa.OpAdd, Rd: isa.R(2), Ra: isa.R(1), Rb: isa.R(1)})
+		f.Producers(&a, r, now)
+		return a.At(r).Producers.IDs()
 	}
 	if p := producers(5); len(p) != 2 || p[0] != w || wu.refs != 3 {
 		t.Fatalf("producers %v (refs %d), want w twice and three references", p, wu.refs)
+	}
+	// A vector reader's scalar sources are its ScalarProducers, which the
+	// vector control logic reads; its Producers stay for vector sources.
+	vid := uop(isa.Instruction{Op: isa.OpVLdS, Rd: isa.V(2), Ra: isa.R(1), Rb: isa.R(3)})
+	f.Producers(&a, vid, 5)
+	vr := a.At(vid)
+	if sp := vr.ScalarProducers.IDs(); len(sp) != 1 || sp[0] != w || len(vr.Producers.IDs()) != 0 {
+		t.Fatalf("vector reader: scalar producers %v, producers %v; want [w] and none", sp, vr.Producers.IDs())
 	}
 
 	// An early-committed writer still in flight is a producer and stays

@@ -1,6 +1,7 @@
 package pipe
 
 import (
+	"fmt"
 	"math"
 
 	"vlt/internal/vm"
@@ -23,6 +24,15 @@ type UopID uint32
 // need every source; TestEdgeCapacity pins the bound against every op.
 const MaxSrcs = 4
 
+// edge names a uop's k-th producer edge as its handle times MaxSrcs
+// plus k; 0 is no edge (handle 0 is no uop). Wait lists are built of
+// edges, so they live inside the uops and allocate nothing.
+type edge uint32
+
+func edgeOf(id UopID, k int) edge { return edge(id)*MaxSrcs + edge(k) }
+
+func (e edge) split() (UopID, int) { return UopID(e / MaxSrcs), int(e % MaxSrcs) }
+
 // Edges is a uop's inline list of producer handles.
 type Edges struct {
 	ids [MaxSrcs]UopID
@@ -42,23 +52,44 @@ func (e *Edges) IDs() []UopID { return e.ids[:e.n] }
 // (registers, memory, branch direction) was already computed by
 // internal/vm at fetch, into Dyn; the rest is timing state.
 type Uop struct {
-	// The fields a readiness check reads come first, so a uop's producer
-	// list and a producer's completion cycles sit in its first cache
-	// line; Dyn comes last.
+	// The fields a readiness check and a wake-up touch come first, so a
+	// uop's producer list, its wait-list links and a producer's
+	// completion cycles sit in its first cache line; Dyn comes last.
 
 	// DoneCycle is when the result becomes architecturally available.
 	// NeverDone until execution determines it (or, for barriers and
-	// vltcfg, until the machine-level controller releases it).
+	// vltcfg, until the machine-level controller releases it). It is
+	// written once, by Arena.Complete.
 	DoneCycle uint64
 
 	// ChainCycle is when the first element group of a vector result is
 	// available for chaining; equals DoneCycle for scalar results.
 	ChainCycle uint64
 
+	// readyAt is the latest completion among the producers Arena.Depend
+	// linked whose completion is known, and waiting counts the others:
+	// ReadyCycle reads the two instead of walking Producers.
+	readyAt uint64
+
+	// waiters heads the list of consumer edges waiting on this uop's
+	// completion, and next[k] links this uop's own k-th producer edge
+	// into that producer's list. Both hold edge references into the
+	// arena, so they copy with the slab.
+	waiters edge
+	next    [MaxSrcs]edge
+
 	// Producers are the older in-flight uops whose results this uop
 	// reads. Producers that have already retired are dropped at dispatch
 	// (their results are in the register file).
 	Producers Edges
+
+	waiting uint8 // linked producers whose completion is unknown (see readyAt)
+
+	// parked asks Complete to queue the uop on its owner's woken list
+	// once its last unknown producer completes; owner and key are what
+	// Park was given, and Wake hands key back with the uop.
+	parked bool
+	owner  uint8
 
 	Issued  bool
 	Retired bool
@@ -82,6 +113,13 @@ type Uop struct {
 	// uop (see Arena.Retain and Arena.Release).
 	refs int32
 
+	// ScalarProducers are the scalar-register producers of a vector uop,
+	// tracked by the scalar unit and consulted by the vector control
+	// logic (vector-scalar dependencies).
+	ScalarProducers Edges
+
+	key uint64
+
 	// CommitCycle, when set (non-NeverDone), allows the reorder buffer to
 	// retire the instruction before DoneCycle. The vector control logic
 	// sets it at vector issue: once a vector instruction has issued its
@@ -89,11 +127,6 @@ type Uop struct {
 	// unit's ROB releases it while the vector unit tracks completion
 	// (Espasa-style early commit of vector instructions).
 	CommitCycle uint64
-
-	// ScalarProducers are the scalar-register producers of a vector uop,
-	// tracked by the scalar unit and consulted by the vector control
-	// logic (vector-scalar dependencies).
-	ScalarProducers Edges
 
 	Thread int // software thread id
 
@@ -120,9 +153,11 @@ const arenaSlab = 128
 // The zero Arena is ready to use.
 type Arena struct {
 	slabs []*[arenaSlab]Uop
-	next  UopID   // first slot never handed out (slot 0 is the null handle)
-	free  []UopID // recycled slots
-	live  int     // uops handed out and not yet recycled
+	next  UopID     // first slot never handed out (slot 0 is the null handle)
+	free  []UopID   // recycled slots
+	live  int       // uops handed out and not yet recycled
+	woken [][]UopID // per owner, parked uops whose last unknown producer completed
+	gated int       // front ends gated on a BAR or VLTCFG (Frontend.Fetch)
 }
 
 // Live returns the number of uops the arena has handed out that are not
@@ -153,6 +188,9 @@ func (a *Arena) New(thread int, now uint64) (UopID, *Uop) {
 		u.Mispredicted = false
 		u.ScalarsCollected = false
 		u.released = false
+		u.readyAt = 0
+		u.waiters = 0
+		u.parked = false
 	} else {
 		if a.next%arenaSlab == 0 {
 			a.slabs = append(a.slabs, new([arenaSlab]Uop))
@@ -182,10 +220,15 @@ func (a *Arena) Clone() *Arena {
 		next:  a.next,
 		free:  CloneIDs(a.free),
 		live:  a.live,
+		woken: make([][]UopID, len(a.woken)),
+		gated: a.gated,
 	}
 	for k, s := range a.slabs {
 		n.slabs[k] = new([arenaSlab]Uop)
 		*n.slabs[k] = *s
+	}
+	for t, w := range a.woken {
+		n.woken[t] = CloneIDs(w)
 	}
 	for _, id := range n.free {
 		n.At(id).Dyn.EffAddrs = nil
@@ -251,8 +294,13 @@ func (a *Arena) Retire(id UopID) {
 // stage will read them again (scalar retirement for scalar uops, vector
 // completion for vector uops). Consumers that still hold its handle
 // only read its cycle fields, which stay valid until it is recycled.
+// A uop still waiting on a producer sits on that producer's wait list,
+// so releasing it panics.
 func (a *Arena) ReleaseProducers(id UopID) {
 	u := a.At(id)
+	if u.waiting != 0 {
+		panic("pipe: releasing the edges of a uop that waits on a producer")
+	}
 	for _, p := range u.Producers.IDs() {
 		a.Release(p)
 	}
@@ -273,22 +321,100 @@ func (u *Uop) DoneBy(now uint64) bool { return u.DoneCycle <= now }
 // means neither is known yet.
 func (u *Uop) RetireCycle() uint64 { return min(u.DoneCycle, u.CommitCycle) }
 
-// ReadyCycle returns the first cycle at which every producer of u has
-// its result available, provided it is no later than bound: u may issue
-// at now once ReadyCycle(u, now) <= now, and an event horizon ev folds
-// in ReadyCycle(u, ev). A later cycle is not computed in full: the walk
-// stops at the first producer past bound and returns its completion
-// cycle — NeverDone when that producer's completion is still unknown,
-// so readiness is gated on another event.
-func (a *Arena) ReadyCycle(u *Uop, bound uint64) uint64 {
-	var r uint64
-	for _, p := range u.Producers.IDs() {
-		if r = max(r, a.At(p).DoneCycle); r > bound {
-			return r
-		}
+// ReadyCycle returns the first cycle at which every producer of u that
+// Arena.Depend linked has its result available, or NeverDone while one
+// of them has not completed, so readiness is gated on another event: u
+// may issue at now once ReadyCycle() <= now, and an event horizon folds
+// it in through EventAt. It reads two fields that Depend and Complete
+// keep current; nothing walks the producers.
+func (u *Uop) ReadyCycle() uint64 {
+	if u.waiting != 0 {
+		return NeverDone
 	}
-	return r
+	return u.readyAt
 }
+
+// Depend makes uop p a producer of uop id: it retains p, adds it to
+// id's Producers and, while p's completion is unknown, links the edge
+// into p's wait list, so Complete(p) later folds p's cycle into id's
+// ReadyCycle. Every edge of a scalar or lane-core uop is added here; the
+// vector control logic adds a vector uop's edges itself and reads their
+// chain cycles.
+func (a *Arena) Depend(id, p UopID) {
+	a.Retain(p)
+	u, pu := a.At(id), a.At(p)
+	k := int(u.Producers.n)
+	u.Producers.Add(p)
+	if pu.DoneCycle != NeverDone {
+		u.readyAt = max(u.readyAt, pu.DoneCycle)
+		return
+	}
+	u.waiting++
+	u.next[k] = pu.waiters
+	pu.waiters = edgeOf(id, k)
+}
+
+// Complete records that uop id's result is available at cycle done. It
+// is the only writer of DoneCycle, which is written once: completing a
+// uop twice panics. Every consumer on id's wait list folds done into
+// its ReadyCycle; a parked consumer whose last unknown producer this
+// was goes on its owner's woken list (Wake).
+func (a *Arena) Complete(id UopID, done uint64) {
+	u := a.At(id)
+	if u.DoneCycle != NeverDone || done == NeverDone {
+		panic(fmt.Sprintf("pipe: uop %d completed at %d, already done at %d", id, done, u.DoneCycle))
+	}
+	u.DoneCycle = done
+	for e := u.waiters; e != 0; {
+		cid, k := e.split()
+		c := a.At(cid)
+		c.readyAt = max(c.readyAt, done)
+		if c.waiting--; c.waiting == 0 && c.parked {
+			c.parked = false
+			a.woken[c.owner] = append(a.woken[c.owner], cid)
+		}
+		e, c.next[k] = c.next[k], 0
+	}
+	u.waiters = 0
+}
+
+// Park reports whether uop id still waits on a producer whose
+// completion is unknown and, if so, has Complete queue it on owner's
+// woken list once the last such producer completes. A unit that keeps
+// waiting uops out of its issue scan parks them under its own owner
+// number and takes them back, with key, through Wake.
+func (a *Arena) Park(id UopID, owner uint8, key uint64) bool {
+	u := a.At(id)
+	if u.waiting == 0 {
+		return false
+	}
+	for len(a.woken) <= int(owner) {
+		a.woken = append(a.woken, nil)
+	}
+	u.parked, u.owner, u.key = true, owner, key
+	return true
+}
+
+// Parked reports whether the uop is parked: Park queued it for a
+// wake-up that has not come yet.
+func (u *Uop) Parked() bool { return u.parked }
+
+// Wake hands each uop on owner's woken list to take, in the order they
+// woke, with the key it was parked with, and empties the list.
+func (a *Arena) Wake(owner uint8, take func(id UopID, key uint64)) {
+	if int(owner) >= len(a.woken) || len(a.woken[owner]) == 0 {
+		return
+	}
+	for _, id := range a.woken[owner] {
+		take(id, a.At(id).key)
+	}
+	a.woken[owner] = a.woken[owner][:0]
+}
+
+// Gated returns the number of front ends gated on a BAR or VLTCFG:
+// while it is 0, the machine has no barrier to release and no
+// repartition to apply.
+func (a *Arena) Gated() int { return a.gated }
 
 // Bimodal is a table of 2-bit saturating counters indexed by PC. The
 // timing models run on the architecturally correct path (the functional

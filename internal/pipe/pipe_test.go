@@ -11,36 +11,94 @@ func quickCheck(f any) error {
 	return quick.Check(f, &quick.Config{MaxCount: 100})
 }
 
+// TestUopReadiness pins Depend and Complete: a consumer's ReadyCycle is
+// NeverDone until its last producer completes and then the latest
+// completion, whatever order the producers complete in and whether
+// they completed before it arrived; a parked consumer is woken once.
 func TestUopReadiness(t *testing.T) {
+	for _, order := range [][2]int{{0, 1}, {1, 0}} {
+		var a Arena
+		var p [2]UopID
+		p[0], _ = a.New(0, 0)
+		p[1], _ = a.New(0, 0)
+		id, u := a.New(0, 0)
+		a.Depend(id, p[0])
+		a.Depend(id, p[1])
+		if !a.Park(id, 0, 42) || !u.Parked() {
+			t.Fatal("Park refused a consumer with unknown producers")
+		}
+		done := [2]uint64{20, 10}
+		a.Complete(p[order[0]], done[order[0]])
+		if r := u.ReadyCycle(); r != NeverDone {
+			t.Errorf("order %v: ReadyCycle = %d with a producer pending, want NeverDone", order, r)
+		}
+		if len(a.woken[0]) != 0 {
+			t.Errorf("order %v: woken %v before the last producer completed", order, a.woken[0])
+		}
+		a.Complete(p[order[1]], done[order[1]])
+		if r := u.ReadyCycle(); r != 20 {
+			t.Errorf("order %v: ReadyCycle = %d, want the slowest producer's completion 20", order, r)
+		}
+		var took []UopID
+		take := func(w UopID, key uint64) {
+			if key != 42 {
+				t.Errorf("order %v: woke %d with key %d, want the parked key 42", order, w, key)
+			}
+			took = append(took, w)
+		}
+		a.Wake(0, take)
+		a.Wake(0, take)
+		if len(took) != 1 || took[0] != id || u.Parked() {
+			t.Errorf("order %v: Wake handed %v (parked=%t), want [%d] once", order, took, u.Parked(), id)
+		}
+	}
+
+	// A consumer that arrives after its producer completed reads the
+	// completion at once and never waits.
 	var a Arena
-	id1, p1 := a.New(0, 0)
-	id2, p2 := a.New(0, 0)
-	p1.DoneCycle, p2.DoneCycle = 10, 20
-	_, u := a.New(0, 0)
-	u.Producers.Add(id1)
-	u.Producers.Add(id2)
-	if r := a.ReadyCycle(u, NeverDone); r != 20 {
-		t.Errorf("ReadyCycle = %d, want the slowest producer's completion 20", r)
-	}
-	if r := a.ReadyCycle(u, 15); r <= 15 {
-		t.Errorf("ReadyCycle(15) = %d, want a cycle past the bound", r)
-	}
-	if r := a.ReadyCycle(u, 20); r != 20 {
-		t.Errorf("ReadyCycle(20) = %d, want 20", r)
-	}
-	p2.DoneCycle = NeverDone
-	if r := a.ReadyCycle(u, 1<<62); r != NeverDone {
-		t.Errorf("ReadyCycle = %d with an unresolved producer, want NeverDone", r)
+	pid, _ := a.New(0, 0)
+	a.Complete(pid, 7)
+	id, u := a.New(0, 0)
+	a.Depend(id, pid)
+	if a.Park(id, 0, 0) || u.ReadyCycle() != 7 {
+		t.Errorf("late consumer parked=%t ReadyCycle=%d, want ready at 7", u.parked, u.ReadyCycle())
 	}
 	if u.DoneBy(1 << 62) {
 		t.Error("NeverDone uop reported done")
+	}
+
+	// DoneCycle is written once.
+	defer func() {
+		if recover() == nil {
+			t.Error("a second Complete did not panic")
+		}
+	}()
+	a.Complete(pid, 9)
+}
+
+// TestWakeByOwner: a woken uop waits on the list of the owner that
+// parked it, so a unit takes back its own uops and no others.
+func TestWakeByOwner(t *testing.T) {
+	var a Arena
+	pid, _ := a.New(0, 0)
+	var ids [3]UopID
+	for i := range ids {
+		ids[i], _ = a.New(0, 0)
+		a.Depend(ids[i], pid)
+		a.Park(ids[i], uint8(i%2), uint64(i))
+	}
+	a.Complete(pid, 3)
+	var got []uint64
+	a.Wake(1, func(_ UopID, key uint64) { got = append(got, key) })
+	if len(got) != 1 || got[0] != 1 || len(a.woken[0]) != 2 || len(a.woken[1]) != 0 {
+		t.Errorf("owner 1 woke keys %v, owner 0 holds %v; want [1] and two", got, a.woken[0])
 	}
 }
 
 func TestUopNoProducersAlwaysReady(t *testing.T) {
 	var a Arena
 	_, u := a.New(0, 0)
-	if r := a.ReadyCycle(u, 0); r != 0 {
+	if r := u.ReadyCycle(); r != 0 {
 		t.Errorf("uop with no producers ready at %d, want 0", r)
 	}
 }

@@ -23,7 +23,7 @@ func (u *Unit) Clone(vmach *vm.VM, arena *pipe.Arena, l2 *mem.L2, vsink VectorSi
 	n.vmach, n.arena, n.vsink, n.OnRetire = vmach, arena, vsink, nil
 	n.icache, n.dcache = u.icache.Clone(l2), u.dcache.Clone(l2)
 	n.pred = u.pred.Clone()
-	n.window = pipe.CloneIDs(u.window)
+	n.issueQ = append(make([]entry, 0, cap(u.issueQ)), u.issueQ...)
 	n.ctxs = make([]*context, len(u.ctxs))
 	for i, c := range u.ctxs {
 		nc := *c

@@ -21,7 +21,9 @@ func TestCloneCoversUnit(t *testing.T) {
 		"pred":       "deep copy",
 		"vsink":      "rebased onto the caller's cloned VCL",
 		"ctxs":       "deep copy via context.clone",
-		"window":     "copy at the same capacity (handles)",
+		"issueQ":     "copy at the same capacity (handles with cycles)",
+		"parked":     "value copy (the parked uops live in the cloned arena)",
+		"age":        "value copy",
 		"fetchRR":    "value copy",
 		"retireRR":   "value copy",
 		"fetchReady": "reset: per-cycle scratch, repopulated every fetch",

@@ -14,13 +14,22 @@
 // is a pipe.Frontend, the one the lane cores embed too; producers are
 // captured at dispatch.
 //
+// The scheduler window is split by what issue needs to know. A
+// dispatched uop whose producers have all completed goes on issueQ with
+// its ready cycle, in age order across contexts; one still waiting on a
+// producer is parked until the producer's pipe.Arena.Complete wakes it,
+// and then joins issueQ at its age. issue and NextEvent walk issueQ
+// only and compare its cached cycles, so a cycle's scan touches the
+// uops it issues and no others. The auditor's su<N>.waiting check
+// (CheckWaiting) holds the split to the producers' DoneCycles.
+//
 // The functional simulator is the fetch stage: vm.Step executes the
 // architecturally correct path, and the branch predictor decides only how
 // much fetch time speculation would have cost.
 //
 // event.go is the unit's part in the machine's cycle skipping
 // (DESIGN.md §11). Its NextEvent and SkipIdle ask the rules the Tick
-// steps ask: Uop.RetireCycle for retirement, Arena.ReadyCycle for issue,
+// steps ask: Uop.RetireCycle for retirement, issueQ's ready cycles for issue,
 // the dispatch-head classifier headStall (charged through chargeStall)
 // for dispatch, and fetchable for fetch.
 package scalar

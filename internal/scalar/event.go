@@ -8,8 +8,8 @@ package scalar
 // Tick charges even when no instruction moves — so every exported
 // counter is byte-identical to a tick-every-cycle run. Neither restates
 // a stage's rule: both ask the predicates the Tick steps ask
-// (Uop.RetireCycle, Arena.ReadyCycle, headStall with chargeStall, and
-// fetchable), so skipping cannot drift from ticking.
+// (Uop.RetireCycle, the ready cycles issue reads, headStall with
+// chargeStall, and fetchable), so skipping cannot drift from ticking.
 
 import "vlt/internal/pipe"
 
@@ -20,7 +20,8 @@ import "vlt/internal/pipe"
 // a cycle later than the unit's first actual state change (an earlier
 // cycle merely costs a no-op tick). pipe.NeverDone means the unit is
 // idle until some other component feeds it. Each stage asks the rule
-// its Tick step asks: RetireCycle, ReadyCycle, headStall and fetchable.
+// its Tick step asks: RetireCycle, issueQ's ready cycles, headStall and
+// fetchable.
 func (u *Unit) NextEvent(now uint64) uint64 {
 	if u.Err != nil {
 		return pipe.NeverDone
@@ -37,11 +38,12 @@ func (u *Unit) NextEvent(now uint64) uint64 {
 			}
 		}
 	}
-	// Issue: a window entry becomes ready when its last producer
-	// completes; entries already ready are waiting on width or ports and
-	// will issue on a following cycle.
-	for _, w := range u.window {
-		if ev = pipe.EventAt(ev, now, u.arena.ReadyCycle(u.arena.At(w), ev)); ev == now+1 {
+	// Issue: an issueQ entry becomes ready at its cached cycle; entries
+	// already ready are waiting on width or ports and will issue on a
+	// following cycle. A parked uop waits on a producer's issue: an
+	// issueQ entry's, covered here, or a vector uop's, a VCL event.
+	for _, e := range u.issueQ {
+		if ev = pipe.EventAt(ev, now, e.ready); ev == now+1 {
 			return ev
 		}
 	}
@@ -103,7 +105,7 @@ func (u *Unit) SkipIdle(from, to uint64) {
 	// walk the scan exactly as dispatch would: a ROB-blocked head is
 	// charged and skipped, the first window- or VIQ-blocked head is
 	// charged and zeroes the budget, ending the whole scan.
-	start := (u.retireRR + 1) % n
+	start := wrap(u.retireRR+1, n)
 	for p := 0; p < n; p++ {
 		off := uint64(((p-start)%n + n) % n)
 		if off >= k {
@@ -124,6 +126,6 @@ func (u *Unit) SkipIdle(from, to uint64) {
 		}
 	}
 
-	u.retireRR += int(k)
-	u.fetchRR += int(k)
+	u.retireRR = int((uint64(u.retireRR) + k) % uint64(n))
+	u.fetchRR = int((uint64(u.fetchRR) + k) % uint64(n))
 }

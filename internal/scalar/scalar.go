@@ -61,6 +61,14 @@ func (c Config) WithSMT(n int) Config {
 	return c
 }
 
+// entry is one issueQ slot: a uop, the cycle its last producer
+// completes and its dispatch age.
+type entry struct {
+	id    pipe.UopID
+	ready uint64
+	age   uint64
+}
+
 type context struct {
 	slot   int
 	tid    int // software thread id, -1 when the context is unused
@@ -91,9 +99,17 @@ type Unit struct {
 	pred   *pipe.Bimodal
 	vsink  VectorSink
 
+	// The scheduler window holds the unissued scalar uops: issueQ those
+	// whose producers have all completed, with their ready cycle, in age
+	// order across contexts; the parked others wait on a producer in
+	// the arena (Arena.Park) until Arena.Wake hands them to issueQ.
 	ctxs   []*context
-	window []pipe.UopID // unissued scalar uops, age order across contexts
+	issueQ []entry
+	parked int
+	age    uint64 // the next dispatched uop's age
 
+	// The round-robin starts, each kept in [0, len(ctxs)) so the scans
+	// step through the contexts without a division.
 	fetchRR  int
 	retireRR int
 
@@ -148,10 +164,13 @@ func New(id int, cfg Config, machine *vm.VM, arena *pipe.Arena, l2 *mem.L2, vsin
 			rob:    pipe.NewRing(robCap),
 		})
 	}
-	u.window = make([]pipe.UopID, 0, cfg.WindowSize)
+	u.issueQ = make([]entry, 0, cfg.WindowSize)
 	u.fetchReady = make([]*context, 0, cfg.Contexts)
 	return u
 }
+
+// windowLen returns the number of uops in the scheduler window.
+func (u *Unit) windowLen() int { return len(u.issueQ) + u.parked }
 
 func (u *Unit) robTotal() int {
 	n := 0
@@ -212,25 +231,25 @@ func (u *Unit) Done() bool {
 }
 
 // BarrierWaiting returns, per context, the BAR uop currently at the head
-// of the reorder buffer and not yet released, or nil.
-func (u *Unit) BarrierWaiting(slot int) *pipe.Uop {
+// of the reorder buffer and not yet released, or 0.
+func (u *Unit) BarrierWaiting(slot int) pipe.UopID {
 	if id := u.ctxs[slot].rob.Front(); id != 0 {
 		if h := u.arena.At(id); h.Dyn.IsBarrier && h.DoneCycle == pipe.NeverDone {
-			return h
+			return id
 		}
 	}
-	return nil
+	return 0
 }
 
 // VltCfgWaiting returns the VLTCFG uop at the head of the context's ROB
-// that has not been applied yet, or nil.
-func (u *Unit) VltCfgWaiting(slot int) *pipe.Uop {
+// that has not been applied yet, or 0.
+func (u *Unit) VltCfgWaiting(slot int) pipe.UopID {
 	if id := u.ctxs[slot].rob.Front(); id != 0 {
 		if h := u.arena.At(id); h.Dyn.VltCfg != 0 && h.DoneCycle == pipe.NeverDone {
-			return h
+			return id
 		}
 	}
-	return nil
+	return 0
 }
 
 // Tick advances the unit one cycle: retire, issue, dispatch, fetch.
@@ -250,7 +269,7 @@ func (u *Unit) retire(now uint64) {
 	budget := u.cfg.Width
 	n := len(u.ctxs)
 	for i := 0; i < n && budget > 0; i++ {
-		c := u.ctxs[(u.retireRR+i)%n]
+		c := u.ctxs[wrap(u.retireRR+i, n)]
 		for budget > 0 && c.rob.Len() > 0 {
 			id := c.rob.Front()
 			h := u.arena.At(id)
@@ -277,55 +296,87 @@ func (u *Unit) retire(now uint64) {
 			u.arena.Retire(id)
 		}
 	}
-	u.retireRR++
+	u.retireRR = wrap(u.retireRR+1, n)
+}
+
+// wrap reduces k, which is below 2n, to [0, n).
+func wrap(k, n int) int {
+	if k >= n {
+		return k - n
+	}
+	return k
 }
 
 // issue selects ready instructions from the window, oldest first, bounded
-// by issue width, ALU count and memory ports.
+// by issue width, ALU count and memory ports. Only issueQ is scanned: a
+// parked uop cannot be ready, and each listed entry carries its ready
+// cycle, so the scan touches the uops it issues and no others. Uops
+// woken before the scan (by the vector unit) or during it join issueQ
+// in age order.
 func (u *Unit) issue(now uint64) {
+	u.arena.Wake(uint8(u.ID), u.unpark)
 	issued, aluUsed, memUsed := 0, 0, 0
-	kept := u.window[:0]
-	for idx, id := range u.window {
+	kept := u.issueQ[:0]
+	for idx, e := range u.issueQ {
 		if issued >= u.cfg.Width {
-			kept = append(kept, u.window[idx:]...)
+			kept = append(kept, u.issueQ[idx:]...)
 			break
 		}
-		w := u.arena.At(id)
-		if u.arena.ReadyCycle(w, now) > now {
-			kept = append(kept, id)
+		if e.ready > now {
+			kept = append(kept, e)
 			continue
 		}
+		w := u.arena.At(e.id)
+		var done uint64
 		info := w.Dyn.Inst.Op.Info()
 		switch info.Class {
 		case isa.ClassLoad, isa.ClassStore:
 			if memUsed >= u.cfg.NumMemPorts {
-				kept = append(kept, id)
+				kept = append(kept, e)
 				continue
 			}
 			memUsed++
 			addr := w.Dyn.EffAddrs[0]
-			done := u.dcache.Access(now, addr, info.Class == isa.ClassStore)
+			done = u.dcache.Access(now, addr, info.Class == isa.ClassStore)
 			if info.Class == isa.ClassStore {
 				// Stores drain through the store buffer: they retire once
 				// issued; the cache update completes asynchronously.
 				done = now + 1
 			}
-			w.DoneCycle = done
 		default: // IntALU, IntMul, FP, Ctl(SETVL)
 			if aluUsed >= u.cfg.NumALU {
-				kept = append(kept, id)
+				kept = append(kept, e)
 				continue
 			}
 			aluUsed++
-			w.DoneCycle = now + uint64(info.Latency)
+			done = now + uint64(info.Latency)
 		}
+		u.arena.Complete(e.id, done)
 		w.Issued = true
 		w.IssueCycle = now
-		w.ChainCycle = w.DoneCycle
+		w.ChainCycle = done
 		issued++
 		u.IssuedCount++
 	}
-	u.window = kept
+	u.issueQ = kept
+	u.arena.Wake(uint8(u.ID), u.unpark)
+}
+
+// unpark inserts woken uop id, parked at dispatch age age, into issueQ
+// with its now-known ready cycle, after the entries older than it.
+func (u *Unit) unpark(id pipe.UopID, age uint64) {
+	u.parked--
+	lo, hi := 0, len(u.issueQ)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); u.issueQ[mid].age < age {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	u.issueQ = append(u.issueQ, entry{})
+	copy(u.issueQ[lo+1:], u.issueQ[lo:])
+	u.issueQ[lo] = entry{id: id, ready: u.arena.At(id).ReadyCycle(), age: age}
 }
 
 // dispatchStall is what holds a context's fetch-queue head at dispatch.
@@ -358,7 +409,7 @@ func (u *Unit) headStall(c *context, head pipe.UopID) (s dispatchStall, counted 
 		}
 	case info.Sequencing: // needs no window entry
 	default:
-		if len(u.window) >= u.cfg.WindowSize {
+		if u.windowLen() >= u.cfg.WindowSize {
 			return stallWindow, false
 		}
 	}
@@ -387,7 +438,7 @@ func (u *Unit) dispatch(now uint64) {
 	budget := u.cfg.Width
 	n := len(u.ctxs)
 	for i := 0; i < n && budget > 0; i++ {
-		c := u.ctxs[(u.retireRR+i)%n]
+		c := u.ctxs[wrap(u.retireRR+i, n)]
 		for budget > 0 && c.fetchQ.Len() > 0 {
 			id := c.fetchQ.Front()
 			uop := u.arena.At(id)
@@ -404,7 +455,7 @@ func (u *Unit) dispatch(now uint64) {
 					return
 				}
 				if !uop.ScalarsCollected { // a VIQ-full retry keeps the first capture
-					c.fe.Producers(u.arena, &uop.ScalarProducers, uop, now)
+					c.fe.Producers(u.arena, id, now)
 					uop.ScalarsCollected = true
 				}
 			}
@@ -420,16 +471,19 @@ func (u *Unit) dispatch(now uint64) {
 			case info.Sequencing:
 				// NOP/MARK/HALT complete immediately; BAR and VLTCFG
 				// wait for the machine-level controller.
-				if uop.Dyn.IsBarrier || uop.Dyn.VltCfg != 0 {
-					uop.DoneCycle = pipe.NeverDone
-				} else {
-					uop.DoneCycle = now
+				if !uop.Dyn.IsBarrier && uop.Dyn.VltCfg == 0 {
+					u.arena.Complete(id, now)
 					uop.ChainCycle = now
 				}
 			default:
-				c.fe.Producers(u.arena, &uop.Producers, uop, now)
+				c.fe.Producers(u.arena, id, now)
 				c.fe.Record(u.arena, id)
-				u.window = append(u.window, id)
+				if u.arena.Park(id, uint8(u.ID), u.age) {
+					u.parked++
+				} else {
+					u.issueQ = append(u.issueQ, entry{id: id, ready: uop.ReadyCycle(), age: u.age})
+				}
+				u.age++
 			}
 			uop.DispatchCycle = now
 			c.rob.Push(c.fetchQ.Pop())
@@ -454,7 +508,7 @@ func (u *Unit) fetch(now uint64) {
 	n := len(u.ctxs)
 	ready := u.fetchReady[:0]
 	for i := 0; i < n; i++ {
-		c := u.ctxs[(u.fetchRR+i)%n]
+		c := u.ctxs[wrap(u.fetchRR+i, n)]
 		if !u.fetchable(c) {
 			continue
 		}
@@ -466,7 +520,7 @@ func (u *Unit) fetch(now uint64) {
 			ready = append(ready, c)
 		}
 	}
-	u.fetchRR++
+	u.fetchRR = wrap(u.fetchRR+1, n)
 	if len(ready) == 0 {
 		return
 	}

@@ -48,14 +48,14 @@ func TestBarrierWaitingAtROBHead(t *testing.T) {
 	u, _ := newUnit(t, b, 1, Config4Way())
 	tick(t, u, 200)
 	bar := u.BarrierWaiting(0)
-	if bar == nil {
+	if bar == 0 {
 		t.Fatal("BAR should be waiting at the ROB head")
 	}
 	if u.Done() {
 		t.Fatal("unit finished through an unreleased barrier")
 	}
 	// Release and drain.
-	bar.DoneCycle = 200
+	u.arena.Complete(bar, 200)
 	var now uint64 = 200
 	for ; !u.Done() && now < 1000; now++ {
 		u.Tick(now)
@@ -73,14 +73,14 @@ func TestVltCfgWaitingAtROBHead(t *testing.T) {
 	b.Halt()
 	u, _ := newUnit(t, b, 1, Config4Way())
 	tick(t, u, 200)
-	cfgUop := u.VltCfgWaiting(0)
-	if cfgUop == nil {
+	id := u.VltCfgWaiting(0)
+	if id == 0 {
 		t.Fatal("VLTCFG should be waiting at the ROB head")
 	}
-	if cfgUop.Dyn.VltCfg != 2 {
+	if cfgUop := u.arena.At(id); cfgUop.Dyn.VltCfg != 2 {
 		t.Errorf("VltCfg payload = %d, want 2", cfgUop.Dyn.VltCfg)
 	}
-	if u.BarrierWaiting(0) != nil {
+	if u.BarrierWaiting(0) != 0 {
 		t.Error("VLTCFG must not be reported as a barrier")
 	}
 }

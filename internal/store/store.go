@@ -45,7 +45,12 @@ import (
 // Version 5: core.Config lost its sampling interval and its func-valued
 // fork-point hook (now set only by Machine.SetForkAt), so every key
 // moved again. No body moved.
-const FormatVersion = 5
+//
+// Version 6: the invariant auditor runs two more checks per sweep
+// (su<N>.waiting and vcl.pending-counts), so guard.audit.checks moved
+// in every body simulated with VLT_AUDIT=on. No key, no simulated
+// count and no body simulated with the auditor off moved.
+const FormatVersion = 6
 
 // magic is the first token of every entry's header line.
 const magic = "vltstore"

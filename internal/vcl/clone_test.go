@@ -46,8 +46,11 @@ func TestCloneCoversPartition(t *testing.T) {
 		"renameCap":  "value copy",
 		"noChain":    "value copy",
 
-		"vfuFree": "value copy (array of cycle stamps)",
-		"vfuCur":  "value copy (vecExec holds only scalars)",
-		"memFree": "value copy (array of cycle stamps)",
+		"vfuFree":  "value copy (array of cycle stamps)",
+		"vfuCur":   "value copy (vecExec holds only scalars)",
+		"memFree":  "value copy (array of cycle stamps)",
+		"pending":  "value copy (array of counts)",
+		"unissued": "value copy",
+		"doneMin":  "value copy",
 	})
 }

@@ -10,6 +10,15 @@
 // groups, the design point the paper found performs as well as a fully
 // replicated VCL.
 //
+// Each partition keeps three summaries of its queues current as uops
+// enter and issue: a per-datapath count of unissued VecALU uops, which
+// the Figure-4 census asks instead of scanning; the count of unissued
+// window entries, so issue and NextEvent skip a window whose entries
+// have all issued; and a lower bound on the issued entries'
+// completions, before which window retirement has nothing to scan and
+// which NextEvent folds in their place. The auditor's
+// vcl.pending-counts check (CheckPending) holds all three to a scan.
+//
 // event.go is the unit's part in the machine's cycle skipping
 // (DESIGN.md §11). NextEvent asks readyCycle, the rule issue asks;
 // SkipIdle charges a skipped span through census, the Figure-4

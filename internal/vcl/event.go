@@ -23,18 +23,8 @@ import "vlt/internal/pipe"
 func (v *VCL) NextEvent(now uint64) uint64 {
 	ev := uint64(pipe.NeverDone)
 	for _, p := range v.parts {
-		for _, id := range p.win {
-			// An issued entry retires once done; an unissued one issues
-			// once ready. Either already due is pending next cycle
-			// (retirement, or issue limited by bandwidth).
-			u := v.arena.At(id)
-			due := u.DoneCycle
-			if !u.Issued {
-				due = p.readyCycle(v.arena, u, ev)
-			}
-			if ev = pipe.EventAt(ev, now, due); ev == now+1 {
-				return ev
-			}
+		if ev = p.windowEvent(v.arena, ev, now); ev == now+1 {
+			return ev
 		}
 		if head := p.viq.Front(); head != 0 && len(p.win) < p.winCap {
 			if !hasVecDest(v.arena.At(head)) || p.renames < p.renameCap {
@@ -47,12 +37,36 @@ func (v *VCL) NextEvent(now uint64) uint64 {
 	return ev
 }
 
+// windowEvent folds into event horizon ev the cycle p's window next
+// changes: an issued entry retires once done, an unissued one issues
+// once ready, and either already due is pending next cycle (retirement,
+// or issue limited by bandwidth). A window whose entries have all
+// issued folds doneMin, at most their earliest completion, instead of
+// walking them.
+func (p *partition) windowEvent(a *pipe.Arena, ev, now uint64) uint64 {
+	if p.unissued == 0 {
+		return pipe.EventAt(ev, now, p.doneMin)
+	}
+	for _, id := range p.win {
+		u := a.At(id)
+		due := u.DoneCycle
+		if !u.Issued {
+			due = p.readyCycle(a, u, ev)
+		}
+		if ev = pipe.EventAt(ev, now, due); ev == now+1 {
+			return ev
+		}
+	}
+	return ev
+}
+
 // SkipIdle replays the skipped quiescent cycles [from, to): the issue
 // round-robin advance and the Figure-4 datapath census. The span is
 // quiescent by construction (NextEvent returned a cycle >= to), so no
 // instruction dispatches, issues, or retires inside it.
 func (v *VCL) SkipIdle(from, to uint64) {
-	v.rr += int(to - from) // issue advances the round-robin every cycle
+	// issue advances the round-robin once per cycle.
+	v.rr = int((uint64(v.rr) + (to - from)) % uint64(len(v.parts)))
 	v.census(from, to)
 }
 

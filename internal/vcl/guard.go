@@ -3,6 +3,9 @@ package vcl
 import (
 	"fmt"
 	"strings"
+
+	"vlt/internal/isa"
+	"vlt/internal/pipe"
 )
 
 // This file is the VCL's self-checking surface for internal/guard: the
@@ -32,6 +35,46 @@ func (v *VCL) CheckScoreboard() error {
 		if p.viq.Len() > p.viqCap || len(p.win) > p.winCap {
 			return fmt.Errorf("partition %d (thread %d): viq %d/%d or window %d/%d over capacity",
 				p.id, p.thread, p.viq.Len(), p.viqCap, len(p.win), p.winCap)
+		}
+	}
+	return nil
+}
+
+// CheckPending verifies the partitions' issue bookkeeping against a
+// scan: each datapath's pending count equals the unissued VecALU uops
+// in the VIQ and window that target it, the unissued count equals the
+// window's unissued entries, and doneMin is at most every issued window
+// entry's DoneCycle.
+func (v *VCL) CheckPending() error {
+	for _, p := range v.parts {
+		var pending [NumVFUs]int
+		count := func(u *pipe.Uop) {
+			if info := u.Dyn.Inst.Op.Info(); !u.Issued && info.Class == isa.ClassVecALU {
+				pending[info.VFU]++
+			}
+		}
+		for i := 0; i < p.viq.Len(); i++ {
+			count(v.arena.At(p.viq.At(i)))
+		}
+		unissued := 0
+		for _, id := range p.win {
+			u := v.arena.At(id)
+			count(u)
+			if !u.Issued {
+				unissued++
+			}
+			if u.Issued && u.DoneCycle < p.doneMin {
+				return fmt.Errorf("partition %d (thread %d): window entry t%d @%d (%s) done at %d, before the earliest completion %d",
+					p.id, p.thread, u.Thread, u.Dyn.PC, u.Dyn.Inst, u.DoneCycle, p.doneMin)
+			}
+		}
+		if pending != p.pending {
+			return fmt.Errorf("partition %d (thread %d): pending VecALU counts %v, the VIQ and window hold %v",
+				p.id, p.thread, p.pending, pending)
+		}
+		if unissued != p.unissued {
+			return fmt.Errorf("partition %d (thread %d): %d unissued window entries counted, the window holds %d",
+				p.id, p.thread, p.unissued, unissued)
 		}
 	}
 	return nil

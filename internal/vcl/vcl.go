@@ -73,6 +73,16 @@ type partition struct {
 	vfuFree [NumVFUs]uint64
 	vfuCur  [NumVFUs]vecExec
 	memFree [NumMemPorts]uint64
+
+	// pending counts the unissued VecALU uops in the VIQ and window per
+	// arithmetic datapath (census asks pendingFor); unissued counts the
+	// window's unissued entries, so issue and NextEvent need not walk a
+	// window whose every entry has issued; doneMin is at most the
+	// DoneCycle of every issued window entry, so retireDone has nothing
+	// to retire before it.
+	pending  [NumVFUs]int
+	unissued int
+	doneMin  uint64
 }
 
 // VCL is the vector control logic shared by all thread partitions. Its
@@ -84,7 +94,7 @@ type VCL struct {
 	l2         *mem.L2
 	totalLanes int
 	parts      []*partition
-	rr         int
+	rr         int // the partition issue starts at, in [0, len(parts))
 
 	Util Utilization
 
@@ -183,6 +193,7 @@ func (v *VCL) Partition(threads []int) error {
 			noChain:   v.cfg.DisableChaining,
 			viq:       pipe.NewRing(viqCap),
 			win:       make([]pipe.UopID, 0, winCap),
+			doneMin:   pipe.NeverDone,
 		}
 	}
 	v.rr = 0
@@ -210,6 +221,9 @@ func (v *VCL) Enqueue(id pipe.UopID) bool {
 		return false
 	}
 	p.viq.Push(id)
+	if info := v.arena.At(id).Dyn.Inst.Op.Info(); info.Class == isa.ClassVecALU {
+		p.pending[info.VFU]++
+	}
 	v.Enqueued++
 	return true
 }
@@ -248,12 +262,18 @@ func (v *VCL) Tick(now uint64) {
 }
 
 // retireDone removes completed instructions from the window, releasing
-// their implicit renames, and returns how many it retired.
+// their implicit renames, and returns how many it retired. Before
+// doneMin no issued entry is done, so it has nothing to scan.
 func (p *partition) retireDone(a *pipe.Arena, now uint64) int {
+	if now < p.doneMin {
+		return 0
+	}
 	retired := 0
+	p.doneMin = pipe.NeverDone
 	dst := p.win[:0]
 	for _, id := range p.win {
-		if u := a.At(id); u.Issued && u.DoneBy(now) {
+		u := a.At(id)
+		if u.Issued && u.DoneBy(now) {
 			if hasVecDest(u) {
 				p.renames--
 				// Unpin the uop from chain tracking: it is done, so any
@@ -268,6 +288,9 @@ func (p *partition) retireDone(a *pipe.Arena, now uint64) int {
 			a.ReleaseProducers(id)
 			retired++
 			continue
+		}
+		if u.Issued {
+			p.doneMin = min(p.doneMin, u.DoneCycle)
 		}
 		dst = append(dst, id)
 	}
@@ -316,6 +339,7 @@ func (p *partition) dispatch(a *pipe.Arena, now uint64, width int) {
 		}
 		u.DispatchCycle = now
 		p.win = append(p.win, id)
+		p.unissued++
 	}
 }
 
@@ -355,13 +379,16 @@ func (p *partition) readyCycle(a *pipe.Arena, u *pipe.Uop, bound uint64) uint64 
 	return r
 }
 
-func (p *partition) nextIssuable(a *pipe.Arena, now uint64) *pipe.Uop {
+func (p *partition) nextIssuable(a *pipe.Arena, now uint64) pipe.UopID {
+	if p.unissued == 0 {
+		return 0
+	}
 	for _, id := range p.win {
 		if u := a.At(id); !u.Issued && p.readyCycle(a, u, now) <= now {
-			return u
+			return id
 		}
 	}
-	return nil
+	return 0
 }
 
 // issue grants the VCL's issue slots across partitions round-robin. A
@@ -372,29 +399,34 @@ func (p *partition) nextIssuable(a *pipe.Arena, now uint64) *pipe.Uop {
 func (v *VCL) issue(now uint64) {
 	width := v.cfg.IssueWidth
 	n := len(v.parts)
-	first := v.rr
-	v.rr++ // once per cycle, ticked or skipped (SkipIdle)
+	next := v.rr
+	if v.rr++; v.rr == n { // once per cycle, ticked or skipped (SkipIdle)
+		v.rr = 0
+	}
 	if v.cfg.ReplicatedIssue {
 		for _, p := range v.parts {
 			for k := 0; k < width; k++ {
-				u := p.nextIssuable(v.arena, now)
-				if u == nil {
+				id := p.nextIssuable(v.arena, now)
+				if id == 0 {
 					break
 				}
-				v.issueUop(p, u, now)
+				v.issueUop(p, id, now)
 			}
 		}
 		return
 	}
 	issued := 0
 	for attempt := 0; attempt < n && issued < width; attempt++ {
-		p := v.parts[(first+attempt)%n]
+		p := v.parts[next]
+		if next++; next == n {
+			next = 0
+		}
 		for issued < width {
-			u := p.nextIssuable(v.arena, now)
-			if u == nil {
+			id := p.nextIssuable(v.arena, now)
+			if id == 0 {
 				break
 			}
-			v.issueUop(p, u, now)
+			v.issueUop(p, id, now)
 			issued++
 			if n > 1 {
 				break // one slot per partition per cycle
@@ -403,7 +435,8 @@ func (v *VCL) issue(now uint64) {
 	}
 }
 
-func (v *VCL) issueUop(p *partition, u *pipe.Uop, now uint64) {
+func (v *VCL) issueUop(p *partition, id pipe.UopID, now uint64) {
+	u := v.arena.At(id)
 	info := u.Dyn.Inst.Op.Info()
 	vl := u.Dyn.VL
 	occ := (vl + p.lanes - 1) / p.lanes
@@ -412,18 +445,21 @@ func (v *VCL) issueUop(p *partition, u *pipe.Uop, now uint64) {
 	}
 	u.Issued = true
 	u.IssueCycle = now
+	p.unissued--
 	// Early commit: once issued, the instruction can no longer fault and
 	// the scalar unit's ROB may release it.
 	u.CommitCycle = now + 1
 	v.VecIssued++
 	v.VecElemOps += uint64(vl)
 
+	var done uint64
 	switch info.Class {
 	case isa.ClassVecALU:
 		f := info.VFU
 		p.vfuFree[f] = now + uint64(occ)
 		p.vfuCur[f] = vecExec{issue: now, vl: vl}
-		u.DoneCycle = now + uint64(occ) - 1 + uint64(info.Latency)
+		p.pending[f]--
+		done = now + uint64(occ) - 1 + uint64(info.Latency)
 		u.ChainCycle = now + uint64(info.Latency)
 	case isa.ClassVecLoad, isa.ClassVecStore:
 		port := -1
@@ -436,7 +472,7 @@ func (v *VCL) issueUop(p *partition, u *pipe.Uop, now uint64) {
 		res := v.l2.AccessBulk(now, u.Dyn.EffAddrs, info.Class == isa.ClassVecStore, p.lanes)
 		p.memFree[port] = res.LastIssue + 1
 		if info.Class == isa.ClassVecLoad {
-			u.DoneCycle = res.Done
+			done = res.Done
 			// Chaining starts when the first element group arrives, but a
 			// consumer advancing one group per cycle must never outrun the
 			// last element's arrival.
@@ -448,10 +484,12 @@ func (v *VCL) issueUop(p *partition, u *pipe.Uop, now uint64) {
 			// Stores retire once every element has been accepted by its
 			// bank; the memory update completes asynchronously (the lane
 			// store queues of the decoupled X1 design).
-			u.DoneCycle = res.LastIssue + 1
-			u.ChainCycle = u.DoneCycle
+			done = res.LastIssue + 1
+			u.ChainCycle = done
 		}
 	}
+	v.arena.Complete(id, done)
+	p.doneMin = min(p.doneMin, done)
 }
 
 // census charges cycles [from, to) to every arithmetic datapath in
@@ -476,7 +514,7 @@ func (v *VCL) census(from, to uint64) {
 			if cycle == to {
 				continue
 			}
-			if p.pendingFor(v.arena, f) {
+			if p.pendingFor(f) {
 				v.Util.Stalled += (to - cycle) * lanes
 			} else {
 				v.Util.AllIdle += (to - cycle) * lanes
@@ -488,20 +526,4 @@ func (v *VCL) census(from, to uint64) {
 // pendingFor reports whether any unissued instruction in the window or
 // VIQ targets arithmetic datapath f (memory instructions do not stall the
 // arithmetic datapaths).
-func (p *partition) pendingFor(a *pipe.Arena, f int) bool {
-	for _, id := range p.win {
-		u := a.At(id)
-		if u.Issued {
-			continue
-		}
-		if inf := u.Dyn.Inst.Op.Info(); inf.Class == isa.ClassVecALU && inf.VFU == f {
-			return true
-		}
-	}
-	for i := 0; i < p.viq.Len(); i++ {
-		if inf := a.At(p.viq.At(i)).Dyn.Inst.Op.Info(); inf.Class == isa.ClassVecALU && inf.VFU == f {
-			return true
-		}
-	}
-	return false
-}
+func (p *partition) pendingFor(f int) bool { return p.pending[f] > 0 }
