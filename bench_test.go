@@ -191,7 +191,7 @@ func BenchmarkRunBaseMXM(b *testing.B) {
 	b.ReportAllocs()
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		r, err := Run("mxm", MachineBase, Options{SkipVerify: true})
+		r, err := Run("mxm", MachineBase, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func BenchmarkRunBaseMXMAudit(b *testing.B) {
 	b.ReportAllocs()
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		r, err := Run("mxm", MachineBase, Options{SkipVerify: true})
+		r, err := Run("mxm", MachineBase, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func BenchmarkSimulate(b *testing.B) {
 		b.Run(tc.workload+"-"+string(tc.machine), func(b *testing.B) {
 			var cycles uint64
 			for i := 0; i < b.N; i++ {
-				r, err := Run(tc.workload, tc.machine, Options{SkipVerify: true})
+				r, err := Run(tc.workload, tc.machine, Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -260,13 +260,14 @@ func cellCycles(b *testing.B, c simCell, mutate func(*core.Config)) uint64 {
 	return res.Cycles
 }
 
-// benchScheduler runs mxm on the base machine, unverified and unaudited
-// as in BenchmarkRunBaseMXM, with event-driven cycle skipping on or off.
+// benchScheduler runs mxm on the base machine, unaudited as in
+// BenchmarkRunBaseMXM and without the result check, with event-driven
+// cycle skipping on or off.
 func benchScheduler(b *testing.B, noSkip bool) {
 	b.ReportAllocs()
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		cycles = cellCycles(b, simCell{"mxm", MachineBase, Options{SkipVerify: true}},
+		cycles = cellCycles(b, simCell{"mxm", MachineBase, Options{}},
 			func(c *core.Config) { c.NoSkip, c.Audit = noSkip, guard.AuditOff })
 	}
 	b.ReportMetric(float64(cycles), "simcycles")

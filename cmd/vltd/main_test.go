@@ -253,7 +253,7 @@ func TestStoppedPeerFallsBack(t *testing.T) {
 	defer func() { signalNotify = nil }()
 
 	before := api.SweepRequest{Workloads: []string{"mxm", "sage"}, Machines: []string{"base", "V2-CMP"}}
-	after := api.SweepRequest{Workloads: []string{"mxm", "sage"}, Machines: []string{"V4-CMP", "V4-CMT"}}
+	after := api.SweepRequest{Workloads: []string{"mxm", "sage"}, Machines: []string{"V4-CMP", "V4-SMT"}}
 	remoteWant, fallbackWant := peerOwned(t, before), peerOwned(t, after)
 
 	// sweep runs a grid on a daemon and returns each cell's body.

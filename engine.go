@@ -119,8 +119,8 @@ func (e *Engine) Stats() EngineStats {
 // fully resolved machine configuration (every preset is complete, so
 // this is every parameter the machine runs with, the auditor's resolved
 // on/off included, and aliases like Lanes:0 and Lanes:8 on the base
-// machine coincide), and every build/verify option that can change the
-// simulated program or the reported result.
+// machine coincide), and every build option that can change the
+// simulated program.
 func fingerprint(workload string, m Machine, opt Options) (string, error) {
 	cfg, threads, err := machineConfig(m, opt)
 	if err != nil {
@@ -131,10 +131,10 @@ func fingerprint(workload string, m Machine, opt Options) (string, error) {
 		scale = 1
 	}
 	sum := sha256.Sum256(fmt.Appendf(nil,
-		"w=%s|cfg=%+v|threads=%d|scale=%d|scalarOnly=%t|noReclaim=%t|skipVerify=%t",
+		"w=%s|cfg=%+v|threads=%d|scale=%d|scalarOnly=%t|noReclaim=%t",
 		workload, cfg, threads, scale,
 		m == MachineCMT || m == MachineVLTScalar,
-		opt.NoLaneReclaim, opt.SkipVerify))
+		opt.NoLaneReclaim))
 	return hex.EncodeToString(sum[:]), nil
 }
 
@@ -255,7 +255,9 @@ type cellSpec struct {
 }
 
 // resolveCell validates one (workload, machine, options) triple and
-// resolves it to a cellSpec.
+// resolves it to a cellSpec. It refuses every configuration
+// core.NewMachine would, so a cell it accepts fails, if at all, only
+// after its simulation starts.
 func resolveCell(workload string, m Machine, opt Options) (cellSpec, error) {
 	w, err := workloads.ByName(workload)
 	if err != nil {
@@ -264,6 +266,9 @@ func resolveCell(workload string, m Machine, opt Options) (cellSpec, error) {
 	cfg, threads, err := machineConfig(m, opt)
 	if err != nil {
 		return cellSpec{}, err
+	}
+	if err := cfg.Validate(); err != nil {
+		return cellSpec{}, fmt.Errorf("vlt: %w", err)
 	}
 	scalarOnly := m == MachineCMT || m == MachineVLTScalar
 	if scalarOnly && w.Class != workloads.ScalarParallel {
@@ -345,12 +350,10 @@ func runCell(workload string, m Machine, opt Options) (Result, error) {
 		Metrics:    metrics,
 	}
 	derive(&out)
-	if !opt.SkipVerify {
-		if err := w.Verify(machine.VM(), prog, p); err != nil {
-			return out, fmt.Errorf("vlt: verification failed: %w", err)
-		}
-		out.Verified = true
+	if err := w.Verify(machine.VM(), prog, p); err != nil {
+		return out, fmt.Errorf("vlt: verification failed: %w", err)
 	}
+	out.Verified = true
 	return out, nil
 }
 

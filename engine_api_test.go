@@ -36,7 +36,6 @@ func TestCellKey(t *testing.T) {
 	distinct := []Options{
 		{Scale: 2},
 		{Lanes: 4},
-		{SkipVerify: true},
 		{NoLaneReclaim: true},
 		{Threads: 2},
 	}

@@ -23,7 +23,7 @@ func TestEngineIsolatesPanickingCell(t *testing.T) {
 	for _, jobs := range []int{1, 2} { // one slot and several
 		eng := NewEngine(jobs)
 		bad := eng.submit("poison", MachineBase, Options{})
-		good := eng.submit("mxm", MachineBase, Options{SkipVerify: true})
+		good := eng.submit("mxm", MachineBase, Options{})
 
 		_, err := bad.wait()
 		var pe *runner.PanicError

@@ -52,8 +52,7 @@ type simCell struct {
 // which the simulator only reads.
 type builtCell struct {
 	cellSpec
-	prog   *asm.Program
-	verify bool // check the workload's result after each run
+	prog *asm.Program
 }
 
 // buildCell resolves c, applies mutate (when non-nil) to the resolved
@@ -68,7 +67,7 @@ func buildCell(tb testing.TB, c simCell, mutate func(*core.Config)) builtCell {
 	if mutate != nil {
 		mutate(&spec.cfg)
 	}
-	return builtCell{spec, spec.w.Build(spec.params), !c.opt.SkipVerify}
+	return builtCell{spec, spec.w.Build(spec.params)}
 }
 
 // machine returns a fresh, unrun machine for the cell.
@@ -81,8 +80,8 @@ func (b builtCell) machine(tb testing.TB) *core.Machine {
 	return m
 }
 
-// finish runs m to completion, checks the workload's result on it
-// unless the cell skips verification, and releases it.
+// finish runs m to completion, checks the workload's result on it and
+// releases it.
 func (b builtCell) finish(tb testing.TB, m *core.Machine) core.Result {
 	tb.Helper()
 	res, err := b.complete(m)
@@ -99,10 +98,8 @@ func (b builtCell) complete(m *core.Machine) (core.Result, error) {
 	if err != nil {
 		return res, fmt.Errorf("run: %w", err)
 	}
-	if b.verify {
-		if err := b.w.Verify(m.VM(), b.prog, b.params); err != nil {
-			return res, fmt.Errorf("verification failed: %w", err)
-		}
+	if err := b.w.Verify(m.VM(), b.prog, b.params); err != nil {
+		return res, fmt.Errorf("verification failed: %w", err)
 	}
 	return res, nil
 }

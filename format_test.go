@@ -25,6 +25,7 @@ var formatDigests = map[int]string{
 	4: "7f3f3e73e3b1b5e9fd2fe3943bdcb90d46bd1f684ad002e9f2779c6744f3398f",
 	5: "d19682bc9775725130984b7570d9a46481f2260eb2b427e379075bf7d18d8b02",
 	6: "9187fe8e0c628add44c7f321700e00d7c63a57d0f61c7eb1926dbc05c2acfab0",
+	7: "346a8f1584616ff608edbffc63713dca725a238a7d2fd6b913ced0accf7f92a7",
 }
 
 // formatOutputs are the committed goldens outputsDigest covers: the

@@ -48,26 +48,22 @@ const (
 // RunRequest is one /v1/run request: a single workload x machine cell.
 // GET encodes it as query parameters, POST as this JSON object.
 type RunRequest struct {
-	Workload   string `json:"workload"`
-	Machine    string `json:"machine"`
-	Scale      int    `json:"scale,omitempty"`
-	Lanes      int    `json:"lanes,omitempty"`
-	Threads    int    `json:"threads,omitempty"`
-	SkipVerify bool   `json:"skip_verify,omitempty"`
+	Workload string `json:"workload"`
+	Machine  string `json:"machine"`
+	Scale    int    `json:"scale,omitempty"`
+	Lanes    int    `json:"lanes,omitempty"`
+	Threads  int    `json:"threads,omitempty"`
 }
 
 // Options maps the request's tuning fields onto vlt.Options.
 func (r RunRequest) Options() vlt.Options {
-	return vlt.Options{
-		Scale: r.Scale, Lanes: r.Lanes, Threads: r.Threads,
-		SkipVerify: r.SkipVerify,
-	}
+	return vlt.Options{Scale: r.Scale, Lanes: r.Lanes, Threads: r.Threads}
 }
 
 // Cell renders the request's human-readable cell name, the value carried
 // in Error.Cell: "workload/machine", then "@xN" for a scale above 1 and
-// ",lanes=N", ",threads=N", ",skip_verify" for each option that is set,
-// so two distinct cells of one sweep never share a name.
+// ",lanes=N", ",threads=N" for each option that is set, so two distinct
+// cells of one sweep never share a name.
 func (r RunRequest) Cell() string {
 	s := r.Workload + "/" + r.Machine
 	if r.Scale > 1 {
@@ -78,9 +74,6 @@ func (r RunRequest) Cell() string {
 	}
 	if r.Threads != 0 {
 		s += fmt.Sprintf(",threads=%d", r.Threads)
-	}
-	if r.SkipVerify {
-		s += ",skip_verify"
 	}
 	return s
 }
@@ -168,12 +161,11 @@ func Marshal(v any) ([]byte, error) {
 // workloads x machines x scales, each cell simulated with the shared
 // tuning fields. Scales defaults to {1}.
 type SweepRequest struct {
-	Workloads  []string `json:"workloads"`
-	Machines   []string `json:"machines"`
-	Scales     []int    `json:"scales,omitempty"`
-	Lanes      int      `json:"lanes,omitempty"`
-	Threads    int      `json:"threads,omitempty"`
-	SkipVerify bool     `json:"skip_verify,omitempty"`
+	Workloads []string `json:"workloads"`
+	Machines  []string `json:"machines"`
+	Scales    []int    `json:"scales,omitempty"`
+	Lanes     int      `json:"lanes,omitempty"`
+	Threads   int      `json:"threads,omitempty"`
 }
 
 // Cells expands the grid in deterministic row-major order (workload
@@ -190,7 +182,7 @@ func (r SweepRequest) Cells() []RunRequest {
 			for _, sc := range scales {
 				cells = append(cells, RunRequest{
 					Workload: w, Machine: m, Scale: sc,
-					Lanes: r.Lanes, Threads: r.Threads, SkipVerify: r.SkipVerify,
+					Lanes: r.Lanes, Threads: r.Threads,
 				})
 			}
 		}

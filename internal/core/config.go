@@ -110,13 +110,8 @@ func (c Config) Validate() error {
 			c.Name, slots, c.NumThreads)
 	}
 	if c.Lanes > 0 {
-		p := c.InitialPartitions
-		if p < 1 {
-			return fmt.Errorf("core: config %q: InitialPartitions %d < 1", c.Name, p)
-		}
-		if c.Lanes%p != 0 {
-			return fmt.Errorf("core: config %q: %d lanes not divisible into %d partitions",
-				c.Name, c.Lanes, p)
+		if err := vcl.CheckPartitions(c.VCL, c.Lanes, c.InitialPartitions); err != nil {
+			return fmt.Errorf("core: config %q: InitialPartitions: %w", c.Name, err)
 		}
 	}
 	return nil

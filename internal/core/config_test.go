@@ -150,3 +150,51 @@ func TestDecoupleWindowSetOnPresetTakesEffect(t *testing.T) {
 			got.Cycles, lane.DefaultConfig().DecoupleWindow)
 	}
 }
+
+// TestPartitionRuleAgrees: Config.Validate, NewMachine and
+// PartitionChoices all follow vcl.CheckPartitions, for every preset with
+// a vector unit at every lane count 1–16 and every thread count its SMT
+// slots can run. Validate and NewMachine refuse exactly the initial
+// partitionings the rule refuses, naming its reason, and a machine's
+// choices are the counts up to its thread count that the rule accepts.
+func TestPartitionRuleAgrees(t *testing.T) {
+	prog := tinyVectorProgram()
+	for _, name := range MachineNames() {
+		for lanes := 1; lanes <= 16; lanes++ {
+			for threads := 0; threads <= 8; threads++ {
+				cfg, err := ByName(name, lanes, threads)
+				if err != nil {
+					t.Fatal(err)
+				}
+				slots := 0
+				for _, su := range cfg.SUs {
+					slots += su.Contexts
+				}
+				if cfg.Lanes == 0 || cfg.LaneScalarMode || cfg.NumThreads > slots {
+					continue
+				}
+				at := func(n int) error { return vcl.CheckPartitions(cfg.VCL, cfg.Lanes, n) }
+				rule := at(cfg.InitialPartitions)
+				m, merr := NewMachine(cfg, prog)
+				for what, err := range map[string]error{"Validate": cfg.Validate(), "NewMachine": merr} {
+					if (err == nil) != (rule == nil) || (rule != nil && !strings.Contains(err.Error(), rule.Error())) {
+						t.Errorf("%s, %d lanes, %d threads: %s: %v, want the rule's %v", name, lanes, threads, what, err, rule)
+					}
+				}
+				if m == nil {
+					continue
+				}
+				var want []int
+				for n := 1; n <= cfg.NumThreads; n++ {
+					if at(n) == nil {
+						want = append(want, n)
+					}
+				}
+				if got := m.PartitionChoices(); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s, %d lanes, %d threads: PartitionChoices() = %v, want %v", name, lanes, threads, got, want)
+				}
+				m.Release()
+			}
+		}
+	}
+}

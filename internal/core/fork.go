@@ -1,8 +1,8 @@
 package core
 
 import (
-	"vlt/internal/isa"
 	"vlt/internal/pipe"
+	"vlt/internal/vcl"
 )
 
 // This file implements machine forking: an O(state) deep copy of a
@@ -48,18 +48,17 @@ type ForkPoint struct {
 func (m *Machine) SetForkAt(f func(*Machine, ForkPoint) int) { m.forkAt = f }
 
 // validPartitionChoice reports whether n is a partition count a forkAt
-// hook may substitute for the program's request: every constraint the
-// VLTCFG exec-time validation and the VCL's Partition would enforce,
-// plus one owner thread per partition.
+// hook may substitute for the program's request: one owner thread per
+// partition, and a count vcl.CheckPartitions accepts.
 func (m *Machine) validPartitionChoice(n int) bool {
-	return m.vu != nil && n >= 1 && n <= m.cfg.NumThreads &&
-		isa.MaxVL%n == 0 && m.vu.ValidPartitionCount(n)
+	return m.vu != nil && n <= m.cfg.NumThreads &&
+		vcl.CheckPartitions(m.cfg.VCL, m.vu.Lanes(), n) == nil
 }
 
 // PartitionChoices returns, in ascending order, every partition count a
 // forkAt hook could choose at a repartition decision on this machine.
-// The set is static per configuration: lane count, thread count, VIQ
-// and window capacities, and MaxVL divisibility all constrain it.
+// The set is static per configuration: the thread count bounds it and
+// vcl.CheckPartitions (lanes, VIQ and window) decides each count.
 func (m *Machine) PartitionChoices() []int {
 	if m.vu == nil {
 		return nil

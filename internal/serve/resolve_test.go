@@ -47,7 +47,7 @@ func post(t *testing.T, s *Server, target, body string) *httptest.ResponseRecord
 // then from the memo, and fails wherever CellKey fails.
 func TestResolveMatchesCellKey(t *testing.T) {
 	s := New(Config{})
-	opts := []vlt.Options{{}, {Lanes: 1}, {Lanes: 2}, {Lanes: 4}, {Scale: 2}, {SkipVerify: true}}
+	opts := []vlt.Options{{}, {Lanes: 1}, {Lanes: 2}, {Lanes: 4}, {Scale: 2}}
 	for pass := range 2 {
 		for _, w := range vlt.Workloads() {
 			for _, m := range vlt.Machines() {
@@ -329,6 +329,7 @@ func TestPostRejectsUnknownFields(t *testing.T) {
 	}
 	for _, c := range []struct{ target, body, field string }{
 		{"/v1/run", `{"workload":"mxm","machin":"V4-CMT"}`, "machin"},
+		{"/v1/run", `{"workload":"radix","machine":"CMT","threads":3,"skip_verify":true}`, "skip_verify"},
 		{"/v1/sweep", `{"workloads":["mxm"],"machines":["base"],"scale":[2]}`, "scale"},
 	} {
 		rec := post(t, s, c.target, c.body)
@@ -342,5 +343,36 @@ func TestPostRejectsUnknownFields(t *testing.T) {
 	}
 	if n := sims.Load(); n != 0 {
 		t.Fatalf("rejected requests ran %d simulations", n)
+	}
+}
+
+// TestRefusedConfigIsBadRequest: a configuration core.NewMachine would
+// refuse (8 lanes do not split into 3 partitions) is a 400 from the
+// miss path's vet check, before the cell takes a flight slot, on GET and
+// POST alike.
+func TestRefusedConfigIsBadRequest(t *testing.T) {
+	s := New(Config{})
+	var sims atomic.Int32
+	s.runCell = func(w string, m vlt.Machine, o vlt.Options) (vlt.Result, error) {
+		sims.Add(1)
+		return fakeResult(w, m, o), nil
+	}
+	for _, rec := range []*httptest.ResponseRecorder{
+		get(t, s, "/v1/run?workload=mxm&machine=V4-CMP&threads=3"),
+		post(t, s, "/v1/run", `{"workload":"mxm","machine":"V4-CMP","threads":3}`),
+	} {
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("status %d, want 400: %s", rec.Code, rec.Body)
+		}
+		if e := decodeError(t, rec.Body.Bytes()); e.Code != api.CodeBadRequest ||
+			!strings.Contains(e.Message, "cannot split 8 lanes into 3 partitions") {
+			t.Errorf("error %+v, want bad_request naming the partition count", e)
+		}
+	}
+	if n := sims.Load(); n != 0 {
+		t.Errorf("refused cells ran %d simulations", n)
+	}
+	if n := s.Registry().Snapshot().Uint("serve.flight.executed"); n != 0 {
+		t.Errorf("serve.flight.executed = %d, want 0", n)
 	}
 }

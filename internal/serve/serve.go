@@ -575,7 +575,6 @@ func (s *Server) parseRunRequest(r *http.Request) (api.RunRequest, *apiError) {
 			}
 			*f.dst = n
 		}
-		req.SkipVerify = q.Get("skip_verify") == "true" || q.Get("skip_verify") == "1"
 	}
 	if req.Workload == "" {
 		return req, &apiError{status: http.StatusBadRequest,
@@ -606,7 +605,8 @@ func (s *Server) renderCell(w string, m vlt.Machine, opt vlt.Options) ([]byte, e
 // vetCheck is the miss-path admission check for one cell: the static
 // verifier runs before the cell may occupy a flight slot. A cache hit
 // skips it — a cached response's cell already passed both the verifier
-// and (unless skipped) the functional check.
+// and the functional check. A configuration the machine would refuse is
+// a 400 here too (VetCell resolves the cell first), before any slot.
 func (s *Server) vetCheck(w string, m vlt.Machine, opt vlt.Options) *apiError {
 	if err := s.vetCell(w, m, opt); err != nil {
 		var ve *vet.Error

@@ -50,7 +50,11 @@ import (
 // (su<N>.waiting and vcl.pending-counts), so guard.audit.checks moved
 // in every body simulated with VLT_AUDIT=on. No key, no simulated
 // count and no body simulated with the auditor off moved.
-const FormatVersion = 6
+//
+// Version 7: the skip_verify option is gone (every cell a store holds
+// verified), and each cell key dropped its skipVerify term, so every key
+// moved. No body moved.
+const FormatVersion = 7
 
 // magic is the first token of every entry's header line.
 const magic = "vltstore"

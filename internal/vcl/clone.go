@@ -23,12 +23,3 @@ func (v *VCL) Clone(arena *pipe.Arena, l2 *mem.L2) *VCL {
 	}
 	return &n
 }
-
-// ValidPartitionCount reports whether the VCL could be reconfigured
-// into n equal partitions: the lanes must divide evenly and each
-// partition needs at least one VIQ entry and one window entry. It does
-// not check drain state — only the static shape constraints that
-// Partition itself would enforce.
-func (v *VCL) ValidPartitionCount(n int) bool {
-	return n >= 1 && v.totalLanes%n == 0 && v.cfg.VIQSize/n >= 1 && v.cfg.WindowSize/n >= 1
-}

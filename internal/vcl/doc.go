@@ -8,7 +8,9 @@
 // into equal groups, each owned by one software thread. Resources (VIQ and
 // window entries, issue slots) are statically partitioned across the
 // groups, the design point the paper found performs as well as a fully
-// replicated VCL.
+// replicated VCL. CheckPartitions is the one rule for which partition
+// counts a unit takes; the machine's configuration check, its fork-point
+// choices and Partition itself all ask it.
 //
 // Each partition keeps three summaries of its queues current as uops
 // enter and issue: a per-datapath count of unissued VecALU uops, which

@@ -163,14 +163,33 @@ func (v *VCL) LanesFor(tid int) int {
 	return 0
 }
 
+// CheckPartitions is the one rule for partition counts: it reports why
+// a vector unit of lanes lanes under cfg cannot be split into n equal
+// partitions, or nil if it can. Each partition needs an equal share of
+// the lanes, at least one, and at least one VIQ and one window entry of
+// its equal shares of those. The vector length needs no rule: a
+// partition's maximum is isa.MaxVL / n, rounded down, and kernels
+// strip-mine for whatever it is.
+func CheckPartitions(cfg Config, lanes, n int) error {
+	switch {
+	case n < 1 || lanes%n != 0:
+		return fmt.Errorf("vcl: cannot split %d lanes into %d partitions", lanes, n)
+	case cfg.VIQSize/n < 1:
+		return fmt.Errorf("vcl: %d partitions leave no VIQ entry (VIQSize %d)", n, cfg.VIQSize)
+	case cfg.WindowSize/n < 1:
+		return fmt.Errorf("vcl: %d partitions leave no window entry (WindowSize %d)", n, cfg.WindowSize)
+	}
+	return nil
+}
+
 // Partition reconfigures the lanes into len(threads) equal partitions,
 // partition i owned by software thread threads[i]. The vector unit must be
 // drained; vector register contents are considered dead across
 // repartitioning (the paper's software requirement).
 func (v *VCL) Partition(threads []int) error {
 	n := len(threads)
-	if n < 1 || v.totalLanes%n != 0 {
-		return fmt.Errorf("vcl: cannot split %d lanes into %d partitions", v.totalLanes, n)
+	if err := CheckPartitions(v.cfg, v.totalLanes, n); err != nil {
+		return err
 	}
 	if v.parts != nil && v.InFlight() != 0 {
 		return fmt.Errorf("vcl: repartition while %d instructions in flight", v.InFlight())
@@ -178,9 +197,6 @@ func (v *VCL) Partition(threads []int) error {
 	lanes := v.totalLanes / n
 	viqCap := v.cfg.VIQSize / n
 	winCap := v.cfg.WindowSize / n
-	if viqCap < 1 || winCap < 1 {
-		return fmt.Errorf("vcl: too many partitions (%d) for VIQ/window", n)
-	}
 	v.parts = make([]*partition, n)
 	for i, tid := range threads {
 		v.parts[i] = &partition{

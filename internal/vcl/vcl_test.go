@@ -1,6 +1,8 @@
 package vcl
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"vlt/internal/isa"
@@ -327,5 +329,70 @@ func TestRenameCapBlocksDispatch(t *testing.T) {
 	}
 	if got := v.parts[0].viq.Len(); got != 1 {
 		t.Errorf("VIQ backlog = %d, want 1", got)
+	}
+}
+
+// TestCheckPartitions is the table of the partition rule over lanes 1–16
+// × counts 1–16 at the Table 3 VIQ and window (32 entries each, so only
+// the lanes refuse there): the accepted counts of each lane count are
+// its divisors, and every other count is refused for not splitting the
+// lanes. The rows after it refuse for the other reasons.
+func TestCheckPartitions(t *testing.T) {
+	accepted := map[int][]int{
+		1: {1}, 2: {1, 2}, 3: {1, 3}, 4: {1, 2, 4}, 5: {1, 5}, 6: {1, 2, 3, 6},
+		7: {1, 7}, 8: {1, 2, 4, 8}, 9: {1, 3, 9}, 10: {1, 2, 5, 10}, 11: {1, 11},
+		12: {1, 2, 3, 4, 6, 12}, 13: {1, 13}, 14: {1, 2, 7, 14}, 15: {1, 3, 5, 15},
+		16: {1, 2, 4, 8, 16},
+	}
+	for lanes := 1; lanes <= 16; lanes++ {
+		for n := 1; n <= 16; n++ {
+			err := CheckPartitions(DefaultConfig(), lanes, n)
+			if slices.Contains(accepted[lanes], n) {
+				if err != nil {
+					t.Errorf("%d lanes, %d partitions: %v, want accepted", lanes, n, err)
+				}
+				continue
+			}
+			want := fmt.Sprintf("vcl: cannot split %d lanes into %d partitions", lanes, n)
+			if err == nil || err.Error() != want {
+				t.Errorf("%d lanes, %d partitions: %v, want %q", lanes, n, err, want)
+			}
+		}
+	}
+	small := DefaultConfig()
+	small.VIQSize, small.WindowSize = 2, 3
+	for _, c := range []struct {
+		cfg      Config
+		lanes, n int
+		want     string
+	}{
+		{DefaultConfig(), 8, 0, "vcl: cannot split 8 lanes into 0 partitions"},
+		{DefaultConfig(), 8, -1, "vcl: cannot split 8 lanes into -1 partitions"},
+		{small, 4, 2, ""},
+		{small, 4, 4, "vcl: 4 partitions leave no VIQ entry (VIQSize 2)"},
+		{Config{VIQSize: 8, WindowSize: 3}, 4, 4, "vcl: 4 partitions leave no window entry (WindowSize 3)"},
+	} {
+		err := CheckPartitions(c.cfg, c.lanes, c.n)
+		if got := fmt.Sprint(err); (c.want == "" && err != nil) || (c.want != "" && got != c.want) {
+			t.Errorf("%+v, %d lanes, %d partitions: %v, want %q", c.cfg, c.lanes, c.n, err, c.want)
+		}
+	}
+}
+
+// TestPartitionFollowsTheRule: Partition refuses exactly the counts
+// CheckPartitions does, with its error.
+func TestPartitionFollowsTheRule(t *testing.T) {
+	for _, lanes := range []int{6, 8, 12} {
+		v := newVCL(lanes)
+		for n := 0; n <= 16; n++ {
+			owners := make([]int, n)
+			for i := range owners {
+				owners[i] = i
+			}
+			want, got := CheckPartitions(DefaultConfig(), lanes, n), v.Partition(owners)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%d lanes: Partition into %d: %v, want %v", lanes, n, got, want)
+			}
+		}
 	}
 }

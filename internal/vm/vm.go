@@ -138,8 +138,11 @@ type VM struct {
 
 	// Partitions is the current number of vector-lane partitions (set by
 	// VLTCFG; 1 means a single thread owns the whole register file). The
-	// maximum vector length of SETVL is isa.MaxVL / Partitions, mirroring
-	// the paper's splitting of the per-lane register file across threads.
+	// maximum vector length of SETVL is isa.MaxVL / Partitions, rounded
+	// down, mirroring the paper's splitting of the per-lane register file
+	// across threads. VLTCFG accepts any count from 1 to isa.MaxVL; which
+	// counts a machine's lanes can be split into is the timing model's
+	// rule (vcl.CheckPartitions).
 	Partitions int
 
 	Stats OpStats
@@ -184,7 +187,7 @@ func (v *VM) NumThreads() int { return len(v.threads) }
 func (v *VM) Thread(tid int) *Thread { return v.threads[tid] }
 
 // MaxVL returns the current maximum vector length given the lane
-// partitioning.
+// partitioning, rounded down (21 at 3 partitions).
 func (v *VM) MaxVL() int { return isa.MaxVL / v.Partitions }
 
 func (v *VM) fault(t *Thread, format string, args ...any) error {
@@ -392,7 +395,7 @@ func (v *VM) exec(t *Thread, in *isa.Instruction, d *Dyn) error {
 		d.Region = in.Imm
 	case isa.OpVltCfg:
 		n := int(in.Imm)
-		if n < 1 || n > isa.MaxVL || isa.MaxVL%n != 0 {
+		if n < 1 || n > isa.MaxVL {
 			return v.fault(t, "invalid partition count %d", n)
 		}
 		v.Partitions = n

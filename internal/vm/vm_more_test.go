@@ -242,7 +242,7 @@ func TestBarrierWithEarlyHaltedThreadReleases(t *testing.T) {
 }
 
 func TestPartitionsScaleMaxVLTable(t *testing.T) {
-	cases := map[int]int{1: 64, 2: 32, 4: 16, 8: 8}
+	cases := map[int]int{1: 64, 2: 32, 3: 21, 4: 16, 6: 10, 8: 8}
 	for parts, want := range cases {
 		b := asm.NewBuilder("p")
 		b.Halt()

@@ -1,7 +1,9 @@
 package vm
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -247,13 +249,19 @@ func TestVltCfgReducesMaxVL(t *testing.T) {
 	}
 }
 
+// TestVltCfgInvalid: the VM checks only the range 1..isa.MaxVL, the
+// bound that keeps MaxVL() at 1 or more; which counts a machine's lanes
+// split into is vcl.CheckPartitions' rule, not the VM's.
 func TestVltCfgInvalid(t *testing.T) {
-	b := asm.NewBuilder("cfgbad")
-	b.VltCfg(3) // does not divide 64
-	b.Halt()
-	v := mustVM(t, b, 1)
-	if err := v.RunFunctional(0); err == nil {
-		t.Fatal("expected invalid partition fault")
+	for _, n := range []int64{0, isa.MaxVL + 1} {
+		b := asm.NewBuilder("cfgbad")
+		b.VltCfg(n)
+		b.Halt()
+		v := mustVM(t, b, 1)
+		err := v.RunFunctional(0)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("invalid partition count %d", n)) {
+			t.Errorf("vltcfg %d: err = %v, want an invalid partition count fault", n, err)
+		}
 	}
 }
 

@@ -28,6 +28,13 @@ import (
 //     thread 0 serially prefix-scans the 256 bucket bases (the ~10% that
 //     is not VLT-amenable);
 //  3. parallel: column-wise per-stream offsets, then the scatter.
+//
+// Each thread's share of the buckets and each stream's share of the keys
+// is rounded down to an even count (the loops take two per iteration).
+// The remainder goes to the last thread: its bucket range runs to the
+// end, and its last stream takes the leftover keys in a tail loop. The
+// tails are emitted only when the split does not divide, which it does
+// at 1, 2, 4 and 8 threads.
 const (
 	radixBuckets = 256
 	radixStreams = 4 // independent key streams per thread
@@ -50,8 +57,11 @@ func buildRadix(p Params) *asm.Program {
 	keys := radixKeys(p)
 	n := len(keys)
 	rows := p.Threads * radixStreams
-	bucketsPerThread := radixBuckets / p.Threads
-	seg := n / (p.Threads * radixStreams) // keys per stream
+	bucketsPerThread := (radixBuckets / p.Threads) &^ 1
+	seg := (n / rows) &^ 1 // keys per stream
+	last := p.Threads - 1
+	lastBuckets := radixBuckets - last*bucketsPerThread
+	lastKeys := n - (rows-1)*seg // keys of the last thread's last stream
 
 	b := asm.NewBuilder("radix")
 	srcAddr := b.Data("keys", keys)
@@ -83,6 +93,48 @@ func buildRadix(p Params) *asm.Program {
 		vB   = isa.V(3)
 	)
 	rowBytes := int64(radixBuckets * 8)
+
+	// onLast emits body for the last thread only, using scratch as the
+	// comparison register. The split leaves the last thread more work
+	// only when it does not divide, so nothing is emitted otherwise.
+	onLast := func(more bool, scratch isa.Reg, body func()) {
+		if !more {
+			return
+		}
+		skip := b.NewLabel("notLast")
+		b.MovI(scratch, int64(last))
+		b.Bne(asm.RegTID, scratch, skip)
+		body()
+		b.Bind(skip)
+	}
+	// bucketRange sets end to this thread's bucket count.
+	bucketRange := func() {
+		b.MovI(end, int64(bucketsPerThread))
+		onLast(lastBuckets != bucketsPerThread, tmp2, func() { b.MovI(end, int64(lastBuckets)) })
+	}
+	// keyTail runs the last stream's leftover keys one at a time: it
+	// loads each key into kCur[3] and its row's bucket address into
+	// cnt[3], then emits body. It follows a pipelined loop, which left
+	// it = seg and pK[3] at the stream's next key.
+	keyTail := func(body func()) {
+		onLast(lastKeys != seg, aux, func() {
+			tl := b.NewLabel("tail")
+			tld := b.NewLabel("tailDone")
+			b.MovI(end, int64(lastKeys))
+			b.Bind(tl)
+			b.Bge(it, end, tld)
+			b.Ld(kCur[3], pK[3], 0)
+			b.Srl(tmp, kCur[3], shft)
+			b.AndI(tmp, tmp, radixBuckets-1)
+			b.SllI(tmp, tmp, 3)
+			b.Add(cnt[3], tmp, pRow[3])
+			body()
+			b.AddI(pK[3], pK[3], 8)
+			b.AddI(it, it, 1)
+			b.J(tl)
+			b.Bind(tld)
+		})
+	}
 
 	// streamSetup points pK[s] at stream s's segment of `from` and
 	// pRow[s] at this thread's row s of `table`.
@@ -122,6 +174,7 @@ func buildRadix(p Params) *asm.Program {
 		b.Add(pOut, pOut, tmp)
 		b.MovI(aux, 0)
 		b.Mov(end, it) // remaining words
+		onLast(n%p.Threads != 0, tmp2, func() { b.MovI(end, int64(n-last*(n/p.Threads))) })
 		stripMine(b, end, tmp2, func() {
 			b.VLd(vA, pOut)
 			b.VRedSum(tmp, vA)
@@ -214,6 +267,11 @@ func buildRadix(p Params) *asm.Program {
 		b.AddI(it, it, 2)
 		b.J(hl)
 		b.Bind(hld)
+		keyTail(func() {
+			b.Ld(tmp, cnt[3], 0)
+			b.AddI(tmp, tmp, 1)
+			b.St(tmp, cnt[3], 0)
+		})
 		b.Bar()
 
 		// --- 2a. parallel column totals over this thread's buckets ---
@@ -225,7 +283,7 @@ func buildRadix(p Params) *asm.Program {
 		if p.ScalarOnly {
 			// two buckets per iteration: independent accumulator chains
 			b.MovI(it, 0)
-			b.MovI(end, int64(bucketsPerThread))
+			bucketRange()
 			cl := b.NewLabel("colTot")
 			cld := b.NewLabel("colTotDone")
 			b.Bind(cl)
@@ -255,7 +313,7 @@ func buildRadix(p Params) *asm.Program {
 			b.J(cl)
 			b.Bind(cld)
 		} else {
-			b.MovI(end, int64(bucketsPerThread))
+			bucketRange()
 			stripMine(b, end, tmp2, func() {
 				b.VBcastI(vA, asm.RegZero)
 				b.Mov(tmp, pK[0])
@@ -313,7 +371,7 @@ func buildRadix(p Params) *asm.Program {
 		b.MovA(pK[2], baseAddr)
 		b.Add(pK[2], pK[2], tmp)
 		b.MovI(it, 0)
-		b.MovI(end, int64(bucketsPerThread))
+		bucketRange()
 		ol := b.NewLabel("off")
 		old := b.NewLabel("offDone")
 		b.Bind(ol)
@@ -385,6 +443,14 @@ func buildRadix(p Params) *asm.Program {
 		b.AddI(it, it, 2)
 		b.J(sl)
 		b.Bind(sld)
+		keyTail(func() {
+			b.Ld(tmp, cnt[3], 0) // position
+			b.SllI(tmp2, tmp, 3)
+			b.Add(tmp2, tmp2, pOut)
+			b.St(kCur[3], tmp2, 0)
+			b.AddI(tmp, tmp, 1)
+			b.St(tmp, cnt[3], 0)
+		})
 		b.Bar()
 	}
 	b.Mark(0)
@@ -408,9 +474,13 @@ func verifyRadix(machine *vm.VM, prog *asm.Program, p Params) error {
 	if !p.ScalarOnly {
 		seg := len(keys) / p.Threads
 		for t := 0; t < p.Threads; t++ {
+			to := (t + 1) * seg
+			if t == p.Threads-1 {
+				to = len(keys) // the last thread sums the remainder too
+			}
 			var sum uint64
-			for i := t * seg; i < (t+1)*seg; i++ {
-				sum += keys[i]
+			for _, k := range keys[t*seg : to] {
+				sum += k
 			}
 			got := machine.Mem.MustRead(prog.Symbol("chk") + uint64(t)*8)
 			if got != sum {

@@ -43,7 +43,7 @@ func TestGoldenMetrics(t *testing.T) {
 // Figure-4 utilization census and the functional operation mix: the
 // snapshot is the only place a run reports them.
 func TestMetricsCoverage(t *testing.T) {
-	res, err := Run("mxm", MachineBase, Options{SkipVerify: true})
+	res, err := Run("mxm", MachineBase, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestMetricsCoverage(t *testing.T) {
 // TestLaneCoreMetricsCoverage does the lane-core half of the coverage
 // check on a lane-scalar machine.
 func TestLaneCoreMetricsCoverage(t *testing.T) {
-	res, err := Run("radix", MachineVLTScalar, Options{SkipVerify: true})
+	res, err := Run("radix", MachineVLTScalar, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,6 +42,11 @@ echo "== benchmark module tests (expall.golden, run/experiment body digests, vlt
 echo "== goldens (testdata/metrics_base_mxm.golden, testdata/expall_json.golden, store.FormatVersion pinned to the outputs)"
 go test -v -run 'TestGoldenMetrics|TestCollectAllAndJSON|TestFormatVersionPinsOutputs' .
 
+echo "== option space (every machine x workload x lanes 0-7,12,16 x threads 0-8: each cell verifies or is refused before simulating)"
+# The tier-1 run above covers a documented sample of this grid; here the
+# same test runs all of it (about 30 s on two cores) and must not fail.
+go test -count=1 -run '^TestAcceptedOptionSpace$' -optionspace.full .
+
 echo "== fuzz smoke (5s per target)"
 go test -run='^$' -fuzz=FuzzAssemble -fuzztime=5s ./internal/asm
 go test -run='^$' -fuzz=FuzzDecode -fuzztime=5s ./internal/isa

@@ -93,14 +93,14 @@ type Options struct {
 	// Scale multiplies the workload's calibrated default problem size.
 	Scale int
 	// Lanes overrides the lane count (1-16; default 8). For the VLT
-	// machines it must remain divisible by the thread count.
+	// machines it must split into one equal partition per thread
+	// (vcl.CheckPartitions); Run refuses a count that does not before
+	// simulating.
 	Lanes int
 	// Threads overrides the software thread count (defaults to the
 	// machine's natural count: 1 for base, 2 for V2-*, 4 for V4-* and
 	// CMT, 8 for VLT-scalar).
 	Threads int
-	// SkipVerify skips the functional result check.
-	SkipVerify bool
 	// NoLaneReclaim builds the workload without the VLTCFG idiom that
 	// hands all lanes to thread 0 for serial phases (the phase-switching
 	// extension study's baseline).
@@ -194,6 +194,8 @@ type Result struct {
 	// lane3.*) are only here.
 	Metrics Metrics
 
+	// Verified is always true on a Result Run returns: a run whose
+	// output does not verify is an error. Served bodies carry it.
 	Verified bool
 }
 
@@ -223,8 +225,9 @@ func machineConfig(m Machine, opt Options) (core.Config, int, error) {
 }
 
 // Run simulates the named workload on the named machine and returns the
-// measured result. Unless opt.SkipVerify is set, the workload's computed
-// output is verified against a host-side reference implementation.
+// measured result. The workload's computed output is always verified
+// against a host-side reference implementation; a result that does not
+// verify is an error, so a returned Result has Verified set.
 // Run always simulates (it does not consult any engine's cache); the
 // experiment drivers route the same cells through an Engine instead.
 func Run(workload string, m Machine, opt Options) (Result, error) {
