@@ -218,6 +218,17 @@ func BenchmarkRunBaseMXMAudit(b *testing.B) {
 	b.ReportMetric(float64(cycles), "simcycles")
 }
 
+// BenchmarkCellKey times one cell key, the cost every vltd request and
+// engine submission pays before any lookup (mpenc on V4-CMT).
+func BenchmarkCellKey(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := CellKey("mpenc", MachineV4CMT, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- per-workload simulation throughput ---
 
 // BenchmarkSimulate measures raw simulator throughput (simulated cycles

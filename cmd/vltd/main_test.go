@@ -206,7 +206,8 @@ func TestChaosSweep(t *testing.T) {
 	client := vltclient.New(vltclient.Config{BaseURL: coordURL, MaxRetries: 4})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	req := api.SweepRequest{Workloads: []string{"mxm", "sage"}, Machines: []string{"base", "V2-CMP"}}
+	grids, owned := fleetGrids(t, 2, 1)
+	req := grids[0]
 	trailer, err := client.Sweep(ctx, req, func(cell api.SweepCell) error {
 		if cell.Error != nil {
 			t.Errorf("%s/%s: %s", cell.Workload, cell.Machine, cell.Error.Message)
@@ -224,7 +225,7 @@ func TestChaosSweep(t *testing.T) {
 	// The shard map keeps the coordinator's cells local and sends the
 	// peer's to it; each of those arrives remotely or, when the faults
 	// exhaust its retries, through the coordinator's fallback.
-	remote := peerOwned(t, req)
+	remote := owned[0]
 	if local := len(req.Cells()) - remote; metrics["fleet.local"] != uint64(local) {
 		t.Errorf("fleet.local = %d, want %d (metrics %v)", metrics["fleet.local"], local, metrics)
 	}
@@ -252,9 +253,9 @@ func TestStoppedPeerFallsBack(t *testing.T) {
 	signalNotify = func(c chan<- os.Signal, _ ...os.Signal) { sigc <- c }
 	defer func() { signalNotify = nil }()
 
-	before := api.SweepRequest{Workloads: []string{"mxm", "sage"}, Machines: []string{"base", "V2-CMP"}}
-	after := api.SweepRequest{Workloads: []string{"mxm", "sage"}, Machines: []string{"V4-CMP", "V4-SMT"}}
-	remoteWant, fallbackWant := peerOwned(t, before), peerOwned(t, after)
+	grids, owned := fleetGrids(t, 2, 2)
+	before, after := grids[0], grids[1]
+	remoteWant, fallbackWant := owned[0], owned[1]
 
 	// sweep runs a grid on a daemon and returns each cell's body.
 	sweep := func(url string, req api.SweepRequest) [][]byte {
@@ -309,26 +310,45 @@ func TestStoppedPeerFallsBack(t *testing.T) {
 	}
 }
 
-// peerOwned counts the cells of a sweep that a two-member fleet's shard
-// map gives the peer, failing t when the map puts every cell on one
-// member (the test would then not exercise both routes).
-func peerOwned(t *testing.T, req api.SweepRequest) int {
+// fleetMachines orders the machines of fleetGrids' candidates; each runs
+// every workload at its default options.
+var fleetMachines = []string{"base", "V2-CMP", "V4-CMP", "V4-SMT", "V2-SMT", "V4-CMT", "V2-CMP-h", "V4-CMP-h"}
+
+// fleetGrids returns the first count sweeps of a fixed candidate list —
+// two workloads by width consecutive fleetMachines, the windows disjoint
+// — in which a two-member fleet's shard map gives each member at least
+// one cell, with the number of cells each gives the peer. Candidates
+// share no cell, so a later grid is all new to a daemon that swept an
+// earlier one. The shard map follows the cell keys: when the keys move,
+// the tests take other grids instead of failing on a map that puts every
+// cell on one member.
+func fleetGrids(t *testing.T, width, count int) ([]api.SweepRequest, []int) {
 	t.Helper()
 	shard := fleet.New(fleet.Config{Peers: []string{"http://peer"}})
-	n := 0
-	for _, c := range req.Cells() {
-		key, err := vlt.CellKey(c.Workload, vlt.Machine(c.Machine), c.Options())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if shard.Owner(key) == 1 {
-			n++
+	var grids []api.SweepRequest
+	var owned []int
+	for _, ws := range [][]string{{"mxm", "sage"}, {"trfd", "bt"}} {
+		for i := 0; i+width <= len(fleetMachines) && len(grids) < count; i += width {
+			req := api.SweepRequest{Workloads: ws, Machines: fleetMachines[i : i+width]}
+			n := 0
+			for _, c := range req.Cells() {
+				key, err := vlt.CellKey(c.Workload, vlt.Machine(c.Machine), c.Options())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if shard.Owner(key) == 1 {
+					n++
+				}
+			}
+			if n > 0 && n < len(req.Cells()) {
+				grids, owned = append(grids, req), append(owned, n)
+			}
 		}
 	}
-	if n == 0 || n == len(req.Cells()) {
-		t.Fatalf("degenerate shard map: the peer owns %d of %d cells", n, len(req.Cells()))
+	if len(grids) < count {
+		t.Fatalf("only %d of the candidate 2×%d grids split across both members; want %d", len(grids), width, count)
 	}
-	return n
+	return grids, owned
 }
 
 // scrapeMetrics reads a daemon's integer /metricsz lines into a map.
@@ -368,12 +388,9 @@ func TestDeadPeerReadsStoreOnce(t *testing.T) {
 	dead := "http://" + ln.Addr().String()
 	ln.Close() // nothing listens: every run fails
 
-	req := api.SweepRequest{
-		Workloads: []string{"mxm", "sage"},
-		Machines:  []string{"base", "V2-CMP", "V4-CMP"},
-	}
+	grids, owned := fleetGrids(t, 3, 1)
+	req, deadOwned := grids[0], owned[0]
 	cells := req.Cells()
-	deadOwned := peerOwned(t, req)
 
 	sweep := func(url string) {
 		t.Helper()

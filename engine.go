@@ -115,26 +115,39 @@ func (e *Engine) Stats() EngineStats {
 	return e.stats
 }
 
-// fingerprint content-addresses one simulation cell: the workload, the
-// fully resolved machine configuration (every preset is complete, so
-// this is every parameter the machine runs with, the auditor's resolved
-// on/off included, and aliases like Lanes:0 and Lanes:8 on the base
-// machine coincide), and every build option that can change the
-// simulated program.
+// fingerprint content-addresses one simulation cell, and is CellKey's
+// body. It hashes the resolved request as one canonical string: the
+// workload, the machine's resolved name, lane count and thread count,
+// the clamped scale, the lane-reclaim flag and the auditor's resolved
+// on/off. Every preset is a function of its name, lanes and threads, so
+// these fields fix every parameter the machine runs with, and spellings
+// that resolve alike (Lanes 0 and 8 on base, any lane count on CMT)
+// share a key. It does not validate the configuration: a sweep keys a
+// refused cell and answers it with a per-cell error.
 func fingerprint(workload string, m Machine, opt Options) (string, error) {
+	if _, err := workloads.ByName(workload); err != nil {
+		return "", err
+	}
 	cfg, threads, err := machineConfig(m, opt)
 	if err != nil {
 		return "", err
 	}
-	scale := opt.Scale
-	if scale < 1 {
-		scale = 1
-	}
-	sum := sha256.Sum256(fmt.Appendf(nil,
-		"w=%s|cfg=%+v|threads=%d|scale=%d|scalarOnly=%t|noReclaim=%t",
-		workload, cfg, threads, scale,
-		m == MachineCMT || m == MachineVLTScalar,
-		opt.NoLaneReclaim))
+	b := make([]byte, 0, 128)
+	b = append(b, "w="...)
+	b = append(b, workload...)
+	b = append(b, "|m="...)
+	b = append(b, cfg.Name...)
+	b = append(b, "|lanes="...)
+	b = strconv.AppendInt(b, int64(cfg.Lanes), 10)
+	b = append(b, "|threads="...)
+	b = strconv.AppendInt(b, int64(threads), 10)
+	b = append(b, "|scale="...)
+	b = strconv.AppendInt(b, int64(max(opt.Scale, 1)), 10)
+	b = append(b, "|noReclaim="...)
+	b = strconv.AppendBool(b, opt.NoLaneReclaim)
+	b = append(b, "|audit="...)
+	b = append(b, cfg.Audit.String()...)
+	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), nil
 }
 
@@ -294,9 +307,6 @@ func resolveCell(workload string, m Machine, opt Options) (cellSpec, error) {
 // key their own storage by it so a cached entry is exactly one engine
 // cell.
 func CellKey(workload string, m Machine, opt Options) (string, error) {
-	if _, err := workloads.ByName(workload); err != nil {
-		return "", err
-	}
 	return fingerprint(workload, m, opt)
 }
 

@@ -9,12 +9,14 @@ import (
 
 // TestEngineIsolatesPanickingCell: a panic inside one cell's simulation
 // fails only that cell, with a typed error naming it; sibling cells and
-// the engine survive.
+// the engine survive. The poisoned cell is a real workload: the engine
+// keys a cell before its source sees it, and an unknown workload has no
+// key.
 func TestEngineIsolatesPanickingCell(t *testing.T) {
 	orig := simulateCell
 	defer func() { simulateCell = orig }()
 	simulateCell = func(workload string, m Machine, opt Options) (Result, error) {
-		if workload == "poison" {
+		if workload == "sage" {
 			panic("injected cell panic")
 		}
 		return orig(workload, m, opt)
@@ -22,7 +24,7 @@ func TestEngineIsolatesPanickingCell(t *testing.T) {
 
 	for _, jobs := range []int{1, 2} { // one slot and several
 		eng := NewEngine(jobs)
-		bad := eng.submit("poison", MachineBase, Options{})
+		bad := eng.submit("sage", MachineBase, Options{})
 		good := eng.submit("mxm", MachineBase, Options{})
 
 		_, err := bad.wait()
@@ -30,8 +32,8 @@ func TestEngineIsolatesPanickingCell(t *testing.T) {
 		if !errors.As(err, &pe) {
 			t.Fatalf("jobs=%d: want *runner.PanicError, got %T: %v", jobs, err, err)
 		}
-		if pe.Key != "poison/base" {
-			t.Errorf("jobs=%d: panic names cell %q, want poison/base", jobs, pe.Key)
+		if pe.Key != "sage/base" {
+			t.Errorf("jobs=%d: panic names cell %q, want sage/base", jobs, pe.Key)
 		}
 		if len(pe.Stack) == 0 {
 			t.Errorf("jobs=%d: panic carries no stack", jobs)

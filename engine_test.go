@@ -2,6 +2,7 @@ package vlt
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -147,6 +148,52 @@ func TestFingerprintCoversOptions(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCellKeyClasses holds the cell key to the machine it names: over
+// every machine × workload × lanes 0–8, 12, 16 × threads 0–8 × scale
+// 0–2 × lane reclaim on and off, two accepted cells share a CellKey
+// exactly when they share a reference string built from the whole
+// resolved core.Config. The key hashes only the request's resolved
+// fields, so a preset field that starts to vary with the request
+// without entering the key fails here.
+func TestCellKeyClasses(t *testing.T) {
+	lanes := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 12, 16}
+	keyRef := map[string]string{} // cell key -> reference string
+	refKey := map[string]string{} // reference string -> cell key
+	cells := 0
+	for _, m := range Machines() {
+		for _, w := range Workloads() {
+			for _, l := range lanes {
+				for threads := 0; threads <= 8; threads++ {
+					for scale := 0; scale <= 2; scale++ {
+						for _, noReclaim := range []bool{false, true} {
+							opt := Options{Lanes: l, Threads: threads, Scale: scale, NoLaneReclaim: noReclaim}
+							spec, err := resolveCell(w, m, opt)
+							if err != nil {
+								continue
+							}
+							cells++
+							ref := fmt.Sprintf("w=%s|cfg=%+v|threads=%d|scale=%d|noReclaim=%t",
+								w, spec.cfg, spec.threads, max(scale, 1), noReclaim)
+							key, err := CellKey(w, m, opt)
+							if err != nil {
+								t.Fatalf("%s/%s %+v: accepted cell has no key: %v", w, m, opt, err)
+							}
+							if r, ok := keyRef[key]; ok && r != ref {
+								t.Fatalf("%s/%s %+v shares its key with a different machine:\n%s\n%s", w, m, opt, ref, r)
+							}
+							if k, ok := refKey[ref]; ok && k != key {
+								t.Fatalf("%s/%s %+v: one machine under two keys:\n%s", w, m, opt, ref)
+							}
+							keyRef[key], refKey[ref] = ref, key
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d accepted cells in %d key classes", cells, len(keyRef))
 }
 
 // TestEngineAliasedCells: option spellings that resolve to the same

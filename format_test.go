@@ -26,17 +26,21 @@ var formatDigests = map[int]string{
 	5: "d19682bc9775725130984b7570d9a46481f2260eb2b427e379075bf7d18d8b02",
 	6: "9187fe8e0c628add44c7f321700e00d7c63a57d0f61c7eb1926dbc05c2acfab0",
 	7: "346a8f1584616ff608edbffc63713dca725a238a7d2fd6b913ced0accf7f92a7",
+	8: "8bc830a67bb5fc4bb61edb87954f7d38dec0281893329591bd5ec7adc45dc8a3",
 }
 
 // formatOutputs are the committed goldens outputsDigest covers: the
 // `vltexp -all` text, the digests of the 89 bodies vltd serves for the
-// grid and the experiments, the base/mxm metric snapshot and the `-json`
-// document.
+// grid and the experiments, the base/mxm metric snapshot, the `-json`
+// document and the results of the option-space sample
+// (optionSpaceGolden), which stand for the cells off the paper's
+// defaults.
 var formatOutputs = []string{
 	"bench/testdata/expall.golden",
 	"bench/testdata/digests.txt",
 	"testdata/metrics_base_mxm.golden",
 	"testdata/expall_json.golden",
+	"testdata/optionspace.golden",
 }
 
 // outputsDigest hashes the formatOutputs files and the sorted cell keys

@@ -36,8 +36,8 @@ const (
 	AuditOff
 )
 
-// String renders the mode as auto, on or off. Cell keys hash a
-// core.Config with %+v, so changing a spelling moves every key.
+// String renders the mode as auto, on or off. Cell keys hash this
+// spelling, so changing one moves every key.
 func (m AuditMode) String() string {
 	switch m {
 	case AuditOn:

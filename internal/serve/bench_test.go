@@ -38,7 +38,7 @@ const (
 )
 
 // BenchmarkServeCellHot measures the cache-hit path: request parsing,
-// the memoized key, the LRU lookup and the response write — no
+// the cell key and its ETag, the LRU lookup and the response write — no
 // simulation. This is the daemon's steady-state cost per served cell.
 func BenchmarkServeCellHot(b *testing.B) {
 	s := New(Config{})

@@ -101,18 +101,11 @@ type Server struct {
 	failures    uint64 // responses with a status >= 400
 	notModified uint64 // 304 revalidations (If-None-Match matched)
 
-	// resolved memoizes /v1/run, /v1/sweep and experiment cell requests
-	// to their key and ETag (see resolve); at most maxResolved entries.
-	resolvedMu sync.Mutex
-	resolved   map[cellRequest]cellID
-
-	// Simulation, verification and key-resolution entry points, indirect
-	// so the test suite can substitute blocking, failing or counting
-	// implementations to pin admission-control, error-path and memo
-	// behaviour deterministically.
+	// Simulation and verification entry points, indirect so the test
+	// suite can substitute blocking, failing or counting implementations
+	// to pin admission-control and error-path behaviour deterministically.
 	runCell func(workload string, m vlt.Machine, opt vlt.Options) (vlt.Result, error)
 	vetCell func(workload string, m vlt.Machine, opt vlt.Options) error
-	cellKey func(workload string, m vlt.Machine, opt vlt.Options) (string, error)
 }
 
 // New builds a Server with its cache, flight group and metric registry.
@@ -122,18 +115,16 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:      cfg,
-		cache:    newCache(cfg.CacheBytes),
-		store:    cfg.Store,
-		flight:   runner.NewFlight[string, []byte](cfg.MaxPending),
-		slots:    runner.NewSlots(cfg.Jobs),
-		reg:      stats.New(),
-		mux:      http.NewServeMux(),
-		start:    time.Now(),
-		resolved: make(map[cellRequest]cellID),
-		runCell:  func(w string, m vlt.Machine, o vlt.Options) (vlt.Result, error) { return vlt.Run(w, m, o) },
-		vetCell:  vlt.VetCell,
-		cellKey:  vlt.CellKey,
+		cfg:     cfg,
+		cache:   newCache(cfg.CacheBytes),
+		store:   cfg.Store,
+		flight:  runner.NewFlight[string, []byte](cfg.MaxPending),
+		slots:   runner.NewSlots(cfg.Jobs),
+		reg:     stats.New(),
+		mux:     http.NewServeMux(),
+		start:   time.Now(),
+		runCell: func(w string, m vlt.Machine, o vlt.Options) (vlt.Result, error) { return vlt.Run(w, m, o) },
+		vetCell: vlt.VetCell,
 	}
 	s.registerMetrics(s.reg)
 
@@ -417,51 +408,6 @@ func (s *Server) waitError(err error, d time.Duration) *apiError {
 	}
 }
 
-// cellRequest is one cell as a client asked for it, the memo key of
-// resolve. Equivalent spellings (lanes 0 and 8 on base) are distinct
-// requests that resolve to one cellID.
-type cellRequest struct {
-	workload string
-	machine  vlt.Machine
-	opt      vlt.Options
-}
-
-// cellID is a resolved cell: its content-addressed key and the key's
-// strong ETag (store.ETag).
-type cellID struct{ key, etag string }
-
-// maxResolved caps the resolve memo. The paper grid at a few scales and
-// lane counts is a few hundred requests; a memo that fills is dropped
-// whole rather than evicted entry by entry.
-const maxResolved = 1024
-
-// resolve returns the key and ETag of one /v1/run, sweep or experiment
-// cell. Both are pure functions of the request, so the server memoizes
-// them: a repeated request neither formats nor hashes its machine
-// configuration again. Only successful resolutions are kept, and the
-// memo dies with the server.
-func (s *Server) resolve(workload string, m vlt.Machine, opt vlt.Options) (cellID, error) {
-	req := cellRequest{workload, m, opt}
-	s.resolvedMu.Lock()
-	id, ok := s.resolved[req]
-	s.resolvedMu.Unlock()
-	if ok {
-		return id, nil
-	}
-	key, err := s.cellKey(workload, m, opt)
-	if err != nil {
-		return cellID{}, err
-	}
-	id = cellID{key, store.ETag(key)}
-	s.resolvedMu.Lock()
-	if len(s.resolved) >= maxResolved {
-		s.resolved = make(map[cellRequest]cellID)
-	}
-	s.resolved[req] = id
-	s.resolvedMu.Unlock()
-	return id, nil
-}
-
 // serveKeyed answers one single-response request (/v1/run,
 // /v1/experiment) for key: the conditional-request fast path, the tier
 // lookup, and on a miss compute, which must produce the key's body and
@@ -605,8 +551,12 @@ func (s *Server) renderCell(w string, m vlt.Machine, opt vlt.Options) ([]byte, e
 // vetCheck is the miss-path admission check for one cell: the static
 // verifier runs before the cell may occupy a flight slot. A cache hit
 // skips it — a cached response's cell already passed both the verifier
-// and the functional check. A configuration the machine would refuse is
-// a 400 here too (VetCell resolves the cell first), before any slot.
+// and the functional check. It is also the miss path's only refusal of
+// a configuration the machine would not build (VetCell resolves and
+// validates the cell first): the cell key deliberately does not
+// validate, so that a sweep streams such a cell as a per-cell 400, and
+// this check answers it 400 before any slot. It costs about 1% of a
+// miss (VetCell takes ~45µs on BenchmarkServeCellCold's ~6ms cell).
 func (s *Server) vetCheck(w string, m vlt.Machine, opt vlt.Options) *apiError {
 	if err := s.vetCell(w, m, opt); err != nil {
 		var ve *vet.Error
@@ -631,14 +581,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	m, opt := vlt.Machine(req.Machine), req.Options()
-	id, err := s.resolve(req.Workload, m, opt)
+	key, err := vlt.CellKey(req.Workload, m, opt)
 	if err != nil {
 		s.writeError(w, apiError{status: http.StatusBadRequest,
 			Error: api.Error{Code: api.CodeBadRequest, Message: err.Error()}})
 		return
 	}
-	key := id.key
-	s.serveKeyed(w, r, key, id.etag, func(ctx context.Context, d time.Duration) ([]byte, *apiError) {
+	s.serveKeyed(w, r, key, store.ETag(key), func(ctx context.Context, d time.Duration) ([]byte, *apiError) {
 		if e := s.vetCheck(req.Workload, m, opt); e != nil {
 			return nil, e
 		}
@@ -728,20 +677,18 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 // request. Every cell takes a sweep cell's admission path (admitCell), so
 // it is served from memory or disk when any earlier run, sweep or
 // experiment computed it, coalesces with the same cell in flight, and
-// fills both tiers when simulated. Its key comes from resolve, so a cell
-// spelled as an earlier request spelled it is not keyed again, and its
-// Result is decoded from the cell's canonical run body. The handler's
-// goroutine coordinates the driver, so it holds neither a slot nor a
-// pending entry. Experiment cells always compute locally: the fleet
-// routes api.RunRequests, which cannot express every Options field
-// (NoLaneReclaim).
+// fills both tiers when simulated. Its Result is decoded from the cell's
+// canonical run body. The handler's goroutine coordinates the driver, so
+// it holds neither a slot nor a pending entry. Experiment cells always
+// compute locally: the fleet routes api.RunRequests, which cannot
+// express every Options field (NoLaneReclaim).
 func (s *Server) cellSource(ctx context.Context, d time.Duration) vlt.CellSource {
 	return func(w string, m vlt.Machine, opt vlt.Options) (vlt.Result, error) {
-		id, err := s.resolve(w, m, opt)
+		key, err := vlt.CellKey(w, m, opt)
 		if err != nil {
 			return vlt.Result{}, err
 		}
-		body, task, aerr := s.admitCell(ctx, id.key, w, m, opt, d, func() ([]byte, error) {
+		body, task, aerr := s.admitCell(ctx, key, w, m, opt, d, func() ([]byte, error) {
 			return s.renderCell(w, m, opt)
 		})
 		if aerr != nil {

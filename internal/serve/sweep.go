@@ -71,13 +71,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// stream commits to 200, not a stream full of per-cell errors.
 	keys := make([]string, len(cells))
 	for i, c := range cells {
-		id, err := s.resolve(c.Workload, vlt.Machine(c.Machine), c.Options())
+		key, err := vlt.CellKey(c.Workload, vlt.Machine(c.Machine), c.Options())
 		if err != nil {
 			s.writeError(w, apiError{status: http.StatusBadRequest,
 				Error: api.Error{Code: api.CodeBadRequest, Message: err.Error(), Cell: c.Cell()}})
 			return
 		}
-		keys[i] = id.key
+		keys[i] = key
 	}
 
 	d := s.timeout(r)

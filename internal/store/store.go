@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -54,7 +55,13 @@ import (
 // Version 7: the skip_verify option is gone (every cell a store holds
 // verified), and each cell key dropped its skipVerify term, so every key
 // moved. No body moved.
-const FormatVersion = 7
+//
+// Version 8: each cell key hashes the resolved request (workload,
+// machine name, lanes, threads, scale, the lane-reclaim flag and the
+// auditor's on or off) instead of the Config printed with %+v, so every
+// key moved. No body moved. A config refactor no longer moves a key;
+// the sampled option-space golden guards model and preset changes.
+const FormatVersion = 8
 
 // magic is the first token of every entry's header line.
 const magic = "vltstore"
@@ -86,7 +93,11 @@ func ETagAt(version int, key string) string {
 }
 
 func fingerprintAt(version int, key string) string {
-	sum := sha256.Sum256(fmt.Appendf(nil, "%s|v%d|%s", magic, version, key))
+	b := make([]byte, 0, 128)
+	b = append(b, magic+"|v"...)
+	b = strconv.AppendInt(b, int64(version), 10)
+	b = append(append(b, '|'), key...)
+	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
 

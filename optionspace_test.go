@@ -1,8 +1,12 @@
 package vlt
 
 import (
+	"crypto/sha256"
 	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -135,21 +139,97 @@ func sampleOptionGrid() []optionCell {
 	return s.cells
 }
 
+// optionSpaceGolden pins the result of every accepted cell of
+// sampleOptionGrid, one line per cell: its name, cycles, instructions
+// retired and the sha256 of its metric snapshot without the guard.
+// metrics, so the file reads the same under any VLT_AUDIT. It is one of
+// formatOutputs, so a model or preset change that moves a sampled cell
+// fails TestFormatVersionPinsOutputs until store.FormatVersion is bumped.
+// The cell key hashes only the resolved request, so this sample is what
+// ties the version to cells off the paper's defaults: a change that
+// moves only cells outside it moves no key and needs no bump.
+// Regenerate with `go test -run '^TestAcceptedOptionSpace$' -update .`.
+var optionSpaceGolden = filepath.Join("testdata", "optionspace.golden")
+
+// goldenLine renders c's line of optionSpaceGolden from its result.
+func goldenLine(c optionCell, r Result) string {
+	var ms Metrics
+	for _, m := range r.Metrics {
+		if !strings.HasPrefix(m.Name, "guard.") {
+			ms = append(ms, m)
+		}
+	}
+	return fmt.Sprintf("%s cycles=%d retired=%d metrics=%x",
+		c, r.Cycles, r.Retired, sha256.Sum256([]byte(ms.String())))
+}
+
+// readOptionSpaceGolden maps each cell name of optionSpaceGolden to its
+// line.
+func readOptionSpaceGolden(t *testing.T) map[string]string {
+	t.Helper()
+	b, err := os.ReadFile(optionSpaceGolden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to generate)", err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(b), "\n"), "\n") {
+		name, _, _ := strings.Cut(line, " ")
+		want[name] = line
+	}
+	return want
+}
+
 // TestAcceptedOptionSpace: every cell of the option space either
 // simulates and verifies, with a VetCell-clean program, or is refused by
-// resolveCell before its first cycle. It runs sampleOptionGrid, or with
-// -optionspace.full all of fullOptionGrid (as scripts/check.sh does).
+// resolveCell before its first cycle. It runs sampleOptionGrid, each
+// accepted cell's result compared with optionSpaceGolden, or with
+// -optionspace.full all of fullOptionGrid (as scripts/check.sh does),
+// the cells the golden names compared with it.
 func TestAcceptedOptionSpace(t *testing.T) {
 	cells := sampleOptionGrid()
 	if *fullOptionSpace {
+		if *updateGolden {
+			t.Fatal("-update rewrites the sample's golden; run it without -optionspace.full")
+		}
 		cells = fullOptionGrid()
+	}
+	var want map[string]string
+	lines := make([]string, len(cells))
+	if *updateGolden {
+		t.Cleanup(func() {
+			var sb strings.Builder
+			for _, line := range lines {
+				if line != "" {
+					sb.WriteString(line + "\n")
+				}
+			}
+			if err := os.WriteFile(optionSpaceGolden, []byte(sb.String()), 0o644); err != nil {
+				t.Error(err)
+			}
+		})
+	} else {
+		want = readOptionSpaceGolden(t)
+		if !*fullOptionSpace {
+			accepted := 0
+			for _, c := range cells {
+				if c.accepted() {
+					accepted++
+					if want[c.String()] == "" {
+						t.Errorf("%s: accepted cell missing from %s (regenerate with -update)", c, optionSpaceGolden)
+					}
+				}
+			}
+			if accepted != len(want) {
+				t.Errorf("%s has %d cells, the sample accepts %d (regenerate with -update)", optionSpaceGolden, len(want), accepted)
+			}
+		}
 	}
 	var ran, refused atomic.Int64
 	t.Cleanup(func() {
 		t.Logf("%d cells: %d simulated and verified, %d refused before simulating",
 			len(cells), ran.Load(), refused.Load())
 	})
-	for _, c := range cells {
+	for i, c := range cells {
 		t.Run(c.String(), func(t *testing.T) {
 			t.Parallel()
 			if _, err := resolveCell(c.w, c.m, c.opt); err != nil {
@@ -170,6 +250,11 @@ func TestAcceptedOptionSpace(t *testing.T) {
 				t.Fatal("not verified")
 			}
 			ran.Add(1)
+			lines[i] = goldenLine(c, r)
+			if w, ok := want[c.String()]; ok && lines[i] != w {
+				t.Errorf("result moved from %s (regenerate with -update and bump store.FormatVersion if intended):\ngot  %s\nwant %s",
+					optionSpaceGolden, lines[i], w)
+			}
 		})
 	}
 }
