@@ -41,7 +41,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	peers := fs.String("peers", "", "comma-separated peer base URLs to shard sweep cells across")
 	storeDir := fs.String("store", "", "persistent result store directory (empty = memory cache only)")
 	storeBytes := fs.Int64("store-bytes", 256<<20, "persistent store byte budget")
-	warm := fs.Bool("warm", false, "hold readiness until the paper grid is promoted from -store into memory")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -61,11 +60,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintf(stderr, "vltd: -%s %s: must not be negative\n", f.name, fs.Lookup(f.name).Value)
 			return 2
 		}
-	}
-	if *warm && *storeDir == "" {
-		fmt.Fprintln(stderr, "vltd: -warm needs -store DIR (warming promotes disk entries into memory)")
-		fs.Usage()
-		return 2
 	}
 
 	var st *store.Store
@@ -115,13 +109,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 	sigc := make(chan os.Signal, 1)
 	signalNotify(sigc, os.Interrupt, syscall.SIGTERM)
-	// The serve goroutine, the signal waiter, and (with -warm) the cache
-	// warmer run under the audited pool's Parallel (the only sanctioned
-	// goroutine source). serveFailed releases the waiter if Serve dies on
-	// its own (e.g. listener error), so a startup failure never hangs the
-	// process.
+	// The serve goroutine and the signal waiter run under the audited
+	// pool's Parallel (the only sanctioned goroutine source). serveFailed
+	// releases the waiter if Serve dies on its own (e.g. listener error),
+	// so a startup failure never hangs the process.
 	serveFailed := make(chan struct{})
-	fns := []func() error{
+	errs := runner.Parallel(
 		func() error {
 			err := hs.Serve(ln)
 			close(serveFailed)
@@ -147,20 +140,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 				return nil
 			}
 		},
-	}
-	if *warm {
-		// Readiness stays false while the paper grid promotes from disk
-		// into memory; the listener is already accepting, so /healthz
-		// answers (ready=1 says 503) but load balancers hold traffic.
-		s.SetReady(false)
-		fns = append(fns, func() error {
-			n := s.Warm()
-			s.SetReady(true)
-			fmt.Fprintf(stdout, "vltd: warmed %d cells from %s\n", n, *storeDir)
-			return nil
-		})
-	}
-	errs := runner.Parallel(fns...)
+	)
 	for _, err := range errs {
 		if err != nil {
 			fmt.Fprintln(stderr, "vltd:", err)

@@ -56,7 +56,7 @@ func TestUsageErrors(t *testing.T) {
 		t.Fatalf("unlistenable addr: exit %d, want 1", code)
 	}
 	if code := run([]string{"-warm"}, &out, &errb); code != 2 {
-		t.Fatalf("-warm without -store: exit %d, want 2", code)
+		t.Fatalf("-warm (removed, now an unknown flag): exit %d, want 2", code)
 	}
 	// Negative counts and durations are refused before the listener
 	// opens, naming the flag.
@@ -443,50 +443,41 @@ func TestDeadPeerReadsStoreOnce(t *testing.T) {
 	}
 }
 
-// TestStoreWarmRestart is the operator's restart story over real HTTP:
-// a daemon with -store renders one cell, restarts with -warm, reports
-// the warmed count before readiness, and serves the cell from memory
+// TestStoreRestart is the operator's restart story over real HTTP: a
+// daemon with -store renders one cell, restarts on the same directory,
+// and serves the cell from disk at first touch, then from memory,
 // without re-simulating.
-func TestStoreWarmRestart(t *testing.T) {
+func TestStoreRestart(t *testing.T) {
 	sigc := make(chan chan<- os.Signal, 2)
 	signalNotify = func(c chan<- os.Signal, _ ...os.Signal) { sigc <- c }
 	defer func() { signalNotify = nil }()
-	dir := t.TempDir()
+	args := []string{"-addr", "127.0.0.1:0", "-store", t.TempDir()}
+	fetch := func(url, tier string) []byte {
+		t.Helper()
+		resp, err := http.Get(url + "/v1/run?workload=mxm&machine=base")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-VLT-Cache") != tier {
+			t.Fatalf("status %d, tier %q; want 200, %s", resp.StatusCode, resp.Header.Get("X-VLT-Cache"), tier)
+		}
+		return body
+	}
 
-	url, sig, done, out := bootDaemon(t, []string{"-addr", "127.0.0.1:0", "-store", dir}, sigc)
-	resp, err := http.Get(url + "/v1/run?workload=mxm&machine=base")
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-VLT-Cache") != "miss" {
-		t.Fatalf("first run: status %d, tier %q", resp.StatusCode, resp.Header.Get("X-VLT-Cache"))
-	}
+	url, sig, done, out := bootDaemon(t, args, sigc)
+	first := fetch(url, "miss")
 	stopDaemon(t, sig, done, out)
 
-	url, sig, done, out = bootDaemon(t, []string{"-addr", "127.0.0.1:0", "-store", dir, "-warm"}, sigc)
-	waitWarm := time.Now().Add(5 * time.Second)
-	for !strings.Contains(out.String(), "warmed") {
-		if time.Now().After(waitWarm) {
-			t.Fatalf("no warmed line; output=%q", out.String())
+	url, sig, done, out = bootDaemon(t, args, sigc)
+	for _, tier := range []string{"disk", "hit"} {
+		if !bytes.Equal(fetch(url, tier), first) {
+			t.Fatalf("restarted daemon's %s body differs from the pre-restart body", tier)
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	resp, err = http.Get(url + "/v1/run?workload=mxm&machine=base")
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-VLT-Cache") != "hit" {
-		t.Fatalf("warmed run: status %d, tier %q", resp.StatusCode, resp.Header.Get("X-VLT-Cache"))
-	}
-	if !bytes.Equal(first, second) {
-		t.Fatal("warmed body differs from the pre-restart body")
 	}
 	stopDaemon(t, sig, done, out)
 	if s := out.String(); !strings.Contains(s, "0 simulations") {
-		t.Fatalf("warmed daemon simulated; shutdown line in %q", s)
+		t.Fatalf("restarted daemon simulated; shutdown line in %q", s)
 	}
 }

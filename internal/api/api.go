@@ -78,28 +78,20 @@ func (r RunRequest) Cell() string {
 	return s
 }
 
-// UtilizationPct mirrors vlt.Utilization with JSON tags.
-type UtilizationPct struct {
-	BusyPct     float64 `json:"busy_pct"`
-	PartIdlePct float64 `json:"part_idle_pct"`
-	StalledPct  float64 `json:"stalled_pct"`
-	AllIdlePct  float64 `json:"all_idle_pct"`
-}
-
 // RunResponse is one /v1/run result: the headline timing plus the full
 // metric registry snapshot of the simulated machine.
 type RunResponse struct {
-	Workload   string         `json:"workload"`
-	Machine    string         `json:"machine"`
-	Threads    int            `json:"threads"`
-	Cycles     uint64         `json:"cycles"`
-	Retired    uint64         `json:"retired"`
-	VecIssued  uint64         `json:"vec_issued"`
-	VecElemOps uint64         `json:"vec_elem_ops"`
-	IPC        float64        `json:"ipc"`
-	Util       UtilizationPct `json:"util"`
-	Verified   bool           `json:"verified"`
-	Metrics    vlt.Metrics    `json:"metrics"`
+	Workload   string          `json:"workload"`
+	Machine    string          `json:"machine"`
+	Threads    int             `json:"threads"`
+	Cycles     uint64          `json:"cycles"`
+	Retired    uint64          `json:"retired"`
+	VecIssued  uint64          `json:"vec_issued"`
+	VecElemOps uint64          `json:"vec_elem_ops"`
+	IPC        float64         `json:"ipc"`
+	Util       vlt.Utilization `json:"util"`
+	Verified   bool            `json:"verified"`
+	Metrics    vlt.Metrics     `json:"metrics"`
 }
 
 // RunResponseFrom builds the wire response for one simulation result.
@@ -117,14 +109,9 @@ func RunResponseFrom(res vlt.Result) RunResponse {
 		VecIssued:  res.VecIssued,
 		VecElemOps: res.VecElemOps,
 		IPC:        res.IPC(),
-		Util: UtilizationPct{
-			BusyPct:     res.Util.BusyPct,
-			PartIdlePct: res.Util.PartIdlePct,
-			StalledPct:  res.Util.StalledPct,
-			AllIdlePct:  res.Util.AllIdlePct,
-		},
-		Verified: res.Verified,
-		Metrics:  res.Metrics,
+		Util:       res.Util,
+		Verified:   res.Verified,
+		Metrics:    res.Metrics,
 	}
 }
 
@@ -214,7 +201,8 @@ type SweepTrailer struct {
 }
 
 // HealthResponse is the /healthz body. Status is "ok" for the liveness
-// form and "ready"/"draining"/"starting" for the readiness form.
+// form and "ready" for the readiness form (a draining node answers the
+// readiness form with a 503 error envelope instead).
 type HealthResponse struct {
 	Status        string  `json:"status"`
 	UptimeSeconds float64 `json:"uptime_seconds"`

@@ -110,9 +110,6 @@ func (b *Builder) fail(format string, args ...any) {
 	}
 }
 
-// PC returns the index of the next instruction to be emitted.
-func (b *Builder) PC() int { return len(b.code) }
-
 // NewLabel creates an unbound label.
 func (b *Builder) NewLabel(name string) *Label {
 	l := &Label{name: name, index: -1, id: len(b.labels)}

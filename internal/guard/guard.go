@@ -238,9 +238,6 @@ func (a *Auditor) Register(name string, check func() error) {
 	a.checks = append(a.checks, check)
 }
 
-// Names returns the registered invariant names, in registration order.
-func (a *Auditor) Names() []string { return append([]string(nil), a.names...) }
-
 // Check runs the registered invariants if cycle now is on the audit
 // interval. The first failure is returned as an InvariantError with the
 // invariant name and cycle filled in; Config and Dump are the caller's to

@@ -55,9 +55,6 @@ func NewL2(cfg L2Config) *L2 {
 	}
 }
 
-// Config returns the configuration in use.
-func (l *L2) Config() L2Config { return l.cfg }
-
 // Cache exposes the tag array (for statistics).
 func (l *L2) Cache() *Cache { return l.cache }
 

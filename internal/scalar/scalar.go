@@ -180,9 +180,6 @@ func (u *Unit) robTotal() int {
 	return n
 }
 
-// Config returns the unit's configuration.
-func (u *Unit) Config() Config { return u.cfg }
-
 // ICache exposes the instruction cache (statistics).
 func (u *Unit) ICache() *mem.L1 { return u.icache }
 

@@ -90,10 +90,8 @@ type Server struct {
 	start  time.Time
 	fleet  *fleet.Coordinator // nil = every cell computes here
 
-	// ready flips on once construction completes (and can be driven by
-	// SetReady); draining flips on at BeginDrain. Both feed the
-	// readiness form of /healthz, never the liveness form.
-	ready    atomic.Bool
+	// draining flips on at BeginDrain. It feeds the readiness form of
+	// /healthz, never the liveness form.
 	draining atomic.Bool
 
 	mu          sync.Mutex
@@ -109,9 +107,8 @@ type Server struct {
 }
 
 // New builds a Server with its cache, flight group and metric registry.
-// The returned server is ready (its caches and engine wiring exist
-// before New returns); a wrapper that needs a warm-up window can park it
-// with SetReady(false) and flip it back after init.
+// The returned server is ready: a stored cell's first request reads it
+// from disk and promotes it into memory.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -136,7 +133,6 @@ func New(cfg Config) *Server {
 	s.route("/v1/machines", s.handleMachines, get...)
 	s.route("/healthz", s.handleHealthz, get...)
 	s.route("/metricsz", s.handleMetricsz, get...)
-	s.ready.Store(true)
 	return s
 }
 
@@ -202,10 +198,6 @@ func (s *Server) Registry() *stats.Registry { return s.reg }
 // cycles by construction.
 func (s *Server) SetFleet(f *fleet.Coordinator) { s.fleet = f }
 
-// SetReady overrides the readiness state reported by /healthz?ready=1.
-// Liveness is unaffected.
-func (s *Server) SetReady(ok bool) { s.ready.Store(ok) }
-
 // BeginDrain marks the server draining: /healthz?ready=1 answers 503 so
 // load balancers and smoke gates stop routing new work here, while
 // in-flight requests, liveness and every other endpoint are unaffected:
@@ -213,49 +205,8 @@ func (s *Server) SetReady(ok bool) { s.ready.Store(ok) }
 // http.Server.Shutdown.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Ready reports the readiness state: constructed, not draining.
-func (s *Server) Ready() bool { return s.ready.Load() && !s.draining.Load() }
-
-// Warm promotes every paper-grid key present in the persistent store
-// into the memory cache, so a restarted (or brand-new) node serves the
-// full grid at memory-hit cost from its first request. It returns the
-// number of cells promoted. Warming never simulates: a key absent from
-// disk stays cold until traffic asks for it. cmd/vltd calls this under
-// -warm with readiness held false, so load balancers only route here
-// once the grid is hot.
-func (s *Server) Warm() int {
-	if s.store == nil {
-		return 0
-	}
-	n := 0
-	for _, key := range warmKeys() {
-		if body, ok := s.store.Warm(key); ok {
-			s.cache.Put(key, body)
-			n++
-		}
-	}
-	return n
-}
-
-// warmKeys enumerates the paper grid's cache keys: every workload ×
-// machine cell at default options, plus every catalogue experiment at
-// scale 1. Invalid combinations (a vector workload on a scalar-only
-// machine) never produced a cacheable body, so their absence from disk
-// makes them free to include.
-func warmKeys() []string {
-	var keys []string
-	for _, w := range vlt.Workloads() {
-		for _, m := range vlt.Machines() {
-			if key, err := vlt.CellKey(w, m, vlt.Options{}); err == nil {
-				keys = append(keys, key)
-			}
-		}
-	}
-	for _, e := range vlt.Experiments() {
-		keys = append(keys, experimentKey(e.Name, 1))
-	}
-	return keys
-}
+// Ready reports the readiness state: not draining.
+func (s *Server) Ready() bool { return !s.draining.Load() }
 
 // apiError pairs the wire error envelope (internal/api) with the HTTP
 // status it travels under. statusClientGone is the sentinel for "the
@@ -743,11 +694,10 @@ func (s *Server) handleMachines(w http.ResponseWriter, r *http.Request) {
 
 // handleHealthz serves both health forms. The bare endpoint is
 // liveness: it answers "ok" whenever the process can serve HTTP at all.
-// With ?ready=1 it is readiness: 503 while the server is still warming
-// up (SetReady(false)) or draining (BeginDrain), so load balancers and
-// smoke gates stop racing startup and stop routing work to a node on
-// its way out. Fleet coordinators do not ask it: a peer's one health
-// verdict is its vltclient breaker.
+// With ?ready=1 it is readiness: 503 while the server is draining
+// (BeginDrain), so load balancers and smoke gates stop routing work to
+// a node on its way out. Fleet coordinators do not ask it: a peer's one
+// health verdict is its vltclient breaker.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := api.HealthResponse{
 		Status:        "ok",
@@ -755,19 +705,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Inflight:      s.flight.Inflight(),
 	}
 	if v := r.URL.Query().Get("ready"); v == "1" || v == "true" {
-		switch {
-		case s.draining.Load():
-			resp.Status = "draining"
-		case !s.ready.Load():
-			resp.Status = "starting"
-		default:
-			resp.Status = "ready"
-		}
-		if resp.Status != "ready" {
+		if !s.Ready() {
 			s.writeError(w, apiError{status: http.StatusServiceUnavailable,
-				Error: api.Error{Code: api.CodeNotReady, Message: "vltd is " + resp.Status}})
+				Error: api.Error{Code: api.CodeNotReady, Message: "vltd is draining"}})
 			return
 		}
+		resp.Status = "ready"
 	}
 	s.writeJSON(w, resp)
 }

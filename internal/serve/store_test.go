@@ -69,11 +69,12 @@ func TestDiskTierServesAndPromotes(t *testing.T) {
 	}
 }
 
-// TestWarmRestartByteIdentity is the restart contract end to end: a
-// server populates the store with the full workload x machine grid, a
-// fresh server on the same directory warms, and every grid cell is then
-// served byte-identically without a single simulation.
-func TestWarmRestartByteIdentity(t *testing.T) {
+// TestRestartServesGridFromStore is the restart contract end to end: a
+// server populates the store with the full workload x machine grid, and
+// a fresh server on the same directory answers every grid cell
+// byte-identically without a single simulation — from disk at first
+// touch, then from memory once the disk hit has promoted it.
+func TestRestartServesGridFromStore(t *testing.T) {
 	dir := t.TempDir()
 	a := newStoreServer(t, dir)
 	grid := map[string][]byte{}
@@ -92,37 +93,26 @@ func TestWarmRestartByteIdentity(t *testing.T) {
 	}
 
 	b := newStoreServer(t, dir)
-	warmed := b.Warm()
-	if warmed < len(grid) {
-		t.Fatalf("warmed %d cells, want at least the %d-cell grid", warmed, len(grid))
+	for target, want := range grid {
+		for _, tier := range []string{"disk", "hit"} {
+			rec := get(t, b, target)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s after restart: status %d: %s", target, rec.Code, rec.Body)
+			}
+			if h := rec.Header().Get("X-VLT-Cache"); h != tier {
+				t.Fatalf("%s after restart: X-VLT-Cache = %q, want %s", target, h, tier)
+			}
+			if !bytes.Equal(rec.Body.Bytes(), want) {
+				t.Fatalf("%s after restart (%s): body differs from the pre-restart body", target, tier)
+			}
+		}
 	}
 	snap := b.Registry().Snapshot()
-	if got := snap.Uint("serve.store.warmed"); got != uint64(warmed) {
-		t.Fatalf("serve.store.warmed = %d, want %d", got, warmed)
+	if got := snap.Uint("serve.flight.executed"); got != 0 {
+		t.Fatalf("restart ran %d simulations, want 0", got)
 	}
-
-	for target, want := range grid {
-		rec := get(t, b, target)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%s after warm: status %d: %s", target, rec.Code, rec.Body)
-		}
-		if h := rec.Header().Get("X-VLT-Cache"); h != "hit" {
-			t.Fatalf("%s after warm: X-VLT-Cache = %q, want hit", target, h)
-		}
-		if !bytes.Equal(rec.Body.Bytes(), want) {
-			t.Fatalf("%s after warm: body differs from the pre-restart body", target)
-		}
-	}
-	if got := b.Registry().Snapshot().Uint("serve.flight.executed"); got != 0 {
-		t.Fatalf("warm restart ran %d simulations, want 0", got)
-	}
-}
-
-// TestWarmWithoutStore proves Warm is a no-op on a memory-only server.
-func TestWarmWithoutStore(t *testing.T) {
-	s := New(Config{})
-	if n := s.Warm(); n != 0 {
-		t.Fatalf("Warm on a store-less server promoted %d cells, want 0", n)
+	if got := snap.Uint("serve.store.hits"); got != uint64(len(grid)) {
+		t.Fatalf("serve.store.hits = %d, want one per grid cell (%d)", got, len(grid))
 	}
 }
 

@@ -226,8 +226,8 @@ func TestSweepBadRequests(t *testing.T) {
 }
 
 // TestReadinessSplit proves the liveness/readiness split: bare /healthz
-// always answers ok, the ready form 503s while starting or draining,
-// and the serve.ready gauge tracks it.
+// always answers ok, the ready form 503s only while draining, and the
+// serve.ready gauge tracks it.
 func TestReadinessSplit(t *testing.T) {
 	s := fakeServer(Config{})
 	if rec := get(t, s, "/healthz"); rec.Code != http.StatusOK {
@@ -239,22 +239,10 @@ func TestReadinessSplit(t *testing.T) {
 		t.Fatalf("readiness: status %d, body %s", rec.Code, rec.Body)
 	}
 
-	s.SetReady(false)
-	rec = get(t, s, "/healthz?ready=1")
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("starting: status %d, want 503", rec.Code)
-	}
-	if e := decodeError(t, rec.Body.Bytes()); e.Code != api.CodeNotReady || !strings.Contains(e.Message, "starting") {
-		t.Fatalf("starting envelope = %+v", e)
-	}
-	if rec := get(t, s, "/healthz"); rec.Code != http.StatusOK {
-		t.Fatal("liveness must not follow readiness down")
-	}
-	if v, _ := s.Registry().Float("serve.ready"); v != 0 {
-		t.Fatalf("serve.ready = %v, want 0", v)
+	if v, _ := s.Registry().Float("serve.ready"); v != 1 {
+		t.Fatalf("serve.ready = %v, want 1", v)
 	}
 
-	s.SetReady(true)
 	s.BeginDrain()
 	rec = get(t, s, "/healthz?ready=1")
 	if rec.Code != http.StatusServiceUnavailable {
@@ -268,6 +256,9 @@ func TestReadinessSplit(t *testing.T) {
 	}
 	if rec := get(t, s, "/healthz"); rec.Code != http.StatusOK {
 		t.Fatal("liveness must survive a drain")
+	}
+	if v, _ := s.Registry().Float("serve.ready"); v != 0 {
+		t.Fatalf("draining serve.ready = %v, want 0", v)
 	}
 }
 

@@ -135,7 +135,7 @@ type Store struct {
 	items  map[string]*list.Element // fingerprint -> *entry element
 
 	hits, misses, writes, writeFails uint64
-	evictions, corrupt, warmed       uint64
+	evictions, corrupt               uint64
 }
 
 // Open opens (creating if needed) the store rooted at dir with the
@@ -230,6 +230,25 @@ func (s *Store) scan() error {
 	return nil
 }
 
+// header is an entry file's first line: "magic version crc keyLen bodyLen".
+type header struct {
+	version         int
+	crc             uint32
+	keyLen, bodyLen int
+}
+
+// parseHeader parses an entry's header line; ok is false when the line
+// is not a store header at all. A negative length is not one: read
+// slices the entry by these lengths.
+func parseHeader(line string) (h header, ok bool) {
+	var m string
+	if _, err := fmt.Sscanf(line, "%s %d %x %d %d", &m, &h.version, &h.crc, &h.keyLen, &h.bodyLen); err != nil ||
+		m != magic || h.keyLen < 0 || h.bodyLen < 0 {
+		return header{}, false
+	}
+	return h, true
+}
+
 // headerVersion reads just the header line of an entry file and returns
 // its format version; ok is false when the file cannot be parsed as a
 // store entry at all.
@@ -243,13 +262,8 @@ func (s *Store) headerVersion(path string) (version int, ok bool) {
 	if err != nil {
 		return 0, false
 	}
-	var m string
-	var crc uint32
-	var keyLen, bodyLen int
-	if _, err := fmt.Sscanf(line, "%s %d %x %d %d", &m, &version, &crc, &keyLen, &bodyLen); err != nil || m != magic {
-		return 0, false
-	}
-	return version, true
+	h, ok := parseHeader(line)
+	return h.version, ok
 }
 
 // Dir returns the store's root directory.
@@ -281,19 +295,6 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		s.hits++
 	} else {
 		s.misses++
-	}
-	return body, ok
-}
-
-// Warm is Get for startup warming: identical lookup and verification,
-// but it counts into warmed instead of hits/misses, so the runtime
-// hit-rate counters measure traffic, not boot.
-func (s *Store) Warm(key string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	body, ok := s.load(key)
-	if ok {
-		s.warmed++
 	}
 	return body, ok
 }
@@ -333,25 +334,19 @@ func (s *Store) read(fp, key string) ([]byte, bool) {
 	if nl < 0 {
 		return nil, false
 	}
-	var m string
-	var version int
-	var crc uint32
-	var keyLen, bodyLen int
-	if _, err := fmt.Sscanf(string(raw[:nl]), "%s %d %x %d %d", &m, &version, &crc, &keyLen, &bodyLen); err != nil {
-		return nil, false
-	}
-	if m != magic || version != FormatVersion {
+	h, ok := parseHeader(string(raw[:nl]))
+	if !ok || h.version != FormatVersion {
 		return nil, false
 	}
 	rest := raw[nl+1:]
-	if len(rest) != keyLen+1+bodyLen {
+	if len(rest) != h.keyLen+1+h.bodyLen {
 		return nil, false
 	}
-	if string(rest[:keyLen]) != key || rest[keyLen] != '\n' {
+	if string(rest[:h.keyLen]) != key || rest[h.keyLen] != '\n' {
 		return nil, false
 	}
-	body := rest[keyLen+1:]
-	if crc32.ChecksumIEEE(body) != crc {
+	body := rest[h.keyLen+1:]
+	if crc32.ChecksumIEEE(body) != h.crc {
 		return nil, false
 	}
 	return body, true
@@ -486,7 +481,6 @@ func (s *Store) register(r *stats.Registry) {
 	r.CounterFn("evictions", locked(func() uint64 { return s.evictions }))
 	//vltlint:ignore lock-guard the locked() wrapper takes s.mu around this closure
 	r.CounterFn("corrupt", locked(func() uint64 { return s.corrupt }))
-	r.CounterFn("warmed", locked(func() uint64 { return s.warmed }))
 	r.CounterFn("entries", locked(func() uint64 { return uint64(s.ll.Len()) }))
 	//vltlint:ignore lock-guard the locked() wrapper takes s.mu around this closure
 	r.CounterFn("bytes", locked(func() uint64 { return uint64(s.bytes) }))

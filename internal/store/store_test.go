@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -75,25 +76,6 @@ func TestReopenServes(t *testing.T) {
 	}
 }
 
-// TestWarmCountsSeparately proves Warm loads like Get but feeds the
-// warmed counter, leaving hit-rate counters to runtime traffic.
-func TestWarmCountsSeparately(t *testing.T) {
-	dir := t.TempDir()
-	s := open(t, dir, 1<<20)
-	if err := s.Put("cell-a", []byte("body\n")); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Warm("cell-a"); !ok {
-		t.Fatal("Warm missed a stored key")
-	}
-	if _, ok := s.Warm("cell-b"); ok {
-		t.Fatal("Warm of an unknown key succeeded")
-	}
-	if s.warmed != 1 || s.hits != 0 || s.misses != 0 {
-		t.Fatalf("counters warmed=%d hits=%d misses=%d, want 1/0/0", s.warmed, s.hits, s.misses)
-	}
-}
-
 // TestCorruptQuarantine proves the corruption model: a flipped body
 // byte makes the entry a miss (never an error), quarantines the file as
 // *.corrupt, and drops it from the index.
@@ -134,6 +116,29 @@ func TestCorruptQuarantine(t *testing.T) {
 	}
 	if _, ok := s.Get("cell-a"); !ok {
 		t.Fatal("re-Put after quarantine did not serve")
+	}
+}
+
+// TestNegativeHeaderLengthQuarantined proves a header whose lengths add
+// up but go negative is corruption, not a slice panic under the lock.
+func TestNegativeHeaderLengthQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir, 1<<20)
+	body := []byte(`{"cycles":1}` + "\n")
+	if err := s.Put("cell-a", body); err != nil {
+		t.Fatal(err)
+	}
+	path := entryPath(dir, "cell-a")
+	rest := "cell-a\n" + string(body)
+	raw := fmt.Sprintf("%s %d %08x %d %d\n%s", magic, FormatVersion, crc32.ChecksumIEEE(body), -1, len(rest), rest)
+	if err := os.WriteFile(path, []byte(raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get("cell-a"); ok {
+		t.Fatal("Get served an entry with a negative key length")
+	}
+	if s.corrupt != 1 {
+		t.Fatalf("corrupt = %d, want 1", s.corrupt)
 	}
 }
 
@@ -320,7 +325,7 @@ func TestRegister(t *testing.T) {
 		}
 	}
 	for _, name := range []string{"store.write_fails", "store.evictions", "store.corrupt",
-		"store.warmed", "store.bytes", "store.budget_bytes"} {
+		"store.bytes", "store.budget_bytes"} {
 		if _, ok := snap.Get(name); !ok {
 			t.Errorf("%s not registered", name)
 		}

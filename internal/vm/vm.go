@@ -180,9 +180,6 @@ func New(prog *asm.Program, numThreads int) (*VM, error) {
 	return v, nil
 }
 
-// NumThreads returns the number of thread contexts.
-func (v *VM) NumThreads() int { return len(v.threads) }
-
 // Thread returns the architectural state of thread tid.
 func (v *VM) Thread(tid int) *Thread { return v.threads[tid] }
 

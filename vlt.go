@@ -108,12 +108,13 @@ type Options struct {
 }
 
 // Utilization is a percentage breakdown of the arithmetic-datapath cycles
-// in the vector lanes (Figure 4's categories).
+// in the vector lanes (Figure 4's categories). Its JSON form is the util
+// member of a /v1/run body.
 type Utilization struct {
-	BusyPct     float64
-	PartIdlePct float64
-	StalledPct  float64
-	AllIdlePct  float64
+	BusyPct     float64 `json:"busy_pct"`
+	PartIdlePct float64 `json:"part_idle_pct"`
+	StalledPct  float64 `json:"stalled_pct"`
+	AllIdlePct  float64 `json:"all_idle_pct"`
 }
 
 // Metric is one named measurement from the run's unified metric
