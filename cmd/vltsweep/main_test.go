@@ -148,3 +148,24 @@ func TestSweepTruncationExits2(t *testing.T) {
 		t.Fatalf("stderr does not mention truncation:\n%s", errb.String())
 	}
 }
+
+// TestMalformedBodyExitsNonzero: vltclient passes a cell's body through
+// unparsed, so vltsweep is where a body that is not JSON is refused —
+// by decoding it in table mode and by re-encoding it under -json. Either
+// way the sweep fails with exit 2 and prints no cell for it.
+func TestMalformedBodyExitsNonzero(t *testing.T) {
+	srv := sweepStub(t,
+		`{"index":0,"workload":"mxm","machine":"base","result":{"cycles":9,}}`,
+		`{"done":true,"cells":1,"errors":0}`,
+	)
+	for _, mode := range [][]string{nil, {"-json"}} {
+		var out, errb bytes.Buffer
+		args := append([]string{"-server", srv.URL, "-workloads", "mxm", "-machines", "base"}, mode...)
+		if code := run(args, &out, &errb); code != 2 {
+			t.Errorf("%v: exit %d, want 2; stdout=%q stderr=%q", mode, code, out.String(), errb.String())
+		}
+		if strings.Contains(out.String(), "cycles") {
+			t.Errorf("%v: printed the malformed cell:\n%s", mode, out.String())
+		}
+	}
+}

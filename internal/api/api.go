@@ -180,7 +180,10 @@ func (r SweepRequest) Cells() []RunRequest {
 // SweepCell is one NDJSON line of a sweep stream: the cell's grid index
 // and coordinates, then either the cell's /v1/run response body verbatim
 // (Result) or its typed error (Error) — never both. A failing cell
-// occupies its line and the stream continues.
+// occupies its line and the stream continues. The field order is part
+// of the wire contract: result is the last member of a line, so a
+// client finds it by reading only the header before it and passes the
+// body through unparsed (vltclient does).
 type SweepCell struct {
 	Index    int             `json:"index"`
 	Workload string          `json:"workload"`

@@ -19,6 +19,16 @@ func (t *Task[V]) Wait() (V, error) {
 	return t.val, t.err
 }
 
+// Done reports, without blocking, whether the job has executed.
+func (t *Task[V]) Done() bool {
+	select {
+	case <-t.done:
+		return true
+	default:
+		return false
+	}
+}
+
 // Slots is a counting semaphore: the execution bound every simulation in
 // the repo runs under. A process that shares one Slots across callers
 // (vltd shares one across all its endpoints) runs at most Width jobs at

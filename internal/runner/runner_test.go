@@ -55,7 +55,8 @@ func TestConcurrencyBound(t *testing.T) {
 }
 
 // TestGoHoldsNoSlot: a Go job runs while every slot is taken, so a
-// coordinator that waits on slot-holding work cannot deadlock it.
+// coordinator that waits on slot-holding work cannot deadlock it. Done
+// tells the held job apart from the finished one without blocking.
 func TestGoHoldsNoSlot(t *testing.T) {
 	slots := NewSlots(1)
 	started, release := make(chan struct{}), make(chan struct{})
@@ -64,8 +65,14 @@ func TestGoHoldsNoSlot(t *testing.T) {
 	if v, err := Go("free", func() (int, error) { return 2, nil }).Wait(); v != 2 || err != nil {
 		t.Fatalf("Go with every slot held: %d, %v; want 2, nil", v, err)
 	}
+	if held.Done() {
+		t.Fatal("held job reports Done before it is released")
+	}
 	close(release)
 	held.Wait()
+	if !held.Done() {
+		t.Fatal("finished job does not report Done")
+	}
 }
 
 // TestErrorPropagatesToAllWaiters: every caller coalesced onto a failing

@@ -122,8 +122,9 @@ func gridHalves() [2]api.SweepRequest {
 // serving path's read side end to end: each iteration opens a filled
 // store, starts a fresh server over it and sweeps both grid halves
 // through vltclient. Every cell is a disk read; nothing simulates. The
-// cost is the store's open and reads, the sweep writer's encode and the
-// client's decode of every line.
+// cost is the store's open (one header read per entry) and reads, the
+// sweep writer's encode and flushes, and the client's framing of every
+// line: it decodes each header and copies each body out unread.
 func BenchmarkSweepFromDisk(b *testing.B) {
 	dir := b.TempDir()
 	halves := gridHalves()

@@ -265,9 +265,12 @@ const (
 
 // writeBody sends a cached or freshly rendered response body, labelling
 // the producing tier in a header (the body itself is byte-identical
-// either way — that is the cache's contract).
+// either way — that is the cache's contract). Its length is known, so
+// it goes out with a Content-Length rather than chunked, and a client
+// reads it into one buffer of that size.
 func (s *Server) writeBody(w http.ResponseWriter, body []byte, tier string) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.Header().Set("X-VLT-Cache", tier)
 	w.Write(body)
 	s.count(http.StatusOK)

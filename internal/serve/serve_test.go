@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -50,13 +51,17 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestRunEndpoint proves /v1/run serves one cell's full result and that
-// the numbers match a direct vlt.Run of the same cell.
+// TestRunEndpoint proves /v1/run serves one cell's full result, with
+// its length declared, and that the numbers match a direct vlt.Run of
+// the same cell.
 func TestRunEndpoint(t *testing.T) {
 	s := New(Config{})
 	rec := get(t, s, "/v1/run?workload=mxm&machine=base")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	if n := rec.Header().Get("Content-Length"); n != strconv.Itoa(rec.Body.Len()) {
+		t.Fatalf("Content-Length %q for a %d-byte body", n, rec.Body.Len())
 	}
 	var got api.RunResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
@@ -348,6 +353,9 @@ func TestExperimentEndpoint(t *testing.T) {
 	}
 	if !bytes.Equal(cold.Body.Bytes(), hot.Body.Bytes()) {
 		t.Fatal("experiment hot response differs from cold")
+	}
+	if n := hot.Header().Get("Content-Length"); n != strconv.Itoa(hot.Body.Len()) {
+		t.Fatalf("Content-Length %q for a %d-byte body", n, hot.Body.Len())
 	}
 }
 

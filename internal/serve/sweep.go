@@ -94,7 +94,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// drains outcomes in grid order and streams lines. The buffered
 	// channel lets the submitter run the full grid ahead of the writer,
 	// so fan-out width is set by the flight group, not by stream order.
+	// The writer flushes only when it is about to wait: on an empty
+	// channel, or on a task still running. Every written line has then
+	// reached the client before the writer blocks, and a run of lines
+	// already in hand (memory and disk hits) goes out without a flush
+	// each.
 	futures := make(chan sweepFuture, len(cells))
+	flush := func() {
+		if flusher != nil {
+			flusher.Flush()
+		}
+	}
 	errCells, aborted := 0, false
 	runner.Parallel(
 		func() error {
@@ -110,6 +120,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			for f := range futures {
 				body, aerr := f.body, f.aerr
 				if f.task != nil {
+					if !f.task.Done() {
+						flush()
+					}
 					b, err := f.task.WaitContext(ctx)
 					if err != nil {
 						aerr = s.waitError(err, f.d)
@@ -143,8 +156,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 					aborted = true
 					return nil
 				}
-				if flusher != nil {
-					flusher.Flush()
+				if len(futures) == 0 {
+					flush()
 				}
 				written++
 			}
@@ -156,9 +169,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 				aborted = true
 				return nil
 			}
-			if flusher != nil {
-				flusher.Flush()
-			}
+			flush()
 			return nil
 		},
 	)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -259,6 +260,72 @@ func TestReadinessSplit(t *testing.T) {
 	}
 	if v, _ := s.Registry().Float("serve.ready"); v != 0 {
 		t.Fatalf("draining serve.ready = %v, want 0", v)
+	}
+}
+
+// TestSweepFlushesBeforeWaiting: the writer flushes before it waits on
+// a cell still simulating, so while cell 1 is held, line 0 has already
+// reached the client. Cell 0 returns only once cell 1 has started, so
+// the writer mostly has cell 1's future in hand when it writes line 0,
+// does not flush after it, and only the flush before the wait sends it.
+func TestSweepFlushesBeforeWaiting(t *testing.T) {
+	s := fakeServer(Config{Jobs: 2})
+	started, release := make(chan struct{}), make(chan struct{})
+	s.runCell = func(w string, m vlt.Machine, o vlt.Options) (vlt.Result, error) {
+		if m == vlt.MachineBase {
+			<-started
+		} else {
+			close(started)
+			<-release
+		}
+		return fakeResult(w, m, o), nil
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	defer func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	}()
+
+	// Neither the status line nor line 0 reaches the client unless the
+	// writer flushes before it waits, so both are read under the timer.
+	type first struct {
+		resp *http.Response
+		rd   *bufio.Reader
+		line string
+		err  error
+	}
+	got := make(chan first, 1)
+	go func() {
+		resp, err := http.Post(srv.URL+"/v1/sweep", "application/json",
+			strings.NewReader(`{"workloads":["mxm"],"machines":["base","CMT"]}`))
+		if err != nil {
+			got <- first{err: err}
+			return
+		}
+		rd := bufio.NewReader(resp.Body)
+		l, err := rd.ReadString('\n')
+		got <- first{resp, rd, l, err}
+	}()
+	var rd *bufio.Reader
+	select {
+	case f := <-got:
+		var cell api.SweepCell
+		if f.err != nil || json.Unmarshal([]byte(f.line), &cell) != nil || cell.Index != 0 || cell.Machine != "base" {
+			t.Fatalf("first line %q (%v), want cell 0 on base", f.line, f.err)
+		}
+		defer f.resp.Body.Close()
+		rd = f.rd
+	case <-time.After(5 * time.Second):
+		t.Fatal("line 0 did not reach the client while cell 1 was simulating")
+	}
+	close(release)
+	rest, err := io.ReadAll(rd)
+	if err != nil || !strings.Contains(string(rest), `"machine":"CMT"`) || !strings.Contains(string(rest), `"done":true`) {
+		t.Fatalf("rest of the stream %q, %v; want cell 1 and the trailer", rest, err)
 	}
 }
 

@@ -1,13 +1,13 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -237,17 +237,33 @@ type header struct {
 	keyLen, bodyLen int
 }
 
-// parseHeader parses an entry's header line; ok is false when the line
-// is not a store header at all. A negative length is not one: read
-// slices the entry by these lengths.
+// parseHeader parses an entry's header line, without its newline, as
+// Put writes it: the five fields separated by single spaces, the CRC in
+// hex. ok is false when the line is not a store header at all. A
+// negative length is not one: read slices the entry by these lengths.
+// Nor is a line with anything after the fifth field, which fmt.Sscanf
+// used to ignore: Open and Get quarantine that file as corrupt.
 func parseHeader(line string) (h header, ok bool) {
-	var m string
-	if _, err := fmt.Sscanf(line, "%s %d %x %d %d", &m, &h.version, &h.crc, &h.keyLen, &h.bodyLen); err != nil ||
-		m != magic || h.keyLen < 0 || h.bodyLen < 0 {
+	var f [5]string
+	for i := range 4 {
+		if f[i], line, ok = strings.Cut(line, " "); !ok {
+			return header{}, false
+		}
+	}
+	f[4] = line
+	version, err1 := strconv.Atoi(f[1])
+	crc, err2 := strconv.ParseUint(f[2], 16, 32)
+	keyLen, err3 := strconv.Atoi(f[3])
+	bodyLen, err4 := strconv.Atoi(f[4])
+	if f[0] != magic || err1 != nil || err2 != nil || err3 != nil || err4 != nil || keyLen < 0 || bodyLen < 0 {
 		return header{}, false
 	}
-	return h, true
+	return header{version: version, crc: uint32(crc), keyLen: keyLen, bodyLen: bodyLen}, true
 }
+
+// maxHeader bounds a header line: the magic, three 20-digit decimals,
+// eight hex digits, four spaces and the newline fit in it.
+const maxHeader = 96
 
 // headerVersion reads just the header line of an entry file and returns
 // its format version; ok is false when the file cannot be parsed as a
@@ -258,11 +274,13 @@ func (s *Store) headerVersion(path string) (version int, ok bool) {
 		return 0, false
 	}
 	defer f.Close()
-	line, err := bufio.NewReader(f).ReadString('\n')
-	if err != nil {
+	var buf [maxHeader]byte
+	n, _ := io.ReadFull(f, buf[:])
+	nl := bytes.IndexByte(buf[:n], '\n')
+	if nl < 0 {
 		return 0, false
 	}
-	h, ok := parseHeader(line)
+	h, ok := parseHeader(string(buf[:nl]))
 	return h.version, ok
 }
 

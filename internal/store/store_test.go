@@ -331,3 +331,60 @@ func TestRegister(t *testing.T) {
 		}
 	}
 }
+
+// TestParseHeader pins the header grammar: exactly Put's five fields,
+// single-spaced, the CRC in hex of either case. A sixth field used to
+// pass (fmt.Sscanf ignored a tail); it is now a malformed header, so
+// such a file is quarantined.
+func TestParseHeader(t *testing.T) {
+	put := fmt.Sprintf("%s %d %08x %d %d", magic, FormatVersion, crc32.ChecksumIEEE([]byte("body\n")), len("cell-a"), 5)
+	for _, c := range []struct {
+		line string
+		want header
+		ok   bool
+	}{
+		{put, header{version: FormatVersion, crc: crc32.ChecksumIEEE([]byte("body\n")), keyLen: 6, bodyLen: 5}, true},
+		{magic + " 8 00000000 0 0", header{version: 8}, true},
+		{magic + " 8 0 3 4", header{version: 8, keyLen: 3, bodyLen: 4}, true},
+		{magic + " 8 DEADBEEF 3 4", header{version: 8, crc: 0xdeadbeef, keyLen: 3, bodyLen: 4}, true},
+		{magic + " 8 DeadBeef 3 4", header{version: 8, crc: 0xdeadbeef, keyLen: 3, bodyLen: 4}, true},
+		{"vltstorf 8 deadbeef 3 4", header{}, false},
+		{"", header{}, false},
+		{magic + " 8 deadbeef 3", header{}, false},
+		{magic + " 8 deadbeef 3 4 5", header{}, false},
+		{magic + " 8 deadbeef 3 4 ", header{}, false},
+		{magic + "  8 deadbeef 3 4", header{}, false},
+		{magic + " 8 deadbeef -1 4", header{}, false},
+		{magic + " 8 deadbeef 3 -4", header{}, false},
+		{magic + " 8 deadbeef 99999999999999999999 4", header{}, false},
+		{magic + " 8 deadbeef 3 99999999999999999999", header{}, false},
+		{magic + " 99999999999999999999 deadbeef 3 4", header{}, false},
+		{magic + " 8 deadbeeg 3 4", header{}, false},
+		{magic + " 8 1deadbeef 3 4", header{}, false},
+		{magic + " 8 -1 3 4", header{}, false},
+		{magic + " v8 deadbeef 3 4", header{}, false},
+	} {
+		got, ok := parseHeader(c.line)
+		if ok != c.ok || got != c.want {
+			t.Errorf("parseHeader(%q) = %+v, %t; want %+v, %t", c.line, got, ok, c.want, c.ok)
+		}
+	}
+}
+
+// TestTrailingHeaderFieldQuarantined: a header with a sixth field is
+// corrupt at Open, not an entry served with the tail ignored.
+func TestTrailingHeaderFieldQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	body := []byte("intact\n")
+	raw := fmt.Sprintf("%s %d %08x %d %d extra\ncell-a\n%s", magic, FormatVersion, crc32.ChecksumIEEE(body), len("cell-a"), len(body), body)
+	if err := os.WriteFile(entryPath(dir, "cell-a"), []byte(raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := open(t, dir, 1<<20)
+	if _, ok := s.Get("cell-a"); ok {
+		t.Fatal("Get served an entry whose header has a sixth field")
+	}
+	if s.corrupt != 1 || s.Len() != 0 {
+		t.Fatalf("corrupt = %d, Len = %d; want 1, 0", s.corrupt, s.Len())
+	}
+}

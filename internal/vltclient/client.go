@@ -233,13 +233,29 @@ func (c *Client) url(ctx context.Context, path string) string {
 	return u
 }
 
+// maxBody bounds both a body read into one buffer sized by its
+// Content-Length and a sweep stream's line.
+const maxBody = 16 << 20
+
+// readBody reads a response body whole: into one buffer of its length
+// when the peer declared one (vltd does for every single-response body),
+// otherwise by growing one.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxBody {
+		body := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, body)
+		return body, err
+	}
+	return io.ReadAll(resp.Body)
+}
+
 // classify turns one HTTP response into (body, error): 200 passes the
 // body through verbatim, a typed envelope becomes its *api.Error, and
 // transient statuses (429 with its Retry-After, any 5xx that is not a
 // deterministic simulation failure) are marked retryable.
 func classify(resp *http.Response) ([]byte, error) {
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := readBody(resp)
 	if err != nil {
 		// The connection died mid-body (drop, truncation, reset): the
 		// response is unusable but the request is safely retryable —
@@ -308,8 +324,12 @@ func (c *Client) RunBody(ctx context.Context, req api.RunRequest) ([]byte, error
 }
 
 // Sweep posts a grid and streams its NDJSON lines, invoking each for
-// every cell line in order. It returns the trailer; if the stream ends
-// without one the sweep was cut off mid-flight and the error wraps
+// every cell line in order. A cell's Result is its /v1/run body
+// verbatim and unparsed, as RunBody returns it: the client frames each
+// line and decodes only the fields before the body, so a caller that
+// needs the body to be JSON validates it (decoding or re-encoding it
+// does). Sweep returns the trailer; if the stream ends without one, or
+// inside a line, the sweep was cut off mid-flight and the error wraps
 // ErrTruncated. Transport failures before the first byte retry under
 // the normal policy; a broken stream does not (the caller decides
 // whether re-running the whole sweep is worth it — completed cells are
@@ -337,6 +357,82 @@ type sweepLine struct {
 	Errors int   `json:"errors"`
 }
 
+// resultKey opens the member that carries a cell's body.
+const resultKey = `"result":`
+
+// frameLine decodes one sweep line. In a cell line vltd writes, the
+// top-level "result" is the last member (api.SweepCell's field order):
+// the header before it is decoded with its comma standing in for the
+// closing brace, and the body is copied out verbatim without being
+// read. A line that is then valid JSON is exactly one whose body is.
+// Any other line (an error line, the trailer) is decoded whole.
+func frameLine(line []byte) (sweepLine, error) {
+	var l sweepLine
+	comma := resultMember(line)
+	if comma < 0 {
+		return l, json.Unmarshal(line, &l)
+	}
+	body := bytes.Trim(line[comma+1+len(resultKey):len(line)-1], " \t\r\n")
+	if len(body) == 0 {
+		// A member without a value: an empty Result would read as no
+		// body at all, so the whole-line decode refuses the line.
+		return l, json.Unmarshal(line, &l)
+	}
+	line[comma] = '}'
+	err := json.Unmarshal(line[:comma+1], &l)
+	line[comma] = ','
+	l.Result = append(json.RawMessage(nil), body...)
+	return l, err
+}
+
+// resultMember returns the index of the comma that opens line's
+// top-level "result" member, or -1 when line is not one object or has
+// no such member after another. It reads only the members before it,
+// tracking strings and nesting depth, so a "result" key inside a string
+// or a nested object is not taken for it.
+func resultMember(line []byte) int {
+	if len(line) < 2 || line[0] != '{' || line[len(line)-1] != '}' {
+		return -1
+	}
+	depth := 0
+	for i := 0; i < len(line); i++ {
+		switch line[i] {
+		case '"':
+			for i++; i < len(line) && line[i] != '"'; i++ {
+				if line[i] == '\\' {
+					i++
+				}
+			}
+		case '{', '[':
+			depth++
+		case '}', ']':
+			depth--
+		case ',':
+			if depth == 1 && bytes.HasPrefix(line[i+1:], []byte(resultKey)) {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// errPartialLine is a stream that ends inside a line.
+var errPartialLine = errors.New("stream ended inside a line")
+
+// scanLines splits a stream into '\n'-terminated lines. Unlike
+// bufio.ScanLines it refuses a final line without its newline: the
+// stream was cut inside it, and a cut line is never a cell, even when
+// what arrived happens to parse.
+func scanLines(data []byte, atEOF bool) (advance int, token []byte, err error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i], nil
+	}
+	if atEOF && len(data) > 0 {
+		return 0, nil, errPartialLine
+	}
+	return 0, nil, nil
+}
+
 // sweepOnce is one sweep attempt. Only failures before the first line
 // are transient: once a cell line has been delivered a retry would
 // replay cells, so every later error is final.
@@ -359,14 +455,15 @@ func (c *Client) sweepOnce(ctx context.Context, payload []byte, each func(api.Sw
 		return api.SweepTrailer{}, err
 	}
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	sc.Buffer(make([]byte, 0, 64<<10), maxBody)
+	sc.Split(scanLines)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		var l sweepLine
-		if err := json.Unmarshal(line, &l); err != nil {
+		l, err := frameLine(line)
+		if err != nil {
 			return api.SweepTrailer{}, fmt.Errorf("vltclient: bad sweep line: %w", err)
 		}
 		if l.Done != nil {

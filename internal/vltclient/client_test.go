@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -104,6 +105,56 @@ func TestRetriesTransient5xx(t *testing.T) {
 	}
 	if got := reg.Snapshot().Uint("retries"); got != 2 {
 		t.Fatalf("retries counter = %d, want 2", got)
+	}
+}
+
+// TestRunBodyPassesBytesThrough: a 200 body reaches the caller byte for
+// byte, whether the peer declared its length (read into one buffer of
+// that size) or streamed it chunked (read by growing one).
+func TestRunBodyPassesBytesThrough(t *testing.T) {
+	want := "{\"workload\":\"fir\",\"s\":\"\u2028 \\u003c \\\" \xff\"}\n" + strings.Repeat("x", 70000)
+	for _, chunked := range []bool{false, true} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if chunked {
+				w.(http.Flusher).Flush()
+			} else {
+				w.Header().Set("Content-Length", strconv.Itoa(len(want)))
+			}
+			fmt.Fprint(w, want)
+		}))
+		body, err := New(fastCfg(srv.URL)).RunBody(context.Background(), api.RunRequest{Workload: "fir", Machine: "cmp"})
+		srv.Close()
+		if err != nil || string(body) != want {
+			t.Fatalf("chunked=%t: RunBody = %d bytes, %v; want the %d bytes sent", chunked, len(body), err, len(want))
+		}
+	}
+}
+
+// TestRunBodyCutShortRetries: a body that ends before its declared
+// Content-Length is a transient failure; the call retries and returns
+// the whole body, never the cut one.
+func TestRunBodyCutShortRetries(t *testing.T) {
+	const want = `{"workload":"fir","cycles":1234}` + "\n"
+	var hits atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(len(want)))
+		if hits.Add(1) == 1 {
+			fmt.Fprint(w, want[:10]) // the server closes the connection short
+			return
+		}
+		fmt.Fprint(w, want)
+	}))
+	defer srv.Close()
+
+	cfg := fastCfg(srv.URL)
+	reg := stats.New()
+	cfg.Registry = reg
+	body, err := New(cfg).RunBody(context.Background(), api.RunRequest{Workload: "fir", Machine: "cmp"})
+	if err != nil || string(body) != want {
+		t.Fatalf("RunBody = %q, %v; want %q", body, err, want)
+	}
+	if hits.Load() != 2 || reg.Snapshot().Uint("retries") != 1 {
+		t.Fatalf("hits=%d retries=%d, want 2/1", hits.Load(), reg.Snapshot().Uint("retries"))
 	}
 }
 
@@ -355,10 +406,12 @@ func ndjsonServer(lines ...string) (*httptest.Server, *atomic.Int64) {
 	return srv, &hits
 }
 
-// TestSweepDecodesEachLineOnce pins the one-pass decode: only a
-// top-level "done" makes a line the trailer, so a result body with a
-// nested "done" key is a cell whose Result arrives byte for byte, and
-// the trailer's counts come through.
+// TestSweepDecodesEachLineOnce pins the header-only decode: a cell
+// line's fields before its top-level "result" are decoded and the body
+// is copied out unread, and only a top-level "done" makes a line the
+// trailer. So a result body with a nested "done" key is a cell whose
+// Result arrives byte for byte, and the trailer, decoded whole, brings
+// its counts through.
 func TestSweepDecodesEachLineOnce(t *testing.T) {
 	result := `{"workload":"fir","done":true,"metrics":{"done":false,"cells":3}}`
 	srv, _ := ndjsonServer(
@@ -387,7 +440,9 @@ func TestSweepDecodesEachLineOnce(t *testing.T) {
 
 // TestSweepMalformedLineIsFinal: a line that is not JSON fails the sweep
 // naming it, and the call does not retry, since the cell before it was
-// already delivered.
+// already delivered. The cut line has no top-level "result", so it takes
+// the whole-line decode, which refuses it; a malformed header before a
+// "result" fails the header decode the same way.
 func TestSweepMalformedLineIsFinal(t *testing.T) {
 	srv, hits := ndjsonServer(
 		`{"index":0,"workload":"fir","machine":"cmp","result":{"mips":1}}`,

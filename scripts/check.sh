@@ -51,6 +51,7 @@ echo "== fuzz smoke (5s per target)"
 go test -run='^$' -fuzz=FuzzAssemble -fuzztime=5s ./internal/asm
 go test -run='^$' -fuzz=FuzzDecode -fuzztime=5s ./internal/isa
 go test -run='^$' -fuzz=FuzzSweepLine -fuzztime=5s ./internal/serve
+go test -run='^$' -fuzz=FuzzSweepFrame -fuzztime=5s ./internal/vltclient
 
 echo "== go build ./cmd/... (the nine commands, built once for the gates below)"
 bin="$work/bin"
