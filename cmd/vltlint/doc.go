@@ -1,7 +1,7 @@
 // Command vltlint enforces the repository's static-analysis contracts
 // (internal/lint) on its own Go source: the determinism rules on the
-// simulation core, the concurrency-safety passes (lock-discipline,
-// goroutine-ownership) module-wide, deadline propagation on the
+// simulation core, no goroutine outside internal/runner and no blocking
+// operation under a held mutex module-wide, deadline propagation on the
 // serving layer, and metrics-registration exhaustiveness. It exits 1
 // when any finding is reported and is wired into scripts/check.sh as a
 // tier-1 gate.

@@ -181,47 +181,41 @@ func (p *proxy) registerMetrics(r *stats.Registry) {
 	}
 }
 
-// TestRunLockGuardRegressionExit: adding an unguarded access to a
-// guarded field makes vltlint exit non-zero (acceptance criterion for
-// the lock-discipline pass).
+// TestRunLockGuardRegressionExit: moving a blocking send inside the
+// locked region makes vltlint exit non-zero (acceptance criterion for
+// the lock-blocking pass).
 func TestRunLockGuardRegressionExit(t *testing.T) {
-	clean := `package report
+	src := func(body string) string {
+		return `package report
 
 import "sync"
 
 type box struct {
 	mu sync.Mutex
 	n  int
+	ch chan int
 }
 
-func (b *box) Inc() {
-	b.mu.Lock()
-	b.n++
-	b.mu.Unlock()
-}
-
-func (b *box) Add(d int) {
-	b.mu.Lock()
-	b.n += d
-	b.mu.Unlock()
-}
+func (b *box) Flush() {
+` + body + `}
 `
-	root := writeModule(t, map[string]string{"internal/report/box.go": clean})
+	}
+	root := writeModule(t, map[string]string{"internal/report/box.go": src(
+		"\tb.mu.Lock()\n\tn := b.n\n\tb.mu.Unlock()\n\tb.ch <- n\n")})
 	var out, errOut strings.Builder
 	if code := run([]string{"-root", root, "./..."}, &out, &errOut); code != 0 {
-		t.Fatalf("guarded accesses: exit %d\n%s", code, out.String())
+		t.Fatalf("send after unlock: exit %d\n%s", code, out.String())
 	}
 
-	// Add one bare access: the run must now fail.
-	root = writeModule(t, map[string]string{
-		"internal/report/box.go": clean + "\nfunc (b *box) Peek() int { return b.n }\n",
-	})
+	// Send before unlocking: the run must now fail.
+	root = writeModule(t, map[string]string{"internal/report/box.go": src(
+		"\tb.mu.Lock()\n\tb.ch <- b.n\n\tb.mu.Unlock()\n")})
 	out.Reset()
 	errOut.Reset()
 	if code := run([]string{"-root", root, "./..."}, &out, &errOut); code != 1 {
-		t.Fatalf("unguarded access: exit %d, want 1\n%s", code, out.String())
+		t.Fatalf("send under lock: exit %d, want 1\n%s", code, out.String())
 	}
-	if !strings.Contains(out.String(), "lock-guard") {
-		t.Errorf("stdout missing lock-guard finding:\n%s", out.String())
+	if !strings.Contains(out.String(), "lock-blocking") {
+		t.Errorf("stdout missing lock-blocking finding:\n%s", out.String())
 	}
 }

@@ -1,18 +1,16 @@
 package lint
 
-// Concurrency-safety passes: lock-discipline (guarded-field inference,
-// blocking-while-locked) and goroutine-ownership (every go statement
-// outside the audited worker pool must be provably joined).
+// Concurrency-safety pass: no blocking operation while a mutex is held
+// (lock-blocking).
 //
 // The analysis is deliberately syntactic where the stubbed stdlib makes
 // go/types blind (sync.Mutex never resolves to a types.Object) and
 // type-driven where the module-local typechecker can see (which struct
 // does this selector land on). Blind spots are documented in DESIGN.md
-// §14: address-taken accesses (&s.counter, the atomic and registration
-// idioms) are invisible, RLock and Lock are not distinguished, and
-// inter-procedural lock flow is out of scope — the //vltlint:heldby
-// method directive covers the one idiom that needs it (helpers that
-// document "callers hold the lock").
+// §14: RLock and Lock are not distinguished, and inter-procedural lock
+// flow is out of scope — the //vltlint:heldby method directive covers
+// the one idiom that needs it (helpers that document "callers hold the
+// lock").
 
 import (
 	"go/ast"
@@ -36,25 +34,7 @@ type structInfo struct {
 	name     string
 	mutexes  map[string]bool      // mutex-typed field names ("mu", "Mutex" when embedded)
 	embedded map[string]bool      // mutex names declared by embedding (x.Lock() omits the field)
-	fields   map[string]token.Pos // non-mutex named fields, by declaration position
-	counters map[string]token.Pos // the subset of fields with plain uint64 type
-}
-
-// access is one direct read or write of a struct field, with the set of
-// that struct's mutexes held at the access site.
-type access struct {
-	typ, field string
-	base       string // path expression of the struct value ("c", "s.br")
-	pos        token.Pos
-	write      bool
-	held       map[string]bool // mutex field names held for this base
-}
-
-// goSpawn is one go statement and the function body it must be joined
-// in.
-type goSpawn struct {
-	stmt      *ast.GoStmt
-	enclosing *ast.BlockStmt
+	counters map[string]token.Pos // named fields with plain uint64 type, by declaration position
 }
 
 // lockState maps "base.mutexField" paths to held-ness. Values are
@@ -81,8 +61,7 @@ func (st lockState) heldKeys() []string {
 	return ks
 }
 
-// checkConcurrency runs the lock-discipline and goroutine-ownership
-// passes over the package.
+// checkConcurrency runs the lock-blocking pass over the package.
 func (c *checker) checkConcurrency() {
 	p := &concPass{checker: c, structs: c.collectStructs()}
 	for _, f := range c.files {
@@ -96,12 +75,9 @@ func (c *checker) checkConcurrency() {
 				st[recv+"."+mu] = true
 			}
 			a := &funcAnalyzer{pass: p}
-			a.funcs = append(a.funcs, fd.Body)
 			a.block(fd.Body, st)
 		}
 	}
-	p.inferGuards()
-	p.checkJoins()
 }
 
 // heldbyDirective reads a "//vltlint:heldby <mutexField>" line from a
@@ -129,7 +105,7 @@ func heldbyDirective(fd *ast.FuncDecl) (mutex, recv string) {
 }
 
 // collectStructs gathers the package's struct declarations: which
-// fields are mutexes, which are data.
+// fields are mutexes, which are uint64 counters.
 func (c *checker) collectStructs() map[string]*structInfo {
 	structs := map[string]*structInfo{}
 	for _, f := range c.files {
@@ -140,7 +116,7 @@ func (c *checker) collectStructs() map[string]*structInfo {
 			}
 			for _, spec := range gd.Specs {
 				ts, ok := spec.(*ast.TypeSpec)
-				if !ok || ts.TypeParams != nil {
+				if !ok {
 					continue
 				}
 				styp, ok := ts.Type.(*ast.StructType)
@@ -151,7 +127,6 @@ func (c *checker) collectStructs() map[string]*structInfo {
 					name:     ts.Name.Name,
 					mutexes:  map[string]bool{},
 					embedded: map[string]bool{},
-					fields:   map[string]token.Pos{},
 					counters: map[string]token.Pos{},
 				}
 				for _, fld := range styp.Fields.List {
@@ -173,7 +148,6 @@ func (c *checker) collectStructs() map[string]*structInfo {
 							si.mutexes[name.Name] = true
 							continue
 						}
-						si.fields[name.Name] = name.Pos()
 						if isCounter {
 							si.counters[name.Name] = name.Pos()
 						}
@@ -206,12 +180,10 @@ func (c *checker) mutexType(e ast.Expr) (bool, string) {
 	return true, sel.Sel.Name
 }
 
-// concPass accumulates the package-wide evidence the two passes need.
+// concPass is the package-wide state of the lock-blocking pass.
 type concPass struct {
 	*checker
-	structs  map[string]*structInfo
-	accesses []access
-	spawns   []goSpawn
+	structs map[string]*structInfo
 }
 
 // localStruct resolves an expression to a package-local struct name via
@@ -257,8 +229,7 @@ func pathString(e ast.Expr) (string, bool) {
 // in runner.Flight's submit lint clean.
 type funcAnalyzer struct {
 	pass    *concPass
-	funcs   []*ast.BlockStmt // innermost enclosing function body last
-	noBlock int              // >0 while inside contexts where blocking is already accounted for
+	noBlock int // >0 while inside contexts where blocking is already accounted for
 }
 
 func (a *funcAnalyzer) block(b *ast.BlockStmt, st lockState) lockState {
@@ -312,23 +283,23 @@ func (a *funcAnalyzer) stmt(s ast.Stmt, st lockState) lockState {
 			st[key] = locked
 			return st
 		}
-		a.expr(s.X, st, false)
+		a.expr(s.X, st)
 
 	case *ast.AssignStmt:
 		for _, rhs := range s.Rhs {
-			a.expr(rhs, st, false)
+			a.expr(rhs, st)
 		}
 		for _, lhs := range s.Lhs {
-			a.expr(lhs, st, true)
+			a.expr(lhs, st)
 		}
 
 	case *ast.IncDecStmt:
-		a.expr(s.X, st, true)
+		a.expr(s.X, st)
 
 	case *ast.SendStmt:
 		a.blocking(s.Pos(), "channel send", st)
-		a.expr(s.Chan, st, false)
-		a.expr(s.Value, st, false)
+		a.expr(s.Chan, st)
+		a.expr(s.Value, st)
 
 	case *ast.DeferStmt:
 		// defer x.mu.Unlock() pairs with the Lock above it: the lock
@@ -339,30 +310,29 @@ func (a *funcAnalyzer) stmt(s ast.Stmt, st lockState) lockState {
 		if _, _, ok := a.lockCall(s.Call); ok {
 			return st
 		}
-		a.exprNoBlock(s.Call.Fun, st)
+		a.expr(s.Call.Fun, lockState{})
 		for _, arg := range s.Call.Args {
-			a.exprNoBlock(arg, st)
+			a.expr(arg, lockState{})
 		}
 
 	case *ast.GoStmt:
-		a.pass.spawns = append(a.pass.spawns, goSpawn{stmt: s, enclosing: a.funcs[len(a.funcs)-1]})
 		if fl, ok := s.Call.Fun.(*ast.FuncLit); ok {
 			a.funcLit(fl)
 		}
 		for _, arg := range s.Call.Args {
-			a.expr(arg, st, false)
+			a.expr(arg, st)
 		}
 
 	case *ast.ReturnStmt:
 		for _, r := range s.Results {
-			a.expr(r, st, false)
+			a.expr(r, st)
 		}
 
 	case *ast.IfStmt:
 		if s.Init != nil {
 			st = a.stmt(s.Init, st)
 		}
-		a.expr(s.Cond, st, false)
+		a.expr(s.Cond, st)
 		thenOut := a.block(s.Body, st.clone())
 		elseOut := st
 		if s.Else != nil {
@@ -390,7 +360,7 @@ func (a *funcAnalyzer) stmt(s ast.Stmt, st lockState) lockState {
 			inner = a.stmt(s.Init, inner)
 		}
 		if s.Cond != nil {
-			a.expr(s.Cond, inner, false)
+			a.expr(s.Cond, inner)
 		}
 		inner = a.block(s.Body, inner)
 		if s.Post != nil {
@@ -399,7 +369,7 @@ func (a *funcAnalyzer) stmt(s ast.Stmt, st lockState) lockState {
 		return st // loops must balance their locks per iteration
 
 	case *ast.RangeStmt:
-		a.expr(s.X, st, false)
+		a.expr(s.X, st)
 		a.block(s.Body, st.clone())
 		return st
 
@@ -408,12 +378,12 @@ func (a *funcAnalyzer) stmt(s ast.Stmt, st lockState) lockState {
 			st = a.stmt(s.Init, st)
 		}
 		if s.Tag != nil {
-			a.expr(s.Tag, st, false)
+			a.expr(s.Tag, st)
 		}
 		for _, cl := range s.Body.List {
 			if cc, ok := cl.(*ast.CaseClause); ok {
 				for _, e := range cc.List {
-					a.expr(e, st, false)
+					a.expr(e, st)
 				}
 				a.stmts(cc.Body, st.clone())
 			}
@@ -468,7 +438,7 @@ func (a *funcAnalyzer) stmt(s ast.Stmt, st lockState) lockState {
 			for _, spec := range gd.Specs {
 				if vs, ok := spec.(*ast.ValueSpec); ok {
 					for _, v := range vs.Values {
-						a.expr(v, st, false)
+						a.expr(v, st)
 					}
 				}
 			}
@@ -481,9 +451,7 @@ func (a *funcAnalyzer) stmt(s ast.Stmt, st lockState) lockState {
 // closure runs on its own schedule (goroutine body, registered metrics
 // callback), so the creator's locks are not held when it executes.
 func (a *funcAnalyzer) funcLit(fl *ast.FuncLit) {
-	a.funcs = append(a.funcs, fl.Body)
 	a.block(fl.Body, lockState{})
-	a.funcs = a.funcs[:len(a.funcs)-1]
 }
 
 // lockCall matches x.mu.Lock()/Unlock() (and the embedded-mutex form
@@ -539,77 +507,49 @@ func (a *funcAnalyzer) blocking(pos token.Pos, what string, st lockState) {
 		"%s while holding %s: a slow or stuck peer would stall every other holder", what, strings.Join(held, ", "))
 }
 
-// exprNoBlock analyzes an expression without reporting blocking ops at
-// this site (deferred calls run at return time).
-func (a *funcAnalyzer) exprNoBlock(e ast.Expr, st lockState) {
-	if fl, ok := e.(*ast.FuncLit); ok {
-		a.funcLit(fl)
-		return
-	}
-	a.expr(e, lockState{}, false)
-	_ = st
-}
-
-// expr records field accesses and blocking operations in an expression.
-// write marks the outermost addressable chain as a write (assignment
-// LHS, ++/--).
-func (a *funcAnalyzer) expr(e ast.Expr, st lockState, write bool) {
+// expr reports the blocking operations in an expression.
+func (a *funcAnalyzer) expr(e ast.Expr, st lockState) {
 	switch e := e.(type) {
 	case nil:
 
 	case *ast.Ident, *ast.BasicLit:
 
 	case *ast.SelectorExpr:
-		a.recordAccess(e, st, write)
-		a.expr(e.X, st, false)
+		a.expr(e.X, st)
 
 	case *ast.IndexExpr:
-		a.expr(e.X, st, write)
-		a.expr(e.Index, st, false)
+		a.expr(e.X, st)
+		a.expr(e.Index, st)
 
 	case *ast.IndexListExpr:
-		a.expr(e.X, st, write)
+		a.expr(e.X, st)
 		for _, idx := range e.Indices {
-			a.expr(idx, st, false)
+			a.expr(idx, st)
 		}
 
 	case *ast.SliceExpr:
-		a.expr(e.X, st, false)
-		a.expr(e.Low, st, false)
-		a.expr(e.High, st, false)
-		a.expr(e.Max, st, false)
+		a.expr(e.X, st)
+		a.expr(e.Low, st)
+		a.expr(e.High, st)
+		a.expr(e.Max, st)
 
 	case *ast.StarExpr:
-		a.expr(e.X, st, write)
+		a.expr(e.X, st)
 
 	case *ast.ParenExpr:
-		a.expr(e.X, st, write)
+		a.expr(e.X, st)
 
 	case *ast.UnaryExpr:
 		if e.Op == token.ARROW {
 			a.blocking(e.Pos(), "channel receive", st)
-			a.expr(e.X, st, false)
+			a.expr(e.X, st)
 			return
 		}
-		if e.Op == token.AND {
-			// Address-taken accesses (&s.counter) are the atomic and
-			// metrics-registration idioms: invisible to the guarded-
-			// field inference by design (DESIGN.md §14). Function
-			// literals inside still get analyzed.
-			ast.Inspect(e.X, func(n ast.Node) bool {
-				if fl, ok := n.(*ast.FuncLit); ok {
-					a.funcLit(fl)
-					return false
-				}
-				return true
-			})
-			return
-		}
-		a.expr(e.X, st, false)
+		a.expr(e.X, st)
 
 	case *ast.BinaryExpr:
-		a.expr(e.X, st, false)
-		a.expr(e.Y, st, false)
+		a.expr(e.X, st)
+		a.expr(e.Y, st)
 
 	case *ast.CallExpr:
 		a.callExpr(e, st)
@@ -617,20 +557,20 @@ func (a *funcAnalyzer) expr(e ast.Expr, st lockState, write bool) {
 	case *ast.CompositeLit:
 		for _, el := range e.Elts {
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				a.expr(kv.Value, st, false)
+				a.expr(kv.Value, st)
 				continue
 			}
-			a.expr(el, st, false)
+			a.expr(el, st)
 		}
 
 	case *ast.TypeAssertExpr:
-		a.expr(e.X, st, false)
+		a.expr(e.X, st)
 
 	case *ast.FuncLit:
 		a.funcLit(e)
 
 	case *ast.KeyValueExpr:
-		a.expr(e.Value, st, false)
+		a.expr(e.Value, st)
 	}
 }
 
@@ -645,233 +585,18 @@ func (a *funcAnalyzer) callExpr(call *ast.CallExpr, st lockState) {
 		case blockingMethods[sel.Sel.Name]:
 			a.blocking(call.Pos(), sel.Sel.Name+" call", st)
 		}
-		// The selector is a method or package function, not a field
-		// read; recurse into the receiver chain only.
-		a.expr(sel.X, st, false)
+		// The selector is a method or package function; recurse into
+		// the receiver chain only.
+		a.expr(sel.X, st)
 	} else {
-		a.expr(call.Fun, st, false)
+		a.expr(call.Fun, st)
 	}
 	for _, arg := range call.Args {
-		a.expr(arg, st, false)
+		a.expr(arg, st)
 	}
-}
-
-// recordAccess notes a direct field access on a package-local struct,
-// with the mutexes of that struct currently held for the same base
-// path.
-func (a *funcAnalyzer) recordAccess(sel *ast.SelectorExpr, st lockState, write bool) {
-	owner := a.pass.localStruct(sel.X)
-	if owner == "" {
-		return
-	}
-	si := a.pass.structs[owner]
-	if _, isField := si.fields[sel.Sel.Name]; !isField {
-		return
-	}
-	base, ok := pathString(sel.X)
-	if !ok {
-		return
-	}
-	held := map[string]bool{}
-	for mu := range si.mutexes {
-		if st[base+"."+mu] {
-			held[mu] = true
-		}
-	}
-	a.pass.accesses = append(a.pass.accesses, access{
-		typ: owner, field: sel.Sel.Name, base: base,
-		pos: sel.Sel.Pos(), write: write, held: held,
-	})
 }
 
 // isHTTPPkg reports whether expr is the imported net/http package.
 func (c *checker) isHTTPPkg(expr ast.Expr) bool {
 	return c.isPkg(expr, "http", "net/http")
-}
-
-// inferGuards runs the guarded-field inference: a field is guarded by a
-// mutex when it is written at least once and the majority of its direct
-// accesses hold that mutex. Every access that does not hold the
-// inferred guard is a finding.
-func (p *concPass) inferGuards() {
-	type key struct{ typ, field string }
-	byField := map[key][]access{}
-	for _, acc := range p.accesses {
-		k := key{acc.typ, acc.field}
-		byField[k] = append(byField[k], acc)
-	}
-	keys := make([]key, 0, len(byField))
-	for k := range byField {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].typ != keys[j].typ {
-			return keys[i].typ < keys[j].typ
-		}
-		return keys[i].field < keys[j].field
-	})
-	for _, k := range keys {
-		accs := byField[k]
-		si := p.structs[k.typ]
-		writes := 0
-		for _, acc := range accs {
-			if acc.write {
-				writes++
-			}
-		}
-		if writes == 0 {
-			continue // immutable after construction; no guard needed
-		}
-		mus := make([]string, 0, len(si.mutexes))
-		for mu := range si.mutexes {
-			mus = append(mus, mu)
-		}
-		sort.Strings(mus)
-		for _, mu := range mus {
-			heldCount := 0
-			for _, acc := range accs {
-				if acc.held[mu] {
-					heldCount++
-				}
-			}
-			if heldCount*2 <= len(accs) {
-				continue // not the majority: mu does not guard this field
-			}
-			for _, acc := range accs {
-				if !acc.held[mu] {
-					p.emit(acc.pos, RuleLockGuard,
-						"%s.%s is guarded by %s (%d/%d accesses hold it) but this access does not",
-						k.typ, k.field, mu, heldCount, len(accs))
-				}
-			}
-			break // one guard per field is enough to report against
-		}
-	}
-}
-
-// checkJoins enforces goroutine ownership: outside the audited worker
-// pool, every go statement must be provably joined in its enclosing
-// function — a Wait/WaitContext call, a receive from a done channel the
-// goroutine closes or sends on, or a context cancel paired with the
-// goroutine watching Done.
-func (p *concPass) checkJoins() {
-	if p.pkg == goroutinePkg {
-		return
-	}
-	for _, sp := range p.spawns {
-		if joinEvidence(sp) {
-			continue
-		}
-		p.emit(sp.stmt.Pos(), RuleGoJoin,
-			"goroutine is not provably joined: no Wait/WaitContext, done-channel receive, or context cancel in the enclosing function")
-	}
-}
-
-func joinEvidence(sp goSpawn) bool {
-	// (a) Any Wait/WaitContext call in the enclosing function
-	// (WaitGroup, runner.Group, task join).
-	found := false
-	ast.Inspect(sp.enclosing, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-				if sel.Sel.Name == "Wait" || sel.Sel.Name == "WaitContext" {
-					found = true
-					return false
-				}
-			}
-		}
-		return true
-	})
-	if found {
-		return true
-	}
-
-	body, ok := sp.stmt.Call.Fun.(*ast.FuncLit)
-	if !ok {
-		return false
-	}
-
-	// (b) Done channel: the goroutine closes or sends on an identifier
-	// channel the enclosing function receives from.
-	signaled := map[string]bool{}
-	ast.Inspect(body.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "close" && len(n.Args) == 1 {
-				if ch, ok := n.Args[0].(*ast.Ident); ok {
-					signaled[ch.Name] = true
-				}
-			}
-		case *ast.SendStmt:
-			if ch, ok := n.Chan.(*ast.Ident); ok {
-				signaled[ch.Name] = true
-			}
-		}
-		return true
-	})
-	if len(signaled) > 0 {
-		received := false
-		ast.Inspect(sp.enclosing, func(n ast.Node) bool {
-			if u, ok := n.(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-				if ch, ok := u.X.(*ast.Ident); ok && signaled[ch.Name] {
-					received = true
-					return false
-				}
-			}
-			return true
-		})
-		if received {
-			return true
-		}
-	}
-
-	// (c) Context cancel: the function calls (or defers) a cancel func
-	// from context.WithCancel/WithTimeout/WithDeadline, and the
-	// goroutine watches Done.
-	cancels := map[string]bool{}
-	ast.Inspect(sp.enclosing, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != 2 || len(as.Rhs) != 1 {
-			return true
-		}
-		call, ok := as.Rhs[0].(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		switch sel.Sel.Name {
-		case "WithCancel", "WithTimeout", "WithDeadline":
-			if id, ok := as.Lhs[1].(*ast.Ident); ok {
-				cancels[id.Name] = true
-			}
-		}
-		return true
-	})
-	if len(cancels) > 0 {
-		watchesDone := false
-		ast.Inspect(body.Body, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Done" {
-				watchesDone = true
-				return false
-			}
-			return true
-		})
-		called := false
-		ast.Inspect(sp.enclosing, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if id, ok := call.Fun.(*ast.Ident); ok && cancels[id.Name] {
-					called = true
-					return false
-				}
-			}
-			return true
-		})
-		if watchesDone && called {
-			return true
-		}
-	}
-	return false
 }

@@ -16,76 +16,10 @@ func findingAt(fs []Finding, rule, file string, line int) (Finding, bool) {
 	return Finding{}, false
 }
 
-// TestLockGuardUnguardedAccess: a field written under the mutex in the
-// majority of accesses is guarded; the one bare access is the finding.
-func TestLockGuardUnguardedAccess(t *testing.T) {
-	root := writeTree(t, map[string]string{
-		"internal/report/box.go": `package report
-
-import "sync"
-
-type box struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (b *box) Inc() {
-	b.mu.Lock()
-	b.n++
-	b.mu.Unlock()
-}
-
-func (b *box) Add(d int) {
-	b.mu.Lock()
-	b.n += d
-	b.mu.Unlock()
-}
-
-func (b *box) Peek() int { return b.n }
-`,
-	})
-	fs := mustRun(t, root)
-	f, ok := findingAt(fs, RuleLockGuard, "internal/report/box.go", 22)
-	if !ok {
-		t.Fatalf("missing lock-guard finding: %v", fs)
-	}
-	if !strings.Contains(f.Msg, "box.n is guarded by mu (2/3 accesses hold it)") {
-		t.Errorf("unexpected message: %s", f.Msg)
-	}
-}
-
-// TestLockGuardAllLockedClean: consistent locking produces no findings.
-func TestLockGuardAllLockedClean(t *testing.T) {
-	root := writeTree(t, map[string]string{
-		"internal/report/box.go": `package report
-
-import "sync"
-
-type box struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (b *box) Inc() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.n++
-}
-
-func (b *box) Peek() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.n
-}
-`,
-	})
-	if fs := mustRun(t, root); len(fs) != 0 {
-		t.Errorf("consistently locked field should be clean: %v", fs)
-	}
-}
-
 // TestLockGuardEarlyUnlockReturn: the unlock-and-return idiom from
 // runner.Flight's submit must not leak lock state into the fall-through.
+// A blocking op after the early unlock is clean; one on the fall-through,
+// where the lock is still held, is the finding.
 func TestLockGuardEarlyUnlockReturn(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"internal/report/memo.go": `package report
@@ -102,8 +36,10 @@ func (m *memo) Get(k string) int {
 	m.mu.Lock()
 	if v, ok := m.items[k]; ok {
 		m.mu.Unlock()
+		m.waits <- v
 		return v
 	}
+	m.waits <- 0
 	m.items[k] = 1
 	m.mu.Unlock()
 	m.waits <- 1
@@ -111,8 +47,15 @@ func (m *memo) Get(k string) int {
 }
 `,
 	})
-	if fs := mustRun(t, root); len(fs) != 0 {
-		t.Errorf("early-unlock-return should be clean: %v", fs)
+	fs := mustRun(t, root)
+	if hasRule(fs, RuleLockBlocking, "internal/report/memo.go", 15) {
+		t.Errorf("send after the early unlock must be clean: %v", fs)
+	}
+	if !hasRule(fs, RuleLockBlocking, "internal/report/memo.go", 18) {
+		t.Errorf("send on the fall-through holds m.mu and must be flagged: %v", fs)
+	}
+	if hasRule(fs, RuleLockBlocking, "internal/report/memo.go", 21) {
+		t.Errorf("send after the final unlock must be clean: %v", fs)
 	}
 }
 
@@ -182,6 +125,33 @@ func (p *pool) DrainUnlocked() {
 	}
 }
 
+// TestLockBlockingGenericStruct: a generic struct's mutex is tracked like
+// any other (runner.Flight is one).
+func TestLockBlockingGenericStruct(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"internal/report/group.go": `package report
+
+import "sync"
+
+type group[K comparable] struct {
+	mu    sync.Mutex
+	freed chan struct{}
+	keys  map[K]bool
+}
+
+func (g *group[K]) wait() {
+	g.mu.Lock()
+	<-g.freed
+	g.mu.Unlock()
+}
+`,
+	})
+	fs := mustRun(t, root)
+	if !hasRule(fs, RuleLockBlocking, "internal/report/group.go", 13) {
+		t.Errorf("missing lock-blocking finding in a generic struct: %v", fs)
+	}
+}
+
 // TestLockBlockingSelect: a select without a default blocks; with a
 // default it polls and is clean.
 func TestLockBlockingSelect(t *testing.T) {
@@ -222,9 +192,9 @@ func (s *sel) Polling() {
 	}
 }
 
-// TestLockTakingClosure: a closure that takes the lock itself (the
-// metrics-registration idiom) runs with a fresh lock state — clean on
-// both sides.
+// TestLockTakingClosure: a closure created under the lock (the
+// metrics-registration idiom) runs with a fresh lock state, so a blocking
+// op inside it is clean; the same op in the creator's locked body is not.
 func TestLockTakingClosure(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"internal/report/box.go": `package report
@@ -234,30 +204,40 @@ import "sync"
 type box struct {
 	mu sync.Mutex
 	n  int
-}
-
-func (b *box) Inc() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.n++
+	ch chan int
 }
 
 func (b *box) Snapshot() func() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	return func() int {
 		b.mu.Lock()
-		defer b.mu.Unlock()
-		return b.n
+		n := b.n
+		b.mu.Unlock()
+		b.ch <- n
+		return n
 	}
+}
+
+func (b *box) Flush() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.ch <- b.n
 }
 `,
 	})
-	if fs := mustRun(t, root); len(fs) != 0 {
-		t.Errorf("lock-taking closure should be clean: %v", fs)
+	fs := mustRun(t, root)
+	if hasRule(fs, RuleLockBlocking, "internal/report/box.go", 18) {
+		t.Errorf("send inside a closure created under the lock must be clean: %v", fs)
+	}
+	if !hasRule(fs, RuleLockBlocking, "internal/report/box.go", 26) {
+		t.Errorf("send in the locked body must be flagged: %v", fs)
 	}
 }
 
 // TestHeldbyDirective: a helper documented as running under the lock is
-// covered by //vltlint:heldby; without it the writes are findings.
+// analyzed with //vltlint:heldby's mutex held, so its blocking op is a
+// finding; without the directive the helper holds nothing and is clean.
 func TestHeldbyDirective(t *testing.T) {
 	src := func(directive string) string {
 		return `package report
@@ -267,38 +247,37 @@ import "sync"
 type gauge struct {
 	mu sync.Mutex
 	v  int
+	ch chan int
 }
 
 func (g *gauge) Set(v int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.v = v
-	g.bump()
+	g.publish()
 }
 
-func (g *gauge) Get() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.v
-}
-
-// bump advances v (callers hold the lock).
-` + directive + `func (g *gauge) bump() { g.v++ }
+// publish sends v to the watchers (callers hold the lock).
+` + directive + `func (g *gauge) publish() { g.ch <- g.v }
 `
 	}
 	root := writeTree(t, map[string]string{
 		"internal/report/gauge.go": src("//\n//vltlint:heldby mu\n"),
 	})
-	if fs := mustRun(t, root); len(fs) != 0 {
-		t.Errorf("heldby-annotated helper should be clean: %v", fs)
+	fs := mustRun(t, root)
+	f, ok := findingAt(fs, RuleLockBlocking, "internal/report/gauge.go", 21)
+	if !ok {
+		t.Fatalf("missing lock-blocking finding in the heldby helper: %v", fs)
+	}
+	if !strings.Contains(f.Msg, "channel send while holding g.mu") {
+		t.Errorf("unexpected message: %s", f.Msg)
 	}
 
 	root = writeTree(t, map[string]string{
 		"internal/report/gauge.go": src(""),
 	})
-	fs := mustRun(t, root)
-	if !hasRule(fs, RuleLockGuard, "internal/report/gauge.go", 24) {
-		t.Errorf("missing lock-guard finding without heldby: %v", fs)
+	if fs := mustRun(t, root); len(fs) != 0 {
+		t.Errorf("without heldby the helper holds no lock and is clean: %v", fs)
 	}
 }
 
@@ -335,121 +314,6 @@ func (b *box) Flush() {
 	}
 	if hasRule(fs, RuleUnusedIgnore, "internal/report/box.go", -1) {
 		t.Errorf("used directive must not be reported as unused: %v", fs)
-	}
-}
-
-// TestGoJoinUnjoined: a goroutine with no join evidence is a go-join
-// finding, layered on top of (and independently of) the goroutine ban.
-func TestGoJoinUnjoined(t *testing.T) {
-	root := writeTree(t, map[string]string{
-		"internal/report/spawn.go": `package report
-
-func Spawn(f func()) {
-	go f() //vltlint:ignore goroutine test double, fire and forget
-}
-`,
-	})
-	fs := mustRun(t, root)
-	f, ok := findingAt(fs, RuleGoJoin, "internal/report/spawn.go", 4)
-	if !ok {
-		t.Fatalf("missing go-join finding: %v", fs)
-	}
-	if !strings.Contains(f.Msg, "not provably joined") {
-		t.Errorf("unexpected message: %s", f.Msg)
-	}
-}
-
-// TestGoJoinWaitGroup: WaitGroup join evidence in the same function
-// satisfies the ownership rule.
-func TestGoJoinWaitGroup(t *testing.T) {
-	root := writeTree(t, map[string]string{
-		"internal/report/spawn.go": `package report
-
-import "sync"
-
-func Spawn(f func()) {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { //vltlint:ignore goroutine joined by wg.Wait below
-		defer wg.Done()
-		f()
-	}()
-	wg.Wait()
-}
-`,
-	})
-	fs := mustRun(t, root)
-	if hasRule(fs, RuleGoJoin, "internal/report/spawn.go", -1) {
-		t.Errorf("WaitGroup-joined goroutine must be clean: %v", fs)
-	}
-}
-
-// TestGoJoinDoneChannel: closing a channel the spawner receives from is
-// join evidence.
-func TestGoJoinDoneChannel(t *testing.T) {
-	root := writeTree(t, map[string]string{
-		"internal/report/spawn.go": `package report
-
-func Spawn(f func()) {
-	done := make(chan struct{})
-	go func() { //vltlint:ignore goroutine joined by the done receive below
-		defer close(done)
-		f()
-	}()
-	<-done
-}
-`,
-	})
-	fs := mustRun(t, root)
-	if hasRule(fs, RuleGoJoin, "internal/report/spawn.go", -1) {
-		t.Errorf("done-channel-joined goroutine must be clean: %v", fs)
-	}
-}
-
-// TestGoJoinContextCancel: a cancel call plus a Done watch in the
-// goroutine is join evidence.
-func TestGoJoinContextCancel(t *testing.T) {
-	root := writeTree(t, map[string]string{
-		"internal/report/spawn.go": `package report
-
-import "context"
-
-func Spawn(f func()) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() { //vltlint:ignore goroutine cancelled via ctx
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			default:
-				f()
-			}
-		}
-	}()
-}
-`,
-	})
-	fs := mustRun(t, root)
-	if hasRule(fs, RuleGoJoin, "internal/report/spawn.go", -1) {
-		t.Errorf("context-cancelled goroutine must be clean: %v", fs)
-	}
-}
-
-// TestGoJoinRunnerExempt: internal/runner owns its goroutines; the
-// ownership rule does not bind there.
-func TestGoJoinRunnerExempt(t *testing.T) {
-	root := writeTree(t, map[string]string{
-		"internal/runner/pool.go": `package runner
-
-func Spawn(f func()) {
-	go f()
-}
-`,
-	})
-	fs := mustRun(t, root)
-	if hasRule(fs, RuleGoJoin, "internal/runner/pool.go", -1) {
-		t.Errorf("go-join must exempt internal/runner: %v", fs)
 	}
 }
 

@@ -18,25 +18,22 @@
 //     (rand.Intn, rand.Perm, ...) — only rand.New and rand.NewSource
 //     are permitted;
 //   - goroutine: no goroutine spawns outside internal/runner — the
-//     audited worker pool is the sanctioned home for concurrency; a
-//     spawn elsewhere needs an explicit, reasoned ignore directive.
+//     audited worker pool is the sanctioned home for concurrency. A
+//     goroutine finding cannot be suppressed: an ignore directive for
+//     it matches nothing and is itself an unused-ignore finding.
 //
 // Concurrency-safety passes (the serving layer is supposed to be
 // concurrent, so its contract is discipline rather than abstinence):
 //
-//   - lock-guard, lock-blocking: a flow-sensitive lock-discipline
-//     analysis infers which struct fields are guarded by which
-//     sync.Mutex/RWMutex (majority of accesses hold it, at least one
-//     write) and flags minority accesses, plus any blocking operation
-//     — channel ops, defaultless select, net/http round trips, known
-//     blocking methods — performed while a mutex is held. A method
+//   - lock-blocking: a flow-sensitive walk tracks which
+//     sync.Mutex/RWMutex fields are held and flags any blocking
+//     operation — channel ops, defaultless select, net/http round
+//     trips, known blocking methods — performed while one is. A method
 //     whose doc comment carries "//vltlint:heldby <mutexField>"
 //     declares the callers-hold-the-lock convention and is analyzed
-//     with that mutex held.
-//   - go-join: every go statement outside internal/runner must be
-//     provably joined in its spawning function (WaitGroup/group Wait,
-//     a done channel, or cancel-on-context evidence) — the goroutine
-//     rule's ignore directive excuses the spawn, never the detachment.
+//     with that mutex held. Unguarded field accesses are left to
+//     go test -race, which kills every such mutant the lint could
+//     (testdata/mutants/record.json).
 //   - ctx-background, ctx-propagate: in the serving packages (serve,
 //     fleet, vltclient), context.Background and context.TODO are
 //     banned, and a function that receives a context must thread a
@@ -55,5 +52,6 @@
 // (pkg-doc): every internal/* and cmd/* package carries a doc.go with
 // a package doc comment. Key types: Finding (one violation, with
 // file, position, rule and message) and the Rule* name constants.
-// DESIGN.md §9 and §14 give the rationale and the known blind spots.
+// DESIGN.md §9 and §14 give the rationale, the known blind spots and
+// the mutant record each kept rule is measured by.
 package lint

@@ -21,10 +21,8 @@ const (
 	RuleGoroutine  = "goroutine"
 	RuleRandGlobal = "rand-global"
 
-	// Concurrency-safety rules (conc.go).
-	RuleLockGuard    = "lock-guard"
+	// Concurrency-safety rule (conc.go).
 	RuleLockBlocking = "lock-blocking"
-	RuleGoJoin       = "go-join"
 
 	// Deadline-propagation rules (ctx.go).
 	RuleCtxBackground = "ctx-background"
@@ -259,10 +257,10 @@ func (l *linter) importPath(rel string) string {
 }
 
 // lintDir parses, typechecks and checks one package directory. Per-file
-// rules run first, then the package-wide passes (lock discipline,
-// goroutine ownership, deadline propagation, metrics registration) that
-// need every file's declarations at once, then the unused-ignore sweep
-// over whatever directives no rule consumed.
+// rules run first, then the package-wide passes (lock-blocking,
+// deadline propagation, metrics registration) that need every file's
+// declarations at once, then the unused-ignore sweep over whatever
+// directives no rule consumed.
 func (l *linter) lintDir(rel string) ([]Finding, error) {
 	files, err := l.parseDir(rel)
 	if err != nil {
@@ -444,13 +442,15 @@ func (c *checker) collectIgnores(f *ast.File) {
 }
 
 // emit reports one finding unless an ignore directive covers it; a
-// matching directive is marked used either way.
+// matching directive is marked used either way. goroutine findings
+// cannot be suppressed: a spawn belongs in internal/runner, so an ignore
+// directive for that rule matches nothing and is itself unused-ignore.
 func (c *checker) emit(pos token.Pos, rule, format string, args ...any) {
 	p := c.fset.Position(pos)
 	file := c.relFile(p.Filename)
 	suppressed := false
 	for _, d := range c.ignores[file][p.Line] {
-		if d.rule == rule {
+		if d.rule == rule && rule != RuleGoroutine {
 			d.used = true
 			suppressed = true
 		}

@@ -207,6 +207,27 @@ func main() {
 	}
 }
 
+// TestGoroutineIgnoreSuppressesNothing: a goroutine finding cannot be
+// suppressed, so the spawn stays flagged and its directive is itself an
+// unused-ignore finding.
+func TestGoroutineIgnoreSuppressesNothing(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"internal/report/spawn.go": `package report
+
+func Spawn(f func()) {
+	go f() //vltlint:ignore goroutine fire and forget
+}
+`,
+	})
+	fs := mustRun(t, root)
+	if !hasRule(fs, RuleGoroutine, "internal/report/spawn.go", 4) {
+		t.Errorf("ignore directive must not suppress the goroutine finding: %v", fs)
+	}
+	if !hasRule(fs, RuleUnusedIgnore, "internal/report/spawn.go", 4) {
+		t.Errorf("goroutine ignore directive must be reported unused: %v", fs)
+	}
+}
+
 func TestIgnoreDirective(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"internal/core/sorted.go": `package core

@@ -138,7 +138,6 @@ func (c *cache) register(r *stats.Registry) {
 	r.CounterFn("evictions", locked(func() uint64 { return c.evictions }))
 	r.CounterFn("oversize", locked(func() uint64 { return c.oversize }))
 	r.CounterFn("entries", locked(func() uint64 { return uint64(c.ll.Len()) }))
-	//vltlint:ignore lock-guard the locked() wrapper takes c.mu around this closure
 	r.CounterFn("bytes", locked(func() uint64 { return uint64(c.bytes) }))
 	r.CounterFn("budget_bytes", func() uint64 { return uint64(c.budget) })
 }

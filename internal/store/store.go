@@ -495,12 +495,9 @@ func (s *Store) register(r *stats.Registry) {
 	r.CounterFn("misses", locked(func() uint64 { return s.misses }))
 	r.CounterFn("writes", locked(func() uint64 { return s.writes }))
 	r.CounterFn("write_fails", locked(func() uint64 { return s.writeFails }))
-	//vltlint:ignore lock-guard the locked() wrapper takes s.mu around this closure
 	r.CounterFn("evictions", locked(func() uint64 { return s.evictions }))
-	//vltlint:ignore lock-guard the locked() wrapper takes s.mu around this closure
 	r.CounterFn("corrupt", locked(func() uint64 { return s.corrupt }))
 	r.CounterFn("entries", locked(func() uint64 { return uint64(s.ll.Len()) }))
-	//vltlint:ignore lock-guard the locked() wrapper takes s.mu around this closure
 	r.CounterFn("bytes", locked(func() uint64 { return uint64(s.bytes) }))
 	r.CounterFn("budget_bytes", func() uint64 { return uint64(s.budget) })
 }

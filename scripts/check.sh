@@ -99,12 +99,13 @@ if ! diff "$work/search.1.json" "$work/search.2.json"; then
 fi
 
 echo "== vltlint -docs ./... (all lint passes repo-wide + analyzer speed guard)"
-# All passes must run clean: determinism rules on the core, lock
-# discipline and goroutine ownership module-wide, deadline propagation
-# on the serving layer, metrics-registration exhaustiveness, unused
-# ignore directives, and doc.go per internal/cmd package. The run is
-# timed against a 5s bound (built binary, so compile time is excluded):
-# the suite only stays a per-commit gate while it stays cheap.
+# All passes must run clean: determinism rules on the core, no goroutine
+# outside internal/runner, no blocking operation under a held mutex,
+# deadline propagation on the serving layer, metrics-registration
+# exhaustiveness, unused ignore directives, and doc.go per internal/cmd
+# package. The run is timed against a 5s bound (built binary, so compile
+# time is excluded): the suite only stays a per-commit gate while it
+# stays cheap.
 lint_start=$(date +%s%N)
 "$bin/vltlint" -docs ./...
 lint_end=$(date +%s%N)
@@ -114,6 +115,18 @@ if [ "$lint_ms" -gt 5000 ]; then
     echo "guard: analyzer exceeded the 5000ms bound" >&2
     exit 1
 fi
+
+echo "== mutant catalogue applies (git apply --check testdata/mutants/*.patch)"
+# Each mutant is one committed defect with the checks that should kill
+# it (scripts/mutants.sh runs them and writes testdata/mutants/record.json;
+# it takes far too long for this gate). A change that makes a patch stale
+# must re-base it here, so the catalogue never silently loses a mutant.
+for patch in testdata/mutants/*.patch; do
+    if ! git apply --check "$patch"; then
+        echo "mutant catalogue: $patch no longer applies; re-base it on this change" >&2
+        exit 1
+    fi
+done
 
 echo "== docs gate (CLI.md documents every cmd/* binary and no other, each synopsis names exactly the flags -h prints)"
 # Whole-word matches, so a mention of vltdis does not count for vltd.
