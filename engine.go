@@ -212,6 +212,18 @@ type column struct {
 	opt Options
 }
 
+// String names the column's machine and the options it sets.
+func (c column) String() string {
+	s := string(c.m)
+	if c.opt.Lanes != 0 {
+		s += ", lanes=" + strconv.Itoa(c.opt.Lanes)
+	}
+	if c.opt.NoLaneReclaim {
+		s += ", noLaneReclaim"
+	}
+	return s
+}
+
 // on returns one default-options column per machine.
 func on(ms ...Machine) []column {
 	cols := make([]column, len(ms))
@@ -225,22 +237,30 @@ func on(ms ...Machine) []column {
 // the cells ws × cols at scale, workload-major, then waits for them in
 // the same order, so rows[i][j] is ws[i] on cols[j]. The first failed
 // cell fails the grid with an error naming label, the workload and the
-// column's machine.
+// column.
 func (e *Engine) grid(label string, ws []*workloads.Workload, scale int, cols ...column) ([][]cell, error) {
-	futs := make([]*cellFuture, 0, len(ws)*len(cols))
-	for _, w := range ws {
-		for _, c := range cols {
+	return e.gridOf(label, ws, scale, func(*workloads.Workload) []column { return cols })
+}
+
+// gridOf is grid with columns chosen per workload: rows[i][j] is ws[i]
+// on colsOf(ws[i])[j].
+func (e *Engine) gridOf(label string, ws []*workloads.Workload, scale int, colsOf func(*workloads.Workload) []column) ([][]cell, error) {
+	cols := make([][]column, len(ws))
+	futs := make([][]*cellFuture, len(ws))
+	for i, w := range ws {
+		cols[i] = colsOf(w)
+		for _, c := range cols[i] {
 			c.opt.Scale = scale
-			futs = append(futs, e.submit(w.Name, c.m, c.opt))
+			futs[i] = append(futs[i], e.submit(w.Name, c.m, c.opt))
 		}
 	}
 	rows := make([][]cell, len(ws))
 	for i, w := range ws {
-		rows[i] = make([]cell, len(cols))
-		for j, c := range cols {
+		rows[i] = make([]cell, len(cols[i]))
+		for j, c := range cols[i] {
 			var err error
-			if rows[i][j], err = futs[i*len(cols)+j].wait(); err != nil {
-				return nil, fmt.Errorf("%s (%s, %s): %w", label, w.Name, c.m, err)
+			if rows[i][j], err = futs[i][j].wait(); err != nil {
+				return nil, fmt.Errorf("%s (%s, %s): %w", label, w.Name, c, err)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -31,9 +32,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 	// The one-slot engine starts empty, so its sweep proves every entry
 	// runs its driver once and the figures share cells (each workload's
 	// base-machine run is requested by Figures 1, 3, 4, 5 and Table 4
-	// alike): 127 requests, 78 simulated.
-	if st := serial.Stats(); st.Submitted != 127 || st.Unique != 78 || st.Hits != st.Submitted-st.Unique {
-		t.Errorf("one-slot sweep stats %+v, want 127 submitted, 78 unique, the rest hits", st)
+	// alike, and by all four of Figure 1's columns for the vector-free
+	// ocean and barnes): 127 requests, 72 simulated.
+	if st := serial.Stats(); st.Submitted != 127 || st.Unique != 72 || st.Hits != st.Submitted-st.Unique {
+		t.Errorf("one-slot sweep stats %+v, want 127 submitted, 72 unique, the rest hits", st)
 	}
 	got, err := parallel.CollectAll(1)
 	if err != nil {
@@ -58,28 +60,39 @@ func TestParallelMatchesSerial(t *testing.T) {
 }
 
 // TestDriverErrorsNameTheCell: when one cell fails, every catalogue entry
-// that needs it fails with an error naming the entry, the workload and
-// the machine, and every other entry still succeeds. The source is a fake
-// (every other cell takes one cycle), so nothing is simulated.
+// that needs it fails naming the entry, the workload, the machine, the
+// column's options and the cause, and every other entry succeeds. The
+// source is a fake (every other cell takes one cycle), so nothing is
+// simulated.
 func TestDriverErrorsNameTheCell(t *testing.T) {
-	eng := NewEngineFrom(func(w string, m Machine, opt Options) (Result, error) {
-		if w == "trfd" && m == MachineV4CMP {
-			return Result{}, errors.New("injected failure")
-		}
-		return Result{Workload: w, Machine: m, Cycles: 1}, nil
-	})
-	needs := map[string]bool{"figure3": true, "figure4": true, "figure5": true}
-	for _, x := range Experiments() {
-		_, _, err := x.Run(eng, 1)
-		switch {
-		case !needs[x.Name] && err != nil:
-			t.Errorf("%s does not need trfd on V4-CMP but failed: %v", x.Name, err)
-		case needs[x.Name] && err == nil:
-			t.Errorf("%s needs trfd on V4-CMP but succeeded", x.Name)
-		case err != nil:
-			for _, want := range []string{x.Name, "trfd", string(MachineV4CMP), "injected failure"} {
-				if !strings.Contains(err.Error(), want) {
-					t.Errorf("%s: error %q does not name %q", x.Name, err, want)
+	for _, c := range []struct {
+		fail  simCell
+		needs []string
+		names []string // beyond the entry's name and the cause
+	}{
+		{simCell{"trfd", MachineV4CMP, Options{}}, []string{"figure3", "figure4", "figure5"}, []string{"trfd", string(MachineV4CMP)}},
+		{simCell{"mxm", MachineBase, Options{Lanes: 2}}, []string{"figure1"}, []string{"mxm", string(MachineBase), "lanes=2"}},
+	} {
+		eng := NewEngineFrom(func(w string, m Machine, opt Options) (Result, error) {
+			if w == c.fail.workload && m == c.fail.machine && opt.Lanes == c.fail.opt.Lanes {
+				return Result{}, errors.New("injected failure")
+			}
+			return Result{Workload: w, Machine: m, Cycles: 1}, nil
+		})
+		cell := equivCase{simCell: c.fail}
+		for _, x := range Experiments() {
+			_, _, err := x.Run(eng, 1)
+			needs := slices.Contains(c.needs, x.Name)
+			switch {
+			case !needs && err != nil:
+				t.Errorf("%s does not need %v but failed: %v", x.Name, cell, err)
+			case needs && err == nil:
+				t.Errorf("%s needs %v but succeeded", x.Name, cell)
+			case err != nil:
+				for _, want := range append([]string{x.Name, "injected failure"}, c.names...) {
+					if !strings.Contains(err.Error(), want) {
+						t.Errorf("%s: error %q does not name %q", x.Name, err, want)
+					}
 				}
 			}
 		}

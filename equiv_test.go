@@ -182,6 +182,13 @@ func equivCases(tb testing.TB) []equivCase {
 		}
 	}
 	all, _ := allCells(tb)
+	// Figure 1's lane columns, which -all simulates only for workloads
+	// with vector code, so the harness covers the vector-free ones too.
+	for _, w := range Workloads() {
+		for _, lanes := range Figure1Lanes {
+			all = append(all, simCell{w, MachineBase, Options{Lanes: lanes}})
+		}
+	}
 	slices.SortFunc(all, func(a, b simCell) int {
 		return cmp.Compare(equivCase{simCell: a}.String(), equivCase{simCell: b}.String())
 	})
@@ -364,9 +371,11 @@ func TestForkUnderSkip(t *testing.T) {
 }
 
 // TestEquivalenceCoversEveryCell pins the harness's cell set: every
-// runnable grid cell (78) and every cell `vltexp -all` simulates (78, 39
-// of them outside the grid: Figure 1's 1, 2 and 4 lanes, the 16-lane and
-// the no-reclaim studies), each once, with the fork modes on 30 of them.
+// runnable grid cell (78), every cell `vltexp -all` simulates (72, 33 of
+// them outside the grid: Figure 1's 1, 2 and 4 lanes for the seven
+// workloads with vector code, the 16-lane and the no-reclaim studies)
+// and Figure 1's lane columns for every workload (6 more), each once,
+// with the fork modes on 30 of them.
 func TestEquivalenceCoversEveryCell(t *testing.T) {
 	cases := equivCases(t)
 	in := make(map[string]bool)
@@ -379,8 +388,8 @@ func TestEquivalenceCoversEveryCell(t *testing.T) {
 		}
 	}
 	all, unique := allCells(t)
-	if len(all) != unique || unique != 78 {
-		t.Errorf("recorded %d -all cells, engine requested %d unique, want 78", len(all), unique)
+	if len(all) != unique || unique != 72 {
+		t.Errorf("recorded %d -all cells, engine requested %d unique, want 72", len(all), unique)
 	}
 	for _, c := range all {
 		if key, _ := fingerprint(c.workload, c.machine, c.opt); !in[key] {

@@ -32,14 +32,22 @@ type Figure1Data struct {
 }
 
 // Figure1 sweeps the base processor's lane count from 1 to 8 for all nine
-// applications (paper Figure 1).
+// applications (paper Figure 1). A vector-free base program
+// (asm.Program.VectorFree) cannot see the lane count, so each of its
+// columns is the base machine's default-lane cell, simulated once.
 func (e *Engine) Figure1(scale int) (Figure1Data, error) {
 	ws := workloads.All()
-	var cols []column
-	for _, lanes := range Figure1Lanes {
-		cols = append(cols, column{MachineBase, Options{Lanes: lanes}})
+	var lanes, flat []column
+	for _, l := range Figure1Lanes {
+		lanes = append(lanes, column{MachineBase, Options{Lanes: l}})
+		flat = append(flat, column{m: MachineBase})
 	}
-	rows, err := e.grid("figure1", ws, scale, cols...)
+	rows, err := e.gridOf("figure1", ws, scale, func(w *workloads.Workload) []column {
+		if spec, err := resolveCell(w.Name, MachineBase, Options{Scale: scale}); err == nil && spec.w.Build(spec.params).VectorFree() {
+			return flat
+		}
+		return lanes
+	})
 	var data Figure1Data
 	for i, row := range rows {
 		r := Figure1Row{Workload: ws[i].Name}

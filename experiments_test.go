@@ -1,6 +1,7 @@
 package vlt
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -53,6 +54,58 @@ func TestFigure1Shapes(t *testing.T) {
 		for i := 1; i < len(s); i++ {
 			if s[i] < s[i-1]*0.98 {
 				t.Errorf("%s speedup not monotone: %v", w, s)
+			}
+		}
+	}
+}
+
+// TestVectorFreeIgnoresLanes pins the premise Figure 1 simulates a
+// vector-free workload once on: ocean and barnes, and only they, build
+// base programs with no vector instruction, and such a program's base
+// run at any lane count has the same cycles and retired count and a
+// snapshot that differs only in the lane count and the all-idle census
+// (3 datapaths × lanes × cycles).
+func TestVectorFreeIgnoresLanes(t *testing.T) {
+	for _, scale := range []int{1, 2} {
+		var free []string
+		for _, w := range Workloads() {
+			spec, err := resolveCell(w, MachineBase, Options{Scale: scale})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if spec.w.Build(spec.params).VectorFree() {
+				free = append(free, w)
+			}
+		}
+		if !slices.Equal(free, []string{"ocean", "barnes"}) {
+			t.Errorf("scale %d: vector-free base programs %v, want [ocean barnes]", scale, free)
+		}
+	}
+	for _, w := range []string{"ocean", "barnes"} {
+		var ref Result
+		for _, lanes := range []int{1, 2, 4, 8, 16} {
+			res, err := Run(w, MachineBase, Options{Scale: 1, Lanes: lanes})
+			if err != nil {
+				t.Fatalf("%s at %d lanes: %v", w, lanes, err)
+			}
+			if got, _ := res.Metrics.Get("vcl.util.all_idle"); got != float64(3*lanes)*float64(res.Cycles) {
+				t.Errorf("%s at %d lanes: vcl.util.all_idle = %v, want 3 × %d × %d cycles", w, lanes, got, lanes, res.Cycles)
+			}
+			if lanes == 1 {
+				ref = res
+				continue
+			}
+			if res.Cycles != ref.Cycles || res.Retired != ref.Retired {
+				t.Errorf("%s at %d lanes: %d cycles, %d retired; at 1 lane %d, %d",
+					w, lanes, res.Cycles, res.Retired, ref.Cycles, ref.Retired)
+			}
+			if len(res.Metrics) != len(ref.Metrics) {
+				t.Fatalf("%s at %d lanes: %d metrics, at 1 lane %d", w, lanes, len(res.Metrics), len(ref.Metrics))
+			}
+			for i, m := range res.Metrics {
+				if m != ref.Metrics[i] && m.Name != "vcl.lanes" && m.Name != "vcl.util.all_idle" {
+					t.Errorf("%s at %d lanes: %s = %v, at 1 lane %s = %v", w, lanes, m.Name, m.Value, ref.Metrics[i].Name, ref.Metrics[i].Value)
+				}
 			}
 		}
 	}

@@ -73,6 +73,18 @@ func (p *Program) Symbol(name string) uint64 {
 // DataEnd returns the first unused byte address after all allocations.
 func (p *Program) DataEnd() uint64 { return p.dataEnd }
 
+// VectorFree reports whether the program has no instruction the vector
+// unit executes or configures (no vector op, setvl or vltcfg), so its
+// cycles and retired count cannot depend on the lane count.
+func (p *Program) VectorFree() bool {
+	for _, in := range p.Code {
+		if in.Op.Info().Vector || in.Op == isa.OpSetVL || in.Op == isa.OpVltCfg {
+			return false
+		}
+	}
+	return true
+}
+
 // Label is a forward-referenceable code position.
 type Label struct {
 	name  string

@@ -189,3 +189,43 @@ func TestSugarEmitsExpectedOpcodes(t *testing.T) {
 		t.Errorf("VltCfg wrong: %+v", p.Code[6])
 	}
 }
+
+// TestVectorFree: one instruction the vector unit executes or
+// configures makes a program vector-free no longer; scalar ALU, FP,
+// memory, branch, bar, mark and halt keep it vector-free.
+func TestVectorFree(t *testing.T) {
+	const scalar = `
+.alloc buf 2
+    movi r1, &buf
+    add r2, r1, r1
+    mul r3, r2, r2
+    fmovi f1, 1.5
+    fadd f2, f1, f1
+    ld r4, 0(r1)
+    st r4, 8(r1)
+    fst f2, 0(r1)
+    mark 1
+    bar
+    beq r4, r0, done
+    j done
+done:
+    halt
+`
+	for _, c := range []struct {
+		name, extra string
+		want        bool
+	}{
+		{"scalar", "", true},
+		{"vadd", "vadd v1, v2, v3", false},
+		{"setvl", "setvl r5, r1", false},
+		{"vltcfg", "vltcfg 2", false},
+	} {
+		p, err := ParseText(c.name, c.extra+"\n"+scalar)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := p.VectorFree(); got != c.want {
+			t.Errorf("%s: VectorFree() = %v, want %v", c.name, got, c.want)
+		}
+	}
+}

@@ -54,9 +54,10 @@ func copyDir(t *testing.T, src string) string {
 // cells in the tiers. After a sweep of the 78-cell paper grid, a fresh
 // node over that store serves every grid-only experiment from disk with
 // no simulation at all, and the swept node itself serves all eleven
-// experiments with exactly the 39 simulations of the cells outside the
-// grid (Figure 1 at 1/2/4 lanes, the 16-lane study, the no-reclaim
-// study), which then answer /v1/run from memory.
+// experiments with exactly the 33 simulations of the cells outside the
+// grid (Figure 1 at 1/2/4 lanes for the seven workloads with vector code,
+// the 16-lane study, the no-reclaim study), which then answer /v1/run
+// from memory.
 func TestExperimentCellsShareTiers(t *testing.T) {
 	dir := t.TempDir()
 	a, sims := countingServer(t, dir)
@@ -91,8 +92,8 @@ func TestExperimentCellsShareTiers(t *testing.T) {
 				t.Fatalf("%s: status %d: %s", e.Name, rec.Code, rec.Body)
 			}
 		}
-		if n := sims.Load() - before; n != 39 {
-			t.Errorf("all eleven experiments on a swept node ran %d simulations, want 39", n)
+		if n := sims.Load() - before; n != 33 {
+			t.Errorf("all eleven experiments on a swept node ran %d simulations, want 33", n)
 		}
 		rec := get(t, a, "/v1/run?workload=mxm&machine=base&lanes=1")
 		if h := rec.Header().Get("X-VLT-Cache"); rec.Code != http.StatusOK || h != "hit" {
